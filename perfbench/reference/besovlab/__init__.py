@@ -1,0 +1,59 @@
+"""besovlab: dyadic frequency analysis and incompressible viscoelastic
+flow on the periodic torus, with verifiable norm estimates."""
+
+__version__ = "0.1.0"
+
+from .linsolve import (  # noqa: F401
+    CflViolationError,
+    CoupledState,
+    EllipticConvergenceError,
+    NonSolenoidalError,
+    TimeGrid,
+    solve_coupled,
+    solve_heat,
+    solve_transport,
+    solve_variable_poisson,
+)
+from .norms import (  # noqa: F401
+    INF,
+    BesovSpec,
+    HybridSpec,
+    NormSeries,
+    besov_norm,
+    chemin_lerner_norm,
+    hybrid_norm,
+    lp_norm,
+)
+from .oldroyd import (  # noqa: F401
+    AdmissibleSetSpec,
+    DensityFloorError,
+    FluidState,
+    PhysicalParams,
+    compute_pressure,
+    constraint_residuals,
+    make_initial_data,
+    phi_iteration,
+    run,
+    run_coupled,
+    step,
+    transform_to_coupled,
+)
+from .paley import (  # noqa: F401
+    DyadicBlocks,
+    PartitionProfile,
+    default_profile,
+    dyadic_decompose,
+    low_freq_cutoff,
+)
+from .spectral import (  # noqa: F401
+    GridSpec,
+    SpectralField,
+    dealias,
+    derivative,
+    forward_transform,
+    inverse_transform,
+    lambda_power,
+    leray_project,
+    make_grid,
+    rescale,
+)

@@ -1,0 +1,109 @@
+"""Field snapshot files: one JSON header line, then raw little-endian
+float64 physical samples per named field, concatenated in header order.
+"""
+
+from __future__ import annotations
+
+import json
+from pathlib import Path
+
+import numpy as np
+
+from .spectral import GridSpec, SpectralField, forward_transform, inverse_transform
+
+
+class SnapshotFormatError(ValueError):
+    """Malformed snapshot header or truncated payload."""
+
+
+def write_snapshot(path, grid: GridSpec, fields: dict[str, SpectralField]):
+    """Write named fields (insertion order preserved) to `path`."""
+    header = {
+        "dim": grid.dim,
+        "M": grid.points_per_axis,
+        "fields": list(fields.keys()),
+        "layout": "row-major",
+        "scalar": "float64-le",
+    }
+    with open(path, "wb") as fh:
+        fh.write(json.dumps(header).encode("utf-8"))
+        fh.write(b"\n")
+        for name in header["fields"]:
+            samples = inverse_transform(fields[name])
+            fh.write(np.ascontiguousarray(samples, dtype="<f8").tobytes())
+
+
+def read_snapshot(path) -> tuple[GridSpec, dict[str, SpectralField]]:
+    path = Path(path)
+    raw = path.read_bytes()
+    nl = raw.find(b"\n")
+    if nl < 0:
+        raise SnapshotFormatError("missing header line")
+    try:
+        header = json.loads(raw[:nl].decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise SnapshotFormatError(f"bad header: {exc}") from exc
+    for key in ("dim", "M", "fields", "layout", "scalar"):
+        if key not in header:
+            raise SnapshotFormatError(f"header missing {key!r}")
+    if header["layout"] != "row-major" or header["scalar"] != "float64-le":
+        raise SnapshotFormatError("unsupported layout or scalar type")
+    try:
+        grid = GridSpec(int(header["dim"]), int(header["M"]))
+    except ValueError as exc:
+        raise SnapshotFormatError(str(exc)) from exc
+    count = grid.points_per_axis ** grid.dim
+    payload = raw[nl + 1:]
+    expected = 8 * count * len(header["fields"])
+    if len(payload) != expected:
+        raise SnapshotFormatError(
+            f"payload holds {len(payload)} bytes, expected {expected}")
+    fields: dict[str, SpectralField] = {}
+    for i, name in enumerate(header["fields"]):
+        chunk = payload[8 * count * i: 8 * count * (i + 1)]
+        samples = np.frombuffer(chunk, dtype="<f8").reshape(grid.shape)
+        fields[str(name)] = forward_transform(grid, samples.copy())
+    return grid, fields
+
+
+def write_trajectory(out_dir, grid: GridSpec, times, states_named, *,
+                     norm_series=None):
+    """Write a time sequence of named-field snapshots plus an optional
+    per-band norm CSV.
+
+    `states_named` is a sequence of dicts name -> SpectralField, one per
+    saved time.  Returns the list of written paths.
+    """
+    import csv
+
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    paths = []
+    for i, fields in enumerate(states_named):
+        path = out_dir / f"snapshot_{i:06d}.bin"
+        write_snapshot(path, grid, fields)
+        paths.append(path)
+    if norm_series is not None:
+        path = out_dir / "norm_series.csv"
+        with open(path, "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(["time"] + [f"q{q}" for q in range(norm_series.n_bands)])
+            for i, t in enumerate(norm_series.times):
+                w.writerow([f"{t:.17g}"] + [f"{v:.17g}" for v in norm_series.values[i]])
+        paths.append(path)
+    return paths
+
+
+def state_fields(state) -> dict[str, SpectralField]:
+    """Flatten a fluid state into named scalar fields for a snapshot."""
+    n = state.grid.dim
+    out = {"sigma": state.sigma}
+    for i in range(n):
+        out[f"v{i}"] = state.velocity[i]
+    for i in range(n):
+        for j in range(n):
+            out[f"h{i}{j}"] = state.h[i][j]
+    if state.pressure_grad is not None:
+        for i in range(n):
+            out[f"gradp{i}"] = state.pressure_grad[i]
+    return out
