@@ -14,6 +14,7 @@ import json
 import math
 import sys
 import time
+from dataclasses import fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -23,8 +24,10 @@ from . import __version__
 from .linsolve import CflViolationError, EllipticConvergenceError, TimeGrid
 from .norms import BesovSpec, besov_norm, write_norm_rows
 from .oldroyd import (
+    ConstraintResiduals,
     DensityFloorError,
     PhysicalParams,
+    _norm_rows_for,
     constraint_residuals,
     make_initial_data,
     phi_iteration,
@@ -52,6 +55,7 @@ EXIT_USAGE = 2
 EXIT_SOLVER_ABORT = 3
 
 ABORT_ERRORS = (CflViolationError, DensityFloorError, EllipticConvergenceError)
+RESIDUAL_COLUMNS = ["time"] + [f.name for f in fields(ConstraintResiduals)]
 
 
 class ConfigError(ValueError):
@@ -66,6 +70,16 @@ def _expect(cond, message):
         raise ConfigError(message)
 
 
+def _build(section: str, make):
+    """Return make(); a value the constructors reject becomes a ConfigError."""
+    try:
+        return make()
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{section}: {exc}") from exc
+
+
 def _exponent(value, name):
     if value in ("inf", "Infinity"):
         return math.inf
@@ -73,7 +87,8 @@ def _exponent(value, name):
     return float(value)
 
 
-def load_config(path) -> dict:
+def load_config(path):
+    """Read a run configuration; returns (cfg, (grid, params, tg, norm_specs))."""
     try:
         raw = Path(path).read_text()
     except OSError as exc:
@@ -82,49 +97,41 @@ def load_config(path) -> dict:
         cfg = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    validate_config(cfg)
-    return cfg
+    return cfg, validate_config(cfg)
 
 
 def validate_config(cfg: dict):
+    """Check the schema and build the run objects once; returns (grid,
+    params, tg, norm_specs).  Value checks are the constructors' own."""
     _expect(isinstance(cfg, dict), "config must be a JSON object")
     for key in ("grid", "params", "time", "initial", "mode"):
         _expect(key in cfg, f"config missing {key!r}")
-    g = cfg["grid"]
-    _expect(isinstance(g, dict) and "dim" in g and "M" in g, "grid needs dim and M")
-    _expect(g["dim"] in (2, 3), "grid.dim must be 2 or 3")
-    m = g["M"]
-    _expect(isinstance(m, int) and m >= 16 and (m & (m - 1)) == 0,
-            "grid.M must be a power of two >= 16")
-    p = cfg["params"]
-    _expect(isinstance(p, dict) and p.get("mu", 0) > 0, "params.mu must be positive")
-    _expect(p.get("sigma_floor", 0.1) > 0, "params.sigma_floor must be positive")
-    t = cfg["time"]
-    for key in ("T", "dt"):
-        _expect(key in t and t[key] > 0, f"time.{key} must be positive")
-    _expect(int(t.get("save_stride", 1)) >= 1, "time.save_stride must be >= 1")
-    ini = cfg["initial"]
+    for key in ("grid", "params", "time", "initial"):
+        _expect(isinstance(cfg[key], dict), f"{key} must be a JSON object")
+    g, p, t, ini = cfg["grid"], cfg["params"], cfg["time"], cfg["initial"]
+    _expect("dim" in g and "M" in g, "grid needs dim and M")
+    grid = _build("grid", lambda: GridSpec(g["dim"], g["M"]))
+    params = _build("params", lambda: PhysicalParams(p.get("mu", 0),
+                                                     p.get("sigma_floor", 0.1)))
+    tg = _build("time", lambda: TimeGrid(t.get("T", 0), t.get("dt", 0),
+                                         int(t.get("save_stride", 1))))
     _expect(ini.get("family") in ("exact_gradient", "general"),
             "initial.family must be exact_gradient or general")
-    _expect(ini.get("amplitude", 0) >= 0, "initial.amplitude must be nonnegative")
+    amplitude = ini.get("amplitude")
+    _expect(isinstance(amplitude, (int, float)) and amplitude >= 0,
+            "initial.amplitude must be a nonnegative number")
     _expect(isinstance(ini.get("seed", 0), int), "initial.seed must be an integer")
     _expect(cfg["mode"] in ("direct", "phi", "coupled"),
             "mode must be direct, phi, or coupled")
+    norm_specs = []
     for spec in cfg.get("norms", []):
         _expect(spec.get("name") in ("sigma", "velocity", "h", "grad_p"),
                 "norm name must be one of sigma, velocity, h, grad_p")
         _expect("s" in spec, "norm spec needs s")
-        _exponent(spec.get("p", 2), "norm p")
-        _exponent(spec.get("r", 1), "norm r")
-
-
-def _norm_specs(cfg) -> list[tuple[str, BesovSpec]]:
-    out = []
-    for spec in cfg.get("norms", []):
-        out.append((spec["name"], BesovSpec(float(spec["s"]),
-                                            _exponent(spec.get("p", 2), "p"),
-                                            _exponent(spec.get("r", 1), "r"))))
-    return out
+        norm_specs.append((spec["name"], _build("norms", lambda: BesovSpec(
+            float(spec["s"]), _exponent(spec.get("p", 2), "norm p"),
+            _exponent(spec.get("r", 1), "norm r")))))
+    return grid, params, tg, norm_specs
 
 
 # -- manifest ------------------------------------------------------------------
@@ -218,26 +225,13 @@ def cmd_norms(args) -> int:
 # -- simulate ----------------------------------------------------------------------
 
 
-def _residual_fieldnames():
-    return ["time", "div_velocity", "weighted_div", "weighted_div_transposed",
-            "deformation_identity", "perturbation_identity"]
-
-
 def cmd_simulate(args, mode_override: str | None = None) -> int:
-    try:
-        cfg = load_config(args.config)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    cfg, (grid, params, tg, norm_specs) = load_config(args.config)
     mode = mode_override or cfg["mode"]
     out_dir = Path(args.out or cfg.get("output_dir", "out"))
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = Manifest(out_dir, cfg)
 
-    grid = GridSpec(cfg["grid"]["dim"], cfg["grid"]["M"])
-    params = PhysicalParams(cfg["params"]["mu"], cfg["params"].get("sigma_floor", 0.1))
-    tcfg = cfg["time"]
-    tg = TimeGrid(tcfg["T"], tcfg["dt"], int(tcfg.get("save_stride", 1)))
     ini = cfg["initial"]
     seed = args.seed if args.seed is not None else int(ini.get("seed", 0))
     state0, compat = make_initial_data(ini["family"], float(ini["amplitude"]),
@@ -256,28 +250,13 @@ def cmd_simulate(args, mode_override: str | None = None) -> int:
         manifest.add(out_dir / name)
         snap_index[0] += 1
 
-    norm_specs = _norm_specs(cfg)
     try:
-        if mode == "direct":
-            result = run(state0, params, tg, norm_specs=norm_specs, on_save=on_save)
-            norm_rows, residual_rows = result.norm_rows, result.residual_rows
-        elif mode == "coupled":
-            result = run_coupled(state0, params, tg, on_save=on_save)
-            residual_rows = result.residual_rows
-            norm_rows = _rows_from_states(result.times, result.states, norm_specs)
-            direct = run(state0, params, tg, norm_specs=norm_specs)
-            rows = []
-            for i, t in enumerate(result.times):
-                diff = _state_l2_distance(result.states[i], direct.states[i])
-                rows.append({"time": t, "l2_distance": diff})
-            path = out_dir / "cross_formulation.csv"
-            _write_csv(path, ["time", "l2_distance"], rows)
-            manifest.add(path)
-        elif mode == "phi":
+        if mode == "phi":
             phi = phi_iteration(state0, params, tg)
             for i, t in enumerate(phi.times):
                 on_save(t, phi.states[i])
-            norm_rows = _rows_from_states(phi.times, phi.states, norm_specs)
+            norm_rows = [row for t, st in zip(phi.times, phi.states)
+                         for row in _norm_rows_for(st, float(t), norm_specs)]
             residual_rows = [{"time": t, **constraint_residuals(st).as_dict()}
                              for t, st in zip(phi.times, phi.states)]
             rows = []
@@ -291,8 +270,17 @@ def cmd_simulate(args, mode_override: str | None = None) -> int:
             _write_csv(path, ["outer_iter", "distance", "in_admissible_set",
                               "sigma_sup", "velocity_smoothing", "sup_energy"], rows)
             manifest.add(path)
-        else:  # pragma: no cover - validated earlier
-            raise ConfigError(f"unknown mode {mode}")
+        else:
+            evolve = run_coupled if mode == "coupled" else run
+            result = evolve(state0, params, tg, norm_specs=norm_specs, on_save=on_save)
+            norm_rows, residual_rows = result.norm_rows, result.residual_rows
+        if mode == "coupled":
+            direct = run(state0, params, tg)
+            rows = [{"time": t, "l2_distance": _state_l2_distance(a, b)}
+                    for t, a, b in zip(result.times, result.states, direct.states)]
+            path = out_dir / "cross_formulation.csv"
+            _write_csv(path, ["time", "l2_distance"], rows)
+            manifest.add(path)
     except ABORT_ERRORS as exc:
         manifest.write({"aborted": True, "error": f"{type(exc).__name__}: {exc}",
                         "compatibility": vars(compat)})
@@ -303,19 +291,10 @@ def cmd_simulate(args, mode_override: str | None = None) -> int:
     write_norm_rows(path, norm_rows)
     manifest.add(path)
     path = out_dir / "residuals.csv"
-    _write_csv(path, _residual_fieldnames(), residual_rows)
+    _write_csv(path, RESIDUAL_COLUMNS, residual_rows)
     manifest.add(path)
     manifest.write({"aborted": False, "compatibility": vars(compat)})
     return EXIT_OK
-
-
-def _rows_from_states(times, states, norm_specs):
-    from .oldroyd import _norm_rows_for
-
-    rows = []
-    for t, st in zip(times, states):
-        rows.extend(_norm_rows_for(st, float(t), norm_specs))
-    return rows
 
 
 def _state_l2_distance(a, b) -> float:
@@ -353,13 +332,13 @@ def cmd_verify(args) -> int:
         print(f"error: unknown suite {args.suite!r}; choose from {SUITES}",
               file=sys.stderr)
         return EXIT_USAGE
+    seed = args.seed if args.seed is not None else 7
+    grid = _build("--grid-m", lambda: make_grid(2, args.grid_m))
+    wide_grid = make_grid(2, max(64, args.grid_m))
+    ens = _build("--count", lambda: EnsembleSpec(count=args.count, seed=seed))
     out_dir = Path(args.out or "verify_out")
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = Manifest(out_dir, None)
-    count = args.count
-    seed = args.seed if args.seed is not None else 7
-    grid = make_grid(2, args.grid_m)
-    ens = EnsembleSpec(count=count, seed=seed)
     hard_failures: list[str] = []
     reports: list[RatioReport] = []
     summary: list[dict] = []
@@ -372,18 +351,15 @@ def cmd_verify(args) -> int:
                 for s in (0.0, 1.0, grid.dim / 2.0):
                     reports.append(verify_bernstein(BesovSpec(s, 2.0, 1.0), ens, grid))
             elif suite == "products":
-                reports.extend(verify_product_laws(1.0, 1.0, 2.0, ens,
-                                                   make_grid(2, max(64, args.grid_m))))
+                reports.extend(verify_product_laws(1.0, 1.0, 2.0, ens, wide_grid))
             elif suite == "loginterp":
                 reports.append(verify_log_interpolation(ens, 1.0, 0.5, 2.0, grid))
             elif suite == "commutator":
-                reports.append(verify_commutator(ens, 1.0, 1.0, 2.0,
-                                                 make_grid(2, max(64, args.grid_m))))
+                reports.append(verify_commutator(ens, 1.0, 1.0, 2.0, wide_grid))
             elif suite == "scaling":
                 from .verify import band_safe_tuple
 
-                sig, vel, h = band_safe_tuple(
-                    make_grid(2, max(64, args.grid_m)), seed, m=1)
+                sig, vel, h = band_safe_tuple(wide_grid, seed, m=1)
                 info = verify_scaling(sig, vel, h, m=1)
                 summary.append({"experiment": "scaling", "params": info,
                                 "stable": True})
@@ -449,8 +425,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--config", help="JSON run configuration")
         p.add_argument("--seed", type=int, default=None, help="override the seed")
-        p.add_argument("--threads", type=int, default=1,
-                       help="reserved; execution is single-threaded")
         p.add_argument("--out", default=None, help="output directory")
 
     p = sub.add_parser("norms", help="dyadic norms of a snapshot file")

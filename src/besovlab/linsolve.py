@@ -9,7 +9,7 @@ Fourier mode.  Forcings are callbacks evaluated at stage times.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,6 +66,30 @@ class TimeGrid:
     def n_steps(self) -> int:
         return int(round(self.t_end / self.dt))
 
+    def save_steps(self) -> list[int]:
+        """Saved step indices: 0, every save_stride-th step, and the last."""
+        steps = list(range(0, self.n_steps + 1, self.save_stride))
+        if steps[-1] != self.n_steps:
+            steps.append(self.n_steps)
+        return steps
+
+
+def integrate(y, step, tg: TimeGrid, save):
+    """Advance y <- step(y, t) over the time grid, calling save(t, y) at
+    t = 0 and after every saved step; returns (times, save results).
+
+    Each save runs as soon as its step completes, so whatever `save`
+    writes survives an abort in a later step.
+    """
+    saved_at = set(tg.save_steps())
+    times, saved = [0.0], [save(0.0, y)]
+    for n in range(tg.n_steps):
+        y = step(y, n * tg.dt)
+        if n + 1 in saved_at:
+            times.append((n + 1) * tg.dt)
+            saved.append(save(times[-1], y))
+    return np.asarray(times), saved
+
 
 # -- helpers ---------------------------------------------------------------
 
@@ -113,6 +137,18 @@ def check_solenoidal(velocity: list[SpectralField], tol: float = 1e-10):
         raise NonSolenoidalError(f"velocity divergence {defect:.3g} exceeds {tol}")
 
 
+def heat_decay(grid: GridSpec, mu: float, dt: float) -> np.ndarray:
+    k2 = grid_wavenumbers(grid)["k2"]
+    return np.exp(-mu * k2 * dt)
+
+
+def if_factors(grid: GridSpec, mu: float, dt: float, diffusing) -> tuple:
+    """Integrating factors (exp(mu Lap dt), exp(mu Lap dt/2)) stacked per
+    component; components with diffusing[i] false get the factor 1."""
+    mask = np.asarray(diffusing, dtype=bool).reshape((-1,) + (1,) * grid.dim)
+    return tuple(np.where(mask, heat_decay(grid, mu, h), 1.0) for h in (dt, 0.5 * dt))
+
+
 def _if_rk4_step(y: np.ndarray, t: float, dt: float, e_full: np.ndarray,
                  e_half: np.ndarray, rhs) -> np.ndarray:
     """One Lawson (integrating-factor) RK4 step of y' = L y + N(t, y),
@@ -158,8 +194,7 @@ def solve_transport(u0, velocity, forcing, tg: TimeGrid, *,
     comps = _as_list(u0)
     grid = comps[0].grid
     vel = _velocity_callable(velocity)
-    y = _stack(comps)
-    ones = np.ones(grid.shape)
+    e_full, e_half = if_factors(grid, 0.0, tg.dt, [False] * len(comps))
 
     def rhs(t, arr):
         v = vel(t) if vel is not None else None
@@ -173,29 +208,20 @@ def solve_transport(u0, velocity, forcing, tg: TimeGrid, *,
                 out[i] = out[i] + g.coeffs
         return out
 
-    times = [0.0]
-    states = [_unstack(grid, y)]
-    dt = tg.dt
-    for n in range(tg.n_steps):
-        t = n * dt
+    def step(y, t):
         if vel is not None:
             v_now = vel(t)
-            check_cfl(grid, dt, velocity_max(v_now))
+            check_cfl(grid, tg.dt, velocity_max(v_now))
             if check_divergence:
                 check_solenoidal(v_now, solenoidal_tol)
-        y = _if_rk4_step(y, t, dt, ones, ones, rhs)
-        if (n + 1) % tg.save_stride == 0 or n + 1 == tg.n_steps:
-            times.append((n + 1) * dt)
-            states.append(_unstack(grid, y))
-    return TrajectoryResult(np.asarray(times), states, scalar_input)
+        return _if_rk4_step(y, t, tg.dt, e_full, e_half, rhs)
+
+    times, states = integrate(_stack(comps), step, tg,
+                              lambda t, y: _unstack(grid, y))
+    return TrajectoryResult(times, states, scalar_input)
 
 
 # -- heat -------------------------------------------------------------------
-
-
-def heat_decay(grid: GridSpec, mu: float, dt: float) -> np.ndarray:
-    k2 = grid_wavenumbers(grid)["k2"]
-    return np.exp(-mu * k2 * dt)
 
 
 def solve_heat(u0, forcing, mu: float, tg: TimeGrid) -> TrajectoryResult:
@@ -210,34 +236,31 @@ def solve_heat(u0, forcing, mu: float, tg: TimeGrid) -> TrajectoryResult:
     scalar_input = isinstance(u0, SpectralField)
     comps = _as_list(u0)
     grid = comps[0].grid
-    y = _stack(comps)
-    e_full = heat_decay(grid, mu, tg.dt)
-    e_half = heat_decay(grid, mu, 0.5 * tg.dt)
+    dt = tg.dt
+    e_full, e_half = if_factors(grid, mu, dt, [True] * len(comps))
 
     def f_at(t):
         if forcing is None:
             return None
         return _stack(_as_list(forcing(t)))
 
-    times = [0.0]
-    states = [_unstack(grid, y)]
-    dt = tg.dt
     f_prev = f_at(0.0)
-    for n in range(tg.n_steps):
-        t = n * dt
+
+    def step(y, t):
+        nonlocal f_prev
         if forcing is None:
-            y = e_full * y
-        else:
-            f_half = f_at(t + 0.5 * dt)
-            f_next = f_at(t + dt)
-            y = e_full * y + (dt / 6.0) * (
-                e_full * f_prev + 4.0 * e_half * f_half + f_next
-            )
-            f_prev = f_next
-        if (n + 1) % tg.save_stride == 0 or n + 1 == tg.n_steps:
-            times.append((n + 1) * dt)
-            states.append(_unstack(grid, y))
-    return TrajectoryResult(np.asarray(times), states, scalar_input)
+            return e_full * y
+        f_half = f_at(t + 0.5 * dt)
+        f_next = f_at(t + dt)
+        y = e_full * y + (dt / 6.0) * (
+            e_full * f_prev + 4.0 * e_half * f_half + f_next
+        )
+        f_prev = f_next
+        return y
+
+    times, states = integrate(_stack(comps), step, tg,
+                              lambda t, y: _unstack(grid, y))
+    return TrajectoryResult(times, states, scalar_input)
 
 
 # -- variable-coefficient elliptic solve -------------------------------------
@@ -362,19 +385,12 @@ def solve_coupled(c0, d0, velocity, forcing_c, forcing_d, mu: float,
     c_list, d_list = _as_list(c0), _as_list(d0)
     if len(c_list) != len(d_list):
         raise ValueError("c0 and d0 must have matching component counts")
+    if mu < 0:
+        raise ValueError("mu must be nonnegative")
     nc = len(c_list)
     grid = c_list[0].grid
     vel = _velocity_callable(velocity)
-    y = np.concatenate([_stack(c_list), _stack(d_list)])
-    if mu < 0:
-        raise ValueError("mu must be nonnegative")
-    ones = np.ones(grid.shape)
-    e_d = heat_decay(grid, mu, tg.dt) if mu > 0 else ones
-    e_dh = heat_decay(grid, mu, 0.5 * tg.dt) if mu > 0 else ones
-    e_full = np.concatenate([np.broadcast_to(ones, (nc,) + grid.shape),
-                             np.broadcast_to(e_d, (nc,) + grid.shape)])
-    e_half = np.concatenate([np.broadcast_to(ones, (nc,) + grid.shape),
-                             np.broadcast_to(e_dh, (nc,) + grid.shape)])
+    e_full, e_half = if_factors(grid, mu, tg.dt, [False] * nc + [True] * nc)
     kmag = grid_wavenumbers(grid)["kmag"]
 
     def rhs(t, arr):
@@ -396,18 +412,14 @@ def solve_coupled(c0, d0, velocity, forcing_c, forcing_d, mu: float,
                 out[nc + i] = out[nc + i] + g.coeffs
         return out
 
-    def snapshot(arr) -> CoupledState:
+    def step(y, t):
+        if vel is not None:
+            check_cfl(grid, tg.dt, velocity_max(vel(t)))
+        return _if_rk4_step(y, t, tg.dt, e_full, e_half, rhs)
+
+    def snapshot(t, arr) -> CoupledState:
         return CoupledState(_unstack(grid, arr[:nc]), _unstack(grid, arr[nc:]))
 
-    times = [0.0]
-    states = [snapshot(y)]
-    dt = tg.dt
-    for n in range(tg.n_steps):
-        t = n * dt
-        if vel is not None:
-            check_cfl(grid, dt, velocity_max(vel(t)))
-        y = _if_rk4_step(y, t, dt, e_full, e_half, rhs)
-        if (n + 1) % tg.save_stride == 0 or n + 1 == tg.n_steps:
-            times.append((n + 1) * dt)
-            states.append(snapshot(y))
-    return CoupledResult(np.asarray(times), states)
+    y = np.concatenate([_stack(c_list), _stack(d_list)])
+    times, states = integrate(y, step, tg, snapshot)
+    return CoupledResult(times, states)

@@ -16,16 +16,16 @@ Conventions, fixed here once:
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import randfields
 from .linsolve import (
-    EllipticResult,
     TimeGrid,
     check_cfl,
-    heat_decay,
+    if_factors,
+    integrate,
     solve_heat,
     solve_transport,
     solve_variable_poisson,
@@ -33,6 +33,7 @@ from .linsolve import (
     _if_rk4_step,
 )
 from .norms import INF, BesovSpec, NormSeries, besov_norm, norm_series
+from .paley import retained_radius
 from .spectral import (
     GridSpec,
     SpectralField,
@@ -95,14 +96,6 @@ class FluidState:
 
     def h_flat(self) -> list[SpectralField]:
         return [self.h[i][j] for i in range(self.grid.dim) for j in range(self.grid.dim)]
-
-    def copy(self) -> "FluidState":
-        return FluidState(
-            self.sigma.copy(),
-            [v.copy() for v in self.velocity],
-            [[f.copy() for f in row] for row in self.h],
-            None if self.pressure_grad is None else [g.copy() for g in self.pressure_grad],
-        )
 
 
 def zero_state(grid: GridSpec) -> FluidState:
@@ -208,20 +201,10 @@ def deformation_identity_residual(h: list[list[SpectralField]]) -> list[Spectral
     return out
 
 
-def perturbation_identity_residual(h: list[list[SpectralField]]) -> list[SpectralField]:
-    """d_k h^{ij} - d_j h^{ik} - (h^{lj} d_l h^{ik} - h^{lk} d_l h^{ij})."""
-    grid = h[0][0].grid
-    n = grid.dim
-    dh = [[[derivative(h[i][j], l) for l in range(n)] for j in range(n)] for i in range(n)]
-    out = []
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                acc = dh[i][j][k] - dh[i][k][j]
-                for l in range(n):
-                    acc = acc - product(h[l][j], dh[i][k][l]) + product(h[l][k], dh[i][j][l])
-                out.append(acc)
-    return out
+# The identity written in the perturbation h,
+# d_k h^{ij} - d_j h^{ik} - (h^{lj} d_l h^{ik} - h^{lk} d_l h^{ij}),
+# is the same expression, because d(I + h) = dh.
+perturbation_identity_residual = deformation_identity_residual
 
 
 def make_initial_data(family: str, amplitude: float, seed: int, grid: GridSpec, *,
@@ -251,7 +234,7 @@ def make_initial_data(family: str, amplitude: float, seed: int, grid: GridSpec, 
             "divergence constraint; provide a nonzero h amplitude"
         )
     rng = np.random.default_rng(seed)
-    radius = band_radius if band_radius is not None else randfields.safe_radius(grid)
+    radius = band_radius if band_radius is not None else retained_radius(grid)
 
     state = zero_state(grid)
     if amplitude > 0:
@@ -331,11 +314,17 @@ def compute_pressure(state: FluidState, params: PhysicalParams, *,
     return res.gradient, res
 
 
-# -- the direct semi-implicit stepper -----------------------------------------
+# -- the IF-RK4 steppers -----------------------------------------------------------
 
 
-class _DirectStepper:
-    """IF-RK4 stepper for (sigma, v, h) with per-stage pressure solves."""
+class _Stepper:
+    """IF-RK4 step of a stacked state with a warm-started pressure solve
+    per stage, a CFL check before and a density-floor check after.
+
+    Subclasses supply `diffusing(n)` (which components carry mu Lap),
+    `rhs`, `velocity` (the advecting field of a stacked state) and
+    `state` (the map back to a FluidState); `finish` post-processes the
+    new state."""
 
     def __init__(self, grid: GridSpec, params: PhysicalParams, dt: float, *,
                  elliptic_tol: float = 1e-11, elliptic_max_iter: int = 200):
@@ -344,25 +333,49 @@ class _DirectStepper:
         self.dt = dt
         self.elliptic_tol = elliptic_tol
         self.elliptic_max_iter = elliptic_max_iter
-        n = grid.dim
-        ones = np.ones(grid.shape)
-        decay_full = heat_decay(grid, params.mu, dt)
-        decay_half = heat_decay(grid, params.mu, 0.5 * dt)
-        ncomp = 1 + n + n * n
-
-        def build(dec):
-            stack = np.empty((ncomp,) + grid.shape)
-            stack[0] = ones
-            for i in range(n):
-                stack[1 + i] = dec
-            for i in range(n * n):
-                stack[1 + n + i] = ones
-            return stack
-
-        self.e_full = build(decay_full)
-        self.e_half = build(decay_half)
+        self.e_full, self.e_half = if_factors(grid, params.mu, dt,
+                                              self.diffusing(grid.dim))
         self._pressure_warm: SpectralField | None = None
         self.last_pressure_grad: list[SpectralField] | None = None
+
+    def pressure(self, sigma, vel, h, g) -> list[SpectralField]:
+        grad_p, ell = compute_pressure(
+            FluidState(sigma, vel, h), self.params, tol=self.elliptic_tol,
+            max_iter=self.elliptic_max_iter, warm_start=self._pressure_warm,
+            forcing=g)
+        self._pressure_warm = ell.potential
+        self.last_pressure_grad = grad_p
+        return grad_p
+
+    def finish(self, arr: np.ndarray) -> np.ndarray:
+        return arr
+
+    def step(self, arr: np.ndarray, t: float) -> np.ndarray:
+        grid, params = self.grid, self.params
+        check_cfl(grid, self.dt, velocity_max(self.velocity(arr)))
+        nxt = self.finish(_if_rk4_step(arr, t, self.dt, self.e_full, self.e_half,
+                                       self.rhs))
+        sig_min = float(inverse_transform(SpectralField(grid, nxt[0])).min())
+        if sig_min + 1.0 < params.sigma_floor:
+            raise DensityFloorError(
+                f"min(sigma+1) = {sig_min + 1.0:.3g} fell below the floor "
+                f"{params.sigma_floor}"
+            )
+        return nxt
+
+
+class _DirectStepper(_Stepper):
+    """(sigma, v, h) with the velocity Leray-projected after each step."""
+
+    @staticmethod
+    def diffusing(n: int) -> list[bool]:
+        return [False] + [True] * n + [False] * (n * n)
+
+    def velocity(self, arr: np.ndarray) -> list[SpectralField]:
+        return _unpack(self.grid, arr)[1]
+
+    def state(self, arr: np.ndarray) -> FluidState:
+        return _array_to_state(self.grid, arr)
 
     def rhs(self, t: float, arr: np.ndarray) -> np.ndarray:
         grid, params = self.grid, self.params
@@ -371,12 +384,7 @@ class _DirectStepper:
         out = np.empty_like(arr)
         out[0] = -advect(vel, sigma).coeffs
         g = momentum_forcing(sigma, vel, h, params.mu)
-        grad_p, ell = compute_pressure(
-            FluidState(sigma, vel, h), params, tol=self.elliptic_tol,
-            max_iter=self.elliptic_max_iter, warm_start=self._pressure_warm,
-            forcing=g)
-        self._pressure_warm = ell.potential
-        self.last_pressure_grad = grad_p
+        grad_p = self.pressure(sigma, vel, h, g)
         for i in range(n):
             acc = g[i] - grad_p[i] - product(sigma, grad_p[i])
             out[1 + i] = acc.coeffs
@@ -389,22 +397,12 @@ class _DirectStepper:
                 out[1 + n + i * n + j] = acc.coeffs
         return out
 
-    def step(self, arr: np.ndarray, t: float) -> np.ndarray:
-        grid, params = self.grid, self.params
-        _, vel, _ = _unpack(grid, arr)
-        check_cfl(grid, self.dt, velocity_max(vel))
-        nxt = _if_rk4_step(arr, t, self.dt, self.e_full, self.e_half, self.rhs)
-        n = grid.dim
-        vel_next = [SpectralField(grid, nxt[1 + i]) for i in range(n)]
-        for i, f in enumerate(leray_project(vel_next)):
-            nxt[1 + i] = f.coeffs
-        sig_min = float(inverse_transform(SpectralField(grid, nxt[0])).min())
-        if sig_min + 1.0 < params.sigma_floor:
-            raise DensityFloorError(
-                f"min(sigma+1) = {sig_min + 1.0:.3g} fell below the floor "
-                f"{params.sigma_floor}"
-            )
-        return nxt
+    def finish(self, arr: np.ndarray) -> np.ndarray:
+        n = self.grid.dim
+        vel = [SpectralField(self.grid, arr[1 + i]) for i in range(n)]
+        for i, f in enumerate(leray_project(vel)):
+            arr[1 + i] = f.coeffs
+        return arr
 
 
 def step(state: FluidState, params: PhysicalParams, dt: float, *,
@@ -432,27 +430,22 @@ class ConstraintResiduals:
     perturbation_identity: float
 
     def as_dict(self) -> dict:
-        return {
-            "div_velocity": self.div_velocity,
-            "weighted_div": self.weighted_div,
-            "weighted_div_transposed": self.weighted_div_transposed,
-            "deformation_identity": self.deformation_identity,
-            "perturbation_identity": self.perturbation_identity,
-        }
+        return asdict(self)
 
 
 def constraint_residuals(state: FluidState) -> ConstraintResiduals:
+    """The deformation identity is evaluated once and reported under both
+    of its names (see `perturbation_identity_residual`)."""
     grid = state.grid
+    identity = _l2_fields(deformation_identity_residual(state.h), grid)
     return ConstraintResiduals(
         div_velocity=_l2(divergence(state.velocity).coeffs, grid),
         weighted_div=_l2_fields(
             weighted_div_residual(state.sigma, state.h, first_index=True), grid),
         weighted_div_transposed=_l2_fields(
             weighted_div_residual(state.sigma, state.h, first_index=False), grid),
-        deformation_identity=_l2_fields(
-            deformation_identity_residual(state.h), grid),
-        perturbation_identity=_l2_fields(
-            perturbation_identity_residual(state.h), grid),
+        deformation_identity=identity,
+        perturbation_identity=identity,
     )
 
 
@@ -496,43 +489,38 @@ def _norm_rows_for(state: FluidState, t: float, norm_specs) -> list[dict]:
     return rows
 
 
+def _run(stepper: _Stepper, arr: np.ndarray, tg: TimeGrid, norm_specs,
+         on_save) -> RunResult:
+    """Integrate with `stepper`, recording at every saved slice the fluid
+    state with its diagnostic pressure, the constraint residuals and the
+    requested norms.  `on_save(t, state)` is invoked per saved slice, so
+    partial output survives a mid-run abort."""
+    norm_specs = norm_specs or []
+
+    def save(t, arr):
+        st = stepper.state(arr)
+        st.pressure_grad, _ = compute_pressure(st, stepper.params,
+                                               tol=stepper.elliptic_tol,
+                                               warm_start=stepper._pressure_warm)
+        res = constraint_residuals(st)
+        if on_save is not None:
+            on_save(t, st)
+        return st, {"time": t, **res.as_dict()}, _norm_rows_for(st, t, norm_specs)
+
+    times, saved = integrate(arr, stepper.step, tg, save)
+    states = [st for st, _, _ in saved]
+    return RunResult(times, states, _record_series(times, states),
+                     [row for _, row, _ in saved],
+                     [row for _, _, rows in saved for row in rows])
+
+
 def run(state0: FluidState, params: PhysicalParams, tg: TimeGrid, *,
         norm_specs: list[tuple[str, BesovSpec]] | None = None,
         elliptic_tol: float = 1e-11, on_save=None) -> RunResult:
     """Direct time integration; records norms and constraint residuals at
-    every saved slice.  `on_save(t, state)` is invoked per saved slice,
-    so partial output survives a mid-run abort."""
-    grid = state0.grid
-    stepper = _DirectStepper(grid, params, tg.dt, elliptic_tol=elliptic_tol)
-    arr = _state_to_array(state0)
-    norm_specs = norm_specs or []
-
-    def snapshot(t, arr):
-        st = _array_to_state(grid, arr)
-        # diagnostic pressure for the recorded slice
-        grad_p, _ = compute_pressure(st, params, tol=elliptic_tol,
-                                     warm_start=stepper._pressure_warm)
-        st.pressure_grad = grad_p
-        res = constraint_residuals(st)
-        if on_save is not None:
-            on_save(t, st)
-        return st, {"time": t, **res.as_dict()}
-
-    st0, row0 = snapshot(0.0, arr)
-    times, states, residual_rows = [0.0], [st0], [row0]
-    norm_rows = _norm_rows_for(st0, 0.0, norm_specs)
-    for n in range(tg.n_steps):
-        t = n * tg.dt
-        arr = stepper.step(arr, t)
-        if (n + 1) % tg.save_stride == 0 or n + 1 == tg.n_steps:
-            t_next = (n + 1) * tg.dt
-            st, row = snapshot(t_next, arr)
-            times.append(t_next)
-            states.append(st)
-            residual_rows.append(row)
-            norm_rows.extend(_norm_rows_for(st, t_next, norm_specs))
-    return RunResult(np.asarray(times), states, _record_series(times, states),
-                     residual_rows, norm_rows)
+    every saved slice."""
+    stepper = _DirectStepper(state0.grid, params, tg.dt, elliptic_tol=elliptic_tol)
+    return _run(stepper, _state_to_array(state0), tg, norm_specs, on_save)
 
 
 # -- velocity <-> tensor potential (the coupled variables) ---------------------
@@ -570,32 +558,12 @@ def transform_to_coupled(state: FluidState):
 # -- coupled-variable evolution -------------------------------------------------
 
 
-class _CoupledStepper:
-    """IF-RK4 stepper for (sigma, d, h) in the skew-coupled formulation."""
+class _CoupledStepper(_Stepper):
+    """(sigma, d, h) in the skew-coupled formulation; d diffuses."""
 
-    def __init__(self, grid: GridSpec, params: PhysicalParams, dt: float, *,
-                 elliptic_tol: float = 1e-11):
-        self.grid = grid
-        self.params = params
-        self.dt = dt
-        self.elliptic_tol = elliptic_tol
-        n = grid.dim
-        ones = np.ones(grid.shape)
-        ncomp = 1 + 2 * n * n
-        decay_full = heat_decay(grid, params.mu, dt)
-        decay_half = heat_decay(grid, params.mu, 0.5 * dt)
-
-        def build(dec):
-            stack = np.empty((ncomp,) + grid.shape)
-            stack[0] = ones
-            for i in range(n * n):
-                stack[1 + i] = dec          # d components diffuse
-                stack[1 + n * n + i] = ones  # h components do not
-            return stack
-
-        self.e_full = build(decay_full)
-        self.e_half = build(decay_half)
-        self._pressure_warm: SpectralField | None = None
+    @staticmethod
+    def diffusing(n: int) -> list[bool]:
+        return [False] + [True] * (n * n) + [False] * (n * n)
 
     def unpack(self, arr: np.ndarray):
         grid = self.grid
@@ -607,6 +575,14 @@ class _CoupledStepper:
              for i in range(n)]
         return sigma, d, h
 
+    def velocity(self, arr: np.ndarray) -> list[SpectralField]:
+        return tensor_to_velocity(self.unpack(arr)[1])
+
+    def state(self, arr: np.ndarray) -> FluidState:
+        sigma, d, h = self.unpack(arr)
+        return FluidState(sigma.copy(), leray_project(tensor_to_velocity(d)),
+                          [[f.copy() for f in row] for row in h])
+
     def rhs(self, t: float, arr: np.ndarray) -> np.ndarray:
         grid, params = self.grid, self.params
         n = grid.dim
@@ -616,10 +592,7 @@ class _CoupledStepper:
         out[0] = -advect(vel, sigma).coeffs
 
         g = momentum_forcing(sigma, vel, h, params.mu)
-        grad_p, ell = compute_pressure(
-            FluidState(sigma, vel, h), params, tol=self.elliptic_tol,
-            warm_start=self._pressure_warm, forcing=g)
-        self._pressure_warm = ell.potential
+        grad_p = self.pressure(sigma, vel, h, g)
 
         dh_grad = [[[derivative(h[i][j], l) for l in range(n)] for j in range(n)]
                    for i in range(n)]
@@ -658,50 +631,19 @@ class _CoupledStepper:
                 out[1 + n * n + i * n + j] = acc.coeffs
         return out
 
-    def step(self, arr: np.ndarray, t: float) -> np.ndarray:
-        _, d, _ = self.unpack(arr)
-        vel = tensor_to_velocity(d)
-        check_cfl(self.grid, self.dt, velocity_max(vel))
-        return _if_rk4_step(arr, t, self.dt, self.e_full, self.e_half, self.rhs)
-
 
 def run_coupled(state0: FluidState, params: PhysicalParams, tg: TimeGrid, *,
+                norm_specs: list[tuple[str, BesovSpec]] | None = None,
                 elliptic_tol: float = 1e-11, on_save=None) -> RunResult:
     """Evolve the coupled variables (sigma, d, h), mapping back to fluid
-    states at every save."""
-    grid = state0.grid
-    n = grid.dim
+    states and recording them as `run` does at every save."""
+    n = state0.grid.dim
     d0 = velocity_to_tensor(leray_project(state0.velocity))
     comps = [state0.sigma] + [d0[i][j] for i in range(n) for j in range(n)] \
         + state0.h_flat()
-    arr = np.stack([c.coeffs for c in comps])
-    stepper = _CoupledStepper(grid, params, tg.dt, elliptic_tol=elliptic_tol)
-
-    def snapshot(t, arr):
-        sigma, d, h = stepper.unpack(arr)
-        vel = leray_project(tensor_to_velocity(d))
-        st = FluidState(sigma.copy(), [v.copy() for v in vel],
-                        [[h[i][j].copy() for j in range(n)] for i in range(n)])
-        grad_p, _ = compute_pressure(st, params, tol=elliptic_tol,
-                                     warm_start=stepper._pressure_warm)
-        st.pressure_grad = grad_p
-        res = constraint_residuals(st)
-        if on_save is not None:
-            on_save(t, st)
-        return st, {"time": t, **res.as_dict()}
-
-    st0, row0 = snapshot(0.0, arr)
-    times, states, residual_rows = [0.0], [st0], [row0]
-    for k in range(tg.n_steps):
-        arr = stepper.step(arr, k * tg.dt)
-        if (k + 1) % tg.save_stride == 0 or k + 1 == tg.n_steps:
-            t_next = (k + 1) * tg.dt
-            st, row = snapshot(t_next, arr)
-            times.append(t_next)
-            states.append(st)
-            residual_rows.append(row)
-    return RunResult(np.asarray(times), states, _record_series(times, states),
-                     residual_rows)
+    stepper = _CoupledStepper(state0.grid, params, tg.dt, elliptic_tol=elliptic_tol)
+    return _run(stepper, np.stack([c.coeffs for c in comps]), tg, norm_specs,
+                on_save)
 
 
 # -- the linearization map and its fixed point ----------------------------------
@@ -785,11 +727,10 @@ def _phi_apply(prev: _TrajectoryInterpolant, state0: FluidState,
     h_traj = solve_transport(state0.h_flat(), u_at, h_forcing, tg1,
                              check_divergence=False)
 
-    times1 = np.arange(tg.n_steps + 1) * tg.dt
     sig_arr = np.stack([np.stack([f.coeffs for f in st]) for st in sig_traj.states])
     h_arr = np.stack([np.stack([f.coeffs for f in st]) for st in h_traj.states])
-    sig_interp = _TrajectoryInterpolant(times1, sig_arr)
-    h_interp = _TrajectoryInterpolant(times1, h_arr)
+    sig_interp = _TrajectoryInterpolant(sig_traj.times, sig_arr)
+    h_interp = _TrajectoryInterpolant(h_traj.times, h_arr)
 
     def v_forcing(t):
         u = u_at(t)
@@ -820,17 +761,14 @@ def _phi_apply(prev: _TrajectoryInterpolant, state0: FluidState,
 
 
 def _trajectory_distance(a: np.ndarray, b: np.ndarray, grid: GridSpec,
-                         stride: int) -> float:
-    """Sampled-sup of the critical-norm distance between two trajectories."""
-    n = grid.dim
+                         tg: TimeGrid) -> float:
+    """Sup over the saved steps of the critical-norm distance between two
+    trajectories."""
     s = grid.dim / 2.0
     spec_s = BesovSpec(s, 2.0, 1.0)
     spec_sm1 = BesovSpec(s - 1.0, 2.0, 1.0)
     worst = 0.0
-    idx = list(range(0, a.shape[0], stride))
-    if idx[-1] != a.shape[0] - 1:
-        idx.append(a.shape[0] - 1)
-    for it in idx:
+    for it in tg.save_steps():
         diff = a[it] - b[it]
         sig, vel, h = _unpack(grid, diff)
         d = besov_norm(sig, spec_s).value + besov_norm(vel, spec_sm1).value \
@@ -877,7 +815,7 @@ def phi_iteration(state0: FluidState, params: PhysicalParams, tg: TimeGrid, *,
         nxt = _phi_apply(_TrajectoryInterpolant(times, current), state0, params,
                          tg, elliptic_tol=elliptic_tol)
         applications += 1
-        dist = _trajectory_distance(nxt, current, grid, tg.save_stride)
+        dist = _trajectory_distance(nxt, current, grid, tg)
         distances.append(dist)
         monitors.append(_admissible_monitor(nxt, times, grid, params, tg,
                                             admissible))
@@ -886,9 +824,7 @@ def phi_iteration(state0: FluidState, params: PhysicalParams, tg: TimeGrid, *,
             converged = True
             break
 
-    save_idx = list(range(0, nt, tg.save_stride))
-    if save_idx[-1] != nt - 1:
-        save_idx.append(nt - 1)
+    save_idx = tg.save_steps()
     states = [_array_to_state(grid, current[i]) for i in save_idx]
     saved_times = times[save_idx]
     series = _record_series(saved_times, states)

@@ -175,16 +175,3 @@ def low_freq_cutoff(field: SpectralField, q: int,
     out = field.coeffs * mult
     out[(0,) * grid.dim] = field.coeffs[(0,) * grid.dim]
     return SpectralField(grid, out)
-
-
-def block_lp_norms(field: SpectralField, p: float,
-                   profile: PartitionProfile | None = None) -> np.ndarray:
-    """L^p norm of every band, shape (q_max+1,)."""
-    from .norms import lp_norm  # local import to avoid a cycle
-
-    grid = field.grid
-    stack = block_multipliers(grid, profile)
-    out = np.empty(stack.shape[0])
-    for q in range(stack.shape[0]):
-        out[q] = lp_norm(SpectralField(grid, field.coeffs * stack[q]), p)
-    return out

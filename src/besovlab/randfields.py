@@ -13,16 +13,12 @@ from .paley import retained_radius
 from .spectral import GridSpec, SpectralField, grid_wavenumbers, leray_project
 
 
-def safe_radius(grid: GridSpec) -> float:
-    """Largest |k| fully covered by the truncated dyadic ladder."""
-    return retained_radius(grid)
-
-
 def random_scalar(grid: GridSpec, rng: np.random.Generator, *,
                   radius: float | None = None, radius_lo: float = 0.5,
                   decay: float = 1.0) -> SpectralField:
-    """Unit-L2 mean-zero random field supported in radius_lo < |k| <= radius."""
-    radius = radius if radius is not None else safe_radius(grid)
+    """Unit-L2 mean-zero random field supported in radius_lo < |k| <= radius;
+    the default radius is the one fully covered by the dyadic ladder."""
+    radius = radius if radius is not None else retained_radius(grid)
     kmag = grid_wavenumbers(grid)["kmag"]
     noise = rng.standard_normal(grid.shape)
     coeffs = np.fft.fftn(noise) / grid.points_per_axis ** grid.dim
@@ -36,27 +32,19 @@ def random_scalar(grid: GridSpec, rng: np.random.Generator, *,
 
 
 def random_vector(grid: GridSpec, rng: np.random.Generator, *,
-                  radius: float | None = None, decay: float = 1.0) -> list[SpectralField]:
-    return [random_scalar(grid, rng, radius=radius, decay=decay)
+                  radius: float | None = None, radius_lo: float = 0.5,
+                  decay: float = 1.0) -> list[SpectralField]:
+    return [random_scalar(grid, rng, radius=radius, radius_lo=radius_lo, decay=decay)
             for _ in range(grid.dim)]
 
 
 def random_solenoidal(grid: GridSpec, rng: np.random.Generator, *,
-                      radius: float | None = None, decay: float = 1.0) -> list[SpectralField]:
-    """Divergence-free unit-scale random vector field."""
-    fields = leray_project(random_vector(grid, rng, radius=radius, decay=decay))
-    scale = np.sqrt(sum(np.sum(np.abs(f.coeffs) ** 2) for f in fields)) \
-        * (2 * np.pi) ** (grid.dim / 2.0)
-    return [SpectralField(grid, f.coeffs / scale) for f in fields]
-
-
-def random_solenoidal_band(grid: GridSpec, rng: np.random.Generator, *,
-                           radius: float, radius_lo: float,
-                           decay: float = 1.0) -> list[SpectralField]:
-    """Divergence-free field supported in radius_lo < |k| <= radius."""
-    comps = [random_scalar(grid, rng, radius=radius, radius_lo=radius_lo,
-                           decay=decay) for _ in range(grid.dim)]
-    fields = leray_project(comps)
+                      radius: float | None = None, radius_lo: float = 0.5,
+                      decay: float = 1.0) -> list[SpectralField]:
+    """Divergence-free unit-scale random vector field supported in
+    radius_lo < |k| <= radius."""
+    fields = leray_project(random_vector(grid, rng, radius=radius,
+                                         radius_lo=radius_lo, decay=decay))
     scale = np.sqrt(sum(np.sum(np.abs(f.coeffs) ** 2) for f in fields)) \
         * (2 * np.pi) ** (grid.dim / 2.0)
     return [SpectralField(grid, f.coeffs / scale) for f in fields]

@@ -200,11 +200,6 @@ def zero_field(grid: GridSpec) -> SpectralField:
     return SpectralField(grid, np.zeros(grid.shape, dtype=np.complex128))
 
 
-def field_from_function(grid: GridSpec, fn) -> SpectralField:
-    """Sample a callable of the mesh coordinates and transform it."""
-    return forward_transform(grid, fn(*grid.meshgrid()))
-
-
 # -- multiplier operators -------------------------------------------------
 
 

@@ -18,7 +18,7 @@ from . import randfields
 from .linsolve import TimeGrid
 from .norms import INF, BesovSpec, HybridSpec, besov_norm, hybrid_norm
 from .oldroyd import PhysicalParams, make_initial_data, run
-from .paley import SHELL_HI, SHELL_LO, block_multipliers
+from .paley import SHELL_HI, SHELL_LO, block_multipliers, retained_radius
 from .spectral import (
     GridSpec,
     SpectralField,
@@ -155,7 +155,7 @@ def verify_product_laws(s1: float, s2: float, p: float, ensemble: EnsembleSpec,
     s12 = s1 + s2 - n / p
     rng = np.random.default_rng(ensemble.seed)
     radius = ensemble.radius if ensemble.radius is not None \
-        else randfields.safe_radius(grid) / 2.0
+        else retained_radius(grid) / 2.0
 
     spec1 = BesovSpec(s1, p, 1.0)
     spec2_one = BesovSpec(s2, p, 1.0)
@@ -303,7 +303,7 @@ def verify_commutator(ensemble: EnsembleSpec, s: float, t: float, p: float = 2.0
         raise ValueError("commutator index window violated")
     rng = np.random.default_rng(ensemble.seed)
     radius = ensemble.radius if ensemble.radius is not None \
-        else randfields.safe_radius(grid) / 2.0
+        else retained_radius(grid) / 2.0
     spec_a = BesovSpec(s - 1.0, p, 1.0)
     spec_b = BesovSpec(t - 1.0, p, 1.0)
     expo = s + t - 2.0 - npp
@@ -340,13 +340,13 @@ def band_safe_tuple(grid: GridSpec, seed: int, m: int = 1):
     in 3/2 <= |k| <= retained_radius / 2^m.
     """
     rng = np.random.default_rng(seed)
-    hi = randfields.safe_radius(grid) / 2.0 ** m
+    hi = retained_radius(grid) / 2.0 ** m
     lo = 1.4
     if hi <= lo:
         raise ValueError(f"grid too coarse for a 2^{m} dilation band")
     sigma = randfields.random_scalar(grid, rng, radius=hi, radius_lo=lo)
-    velocity = randfields.random_solenoidal_band(grid, rng, radius=hi, radius_lo=lo)
-    w = randfields.random_solenoidal_band(grid, rng, radius=hi, radius_lo=lo)
+    velocity = randfields.random_solenoidal(grid, rng, radius=hi, radius_lo=lo)
+    w = randfields.random_solenoidal(grid, rng, radius=hi, radius_lo=lo)
     h = [[derivative(w[i], j) for j in range(grid.dim)] for i in range(grid.dim)]
     return sigma, velocity, h
 

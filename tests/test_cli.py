@@ -2,16 +2,18 @@ import csv
 import json
 
 import numpy as np
+import pytest
 
 from besovlab.cli import main
 from besovlab.norms import BesovSpec, besov_norm
+from besovlab.oldroyd import make_initial_data
 from besovlab.snapshots import read_snapshot, write_snapshot
-from besovlab.spectral import make_grid
+from besovlab.spectral import inverse_transform, make_grid
 
 from conftest import field_of
 
 
-def base_config(tmp_path, **overrides):
+def config_dict(**overrides):
     cfg = {
         "grid": {"dim": 2, "M": 16},
         "params": {"mu": 1.0, "sigma_floor": 0.1},
@@ -22,9 +24,19 @@ def base_config(tmp_path, **overrides):
                   {"name": "sigma", "s": 1.0, "p": 2, "r": "inf"}],
     }
     cfg.update(overrides)
+    return cfg
+
+
+def base_config(tmp_path, **overrides):
     path = tmp_path / "config.json"
-    path.write_text(json.dumps(cfg))
+    path.write_text(json.dumps(config_dict(**overrides)))
     return path
+
+
+def assert_one_line_error(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 class TestNormsCommand:
@@ -69,10 +81,21 @@ class TestSimulateCommand:
     def test_config_required(self):
         assert main(["simulate"]) == 2
 
-    def test_schema_violation_exit_2(self, tmp_path):
+    @pytest.mark.parametrize("cfg", [
+        {"grid": {"dim": 5, "M": 16}},
+        config_dict(time={"T": 0.05, "dt": 0.03, "save_stride": 1}),
+        config_dict(params={"mu": "1", "sigma_floor": 0.1}),
+        config_dict(initial={"family": "exact_gradient", "amplitude": "0.1", "seed": 4}),
+        config_dict(norms=[{"name": "velocity", "s": 0.0, "p": 0.5, "r": 1}]),
+    ], ids=["dim_5", "steps_not_integer", "mu_string", "amplitude_string",
+            "norm_p_below_1"])
+    def test_schema_violation_exit_2(self, tmp_path, capsys, cfg):
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"grid": {"dim": 5, "M": 16}}))
-        assert main(["simulate", "--config", str(path)]) == 2
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
+        assert_one_line_error(capsys)
+        assert not out.exists()
 
     def test_invalid_json_exit_2(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -127,6 +150,25 @@ class TestSimulateCommand:
         assert "CflViolationError" in manifest["error"]
         assert (out / "config.json").exists()
 
+    def test_coupled_density_floor_exit_3(self, tmp_path):
+        # same data as the run below: the floor sits above min(1 + sigma0)
+        st, _ = make_initial_data("general", 0.2, 5, make_grid(2, 16))
+        floor = float(inverse_transform(st.sigma).min()) + 1.0 + 0.01
+        cfg = base_config(
+            tmp_path,
+            params={"mu": 1.0, "sigma_floor": floor},
+            initial={"family": "general", "amplitude": 0.2, "seed": 5},
+            mode="coupled",
+        )
+        out = tmp_path / "floor_out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 3
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["aborted"] is True
+        assert "DensityFloorError" in manifest["error"]
+        # the coupled run itself aborts in its first step, not the direct
+        # comparison run after it: only the initial slice was saved
+        assert [p.name for p in out.glob("snapshot_*.bin")] == ["snapshot_000000.bin"]
+
     def test_phi_mode(self, tmp_path):
         cfg = base_config(
             tmp_path,
@@ -160,6 +202,13 @@ class TestVerifyCommand:
     def test_unknown_suite_exit_2(self, tmp_path, capsys):
         # argparse rejects the choice; the usage exit code passes through
         assert main(["verify", "bogus", "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("option, value", [("--count", "0"), ("--grid-m", "24")])
+    def test_bad_option_value_exit_2(self, tmp_path, capsys, option, value):
+        out = tmp_path / "v"
+        assert main(["verify", "bernstein", option, value, "--out", str(out)]) == 2
+        assert_one_line_error(capsys)
+        assert not out.exists()
 
     def test_bernstein_passes(self, tmp_path):
         assert main(["verify", "bernstein", "--count", "8", "--grid-m", "32",

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from besovlab.linsolve import TimeGrid
+from besovlab.linsolve import TimeGrid, solve_coupled, solve_heat, solve_transport
 from besovlab.norms import BesovSpec
 from besovlab.oldroyd import (
     AdmissibleSetSpec,
@@ -258,6 +258,35 @@ class TestRun:
         res = run(st, PARAMS, TimeGrid(0.2, 5e-3, save_stride=8))
         assert np.isfinite(res.series["velocity"].values).all()
         assert max(r["div_velocity"] for r in res.residual_rows) <= 1e-10
+
+
+class TestSharedIntegration:
+    @pytest.mark.parametrize("evolve", [
+        lambda st, tg: solve_transport(st.sigma, st.velocity, None, tg),
+        lambda st, tg: solve_heat(st.velocity, None, 1.0, tg),
+        lambda st, tg: solve_coupled(st.velocity, st.velocity, None, None, None,
+                                     1.0, tg),
+        lambda st, tg: run(st, PARAMS, tg),
+        lambda st, tg: run_coupled(st, PARAMS, tg),
+        lambda st, tg: phi_iteration(st, PARAMS, tg, max_outer=1, tol=1.0),
+    ], ids=["solve_transport", "solve_heat", "solve_coupled", "run", "run_coupled",
+            "phi_iteration"])
+    def test_save_schedule_stride_not_dividing_steps(self, grid2_32, evolve):
+        # 7 steps, stride 3: saves at steps 0, 3, 6 and the last one, 7
+        st, _ = make_initial_data("exact_gradient", 1e-3, 5, grid2_32)
+        tg = TimeGrid(7e-3, 1e-3, save_stride=3)
+        assert tg.save_steps() == [0, 3, 6, 7]
+        res = evolve(st, tg)
+        assert list(res.times) == pytest.approx([0.0, 3e-3, 6e-3, 7e-3], abs=1e-15)
+        assert len(res.states) == 4
+
+    def test_density_floor_in_both_formulations(self, grid2_32):
+        st, _ = make_initial_data("general", 0.2, 5, grid2_32)
+        floor = float(inverse_transform(st.sigma).min()) + 1.0 + 0.01
+        params = PhysicalParams(mu=1.0, sigma_floor=floor)
+        for evolve in (run, run_coupled):
+            with pytest.raises(DensityFloorError):
+                evolve(st, params, TimeGrid(0.01, 5e-3))
 
 
 class TestCoupledFormulation:
