@@ -21,7 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .linsolve import CflViolationError, EllipticConvergenceError, TimeGrid
+from .linsolve import (CflViolationError, EllipticConvergenceError,
+                       NonPositiveCoefficientError, TimeGrid)
 from .norms import BesovSpec, besov_norm, write_norm_rows
 from .oldroyd import (
     ConstraintResiduals,
@@ -54,7 +55,8 @@ EXIT_SOFT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_SOLVER_ABORT = 3
 
-ABORT_ERRORS = (CflViolationError, DensityFloorError, EllipticConvergenceError)
+ABORT_ERRORS = (CflViolationError, DensityFloorError, EllipticConvergenceError,
+                NonPositiveCoefficientError)
 RESIDUAL_COLUMNS = ["time"] + [f.name for f in fields(ConstraintResiduals)]
 
 
@@ -234,8 +236,6 @@ def cmd_simulate(args, mode_override: str | None = None) -> int:
 
     ini = cfg["initial"]
     seed = args.seed if args.seed is not None else int(ini.get("seed", 0))
-    state0, compat = make_initial_data(ini["family"], float(ini["amplitude"]),
-                                       seed, grid)
     cfg_copy = dict(cfg)
     cfg_copy["initial"] = {**ini, "seed": seed}
     path = out_dir / "config.json"
@@ -250,7 +250,11 @@ def cmd_simulate(args, mode_override: str | None = None) -> int:
         manifest.add(out_dir / name)
         snap_index[0] += 1
 
+    report = {}
     try:
+        state0, compat = make_initial_data(ini["family"], float(ini["amplitude"]),
+                                           seed, grid)
+        report["compatibility"] = vars(compat)
         if mode == "phi":
             phi = phi_iteration(state0, params, tg)
             for i, t in enumerate(phi.times):
@@ -283,7 +287,7 @@ def cmd_simulate(args, mode_override: str | None = None) -> int:
             manifest.add(path)
     except ABORT_ERRORS as exc:
         manifest.write({"aborted": True, "error": f"{type(exc).__name__}: {exc}",
-                        "compatibility": vars(compat)})
+                        **report})
         print(f"solver abort: {exc}", file=sys.stderr)
         return EXIT_SOLVER_ABORT
 
@@ -293,7 +297,7 @@ def cmd_simulate(args, mode_override: str | None = None) -> int:
     path = out_dir / "residuals.csv"
     _write_csv(path, RESIDUAL_COLUMNS, residual_rows)
     manifest.add(path)
-    manifest.write({"aborted": False, "compatibility": vars(compat)})
+    manifest.write({"aborted": False, **report})
     return EXIT_OK
 
 

@@ -37,6 +37,11 @@ class NonSolenoidalError(ValueError):
     """Advecting velocity failed the divergence-free check."""
 
 
+class NonPositiveCoefficientError(ValueError):
+    """The elliptic coefficient (sigma + 1 for the pressure) is not positive
+    on the grid."""
+
+
 class EllipticConvergenceError(RuntimeError):
     """Richardson iteration did not reach the requested residual."""
 
@@ -197,15 +202,9 @@ def solve_transport(u0, velocity, forcing, tg: TimeGrid, *,
     e_full, e_half = if_factors(grid, 0.0, tg.dt, [False] * len(comps))
 
     def rhs(t, arr):
-        v = vel(t) if vel is not None else None
-        out = np.empty_like(arr)
-        for i in range(arr.shape[0]):
-            u = SpectralField(grid, arr[i])
-            acc = -advect(v, u).coeffs if v is not None else np.zeros(grid.shape, complex)
-            out[i] = acc
+        out = -advect(grid, _stack(vel(t)), arr) if vel is not None else np.zeros_like(arr)
         if forcing is not None:
-            for i, g in enumerate(_as_list(forcing(t))):
-                out[i] = out[i] + g.coeffs
+            out += _stack(_as_list(forcing(t)))
         return out
 
     def step(y, t):
@@ -289,18 +288,19 @@ def solve_variable_poisson(a: SpectralField, f: SpectralField, *,
     """Solve -div(a grad u) = f on the torus by mean-preconditioned
     Richardson iteration: u <- u + (-abar Lap)^(-1) (f + div(a grad u)).
 
-    Requires a > 0 on the grid and mean-zero f (solvability); converges
-    when the relative oscillation of `a` is below one.  All products are
-    dealiased.  Raises EllipticConvergenceError when max_iter is hit,
-    with the residual history attached.
+    Requires a > 0 on the grid (else NonPositiveCoefficientError) and
+    mean-zero f (solvability); converges when the relative oscillation of
+    `a` is below one.  All products are dealiased.  Raises
+    EllipticConvergenceError when max_iter is hit, with the residual
+    history attached.
     """
     grid = a.grid
     if f.grid != grid:
         raise ValueError("coefficient and right side live on different grids")
-    a_phys = inverse_transform(a)
-    a_min = float(a_phys.min())
+    a_min = float(inverse_transform(a).min())
     if a_min <= 0:
-        raise ValueError(f"coefficient must be positive on the grid, min = {a_min:.3g}")
+        raise NonPositiveCoefficientError(
+            f"elliptic coefficient min = {a_min:.3g} is not positive on the grid")
     abar = a.mean
     # the right side represents a real field; its anti-Hermitian rounding
     # content is unreachable by the real-sample operator, so drop it
@@ -394,22 +394,13 @@ def solve_coupled(c0, d0, velocity, forcing_c, forcing_d, mu: float,
     kmag = grid_wavenumbers(grid)["kmag"]
 
     def rhs(t, arr):
-        v = vel(t) if vel is not None else None
-        out = np.empty_like(arr)
-        for i in range(nc):
-            ci, di = arr[i], arr[nc + i]
-            dc = -kmag * di
-            dd = kmag * ci
-            if v is not None:
-                dc = dc - advect(v, SpectralField(grid, ci)).coeffs
-                dd = dd - advect(v, SpectralField(grid, di)).coeffs
-            out[i], out[nc + i] = dc, dd
+        out = np.concatenate([-kmag * arr[nc:], kmag * arr[:nc]])
+        if vel is not None:
+            out -= advect(grid, _stack(vel(t)), arr)
         if forcing_c is not None:
-            for i, g in enumerate(_as_list(forcing_c(t))):
-                out[i] = out[i] + g.coeffs
+            out[:nc] += _stack(_as_list(forcing_c(t)))
         if forcing_d is not None:
-            for i, g in enumerate(_as_list(forcing_d(t))):
-                out[nc + i] = out[nc + i] + g.coeffs
+            out[nc:] += _stack(_as_list(forcing_d(t)))
         return out
 
     def step(y, t):

@@ -31,6 +31,7 @@ from .linsolve import (
     solve_variable_poisson,
     velocity_max,
     _if_rk4_step,
+    _stack,
 )
 from .norms import INF, BesovSpec, NormSeries, besov_norm, norm_series
 from .paley import retained_radius
@@ -39,14 +40,16 @@ from .spectral import (
     SpectralField,
     advect,
     dealias,
+    dealiased,
     derivative,
     divergence,
     forward_transform,
+    grid_wavenumbers,
     inverse_transform,
-    laplacian,
     lambda_power,
     leray_project,
-    product,
+    samples,
+    stacked_gradient,
     zero_field,
 )
 
@@ -111,27 +114,96 @@ def zero_state(grid: GridSpec) -> FluidState:
 
 
 def _state_to_array(state: FluidState) -> np.ndarray:
-    comps = [state.sigma] + state.velocity + state.h_flat()
-    return np.stack([c.coeffs for c in comps])
+    return _stack([state.sigma] + state.velocity + state.h_flat())
 
 
 def _array_to_state(grid: GridSpec, arr: np.ndarray) -> FluidState:
+    return FluidState(*_unpack(grid, arr.copy()))
+
+
+def _split(grid: GridSpec, arr: np.ndarray):
+    """Array views of sigma, velocity (n, *grid) and h (n, n, *grid) in a
+    stacked array."""
     n = grid.dim
-    sigma = SpectralField(grid, arr[0].copy())
-    vel = [SpectralField(grid, arr[1 + i].copy()) for i in range(n)]
-    h = [[SpectralField(grid, arr[1 + n + i * n + j].copy()) for j in range(n)]
-         for i in range(n)]
-    return FluidState(sigma, vel, h)
+    return arr[0], arr[1:1 + n], arr[1 + n:].reshape((n, n) + grid.shape)
+
+
+def _fields(grid: GridSpec, arr: np.ndarray) -> list[SpectralField]:
+    return [SpectralField(grid, c) for c in arr]
+
+
+def _tensor_fields(grid: GridSpec, arr: np.ndarray) -> list[list[SpectralField]]:
+    return [_fields(grid, row) for row in arr]
 
 
 def _unpack(grid: GridSpec, arr: np.ndarray):
     """Views (no copy) of sigma, velocity, h from a stacked array."""
+    sigma, vel, h = _split(grid, arr)
+    return SpectralField(grid, sigma), _fields(grid, vel), _tensor_fields(grid, h)
+
+
+def _stack_tensor(h: list[list[SpectralField]]) -> np.ndarray:
+    return np.stack([_stack(row) for row in h])
+
+
+# -- the quadratic terms ---------------------------------------------------------
+#
+# Each term is formed once, on the grid, from samples of the stacked
+# coefficients, and dealiased once per output component.  Index names follow
+# the module docstring: h[i, j] is h^{ij}, and a gradient's last tensor index
+# is the derivative's.
+
+
+def _stretching(grid: GridSpec, vel, h_s) -> np.ndarray:
+    """(grad v (I + h))^{ij} = d_j v^i + d_k v^i h^{kj}; h_s holds the
+    samples of h."""
+    dv = stacked_gradient(grid, vel)
+    return dv + dealiased(grid, np.einsum("ik...,kj...->ij...", samples(grid, dv), h_s))
+
+
+def _fluid_terms(grid: GridSpec, arr: np.ndarray, mu: float) -> np.ndarray:
+    """Right side of the stacked (sigma, v, h) system without the pressure
+    terms and without mu Lap v: transport of every row, plus
+    mu sigma Lap v^i + d_k h^{ik} + h^{jk} d_j h^{ik} in the momentum rows
+    and `_stretching` in the h rows."""
     n = grid.dim
-    sigma = SpectralField(grid, arr[0])
-    vel = [SpectralField(grid, arr[1 + i]) for i in range(n)]
-    h = [[SpectralField(grid, arr[1 + n + i * n + j]) for j in range(n)]
-         for i in range(n)]
-    return sigma, vel, h
+    sigma, vel, h = _split(grid, arr)
+    sig_s, h_s = samples(grid, sigma), samples(grid, h)
+    lap_v = samples(grid, -grid_wavenumbers(grid)["k2"] * vel)
+    stress = np.empty(vel.shape)
+    for i in range(n):
+        dh_i = samples(grid, stacked_gradient(grid, h[i]))  # [k, j] = d_j h^{ik}
+        stress[i] = mu * sig_s * lap_v[i] + np.einsum("jk...,kj...->...", h_s, dh_i)
+    out = -advect(grid, vel, arr)
+    out[1:1 + n] += dealiased(grid, stress)
+    out[1:1 + n] += np.einsum("k...,ik...->i...", grid_wavenumbers(grid)["ik"], h)
+    out[1 + n:] += _stretching(grid, vel, h_s).reshape((n * n,) + grid.shape)
+    return out
+
+
+def _identity_quadratic(grid: GridSpec, h: np.ndarray) -> np.ndarray:
+    """Q[i, j, k] = h^{lk} d_l h^{ij} - h^{lj} d_l h^{ik}, the quadratic part
+    of the deformation identity."""
+    n = grid.dim
+    h_s = samples(grid, h)
+    q = np.empty((n,) + h.shape, dtype=np.complex128)
+    for i in range(n):
+        dh_i = samples(grid, stacked_gradient(grid, h[i]))  # [j, l] = d_l h^{ij}
+        a = np.einsum("lk...,jl...->jk...", h_s, dh_i)
+        q[i] = dealiased(grid, a - a.swapaxes(0, 1))
+    return q
+
+
+def _density_flux(grid: GridSpec, sigma, h):
+    """rho = 1/(sigma + 1) and the dealiased flux[j, i] = rho h^{ji}."""
+    rho = reciprocal_density(SpectralField(grid, sigma)).coeffs
+    return rho, dealiased(grid, samples(grid, rho) * samples(grid, h))
+
+
+def _weighted_div(grid: GridSpec, rho, flux) -> np.ndarray:
+    """d_j(rho delta_{ji} + flux[j, i]) per i."""
+    ik = grid_wavenumbers(grid)["ik"]
+    return np.einsum("j...,ji...->i...", ik, flux) + ik * rho
 
 
 # -- initial data -------------------------------------------------------------
@@ -157,8 +229,8 @@ def _l2_fields(fields, grid: GridSpec) -> float:
 
 def reciprocal_density(sigma: SpectralField) -> SpectralField:
     """rho = 1/(sigma + 1) as a dealiased grid field."""
-    samples = 1.0 / (inverse_transform(sigma) + 1.0)
-    return dealias(forward_transform(sigma.grid, samples))
+    rho = 1.0 / (inverse_transform(sigma) + 1.0)
+    return dealias(forward_transform(sigma.grid, rho))
 
 
 def weighted_div_residual(sigma: SpectralField, h: list[list[SpectralField]],
@@ -166,39 +238,21 @@ def weighted_div_residual(sigma: SpectralField, h: list[list[SpectralField]],
     """d_j(rho U^{ji}) per i (first_index=True, the adopted convention),
     or d_j(rho U^{ij}) per i (the transposed reading, reported alongside)."""
     grid = sigma.grid
-    n = grid.dim
-    rho = reciprocal_density(sigma)
-    out = []
-    for i in range(n):
-        acc = zero_field(grid)
-        for j in range(n):
-            entry = h[j][i] if first_index else h[i][j]
-            u_ji = entry.coeffs.copy()
-            term = SpectralField(grid, u_ji)
-            weighted = product(rho, term)
-            # rho * delta_{ji} contributes d_i rho
-            acc = acc + derivative(weighted, j)
-        acc = acc + derivative(rho, i)
-        out.append(acc)
-    return out
+    rho, flux = _density_flux(grid, sigma.coeffs, _stack_tensor(h))
+    return _fields(grid, _weighted_div(grid, rho, flux if first_index
+                                       else flux.swapaxes(0, 1)))
 
 
 def deformation_identity_residual(h: list[list[SpectralField]]) -> list[SpectralField]:
     """U^{lk} d_l U^{ij} - U^{lj} d_l U^{ik} with U = I + h, flattened over
     (i, j, k); vanishes for the gradient of an actual flow map."""
     grid = h[0][0].grid
-    n = grid.dim
-    du = [[[derivative(h[i][j], l) for l in range(n)] for j in range(n)] for i in range(n)]
-    out = []
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                # delta_{lk} d_l U^{ij} - delta_{lj} d_l U^{ik}  (linear part)
-                acc = du[i][j][k] - du[i][k][j]
-                for l in range(n):
-                    acc = acc + product(h[l][k], du[i][j][l]) - product(h[l][j], du[i][k][l])
-                out.append(acc)
-    return out
+    hh = _stack_tensor(h)
+    res = _identity_quadratic(grid, hh)
+    dh = stacked_gradient(grid, hh)
+    res += dh  # the linear part d_k h^{ij} - d_j h^{ik}
+    res -= dh.swapaxes(1, 2)
+    return _fields(grid, res.reshape((-1,) + grid.shape))
 
 
 # The identity written in the perturbation h,
@@ -248,12 +302,9 @@ def make_initial_data(family: str, amplitude: float, seed: int, grid: GridSpec, 
             state.sigma = amplitude * sig
             _restore_weighted_div(state)
 
-    rep = CompatibilityReport(
-        div_velocity=_l2(divergence(state.velocity).coeffs, grid),
-        weighted_div=_l2_fields(weighted_div_residual(state.sigma, state.h), grid),
-        deformation_identity=_l2_fields(deformation_identity_residual(state.h), grid),
-    )
-    return state, rep
+    res = constraint_residuals(state)
+    return state, CompatibilityReport(res.div_velocity, res.weighted_div,
+                                      res.deformation_identity)
 
 
 def _restore_weighted_div(state: FluidState):
@@ -279,19 +330,8 @@ def momentum_forcing(sigma: SpectralField, velocity: list[SpectralField],
     elsewhere), as is the pressure term.
     """
     grid = sigma.grid
-    n = grid.dim
-    dh = [[[derivative(h[i][j], l) for l in range(n)] for j in range(n)] for i in range(n)]
-    out = []
-    for i in range(n):
-        acc = -advect(velocity, velocity[i])
-        acc = acc + mu * product(sigma, laplacian(velocity[i]))
-        for k in range(n):
-            acc = acc + dh[i][k][k]
-        for j in range(n):
-            for k in range(n):
-                acc = acc + product(h[j][k], dh[i][k][j])
-        out.append(acc)
-    return out
+    arr = _stack([sigma] + velocity + [f for row in h for f in row])
+    return _fields(grid, _fluid_terms(grid, arr, mu)[1:1 + grid.dim])
 
 
 def compute_pressure(state: FluidState, params: PhysicalParams, *,
@@ -314,6 +354,24 @@ def compute_pressure(state: FluidState, params: PhysicalParams, *,
     return res.gradient, res
 
 
+class _Pressure:
+    """Warm-started pressure solves: called with a stacked (sigma, v, h)
+    state and its momentum forcing g, returns (sigma + 1) grad P."""
+
+    def __init__(self, params: PhysicalParams, tol: float, max_iter: int = 200):
+        self.params, self.tol, self.max_iter = params, tol, max_iter
+        self.warm: SpectralField | None = None
+        self.last_grad: list[SpectralField] | None = None
+
+    def __call__(self, grid: GridSpec, arr: np.ndarray, g: np.ndarray) -> np.ndarray:
+        grad_p, ell = compute_pressure(
+            FluidState(*_unpack(grid, arr)), self.params, tol=self.tol,
+            max_iter=self.max_iter, warm_start=self.warm, forcing=_fields(grid, g))
+        self.warm, self.last_grad = ell.potential, grad_p
+        gp = _stack(grad_p)
+        return gp + dealiased(grid, samples(grid, arr[0]) * samples(grid, gp))
+
+
 # -- the IF-RK4 steppers -----------------------------------------------------------
 
 
@@ -322,30 +380,25 @@ class _Stepper:
     per stage, a CFL check before and a density-floor check after.
 
     Subclasses supply `diffusing(n)` (which components carry mu Lap),
-    `rhs`, `velocity` (the advecting field of a stacked state) and
-    `state` (the map back to a FluidState); `finish` post-processes the
-    new state."""
+    `velocity` (the advecting field of a stacked state) and `state` (the
+    map back to a FluidState); `finish` post-processes the new state and
+    `rhs` is the fluid right side unless overridden."""
 
     def __init__(self, grid: GridSpec, params: PhysicalParams, dt: float, *,
                  elliptic_tol: float = 1e-11, elliptic_max_iter: int = 200):
         self.grid = grid
         self.params = params
         self.dt = dt
-        self.elliptic_tol = elliptic_tol
-        self.elliptic_max_iter = elliptic_max_iter
         self.e_full, self.e_half = if_factors(grid, params.mu, dt,
                                               self.diffusing(grid.dim))
-        self._pressure_warm: SpectralField | None = None
-        self.last_pressure_grad: list[SpectralField] | None = None
+        self.pressure = _Pressure(params, elliptic_tol, elliptic_max_iter)
 
-    def pressure(self, sigma, vel, h, g) -> list[SpectralField]:
-        grad_p, ell = compute_pressure(
-            FluidState(sigma, vel, h), self.params, tol=self.elliptic_tol,
-            max_iter=self.elliptic_max_iter, warm_start=self._pressure_warm,
-            forcing=g)
-        self._pressure_warm = ell.potential
-        self.last_pressure_grad = grad_p
-        return grad_p
+    def rhs(self, t: float, arr: np.ndarray) -> np.ndarray:
+        """Right side of the stacked (sigma, v, h) system, pressure included."""
+        n = self.grid.dim
+        out = _fluid_terms(self.grid, arr, self.params.mu)
+        out[1:1 + n] -= self.pressure(self.grid, arr, out[1:1 + n])
+        return out
 
     def finish(self, arr: np.ndarray) -> np.ndarray:
         return arr
@@ -377,31 +430,9 @@ class _DirectStepper(_Stepper):
     def state(self, arr: np.ndarray) -> FluidState:
         return _array_to_state(self.grid, arr)
 
-    def rhs(self, t: float, arr: np.ndarray) -> np.ndarray:
-        grid, params = self.grid, self.params
-        n = grid.dim
-        sigma, vel, h = _unpack(grid, arr)
-        out = np.empty_like(arr)
-        out[0] = -advect(vel, sigma).coeffs
-        g = momentum_forcing(sigma, vel, h, params.mu)
-        grad_p = self.pressure(sigma, vel, h, g)
-        for i in range(n):
-            acc = g[i] - grad_p[i] - product(sigma, grad_p[i])
-            out[1 + i] = acc.coeffs
-        dv = [[derivative(vel[i], j) for j in range(n)] for i in range(n)]
-        for i in range(n):
-            for j in range(n):
-                acc = -advect(vel, h[i][j]) + dv[i][j]
-                for k in range(n):
-                    acc = acc + product(dv[i][k], h[k][j])
-                out[1 + n + i * n + j] = acc.coeffs
-        return out
-
     def finish(self, arr: np.ndarray) -> np.ndarray:
         n = self.grid.dim
-        vel = [SpectralField(self.grid, arr[1 + i]) for i in range(n)]
-        for i, f in enumerate(leray_project(vel)):
-            arr[1 + i] = f.coeffs
+        arr[1:1 + n] = _stack(leray_project(_fields(self.grid, arr[1:1 + n])))
         return arr
 
 
@@ -412,7 +443,7 @@ def step(state: FluidState, params: PhysicalParams, dt: float, *,
                              elliptic_max_iter=elliptic_max_iter)
     arr = stepper.step(_state_to_array(state), 0.0)
     out = _array_to_state(state.grid, arr)
-    out.pressure_grad = stepper.last_pressure_grad
+    out.pressure_grad = stepper.pressure.last_grad
     return out
 
 
@@ -438,12 +469,11 @@ def constraint_residuals(state: FluidState) -> ConstraintResiduals:
     of its names (see `perturbation_identity_residual`)."""
     grid = state.grid
     identity = _l2_fields(deformation_identity_residual(state.h), grid)
+    rho, flux = _density_flux(grid, state.sigma.coeffs, _stack_tensor(state.h))
     return ConstraintResiduals(
         div_velocity=_l2(divergence(state.velocity).coeffs, grid),
-        weighted_div=_l2_fields(
-            weighted_div_residual(state.sigma, state.h, first_index=True), grid),
-        weighted_div_transposed=_l2_fields(
-            weighted_div_residual(state.sigma, state.h, first_index=False), grid),
+        weighted_div=_l2(_weighted_div(grid, rho, flux), grid),
+        weighted_div_transposed=_l2(_weighted_div(grid, rho, flux.swapaxes(0, 1)), grid),
         deformation_identity=identity,
         perturbation_identity=identity,
     )
@@ -500,8 +530,8 @@ def _run(stepper: _Stepper, arr: np.ndarray, tg: TimeGrid, norm_specs,
     def save(t, arr):
         st = stepper.state(arr)
         st.pressure_grad, _ = compute_pressure(st, stepper.params,
-                                               tol=stepper.elliptic_tol,
-                                               warm_start=stepper._pressure_warm)
+                                               tol=stepper.pressure.tol,
+                                               warm_start=stepper.pressure.warm)
         res = constraint_residuals(st)
         if on_save is not None:
             on_save(t, st)
@@ -539,15 +569,7 @@ def velocity_to_tensor(velocity: list[SpectralField]) -> list[list[SpectralField
 
 def tensor_to_velocity(d: list[list[SpectralField]]) -> list[SpectralField]:
     """v^i = Lam^{-1} d_j d^{ij}; exact inverse on mean-zero solenoidal v."""
-    grid = d[0][0].grid
-    n = grid.dim
-    out = []
-    for i in range(n):
-        acc = zero_field(grid)
-        for j in range(n):
-            acc = acc + derivative(d[i][j], j)
-        out.append(lambda_power(acc, -1.0))
-    return out
+    return [lambda_power(divergence(row), -1.0) for row in d]
 
 
 def transform_to_coupled(state: FluidState):
@@ -565,70 +587,38 @@ class _CoupledStepper(_Stepper):
     def diffusing(n: int) -> list[bool]:
         return [False] + [True] * (n * n) + [False] * (n * n)
 
-    def unpack(self, arr: np.ndarray):
-        grid = self.grid
-        n = grid.dim
-        sigma = SpectralField(grid, arr[0])
-        d = [[SpectralField(grid, arr[1 + i * n + j]) for j in range(n)]
-             for i in range(n)]
-        h = [[SpectralField(grid, arr[1 + n * n + i * n + j]) for j in range(n)]
-             for i in range(n)]
-        return sigma, d, h
+    def tensors(self, arr: np.ndarray):
+        """Array views of d and h, each (n, n, *grid)."""
+        n = self.grid.dim
+        return arr[1:].reshape((2, n, n) + self.grid.shape)
 
     def velocity(self, arr: np.ndarray) -> list[SpectralField]:
-        return tensor_to_velocity(self.unpack(arr)[1])
+        return tensor_to_velocity(_tensor_fields(self.grid, self.tensors(arr)[0]))
 
     def state(self, arr: np.ndarray) -> FluidState:
-        sigma, d, h = self.unpack(arr)
-        return FluidState(sigma.copy(), leray_project(tensor_to_velocity(d)),
-                          [[f.copy() for f in row] for row in h])
+        grid, arr = self.grid, arr.copy()
+        return FluidState(SpectralField(grid, arr[0]), leray_project(self.velocity(arr)),
+                          _tensor_fields(grid, self.tensors(arr)[1]))
 
     def rhs(self, t: float, arr: np.ndarray) -> np.ndarray:
-        grid, params = self.grid, self.params
+        grid = self.grid
         n = grid.dim
-        sigma, d, h = self.unpack(arr)
-        vel = leray_project(tensor_to_velocity(d))
+        d, h = self.tensors(arr)
+        vel = _stack(leray_project(self.velocity(arr)))
+        fluid = super().rhs(t, np.concatenate([arr[:1], vel, arr[1 + n * n:]]))
+        ik = grid_wavenumbers(grid)["ik"]
+        kmag = grid_wavenumbers(grid)["kmag"]
+        # X_i = v.grad v^i + (sigma+1) d_i P - mu sigma Lap v^i - h^{mk} d_m h^{ik}
+        bracket = np.einsum("k...,ik...->i...", ik, h) - fluid[1:1 + n]
+        # d_j X_i plus the curl-type source -d_k Q[i, j, k] of the identity
+        src = bracket[:, None] * ik - np.einsum("k...,ijk...->ij...", ik,
+                                                _identity_quadratic(grid, h))
         out = np.empty_like(arr)
-        out[0] = -advect(vel, sigma).coeffs
-
-        g = momentum_forcing(sigma, vel, h, params.mu)
-        grad_p = self.pressure(sigma, vel, h, g)
-
-        dh_grad = [[[derivative(h[i][j], l) for l in range(n)] for j in range(n)]
-                   for i in range(n)]
-        dv = [[derivative(vel[i], j) for j in range(n)] for i in range(n)]
-        lap_v = [laplacian(vel[i]) for i in range(n)]
-
-        # bracket X_i = v.grad v^i + (sigma+1) d_i P - mu sigma Lap v^i
-        #              - h^{mk} d_m h^{ik}
-        bracket = []
-        for i in range(n):
-            acc = advect(vel, vel[i]) + grad_p[i] + product(sigma, grad_p[i])
-            acc = acc - params.mu * product(sigma, lap_v[i])
-            for m in range(n):
-                for k in range(n):
-                    acc = acc - product(h[m][k], dh_grad[i][k][m])
-            bracket.append(acc)
-
-        for i in range(n):
-            for j in range(n):
-                acc = lambda_power(h[i][j], 1.0)  # Lam h^{ij}
-                acc = acc + lambda_power(derivative(bracket[i], j), -1.0)
-                # curl-type quadratic source from the perturbation identity
-                for k in range(n):
-                    q = zero_field(grid)
-                    for l in range(n):
-                        q = q + product(h[l][j], dh_grad[i][k][l]) \
-                              - product(h[l][k], dh_grad[i][j][l])
-                    acc = acc + lambda_power(derivative(q, k), -1.0)
-                out[1 + i * n + j] = acc.coeffs
-
-        for i in range(n):
-            for j in range(n):
-                acc = -advect(vel, h[i][j]) - lambda_power(d[i][j], 1.0)
-                for k in range(n):
-                    acc = acc + product(dv[i][k], h[k][j])
-                out[1 + n * n + i * n + j] = acc.coeffs
+        out[0] = fluid[0]
+        out_d, out_h = self.tensors(out)
+        out_d[...] = kmag * h + src / np.where(kmag > 0, kmag, np.inf)
+        # the fluid h rows carry d_j v^i, which Lam d replaces here
+        out_h[...] = _split(grid, fluid)[2] - stacked_gradient(grid, vel) - kmag * d
         return out
 
 
@@ -637,13 +627,10 @@ def run_coupled(state0: FluidState, params: PhysicalParams, tg: TimeGrid, *,
                 elliptic_tol: float = 1e-11, on_save=None) -> RunResult:
     """Evolve the coupled variables (sigma, d, h), mapping back to fluid
     states and recording them as `run` does at every save."""
-    n = state0.grid.dim
     d0 = velocity_to_tensor(leray_project(state0.velocity))
-    comps = [state0.sigma] + [d0[i][j] for i in range(n) for j in range(n)] \
-        + state0.h_flat()
+    comps = [state0.sigma] + [f for row in d0 for f in row] + state0.h_flat()
     stepper = _CoupledStepper(state0.grid, params, tg.dt, elliptic_tol=elliptic_tol)
-    return _run(stepper, np.stack([c.coeffs for c in comps]), tg, norm_specs,
-                on_save)
+    return _run(stepper, _stack(comps), tg, norm_specs, on_save)
 
 
 # -- the linearization map and its fixed point ----------------------------------
@@ -702,25 +689,15 @@ def _phi_apply(prev: _TrajectoryInterpolant, state0: FluidState,
     """
     grid = state0.grid
     n = grid.dim
-    warm: list[SpectralField | None] = [None]
-
-    def frozen(t):
-        return _unpack(grid, prev(t))
+    pressure = _Pressure(params, elliptic_tol)
 
     def u_at(t):
-        return frozen(t)[1]
+        return _unpack(grid, prev(t))[1]
 
     def h_forcing(t):
-        _, u, xi = frozen(t)
-        dv = [[derivative(u[i], j) for j in range(n)] for i in range(n)]
-        out = []
-        for i in range(n):
-            for j in range(n):
-                acc = dv[i][j]
-                for k in range(n):
-                    acc = acc + product(dv[i][k], xi[k][j])
-                out.append(acc)
-        return out
+        _, u, xi = _split(grid, prev(t))
+        return _fields(grid, _stretching(grid, u, samples(grid, xi)).reshape(
+            (n * n,) + grid.shape))
 
     tg1 = TimeGrid(tg.t_end, tg.dt, save_stride=1)
     sig_traj = solve_transport(state0.sigma, u_at, None, tg1, check_divergence=False)
@@ -733,30 +710,16 @@ def _phi_apply(prev: _TrajectoryInterpolant, state0: FluidState,
     h_interp = _TrajectoryInterpolant(h_traj.times, h_arr)
 
     def v_forcing(t):
-        u = u_at(t)
-        a = SpectralField(grid, sig_interp(t)[0])
-        xi_flat = h_interp(t)
-        xi = [[SpectralField(grid, xi_flat[i * n + j]) for j in range(n)]
-              for i in range(n)]
-        g = momentum_forcing(a, u, xi, params.mu)
-        grad_p, ell = compute_pressure(
-            FluidState(a, u, xi), params, tol=elliptic_tol,
-            warm_start=warm[0], forcing=g)
-        warm[0] = ell.potential
-        return [g[i] - grad_p[i] - product(a, grad_p[i]) for i in range(n)]
+        arr = np.concatenate([sig_interp(t), prev(t)[1:1 + n], h_interp(t)])
+        g = _stack(momentum_forcing(*_unpack(grid, arr), params.mu))
+        return _fields(grid, g - pressure(grid, arr, g))
 
     v_traj = solve_heat(state0.velocity, v_forcing, params.mu, tg1)
 
-    nt = tg.n_steps + 1
-    ncomp = 1 + n + n * n
-    out = np.empty((nt,) + (ncomp,) + grid.shape, dtype=np.complex128)
-    for it in range(nt):
-        out[it, 0] = sig_traj.states[it][0].coeffs
-        vel = leray_project(v_traj.states[it])
-        for i in range(n):
-            out[it, 1 + i] = vel[i].coeffs
-        for i in range(n * n):
-            out[it, 1 + n + i] = h_traj.states[it][i].coeffs
+    out = np.empty((len(sig_arr), 1 + n + n * n) + grid.shape, dtype=np.complex128)
+    out[:, :1], out[:, 1 + n:] = sig_arr, h_arr
+    for it, v in enumerate(v_traj.states):
+        out[it, 1:1 + n] = _stack(leray_project(v))
     return out
 
 
@@ -839,15 +802,9 @@ def _admissible_monitor(traj: np.ndarray, times: np.ndarray, grid: GridSpec,
 
     s = grid.dim / 2.0
     n = grid.dim
-    sig_states, vel_states, h_states = [], [], []
-    for it in range(traj.shape[0]):
-        sig, vel, h = _unpack(grid, traj[it])
-        sig_states.append(sig)
-        vel_states.append(vel)
-        h_states.append([f for row in h for f in row])
-    sig_series = norm_series(times, sig_states)
-    vel_series = norm_series(times, vel_states)
-    h_series = norm_series(times, h_states)
+    sig_series = norm_series(times, [SpectralField(grid, a[0]) for a in traj])
+    vel_series = norm_series(times, [_fields(grid, a[1:1 + n]) for a in traj])
+    h_series = norm_series(times, [_fields(grid, a[1 + n:]) for a in traj])
     T = times[-1]
     r_meas = max(sig_series.besov_at(i, BesovSpec(s)) for i in range(len(times)))
     eta_meas = chemin_lerner_norm(vel_series, 1.0, BesovSpec(s + 1.0), T) \

@@ -5,6 +5,12 @@ wraparound frequency layout, normalized so that the coefficient of the
 mode e^{i k.x} is 1.  All operators in this module are Fourier
 multipliers acting on those coefficients; they are pure functions and
 deterministic.
+
+`samples`, `dealiased`, `stacked_gradient` and `advect` act on stacked
+arrays: any leading axes index components, the last `dim` axes are the
+grid.  A quadratic term is formed by sampling its factors on the grid,
+multiplying and contracting there, and one `dealiased` call per output
+component; `product` is the single-pair case.
 """
 
 from __future__ import annotations
@@ -93,7 +99,11 @@ def _grid_arrays(dim: int, m: int) -> dict:
     keep = np.ones((m,) * dim, dtype=bool)
     for k in kaxes:
         keep &= np.abs(k) <= limit
-    return {"kaxes": kaxes, "k2": k2, "kmag": kmag, "dealias_mask": keep}
+    # i k_axis per axis, the unmatched Nyquist line zeroed so that odd
+    # derivatives of real fields stay real
+    ik = np.stack([np.broadcast_to(np.where(k == -(m // 2), 0.0, 1j * k), (m,) * dim)
+                   for k in kaxes])
+    return {"kaxes": kaxes, "k2": k2, "kmag": kmag, "dealias_mask": keep, "ik": ik}
 
 
 def grid_wavenumbers(grid: GridSpec) -> dict:
@@ -192,8 +202,27 @@ def forward_transform(grid: GridSpec, samples: np.ndarray) -> SpectralField:
 
 def inverse_transform(field: SpectralField) -> np.ndarray:
     """Coefficients -> real physical samples."""
-    n = field.grid.points_per_axis ** field.grid.dim
-    return np.fft.ifftn(field.coeffs * n).real
+    return samples(field.grid, field.coeffs)
+
+
+def samples(grid: GridSpec, coeffs: np.ndarray) -> np.ndarray:
+    """Real grid samples of every component of a stacked coefficient array.
+
+    norm="forward" is the unit-amplitude convention (the 1/M^dim sits on
+    the forward transform) without a scaled copy of the input.  The real
+    part is copied out so that long-lived samples do not keep the complex
+    transform alive.
+    """
+    values = np.fft.ifftn(coeffs, axes=tuple(range(-grid.dim, 0)), norm="forward")
+    return values.real.copy()
+
+
+def dealiased(grid: GridSpec, values: np.ndarray) -> np.ndarray:
+    """Coefficients of every component of stacked real samples, with the
+    two-thirds rule applied."""
+    coeffs = np.fft.fftn(values, axes=tuple(range(-grid.dim, 0)), norm="forward")
+    coeffs *= grid_wavenumbers(grid)["dealias_mask"]
+    return coeffs
 
 
 def zero_field(grid: GridSpec) -> SpectralField:
@@ -209,14 +238,17 @@ def derivative(field: SpectralField, axis: int) -> SpectralField:
     grid = field.grid
     if not 0 <= axis < grid.dim:
         raise GridError(f"axis {axis} out of range for dim {grid.dim}")
-    k = grid_wavenumbers(grid)["kaxes"][axis]
-    mult = 1j * k.astype(np.float64)
-    mult = np.where(k == -grid.points_per_axis // 2, 0.0, mult)
-    return SpectralField(grid, field.coeffs * mult)
+    return SpectralField(grid, field.coeffs * grid_wavenumbers(grid)["ik"][axis])
 
 
 def gradient(field: SpectralField) -> list[SpectralField]:
     return [derivative(field, ax) for ax in range(field.grid.dim)]
+
+
+def stacked_gradient(grid: GridSpec, coeffs: np.ndarray) -> np.ndarray:
+    """d_l of every component of a stacked array, as `derivative` takes it;
+    the new axis l sits just before the grid axes."""
+    return np.expand_dims(coeffs, -grid.dim - 1) * grid_wavenumbers(grid)["ik"]
 
 
 def laplacian(field: SpectralField) -> SpectralField:
@@ -261,13 +293,9 @@ def leray_project(fields: list[SpectralField]) -> list[SpectralField]:
             raise GridError("fields live on different grids")
     if len(fields) != grid.dim:
         raise GridError("component count does not match grid dimension")
-    arrs = grid_wavenumbers(grid)
-    nyq = -grid.points_per_axis // 2
-    kaxes = [np.where(k == nyq, 0.0, k.astype(np.float64)) for k in arrs["kaxes"]]
-    k2 = sum(np.broadcast_to(k ** 2, grid.shape) for k in kaxes)
-    kdotv = np.zeros(grid.shape, dtype=np.complex128)
-    for ax, f in enumerate(fields):
-        kdotv += kaxes[ax] * f.coeffs
+    kaxes = grid_wavenumbers(grid)["ik"].imag
+    k2 = sum(k ** 2 for k in kaxes)
+    kdotv = sum(k * f.coeffs for k, f in zip(kaxes, fields))
     with np.errstate(invalid="ignore", divide="ignore"):
         scale = np.where(k2 > 0, kdotv / np.where(k2 > 0, k2, 1.0), 0.0)
     return [
@@ -286,18 +314,22 @@ def product(f: SpectralField, g: SpectralField) -> SpectralField:
     when both inputs are supported below M/3."""
     f._check(g)
     fg = inverse_transform(f) * inverse_transform(g)
-    return dealias(forward_transform(f.grid, fg))
+    return SpectralField(f.grid, dealiased(f.grid, fg))
 
 
-def advect(velocity: list[SpectralField], scalar: SpectralField) -> SpectralField:
-    """Dealiased advection term (v . grad) u."""
-    grid = scalar.grid
-    out = np.zeros(grid.shape, dtype=np.complex128)
-    for ax, v in enumerate(velocity):
-        term = inverse_transform(v) * inverse_transform(derivative(scalar, ax))
-        out += np.fft.fftn(term) / grid.points_per_axis ** grid.dim
-    mask = grid_wavenumbers(grid)["dealias_mask"]
-    return SpectralField(grid, out * mask)
+def advect(grid: GridSpec, velocity: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """Dealiased advection term (v . grad) u of every component u of the
+    stacked array `coeffs` by the stacked velocity `velocity`.
+
+    The gradient of one component is sampled at a time, which bounds the
+    memory held by wide stacks.
+    """
+    v = samples(grid, velocity)
+    terms = np.empty(coeffs.shape)
+    for idx in np.ndindex(coeffs.shape[:-grid.dim]):
+        du = samples(grid, stacked_gradient(grid, coeffs[idx]))
+        terms[idx] = np.einsum("l...,l...->...", v, du)
+    return dealiased(grid, terms)
 
 
 # -- dyadic rescaling ------------------------------------------------------

@@ -169,6 +169,24 @@ class TestSimulateCommand:
         # comparison run after it: only the initial slice was saved
         assert [p.name for p in out.glob("snapshot_*.bin")] == ["snapshot_000000.bin"]
 
+    @pytest.mark.parametrize("amplitude, error", [
+        (2.0, "EllipticConvergenceError"),
+        (3.0, "NonPositiveCoefficientError"),
+    ])
+    def test_initial_data_failure_exit_3(self, tmp_path, capsys, amplitude, error):
+        # the weighted-divergence correction of the initial data fails: at 2.0
+        # it stalls above its target, at 3.0 the dealiased 1/(1 + sigma0) dips
+        # below zero
+        cfg = base_config(tmp_path, initial={"family": "general",
+                                             "amplitude": amplitude, "seed": 4})
+        out = tmp_path / "init_out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 3
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["aborted"] is True
+        assert manifest["error"].startswith(f"{error}: ")
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_phi_mode(self, tmp_path):
         cfg = base_config(
             tmp_path,

@@ -245,6 +245,77 @@ class TestConstraints:
         assert d1 / d2 >= 3.0
 
 
+def _trig_field(rng, grid):
+    """A few modes with |k_axis| <= 2: samples, analytic gradient and
+    Laplacian."""
+    x = grid.meshgrid()
+    val, lap = np.zeros(grid.shape), np.zeros(grid.shape)
+    grad = [np.zeros(grid.shape) for _ in range(grid.dim)]
+    for _ in range(3):
+        k = rng.integers(-2, 3, size=grid.dim)
+        a, b = rng.standard_normal(2)
+        phase = sum(k[ax] * x[ax] for ax in range(grid.dim))
+        wave = a * np.cos(phase) + b * np.sin(phase)
+        val += wave
+        lap -= float(k @ k) * wave
+        for ax in range(grid.dim):
+            grad[ax] += k[ax] * (b * np.cos(phase) - a * np.sin(phase))
+    return val, grad, lap
+
+
+class TestQuadraticTermsOracle:
+    """3D closed forms of the momentum forcing and the deformation identity.
+    Every factor has |k_axis| <= 2, so each product stays below M/3, the
+    two-thirds rule cuts nothing and the spectral terms equal the pointwise
+    ones up to rounding; index-order slips in the contractions would not."""
+
+    @pytest.fixture(scope="class")
+    def data(self, grid3_16):
+        rng = np.random.default_rng(21)
+        n = 3
+        sig = _trig_field(rng, grid3_16)
+        vel = [_trig_field(rng, grid3_16) for _ in range(n)]
+        h = [[_trig_field(rng, grid3_16) for _ in range(n)] for _ in range(n)]
+        fields = FluidState(forward_transform(grid3_16, sig[0]),
+                            [forward_transform(grid3_16, v[0]) for v in vel],
+                            [[forward_transform(grid3_16, f[0]) for f in row] for row in h])
+        return sig, vel, h, fields
+
+    @staticmethod
+    def assert_matches(grid, got, want_samples):
+        want = [forward_transform(grid, w).coeffs for w in want_samples]
+        scale = max(np.max(np.abs(w)) for w in want)
+        for g, w in zip(got, want):
+            assert np.max(np.abs(g.coeffs - w)) <= 1e-12 * scale
+
+    def test_momentum_forcing(self, grid3_16, data):
+        sig, vel, h, fields = data
+        n, mu = 3, 0.7
+        want = []
+        for i in range(n):
+            acc = mu * sig[0] * vel[i][2]
+            for l in range(n):
+                acc = acc - vel[l][0] * vel[i][1][l] + h[i][l][1][l]
+                for k in range(n):
+                    acc = acc + h[l][k][0] * h[i][k][1][l]
+            want.append(acc)
+        got = momentum_forcing(fields.sigma, fields.velocity, fields.h, mu)
+        self.assert_matches(grid3_16, got, want)
+
+    def test_deformation_identity(self, grid3_16, data):
+        _, _, h, fields = data
+        n = 3
+        want = []
+        for i in range(n):
+            for j in range(n):
+                for k in range(n):
+                    acc = h[i][j][1][k] - h[i][k][1][j]
+                    for l in range(n):
+                        acc = acc + h[l][k][0] * h[i][j][1][l] - h[l][j][0] * h[i][k][1][l]
+                    want.append(acc)
+        self.assert_matches(grid3_16, deformation_identity_residual(fields.h), want)
+
+
 class TestRun:
     def test_zero_data(self, grid2_32):
         res = run(zero_state(grid2_32), PARAMS, TimeGrid(0.1, 0.01, save_stride=2),
@@ -325,9 +396,11 @@ class TestCoupledFormulation:
         assert sigma is st.sigma and h is st.h
         assert len(d) == 2 and len(d[0]) == 2
 
-    def test_cross_formulation_agreement(self, grid2_32):
-        st, _ = make_initial_data("exact_gradient", 1e-3, 5, grid2_32)
-        tg = TimeGrid(0.2, 2.5e-3, save_stride=80)
+    @pytest.mark.parametrize("dim, m, t_end", [(2, 32, 0.2), (3, 16, 0.02)],
+                             ids=["2d", "3d"])
+    def test_cross_formulation_agreement(self, dim, m, t_end):
+        st, _ = make_initial_data("exact_gradient", 1e-3, 5, make_grid(dim, m))
+        tg = TimeGrid(t_end, 2.5e-3, save_stride=80)
         direct = run(st, PARAMS, tg)
         coupled = run_coupled(st, PARAMS, tg)
         assert state_l2(direct.final, coupled.final) <= 1e-6
