@@ -116,7 +116,7 @@ def validate_config(cfg: dict):
     params = _build("params", lambda: PhysicalParams(p.get("mu", 0),
                                                      p.get("sigma_floor", 0.1)))
     tg = _build("time", lambda: TimeGrid(t.get("T", 0), t.get("dt", 0),
-                                         int(t.get("save_stride", 1))))
+                                         t.get("save_stride", 1)))
     _expect(ini.get("family") in ("exact_gradient", "general"),
             "initial.family must be exact_gradient or general")
     amplitude = ini.get("amplitude")
@@ -125,8 +125,11 @@ def validate_config(cfg: dict):
     _expect(isinstance(ini.get("seed", 0), int), "initial.seed must be an integer")
     _expect(cfg["mode"] in ("direct", "phi", "coupled"),
             "mode must be direct, phi, or coupled")
+    norms = cfg.get("norms", [])
+    _expect(isinstance(norms, list) and all(isinstance(spec, dict) for spec in norms),
+            "norms must be a list of objects")
     norm_specs = []
-    for spec in cfg.get("norms", []):
+    for spec in norms:
         _expect(spec.get("name") in ("sigma", "velocity", "h", "grad_p"),
                 "norm name must be one of sigma, velocity, h, grad_p")
         _expect("s" in spec, "norm spec needs s")

@@ -64,8 +64,9 @@ class TimeGrid:
         n = self.t_end / self.dt
         if abs(n - round(n)) > 1e-9 * max(1.0, n):
             raise ValueError(f"t_end/dt = {n} is not an integer")
-        if self.save_stride < 1:
-            raise ValueError("save_stride must be >= 1")
+        stride = self.save_stride
+        if isinstance(stride, bool) or not isinstance(stride, int) or stride < 1:
+            raise ValueError(f"save_stride must be a positive integer, got {stride!r}")
 
     @property
     def n_steps(self) -> int:
@@ -181,8 +182,8 @@ class TrajectoryResult:
         last = self.states[-1]
         return last[0] if self.scalar_input else last
 
-    def norm_series(self, p: float = 2.0, profile=None) -> NormSeries:
-        return norm_series(self.times, self.states, p, profile)
+    def norm_series(self, p: float = 2.0) -> NormSeries:
+        return norm_series(self.times, self.states, p)
 
 
 def solve_transport(u0, velocity, forcing, tg: TimeGrid, *,

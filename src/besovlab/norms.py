@@ -1,6 +1,11 @@
 """Grid L^p norms, dyadic-sum (Besov-type) norms, their time-integrated
 variants, and the hybrid frequency-weighted norm.
 
+Every dyadic norm weights the per-band norms ||Delta_q u||_p over the
+fixed partition of `paley` and sums them over bands.  Each spec states
+its block exponent `p`, band weights `weights` and band-sum exponent
+`sum_r` once; all norms here go through that one weighted band sum.
+
 Integrability and summation exponents are floats in [1, inf]; infinity
 is encoded as Python's IEEE ``math.inf``, never by a magic number.
 """
@@ -9,11 +14,11 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .paley import PartitionProfile, block_multipliers, retained_mask
+from .paley import block_multipliers, retained_mask
 from .spectral import SpectralField, inverse_transform
 
 INF = math.inf
@@ -26,7 +31,8 @@ def _check_exponent(name: str, value: float):
 
 @dataclass(frozen=True)
 class BesovSpec:
-    """Smoothness s, integrability p, dyadic summation exponent r."""
+    """Smoothness s, integrability p, dyadic summation exponent r:
+    l^r over bands of 2^(qs) ||Delta_q u||_p."""
 
     s: float
     p: float = 2.0
@@ -42,14 +48,25 @@ class BesovSpec:
         r = "inf" if self.r == INF else f"{self.r:g}"
         return f"B^{self.s:g}_{{{p},{r}}}"
 
+    @property
+    def sum_r(self) -> float:
+        return self.r
+
+    def weights(self, n_bands: int) -> np.ndarray:
+        return np.exp2(np.arange(n_bands) * self.s)
+
 
 @dataclass(frozen=True)
 class HybridSpec:
-    """Dyadic sum with weight max(mu, 2^-q)^(1-2/r) on L2 block norms."""
+    """l^1 over bands of 2^(qs) max(mu, 2^-q)^(1-2/r) ||Delta_q u||_L2,
+    with mu the `weight`."""
 
     s: float
     r: float = INF
     weight: float = 1.0
+
+    p = 2.0
+    sum_r = 1.0
 
     def __post_init__(self):
         _check_exponent("r", self.r)
@@ -61,64 +78,54 @@ class HybridSpec:
         r = "inf" if self.r == INF else f"{self.r:g}"
         return f"Bh^{{{self.s:g},{r}}}_mu={self.weight:g}"
 
+    def weights(self, n_bands: int) -> np.ndarray:
+        qs = np.arange(n_bands)
+        expo = 1.0 if self.r == INF else 1.0 - 2.0 / self.r
+        return np.exp2(qs * self.s) * np.maximum(self.weight, np.exp2(-qs.astype(float))) ** expo
+
 
 # -- plain grid norms -------------------------------------------------------
 
 
-def lp_norm(f: SpectralField | np.ndarray, p: float, cell_volume: float | None = None) -> float:
+def lp_norm(f: SpectralField, p: float) -> float:
     """Rectangle-rule L^p norm of the physical samples; p = inf is the max."""
     _check_exponent("p", p)
-    if isinstance(f, SpectralField):
-        samples = inverse_transform(f)
-        vol = f.grid.cell_volume
-    else:
-        samples = np.asarray(f)
-        if cell_volume is None:
-            raise ValueError("cell_volume required for raw sample arrays")
-        vol = cell_volume
+    samples = inverse_transform(f)
     if p == INF:
         return float(np.max(np.abs(samples)))
-    return float((np.sum(np.abs(samples) ** p) * vol) ** (1.0 / p))
+    return float((np.sum(np.abs(samples) ** p) * f.grid.cell_volume) ** (1.0 / p))
 
 
-def _lr_sum(terms: np.ndarray, r: float) -> float:
-    if r == INF:
-        return float(np.max(terms)) if terms.size else 0.0
-    return float(np.sum(terms ** r) ** (1.0 / r))
+def _band_sum(spec, blocks: np.ndarray):
+    """The spec's l^r sum (max for r = inf) over the last axis of its
+    weighted block norms: the instantaneous value of every dyadic norm."""
+    terms = spec.weights(blocks.shape[-1]) * blocks
+    if spec.sum_r == INF:
+        return terms.max(axis=-1)
+    return np.sum(terms ** spec.sum_r, axis=-1) ** (1.0 / spec.sum_r)
 
 
 def _components(u) -> list[SpectralField]:
     """Flatten a field / vector / tensor of fields into components."""
     if isinstance(u, SpectralField):
         return [u]
-    out = []
-    for item in u:
-        out.extend(_components(item))
-    return out
+    return [c for item in u for c in _components(item)]
 
 
-def block_lp(u, p: float, profile: PartitionProfile | None = None) -> np.ndarray:
+def block_lp(u, p: float) -> np.ndarray:
     """Per-band L^p norms of a (possibly multi-component) field.
 
-    Components combine inside each band as an l^p sum, so for p = 2 this
-    is the usual L2 norm of the stacked object.
+    Components combine inside each band as an l^p sum (the max for
+    p = inf), so for p = 2 this is the usual L2 norm of the stacked
+    object.
     """
     comps = _components(u)
     grid = comps[0].grid
-    stack = block_multipliers(grid, profile)
-    nq = stack.shape[0]
-    out = np.zeros(nq)
-    if p == INF:
-        for q in range(nq):
-            out[q] = max(
-                lp_norm(SpectralField(grid, c.coeffs * stack[q]), INF) for c in comps
-            )
-        return out
-    for q in range(nq):
-        acc = 0.0
-        for c in comps:
-            acc += lp_norm(SpectralField(grid, c.coeffs * stack[q]), p) ** p
-        out[q] = acc ** (1.0 / p)
+    stack = block_multipliers(grid)
+    out = np.empty(stack.shape[0])
+    for q, band in enumerate(stack):
+        norms = [lp_norm(SpectralField(grid, c.coeffs * band), p) for c in comps]
+        out[q] = max(norms) if p == INF else sum(n ** p for n in norms) ** (1.0 / p)
     return out
 
 
@@ -134,47 +141,37 @@ class NormBreakdown:
     truncation_flag: bool  # > 1% of L2 energy beyond the retained band
 
 
-def _outside_energy(u, profile) -> float:
+def _outside_energy(u) -> float:
     comps = _components(u)
     grid = comps[0].grid
-    mask = retained_mask(grid, profile)
-    zero = (0,) * grid.dim
-    total = 0.0
-    outside = 0.0
-    for c in comps:
-        e = np.abs(c.coeffs) ** 2
-        e[zero] = 0.0
-        total += float(e.sum())
-        outside += float(e[~mask].sum())
+    energy = np.abs(np.stack([c.coeffs for c in comps])) ** 2
+    energy[(slice(None),) + (0,) * grid.dim] = 0.0
+    total = float(energy.sum())
     if total == 0.0:
         return 0.0
-    return outside / total
+    return float(energy[:, ~retained_mask(grid)].sum()) / total
 
 
-def besov_norm(u, spec: BesovSpec, profile: PartitionProfile | None = None) -> NormBreakdown:
+def _dyadic_norm(u, spec) -> NormBreakdown:
+    """The spec's weighted band sum of `block_lp`, with the truncation report."""
+    blocks = block_lp(u, spec.p)
+    frac = _outside_energy(u)
+    return NormBreakdown(float(_band_sum(spec, blocks)), np.arange(blocks.size), blocks,
+                         spec.weights(blocks.size) * blocks, frac, frac > 0.01)
+
+
+def besov_norm(u, spec: BesovSpec) -> NormBreakdown:
     """Dyadic-sum norm: l^r over bands of 2^(qs) * ||band||_p.
 
     The zero mode is excluded; `u` may be a single field or any nesting
     of fields (vector, tensor), combined per band as in `block_lp`.
     """
-    blocks = block_lp(u, spec.p, profile)
-    qs = np.arange(blocks.size)
-    weighted = np.exp2(qs * spec.s) * blocks
-    value = _lr_sum(weighted, spec.r)
-    frac = _outside_energy(u, profile)
-    return NormBreakdown(value, qs, blocks, weighted, frac, frac > 0.01)
+    return _dyadic_norm(u, spec)
 
 
-def hybrid_norm(u, spec: HybridSpec, profile: PartitionProfile | None = None) -> NormBreakdown:
+def hybrid_norm(u, spec: HybridSpec) -> NormBreakdown:
     """Sum over bands of 2^(qs) * max(mu, 2^-q)^(1-2/r) * ||band||_L2."""
-    blocks = block_lp(u, 2.0, profile)
-    qs = np.arange(blocks.size)
-    expo = 1.0 if spec.r == INF else 1.0 - 2.0 / spec.r
-    weights = np.maximum(spec.weight, np.exp2(-qs.astype(float))) ** expo
-    weighted = np.exp2(qs * spec.s) * weights * blocks
-    value = float(weighted.sum())
-    frac = _outside_energy(u, profile)
-    return NormBreakdown(value, qs, blocks, weighted, frac, frac > 0.01)
+    return _dyadic_norm(u, spec)
 
 
 # -- time-sampled series ----------------------------------------------------
@@ -206,15 +203,21 @@ class NormSeries:
         return self.values.shape[1]
 
     def besov_at(self, i: int, spec: BesovSpec) -> float:
-        qs = np.arange(self.n_bands)
-        return _lr_sum(np.exp2(qs * spec.s) * self.values[i], spec.r)
+        return float(_band_sum(spec, self.values[i]))
 
 
-def norm_series(times, fields_per_time, p: float = 2.0,
-                profile: PartitionProfile | None = None) -> NormSeries:
+def norm_series(times, fields_per_time, p: float = 2.0) -> NormSeries:
     """Build a NormSeries by decomposing each sampled field."""
-    rows = [block_lp(u, p, profile) for u in fields_per_time]
+    rows = [block_lp(u, p) for u in fields_per_time]
     return NormSeries(np.asarray(times, dtype=float), np.vstack(rows), p)
+
+
+def _time_lk(values: np.ndarray, times: np.ndarray, k: float):
+    """L^k in time along the first axis: trapezoid quadrature of
+    values^k, or the supremum over samples for k = inf."""
+    if k == INF:
+        return values.max(axis=0)
+    return np.trapezoid(values ** k, times, axis=0) ** (1.0 / k)
 
 
 def _slice_to(series: NormSeries, T: float) -> tuple[np.ndarray, np.ndarray]:
@@ -227,43 +230,26 @@ def _slice_to(series: NormSeries, T: float) -> tuple[np.ndarray, np.ndarray]:
 def chemin_lerner_norm(series: NormSeries, k: float, spec: BesovSpec, T: float) -> float:
     """Time-inside-the-dyadic-sum norm.
 
-    Per band: trapezoid quadrature of t -> ||band(t)||_p^k over [0, T]
-    (supremum over samples for k = inf), then the outer l^r sum of
-    2^(qs) weighted results.
+    Per band: L^k over [0, T] of t -> ||band(t)||_p (see `_time_lk`),
+    then the spec's weighted band sum of the results.
     """
     _check_exponent("k", k)
     times, values = _slice_to(series, T)
-    qs = np.arange(series.n_bands)
-    if k == INF:
-        inner = values.max(axis=0)
-    else:
-        inner = np.trapezoid(values ** k, times, axis=0) ** (1.0 / k)
-    return _lr_sum(np.exp2(qs * spec.s) * inner, spec.r)
+    return float(_band_sum(spec, _time_lk(values, times, k)))
 
 
 def lebesgue_time_norm(series: NormSeries, k: float, spec: BesovSpec, T: float) -> float:
     """Time-outside norm: L^k over [0, T] of the instantaneous dyadic norm."""
     _check_exponent("k", k)
     times, values = _slice_to(series, T)
-    qs = np.arange(series.n_bands)
-    inst = np.array([_lr_sum(np.exp2(qs * spec.s) * row, spec.r) for row in values])
-    if k == INF:
-        return float(inst.max())
-    return float(np.trapezoid(inst ** k, times) ** (1.0 / k))
+    return float(_time_lk(_band_sum(spec, values), times, k))
 
 
 def hybrid_series_norm(series: NormSeries, k: float, spec: HybridSpec, T: float) -> float:
     """L^k in time of the instantaneous hybrid norm (series must be p=2)."""
-    if series.p != 2.0:
+    if series.p != spec.p:
         raise ValueError("hybrid norms are L2-based; series must carry p=2")
-    times, values = _slice_to(series, T)
-    qs = np.arange(series.n_bands)
-    expo = 1.0 if spec.r == INF else 1.0 - 2.0 / spec.r
-    weights = np.exp2(qs * spec.s) * np.maximum(spec.weight, np.exp2(-qs.astype(float))) ** expo
-    inst = values @ weights
-    if k == INF:
-        return float(inst.max())
-    return float(np.trapezoid(inst ** k, times) ** (1.0 / k))
+    return lebesgue_time_norm(series, k, spec, T)
 
 
 # -- CSV reports ------------------------------------------------------------

@@ -358,15 +358,15 @@ class _Pressure:
     """Warm-started pressure solves: called with a stacked (sigma, v, h)
     state and its momentum forcing g, returns (sigma + 1) grad P."""
 
-    def __init__(self, params: PhysicalParams, tol: float, max_iter: int = 200):
-        self.params, self.tol, self.max_iter = params, tol, max_iter
+    def __init__(self, params: PhysicalParams):
+        self.params = params
         self.warm: SpectralField | None = None
         self.last_grad: list[SpectralField] | None = None
 
     def __call__(self, grid: GridSpec, arr: np.ndarray, g: np.ndarray) -> np.ndarray:
         grad_p, ell = compute_pressure(
-            FluidState(*_unpack(grid, arr)), self.params, tol=self.tol,
-            max_iter=self.max_iter, warm_start=self.warm, forcing=_fields(grid, g))
+            FluidState(*_unpack(grid, arr)), self.params, warm_start=self.warm,
+            forcing=_fields(grid, g))
         self.warm, self.last_grad = ell.potential, grad_p
         gp = _stack(grad_p)
         return gp + dealiased(grid, samples(grid, arr[0]) * samples(grid, gp))
@@ -384,14 +384,13 @@ class _Stepper:
     map back to a FluidState); `finish` post-processes the new state and
     `rhs` is the fluid right side unless overridden."""
 
-    def __init__(self, grid: GridSpec, params: PhysicalParams, dt: float, *,
-                 elliptic_tol: float = 1e-11, elliptic_max_iter: int = 200):
+    def __init__(self, grid: GridSpec, params: PhysicalParams, dt: float):
         self.grid = grid
         self.params = params
         self.dt = dt
         self.e_full, self.e_half = if_factors(grid, params.mu, dt,
                                               self.diffusing(grid.dim))
-        self.pressure = _Pressure(params, elliptic_tol, elliptic_max_iter)
+        self.pressure = _Pressure(params)
 
     def rhs(self, t: float, arr: np.ndarray) -> np.ndarray:
         """Right side of the stacked (sigma, v, h) system, pressure included."""
@@ -436,11 +435,9 @@ class _DirectStepper(_Stepper):
         return arr
 
 
-def step(state: FluidState, params: PhysicalParams, dt: float, *,
-         elliptic_tol: float = 1e-11, elliptic_max_iter: int = 200) -> FluidState:
+def step(state: FluidState, params: PhysicalParams, dt: float) -> FluidState:
     """One semi-implicit step of the full system."""
-    stepper = _DirectStepper(state.grid, params, dt, elliptic_tol=elliptic_tol,
-                             elliptic_max_iter=elliptic_max_iter)
+    stepper = _DirectStepper(state.grid, params, dt)
     arr = stepper.step(_state_to_array(state), 0.0)
     out = _array_to_state(state.grid, arr)
     out.pressure_grad = stepper.pressure.last_grad
@@ -530,7 +527,6 @@ def _run(stepper: _Stepper, arr: np.ndarray, tg: TimeGrid, norm_specs,
     def save(t, arr):
         st = stepper.state(arr)
         st.pressure_grad, _ = compute_pressure(st, stepper.params,
-                                               tol=stepper.pressure.tol,
                                                warm_start=stepper.pressure.warm)
         res = constraint_residuals(st)
         if on_save is not None:
@@ -546,10 +542,10 @@ def _run(stepper: _Stepper, arr: np.ndarray, tg: TimeGrid, norm_specs,
 
 def run(state0: FluidState, params: PhysicalParams, tg: TimeGrid, *,
         norm_specs: list[tuple[str, BesovSpec]] | None = None,
-        elliptic_tol: float = 1e-11, on_save=None) -> RunResult:
+        on_save=None) -> RunResult:
     """Direct time integration; records norms and constraint residuals at
     every saved slice."""
-    stepper = _DirectStepper(state0.grid, params, tg.dt, elliptic_tol=elliptic_tol)
+    stepper = _DirectStepper(state0.grid, params, tg.dt)
     return _run(stepper, _state_to_array(state0), tg, norm_specs, on_save)
 
 
@@ -624,12 +620,12 @@ class _CoupledStepper(_Stepper):
 
 def run_coupled(state0: FluidState, params: PhysicalParams, tg: TimeGrid, *,
                 norm_specs: list[tuple[str, BesovSpec]] | None = None,
-                elliptic_tol: float = 1e-11, on_save=None) -> RunResult:
+                on_save=None) -> RunResult:
     """Evolve the coupled variables (sigma, d, h), mapping back to fluid
     states and recording them as `run` does at every save."""
     d0 = velocity_to_tensor(leray_project(state0.velocity))
     comps = [state0.sigma] + [f for row in d0 for f in row] + state0.h_flat()
-    stepper = _CoupledStepper(state0.grid, params, tg.dt, elliptic_tol=elliptic_tol)
+    stepper = _CoupledStepper(state0.grid, params, tg.dt)
     return _run(stepper, _stack(comps), tg, norm_specs, on_save)
 
 
@@ -677,8 +673,7 @@ class _TrajectoryInterpolant:
 
 
 def _phi_apply(prev: _TrajectoryInterpolant, state0: FluidState,
-               params: PhysicalParams, tg: TimeGrid, *,
-               elliptic_tol: float = 1e-11) -> np.ndarray:
+               params: PhysicalParams, tg: TimeGrid) -> np.ndarray:
     """One application of the linearization map.
 
     The two transports (for sigma and for h) freeze velocity and tensor
@@ -689,7 +684,7 @@ def _phi_apply(prev: _TrajectoryInterpolant, state0: FluidState,
     """
     grid = state0.grid
     n = grid.dim
-    pressure = _Pressure(params, elliptic_tol)
+    pressure = _Pressure(params)
 
     def u_at(t):
         return _unpack(grid, prev(t))[1]
@@ -742,8 +737,7 @@ def _trajectory_distance(a: np.ndarray, b: np.ndarray, grid: GridSpec,
 
 def phi_iteration(state0: FluidState, params: PhysicalParams, tg: TimeGrid, *,
                   max_outer: int = 10, tol: float = 1e-8,
-                  admissible: AdmissibleSetSpec | None = None,
-                  elliptic_tol: float = 1e-11) -> PhiResult:
+                  admissible: AdmissibleSetSpec | None = None) -> PhiResult:
     """Iterate the linearization map on whole trajectories until the
     sampled-sup critical-norm distance between successive iterates falls
     below `tol`.
@@ -767,16 +761,14 @@ def phi_iteration(state0: FluidState, params: PhysicalParams, tg: TimeGrid, *,
     constant = np.broadcast_to(base, (nt,) + base.shape).copy()
     times = np.arange(nt) * tg.dt
 
-    current = _phi_apply(_TrajectoryInterpolant(times, constant), state0, params,
-                         tg, elliptic_tol=elliptic_tol)
+    current = _phi_apply(_TrajectoryInterpolant(times, constant), state0, params, tg)
     applications = 1
 
     distances: list[float] = []
     monitors: list[dict] = []
     converged = False
     for _ in range(max_outer):
-        nxt = _phi_apply(_TrajectoryInterpolant(times, current), state0, params,
-                         tg, elliptic_tol=elliptic_tol)
+        nxt = _phi_apply(_TrajectoryInterpolant(times, current), state0, params, tg)
         applications += 1
         dist = _trajectory_distance(nxt, current, grid, tg)
         distances.append(dist)

@@ -8,12 +8,16 @@ smallest nonzero frequency, the ladder is truncated to q in
 0, which on integer frequencies |k| >= 1 is still supported inside the
 band-0 shell.  The zero mode (mean) is excluded from every band and
 tracked separately.
+
+The partition is fixed: every band multiplier, hence every dyadic norm,
+comes from `default_profile()`.  Band weights and summation exponents
+live on the norm specs in `norms`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from weakref import WeakKeyDictionary
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -38,7 +42,6 @@ def _smooth_step(t: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
 class PartitionProfile:
     """Radial bump phi with sum_{q in Z} phi(2^-q rho) = 1 for rho > 0.
 
@@ -48,13 +51,10 @@ class PartitionProfile:
     to machine precision by construction.
     """
 
-    shell_lo: float = SHELL_LO
-    shell_hi: float = SHELL_HI
-
     def _raw(self, rho: np.ndarray) -> np.ndarray:
         rho = np.asarray(rho, dtype=np.float64)
-        rising = _smooth_step((rho - self.shell_lo) / (1.0 - self.shell_lo))
-        falling = _smooth_step((self.shell_hi - rho) / (self.shell_hi - 2.0))
+        rising = _smooth_step((rho - SHELL_LO) / (1.0 - SHELL_LO))
+        falling = _smooth_step((SHELL_HI - rho) / (SHELL_HI - 2.0))
         return rising * falling
 
     def _dyadic_sum(self, rho: np.ndarray) -> np.ndarray:
@@ -78,9 +78,6 @@ class PartitionProfile:
         denom = self._dyadic_sum(rho)
         return np.where(raw > 0.0, raw / np.where(denom > 0.0, denom, 1.0), 0.0)
 
-    def __call__(self, rho) -> np.ndarray:
-        return self.value(rho)
-
 
 _DEFAULT_PROFILE = PartitionProfile()
 
@@ -91,13 +88,11 @@ def default_profile() -> PartitionProfile:
 
 @dataclass
 class DyadicBlocks:
-    """Band-limited pieces Delta_q u of a field, q in [q_min, q_max]."""
+    """Band-limited pieces Delta_q u of a field, q in [0, q_max]."""
 
     blocks: dict[int, SpectralField]
-    q_min: int
     q_max: int
     mean: float
-    profile: PartitionProfile = field(default_factory=default_profile)
 
     def reconstruct(self) -> SpectralField:
         """Sum of all bands plus the mean."""
@@ -109,40 +104,37 @@ class DyadicBlocks:
         return SpectralField(grid, out)
 
 
-_MULT_CACHE: "WeakKeyDictionary[PartitionProfile, dict]" = WeakKeyDictionary()
-
-
-def block_multipliers(grid: GridSpec, profile: PartitionProfile | None = None) -> np.ndarray:
+def block_multipliers(grid: GridSpec) -> np.ndarray:
     """Stack of band multipliers, shape (q_max+1, *grid.shape).
 
     Band q >= 1 is phi(2^-q |k|); band 0 additionally absorbs the whole
     q <= 0 tail of the partition so that bands sum to one on the
     retained radii.
     """
-    profile = profile or _DEFAULT_PROFILE
-    per_profile = _MULT_CACHE.setdefault(profile, {})
-    key = (grid.dim, grid.points_per_axis)
-    if key in per_profile:
-        return per_profile[key]
+    return _block_multipliers(grid.dim, grid.points_per_axis)
+
+
+@lru_cache(maxsize=32)
+def _block_multipliers(dim: int, m: int) -> np.ndarray:
+    grid = GridSpec(dim, m)
     kmag = grid_wavenumbers(grid)["kmag"]
     nq = grid.q_max + 1
     stack = np.zeros((nq,) + grid.shape)
     for q in range(1, nq):
-        stack[q] = profile.value(np.exp2(-q) * kmag)
+        stack[q] = _DEFAULT_PROFILE.value(np.exp2(-q) * kmag)
     low = np.zeros(grid.shape)
     for j in range(0, 4):  # phi(2^j rho) vanishes for rho >= 1 once 2^j > 8/3
-        low += profile.value(np.exp2(j) * kmag)
+        low += _DEFAULT_PROFILE.value(np.exp2(j) * kmag)
     stack[0] = low
-    per_profile[key] = stack
     return stack
 
 
-def coverage(grid: GridSpec, profile: PartitionProfile | None = None) -> np.ndarray:
+def coverage(grid: GridSpec) -> np.ndarray:
     """Pointwise sum of the truncated ladder's multipliers."""
-    return block_multipliers(grid, profile).sum(axis=0)
+    return block_multipliers(grid).sum(axis=0)
 
 
-def retained_mask(grid: GridSpec, profile: PartitionProfile | None = None) -> np.ndarray:
+def retained_mask(grid: GridSpec) -> np.ndarray:
     """Nonzero frequencies fully covered by the truncated ladder."""
     kmag = grid_wavenumbers(grid)["kmag"]
     return (kmag > 0) & (kmag <= retained_radius(grid) * (1 + 1e-12))
@@ -153,22 +145,19 @@ def retained_radius(grid: GridSpec) -> float:
     return SHELL_LO * 2.0 ** (grid.q_max + 1)
 
 
-def dyadic_decompose(field: SpectralField, profile: PartitionProfile | None = None) -> DyadicBlocks:
+def dyadic_decompose(field: SpectralField) -> DyadicBlocks:
     grid = field.grid
-    profile = profile or _DEFAULT_PROFILE
-    stack = block_multipliers(grid, profile)
+    stack = block_multipliers(grid)
     blocks = {
         q: SpectralField(grid, field.coeffs * stack[q]) for q in range(stack.shape[0])
     }
-    return DyadicBlocks(blocks=blocks, q_min=0, q_max=grid.q_max, mean=field.mean,
-                        profile=profile)
+    return DyadicBlocks(blocks=blocks, q_max=grid.q_max, mean=field.mean)
 
 
-def low_freq_cutoff(field: SpectralField, q: int,
-                    profile: PartitionProfile | None = None) -> SpectralField:
+def low_freq_cutoff(field: SpectralField, q: int) -> SpectralField:
     """S_q u: mean plus all bands strictly below q."""
     grid = field.grid
-    stack = block_multipliers(grid, profile)
+    stack = block_multipliers(grid)
     mult = np.zeros(grid.shape)
     for j in range(0, min(q, stack.shape[0])):
         mult += stack[j]

@@ -37,7 +37,6 @@ class GridSpec:
 
     dim: int
     points_per_axis: int
-    domain_length: float = TWO_PI
 
     def __post_init__(self):
         if self.dim not in (2, 3):
@@ -45,8 +44,6 @@ class GridSpec:
         m = self.points_per_axis
         if m < 16 or (m & (m - 1)) != 0:
             raise GridError(f"points_per_axis must be a power of two >= 16, got {m}")
-        if self.domain_length != TWO_PI:
-            raise GridError("domain_length is fixed at 2*pi")
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -60,11 +57,6 @@ class GridSpec:
     def dealias_radius(self) -> float:
         """Two-thirds-rule cutoff per axis."""
         return self.points_per_axis / 3.0
-
-    @property
-    def q_min(self) -> int:
-        """Lowest dyadic band; its shell [3/4, 8/3] contains |k| = 1."""
-        return 0
 
     @property
     def q_max(self) -> int:
@@ -249,11 +241,6 @@ def stacked_gradient(grid: GridSpec, coeffs: np.ndarray) -> np.ndarray:
     """d_l of every component of a stacked array, as `derivative` takes it;
     the new axis l sits just before the grid axes."""
     return np.expand_dims(coeffs, -grid.dim - 1) * grid_wavenumbers(grid)["ik"]
-
-
-def laplacian(field: SpectralField) -> SpectralField:
-    k2 = grid_wavenumbers(field.grid)["k2"]
-    return SpectralField(field.grid, -k2 * field.coeffs)
 
 
 def lambda_power(field: SpectralField, exponent: float) -> SpectralField:

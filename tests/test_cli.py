@@ -87,8 +87,15 @@ class TestSimulateCommand:
         config_dict(params={"mu": "1", "sigma_floor": 0.1}),
         config_dict(initial={"family": "exact_gradient", "amplitude": "0.1", "seed": 4}),
         config_dict(norms=[{"name": "velocity", "s": 0.0, "p": 0.5, "r": 1}]),
+        config_dict(norms=[1]),
+        config_dict(norms="velocity"),
+        config_dict(norms={"name": "velocity", "s": 0.0}),
+        config_dict(time={"T": 0.05, "dt": 0.01, "save_stride": 1.5}),
+        config_dict(time={"T": 0.05, "dt": 0.01, "save_stride": "3"}),
+        config_dict(time={"T": 0.05, "dt": 0.01, "save_stride": True}),
     ], ids=["dim_5", "steps_not_integer", "mu_string", "amplitude_string",
-            "norm_p_below_1"])
+            "norm_p_below_1", "norms_item_not_object", "norms_string", "norms_object",
+            "save_stride_float", "save_stride_string", "save_stride_bool"])
     def test_schema_violation_exit_2(self, tmp_path, capsys, cfg):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(cfg))

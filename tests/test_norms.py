@@ -122,6 +122,27 @@ class TestBesovNorm:
             BesovSpec(1.0, 2.0, 0.0)
 
 
+class TestBlockLpReduction:
+    # |k| = sqrt(8) lies in (8/3, 3), a pure band-1 radius
+    def band_one(self, grid):
+        return field_of(grid, lambda x, y: np.cos(2 * x + 2 * y))
+
+    def test_single_band_sup_and_l1(self, grid2_64):
+        f = self.band_one(grid2_64)
+        np.testing.assert_allclose(block_lp(f, INF), [0.0, 1.0, 0.0, 0.0], rtol=0, atol=1e-12)
+        # rectangle rule on the 64^2 grid: f samples cos(pi m / 16), period 32 in m
+        want = 4 * np.pi ** 2 * np.mean(np.abs(np.cos(np.pi * np.arange(32) / 16)))
+        assert want == pytest.approx(25.0519, abs=1e-4)
+        assert block_lp(f, 1.0)[1] == pytest.approx(want, rel=1e-12)
+
+    def test_vector_components_combine(self, grid2_64):
+        f = self.band_one(grid2_64)
+        vec = [f, 2.0 * f]
+        np.testing.assert_allclose(block_lp(vec, INF), [0.0, 2.0, 0.0, 0.0], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(block_lp(vec, 1.0), 3.0 * block_lp(f, 1.0),
+                                   rtol=1e-12, atol=1e-12)
+
+
 class TestRescaleCriticality:
     def test_per_block_shift(self, grid2_64):
         # content above the absorbed octave shifts by exactly one band
@@ -253,6 +274,12 @@ class TestHybridNorm:
             static, rel=1e-12)
         assert hybrid_series_norm(series, INF, spec, 1.0) == pytest.approx(
             static, rel=1e-12)
+
+    def test_series_norm_needs_l2_series(self, grid2_64):
+        f = field_of(grid2_64, lambda x, y: np.cos(4 * x))
+        series = norm_series(np.linspace(0.0, 1.0, 3), [f] * 3, p=1.0)
+        with pytest.raises(ValueError):
+            hybrid_series_norm(series, 1.0, HybridSpec(1.0, INF, 3.0), 1.0)
 
 
 class TestReports:
