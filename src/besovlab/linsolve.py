@@ -18,12 +18,14 @@ from .spectral import (
     GridSpec,
     SpectralField,
     advect,
+    dealiased,
     derivative,
     divergence,
     grid_wavenumbers,
     hermitize,
     inverse_transform,
-    product,
+    samples,
+    stacked_gradient,
 )
 
 CFL_LIMIT = 1.0
@@ -123,7 +125,7 @@ def _velocity_callable(velocity):
 
 def velocity_max(velocity: list[SpectralField]) -> float:
     """Max pointwise speed sqrt(sum v_i^2)."""
-    speed2 = sum(inverse_transform(v) ** 2 for v in velocity)
+    speed2 = sum(v ** 2 for v in samples(velocity[0].grid, _stack(velocity)))
     return float(np.sqrt(np.max(speed2)))
 
 
@@ -291,14 +293,18 @@ def solve_variable_poisson(a: SpectralField, f: SpectralField, *,
 
     Requires a > 0 on the grid (else NonPositiveCoefficientError) and
     mean-zero f (solvability); converges when the relative oscillation of
-    `a` is below one.  All products are dealiased.  Raises
+    `a` is below one.  `a` is sampled once per solve, by the positivity
+    check; each residual samples the stacked gradient of u, multiplies by
+    those samples and takes one dealiased transform of the flux, the
+    arithmetic of `product(a, derivative(u, ax))` per axis.  Raises
     EllipticConvergenceError when max_iter is hit, with the residual
     history attached.
     """
     grid = a.grid
     if f.grid != grid:
         raise ValueError("coefficient and right side live on different grids")
-    a_min = float(inverse_transform(a).min())
+    a_samples = inverse_transform(a)
+    a_min = float(a_samples.min())
     if a_min <= 0:
         raise NonPositiveCoefficientError(
             f"elliptic coefficient min = {a_min:.3g} is not positive on the grid")
@@ -310,14 +316,15 @@ def solve_variable_poisson(a: SpectralField, f: SpectralField, *,
     if abs(f.mean) > 1e-10 * max(1.0, fnorm):
         raise ValueError(f"right side must be mean-zero, got mean {f.mean:.3g}")
 
-    k2 = grid_wavenumbers(grid)["k2"]
+    wavenumbers = grid_wavenumbers(grid)
+    k2, ik = wavenumbers["k2"], wavenumbers["ik"]
     inv_lap = np.where(k2 > 0, 1.0 / (abar * np.where(k2 > 0, k2, 1.0)), 0.0)
-    u = warm_start.copy() if warm_start is not None else SpectralField(
-        grid, np.zeros(grid.shape, complex))
+    u = warm_start.coeffs.copy() if warm_start is not None else np.zeros(grid.shape, complex)
 
-    def residual(u_field):
-        flux = [product(a, derivative(u_field, ax)) for ax in range(grid.dim)]
-        return f + divergence(flux)
+    def result(it, stagnated=False):
+        potential = SpectralField(grid, u)
+        grad = [derivative(potential, ax) for ax in range(grid.dim)]
+        return EllipticResult(grad, potential, np.asarray(residuals), it, True, stagnated)
 
     residuals = []
     target = tol * max(fnorm, 1e-300)
@@ -326,21 +333,19 @@ def solve_variable_poisson(a: SpectralField, f: SpectralField, *,
     # accepted as converged-at-floor rather than reported as failure
     floor_gate = np.sqrt(np.finfo(float).eps) * max(fnorm, 1e-300)
     for it in range(max_iter + 1):
-        r = residual(u)
-        rnorm = float(np.sqrt(np.sum(np.abs(r.coeffs) ** 2)))
+        flux = dealiased(grid, a_samples * samples(grid, stacked_gradient(grid, u)))
+        r = f.coeffs + (ik * flux).sum(axis=0)
+        rnorm = float(np.sqrt(np.sum(np.abs(r) ** 2)))
         residuals.append(rnorm)
         if rnorm <= target or fnorm == 0.0:
-            grad = [derivative(u, ax) for ax in range(grid.dim)]
-            return EllipticResult(grad, u, np.asarray(residuals), it, True)
+            return result(it)
         if it >= 4 and rnorm <= floor_gate:
             recent = residuals[-4:]
             if recent[-1] > 0.99 * min(recent[:-1]):
-                grad = [derivative(u, ax) for ax in range(grid.dim)]
-                return EllipticResult(grad, u, np.asarray(residuals), it, True,
-                                      stagnated=True)
+                return result(it, stagnated=True)
         if it == max_iter:
             break
-        u = SpectralField(grid, u.coeffs + r.coeffs * inv_lap)
+        u = u + r * inv_lap
     raise EllipticConvergenceError(
         f"no convergence in {max_iter} iterations; final residual "
         f"{residuals[-1]:.3g} (target {target:.3g})",

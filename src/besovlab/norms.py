@@ -203,7 +203,16 @@ class NormSeries:
         return self.values.shape[1]
 
     def besov_at(self, i: int, spec: BesovSpec) -> float:
+        _check_series_p(self, spec)
         return float(_band_sum(spec, self.values[i]))
+
+
+def _check_series_p(series: NormSeries, spec):
+    """A series holds L^p block norms for its own p; a spec with another
+    block exponent cannot be evaluated from it."""
+    if spec.p != series.p:
+        raise ValueError(f"spec block exponent p = {spec.p:g} does not match "
+                         f"the series' p = {series.p:g}")
 
 
 def norm_series(times, fields_per_time, p: float = 2.0) -> NormSeries:
@@ -234,6 +243,7 @@ def chemin_lerner_norm(series: NormSeries, k: float, spec: BesovSpec, T: float) 
     then the spec's weighted band sum of the results.
     """
     _check_exponent("k", k)
+    _check_series_p(series, spec)
     times, values = _slice_to(series, T)
     return float(_band_sum(spec, _time_lk(values, times, k)))
 
@@ -241,14 +251,13 @@ def chemin_lerner_norm(series: NormSeries, k: float, spec: BesovSpec, T: float) 
 def lebesgue_time_norm(series: NormSeries, k: float, spec: BesovSpec, T: float) -> float:
     """Time-outside norm: L^k over [0, T] of the instantaneous dyadic norm."""
     _check_exponent("k", k)
+    _check_series_p(series, spec)
     times, values = _slice_to(series, T)
     return float(_time_lk(_band_sum(spec, values), times, k))
 
 
 def hybrid_series_norm(series: NormSeries, k: float, spec: HybridSpec, T: float) -> float:
     """L^k in time of the instantaneous hybrid norm (series must be p=2)."""
-    if series.p != spec.p:
-        raise ValueError("hybrid norms are L2-based; series must carry p=2")
     return lebesgue_time_norm(series, k, spec, T)
 
 

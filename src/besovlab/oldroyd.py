@@ -39,15 +39,14 @@ from .spectral import (
     GridSpec,
     SpectralField,
     advect,
-    dealias,
     dealiased,
     derivative,
     divergence,
-    forward_transform,
     grid_wavenumbers,
     inverse_transform,
     lambda_power,
     leray_project,
+    product,
     samples,
     stacked_gradient,
     zero_field,
@@ -230,7 +229,7 @@ def _l2_fields(fields, grid: GridSpec) -> float:
 def reciprocal_density(sigma: SpectralField) -> SpectralField:
     """rho = 1/(sigma + 1) as a dealiased grid field."""
     rho = 1.0 / (inverse_transform(sigma) + 1.0)
-    return dealias(forward_transform(sigma.grid, rho))
+    return SpectralField(sigma.grid, dealiased(sigma.grid, rho))
 
 
 def weighted_div_residual(sigma: SpectralField, h: list[list[SpectralField]],
@@ -364,12 +363,12 @@ class _Pressure:
         self.last_grad: list[SpectralField] | None = None
 
     def __call__(self, grid: GridSpec, arr: np.ndarray, g: np.ndarray) -> np.ndarray:
-        grad_p, ell = compute_pressure(
-            FluidState(*_unpack(grid, arr)), self.params, warm_start=self.warm,
-            forcing=_fields(grid, g))
+        state = FluidState(*_unpack(grid, arr))
+        grad_p, ell = compute_pressure(state, self.params, warm_start=self.warm,
+                                       forcing=_fields(grid, g))
         self.warm, self.last_grad = ell.potential, grad_p
         gp = _stack(grad_p)
-        return gp + dealiased(grid, samples(grid, arr[0]) * samples(grid, gp))
+        return gp + product(state.sigma, gp)
 
 
 # -- the IF-RK4 steppers -----------------------------------------------------------

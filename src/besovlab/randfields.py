@@ -10,7 +10,13 @@ from __future__ import annotations
 import numpy as np
 
 from .paley import retained_radius
-from .spectral import GridSpec, SpectralField, grid_wavenumbers, leray_project
+from .spectral import (
+    GridSpec,
+    SpectralField,
+    forward_transform,
+    grid_wavenumbers,
+    leray_project,
+)
 
 
 def random_scalar(grid: GridSpec, rng: np.random.Generator, *,
@@ -21,7 +27,7 @@ def random_scalar(grid: GridSpec, rng: np.random.Generator, *,
     radius = radius if radius is not None else retained_radius(grid)
     kmag = grid_wavenumbers(grid)["kmag"]
     noise = rng.standard_normal(grid.shape)
-    coeffs = np.fft.fftn(noise) / grid.points_per_axis ** grid.dim
+    coeffs = forward_transform(grid, noise).coeffs
     keep = (kmag > radius_lo) & (kmag <= radius)
     envelope = np.where(keep, np.where(kmag > 0, kmag, 1.0) ** (-decay), 0.0)
     coeffs = coeffs * envelope

@@ -2,15 +2,21 @@
 
 Fields are carried as full complex DFT coefficient arrays in the usual
 wraparound frequency layout, normalized so that the coefficient of the
-mode e^{i k.x} is 1.  All operators in this module are Fourier
-multipliers acting on those coefficients; they are pure functions and
-deterministic.
+mode e^{i k.x} is 1.  Every array holds the coefficients of a real
+field, so it is Hermitian: c(-k) = conj(c(k)).  All operators in this
+module are Fourier multipliers acting on those coefficients and keep
+that symmetry; they are pure functions and deterministic.
 
-`samples`, `dealiased`, `stacked_gradient` and `advect` act on stacked
-arrays: any leading axes index components, the last `dim` axes are the
-grid.  A quadratic term is formed by sampling its factors on the grid,
-multiplying and contracting there, and one `dealiased` call per output
-component; `product` is the single-pair case.
+Every grid transform is real-to-complex: the forward transforms
+(`forward_transform`, `dealiased`) take the k_last >= 0 half from
+`rfftn` and fill the k_last < 0 half by symmetry, and `samples` hands
+the k_last >= 0 half to `irfftn`, which returns real samples directly.
+
+`samples`, `dealiased`, `stacked_gradient`, `product` and `advect` act
+on stacked arrays: any leading axes index components, the last `dim`
+axes are the grid.  A quadratic term is formed by sampling its factors
+on the grid, multiplying and contracting there, and one `dealiased`
+call per output component; `product` is the case of one scalar factor.
 """
 
 from __future__ import annotations
@@ -95,7 +101,14 @@ def _grid_arrays(dim: int, m: int) -> dict:
     # derivatives of real fields stay real
     ik = np.stack([np.broadcast_to(np.where(k == -(m // 2), 0.0, 1j * k), (m,) * dim)
                    for k in kaxes])
-    return {"kaxes": kaxes, "k2": k2, "kmag": kmag, "dealias_mask": keep, "ik": ik}
+    # flat index into the k_last >= 0 half (last axis 0..M/2) of the mode
+    # -k, for every k with k_last < 0 (last axis M/2+1..M-1)
+    half = m // 2 + 1
+    idx = np.indices((m,) * (dim - 1) + (m - half,))
+    mirror = np.ravel_multi_index(tuple((-i) % m for i in idx[:-1]) + (m - half - idx[-1],),
+                                  (m,) * (dim - 1) + (half,))
+    return {"kaxes": kaxes, "k2": k2, "kmag": kmag, "dealias_mask": keep, "ik": ik,
+            "mirror": mirror}
 
 
 def grid_wavenumbers(grid: GridSpec) -> dict:
@@ -188,8 +201,7 @@ def forward_transform(grid: GridSpec, samples: np.ndarray) -> SpectralField:
         raise GridError(f"sample shape {samples.shape} does not match grid {grid.shape}")
     if np.iscomplexobj(samples):
         raise GridError("samples must be real-valued")
-    n = grid.points_per_axis ** grid.dim
-    return SpectralField(grid, np.fft.fftn(samples) / n)
+    return SpectralField(grid, _real_forward(grid, samples))
 
 
 def inverse_transform(field: SpectralField) -> np.ndarray:
@@ -200,19 +212,32 @@ def inverse_transform(field: SpectralField) -> np.ndarray:
 def samples(grid: GridSpec, coeffs: np.ndarray) -> np.ndarray:
     """Real grid samples of every component of a stacked coefficient array.
 
-    norm="forward" is the unit-amplitude convention (the 1/M^dim sits on
-    the forward transform) without a scaled copy of the input.  The real
-    part is copied out so that long-lived samples do not keep the complex
-    transform alive.
+    The coefficients must be Hermitian (those of real fields): only the
+    k_last >= 0 half is read, by `irfftn`.  norm="forward" is the
+    unit-amplitude convention (the 1/M^dim sits on the forward transform).
     """
-    values = np.fft.ifftn(coeffs, axes=tuple(range(-grid.dim, 0)), norm="forward")
-    return values.real.copy()
+    half = grid.points_per_axis // 2 + 1
+    return np.fft.irfftn(coeffs[..., :half], s=grid.shape,
+                         axes=tuple(range(-grid.dim, 0)), norm="forward")
+
+
+def _real_forward(grid: GridSpec, values: np.ndarray) -> np.ndarray:
+    """Full coefficient arrays of stacked real samples: `rfftn` gives the
+    k_last >= 0 half, the k_last < 0 half is its mirrored conjugate."""
+    m, half = grid.points_per_axis, grid.points_per_axis // 2 + 1
+    part = np.fft.rfftn(values, axes=tuple(range(-grid.dim, 0)), norm="forward")
+    coeffs = np.empty(part.shape[:-1] + (m,), dtype=np.complex128)
+    coeffs[..., :half] = part
+    flat = part.reshape(part.shape[:-grid.dim] + (-1,))
+    np.conjugate(np.take(flat, grid_wavenumbers(grid)["mirror"], axis=-1),
+                 out=coeffs[..., half:])
+    return coeffs
 
 
 def dealiased(grid: GridSpec, values: np.ndarray) -> np.ndarray:
-    """Coefficients of every component of stacked real samples, with the
-    two-thirds rule applied."""
-    coeffs = np.fft.fftn(values, axes=tuple(range(-grid.dim, 0)), norm="forward")
+    """Coefficients of every component of stacked real samples (by the
+    real-to-complex transform), with the two-thirds rule applied."""
+    coeffs = _real_forward(grid, values)
     coeffs *= grid_wavenumbers(grid)["dealias_mask"]
     return coeffs
 
@@ -296,12 +321,17 @@ def dealias(field: SpectralField) -> SpectralField:
     return SpectralField(field.grid, field.coeffs * mask)
 
 
-def product(f: SpectralField, g: SpectralField) -> SpectralField:
-    """Dealiased pointwise product; exact convolution on the retained band
-    when both inputs are supported below M/3."""
-    f._check(g)
-    fg = inverse_transform(f) * inverse_transform(g)
-    return SpectralField(f.grid, dealiased(f.grid, fg))
+def product(f: SpectralField, g: SpectralField | np.ndarray):
+    """Dealiased pointwise product of the scalar field `f` with `g`: a
+    field (returns a field) or a stacked coefficient array (returns the
+    stacked coefficients of f times each component; `f` is sampled once).
+    Exact convolution on the retained band when both factors are
+    supported below M/3."""
+    if isinstance(g, SpectralField):
+        f._check(g)
+        return SpectralField(f.grid, dealiased(f.grid, inverse_transform(f)
+                                               * inverse_transform(g)))
+    return dealiased(f.grid, inverse_transform(f) * samples(f.grid, g))
 
 
 def advect(grid: GridSpec, velocity: np.ndarray, coeffs: np.ndarray) -> np.ndarray:

@@ -1,9 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import besovlab
 from besovlab.cli import main
 from besovlab.norms import BesovSpec, besov_norm
 from besovlab.oldroyd import make_initial_data
@@ -221,6 +226,17 @@ class TestSimulateCommand:
             (out / "cross_formulation.csv").read_text().splitlines()))
         assert rows
         assert float(rows[-1]["l2_distance"]) <= 1e-6
+
+
+class TestModuleEntryPoint:
+    def test_python_m_besovlab(self):
+        src = str(Path(besovlab.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run([sys.executable, "-m", "besovlab", "verify", "--help"],
+                             env=env, capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert "usage:" in run.stdout
 
 
 class TestVerifyCommand:

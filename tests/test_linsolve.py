@@ -244,6 +244,31 @@ class TestVariablePoisson:
         factors = res.contraction_factors[:-1]
         assert np.all(factors <= osc + 0.1)
 
+    def test_manufactured_solution_3d(self, grid3_16):
+        # a = 1 + 0.2 sin x sin z, u* = sin y + cos z, f = -div(a grad u*)
+        a = field_of(grid3_16, lambda x, y, z: 1.0 + 0.2 * np.sin(x) * np.sin(z))
+        u_star = field_of(grid3_16, lambda x, y, z: np.sin(y) + np.cos(z))
+        flux = [product(a, derivative(u_star, ax)) for ax in range(3)]
+        f = -1.0 * divergence(flux)
+        res = solve_variable_poisson(a, f, tol=1e-12, max_iter=50)
+        assert res.converged
+        for ax in range(3):
+            err = np.max(np.abs(res.gradient[ax].coeffs - derivative(u_star, ax).coeffs))
+            assert err <= 1e-10
+
+    @pytest.mark.parametrize("tol", [1e-12, 1e-8])
+    def test_potential_satisfies_product_residual(self, grid2_32, tol):
+        # the solver's batched residual against the per-axis product formula
+        rng = np.random.default_rng(21)
+        a = field_of(grid2_32, lambda x, y: 1.0 + 0.3 * np.sin(x) * np.cos(2 * y))
+        f = random_scalar(grid2_32, rng)
+        res = solve_variable_poisson(a, f, tol=tol)
+        u = res.potential
+        r = f + divergence([product(a, derivative(u, ax)) for ax in range(2)])
+        fnorm = np.sqrt(np.sum(np.abs(f.coeffs) ** 2))
+        assert np.sqrt(np.sum(np.abs(r.coeffs) ** 2)) <= tol * fnorm
+        assert res.iterations > 1
+
     def test_elliptic_shape_ratios_recorded(self, grid2_32):
         a = field_of(grid2_32, lambda x, y: 1.0 + 0.2 * np.sin(x))
         u_star = field_of(grid2_32, lambda x, y: np.sin(y))

@@ -281,6 +281,20 @@ class TestHybridNorm:
         with pytest.raises(ValueError):
             hybrid_series_norm(series, 1.0, HybridSpec(1.0, INF, 3.0), 1.0)
 
+    def test_series_norms_check_spec_p(self, grid2_64):
+        # an L2 series evaluated with an L^inf spec used to return the
+        # B^0_{2,1} value 4.443 instead of refusing; the true B^0_{inf,1}
+        # norm of this band-1 wave is 1
+        f = field_of(grid2_64, lambda x, y: np.cos(2 * x + 2 * y))
+        series = norm_series([0.0, 1.0], [f, f])
+        spec = BesovSpec(0.0, INF, 1.0)
+        assert besov_norm(f, spec).value == pytest.approx(1.0, rel=1e-12)
+        for evaluate in (lambda: chemin_lerner_norm(series, 1.0, spec, 1.0),
+                         lambda: lebesgue_time_norm(series, 1.0, spec, 1.0),
+                         lambda: series.besov_at(0, spec)):
+            with pytest.raises(ValueError, match=r"p = inf .* p = 2"):
+                evaluate()
+
 
 class TestReports:
     def test_csv_writers(self, grid2_64, tmp_path):

@@ -6,6 +6,7 @@ from besovlab.spectral import (
     GridSpec,
     SpectralField,
     dealias,
+    dealiased,
     derivative,
     divergence,
     forward_transform,
@@ -14,11 +15,15 @@ from besovlab.spectral import (
     inverse_transform,
     lambda_power,
     leray_project,
+    grid_wavenumbers,
     make_grid,
     product,
     rescale,
+    samples,
+    stacked_gradient,
     zero_field,
 )
+from besovlab.randfields import random_scalar
 
 from conftest import field_of
 
@@ -219,6 +224,48 @@ class TestDealias:
                 oracle[ka % 16, kb % 16] += u.coeffs[tuple(iu)] * v.coeffs[tuple(iv)]
         keep = (np.abs(k1[:, None]) <= 16 / 3) & (np.abs(k1[None, :]) <= 16 / 3)
         assert np.max(np.abs(got.coeffs - oracle * keep)) < 1e-14
+
+
+REAL_TRANSFORM_GRIDS = [(2, 32), (2, 64), (3, 16)]
+
+
+@pytest.mark.parametrize("dim,m", REAL_TRANSFORM_GRIDS)
+class TestRealTransforms:
+    """The real-to-complex transforms against numpy's full complex ones."""
+
+    def test_dealiased_matches_complex_fft(self, dim, m):
+        grid = make_grid(dim, m)
+        values = np.random.default_rng(7).standard_normal((3,) + grid.shape)
+        want = np.fft.fftn(values, axes=tuple(range(-dim, 0)), norm="forward") \
+            * grid_wavenumbers(grid)["dealias_mask"]
+        got = dealiased(grid, values)
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+        for c in got:
+            assert SpectralField(grid, c).hermitian_defect() <= 1e-15
+
+    def test_samples_match_complex_ifft(self, dim, m):
+        grid = make_grid(dim, m)
+        u = random_scalar(grid, np.random.default_rng(8)).coeffs
+        coeffs = np.concatenate([u[None], stacked_gradient(grid, u)])
+        want = np.fft.ifftn(coeffs, axes=tuple(range(-dim, 0)), norm="forward").real
+        got = samples(grid, coeffs)
+        for g, w in zip(got, want):
+            assert np.max(np.abs(g - w)) <= 1e-15 * np.max(np.abs(w))
+
+    def test_stacked_equals_per_component(self, dim, m):
+        grid = make_grid(dim, m)
+        rng = np.random.default_rng(9)
+        values = rng.standard_normal((2, 2) + grid.shape)
+        coeffs = dealiased(grid, values)
+        got = samples(grid, coeffs)
+        for idx in np.ndindex(2, 2):
+            assert np.array_equal(coeffs[idx], dealiased(grid, values[idx]))
+            assert np.array_equal(got[idx], samples(grid, coeffs[idx]))
+        f = random_scalar(grid, rng)
+        stacked = product(f, coeffs[0])
+        for i in range(2):
+            assert np.array_equal(stacked[i],
+                                  product(f, SpectralField(grid, coeffs[0, i])).coeffs)
 
 
 class TestRescale:
