@@ -6,6 +6,11 @@ fixed partition of `paley` and sums them over bands.  Each spec states
 its block exponent `p`, band weights `weights` and band-sum exponent
 `sum_r` once; all norms here go through that one weighted band sum.
 
+For p = 2 the block norms take no transform: by discrete Parseval the
+rectangle-rule ||Delta_q u||_2^2 is (2pi)^N sum_k phi_q(k)^2 |c_k|^2,
+exactly, because the coefficients are Hermitian (those of real fields,
+which every `spectral` operator keeps).  Other p sample each band.
+
 Integrability and summation exponents are floats in [1, inf]; infinity
 is encoded as Python's IEEE ``math.inf``, never by a magic number.
 """
@@ -15,11 +20,12 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .paley import block_multipliers, retained_mask
-from .spectral import SpectralField, inverse_transform
+from .spectral import TWO_PI, GridSpec, SpectralField, inverse_transform, samples
 
 INF = math.inf
 
@@ -87,13 +93,27 @@ class HybridSpec:
 # -- plain grid norms -------------------------------------------------------
 
 
+def _grid_lp(values: np.ndarray, p: float, cell_volume: float, axis=None):
+    """Rectangle-rule L^p norm of grid samples over `axis` (default: all);
+    p = inf is the max.  The one grid reduction of every L^p norm here."""
+    if p == INF:
+        return np.max(np.abs(values), axis=axis)
+    return (np.sum(np.abs(values) ** p, axis=axis) * cell_volume) ** (1.0 / p)
+
+
 def lp_norm(f: SpectralField, p: float) -> float:
     """Rectangle-rule L^p norm of the physical samples; p = inf is the max."""
     _check_exponent("p", p)
-    samples = inverse_transform(f)
-    if p == INF:
-        return float(np.max(np.abs(samples)))
-    return float((np.sum(np.abs(samples) ** p) * f.grid.cell_volume) ** (1.0 / p))
+    return float(_grid_lp(inverse_transform(f), p, f.grid.cell_volume))
+
+
+def stacked_lp(grid: GridSpec, coeffs: np.ndarray, p: float) -> np.ndarray:
+    """`lp_norm` of every field of a stacked coefficient array: by Parseval
+    for p = 2 (Hermitian coefficients), else from one `samples` call."""
+    axes = tuple(range(-grid.dim, 0))
+    if p == 2.0:
+        return np.sqrt(TWO_PI ** grid.dim * np.sum(np.abs(coeffs) ** 2, axis=axes))
+    return _grid_lp(samples(grid, coeffs), p, grid.cell_volume, axes)
 
 
 def _band_sum(spec, blocks: np.ndarray):
@@ -112,21 +132,39 @@ def _components(u) -> list[SpectralField]:
     return [c for item in u for c in _components(item)]
 
 
-def block_lp(u, p: float) -> np.ndarray:
+@lru_cache(maxsize=32)
+def _parseval(dim: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """(2pi)^N phi_q^2 as a (q_max+1, M^N) matrix, and the flat mask of the
+    modes beyond the retained radius (not the zero mode, entry 0)."""
+    grid = GridSpec(dim, m)
+    outside = ~retained_mask(grid).ravel()
+    outside[0] = False
+    return TWO_PI ** dim * block_multipliers(grid).reshape(grid.q_max + 1, -1) ** 2, outside
+
+
+def _energy(comps: list[SpectralField]) -> np.ndarray:
+    """|c_k|^2 summed over components, flattened over the grid."""
+    return sum(np.abs(c.coeffs) ** 2 for c in comps).ravel()
+
+
+def block_lp(u, p: float, energy: np.ndarray | None = None) -> np.ndarray:
     """Per-band L^p norms of a (possibly multi-component) field.
 
     Components combine inside each band as an l^p sum (the max for
     p = inf), so for p = 2 this is the usual L2 norm of the stacked
-    object.
+    object.  For p = 2 it is (2pi)^N sum_k phi_q^2 |c_k|^2, by Parseval
+    the sampled sum exactly for Hermitian coefficients; a caller that
+    holds |c_k|^2 summed over components (flat) passes it as `energy`.
+    Other p sample every band.
     """
     comps = _components(u)
     grid = comps[0].grid
-    stack = block_multipliers(grid)
-    out = np.empty(stack.shape[0])
-    for q, band in enumerate(stack):
-        norms = [lp_norm(SpectralField(grid, c.coeffs * band), p) for c in comps]
-        out[q] = max(norms) if p == INF else sum(n ** p for n in norms) ** (1.0 / p)
-    return out
+    if p == 2.0:
+        energy = _energy(comps) if energy is None else energy
+        return np.sqrt(_parseval(grid.dim, grid.points_per_axis)[0] @ energy)
+    coeffs = np.stack([c.coeffs for c in comps])
+    return np.array([_grid_lp(samples(grid, coeffs * band), p, grid.cell_volume)
+                     for band in block_multipliers(grid)])
 
 
 @dataclass
@@ -141,21 +179,16 @@ class NormBreakdown:
     truncation_flag: bool  # > 1% of L2 energy beyond the retained band
 
 
-def _outside_energy(u) -> float:
+def _dyadic_norm(u, spec) -> NormBreakdown:
+    """The spec's weighted band sum of `block_lp`, with the truncation
+    report; both read one energy array."""
     comps = _components(u)
     grid = comps[0].grid
-    energy = np.abs(np.stack([c.coeffs for c in comps])) ** 2
-    energy[(slice(None),) + (0,) * grid.dim] = 0.0
-    total = float(energy.sum())
-    if total == 0.0:
-        return 0.0
-    return float(energy[:, ~retained_mask(grid)].sum()) / total
-
-
-def _dyadic_norm(u, spec) -> NormBreakdown:
-    """The spec's weighted band sum of `block_lp`, with the truncation report."""
-    blocks = block_lp(u, spec.p)
-    frac = _outside_energy(u)
+    energy = _energy(comps)
+    blocks = block_lp(comps, spec.p, energy)
+    total = float(energy[1:].sum())
+    outside = float(energy[_parseval(grid.dim, grid.points_per_axis)[1]].sum())
+    frac = outside / total if total else 0.0
     return NormBreakdown(float(_band_sum(spec, blocks)), np.arange(blocks.size), blocks,
                          spec.weights(blocks.size) * blocks, frac, frac > 0.01)
 

@@ -5,6 +5,12 @@ Inequalities with unspecified constants are verified as bounded ratios
 whose maxima must be stable (within 20%) under doubling the ensemble;
 the two statements with exact shell-determined constants (the gradient
 bracket and the critical-scaling invariance) are hard assertions.
+
+`STABILITY_MARGIN` bounds the relative growth of the ensemble maximum
+when the ensemble doubles.  A maximum over random draws keeps growing
+with the count when the ratio's distribution has a heavy tail, so a
+seeded ensemble trips the margin on a fraction of seeds: about 1 in 20
+for `products` at count 128.  That verdict is statistical, not a bug.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ import numpy as np
 
 from . import randfields
 from .linsolve import TimeGrid
-from .norms import INF, BesovSpec, HybridSpec, besov_norm, hybrid_norm
+from .norms import INF, BesovSpec, HybridSpec, besov_norm, hybrid_norm, stacked_lp
 from .oldroyd import PhysicalParams, make_initial_data, run
 from .paley import SHELL_HI, SHELL_LO, block_multipliers, retained_radius
 from .spectral import (
@@ -24,9 +30,11 @@ from .spectral import (
     SpectralField,
     derivative,
     gradient,
+    grid_wavenumbers,
     make_grid,
     product,
     rescale,
+    stacked_gradient,
 )
 
 STABILITY_MARGIN = 0.2
@@ -171,7 +179,7 @@ def verify_product_laws(s1: float, s2: float, p: float, ensemble: EnsembleSpec,
             v = randfields.random_scalar(grid, rng, radius=radius, decay=ensemble.decay)
             pairs.append((u, v))
 
-    def ratios_static(spec_v, spec_uv):
+    def ratios(spec_v, spec_uv, factor=1.0):
         def fn(k):
             draw(k)
             out = []
@@ -180,19 +188,13 @@ def verify_product_laws(s1: float, s2: float, p: float, ensemble: EnsembleSpec,
                 if nu == 0.0 or nv == 0.0:
                     out.append(None)
                     continue
-                out.append(besov_norm(product(u, v), spec_uv).value / (nu * nv))
+                out.append(factor * besov_norm(product(u, v), spec_uv).value / (nu * nv))
             return out
         return fn
 
-    reports = [
-        _ratio_report("product_strong", {"s1": s1, "s2": s2, "p": p},
-                      ratios_static(spec2_one, spec12_one), ensemble.count),
-        _ratio_report("product_weak", {"s1": s1, "s2": s2, "p": p},
-                      ratios_static(spec2_inf, spec12_inf), ensemble.count),
-    ]
-
     # time-integrated versions: f = a(t) u, g = b(t) v on [0, 1] with
     # shifted cosine envelopes; Hoelder exponents (q1, q2, q) = (2, 2, 1).
+    # The time norms factor, so each ratio is the static one times `envelopes`.
     tgrid = np.linspace(0.0, 1.0, 65)
     env_a = 1.0 + 0.5 * np.cos(2 * np.pi * tgrid)
     env_b = 1.0 + 0.5 * np.sin(2 * np.pi * tgrid)
@@ -200,32 +202,17 @@ def verify_product_laws(s1: float, s2: float, p: float, ensemble: EnsembleSpec,
     def time_norm(env, k):
         return float(np.trapezoid(env ** k, tgrid) ** (1.0 / k))
 
-    fac_u = time_norm(env_a, 2.0)
-    fac_v = time_norm(env_b, 2.0)
-    fac_uv = time_norm(env_a * env_b, 1.0)
-
-    def ratios_time(spec_v, spec_uv):
-        def fn(k):
-            draw(k)
-            out = []
-            for u, v in pairs[:k]:
-                nu = besov_norm(u, spec1).value * fac_u
-                nv = besov_norm(v, spec_v).value * fac_v
-                if nu == 0.0 or nv == 0.0:
-                    out.append(None)
-                    continue
-                nuv = besov_norm(product(u, v), spec_uv).value * fac_uv
-                out.append(nuv / (nu * nv))
-            return out
-        return fn
-
-    reports.append(_ratio_report(
-        "product_strong_time", {"s1": s1, "s2": s2, "p": p, "q": 1, "q1": 2, "q2": 2},
-        ratios_time(spec2_one, spec12_one), ensemble.count))
-    reports.append(_ratio_report(
-        "product_weak_time", {"s1": s1, "s2": s2, "p": p, "q": 1, "q1": 2, "q2": 2},
-        ratios_time(spec2_inf, spec12_inf), ensemble.count))
-    return reports
+    envelopes = time_norm(env_a * env_b, 1.0) / (time_norm(env_a, 2.0) * time_norm(env_b, 2.0))
+    static = {"s1": s1, "s2": s2, "p": p}
+    timed = {**static, "q": 1, "q1": 2, "q2": 2}
+    return [
+        _ratio_report("product_strong", static, ratios(spec2_one, spec12_one), ensemble.count),
+        _ratio_report("product_weak", static, ratios(spec2_inf, spec12_inf), ensemble.count),
+        _ratio_report("product_strong_time", timed, ratios(spec2_one, spec12_one, envelopes),
+                      ensemble.count),
+        _ratio_report("product_weak_time", timed, ratios(spec2_inf, spec12_inf, envelopes),
+                      ensemble.count),
+    ]
 
 
 # -- logarithmic interpolation ----------------------------------------------------
@@ -268,24 +255,17 @@ def verify_log_interpolation(ensemble: EnsembleSpec, s: float, eps: float,
 
 
 def commutator_band_norms(a: SpectralField, b: SpectralField, p: float) -> np.ndarray:
-    """||div(A (band_q grad B)) - band_q div(A grad B)||_p for every band."""
-    from .norms import lp_norm
+    """||div(A (band_q grad B)) - band_q div(A grad B)||_p for every band.
 
+    Both terms are formed for the whole (band, axis) stack at once, so `a`
+    is sampled once per term, and contracted with i k to one field per band.
+    """
     grid = a.grid
-    n = grid.dim
-    stack = block_multipliers(grid)
-    grad_b = gradient(b)
-    a_grad_b = [product(a, g) for g in grad_b]
-    out = np.empty(stack.shape[0])
-    for q in range(stack.shape[0]):
-        acc = np.zeros(grid.shape, dtype=np.complex128)
-        for ax in range(n):
-            band_grad = SpectralField(grid, grad_b[ax].coeffs * stack[q])
-            first = derivative(product(a, band_grad), ax)
-            second = derivative(SpectralField(grid, a_grad_b[ax].coeffs * stack[q]), ax)
-            acc += first.coeffs - second.coeffs
-        out[q] = lp_norm(SpectralField(grid, acc), p)
-    return out
+    bands = block_multipliers(grid)[:, None]
+    grad_b = stacked_gradient(grid, b.coeffs)
+    terms = product(a, bands * grad_b) - bands * product(a, grad_b)
+    comm = np.einsum("qa...,a...->q...", terms, grid_wavenumbers(grid)["ik"])
+    return stacked_lp(grid, comm, p)
 
 
 def verify_commutator(ensemble: EnsembleSpec, s: float, t: float, p: float = 2.0,

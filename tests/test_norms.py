@@ -19,8 +19,17 @@ from besovlab.norms import (
     write_block_breakdown,
     write_norm_rows,
 )
-from besovlab.randfields import random_scalar
-from besovlab.spectral import forward_transform, gradient, zero_field
+from besovlab.paley import block_multipliers
+from besovlab.randfields import random_scalar, random_solenoidal
+from besovlab.spectral import (
+    GridSpec,
+    SpectralField,
+    derivative,
+    forward_transform,
+    gradient,
+    product,
+    zero_field,
+)
 
 from conftest import field_of
 
@@ -106,6 +115,19 @@ class TestBesovNorm:
         assert rep.truncation_flag
         assert rep.outside_energy_fraction == pytest.approx(0.5, rel=1e-10)
 
+    @pytest.mark.parametrize("amplitude, fraction", [(0.5, 0.2), (0.05, 0.0025 / 1.0025)],
+                             ids=["flagged", "below_1pct"])
+    def test_truncation_of_vector_components(self, grid2_64, amplitude, fraction):
+        # one component inside the retained radius (12 at M 64), one outside:
+        # |c|^2 sums to 1/2 and amplitude^2 / 2, so fraction = a^2 / (1 + a^2)
+        inside = field_of(grid2_64, lambda x, y: np.cos(3 * x))
+        outside = field_of(grid2_64, lambda x, y: amplitude * np.cos(20 * y))
+        rep = besov_norm([inside, outside], BesovSpec(0.0))
+        assert rep.outside_energy_fraction == pytest.approx(fraction, rel=1e-12)
+        assert rep.truncation_flag == (fraction > 0.01)
+        np.testing.assert_allclose(rep.block_lp, block_lp([inside, outside], 2.0),
+                                   rtol=1e-15, atol=0)
+
     def test_vector_combination(self, grid2_64):
         f = field_of(grid2_64, lambda x, y: np.cos(2 * x))
         zero = zero_field(grid2_64)
@@ -141,6 +163,48 @@ class TestBlockLpReduction:
         np.testing.assert_allclose(block_lp(vec, INF), [0.0, 2.0, 0.0, 0.0], rtol=0, atol=1e-12)
         np.testing.assert_allclose(block_lp(vec, 1.0), 3.0 * block_lp(f, 1.0),
                                    rtol=1e-12, atol=1e-12)
+
+
+def _leaves(u):
+    return [u] if isinstance(u, SpectralField) else [c for item in u for c in _leaves(item)]
+
+
+def _sampled_l2_blocks(u):
+    """Per-band L2 norms from sampled bands: the rectangle rule of `lp_norm`
+    on each component of each band, combined as an l^2 sum."""
+    comps = _leaves(u)
+    stack = block_multipliers(comps[0].grid)
+    return np.array([math.sqrt(sum(lp_norm(SpectralField(c.grid, c.coeffs * band), 2.0) ** 2
+                                   for c in comps)) for band in stack])
+
+
+def _parseval_cases():
+    rng = np.random.default_rng(17)
+    cases = {}
+    for m in (32, 64):
+        grid = GridSpec(2, m)
+        u, v = random_scalar(grid, rng), random_scalar(grid, rng)
+        cases[f"scalar_2d_m{m}"] = u
+        cases[f"product_2d_m{m}"] = product(u, v)
+    cases["solenoidal_2d_m64"] = random_solenoidal(GridSpec(2, 64), rng)
+    w = random_solenoidal(GridSpec(3, 16), rng)
+    cases["tensor_3d_m16"] = [[derivative(w[i], j) for j in range(3)] for i in range(3)]
+    return cases
+
+
+PARSEVAL_CASES = _parseval_cases()
+
+
+class TestParsevalBlocks:
+    """For p = 2, `block_lp` sums phi_q^2 |c_k|^2 without a transform; it
+    must equal the sampled rectangle rule band by band."""
+
+    @pytest.mark.parametrize("name", sorted(PARSEVAL_CASES))
+    def test_matches_sampled_bands(self, name):
+        u = PARSEVAL_CASES[name]
+        want = _sampled_l2_blocks(u)
+        assert want.max() > 0
+        np.testing.assert_allclose(block_lp(u, 2.0), want, rtol=0, atol=1e-14 * want.max())
 
 
 class TestRescaleCriticality:

@@ -1,10 +1,18 @@
 import numpy as np
 import pytest
 
-from besovlab.norms import INF, BesovSpec, besov_norm
+from besovlab.norms import INF, BesovSpec, besov_norm, lp_norm
 from besovlab.oldroyd import PhysicalParams
+from besovlab.paley import block_multipliers, retained_radius
 from besovlab.randfields import random_scalar
-from besovlab.spectral import forward_transform, make_grid
+from besovlab.spectral import (
+    SpectralField,
+    derivative,
+    forward_transform,
+    gradient,
+    make_grid,
+    product,
+)
 from besovlab.verify import (
     EnsembleSpec,
     RatioReport,
@@ -114,6 +122,34 @@ class TestCommutator:
         b = random_scalar(grid2_64, rng, radius=5.0)
         norms = commutator_band_norms(a, b, 2.0)
         assert np.max(norms) <= 1e-12
+
+    @staticmethod
+    def looped_band_norms(a, b, p):
+        """The commutator one band and one axis at a time, each band's
+        field sampled for the L^p norm."""
+        grid = a.grid
+        grad_b = gradient(b)
+        a_grad_b = [product(a, g) for g in grad_b]
+        out = []
+        for band in block_multipliers(grid):
+            acc = np.zeros(grid.shape, dtype=np.complex128)
+            for ax in range(grid.dim):
+                first = product(a, SpectralField(grid, grad_b[ax].coeffs * band))
+                second = SpectralField(grid, a_grad_b[ax].coeffs * band)
+                acc += derivative(first, ax).coeffs - derivative(second, ax).coeffs
+            out.append(lp_norm(SpectralField(grid, acc), p))
+        return np.array(out)
+
+    @pytest.mark.parametrize("p", [2.0, 1.0, INF])
+    def test_stacked_matches_band_loop(self, grid2_64, p):
+        rng = np.random.default_rng(41)
+        radius = retained_radius(grid2_64) / 2.0
+        a = random_scalar(grid2_64, rng, radius=radius)
+        b = random_scalar(grid2_64, rng, radius=radius)
+        want = self.looped_band_norms(a, b, p)
+        assert want.max() > 0
+        np.testing.assert_allclose(commutator_band_norms(a, b, p), want,
+                                   rtol=0, atol=1e-14 * want.max())
 
     def test_window_validation(self, grid2_64):
         with pytest.raises(ValueError):
