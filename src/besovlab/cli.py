@@ -82,6 +82,16 @@ def _build(section: str, make):
         raise ConfigError(f"{section}: {exc}") from exc
 
 
+def _typed(values: dict, section: str, key: str, default, integer: bool = False):
+    """values[key] (`default` when absent), which must be an integer or, if
+    not `integer`, any number; JSON true and false count as neither."""
+    value = values.get(key, default)
+    ok = isinstance(value, int if integer else (int, float)) and not isinstance(value, bool)
+    _expect(ok, f"{section}.{key} must be {'an integer' if integer else 'a number'}, "
+                f"got {value!r}")
+    return value
+
+
 def _exponent(value, name):
     if value in ("inf", "Infinity"):
         return math.inf
@@ -104,7 +114,9 @@ def load_config(path):
 
 def validate_config(cfg: dict):
     """Check the schema and build the run objects once; returns (grid,
-    params, tg, norm_specs).  Value checks are the constructors' own."""
+    params, tg, norm_specs).  The types of the grid, params and time
+    fields are checked here, so a message names the field; value checks
+    are the constructors' own."""
     _expect(isinstance(cfg, dict), "config must be a JSON object")
     for key in ("grid", "params", "time", "initial", "mode"):
         _expect(key in cfg, f"config missing {key!r}")
@@ -112,11 +124,13 @@ def validate_config(cfg: dict):
         _expect(isinstance(cfg[key], dict), f"{key} must be a JSON object")
     g, p, t, ini = cfg["grid"], cfg["params"], cfg["time"], cfg["initial"]
     _expect("dim" in g and "M" in g, "grid needs dim and M")
-    grid = _build("grid", lambda: GridSpec(g["dim"], g["M"]))
-    params = _build("params", lambda: PhysicalParams(p.get("mu", 0),
-                                                     p.get("sigma_floor", 0.1)))
-    tg = _build("time", lambda: TimeGrid(t.get("T", 0), t.get("dt", 0),
-                                         t.get("save_stride", 1)))
+    grid = _build("grid", lambda: GridSpec(_typed(g, "grid", "dim", None, integer=True),
+                                           _typed(g, "grid", "M", None, integer=True)))
+    params = _build("params", lambda: PhysicalParams(
+        _typed(p, "params", "mu", 0), _typed(p, "params", "sigma_floor", 0.1)))
+    tg = _build("time", lambda: TimeGrid(
+        _typed(t, "time", "T", 0), _typed(t, "time", "dt", 0),
+        _typed(t, "time", "save_stride", 1, integer=True)))
     _expect(ini.get("family") in ("exact_gradient", "general"),
             "initial.family must be exact_gradient or general")
     amplitude = ini.get("amplitude")

@@ -21,11 +21,11 @@ from .spectral import (
     dealiased,
     derivative,
     divergence,
+    gradient_samples,
     grid_wavenumbers,
     hermitize,
     inverse_transform,
     samples,
-    stacked_gradient,
 )
 
 CFL_LIMIT = 1.0
@@ -114,6 +114,12 @@ def _unstack(grid: GridSpec, arr: np.ndarray) -> list[SpectralField]:
     return [SpectralField(grid, arr[i].copy()) for i in range(arr.shape[0])]
 
 
+def _advection(grid: GridSpec, velocity: list[SpectralField], arr: np.ndarray) -> np.ndarray:
+    """Dealiased (v . grad) u of every component u of a stacked array."""
+    return dealiased(grid, advect(grid, samples(grid, _stack(velocity)),
+                                  gradient_samples(grid, arr)))
+
+
 def _velocity_callable(velocity):
     if velocity is None:
         return None
@@ -158,10 +164,12 @@ def if_factors(grid: GridSpec, mu: float, dt: float, diffusing) -> tuple:
 
 
 def _if_rk4_step(y: np.ndarray, t: float, dt: float, e_full: np.ndarray,
-                 e_half: np.ndarray, rhs) -> np.ndarray:
+                 e_half: np.ndarray, rhs, k1: np.ndarray | None = None) -> np.ndarray:
     """One Lawson (integrating-factor) RK4 step of y' = L y + N(t, y),
-    where exp(L dt) = e_full acts diagonally."""
-    k1 = rhs(t, y)
+    where exp(L dt) = e_full acts diagonally; `k1` is N(t, y) when the
+    caller has it already."""
+    if k1 is None:
+        k1 = rhs(t, y)
     k2 = rhs(t + 0.5 * dt, e_half * (y + 0.5 * dt * k1))
     k3 = rhs(t + 0.5 * dt, e_half * y + 0.5 * dt * k2)
     k4 = rhs(t + dt, e_full * y + dt * e_half * k3)
@@ -205,7 +213,7 @@ def solve_transport(u0, velocity, forcing, tg: TimeGrid, *,
     e_full, e_half = if_factors(grid, 0.0, tg.dt, [False] * len(comps))
 
     def rhs(t, arr):
-        out = -advect(grid, _stack(vel(t)), arr) if vel is not None else np.zeros_like(arr)
+        out = -_advection(grid, vel(t), arr) if vel is not None else np.zeros_like(arr)
         if forcing is not None:
             out += _stack(_as_list(forcing(t)))
         return out
@@ -277,6 +285,7 @@ class EllipticResult:
     residuals: np.ndarray
     iterations: int
     converged: bool
+    flux: np.ndarray  # dealiased a grad u, stacked: the last residual's flux
     stagnated: bool = False  # stopped at the rounding floor below target
 
     @property
@@ -285,7 +294,7 @@ class EllipticResult:
         return r[1:] / np.where(r[:-1] > 0, r[:-1], 1.0)
 
 
-def solve_variable_poisson(a: SpectralField, f: SpectralField, *,
+def solve_variable_poisson(a: SpectralField | np.ndarray, f: SpectralField, *,
                            tol: float = 1e-12, max_iter: int = 200,
                            warm_start: SpectralField | None = None) -> EllipticResult:
     """Solve -div(a grad u) = f on the torus by mean-preconditioned
@@ -293,22 +302,28 @@ def solve_variable_poisson(a: SpectralField, f: SpectralField, *,
 
     Requires a > 0 on the grid (else NonPositiveCoefficientError) and
     mean-zero f (solvability); converges when the relative oscillation of
-    `a` is below one.  `a` is sampled once per solve, by the positivity
-    check; each residual samples the stacked gradient of u, multiplies by
-    those samples and takes one dealiased transform of the flux, the
-    arithmetic of `product(a, derivative(u, ax))` per axis.  Raises
+    `a` is below one.  `a` is a field, sampled here once, or grid samples
+    the caller holds (a stage passes sigma + 1 from its own samples of
+    sigma); the positivity check, abar (their mean) and every residual
+    read those samples.  Each residual samples the stacked gradient of u,
+    multiplies by them and takes one dealiased transform of the flux, the
+    arithmetic of `product(a, derivative(u, ax))` per axis; the result
+    keeps the flux of the returned potential.  Raises
     EllipticConvergenceError when max_iter is hit, with the residual
     history attached.
     """
-    grid = a.grid
-    if f.grid != grid:
-        raise ValueError("coefficient and right side live on different grids")
-    a_samples = inverse_transform(a)
-    a_min = float(a_samples.min())
+    grid = f.grid
+    if isinstance(a, SpectralField):
+        if a.grid != grid:
+            raise ValueError("coefficient and right side live on different grids")
+        a = inverse_transform(a)
+    if a.shape != grid.shape:
+        raise ValueError(f"coefficient samples {a.shape} do not match grid {grid.shape}")
+    a_min = float(a.min())
     if a_min <= 0:
         raise NonPositiveCoefficientError(
             f"elliptic coefficient min = {a_min:.3g} is not positive on the grid")
-    abar = a.mean
+    abar = float(a.mean())
     # the right side represents a real field; its anti-Hermitian rounding
     # content is unreachable by the real-sample operator, so drop it
     f = hermitize(f)
@@ -324,7 +339,8 @@ def solve_variable_poisson(a: SpectralField, f: SpectralField, *,
     def result(it, stagnated=False):
         potential = SpectralField(grid, u)
         grad = [derivative(potential, ax) for ax in range(grid.dim)]
-        return EllipticResult(grad, potential, np.asarray(residuals), it, True, stagnated)
+        return EllipticResult(grad, potential, np.asarray(residuals), it, True, flux,
+                              stagnated)
 
     residuals = []
     target = tol * max(fnorm, 1e-300)
@@ -333,7 +349,7 @@ def solve_variable_poisson(a: SpectralField, f: SpectralField, *,
     # accepted as converged-at-floor rather than reported as failure
     floor_gate = np.sqrt(np.finfo(float).eps) * max(fnorm, 1e-300)
     for it in range(max_iter + 1):
-        flux = dealiased(grid, a_samples * samples(grid, stacked_gradient(grid, u)))
+        flux = dealiased(grid, a * gradient_samples(grid, u))
         r = f.coeffs + (ik * flux).sum(axis=0)
         rnorm = float(np.sqrt(np.sum(np.abs(r) ** 2)))
         residuals.append(rnorm)
@@ -402,7 +418,7 @@ def solve_coupled(c0, d0, velocity, forcing_c, forcing_d, mu: float,
     def rhs(t, arr):
         out = np.concatenate([-kmag * arr[nc:], kmag * arr[:nc]])
         if vel is not None:
-            out -= advect(grid, _stack(vel(t)), arr)
+            out -= _advection(grid, vel(t), arr)
         if forcing_c is not None:
             out[:nc] += _stack(_as_list(forcing_c(t)))
         if forcing_d is not None:

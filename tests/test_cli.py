@@ -98,9 +98,13 @@ class TestSimulateCommand:
         config_dict(time={"T": 0.05, "dt": 0.01, "save_stride": 1.5}),
         config_dict(time={"T": 0.05, "dt": 0.01, "save_stride": "3"}),
         config_dict(time={"T": 0.05, "dt": 0.01, "save_stride": True}),
+        config_dict(grid={"dim": "2", "M": 16}),
+        config_dict(params={"mu": 1.0, "sigma_floor": [0.1]}),
+        config_dict(time={"T": 0.05, "dt": "0.01", "save_stride": 1}),
     ], ids=["dim_5", "steps_not_integer", "mu_string", "amplitude_string",
             "norm_p_below_1", "norms_item_not_object", "norms_string", "norms_object",
-            "save_stride_float", "save_stride_string", "save_stride_bool"])
+            "save_stride_float", "save_stride_string", "save_stride_bool",
+            "grid_int_string", "params_float_list", "time_float_string"])
     def test_schema_violation_exit_2(self, tmp_path, capsys, cfg):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(cfg))
@@ -108,6 +112,20 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
         assert_one_line_error(capsys)
         assert not out.exists()
+
+    @pytest.mark.parametrize("cfg,message", [
+        (config_dict(grid={"dim": "2", "M": 16}), "grid.dim must be an integer, got '2'"),
+        (config_dict(grid={"dim": 2, "M": 16.0}), "grid.M must be an integer, got 16.0"),
+        (config_dict(params={"mu": "1", "sigma_floor": 0.1}),
+         "params.mu must be a number, got '1'"),
+        (config_dict(time={"T": 0.05, "dt": True, "save_stride": 1}),
+         "time.dt must be a number, got True"),
+    ], ids=["grid_dim", "grid_M", "params_mu", "time_dt"])
+    def test_type_error_names_field(self, tmp_path, capsys, cfg, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_invalid_json_exit_2(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from besovlab.linsolve import TimeGrid, solve_coupled, solve_heat, solve_transport
+from besovlab import oldroyd
+from besovlab.linsolve import (
+    NonPositiveCoefficientError,
+    TimeGrid,
+    solve_coupled,
+    solve_heat,
+    solve_transport,
+    solve_variable_poisson,
+)
 from besovlab.norms import BesovSpec
 from besovlab.oldroyd import (
     AdmissibleSetSpec,
@@ -23,18 +31,31 @@ from besovlab.oldroyd import (
     transform_to_coupled,
     velocity_to_tensor,
     zero_state,
+    _DirectStepper,
+    _Stepper,
+    _fields,
+    _fluid_terms,
+    _identity_quadratic,
     _l2_fields,
+    _state_to_array,
 )
-from besovlab.randfields import random_solenoidal
+from besovlab.randfields import random_scalar, random_solenoidal
 from besovlab.spectral import (
     SpectralField,
+    advect,
+    dealiased,
     derivative,
     divergence,
     forward_transform,
+    gradient_samples,
+    grid_wavenumbers,
     inverse_transform,
     lambda_power,
     leray_project,
     make_grid,
+    product,
+    samples,
+    stacked_gradient,
     zero_field,
 )
 
@@ -443,3 +464,181 @@ class TestAdmissibleSpec:
             AdmissibleSetSpec(R=1.5, eta=0.5, c0e0=1.0, T=1.0)
         with pytest.raises(ValueError):
             PhysicalParams(mu=-1.0)
+
+
+# -- the stage kernel ----------------------------------------------------------
+
+
+def per_component_advect(grid, velocity, coeffs):
+    """Dealiased (v . grad) u, the gradient of one component sampled at a time."""
+    v = samples(grid, velocity)
+    terms = np.empty(coeffs.shape)
+    for idx in np.ndindex(coeffs.shape[:-grid.dim]):
+        du = samples(grid, stacked_gradient(grid, coeffs[idx]))
+        terms[idx] = np.einsum("l...,l...->...", v, du)
+    return dealiased(grid, terms)
+
+
+def per_row_fluid_terms(grid, arr, mu):
+    """The explicit right side with each quadratic term sampled per row:
+    d h^{i.} per momentum row, grad v sampled again for the stretching."""
+    n = grid.dim
+    ik, k2 = grid_wavenumbers(grid)["ik"], grid_wavenumbers(grid)["k2"]
+    sigma, vel, h = arr[0], arr[1:1 + n], arr[1 + n:].reshape((n, n) + grid.shape)
+    sig_s, h_s = samples(grid, sigma), samples(grid, h)
+    lap_v = samples(grid, -k2 * vel)
+    stress = np.empty(vel.shape)
+    for i in range(n):
+        dh_i = samples(grid, stacked_gradient(grid, h[i]))  # [k, j] = d_j h^{ik}
+        stress[i] = mu * sig_s * lap_v[i] + np.einsum("jk...,kj...->...", h_s, dh_i)
+    out = -per_component_advect(grid, vel, arr)
+    out[1:1 + n] += dealiased(grid, stress)
+    out[1:1 + n] += np.einsum("k...,ik...->i...", ik, h)
+    dv = stacked_gradient(grid, vel)
+    stretch = dv + dealiased(grid, np.einsum("ik...,kj...->ij...", samples(grid, dv), h_s))
+    out[1 + n:] += stretch.reshape((n * n,) + grid.shape)
+    return out
+
+
+def per_row_identity_quadratic(grid, h):
+    n = grid.dim
+    h_s = samples(grid, h)
+    q = np.empty((n,) + h.shape, dtype=np.complex128)
+    for i in range(n):
+        dh_i = samples(grid, stacked_gradient(grid, h[i]))  # [j, l] = d_l h^{ij}
+        a = np.einsum("lk...,jl...->jk...", h_s, dh_i)
+        q[i] = dealiased(grid, a - a.swapaxes(0, 1))
+    return q
+
+
+def random_stack(grid, seed, shape):
+    rng = np.random.default_rng(seed)
+    out = np.empty(shape + grid.shape, dtype=np.complex128)
+    for idx in np.ndindex(shape):
+        out[idx] = random_scalar(grid, rng).coeffs
+    return out
+
+
+def assert_close(got, want, tol):
+    assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want))
+
+
+KERNEL_GRIDS = pytest.mark.parametrize("dim,m", [(2, 32), (3, 16)], ids=["2d_m32", "3d_m16"])
+
+
+class TestStageKernel:
+    """The stage kernel, which samples a stacked state and its whole
+    gradient once, against the per-row formulas written out above.  Only
+    the order of sums and of the dealiasing differs, so the two agree to
+    rounding; a swapped contraction index would not."""
+
+    @KERNEL_GRIDS
+    def test_fluid_terms_match_per_row(self, dim, m):
+        grid = make_grid(dim, m)
+        arr = random_stack(grid, 31, (1 + dim + dim * dim,))
+        got, s, ds = _fluid_terms(grid, arr, 0.7)
+        assert_close(got, per_row_fluid_terms(grid, arr, 0.7), 1e-13)
+        assert np.array_equal(s, samples(grid, arr))
+        assert np.array_equal(ds, gradient_samples(grid, arr))
+
+    @KERNEL_GRIDS
+    def test_batched_advect_matches_loop(self, dim, m):
+        grid = make_grid(dim, m)
+        vel = random_stack(grid, 32, (dim,))
+        coeffs = random_stack(grid, 33, (2 * dim,))
+        got = dealiased(grid, advect(grid, samples(grid, vel), gradient_samples(grid, coeffs)))
+        assert got.shape == coeffs.shape
+        assert_close(got, per_component_advect(grid, vel, coeffs), 1e-13)
+
+    @KERNEL_GRIDS
+    def test_identity_quadratic_matches_per_row(self, dim, m):
+        grid = make_grid(dim, m)
+        h = random_stack(grid, 34, (dim, dim))
+        got = _identity_quadratic(grid, samples(grid, h), gradient_samples(grid, h))
+        assert_close(got, per_row_identity_quadratic(grid, h), 1e-13)
+
+    def test_pressure_from_sigma_samples(self, grid3_16):
+        """The stage hands the Poisson solve sigma + 1 from its own batched
+        samples; sampling the coefficient field itself gives the same
+        potential."""
+        grid = grid3_16
+        arr = random_stack(grid, 35, (1 + 3 + 9,))
+        arr[0] *= 2.0
+        a = SpectralField(grid, arr[0].copy())
+        a.coeffs[0, 0, 0] += 1.0
+        assert 0.5 < inverse_transform(a).min()
+        f = -1.0 * divergence(_fields(grid, arr[1:4]))
+        by_field = solve_variable_poisson(a, f)
+        by_samples = solve_variable_poisson(samples(grid, arr)[0] + 1.0, f)
+        assert by_samples.iterations == by_field.iterations
+        assert_close(by_samples.potential.coeffs, by_field.potential.coeffs, 1e-14)
+        # the kept flux is a grad u of the returned potential
+        want = np.stack([product(a, g).coeffs for g in by_field.gradient])
+        assert_close(by_field.flux, want, 1e-14)
+        with pytest.raises(NonPositiveCoefficientError):
+            solve_variable_poisson(samples(grid, arr)[0] - 1.0, f)
+
+    def test_transform_count(self, grid3_16, monkeypatch):
+        """Fields transformed by one right side of the 3D direct stepper,
+        the Poisson iterations left out: samples of the 13-row state (13)
+        and of its gradient (39), of Lap v (3) and one dealiased call for
+        all rows (13): 68; (sigma + 1) grad P is the flux of the solve's
+        last residual.  With each quadratic term sampled per row, every
+        component's gradient sampled one at a time, sigma sampled three
+        times and (sigma + 1) grad P formed anew, the same right side took
+        124."""
+        n = grid3_16.dim
+        counted = {"fields": 0}
+        for name in ("rfftn", "irfftn"):
+            def counting(x, *args, _fft=getattr(np.fft, name), **kwargs):
+                counted["fields"] += int(np.prod(np.shape(x)[:-n]))
+                return _fft(x, *args, **kwargs)
+            monkeypatch.setattr(np.fft, name, counting)
+        residual_evals = []
+
+        def poisson(*args, **kwargs):
+            res = solve_variable_poisson(*args, **kwargs)
+            residual_evals.append(len(res.residuals))
+            return res
+
+        monkeypatch.setattr(oldroyd, "solve_variable_poisson", poisson)
+        st, _ = make_initial_data("general", 0.05, 5, grid3_16)
+        stepper = _DirectStepper(grid3_16, PARAMS, 5e-3)
+        counted["fields"] = 0
+        residual_evals.clear()
+        stepper.rhs(0.0, _state_to_array(st))
+        assert len(residual_evals) == 1
+        # each residual samples grad u and transforms the flux: 2n fields
+        assert counted["fields"] - 2 * n * residual_evals[0] <= 68
+
+
+class TestSaveReusesFirstStage:
+    """A save needs the pressure of the state the next step starts from;
+    that step's first stage solves the same problem with the same warm
+    start, so it is solved once."""
+
+    def test_stage_count(self, grid2_32, monkeypatch):
+        stages, pressures = [], []
+        stage, pressure = _Stepper.stage, oldroyd.compute_pressure
+        monkeypatch.setattr(_Stepper, "stage",
+                            lambda self, arr: stages.append(1) or stage(self, arr))
+        monkeypatch.setattr(oldroyd, "compute_pressure",
+                            lambda *a, **k: pressures.append(1) or pressure(*a, **k))
+        st, _ = make_initial_data("general", 0.05, 5, grid2_32)
+        res = run(st, PARAMS, TimeGrid(0.02, 5e-3, save_stride=2))
+        assert len(res.states) == 3
+        # 4 steps of 4 stages; only the last save solves on its own
+        assert len(stages) == 16 and len(pressures) == 1
+        want, _ = pressure(st, PARAMS)
+        for g, w in zip(res.states[0].pressure_grad, want):
+            assert_close(g.coeffs, w.coeffs, 1e-12)
+
+    @pytest.mark.parametrize("runner", [run, run_coupled], ids=["direct", "coupled"])
+    def test_save_stride_leaves_trajectory_unchanged(self, grid2_32, runner):
+        st, _ = make_initial_data("general", 0.05, 5, grid2_32)
+        every = runner(st, PARAMS, TimeGrid(0.02, 5e-3, save_stride=1))
+        ends = runner(st, PARAMS, TimeGrid(0.02, 5e-3, save_stride=4))
+        a, b = every.final, ends.final
+        for x, y in zip([a.sigma] + a.velocity + a.h_flat() + a.pressure_grad,
+                        [b.sigma] + b.velocity + b.h_flat() + b.pressure_grad):
+            assert np.array_equal(x.coeffs, y.coeffs)

@@ -68,6 +68,31 @@ class TestProductLaws:
             assert 0 < rep.max_ratio < np.inf
             assert rep.stable
 
+    def test_one_product_per_pair(self, grid2_64, monkeypatch):
+        """Every pair's product and norms are formed once for all four
+        reports; each report equals its ratio written out per pair."""
+        import besovlab.verify as verify
+
+        calls = []
+        monkeypatch.setattr(verify, "product",
+                            lambda u, v: calls.append(1) or product(u, v))
+        ens = EnsembleSpec(count=4, seed=3)
+        reports = verify_product_laws(1.0, 1.0, 2.0, ens, grid2_64)
+        assert len(calls) == 2 * ens.count
+        rng = np.random.default_rng(ens.seed)
+        radius = retained_radius(grid2_64) / 2.0
+        pairs = [(random_scalar(grid2_64, rng, radius=radius),
+                  random_scalar(grid2_64, rng, radius=radius))
+                 for _ in range(2 * ens.count)]
+        # s1 = s2 = 1 and p = 2 in 2D: the product's index is s1 + s2 - N/p = 1
+        for rep, r in zip(reports[:2], (1.0, INF)):
+            ratios = [besov_norm(product(u, v), BesovSpec(1.0, 2.0, r)).value
+                      / (besov_norm(u, BesovSpec(1.0, 2.0, 1.0)).value
+                         * besov_norm(v, BesovSpec(1.0, 2.0, r)).value) for u, v in pairs]
+            assert rep.max_ratio == max(ratios[:ens.count])
+            assert rep.max_ratio_doubled == max(ratios)
+            assert rep.min_ratio == min(ratios[:ens.count])
+
     def test_square_ratio_recorded(self, grid2_64):
         # v = u: the ratio is the squared-field norm over the norm squared
         rng = np.random.default_rng(30)
