@@ -18,8 +18,6 @@ from dataclasses import fields
 from datetime import datetime, timezone
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .linsolve import (CflViolationError, EllipticConvergenceError,
                        NonPositiveCoefficientError, TimeGrid)
@@ -28,6 +26,7 @@ from .oldroyd import (
     ConstraintResiduals,
     DensityFloorError,
     PhysicalParams,
+    _l2,
     _norm_rows_for,
     constraint_residuals,
     make_initial_data,
@@ -84,18 +83,22 @@ def _build(section: str, make):
 
 def _typed(values: dict, section: str, key: str, default, integer: bool = False):
     """values[key] (`default` when absent), which must be an integer or, if
-    not `integer`, any number; JSON true and false count as neither."""
+    not `integer`, any finite number; JSON true and false count as neither,
+    and Infinity and NaN, which Python's json accepts, are rejected."""
     value = values.get(key, default)
     ok = isinstance(value, int if integer else (int, float)) and not isinstance(value, bool)
     _expect(ok, f"{section}.{key} must be {'an integer' if integer else 'a number'}, "
                 f"got {value!r}")
+    _expect(isinstance(value, int) or math.isfinite(value),
+            f"{section}.{key} must be finite, got {value!r}")
     return value
 
 
 def _exponent(value, name):
     if value in ("inf", "Infinity"):
         return math.inf
-    _expect(isinstance(value, (int, float)), f"{name} must be a number or 'inf'")
+    _expect(isinstance(value, (int, float)) and not isinstance(value, bool),
+            f"{name} must be a number or 'inf'")
     return float(value)
 
 
@@ -133,10 +136,9 @@ def validate_config(cfg: dict):
         _typed(t, "time", "save_stride", 1, integer=True)))
     _expect(ini.get("family") in ("exact_gradient", "general"),
             "initial.family must be exact_gradient or general")
-    amplitude = ini.get("amplitude")
-    _expect(isinstance(amplitude, (int, float)) and amplitude >= 0,
-            "initial.amplitude must be a nonnegative number")
-    _expect(isinstance(ini.get("seed", 0), int), "initial.seed must be an integer")
+    _expect(_typed(ini, "initial", "amplitude", None) >= 0,
+            "initial.amplitude must be nonnegative")
+    _typed(ini, "initial", "seed", 0, integer=True)
     _expect(cfg["mode"] in ("direct", "phi", "coupled"),
             "mode must be direct, phi, or coupled")
     norms = cfg.get("norms", [])
@@ -148,7 +150,7 @@ def validate_config(cfg: dict):
                 "norm name must be one of sigma, velocity, h, grad_p")
         _expect("s" in spec, "norm spec needs s")
         norm_specs.append((spec["name"], _build("norms", lambda: BesovSpec(
-            float(spec["s"]), _exponent(spec.get("p", 2), "norm p"),
+            float(_typed(spec, "norms", "s", None)), _exponent(spec.get("p", 2), "norm p"),
             _exponent(spec.get("r", 1), "norm r")))))
     return grid, params, tg, norm_specs
 
@@ -297,7 +299,7 @@ def cmd_simulate(args, mode_override: str | None = None) -> int:
             norm_rows, residual_rows = result.norm_rows, result.residual_rows
         if mode == "coupled":
             direct = run(state0, params, tg)
-            rows = [{"time": t, "l2_distance": _state_l2_distance(a, b)}
+            rows = [{"time": t, "l2_distance": _l2(a.coeffs - b.coeffs, grid)}
                     for t, a, b in zip(result.times, result.states, direct.states)]
             path = out_dir / "cross_formulation.csv"
             _write_csv(path, ["time", "l2_distance"], rows)
@@ -316,17 +318,6 @@ def cmd_simulate(args, mode_override: str | None = None) -> int:
     manifest.add(path)
     manifest.write({"aborted": False, **report})
     return EXIT_OK
-
-
-def _state_l2_distance(a, b) -> float:
-    acc = 0.0
-    acc += float(np.sum(np.abs(a.sigma.coeffs - b.sigma.coeffs) ** 2))
-    for x, y in zip(a.velocity, b.velocity):
-        acc += float(np.sum(np.abs(x.coeffs - y.coeffs) ** 2))
-    for x, y in zip(a.h_flat(), b.h_flat()):
-        acc += float(np.sum(np.abs(x.coeffs - y.coeffs) ** 2))
-    dim = a.grid.dim
-    return math.sqrt(acc) * (2 * math.pi) ** (dim / 2.0)
 
 
 # -- verify --------------------------------------------------------------------------
@@ -357,6 +348,12 @@ def cmd_verify(args) -> int:
     grid = _build("--grid-m", lambda: make_grid(2, args.grid_m))
     wide_grid = make_grid(2, max(64, args.grid_m))
     ens = _build("--count", lambda: EnsembleSpec(count=args.count, seed=seed))
+    text = args.alphas or "1e-3,3e-3,1e-2"
+    alphas = _build("--alphas", lambda: [float(a) for a in text.split(",")])
+    _expect(all(0 <= a < math.inf for a in alphas) and sum(a > 0 for a in alphas) >= 2,
+            f"--alphas must be finite, nonnegative and hold at least two positive "
+            f"values, got {text!r}")
+    _build("--T/--dt", lambda: TimeGrid(args.T, args.dt))
     out_dir = Path(args.out or "verify_out")
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = Manifest(out_dir, None)
@@ -385,7 +382,6 @@ def cmd_verify(args) -> int:
                 summary.append({"experiment": "scaling", "params": info,
                                 "stable": True})
             elif suite == "smallness":
-                alphas = [float(a) for a in (args.alphas or "1e-3,3e-3,1e-2").split(",")]
                 rows = smallness_experiment(
                     alphas, args.T, grid, PhysicalParams(mu=1.0),
                     dt=args.dt, seed=seed)
@@ -395,7 +391,10 @@ def cmd_verify(args) -> int:
                 ok_rows = [r for r in rows if r.get("ok")]
                 ratios = [r["energy_over_alpha"] for r in ok_rows if r["alpha"] > 0]
                 spread_ok = bool(ratios) and max(ratios) <= 2.0 * min(ratios)
-                slope = pressure_slope(rows) if len(ok_rows) >= 2 else float("nan")
+                try:
+                    slope = pressure_slope(rows)
+                except ValueError:  # fewer than two successful runs to fit
+                    slope = float("nan")
                 slope_ok = abs(slope - 2.0) <= 0.3
                 summary.append({"experiment": "smallness",
                                 "params": {"alphas": alphas, "T": args.T},

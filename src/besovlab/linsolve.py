@@ -9,6 +9,7 @@ Fourier mode.  Forcings are callbacks evaluated at stage times.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,11 +62,13 @@ class TimeGrid:
     save_stride: int = 1
 
     def __post_init__(self):
-        if self.dt <= 0 or self.t_end <= 0:
-            raise ValueError("dt and t_end must be positive")
+        if not (0 < self.dt < math.inf and 0 < self.t_end < math.inf):
+            raise ValueError("dt and t_end must be positive and finite")
         n = self.t_end / self.dt
         if abs(n - round(n)) > 1e-9 * max(1.0, n):
             raise ValueError(f"t_end/dt = {n} is not an integer")
+        if self.n_steps < 1:
+            raise ValueError(f"t_end/dt = {n} gives no time step")
         stride = self.save_stride
         if isinstance(stride, bool) or not isinstance(stride, int) or stride < 1:
             raise ValueError(f"save_stride must be a positive integer, got {stride!r}")
@@ -110,8 +113,9 @@ def _stack(fields: list[SpectralField]) -> np.ndarray:
     return np.stack([f.coeffs for f in fields])
 
 
-def _unstack(grid: GridSpec, arr: np.ndarray) -> list[SpectralField]:
-    return [SpectralField(grid, arr[i].copy()) for i in range(arr.shape[0])]
+def _fields(grid: GridSpec, arr: np.ndarray) -> list[SpectralField]:
+    """Fields viewing (not copying) the components of a stacked array."""
+    return [SpectralField(grid, c) for c in arr]
 
 
 def _advection(grid: GridSpec, velocity: list[SpectralField], arr: np.ndarray) -> np.ndarray:
@@ -181,15 +185,22 @@ def _if_rk4_step(y: np.ndarray, t: float, dt: float, e_full: np.ndarray,
 
 @dataclass
 class TrajectoryResult:
-    """Saved snapshots of a (possibly multi-component) field in time."""
+    """Saved snapshots of a (possibly multi-component) field in time:
+    coeffs[it] stacks the components saved at times[it]."""
 
     times: np.ndarray
-    states: list  # list over time of list[SpectralField]
+    coeffs: np.ndarray  # (nt, ncomp, *grid)
+    grid: GridSpec
     scalar_input: bool = False
 
     @property
+    def states(self) -> list[list[SpectralField]]:
+        """Views of the components, one list per saved time."""
+        return [_fields(self.grid, a) for a in self.coeffs]
+
+    @property
     def final(self):
-        last = self.states[-1]
+        last = _fields(self.grid, self.coeffs[-1])
         return last[0] if self.scalar_input else last
 
     def norm_series(self, p: float = 2.0) -> NormSeries:
@@ -226,9 +237,9 @@ def solve_transport(u0, velocity, forcing, tg: TimeGrid, *,
                 check_solenoidal(v_now, solenoidal_tol)
         return _if_rk4_step(y, t, tg.dt, e_full, e_half, rhs)
 
-    times, states = integrate(_stack(comps), step, tg,
-                              lambda t, y: _unstack(grid, y))
-    return TrajectoryResult(times, states, scalar_input)
+    # a saved slice may alias a step's output: no step writes into its input
+    times, saved = integrate(_stack(comps), step, tg, lambda t, y: y)
+    return TrajectoryResult(times, np.stack(saved), grid, scalar_input)
 
 
 # -- heat -------------------------------------------------------------------
@@ -268,9 +279,8 @@ def solve_heat(u0, forcing, mu: float, tg: TimeGrid) -> TrajectoryResult:
         f_prev = f_next
         return y
 
-    times, states = integrate(_stack(comps), step, tg,
-                              lambda t, y: _unstack(grid, y))
-    return TrajectoryResult(times, states, scalar_input)
+    times, saved = integrate(_stack(comps), step, tg, lambda t, y: y)
+    return TrajectoryResult(times, np.stack(saved), grid, scalar_input)
 
 
 # -- variable-coefficient elliptic solve -------------------------------------
@@ -431,7 +441,7 @@ def solve_coupled(c0, d0, velocity, forcing_c, forcing_d, mu: float,
         return _if_rk4_step(y, t, tg.dt, e_full, e_half, rhs)
 
     def snapshot(t, arr) -> CoupledState:
-        return CoupledState(_unstack(grid, arr[:nc]), _unstack(grid, arr[nc:]))
+        return CoupledState(_fields(grid, arr[:nc]), _fields(grid, arr[nc:]))
 
     y = np.concatenate([_stack(c_list), _stack(d_list)])
     times, states = integrate(y, step, tg, snapshot)

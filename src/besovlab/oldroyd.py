@@ -6,6 +6,10 @@ gradient U).  The momentum equation carries the elastic stress terms
 div h and h-grad-h, a variable-coefficient pressure gradient, and
 viscosity mu (sigma + 1) Lap v.
 
+A state is one stacked coefficient array of 1 + n + n^2 components:
+sigma, then v^0..v^{n-1}, then h row by row.  The steppers advance that
+array, and `FluidState` stores it; its fields are views into it.
+
 Conventions, fixed here once:
   * matrix divergence is taken over the second index: (div A)^i = d_j A^{ij};
   * the weighted-divergence constraint therefore reads d_j(rho U^{ji}) = 0;
@@ -30,12 +34,14 @@ from .linsolve import (
     solve_transport,
     solve_variable_poisson,
     velocity_max,
+    _fields,
     _if_rk4_step,
     _stack,
 )
 from .norms import INF, BesovSpec, NormSeries, besov_norm, norm_series
 from .paley import retained_radius
 from .spectral import (
+    GridError,
     GridSpec,
     SpectralField,
     advect,
@@ -84,43 +90,6 @@ class AdmissibleSetSpec:
             raise ValueError("R and eta must lie in (0, 1)")
 
 
-@dataclass
-class FluidState:
-    """One time slice (sigma, v, h) plus the diagnostic pressure gradient."""
-
-    sigma: SpectralField
-    velocity: list[SpectralField]
-    h: list[list[SpectralField]]
-    pressure_grad: list[SpectralField] | None = None
-
-    @property
-    def grid(self) -> GridSpec:
-        return self.sigma.grid
-
-    def h_flat(self) -> list[SpectralField]:
-        return [self.h[i][j] for i in range(self.grid.dim) for j in range(self.grid.dim)]
-
-
-def zero_state(grid: GridSpec) -> FluidState:
-    n = grid.dim
-    return FluidState(
-        zero_field(grid),
-        [zero_field(grid) for _ in range(n)],
-        [[zero_field(grid) for _ in range(n)] for _ in range(n)],
-    )
-
-
-# -- state <-> stacked coefficient array -------------------------------------
-
-
-def _state_to_array(state: FluidState) -> np.ndarray:
-    return _stack([state.sigma] + state.velocity + state.h_flat())
-
-
-def _array_to_state(grid: GridSpec, arr: np.ndarray) -> FluidState:
-    return FluidState(*_unpack(grid, arr.copy()))
-
-
 def _split(grid: GridSpec, arr: np.ndarray):
     """Array views of sigma, velocity (n, ...) and h (n, n, ...) in a stacked
     array: coefficients or samples (... = the grid axes), or gradient
@@ -129,22 +98,58 @@ def _split(grid: GridSpec, arr: np.ndarray):
     return arr[0], arr[1:1 + n], arr[1 + n:].reshape((n, n) + arr.shape[1:])
 
 
-def _fields(grid: GridSpec, arr: np.ndarray) -> list[SpectralField]:
-    return [SpectralField(grid, c) for c in arr]
+@dataclass
+class FluidState:
+    """One time slice: the stacked coefficients (1 + n + n^2, *grid) of
+    (sigma, v, h), plus the diagnostic pressure gradient.
+
+    `sigma`, `velocity`, `h` and `h_flat()` are fields viewing `coeffs`:
+    writing into their `.coeffs` writes the state.  Assigning whole fields
+    (`st.sigma = f`, `st.velocity = [...]`, `st.h = [[...]]`) copies them
+    in; `h` is a tuple of tuples, so `st.h[i][j] = f` raises."""
+
+    grid: GridSpec
+    coeffs: np.ndarray
+    pressure_grad: list[SpectralField] | None = None
+
+    def __post_init__(self):
+        n = self.grid.dim
+        shape = (1 + n + n * n,) + self.grid.shape
+        if self.coeffs.shape != shape:
+            raise GridError(f"state shape {self.coeffs.shape} does not match {shape}")
+        self.coeffs = self.coeffs.astype(np.complex128, copy=False)
+
+    @property
+    def sigma(self) -> SpectralField:
+        return SpectralField(self.grid, self.coeffs[0])
+
+    @sigma.setter
+    def sigma(self, field: SpectralField):
+        self.coeffs[0] = field.coeffs
+
+    @property
+    def velocity(self) -> list[SpectralField]:
+        return _fields(self.grid, _split(self.grid, self.coeffs)[1])
+
+    @velocity.setter
+    def velocity(self, fields: list[SpectralField]):
+        _split(self.grid, self.coeffs)[1][...] = _stack(fields)
+
+    @property
+    def h(self) -> tuple[tuple[SpectralField, ...], ...]:
+        return tuple(tuple(_fields(self.grid, row)) for row in _split(self.grid, self.coeffs)[2])
+
+    @h.setter
+    def h(self, rows: list[list[SpectralField]]):
+        _split(self.grid, self.coeffs)[2][...] = [_stack(row) for row in rows]
+
+    def h_flat(self) -> list[SpectralField]:
+        return _fields(self.grid, self.coeffs[1 + self.grid.dim:])
 
 
-def _tensor_fields(grid: GridSpec, arr: np.ndarray) -> list[list[SpectralField]]:
-    return [_fields(grid, row) for row in arr]
-
-
-def _unpack(grid: GridSpec, arr: np.ndarray):
-    """Views (no copy) of sigma, velocity, h from a stacked array."""
-    sigma, vel, h = _split(grid, arr)
-    return SpectralField(grid, sigma), _fields(grid, vel), _tensor_fields(grid, h)
-
-
-def _stack_tensor(h: list[list[SpectralField]]) -> np.ndarray:
-    return np.stack([_stack(row) for row in h])
+def zero_state(grid: GridSpec) -> FluidState:
+    n = grid.dim
+    return FluidState(grid, np.zeros((1 + n + n * n,) + grid.shape, dtype=np.complex128))
 
 
 # -- the stage kernel ------------------------------------------------------------
@@ -241,7 +246,7 @@ def weighted_div_residual(sigma: SpectralField, h: list[list[SpectralField]],
     """d_j(rho U^{ji}) per i (first_index=True, the adopted convention),
     or d_j(rho U^{ij}) per i (the transposed reading, reported alongside)."""
     grid = sigma.grid
-    rho, flux = _density_flux(grid, sigma.coeffs, _stack_tensor(h))
+    rho, flux = _density_flux(grid, sigma.coeffs, np.array([_stack(row) for row in h]))
     return _fields(grid, _weighted_div(grid, rho, flux if first_index
                                        else flux.swapaxes(0, 1)))
 
@@ -250,7 +255,7 @@ def deformation_identity_residual(h: list[list[SpectralField]]) -> list[Spectral
     """U^{lk} d_l U^{ij} - U^{lj} d_l U^{ik} with U = I + h, flattened over
     (i, j, k); vanishes for the gradient of an actual flow map."""
     grid = h[0][0].grid
-    hh = _stack_tensor(h)
+    hh = np.array([_stack(row) for row in h])
     res = _identity_quadratic(grid, samples(grid, hh), gradient_samples(grid, hh))
     dh = stacked_gradient(grid, hh)
     res += dh  # the linear part d_k h^{ij} - d_j h^{ik}
@@ -283,7 +288,6 @@ def make_initial_data(family: str, amplitude: float, seed: int, grid: GridSpec, 
         raise ValueError("amplitude must be nonnegative")
     if family not in ("exact_gradient", "general"):
         raise ValueError(f"unknown family {family!r}")
-    n = grid.dim
     h_amp = amplitude if h_amplitude is None else h_amplitude
     if family == "general" and amplitude > 0 and h_amp == 0:
         raise ValueError(
@@ -294,15 +298,14 @@ def make_initial_data(family: str, amplitude: float, seed: int, grid: GridSpec, 
     radius = band_radius if band_radius is not None else retained_radius(grid)
 
     state = zero_state(grid)
+    sigma, vel, h = _split(grid, state.coeffs)
     if amplitude > 0:
-        v0 = randfields.random_solenoidal(grid, rng, radius=radius)
-        state.velocity = [amplitude * f for f in v0]
+        vel[...] = amplitude * _stack(randfields.random_solenoidal(grid, rng, radius=radius))
         if h_amp > 0:
             w = randfields.random_solenoidal(grid, rng, radius=radius)
-            state.h = [[h_amp * derivative(w[i], j) for j in range(n)] for i in range(n)]
+            h[...] = h_amp * stacked_gradient(grid, _stack(w))
         if family == "general":
-            sig = randfields.random_scalar(grid, rng, radius=radius)
-            state.sigma = amplitude * sig
+            sigma[...] = amplitude * randfields.random_scalar(grid, rng, radius=radius).coeffs
             _restore_weighted_div(state)
 
     res = constraint_residuals(state)
@@ -312,14 +315,12 @@ def make_initial_data(family: str, amplitude: float, seed: int, grid: GridSpec, 
 
 def _restore_weighted_div(state: FluidState):
     """Add a gradient column correction to h so d_j(rho (I+h)^{ji}) = 0."""
-    grid = state.grid
-    n = grid.dim
+    h = _split(state.grid, state.coeffs)[2]
     rho = reciprocal_density(state.sigma)
     defect = weighted_div_residual(state.sigma, state.h)
-    for i in range(n):
+    for i in range(state.grid.dim):
         res = solve_variable_poisson(rho, defect[i], tol=1e-13, max_iter=300)
-        for j in range(n):
-            state.h[j][i] = state.h[j][i] + res.gradient[j]
+        h[:, i] += _stack(res.gradient)
 
 
 # -- momentum right side and pressure ----------------------------------------
@@ -382,7 +383,8 @@ class _Stepper:
 
     Subclasses supply `diffusing(n)` (which components carry mu Lap),
     `velocity` (the advecting field of a stacked state) and `state` (the
-    map back to a FluidState); `finish` post-processes the new state and
+    FluidState of a stacked state, which may view it: `step` never writes
+    into its input); `finish` post-processes the new state in place and
     `rhs` is the fluid right side unless overridden.  `first_stage`
     evaluates a step's first stage ahead of it, for a save that needs the
     pressure of the state the step starts from."""
@@ -440,10 +442,10 @@ class _DirectStepper(_Stepper):
         return [False] + [True] * n + [False] * (n * n)
 
     def velocity(self, arr: np.ndarray) -> list[SpectralField]:
-        return _unpack(self.grid, arr)[1]
+        return _fields(self.grid, _split(self.grid, arr)[1])
 
     def state(self, arr: np.ndarray) -> FluidState:
-        return _array_to_state(self.grid, arr)
+        return FluidState(self.grid, arr)
 
     def finish(self, arr: np.ndarray) -> np.ndarray:
         n = self.grid.dim
@@ -454,10 +456,8 @@ class _DirectStepper(_Stepper):
 def step(state: FluidState, params: PhysicalParams, dt: float) -> FluidState:
     """One semi-implicit step of the full system."""
     stepper = _DirectStepper(state.grid, params, dt)
-    arr = stepper.step(_state_to_array(state), 0.0)
-    out = _array_to_state(state.grid, arr)
-    out.pressure_grad = stepper.pressure.last_grad
-    return out
+    arr = stepper.step(state.coeffs, 0.0)
+    return FluidState(state.grid, arr, stepper.pressure.last_grad)
 
 
 # -- constraint monitors -------------------------------------------------------
@@ -482,7 +482,8 @@ def constraint_residuals(state: FluidState) -> ConstraintResiduals:
     of its names (see `perturbation_identity_residual`)."""
     grid = state.grid
     identity = _l2_fields(deformation_identity_residual(state.h), grid)
-    rho, flux = _density_flux(grid, state.sigma.coeffs, _stack_tensor(state.h))
+    sigma, _, h = _split(grid, state.coeffs)
+    rho, flux = _density_flux(grid, sigma, h)
     return ConstraintResiduals(
         div_velocity=_l2(divergence(state.velocity).coeffs, grid),
         weighted_div=_l2(_weighted_div(grid, rho, flux), grid),
@@ -572,7 +573,7 @@ def run(state0: FluidState, params: PhysicalParams, tg: TimeGrid, *,
     """Direct time integration; records norms and constraint residuals at
     every saved slice."""
     stepper = _DirectStepper(state0.grid, params, tg.dt)
-    return _run(stepper, _state_to_array(state0), tg, norm_specs, on_save)
+    return _run(stepper, state0.coeffs.copy(), tg, norm_specs, on_save)
 
 
 # -- velocity <-> tensor potential (the coupled variables) ---------------------
@@ -615,19 +616,21 @@ class _CoupledStepper(_Stepper):
         return arr[1:].reshape((2, n, n) + self.grid.shape)
 
     def velocity(self, arr: np.ndarray) -> list[SpectralField]:
-        return tensor_to_velocity(_tensor_fields(self.grid, self.tensors(arr)[0]))
+        return tensor_to_velocity([_fields(self.grid, row) for row in self.tensors(arr)[0]])
 
     def state(self, arr: np.ndarray) -> FluidState:
-        grid, arr = self.grid, arr.copy()
-        return FluidState(SpectralField(grid, arr[0]), leray_project(self.velocity(arr)),
-                          _tensor_fields(grid, self.tensors(arr)[1]))
+        """The direct state (sigma, Leray v(d), h) of a coupled array."""
+        n = self.grid.dim
+        vel = _stack(leray_project(self.velocity(arr)))
+        return FluidState(self.grid, np.concatenate([arr[:1], vel, arr[1 + n * n:]]))
 
     def rhs(self, t: float, arr: np.ndarray) -> np.ndarray:
         grid = self.grid
         n = grid.dim
         d, h = self.tensors(arr)
-        vel = _stack(leray_project(self.velocity(arr)))
-        fluid, s, ds = self.stage(np.concatenate([arr[:1], vel, arr[1 + n * n:]]))
+        direct = self.state(arr).coeffs
+        vel = direct[1:1 + n]
+        fluid, s, ds = self.stage(direct)
         ik = grid_wavenumbers(grid)["ik"]
         kmag = grid_wavenumbers(grid)["kmag"]
         # X_i = v.grad v^i + (sigma+1) d_i P - mu sigma Lap v^i - h^{mk} d_m h^{ik}
@@ -713,7 +716,7 @@ def _phi_apply(prev: _TrajectoryInterpolant, state0: FluidState,
     pressure = _Pressure()
 
     def u_at(t):
-        return _unpack(grid, prev(t))[1]
+        return _fields(grid, _split(grid, prev(t))[1])
 
     def h_forcing(t):
         _, u, xi = _split(grid, prev(t))
@@ -726,23 +729,18 @@ def _phi_apply(prev: _TrajectoryInterpolant, state0: FluidState,
     h_traj = solve_transport(state0.h_flat(), u_at, h_forcing, tg1,
                              check_divergence=False)
 
-    sig_arr = np.stack([np.stack([f.coeffs for f in st]) for st in sig_traj.states])
-    h_arr = np.stack([np.stack([f.coeffs for f in st]) for st in h_traj.states])
-    sig_interp = _TrajectoryInterpolant(sig_traj.times, sig_arr)
-    h_interp = _TrajectoryInterpolant(h_traj.times, h_arr)
+    sig_interp = _TrajectoryInterpolant(sig_traj.times, sig_traj.coeffs)
+    h_interp = _TrajectoryInterpolant(h_traj.times, h_traj.coeffs)
 
     def v_forcing(t):
-        arr = np.concatenate([sig_interp(t), prev(t)[1:1 + n], h_interp(t)])
-        g = _stack(momentum_forcing(*_unpack(grid, arr), params.mu))
-        return _fields(grid, g - pressure(grid, samples(grid, arr[0]), g))
+        st = FluidState(grid, np.concatenate([sig_interp(t), prev(t)[1:1 + n], h_interp(t)]))
+        g = _stack(momentum_forcing(st.sigma, st.velocity, st.h, params.mu))
+        return _fields(grid, g - pressure(grid, samples(grid, st.coeffs[0]), g))
 
     v_traj = solve_heat(state0.velocity, v_forcing, params.mu, tg1)
 
-    out = np.empty((len(sig_arr), 1 + n + n * n) + grid.shape, dtype=np.complex128)
-    out[:, :1], out[:, 1 + n:] = sig_arr, h_arr
-    for it, v in enumerate(v_traj.states):
-        out[it, 1:1 + n] = _stack(leray_project(v))
-    return out
+    vel = np.stack([_stack(leray_project(v)) for v in v_traj.states])
+    return np.concatenate([sig_traj.coeffs, vel, h_traj.coeffs], axis=1)
 
 
 def _trajectory_distance(a: np.ndarray, b: np.ndarray, grid: GridSpec,
@@ -754,10 +752,9 @@ def _trajectory_distance(a: np.ndarray, b: np.ndarray, grid: GridSpec,
     spec_sm1 = BesovSpec(s - 1.0, 2.0, 1.0)
     worst = 0.0
     for it in tg.save_steps():
-        diff = a[it] - b[it]
-        sig, vel, h = _unpack(grid, diff)
-        d = besov_norm(sig, spec_s).value + besov_norm(vel, spec_sm1).value \
-            + besov_norm([f for row in h for f in row], spec_s).value
+        diff = FluidState(grid, a[it] - b[it])
+        d = besov_norm(diff.sigma, spec_s).value + besov_norm(diff.velocity, spec_sm1).value \
+            + besov_norm(diff.h_flat(), spec_s).value
         worst = max(worst, d)
     return worst
 
@@ -784,8 +781,7 @@ def phi_iteration(state0: FluidState, params: PhysicalParams, tg: TimeGrid, *,
             "map may not contract", stacklevel=2)
 
     nt = tg.n_steps + 1
-    base = _state_to_array(state0)
-    constant = np.broadcast_to(base, (nt,) + base.shape).copy()
+    constant = np.repeat(state0.coeffs[None], nt, axis=0)
     times = np.arange(nt) * tg.dt
 
     current = _phi_apply(_TrajectoryInterpolant(times, constant), state0, params, tg)
@@ -807,7 +803,7 @@ def phi_iteration(state0: FluidState, params: PhysicalParams, tg: TimeGrid, *,
             break
 
     save_idx = tg.save_steps()
-    states = [_array_to_state(grid, current[i]) for i in save_idx]
+    states = [FluidState(grid, a) for a in current[save_idx]]
     saved_times = times[save_idx]
     series = _record_series(saved_times, states)
     report = PhiReport(distances, monitors, converged, len(distances), applications)

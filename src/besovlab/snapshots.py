@@ -43,26 +43,34 @@ def read_snapshot(path) -> tuple[GridSpec, dict[str, SpectralField]]:
         header = json.loads(raw[:nl].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise SnapshotFormatError(f"bad header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise SnapshotFormatError("header is not a JSON object")
     for key in ("dim", "M", "fields", "layout", "scalar"):
         if key not in header:
             raise SnapshotFormatError(f"header missing {key!r}")
     if header["layout"] != "row-major" or header["scalar"] != "float64-le":
         raise SnapshotFormatError("unsupported layout or scalar type")
+    dim, m, names = header["dim"], header["M"], header["fields"]
+    if not all(isinstance(x, int) and not isinstance(x, bool) for x in (dim, m)):
+        raise SnapshotFormatError(f"dim and M must be integers, got {dim!r} and {m!r}")
+    if not (isinstance(names, list) and all(isinstance(x, str) for x in names)
+            and len(set(names)) == len(names)):
+        raise SnapshotFormatError(f"fields must be a list of distinct names, got {names!r}")
     try:
-        grid = GridSpec(int(header["dim"]), int(header["M"]))
+        grid = GridSpec(dim, m)
     except ValueError as exc:
         raise SnapshotFormatError(str(exc)) from exc
     count = grid.points_per_axis ** grid.dim
     payload = raw[nl + 1:]
-    expected = 8 * count * len(header["fields"])
+    expected = 8 * count * len(names)
     if len(payload) != expected:
         raise SnapshotFormatError(
             f"payload holds {len(payload)} bytes, expected {expected}")
     fields: dict[str, SpectralField] = {}
-    for i, name in enumerate(header["fields"]):
+    for i, name in enumerate(names):
         chunk = payload[8 * count * i: 8 * count * (i + 1)]
         samples = np.frombuffer(chunk, dtype="<f8").reshape(grid.shape)
-        fields[str(name)] = forward_transform(grid, samples.copy())
+        fields[name] = forward_transform(grid, samples.copy())
     return grid, fields
 
 

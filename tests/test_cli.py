@@ -74,6 +74,14 @@ class TestNormsCommand:
         want = besov_norm(fields["u"], BesovSpec(1.0, 2.0, 1.0)).value
         assert rows[0]["value"] == f"{want:.17g}"
 
+    def test_bad_header_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "bad.bin"
+        header = {"dim": [2], "M": 16, "fields": ["u"], "layout": "row-major",
+                  "scalar": "float64-le"}
+        path.write_bytes(json.dumps(header).encode() + b"\n" + b"\0" * (8 * 16 * 16))
+        assert main(["norms", str(path)]) == 2
+        assert_one_line_error(capsys)
+
     def test_bad_spec_exit_2(self, tmp_path):
         grid = make_grid(2, 16)
         f = field_of(grid, lambda x, y: 0.0 * x)
@@ -101,10 +109,25 @@ class TestSimulateCommand:
         config_dict(grid={"dim": "2", "M": 16}),
         config_dict(params={"mu": 1.0, "sigma_floor": [0.1]}),
         config_dict(time={"T": 0.05, "dt": "0.01", "save_stride": 1}),
+        config_dict(time={"T": float("inf"), "dt": 0.01, "save_stride": 1}),
+        config_dict(time={"T": 0.05, "dt": float("inf"), "save_stride": 1}),
+        config_dict(params={"mu": float("inf"), "sigma_floor": 0.1}),
+        config_dict(initial={"family": "exact_gradient", "amplitude": float("inf"),
+                             "seed": 4}),
+        config_dict(initial={"family": "exact_gradient", "amplitude": True, "seed": 4}),
+        config_dict(initial={"family": "exact_gradient", "amplitude": 0.0, "seed": True}),
+        config_dict(time={"T": 1e-12, "dt": 0.01, "save_stride": 1}),
+        config_dict(norms=[{"name": "velocity", "s": True}]),
+        config_dict(norms=[{"name": "velocity", "s": "1"}]),
+        config_dict(norms=[{"name": "velocity", "s": float("inf")}]),
+        config_dict(norms=[{"name": "velocity", "s": 0.0, "p": True}]),
     ], ids=["dim_5", "steps_not_integer", "mu_string", "amplitude_string",
             "norm_p_below_1", "norms_item_not_object", "norms_string", "norms_object",
             "save_stride_float", "save_stride_string", "save_stride_bool",
-            "grid_int_string", "params_float_list", "time_float_string"])
+            "grid_int_string", "params_float_list", "time_float_string",
+            "T_infinity", "dt_infinity", "mu_infinity", "amplitude_infinity",
+            "amplitude_bool", "seed_bool", "no_time_step", "norm_s_bool", "norm_s_string",
+            "norm_s_infinity", "norm_p_bool"])
     def test_schema_violation_exit_2(self, tmp_path, capsys, cfg):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(cfg))
@@ -262,7 +285,10 @@ class TestVerifyCommand:
         # argparse rejects the choice; the usage exit code passes through
         assert main(["verify", "bogus", "--out", str(tmp_path)]) == 2
 
-    @pytest.mark.parametrize("option, value", [("--count", "0"), ("--grid-m", "24")])
+    @pytest.mark.parametrize("option, value", [
+        ("--count", "0"), ("--grid-m", "24"), ("--alphas", "abc"), ("--alphas", ",1e-3"),
+        ("--alphas", "0,1e-3"), ("--alphas", "1e-3,inf"), ("--T", "0"), ("--T", "-1"),
+        ("--dt", "0")])
     def test_bad_option_value_exit_2(self, tmp_path, capsys, option, value):
         out = tmp_path / "v"
         assert main(["verify", "bernstein", option, value, "--out", str(out)]) == 2

@@ -40,6 +40,12 @@ class TestTimeGrid:
             TimeGrid(1.0, 0.1, 0)
         assert TimeGrid(1.0, 0.1).n_steps == 10
 
+    @pytest.mark.parametrize("t_end, dt", [(np.inf, 0.1), (1.0, np.inf), (1e-12, 0.1)],
+                             ids=["t_end_inf", "dt_inf", "no_step"])
+    def test_rejects_non_finite_or_empty(self, t_end, dt):
+        with pytest.raises(ValueError):
+            TimeGrid(t_end, dt)
+
 
 class TestHeat:
     def test_cosine_decay(self, grid2_32):

@@ -37,10 +37,10 @@ from besovlab.oldroyd import (
     _fluid_terms,
     _identity_quadratic,
     _l2_fields,
-    _state_to_array,
 )
 from besovlab.randfields import random_scalar, random_solenoidal
 from besovlab.spectral import (
+    GridError,
     SpectralField,
     advect,
     dealiased,
@@ -71,6 +71,38 @@ def state_l2(a: FluidState, b: FluidState) -> float:
     for x, y in zip(a.h_flat(), b.h_flat()):
         acc += float(np.sum(np.abs(x.coeffs - y.coeffs) ** 2))
     return float(np.sqrt(acc) * (2 * np.pi) ** (a.grid.dim / 2.0))
+
+
+class TestFluidState:
+    """A state is one stacked array; its fields are views into it."""
+
+    def test_wrong_shape_raises(self, grid2_32):
+        with pytest.raises(GridError):
+            FluidState(grid2_32, np.zeros((6,) + grid2_32.shape, dtype=complex))
+
+    def test_field_views_write_the_state(self, grid2_32):
+        st = zero_state(grid2_32)
+        st.velocity[1].coeffs[1, 0] = 2.0
+        st.h[1][0].coeffs[0, 1] = 3.0
+        assert st.coeffs[2, 1, 0] == 2.0 and st.coeffs[5, 0, 1] == 3.0
+        st.sigma = field_of(grid2_32, lambda x, y: np.cos(x))
+        assert st.coeffs[0, 1, 0] == pytest.approx(0.5, abs=1e-15)
+        st.h = [[st.sigma, zero_field(grid2_32)], [zero_field(grid2_32), st.sigma]]
+        assert np.array_equal(st.coeffs[3], st.coeffs[0]) and not st.coeffs[4].any()
+        with pytest.raises(TypeError):
+            st.h[0][0] = zero_field(grid2_32)
+
+    @pytest.mark.parametrize("evolve", [
+        lambda st, tg: run(st, PARAMS, tg),
+        lambda st, tg: phi_iteration(st, PARAMS, tg, max_outer=1, tol=1.0),
+    ], ids=["run", "phi_iteration"])
+    def test_evolution_leaves_initial_state_alone(self, grid2_32, evolve):
+        st, _ = make_initial_data("general", 1e-2, 5, grid2_32)
+        before = st.coeffs.copy()
+        res = evolve(st, TimeGrid(0.02, 5e-3, save_stride=2))
+        assert np.array_equal(st.coeffs, before)
+        assert not any(np.shares_memory(s.coeffs, st.coeffs) for s in res.states)
+        assert not np.array_equal(res.final.coeffs, before)
 
 
 class TestInitialData:
@@ -146,7 +178,7 @@ class TestStep:
         st = zero_state(grid2_32)
         c = 0.3
         for i in range(2):
-            st.h[i][i] = forward_transform(grid2_32, np.full(grid2_32.shape, c))
+            st.h[i][i].coeffs[...] = forward_transform(grid2_32, np.full(grid2_32.shape, c)).coeffs
         out = step(st, PARAMS, 1e-2)
         assert state_l2(out, st) <= 1e-13
 
@@ -297,9 +329,9 @@ class TestQuadraticTermsOracle:
         sig = _trig_field(rng, grid3_16)
         vel = [_trig_field(rng, grid3_16) for _ in range(n)]
         h = [[_trig_field(rng, grid3_16) for _ in range(n)] for _ in range(n)]
-        fields = FluidState(forward_transform(grid3_16, sig[0]),
-                            [forward_transform(grid3_16, v[0]) for v in vel],
-                            [[forward_transform(grid3_16, f[0]) for f in row] for row in h])
+        fields = FluidState(grid3_16, np.stack(
+            [forward_transform(grid3_16, f[0]).coeffs
+             for f in [sig] + vel + [f for row in h for f in row]]))
         return sig, vel, h, fields
 
     @staticmethod
@@ -414,7 +446,8 @@ class TestCoupledFormulation:
     def test_transform_to_coupled_surface(self, grid2_32):
         st, _ = make_initial_data("exact_gradient", 1e-2, 7, grid2_32)
         sigma, d, h = transform_to_coupled(st)
-        assert sigma is st.sigma and h is st.h
+        assert np.shares_memory(sigma.coeffs, st.coeffs)
+        assert all(np.shares_memory(f.coeffs, st.coeffs) for row in h for f in row)
         assert len(d) == 2 and len(d[0]) == 2
 
     @pytest.mark.parametrize("dim, m, t_end", [(2, 32, 0.2), (3, 16, 0.02)],
@@ -606,7 +639,7 @@ class TestStageKernel:
         stepper = _DirectStepper(grid3_16, PARAMS, 5e-3)
         counted["fields"] = 0
         residual_evals.clear()
-        stepper.rhs(0.0, _state_to_array(st))
+        stepper.rhs(0.0, st.coeffs)
         assert len(residual_evals) == 1
         # each residual samples grad u and transforms the flux: 2n fields
         assert counted["fields"] - 2 * n * residual_evals[0] <= 68

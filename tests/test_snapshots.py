@@ -58,6 +58,29 @@ def test_truncated_payload(tmp_path, grid2_32):
         read_snapshot(path)
 
 
+GOOD_HEADER = {"dim": 2, "M": 16, "fields": ["u", "v"], "layout": "row-major",
+               "scalar": "float64-le"}
+
+
+@pytest.mark.parametrize("header", [
+    5,
+    {**GOOD_HEADER, "fields": 3},
+    {**GOOD_HEADER, "fields": "uv"},
+    {**GOOD_HEADER, "fields": ["u", 5]},
+    {**GOOD_HEADER, "fields": ["u", "u"]},
+    {**GOOD_HEADER, "dim": [2]},
+    {**GOOD_HEADER, "dim": 2.7},
+    {**GOOD_HEADER, "M": "16"},
+], ids=["number", "fields_number", "fields_string", "fields_not_names",
+        "fields_duplicate", "dim_list", "dim_float", "M_string"])
+def test_bad_header_rejected(tmp_path, header):
+    # the payload holds two 16 x 16 fields, so only the header is at fault
+    path = tmp_path / "bad.bin"
+    path.write_bytes(json.dumps(header).encode() + b"\n" + b"\0" * (2 * 8 * 16 * 16))
+    with pytest.raises(SnapshotFormatError):
+        read_snapshot(path)
+
+
 def test_write_trajectory(tmp_path, grid2_32):
     from besovlab.linsolve import TimeGrid, solve_heat
     from besovlab.snapshots import write_trajectory
