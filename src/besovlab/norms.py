@@ -310,11 +310,3 @@ def write_norm_rows(path, rows):
         w.writerow(["time", "norm_name", "s", "p", "r", "value"])
         for row in rows:
             w.writerow([_fmt(row[key]) for key in ("time", "norm_name", "s", "p", "r", "value")])
-
-
-def write_block_breakdown(path, breakdown: NormBreakdown):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["q", "block_lp", "weighted_term"])
-        for q, b, t in zip(breakdown.qs, breakdown.block_lp, breakdown.weighted):
-            w.writerow([int(q), _fmt(float(b)), _fmt(float(t))])

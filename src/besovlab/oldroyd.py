@@ -10,6 +10,12 @@ A state is one stacked coefficient array of 1 + n + n^2 components:
 sigma, then v^0..v^{n-1}, then h row by row.  The steppers advance that
 array, and `FluidState` stores it; its fields are views into it.
 
+There is one pressure path: every right side (an RK stage, or the
+velocity forcing of the linearization map) is `momentum_forcing` of a
+stacked array followed by `compute_pressure` on the sigma samples it
+formed, and every saved slice of a run takes its pressure gradient from
+the first stage of the state it records.
+
 Conventions, fixed here once:
   * matrix divergence is taken over the second index: (div A)^i = d_j A^{ij};
   * the weighted-divergence constraint therefore reads d_j(rho U^{ji}) = 0;
@@ -26,6 +32,7 @@ import numpy as np
 
 from . import randfields
 from .linsolve import (
+    EllipticResult,
     TimeGrid,
     check_cfl,
     if_factors,
@@ -167,12 +174,13 @@ def _stretch(dv_s, h_s) -> np.ndarray:
     return np.einsum("ik...,kj...->ij...", dv_s, h_s)
 
 
-def _fluid_terms(grid: GridSpec, arr: np.ndarray, mu: float):
+def momentum_forcing(grid: GridSpec, arr: np.ndarray, mu: float):
     """Right side of the stacked (sigma, v, h) system without the pressure
     terms and without mu Lap v: transport of every row, plus
     mu sigma Lap v^i + d_k h^{ik} + h^{jk} d_j h^{ik} in the momentum rows
-    and the stretching d_j v^i + d_k v^i h^{kj} in the h rows.  Returns it
-    with the samples s of `arr` and ds of its gradient it was formed from."""
+    (the momentum forcing G) and the stretching d_j v^i + d_k v^i h^{kj}
+    in the h rows.  Returns (terms, s, ds): it with the samples s of `arr`
+    and ds of its gradient it was formed from."""
     n = grid.dim
     s, ds = samples(grid, arr), gradient_samples(grid, arr)
     _, vel, h = _split(grid, arr)
@@ -241,16 +249,6 @@ def reciprocal_density(sigma: SpectralField) -> SpectralField:
     return SpectralField(sigma.grid, dealiased(sigma.grid, rho))
 
 
-def weighted_div_residual(sigma: SpectralField, h: list[list[SpectralField]],
-                          first_index: bool = True) -> list[SpectralField]:
-    """d_j(rho U^{ji}) per i (first_index=True, the adopted convention),
-    or d_j(rho U^{ij}) per i (the transposed reading, reported alongside)."""
-    grid = sigma.grid
-    rho, flux = _density_flux(grid, sigma.coeffs, np.array([_stack(row) for row in h]))
-    return _fields(grid, _weighted_div(grid, rho, flux if first_index
-                                       else flux.swapaxes(0, 1)))
-
-
 def deformation_identity_residual(h: list[list[SpectralField]]) -> list[SpectralField]:
     """U^{lk} d_l U^{ij} - U^{lj} d_l U^{ik} with U = I + h, flattened over
     (i, j, k); vanishes for the gradient of an actual flow map."""
@@ -314,80 +312,53 @@ def make_initial_data(family: str, amplitude: float, seed: int, grid: GridSpec, 
 
 
 def _restore_weighted_div(state: FluidState):
-    """Add a gradient column correction to h so d_j(rho (I+h)^{ji}) = 0."""
-    h = _split(state.grid, state.coeffs)[2]
-    rho = reciprocal_density(state.sigma)
-    defect = weighted_div_residual(state.sigma, state.h)
-    for i in range(state.grid.dim):
-        res = solve_variable_poisson(rho, defect[i], tol=1e-13, max_iter=300)
+    """Add a gradient column correction to h so d_j(rho (I+h)^{ji}) = 0:
+    one solve -div(rho grad phi_i) = d_j(rho U^{ji}) per column i, all
+    reading one sample of rho."""
+    grid = state.grid
+    sigma, _, h = _split(grid, state.coeffs)
+    rho, flux = _density_flux(grid, sigma, h)
+    defect = _fields(grid, _weighted_div(grid, rho, flux))
+    rho_s = samples(grid, rho)
+    for i in range(grid.dim):
+        res = solve_variable_poisson(rho_s, defect[i], tol=1e-13, max_iter=300)
         h[:, i] += _stack(res.gradient)
 
 
-# -- momentum right side and pressure ----------------------------------------
-
-
-def momentum_forcing(sigma: SpectralField, velocity: list[SpectralField],
-                     h: list[list[SpectralField]], mu: float) -> list[SpectralField]:
-    """Explicit momentum forcing: -v.grad v + mu sigma Lap v + div h + h grad h.
-
-    The linear diffusion mu Lap v is excluded (it is integrated exactly
-    elsewhere), as is the pressure term.
-    """
-    grid = sigma.grid
-    arr = _stack([sigma] + velocity + [f for row in h for f in row])
-    return _fields(grid, _fluid_terms(grid, arr, mu)[0][1:1 + grid.dim])
+# -- pressure ---------------------------------------------------------------------
 
 
 PRESSURE_TOL = 1e-11
 
 
-def compute_pressure(state: FluidState, params: PhysicalParams, *,
-                     tol: float = PRESSURE_TOL, max_iter: int = 200,
-                     warm_start: SpectralField | None = None,
-                     forcing: list[SpectralField] | None = None):
-    """Solve div((sigma+1) grad P) = div G for the pressure gradient.
-
-    G is the explicit momentum forcing of `momentum_forcing` (or a
-    caller-supplied replacement).  Returns (grad P, EllipticResult).
-    """
-    g = forcing if forcing is not None else momentum_forcing(
-        state.sigma, state.velocity, state.h, params.mu)
-    res = solve_variable_poisson(inverse_transform(state.sigma) + 1.0, -divergence(g),
-                                 tol=tol, max_iter=max_iter, warm_start=warm_start)
-    return res.gradient, res
-
-
-class _Pressure:
-    """Warm-started pressure solves: called with the samples of sigma and
-    the momentum forcing g of one stage, returns (sigma + 1) grad P.  The
-    same samples give the coefficient and its positivity check, and the
-    product is the flux of the solve's last residual."""
-
-    def __init__(self):
-        self.warm: SpectralField | None = None
-        self.last_grad: list[SpectralField] | None = None
-
-    def __call__(self, grid: GridSpec, sig_s: np.ndarray, g: np.ndarray) -> np.ndarray:
-        res = solve_variable_poisson(sig_s + 1.0, -divergence(_fields(grid, g)),
-                                     tol=PRESSURE_TOL, warm_start=self.warm)
-        self.warm, self.last_grad = res.potential, res.gradient
-        return res.flux
+def compute_pressure(grid: GridSpec, sig_s: np.ndarray, g: np.ndarray, *,
+                     tol: float = PRESSURE_TOL,
+                     warm_start: SpectralField | None = None) -> EllipticResult:
+    """Solve div((sigma+1) grad P) = div G for the pressure P, from the
+    grid samples sig_s of sigma and the stacked momentum forcing g (rows
+    1..n of `momentum_forcing`'s terms).  The samples give the coefficient
+    and its positivity check; the result's `gradient` is grad P and its
+    `flux` is (sigma + 1) grad P, the flux of the solve's last residual."""
+    return solve_variable_poisson(sig_s + 1.0, -divergence(_fields(grid, g)),
+                                  tol=tol, warm_start=warm_start)
 
 
 # -- the IF-RK4 steppers -----------------------------------------------------------
 
 
 class _Stepper:
-    """IF-RK4 step of a stacked state with a warm-started pressure solve
-    per stage, a CFL check before and a density-floor check after.
+    """IF-RK4 step of a stacked state with a pressure solve per stage, a
+    CFL check before and a density-floor check after.  A stage solves
+    warm-started from the last stage's potential `warm`; `last_grad` is
+    its grad P.
 
     Subclasses supply `diffusing(n)` (which components carry mu Lap),
     `velocity` (the advecting field of a stacked state) and `state` (the
     FluidState of a stacked state, which may view it: `step` never writes
     into its input); `finish` post-processes the new state in place and
     `rhs` is the fluid right side unless overridden.  `first_stage`
-    evaluates a step's first stage ahead of it, for a save that needs the
-    pressure of the state the step starts from."""
+    evaluates a step's first stage ahead of it, for the save of the state
+    the step starts from."""
 
     def __init__(self, grid: GridSpec, params: PhysicalParams, dt: float):
         self.grid = grid
@@ -395,15 +366,19 @@ class _Stepper:
         self.dt = dt
         self.e_full, self.e_half = if_factors(grid, params.mu, dt,
                                               self.diffusing(grid.dim))
-        self.pressure = _Pressure()
+        self.warm: SpectralField | None = None
+        self.last_grad: list[SpectralField] | None = None
         self._first = None  # (state, its right side) from `first_stage`
 
     def stage(self, arr: np.ndarray):
-        """`_fluid_terms` of a stacked (sigma, v, h) array, pressure
-        included."""
+        """`momentum_forcing` of a stacked (sigma, v, h) array, with
+        (sigma + 1) grad P from `compute_pressure` taken off its momentum
+        rows."""
         n = self.grid.dim
-        out, s, ds = _fluid_terms(self.grid, arr, self.params.mu)
-        out[1:1 + n] -= self.pressure(self.grid, s[0], out[1:1 + n])
+        out, s, ds = momentum_forcing(self.grid, arr, self.params.mu)
+        res = compute_pressure(self.grid, s[0], out[1:1 + n], warm_start=self.warm)
+        self.warm, self.last_grad = res.potential, res.gradient
+        out[1:1 + n] -= res.flux
         return out, s, ds
 
     def rhs(self, t: float, arr: np.ndarray) -> np.ndarray:
@@ -413,7 +388,7 @@ class _Stepper:
         """Evaluate the right side at `arr` for the step that starts from it
         and return the pressure gradient that evaluation solved for."""
         self._first = (arr, self.rhs(t, arr))
-        return self.pressure.last_grad
+        return self.last_grad
 
     def finish(self, arr: np.ndarray) -> np.ndarray:
         return arr
@@ -457,7 +432,7 @@ def step(state: FluidState, params: PhysicalParams, dt: float) -> FluidState:
     """One semi-implicit step of the full system."""
     stepper = _DirectStepper(state.grid, params, dt)
     arr = stepper.step(state.coeffs, 0.0)
-    return FluidState(state.grid, arr, stepper.pressure.last_grad)
+    return FluidState(state.grid, arr, stepper.last_grad)
 
 
 # -- constraint monitors -------------------------------------------------------
@@ -536,26 +511,15 @@ def _norm_rows_for(state: FluidState, t: float, norm_specs) -> list[dict]:
 def _run(stepper: _Stepper, arr: np.ndarray, tg: TimeGrid, norm_specs,
          on_save) -> RunResult:
     """Integrate with `stepper`, recording at every saved slice the fluid
-    state with its diagnostic pressure, the constraint residuals and the
-    requested norms.  `on_save(t, state)` is invoked per saved slice, so
-    partial output survives a mid-run abort."""
+    state with its diagnostic pressure (from `first_stage`), the
+    constraint residuals and the requested norms.  `on_save(t, state)` is
+    invoked per saved slice, so partial output survives a mid-run abort."""
     norm_specs = norm_specs or []
 
     def save(t, arr):
         st = stepper.state(arr)
-        if t < tg.t_end - 0.5 * tg.dt:
-            # a step follows, and its first stage solves this pressure
-            # problem (same state, same warm start): solve it once, there
-            st.pressure_grad = stepper.first_stage(t, arr)
-        else:
-            # no step follows: solve the pressure alone (the coupled
-            # stepper's first stage would also form the identity source)
-            # through `compute_pressure`, which keeps it and
-            # `momentum_forcing` on every direct run (perfbench's traced
-            # run requires both)
-            st.pressure_grad, _ = compute_pressure(st, stepper.params,
-                                                   warm_start=stepper.pressure.warm)
         res = constraint_residuals(st)
+        st.pressure_grad = stepper.first_stage(t, arr)
         if on_save is not None:
             on_save(t, st)
         return st, {"time": t, **res.as_dict()}, _norm_rows_for(st, t, norm_specs)
@@ -713,7 +677,7 @@ def _phi_apply(prev: _TrajectoryInterpolant, state0: FluidState,
     """
     grid = state0.grid
     n = grid.dim
-    pressure = _Pressure()
+    warm = None
 
     def u_at(t):
         return _fields(grid, _split(grid, prev(t))[1])
@@ -733,9 +697,13 @@ def _phi_apply(prev: _TrajectoryInterpolant, state0: FluidState,
     h_interp = _TrajectoryInterpolant(h_traj.times, h_traj.coeffs)
 
     def v_forcing(t):
-        st = FluidState(grid, np.concatenate([sig_interp(t), prev(t)[1:1 + n], h_interp(t)]))
-        g = _stack(momentum_forcing(st.sigma, st.velocity, st.h, params.mu))
-        return _fields(grid, g - pressure(grid, samples(grid, st.coeffs[0]), g))
+        nonlocal warm
+        arr = np.concatenate([sig_interp(t), prev(t)[1:1 + n], h_interp(t)])
+        terms, s, _ = momentum_forcing(grid, arr, params.mu)
+        g = terms[1:1 + n]
+        res = compute_pressure(grid, s[0], g, warm_start=warm)
+        warm = res.potential
+        return _fields(grid, g - res.flux)
 
     v_traj = solve_heat(state0.velocity, v_forcing, params.mu, tg1)
 

@@ -74,34 +74,6 @@ def read_snapshot(path) -> tuple[GridSpec, dict[str, SpectralField]]:
     return grid, fields
 
 
-def write_trajectory(out_dir, grid: GridSpec, times, states_named, *,
-                     norm_series=None):
-    """Write a time sequence of named-field snapshots plus an optional
-    per-band norm CSV.
-
-    `states_named` is a sequence of dicts name -> SpectralField, one per
-    saved time.  Returns the list of written paths.
-    """
-    import csv
-
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    paths = []
-    for i, fields in enumerate(states_named):
-        path = out_dir / f"snapshot_{i:06d}.bin"
-        write_snapshot(path, grid, fields)
-        paths.append(path)
-    if norm_series is not None:
-        path = out_dir / "norm_series.csv"
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["time"] + [f"q{q}" for q in range(norm_series.n_bands)])
-            for i, t in enumerate(norm_series.times):
-                w.writerow([f"{t:.17g}"] + [f"{v:.17g}" for v in norm_series.values[i]])
-        paths.append(path)
-    return paths
-
-
 def state_fields(state) -> dict[str, SpectralField]:
     """Flatten a fluid state into named scalar fields for a snapshot."""
     n = state.grid.dim

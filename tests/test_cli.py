@@ -82,12 +82,18 @@ class TestNormsCommand:
         assert main(["norms", str(path)]) == 2
         assert_one_line_error(capsys)
 
-    def test_bad_spec_exit_2(self, tmp_path):
+    def test_bad_spec_exit_2(self, tmp_path, capsys):
         grid = make_grid(2, 16)
         f = field_of(grid, lambda x, y: 0.0 * x)
         path = tmp_path / "zero.bin"
         write_snapshot(path, grid, {"u": f})
         assert main(["norms", str(path), "--spec", "nonsense"]) == 2
+        assert_one_line_error(capsys)
+        # a non-finite s is rejected as a config's is, naming s
+        for spec in ("nan:2:1", "inf:2:1", "-inf:2:1"):
+            assert main(["norms", str(path), f"--spec={spec}"]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "norm s must be finite" in err
 
 
 class TestSimulateCommand:

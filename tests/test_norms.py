@@ -16,7 +16,6 @@ from besovlab.norms import (
     lebesgue_time_norm,
     lp_norm,
     norm_series,
-    write_block_breakdown,
     write_norm_rows,
 )
 from besovlab.paley import block_multipliers
@@ -367,10 +366,6 @@ class TestReports:
         rows = [{"time": 0.0, "norm_name": "u:test", "s": 1.0, "p": 2.0,
                  "r": 1.0, "value": rep.value}]
         write_norm_rows(tmp_path / "norms.csv", rows)
-        write_block_breakdown(tmp_path / "blocks.csv", rep)
         norms_text = (tmp_path / "norms.csv").read_text().splitlines()
         assert norms_text[0] == "time,norm_name,s,p,r,value"
         assert len(norms_text) == 2
-        blocks_text = (tmp_path / "blocks.csv").read_text().splitlines()
-        assert blocks_text[0] == "q,block_lp,weighted_term"
-        assert len(blocks_text) == 1 + grid2_64.q_max + 1

@@ -34,7 +34,6 @@ from besovlab.oldroyd import (
     _DirectStepper,
     _Stepper,
     _fields,
-    _fluid_terms,
     _identity_quadratic,
     _l2_fields,
 )
@@ -139,18 +138,25 @@ class TestInitialData:
             make_initial_data("other", 1e-2, 3, grid2_32)
 
 
+def forcing_and_pressure(st, **kwargs):
+    """The momentum forcing G of a state (stacked) and its pressure solve."""
+    n = st.grid.dim
+    terms, s, _ = momentum_forcing(st.grid, st.coeffs, PARAMS.mu)
+    return terms[1:1 + n], compute_pressure(st.grid, s[0], terms[1:1 + n], **kwargs)
+
+
 class TestPressure:
     def test_zero_state(self, grid2_32):
-        grad, res = compute_pressure(zero_state(grid2_32), PARAMS)
-        assert all(np.max(np.abs(g.coeffs)) == 0.0 for g in grad)
+        _, res = forcing_and_pressure(zero_state(grid2_32))
+        assert all(np.max(np.abs(g.coeffs)) == 0.0 for g in res.gradient)
 
     def test_constant_density_matches_leray_pressure(self, grid2_32):
         # sigma = 0 reduces to P = inv-Lap div G, i.e. grad P is the
         # multiplier -grad Lam^{-2} applied to div G
         st, _ = make_initial_data("exact_gradient", 1e-2, 5, grid2_32)
-        g = momentum_forcing(st.sigma, st.velocity, st.h, PARAMS.mu)
-        grad, _ = compute_pressure(st, PARAMS, forcing=g, tol=1e-13)
-        div_g = divergence(g)
+        g, res = forcing_and_pressure(st, tol=1e-13)
+        grad = res.gradient
+        div_g = divergence(_fields(grid2_32, g))
         explicit = [-1.0 * derivative(lambda_power(div_g, -2.0), ax)
                     for ax in range(2)]
         scale = max(np.max(np.abs(f.coeffs)) for f in explicit)
@@ -159,9 +165,8 @@ class TestPressure:
 
     def test_manufactured_residual(self, grid2_32):
         st, _ = make_initial_data("general", 5e-2, 7, grid2_32)
-        g = momentum_forcing(st.sigma, st.velocity, st.h, PARAMS.mu)
-        grad, res = compute_pressure(st, PARAMS, forcing=g, tol=1e-12)
-        div_g = divergence(g)
+        g, res = forcing_and_pressure(st, tol=1e-12)
+        div_g = divergence(_fields(grid2_32, g))
         fnorm = np.sqrt(np.sum(np.abs(div_g.coeffs) ** 2))
         assert res.residuals[-1] <= 1e-10 * fnorm
 
@@ -352,7 +357,7 @@ class TestQuadraticTermsOracle:
                 for k in range(n):
                     acc = acc + h[l][k][0] * h[i][k][1][l]
             want.append(acc)
-        got = momentum_forcing(fields.sigma, fields.velocity, fields.h, mu)
+        got = _fields(grid3_16, momentum_forcing(grid3_16, fields.coeffs, mu)[0][1:1 + n])
         self.assert_matches(grid3_16, got, want)
 
     def test_deformation_identity(self, grid3_16, data):
@@ -485,6 +490,31 @@ class TestPhiIteration:
         assert all("in_admissible_set" in m for m in res.report.monitors)
         assert res.report.monitors[-1]["in_admissible_set"]
 
+    def test_pressure_reads_forcing_samples(self, grid2_32, monkeypatch):
+        """Each velocity forcing of the map is one `momentum_forcing` and
+        one `compute_pressure` whose coefficient is the sigma samples that
+        forcing formed, so sigma is sampled once per call."""
+        calls = []
+        forcing, pressure = oldroyd.momentum_forcing, oldroyd.compute_pressure
+
+        def forcing_spy(*args, **kwargs):
+            out = forcing(*args, **kwargs)
+            calls.append(("forcing", out[1]))
+            return out
+
+        def pressure_spy(grid, sig_s, g, **kwargs):
+            calls.append(("pressure", sig_s))
+            return pressure(grid, sig_s, g, **kwargs)
+
+        monkeypatch.setattr(oldroyd, "momentum_forcing", forcing_spy)
+        monkeypatch.setattr(oldroyd, "compute_pressure", pressure_spy)
+        st, _ = make_initial_data("exact_gradient", 1e-3, 5, grid2_32)
+        phi_iteration(st, PARAMS, TimeGrid(0.02, 0.01), max_outer=1, tol=1.0)
+        # two applications of the map, each 1 + 2 * 2 forcing evaluations
+        assert [kind for kind, _ in calls] == ["forcing", "pressure"] * 10
+        for (_, s), (_, sig_s) in zip(calls[::2], calls[1::2]):
+            assert np.shares_memory(sig_s, s) and np.array_equal(sig_s, s[0])
+
     def test_warns_on_large_sigma(self, grid2_32):
         st, _ = make_initial_data("general", 0.5, 5, grid2_32)
         with pytest.warns(UserWarning):
@@ -569,7 +599,7 @@ class TestStageKernel:
     def test_fluid_terms_match_per_row(self, dim, m):
         grid = make_grid(dim, m)
         arr = random_stack(grid, 31, (1 + dim + dim * dim,))
-        got, s, ds = _fluid_terms(grid, arr, 0.7)
+        got, s, ds = momentum_forcing(grid, arr, 0.7)
         assert_close(got, per_row_fluid_terms(grid, arr, 0.7), 1e-13)
         assert np.array_equal(s, samples(grid, arr))
         assert np.array_equal(ds, gradient_samples(grid, arr))
@@ -651,18 +681,22 @@ class TestSaveReusesFirstStage:
     start, so it is solved once."""
 
     def test_stage_count(self, grid2_32, monkeypatch):
-        stages, pressures = [], []
+        stages, pressures, forcings = [], [], []
         stage, pressure = _Stepper.stage, oldroyd.compute_pressure
+        forcing = oldroyd.momentum_forcing
         monkeypatch.setattr(_Stepper, "stage",
                             lambda self, arr: stages.append(1) or stage(self, arr))
         monkeypatch.setattr(oldroyd, "compute_pressure",
                             lambda *a, **k: pressures.append(1) or pressure(*a, **k))
+        monkeypatch.setattr(oldroyd, "momentum_forcing",
+                            lambda *a, **k: forcings.append(1) or forcing(*a, **k))
         st, _ = make_initial_data("general", 0.05, 5, grid2_32)
         res = run(st, PARAMS, TimeGrid(0.02, 5e-3, save_stride=2))
         assert len(res.states) == 3
-        # 4 steps of 4 stages; only the last save solves on its own
-        assert len(stages) == 16 and len(pressures) == 1
-        want, _ = pressure(st, PARAMS)
+        # 4 steps of 4 stages, and the first stage of the last save, which
+        # no step follows: every pressure solve is a stage's
+        assert len(stages) == 17 and len(pressures) == 17 and len(forcings) == 17
+        want = forcing_and_pressure(st)[1].gradient
         for g, w in zip(res.states[0].pressure_grad, want):
             assert_close(g.coeffs, w.coeffs, 1e-12)
 

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from besovlab.oldroyd import PhysicalParams, compute_pressure, make_initial_data
+from besovlab.oldroyd import compute_pressure, make_initial_data, momentum_forcing
 from besovlab.snapshots import (
     SnapshotFormatError,
     read_snapshot,
@@ -81,27 +81,11 @@ def test_bad_header_rejected(tmp_path, header):
         read_snapshot(path)
 
 
-def test_write_trajectory(tmp_path, grid2_32):
-    from besovlab.linsolve import TimeGrid, solve_heat
-    from besovlab.snapshots import write_trajectory
-
-    u0 = field_of(grid2_32, lambda x, y: np.cos(x))
-    res = solve_heat(u0, None, 1.0, TimeGrid(0.1, 0.01, save_stride=5))
-    named = [{"u": st[0]} for st in res.states]
-    paths = write_trajectory(tmp_path / "traj", grid2_32, res.times, named,
-                             norm_series=res.norm_series(2.0))
-    assert len(paths) == len(res.states) + 1
-    grid, fields = read_snapshot(paths[0])
-    assert np.max(np.abs(fields["u"].coeffs - u0.coeffs)) < 1e-14
-    lines = (tmp_path / "traj" / "norm_series.csv").read_text().splitlines()
-    assert lines[0].startswith("time,q0")
-    assert len(lines) == 1 + len(res.states)
-
-
 def test_state_fields_names(grid2_32):
     st, _ = make_initial_data("general", 1e-2, 3, grid2_32)
     fields = state_fields(st)
     assert set(fields) == {"sigma", "v0", "v1", "h00", "h01", "h10", "h11"}
-    st.pressure_grad, _ = compute_pressure(st, PhysicalParams())
+    terms, s, _ = momentum_forcing(grid2_32, st.coeffs, 1.0)
+    st.pressure_grad = compute_pressure(grid2_32, s[0], terms[1:3]).gradient
     fields = state_fields(st)
     assert "gradp0" in fields and "gradp1" in fields
