@@ -471,6 +471,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    for i in reversed(range(len(argv) - 1)):  # argparse would read `-1:2:1` as an option
+        if argv[i] == "--spec":
+            argv[i:i + 2] = [f"--spec={argv[i + 1]}"]
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

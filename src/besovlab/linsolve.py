@@ -4,7 +4,7 @@ skew-coupled hyperbolic-parabolic pair.
 
 Time integration is 4-stage Runge-Kutta with an exact integrating
 factor on every diffusive mode, so the pure heat evolution is exact per
-Fourier mode.  Forcings are callbacks evaluated at stage times.
+Fourier mode.  Callbacks of t are evaluated once per distinct stage time.
 """
 
 from __future__ import annotations
@@ -118,24 +118,39 @@ def _fields(grid: GridSpec, arr: np.ndarray) -> list[SpectralField]:
     return [SpectralField(grid, c) for c in arr]
 
 
-def _advection(grid: GridSpec, velocity: list[SpectralField], arr: np.ndarray) -> np.ndarray:
-    """Dealiased (v . grad) u of every component u of a stacked array."""
-    return dealiased(grid, advect(grid, samples(grid, _stack(velocity)),
-                                  gradient_samples(grid, arr)))
+def _per_stage_time(fn, dt: float):
+    """t -> fn(t), evaluated once per distinct stage time: keyed by the
+    half-step index round(2t/dt), since n dt + dt and (n + 1) dt may differ
+    by an ulp.  Only the latest stage time is kept."""
+    memo = {}
+
+    def at(t):
+        key = round(2.0 * t / dt)
+        if key not in memo:
+            memo.clear()
+            memo[key] = fn(t)
+        return memo[key]
+
+    return at
 
 
-def _velocity_callable(velocity):
-    if velocity is None:
-        return None
-    if callable(velocity):
-        return velocity
-    frozen = _as_list(velocity)
-    return lambda t: frozen
+def _velocity_samples(velocity, grid: GridSpec, dt: float):
+    """None, or t -> (velocity fields, their samples) once per stage time."""
+    def sample(t):
+        v = _as_list(velocity(t) if callable(velocity) else velocity)
+        return v, samples(grid, _stack(v))
+    return None if velocity is None else _per_stage_time(sample, dt)
 
 
-def velocity_max(velocity: list[SpectralField]) -> float:
-    """Max pointwise speed sqrt(sum v_i^2)."""
-    speed2 = sum(v ** 2 for v in samples(velocity[0].grid, _stack(velocity)))
+def _forcing_coeffs(forcing, dt: float):
+    """None, or t -> the stacked forcing(t) once per stage time."""
+    return None if forcing is None else _per_stage_time(
+        lambda t: _stack(_as_list(forcing(t))), dt)
+
+
+def velocity_max(v_samples: np.ndarray) -> float:
+    """Max pointwise speed sqrt(sum v_i^2), from the velocity's samples."""
+    speed2 = sum(v ** 2 for v in v_samples)
     return float(np.sqrt(np.max(speed2)))
 
 
@@ -214,25 +229,30 @@ def solve_transport(u0, velocity, forcing, tg: TimeGrid, *,
 
     `u0` is a field or a sequence of fields advected together; `velocity`
     is a list of fields or a callable t -> list; `forcing` is None or a
-    callable t -> matching field(s).  The advection product is dealiased
-    and a CFL guard dt * |v|_inf * (M/3) <= 1 is enforced each step.
+    callable t -> matching field(s).  Both callables must be functions of
+    t only, evaluated once per distinct stage time (t, t + dt/2); one
+    velocity sample serves the CFL guard and the stages at that time.  The
+    advection product is dealiased and a CFL guard dt * |v|_inf * (M/3) <= 1
+    is enforced each step.
     """
     scalar_input = isinstance(u0, SpectralField)
     comps = _as_list(u0)
     grid = comps[0].grid
-    vel = _velocity_callable(velocity)
+    vel = _velocity_samples(velocity, grid, tg.dt)
+    force = _forcing_coeffs(forcing, tg.dt)
     e_full, e_half = if_factors(grid, 0.0, tg.dt, [False] * len(comps))
 
     def rhs(t, arr):
-        out = -_advection(grid, vel(t), arr) if vel is not None else np.zeros_like(arr)
-        if forcing is not None:
-            out += _stack(_as_list(forcing(t)))
+        out = np.zeros_like(arr) if vel is None else -dealiased(
+            grid, advect(grid, vel(t)[1], gradient_samples(grid, arr)))
+        if force is not None:
+            out += force(t)
         return out
 
     def step(y, t):
         if vel is not None:
-            v_now = vel(t)
-            check_cfl(grid, tg.dt, velocity_max(v_now))
+            v_now, v_s = vel(t)
+            check_cfl(grid, tg.dt, velocity_max(v_s))
             if check_divergence:
                 check_solenoidal(v_now, solenoidal_tol)
         return _if_rk4_step(y, t, tg.dt, e_full, e_half, rhs)
@@ -250,7 +270,8 @@ def solve_heat(u0, forcing, mu: float, tg: TimeGrid) -> TrajectoryResult:
     factor; for f = 0 every mode decays exactly by exp(-mu |k|^2 dt).
 
     The forcing is state-independent, so the four Runge-Kutta stages
-    collapse to a Simpson rule in the integrating-factor variable.
+    collapse to a Simpson rule in the integrating-factor variable, with
+    one evaluation per distinct stage time.
     """
     if not mu > 0:
         raise ValueError("mu must be positive")
@@ -260,24 +281,14 @@ def solve_heat(u0, forcing, mu: float, tg: TimeGrid) -> TrajectoryResult:
     dt = tg.dt
     e_full, e_half = if_factors(grid, mu, dt, [True] * len(comps))
 
-    def f_at(t):
-        if forcing is None:
-            return None
-        return _stack(_as_list(forcing(t)))
-
-    f_prev = f_at(0.0)
+    force = _forcing_coeffs(forcing, dt)
 
     def step(y, t):
-        nonlocal f_prev
-        if forcing is None:
+        if force is None:
             return e_full * y
-        f_half = f_at(t + 0.5 * dt)
-        f_next = f_at(t + dt)
-        y = e_full * y + (dt / 6.0) * (
-            e_full * f_prev + 4.0 * e_half * f_half + f_next
+        return e_full * y + (dt / 6.0) * (
+            e_full * force(t) + 4.0 * e_half * force(t + 0.5 * dt) + force(t + dt)
         )
-        f_prev = f_next
-        return y
 
     times, saved = integrate(_stack(comps), step, tg, lambda t, y: y)
     return TrajectoryResult(times, np.stack(saved), grid, scalar_input)
@@ -412,7 +423,8 @@ def solve_coupled(c0, d0, velocity, forcing_c, forcing_d, mu: float,
     The skew pair (Lam d, -Lam c) sits inside the Runge-Kutta stages;
     diffusion on d uses the exact integrating factor, so with v = 0 and
     zero forcing each mode follows the 2x2 linear system exactly up to
-    RK4 truncation of the skew rotation.
+    RK4 truncation of the skew rotation.  Callables of t are evaluated
+    once per distinct stage time, as in `solve_transport`.
     """
     c_list, d_list = _as_list(c0), _as_list(d0)
     if len(c_list) != len(d_list):
@@ -421,23 +433,24 @@ def solve_coupled(c0, d0, velocity, forcing_c, forcing_d, mu: float,
         raise ValueError("mu must be nonnegative")
     nc = len(c_list)
     grid = c_list[0].grid
-    vel = _velocity_callable(velocity)
+    vel = _velocity_samples(velocity, grid, tg.dt)
+    force_c, force_d = _forcing_coeffs(forcing_c, tg.dt), _forcing_coeffs(forcing_d, tg.dt)
     e_full, e_half = if_factors(grid, mu, tg.dt, [False] * nc + [True] * nc)
     kmag = grid_wavenumbers(grid)["kmag"]
 
     def rhs(t, arr):
         out = np.concatenate([-kmag * arr[nc:], kmag * arr[:nc]])
         if vel is not None:
-            out -= _advection(grid, vel(t), arr)
-        if forcing_c is not None:
-            out[:nc] += _stack(_as_list(forcing_c(t)))
-        if forcing_d is not None:
-            out[nc:] += _stack(_as_list(forcing_d(t)))
+            out -= dealiased(grid, advect(grid, vel(t)[1], gradient_samples(grid, arr)))
+        if force_c is not None:
+            out[:nc] += force_c(t)
+        if force_d is not None:
+            out[nc:] += force_d(t)
         return out
 
     def step(y, t):
         if vel is not None:
-            check_cfl(grid, tg.dt, velocity_max(vel(t)))
+            check_cfl(grid, tg.dt, velocity_max(vel(t)[1]))
         return _if_rk4_step(y, t, tg.dt, e_full, e_half, rhs)
 
     def snapshot(t, arr) -> CoupledState:

@@ -381,13 +381,13 @@ class _Stepper:
         out[1:1 + n] -= res.flux
         return out, s, ds
 
-    def rhs(self, t: float, arr: np.ndarray) -> np.ndarray:
+    def rhs(self, t: float, arr: np.ndarray, direct: np.ndarray | None = None) -> np.ndarray:
         return self.stage(arr)[0]
 
-    def first_stage(self, t: float, arr: np.ndarray) -> list[SpectralField]:
-        """Evaluate the right side at `arr` for the step that starts from it
-        and return the pressure gradient that evaluation solved for."""
-        self._first = (arr, self.rhs(t, arr))
+    def first_stage(self, t: float, arr: np.ndarray, st: FluidState) -> list[SpectralField]:
+        """Evaluate the right side at `arr` (whose state `st` is) for the step
+        that starts from it; return the pressure gradient it solved for."""
+        self._first = (arr, self.rhs(t, arr, st.coeffs))
         return self.last_grad
 
     def finish(self, arr: np.ndarray) -> np.ndarray:
@@ -395,7 +395,7 @@ class _Stepper:
 
     def step(self, arr: np.ndarray, t: float) -> np.ndarray:
         grid, params = self.grid, self.params
-        check_cfl(grid, self.dt, velocity_max(self.velocity(arr)))
+        check_cfl(grid, self.dt, velocity_max(samples(grid, _stack(self.velocity(arr)))))
         first, self._first = self._first, None
         k1 = first[1] if first is not None and first[0] is arr else None
         nxt = self.finish(_if_rk4_step(arr, t, self.dt, self.e_full, self.e_half,
@@ -519,7 +519,7 @@ def _run(stepper: _Stepper, arr: np.ndarray, tg: TimeGrid, norm_specs,
     def save(t, arr):
         st = stepper.state(arr)
         res = constraint_residuals(st)
-        st.pressure_grad = stepper.first_stage(t, arr)
+        st.pressure_grad = stepper.first_stage(t, arr, st)
         if on_save is not None:
             on_save(t, st)
         return st, {"time": t, **res.as_dict()}, _norm_rows_for(st, t, norm_specs)
@@ -588,11 +588,12 @@ class _CoupledStepper(_Stepper):
         vel = _stack(leray_project(self.velocity(arr)))
         return FluidState(self.grid, np.concatenate([arr[:1], vel, arr[1 + n * n:]]))
 
-    def rhs(self, t: float, arr: np.ndarray) -> np.ndarray:
+    def rhs(self, t: float, arr: np.ndarray, direct: np.ndarray | None = None) -> np.ndarray:
         grid = self.grid
         n = grid.dim
         d, h = self.tensors(arr)
-        direct = self.state(arr).coeffs
+        if direct is None:
+            direct = self.state(arr).coeffs
         vel = direct[1:1 + n]
         fluid, s, ds = self.stage(direct)
         ik = grid_wavenumbers(grid)["ik"]
@@ -647,58 +648,60 @@ class PhiResult:
 
 
 class _TrajectoryInterpolant:
-    """Linear-in-time interpolation of stacked coefficient snapshots."""
+    """Linear-in-time interpolation of stacked coefficient snapshots (of
+    the component `rows` only, when given)."""
 
     def __init__(self, times: np.ndarray, arrays: np.ndarray):
         self.times = times
         self.arrays = arrays  # (nt, ncomp, *grid)
 
-    def __call__(self, t: float) -> np.ndarray:
+    def __call__(self, t: float, rows=slice(None)) -> np.ndarray:
         times = self.times
         if t <= times[0]:
-            return self.arrays[0]
+            return self.arrays[0, rows]
         if t >= times[-1]:
-            return self.arrays[-1]
+            return self.arrays[-1, rows]
         i = int(np.searchsorted(times, t) - 1)
         t0, t1 = times[i], times[i + 1]
         w = (t - t0) / (t1 - t0)
-        return (1.0 - w) * self.arrays[i] + w * self.arrays[i + 1]
+        return (1.0 - w) * self.arrays[i, rows] + w * self.arrays[i + 1, rows]
 
 
 def _phi_apply(prev: _TrajectoryInterpolant, state0: FluidState,
                params: PhysicalParams, tg: TimeGrid) -> np.ndarray:
     """One application of the linearization map.
 
-    The two transports (for sigma and for h) freeze velocity and tensor
-    coefficients from `prev` and run independently; the heat solve for
-    the velocity then consumes their fresh outputs as the coefficients
-    (a, xi) of its forcing, with the advecting u still frozen from
-    `prev` --- it is sequential after the transports.
+    One transport advances the stacked (sigma, h) rows, sigma with zero
+    forcing, with velocity and tensor coefficients frozen from `prev`; the
+    heat solve for the velocity then consumes its output as the
+    coefficients (a, xi) of its forcing, with the advecting u still frozen
+    from `prev`.  Each callable below is a function of t alone, evaluated
+    once per distinct stage time, and interpolates only the rows it reads.
     """
     grid = state0.grid
     n = grid.dim
+    vel_rows = slice(1, 1 + n)
     warm = None
 
     def u_at(t):
-        return _fields(grid, _split(grid, prev(t))[1])
+        return _fields(grid, prev(t, vel_rows))
 
-    def h_forcing(t):
-        _, u, xi = _split(grid, prev(t))
+    def sh_forcing(t):
+        u_xi = prev(t, slice(1, None))
+        u, xi = u_xi[:n], u_xi[n:].reshape((n, n) + grid.shape)
         src = stacked_gradient(grid, u) + dealiased(
             grid, _stretch(gradient_samples(grid, u), samples(grid, xi)))
-        return _fields(grid, src.reshape((n * n,) + grid.shape))
+        return [zero_field(grid)] + _fields(grid, src.reshape((n * n,) + grid.shape))
 
     tg1 = TimeGrid(tg.t_end, tg.dt, save_stride=1)
-    sig_traj = solve_transport(state0.sigma, u_at, None, tg1, check_divergence=False)
-    h_traj = solve_transport(state0.h_flat(), u_at, h_forcing, tg1,
-                             check_divergence=False)
-
-    sig_interp = _TrajectoryInterpolant(sig_traj.times, sig_traj.coeffs)
-    h_interp = _TrajectoryInterpolant(h_traj.times, h_traj.coeffs)
+    sh = solve_transport([state0.sigma] + state0.h_flat(), u_at, sh_forcing, tg1,
+                         check_divergence=False)
+    sh_interp = _TrajectoryInterpolant(sh.times, sh.coeffs)
 
     def v_forcing(t):
         nonlocal warm
-        arr = np.concatenate([sig_interp(t), prev(t)[1:1 + n], h_interp(t)])
+        sig_h = sh_interp(t)
+        arr = np.concatenate([sig_h[:1], prev(t, vel_rows), sig_h[1:]])
         terms, s, _ = momentum_forcing(grid, arr, params.mu)
         g = terms[1:1 + n]
         res = compute_pressure(grid, s[0], g, warm_start=warm)
@@ -708,7 +711,7 @@ def _phi_apply(prev: _TrajectoryInterpolant, state0: FluidState,
     v_traj = solve_heat(state0.velocity, v_forcing, params.mu, tg1)
 
     vel = np.stack([_stack(leray_project(v)) for v in v_traj.states])
-    return np.concatenate([sig_traj.coeffs, vel, h_traj.coeffs], axis=1)
+    return np.concatenate([sh.coeffs[:, :1], vel, sh.coeffs[:, 1:]], axis=1)
 
 
 def _trajectory_distance(a: np.ndarray, b: np.ndarray, grid: GridSpec,

@@ -95,6 +95,20 @@ class TestNormsCommand:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and "norm s must be finite" in err
 
+    def test_negative_s_as_separate_token(self, tmp_path, capsys):
+        """`--spec -1:2:1` reads -1:2:1 as the spec, not as an option."""
+        grid = make_grid(2, 16)
+        path = tmp_path / "cos.bin"
+        write_snapshot(path, grid, {"u": field_of(grid, lambda x, y: np.cos(x + 2 * y))})
+        for spec in ("-1:2:1", "-0.5:2:inf"):
+            assert main(["norms", str(path), "--spec", spec]) == 0
+            separate = capsys.readouterr().out
+            assert main(["norms", str(path), f"--spec={spec}"]) == 0
+            joined = capsys.readouterr().out
+            assert separate == joined and len(joined.splitlines()) == 2
+        # a bare trailing --spec is still a usage error
+        assert main(["norms", str(path), "--spec"]) == 2
+
 
 class TestSimulateCommand:
     def test_config_required(self):

@@ -515,6 +515,45 @@ class TestPhiIteration:
         for (_, s), (_, sig_s) in zip(calls[::2], calls[1::2]):
             assert np.shares_memory(sig_s, s) and np.array_equal(sig_s, s[0])
 
+    def test_one_stacked_transport(self, grid2_32):
+        """One application transports the stacked (sigma, h) rows at once
+        (zero forcing on sigma), as the two separate transports written out
+        here do, and reads the frozen trajectory once per distinct stage
+        time in each of its three callables."""
+        grid, n = grid2_32, grid2_32.dim
+        st, _ = make_initial_data("exact_gradient", 1e-2, 5, grid)
+        tg = TimeGrid(0.05, 2.5e-3)
+        times = np.arange(tg.n_steps + 1) * tg.dt
+        constant = np.repeat(st.coeffs[None], len(times), axis=0)
+        first = oldroyd._phi_apply(oldroyd._TrajectoryInterpolant(times, constant),
+                                   st, PARAMS, tg)
+        reads = []
+
+        class Counting(oldroyd._TrajectoryInterpolant):
+            def __call__(self, t, rows=slice(None)):
+                reads.append(t)
+                return super().__call__(t, rows)
+
+        prev = Counting(times, first)
+        got = oldroyd._phi_apply(prev, st, PARAMS, tg)
+        # u_at, the transport forcing and the heat forcing
+        assert len(reads) == 3 * (2 * tg.n_steps + 1)
+
+        def u_at(t):
+            return _fields(grid, prev(t)[1:1 + n])
+
+        def h_forcing(t):
+            _, u, xi = oldroyd._split(grid, prev(t))
+            src = stacked_gradient(grid, u) + dealiased(
+                grid, oldroyd._stretch(gradient_samples(grid, u), samples(grid, xi)))
+            return _fields(grid, src.reshape((n * n,) + grid.shape))
+
+        sig = solve_transport(st.sigma, u_at, None, tg, check_divergence=False)
+        h = solve_transport(st.h_flat(), u_at, h_forcing, tg, check_divergence=False)
+        want = np.concatenate([sig.coeffs, h.coeffs], axis=1)
+        have = np.concatenate([got[:, :1], got[:, 1 + n:]], axis=1)
+        assert np.max(np.abs(have - want)) <= 1e-14 * np.max(np.abs(want))
+
     def test_warns_on_large_sigma(self, grid2_32):
         st, _ = make_initial_data("general", 0.5, 5, grid2_32)
         with pytest.warns(UserWarning):
@@ -699,6 +738,22 @@ class TestSaveReusesFirstStage:
         want = forcing_and_pressure(st)[1].gradient
         for g, w in zip(res.states[0].pressure_grad, want):
             assert_close(g.coeffs, w.coeffs, 1e-12)
+
+    def test_coupled_save_converts_once(self, grid2_32, monkeypatch):
+        """A coupled save converts its array to the direct state once: the
+        first stage it runs reads that state.  Over n steps saved at every
+        step: one projection of the initial velocity, one per save, and one
+        per stage that no save ran (3 a step)."""
+        calls = []
+        project = oldroyd.leray_project
+        monkeypatch.setattr(oldroyd, "leray_project",
+                            lambda v: calls.append(1) or project(v))
+        st, _ = make_initial_data("general", 0.05, 5, grid2_32)
+        tg = TimeGrid(0.01, 5e-3)
+        res = run_coupled(st, PARAMS, tg)
+        n = tg.n_steps
+        assert len(res.states) == n + 1
+        assert len(calls) == 1 + (n + 1) + 3 * n
 
     @pytest.mark.parametrize("runner", [run, run_coupled], ids=["direct", "coupled"])
     def test_save_stride_leaves_trajectory_unchanged(self, grid2_32, runner):
