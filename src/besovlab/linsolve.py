@@ -5,6 +5,10 @@ skew-coupled hyperbolic-parabolic pair.
 Time integration is 4-stage Runge-Kutta with an exact integrating
 factor on every diffusive mode, so the pure heat evolution is exact per
 Fourier mode.  Callbacks of t are evaluated once per distinct stage time.
+
+The solvers integrate the k_last >= 0 half of their coefficients (see
+`spectral`): inputs are sliced to it once, callables may return either
+layout, and each saved slice is mirror-filled back to the full layout.
 """
 
 from __future__ import annotations
@@ -20,13 +24,15 @@ from .spectral import (
     SpectralField,
     advect,
     dealiased,
-    derivative,
-    divergence,
     gradient_samples,
     grid_wavenumbers,
-    hermitize,
+    hermitian_planes,
     inverse_transform,
     samples,
+    stacked_divergence,
+    stacked_gradient,
+    to_full,
+    to_half,
 )
 
 CFL_LIMIT = 1.0
@@ -118,6 +124,14 @@ def _fields(grid: GridSpec, arr: np.ndarray) -> list[SpectralField]:
     return [SpectralField(grid, c) for c in arr]
 
 
+def _coeffs(u) -> np.ndarray:
+    """The coefficients of a field, the stacked coefficients of a list of
+    fields, or an array as it is."""
+    if isinstance(u, SpectralField):
+        return u.coeffs
+    return u if isinstance(u, np.ndarray) else _stack(u)
+
+
 def _per_stage_time(fn, dt: float):
     """t -> fn(t), evaluated once per distinct stage time: keyed by the
     half-step index round(2t/dt), since n dt + dt and (n + 1) dt may differ
@@ -135,17 +149,17 @@ def _per_stage_time(fn, dt: float):
 
 
 def _velocity_samples(velocity, grid: GridSpec, dt: float):
-    """None, or t -> (velocity fields, their samples) once per stage time."""
+    """None, or t -> (stacked velocity, its samples) once per stage time."""
     def sample(t):
-        v = _as_list(velocity(t) if callable(velocity) else velocity)
-        return v, samples(grid, _stack(v))
+        v = _coeffs(velocity(t) if callable(velocity) else velocity)
+        return v, samples(grid, v)
     return None if velocity is None else _per_stage_time(sample, dt)
 
 
-def _forcing_coeffs(forcing, dt: float):
-    """None, or t -> the stacked forcing(t) once per stage time."""
+def _forcing_coeffs(forcing, grid: GridSpec, dt: float):
+    """None, or t -> the half of the stacked forcing(t) once per stage time."""
     return None if forcing is None else _per_stage_time(
-        lambda t: _stack(_as_list(forcing(t))), dt)
+        lambda t: to_half(grid, _coeffs(forcing(t))), dt)
 
 
 def velocity_max(v_samples: np.ndarray) -> float:
@@ -162,10 +176,12 @@ def check_cfl(grid: GridSpec, dt: float, vmax: float):
         )
 
 
-def check_solenoidal(velocity: list[SpectralField], tol: float = 1e-10):
-    div = divergence(velocity)
-    scale = max(np.max(np.abs(_stack(velocity))), 1e-300)
-    defect = np.max(np.abs(div.coeffs)) / scale
+def check_solenoidal(grid: GridSpec, velocity: np.ndarray, tol: float = 1e-10):
+    """Raise NonSolenoidalError unless the stacked velocity coefficients (of
+    either layout) are divergence-free to `tol` of their largest."""
+    div = stacked_divergence(grid, velocity)
+    scale = max(np.max(np.abs(velocity)), 1e-300)
+    defect = np.max(np.abs(div)) / scale
     if defect > tol:
         raise NonSolenoidalError(f"velocity divergence {defect:.3g} exceeds {tol}")
 
@@ -177,9 +193,11 @@ def heat_decay(grid: GridSpec, mu: float, dt: float) -> np.ndarray:
 
 def if_factors(grid: GridSpec, mu: float, dt: float, diffusing) -> tuple:
     """Integrating factors (exp(mu Lap dt), exp(mu Lap dt/2)) stacked per
-    component; components with diffusing[i] false get the factor 1."""
+    component, on the half layout the steppers integrate; components with
+    diffusing[i] false get the factor 1."""
     mask = np.asarray(diffusing, dtype=bool).reshape((-1,) + (1,) * grid.dim)
-    return tuple(np.where(mask, heat_decay(grid, mu, h), 1.0) for h in (dt, 0.5 * dt))
+    return tuple(np.where(mask, to_half(grid, heat_decay(grid, mu, h)), 1.0)
+                 for h in (dt, 0.5 * dt))
 
 
 def _if_rk4_step(y: np.ndarray, t: float, dt: float, e_full: np.ndarray,
@@ -232,6 +250,7 @@ def solve_transport(u0, velocity, forcing, tg: TimeGrid, *,
     callable t -> matching field(s).  Both callables must be functions of
     t only, evaluated once per distinct stage time (t, t + dt/2); one
     velocity sample serves the CFL guard and the stages at that time.  The
+    callables may return fields or stacked arrays of either layout.  The
     advection product is dealiased and a CFL guard dt * |v|_inf * (M/3) <= 1
     is enforced each step.
     """
@@ -239,7 +258,7 @@ def solve_transport(u0, velocity, forcing, tg: TimeGrid, *,
     comps = _as_list(u0)
     grid = comps[0].grid
     vel = _velocity_samples(velocity, grid, tg.dt)
-    force = _forcing_coeffs(forcing, tg.dt)
+    force = _forcing_coeffs(forcing, grid, tg.dt)
     e_full, e_half = if_factors(grid, 0.0, tg.dt, [False] * len(comps))
 
     def rhs(t, arr):
@@ -254,11 +273,11 @@ def solve_transport(u0, velocity, forcing, tg: TimeGrid, *,
             v_now, v_s = vel(t)
             check_cfl(grid, tg.dt, velocity_max(v_s))
             if check_divergence:
-                check_solenoidal(v_now, solenoidal_tol)
+                check_solenoidal(grid, v_now, solenoidal_tol)
         return _if_rk4_step(y, t, tg.dt, e_full, e_half, rhs)
 
-    # a saved slice may alias a step's output: no step writes into its input
-    times, saved = integrate(_stack(comps), step, tg, lambda t, y: y)
+    times, saved = integrate(to_half(grid, _stack(comps)), step, tg,
+                             lambda t, y: to_full(grid, y))
     return TrajectoryResult(times, np.stack(saved), grid, scalar_input)
 
 
@@ -281,7 +300,7 @@ def solve_heat(u0, forcing, mu: float, tg: TimeGrid) -> TrajectoryResult:
     dt = tg.dt
     e_full, e_half = if_factors(grid, mu, dt, [True] * len(comps))
 
-    force = _forcing_coeffs(forcing, dt)
+    force = _forcing_coeffs(forcing, grid, dt)
 
     def step(y, t):
         if force is None:
@@ -290,7 +309,8 @@ def solve_heat(u0, forcing, mu: float, tg: TimeGrid) -> TrajectoryResult:
             e_full * force(t) + 4.0 * e_half * force(t + 0.5 * dt) + force(t + dt)
         )
 
-    times, saved = integrate(_stack(comps), step, tg, lambda t, y: y)
+    times, saved = integrate(to_half(grid, _stack(comps)), step, tg,
+                             lambda t, y: to_full(grid, y))
     return TrajectoryResult(times, np.stack(saved), grid, scalar_input)
 
 
@@ -299,10 +319,11 @@ def solve_heat(u0, forcing, mu: float, tg: TimeGrid) -> TrajectoryResult:
 
 @dataclass
 class EllipticResult:
-    """Gradient of the solution plus the Richardson iteration record."""
+    """The solution's potential plus the Richardson iteration record; `u`
+    and `flux` are half-layout, `potential` and `gradient` full-layout."""
 
-    gradient: list[SpectralField]
-    potential: SpectralField
+    grid: GridSpec
+    u: np.ndarray  # the potential's coefficients, k_last >= 0 half
     residuals: np.ndarray
     iterations: int
     converged: bool
@@ -310,14 +331,30 @@ class EllipticResult:
     stagnated: bool = False  # stopped at the rounding floor below target
 
     @property
+    def potential(self) -> SpectralField:
+        return SpectralField(self.grid, to_full(self.grid, self.u))
+
+    @property
+    def gradient(self) -> list[SpectralField]:
+        return _fields(self.grid, to_full(self.grid, stacked_gradient(self.grid, self.u)))
+
+    @property
     def contraction_factors(self) -> np.ndarray:
         r = self.residuals
         return r[1:] / np.where(r[:-1] > 0, r[:-1], 1.0)
 
 
-def solve_variable_poisson(a: SpectralField | np.ndarray, f: SpectralField, *,
+def _parseval_norm(half: np.ndarray) -> float:
+    """sqrt(sum |c|^2) over the full spectrum, from its k_last >= 0 half:
+    the k_last = 0 and M/2 planes count once, every other plane twice."""
+    planes = half[..., [0, -1]]
+    return float(np.sqrt(2.0 * np.vdot(half, half).real - np.vdot(planes, planes).real))
+
+
+def solve_variable_poisson(a: SpectralField | np.ndarray, f: SpectralField | np.ndarray, *,
                            tol: float = 1e-12, max_iter: int = 200,
-                           warm_start: SpectralField | None = None) -> EllipticResult:
+                           warm_start: SpectralField | np.ndarray | None = None
+                           ) -> EllipticResult:
     """Solve -div(a grad u) = f on the torus by mean-preconditioned
     Richardson iteration: u <- u + (-abar Lap)^(-1) (f + div(a grad u)).
 
@@ -326,42 +363,46 @@ def solve_variable_poisson(a: SpectralField | np.ndarray, f: SpectralField, *,
     `a` is below one.  `a` is a field, sampled here once, or grid samples
     the caller holds (a stage passes sigma + 1 from its own samples of
     sigma); the positivity check, abar (their mean) and every residual
-    read those samples.  Each residual samples the stacked gradient of u,
-    multiplies by them and takes one dealiased transform of the flux, the
-    arithmetic of `product(a, derivative(u, ax))` per axis; the result
-    keeps the flux of the returned potential.  Raises
-    EllipticConvergenceError when max_iter is hit, with the residual
-    history attached.
+    read those samples.  `f` and `warm_start` are fields or coefficient
+    arrays of either layout; the iteration runs on their k_last >= 0 half,
+    which is all a real field needs, after projecting the k_last = 0 and
+    M/2 planes of f onto their Hermitian part (its anti-Hermitian rounding
+    content is unreachable by the real-sample operator).  Each residual
+    samples the stacked gradient of u, multiplies by them and takes one
+    dealiased transform of the flux, the arithmetic of
+    `product(a, derivative(u, ax))` per axis; the result keeps the flux of
+    the returned potential.  Raises EllipticConvergenceError when max_iter
+    is hit, with the residual history attached.
     """
-    grid = f.grid
     if isinstance(a, SpectralField):
-        if a.grid != grid:
-            raise ValueError("coefficient and right side live on different grids")
-        a = inverse_transform(a)
-    if a.shape != grid.shape:
-        raise ValueError(f"coefficient samples {a.shape} do not match grid {grid.shape}")
+        grid, a = a.grid, inverse_transform(a)
+    else:
+        grid = GridSpec(a.ndim, a.shape[0])
+    if isinstance(f, SpectralField) and f.grid != grid:
+        raise ValueError("coefficient and right side live on different grids")
+    f = hermitian_planes(grid, to_half(grid, _coeffs(f)))
+    width = grid.points_per_axis // 2 + 1
+    if a.shape != grid.shape or f.shape != grid.shape[:-1] + (width,):
+        raise ValueError(f"coefficient samples {a.shape} do not match the right "
+                         f"side {f.shape}")
     a_min = float(a.min())
     if a_min <= 0:
         raise NonPositiveCoefficientError(
             f"elliptic coefficient min = {a_min:.3g} is not positive on the grid")
     abar = float(a.mean())
-    # the right side represents a real field; its anti-Hermitian rounding
-    # content is unreachable by the real-sample operator, so drop it
-    f = hermitize(f)
-    fnorm = float(np.sqrt(np.sum(np.abs(f.coeffs) ** 2)))
-    if abs(f.mean) > 1e-10 * max(1.0, fnorm):
-        raise ValueError(f"right side must be mean-zero, got mean {f.mean:.3g}")
+    fnorm = _parseval_norm(f)
+    f_mean = float(f[(0,) * grid.dim].real)
+    if abs(f_mean) > 1e-10 * max(1.0, fnorm):
+        raise ValueError(f"right side must be mean-zero, got mean {f_mean:.3g}")
 
     wavenumbers = grid_wavenumbers(grid)
-    k2, ik = wavenumbers["k2"], wavenumbers["ik"]
+    k2, ik = to_half(grid, wavenumbers["k2"]), to_half(grid, wavenumbers["ik"])
     inv_lap = np.where(k2 > 0, 1.0 / (abar * np.where(k2 > 0, k2, 1.0)), 0.0)
-    u = warm_start.coeffs.copy() if warm_start is not None else np.zeros(grid.shape, complex)
+    u = (to_half(grid, _coeffs(warm_start)).copy() if warm_start is not None
+         else np.zeros(f.shape, complex))
 
     def result(it, stagnated=False):
-        potential = SpectralField(grid, u)
-        grad = [derivative(potential, ax) for ax in range(grid.dim)]
-        return EllipticResult(grad, potential, np.asarray(residuals), it, True, flux,
-                              stagnated)
+        return EllipticResult(grid, u, np.asarray(residuals), it, True, flux, stagnated)
 
     residuals = []
     target = tol * max(fnorm, 1e-300)
@@ -371,8 +412,8 @@ def solve_variable_poisson(a: SpectralField | np.ndarray, f: SpectralField, *,
     floor_gate = np.sqrt(np.finfo(float).eps) * max(fnorm, 1e-300)
     for it in range(max_iter + 1):
         flux = dealiased(grid, a * gradient_samples(grid, u))
-        r = f.coeffs + (ik * flux).sum(axis=0)
-        rnorm = float(np.sqrt(np.sum(np.abs(r) ** 2)))
+        r = f + (ik * flux).sum(axis=0)
+        rnorm = _parseval_norm(r)
         residuals.append(rnorm)
         if rnorm <= target or fnorm == 0.0:
             return result(it)
@@ -434,9 +475,10 @@ def solve_coupled(c0, d0, velocity, forcing_c, forcing_d, mu: float,
     nc = len(c_list)
     grid = c_list[0].grid
     vel = _velocity_samples(velocity, grid, tg.dt)
-    force_c, force_d = _forcing_coeffs(forcing_c, tg.dt), _forcing_coeffs(forcing_d, tg.dt)
+    force_c = _forcing_coeffs(forcing_c, grid, tg.dt)
+    force_d = _forcing_coeffs(forcing_d, grid, tg.dt)
     e_full, e_half = if_factors(grid, mu, tg.dt, [False] * nc + [True] * nc)
-    kmag = grid_wavenumbers(grid)["kmag"]
+    kmag = to_half(grid, grid_wavenumbers(grid)["kmag"])
 
     def rhs(t, arr):
         out = np.concatenate([-kmag * arr[nc:], kmag * arr[:nc]])
@@ -454,8 +496,9 @@ def solve_coupled(c0, d0, velocity, forcing_c, forcing_d, mu: float,
         return _if_rk4_step(y, t, tg.dt, e_full, e_half, rhs)
 
     def snapshot(t, arr) -> CoupledState:
-        return CoupledState(_fields(grid, arr[:nc]), _fields(grid, arr[nc:]))
+        full = to_full(grid, arr)
+        return CoupledState(_fields(grid, full[:nc]), _fields(grid, full[nc:]))
 
-    y = np.concatenate([_stack(c_list), _stack(d_list)])
+    y = to_half(grid, np.concatenate([_stack(c_list), _stack(d_list)]))
     times, states = integrate(y, step, tg, snapshot)
     return CoupledResult(times, states)

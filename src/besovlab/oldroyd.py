@@ -7,8 +7,10 @@ div h and h-grad-h, a variable-coefficient pressure gradient, and
 viscosity mu (sigma + 1) Lap v.
 
 A state is one stacked coefficient array of 1 + n + n^2 components:
-sigma, then v^0..v^{n-1}, then h row by row.  The steppers advance that
-array, and `FluidState` stores it; its fields are views into it.
+sigma, then v^0..v^{n-1}, then h row by row.  `FluidState` stores it in
+the full layout, and its fields are views into it; the steppers advance
+its k_last >= 0 half (see `spectral`), sliced once when a run starts and
+mirror-filled back once per saved slice.
 
 There is one pressure path: every right side (an RK stage, or the
 velocity forcing of the linearization map) is `momentum_forcing` of a
@@ -53,16 +55,18 @@ from .spectral import (
     SpectralField,
     advect,
     dealiased,
-    derivative,
     divergence,
     gradient_samples,
     grid_wavenumbers,
+    _lambda_multiplier,
     inverse_transform,
-    lambda_power,
-    leray_project,
     product,
     samples,
+    stacked_divergence,
     stacked_gradient,
+    stacked_leray,
+    to_full,
+    to_half,
     zero_field,
 )
 
@@ -179,20 +183,23 @@ def momentum_forcing(grid: GridSpec, arr: np.ndarray, mu: float):
     terms and without mu Lap v: transport of every row, plus
     mu sigma Lap v^i + d_k h^{ik} + h^{jk} d_j h^{ik} in the momentum rows
     (the momentum forcing G) and the stretching d_j v^i + d_k v^i h^{kj}
-    in the h rows.  Returns (terms, s, ds): it with the samples s of `arr`
-    and ds of its gradient it was formed from."""
+    in the h rows.  `arr` may have either layout; returns (terms, s, ds):
+    the half-layout terms with the samples s of `arr` and ds of its
+    gradient they were formed from."""
     n = grid.dim
+    arr = to_half(grid, arr)
+    wavenumbers = grid_wavenumbers(grid)
     s, ds = samples(grid, arr), gradient_samples(grid, arr)
     _, vel, h = _split(grid, arr)
     sig_s, v_s, h_s = _split(grid, s)
     _, dv_s, dh_s = _split(grid, ds)  # dh_s[i, k, j] = d_j h^{ik}
-    lap_v = samples(grid, -grid_wavenumbers(grid)["k2"] * vel)
+    lap_v = samples(grid, -to_half(grid, wavenumbers["k2"]) * vel)
     terms = -advect(grid, v_s, ds)
     terms[1:1 + n] += mu * sig_s * lap_v + np.einsum("jk...,ikj...->i...", h_s, dh_s)
     terms[1 + n:] += _stretch(dv_s, h_s).reshape((n * n,) + grid.shape)
     out = dealiased(grid, terms)
-    out[1:1 + n] += np.einsum("k...,ik...->i...", grid_wavenumbers(grid)["ik"], h)
-    out[1 + n:] += stacked_gradient(grid, vel).reshape((n * n,) + grid.shape)
+    out[1:1 + n] += np.einsum("k...,ik...->i...", to_half(grid, wavenumbers["ik"]), h)
+    out[1 + n:] += stacked_gradient(grid, vel).reshape((n * n,) + arr.shape[1:])
     return out, s, ds
 
 
@@ -205,13 +212,14 @@ def _identity_quadratic(grid: GridSpec, h_s: np.ndarray, dh_s: np.ndarray) -> np
     j, k = np.triu_indices(n, 1)
     a = np.einsum("lk...,ijl...->ijk...", h_s, dh_s)
     upper = dealiased(grid, a[:, j, k] - a[:, k, j])
-    q = np.zeros((n, n, n) + grid.shape, dtype=np.complex128)
+    q = np.zeros((n, n, n) + upper.shape[2:], dtype=np.complex128)
     q[:, j, k], q[:, k, j] = upper, -upper
     return q
 
 
 def _density_flux(grid: GridSpec, sigma, h):
-    """rho = 1/(sigma + 1) and the dealiased flux[j, i] = rho h^{ji}."""
+    """rho = 1/(sigma + 1) and the dealiased flux[j, i] = rho h^{ji}, from
+    full-layout sigma and the coefficients or the grid samples of h."""
     rho = reciprocal_density(SpectralField(grid, sigma))
     return rho.coeffs, product(rho, h)
 
@@ -246,7 +254,18 @@ def _l2_fields(fields, grid: GridSpec) -> float:
 def reciprocal_density(sigma: SpectralField) -> SpectralField:
     """rho = 1/(sigma + 1) as a dealiased grid field."""
     rho = 1.0 / (inverse_transform(sigma) + 1.0)
-    return SpectralField(sigma.grid, dealiased(sigma.grid, rho))
+    return SpectralField(sigma.grid, to_full(sigma.grid, dealiased(sigma.grid, rho)))
+
+
+def _identity_residual(grid: GridSpec, h: np.ndarray, h_s: np.ndarray) -> list[SpectralField]:
+    """`deformation_identity_residual` of the stacked h (n, n, *grid), of
+    either layout, from its grid samples h_s."""
+    h = to_half(grid, h)
+    res = _identity_quadratic(grid, h_s, gradient_samples(grid, h))
+    dh = stacked_gradient(grid, h)
+    res += dh  # the linear part d_k h^{ij} - d_j h^{ik}
+    res -= dh.swapaxes(1, 2)
+    return _fields(grid, to_full(grid, res.reshape((-1,) + h.shape[2:])))
 
 
 def deformation_identity_residual(h: list[list[SpectralField]]) -> list[SpectralField]:
@@ -254,11 +273,7 @@ def deformation_identity_residual(h: list[list[SpectralField]]) -> list[Spectral
     (i, j, k); vanishes for the gradient of an actual flow map."""
     grid = h[0][0].grid
     hh = np.array([_stack(row) for row in h])
-    res = _identity_quadratic(grid, samples(grid, hh), gradient_samples(grid, hh))
-    dh = stacked_gradient(grid, hh)
-    res += dh  # the linear part d_k h^{ij} - d_j h^{ik}
-    res -= dh.swapaxes(1, 2)
-    return _fields(grid, res.reshape((-1,) + grid.shape))
+    return _identity_residual(grid, hh, samples(grid, hh))
 
 
 # The identity written in the perturbation h,
@@ -333,13 +348,15 @@ PRESSURE_TOL = 1e-11
 
 def compute_pressure(grid: GridSpec, sig_s: np.ndarray, g: np.ndarray, *,
                      tol: float = PRESSURE_TOL,
-                     warm_start: SpectralField | None = None) -> EllipticResult:
+                     warm_start: SpectralField | np.ndarray | None = None
+                     ) -> EllipticResult:
     """Solve div((sigma+1) grad P) = div G for the pressure P, from the
     grid samples sig_s of sigma and the stacked momentum forcing g (rows
-    1..n of `momentum_forcing`'s terms).  The samples give the coefficient
-    and its positivity check; the result's `gradient` is grad P and its
-    `flux` is (sigma + 1) grad P, the flux of the solve's last residual."""
-    return solve_variable_poisson(sig_s + 1.0, -divergence(_fields(grid, g)),
+    1..n of `momentum_forcing`'s terms, either layout).  The samples give
+    the coefficient and its positivity check; the result's `gradient` is
+    grad P and its `flux` is (sigma + 1) grad P, the flux of the solve's
+    last residual, on the half layout."""
+    return solve_variable_poisson(sig_s + 1.0, -stacked_divergence(grid, to_half(grid, g)),
                                   tol=tol, warm_start=warm_start)
 
 
@@ -347,18 +364,18 @@ def compute_pressure(grid: GridSpec, sig_s: np.ndarray, g: np.ndarray, *,
 
 
 class _Stepper:
-    """IF-RK4 step of a stacked state with a pressure solve per stage, a
-    CFL check before and a density-floor check after.  A stage solves
-    warm-started from the last stage's potential `warm`; `last_grad` is
-    its grad P.
+    """IF-RK4 step of a stacked half-layout state with a pressure solve per
+    stage, a CFL check on the velocity samples of the step's first stage
+    and a density-floor check after.  A stage solves warm-started from the
+    last stage's potential `warm`; `last` is its EllipticResult.
 
-    Subclasses supply `diffusing(n)` (which components carry mu Lap),
-    `velocity` (the advecting field of a stacked state) and `state` (the
-    FluidState of a stacked state, which may view it: `step` never writes
-    into its input); `finish` post-processes the new state in place and
-    `rhs` is the fluid right side unless overridden.  `first_stage`
-    evaluates a step's first stage ahead of it, for the save of the state
-    the step starts from."""
+    Subclasses supply `diffusing(n)` (which components carry mu Lap) and
+    `direct` (the half-layout (sigma, v, h) array of a stacked state, which
+    may be the state itself: `step` never writes into its input); `finish`
+    post-processes the new state in place and `rhs` (the right side and
+    the samples of the direct array it was formed from) is the fluid right
+    side unless overridden.  `first_stage` evaluates a step's first stage
+    ahead of it, for the save of the state the step starts from."""
 
     def __init__(self, grid: GridSpec, params: PhysicalParams, dt: float):
         self.grid = grid
@@ -366,9 +383,9 @@ class _Stepper:
         self.dt = dt
         self.e_full, self.e_half = if_factors(grid, params.mu, dt,
                                               self.diffusing(grid.dim))
-        self.warm: SpectralField | None = None
-        self.last_grad: list[SpectralField] | None = None
-        self._first = None  # (state, its right side) from `first_stage`
+        self.warm: np.ndarray | None = None
+        self.last: EllipticResult | None = None
+        self._first = None  # (state, its right side, velocity samples)
 
     def stage(self, arr: np.ndarray):
         """`momentum_forcing` of a stacked (sigma, v, h) array, with
@@ -377,29 +394,40 @@ class _Stepper:
         n = self.grid.dim
         out, s, ds = momentum_forcing(self.grid, arr, self.params.mu)
         res = compute_pressure(self.grid, s[0], out[1:1 + n], warm_start=self.warm)
-        self.warm, self.last_grad = res.potential, res.gradient
+        self.warm, self.last = res.u, res
         out[1:1 + n] -= res.flux
         return out, s, ds
 
-    def rhs(self, t: float, arr: np.ndarray, direct: np.ndarray | None = None) -> np.ndarray:
-        return self.stage(arr)[0]
+    def direct(self, arr: np.ndarray) -> np.ndarray:
+        return arr
 
-    def first_stage(self, t: float, arr: np.ndarray, st: FluidState) -> list[SpectralField]:
-        """Evaluate the right side at `arr` (whose state `st` is) for the step
-        that starts from it; return the pressure gradient it solved for."""
-        self._first = (arr, self.rhs(t, arr, st.coeffs))
-        return self.last_grad
+    def rhs(self, t: float, arr: np.ndarray, direct: np.ndarray | None = None):
+        return self.stage(arr)[:2]
+
+    def _first_of(self, t: float, arr: np.ndarray, direct: np.ndarray | None = None):
+        """(arr, the right side at arr, the velocity samples it read)."""
+        out, s = self.rhs(t, arr, direct)
+        return arr, out, s[1:1 + self.grid.dim]
+
+    def first_stage(self, t: float, arr: np.ndarray, direct: np.ndarray) -> list[SpectralField]:
+        """Evaluate the right side at `arr` (whose direct array is `direct`)
+        for the step that starts from it; return the pressure gradient it
+        solved for."""
+        self._first = self._first_of(t, arr, direct)
+        return self.last.gradient
 
     def finish(self, arr: np.ndarray) -> np.ndarray:
         return arr
 
     def step(self, arr: np.ndarray, t: float) -> np.ndarray:
         grid, params = self.grid, self.params
-        check_cfl(grid, self.dt, velocity_max(samples(grid, _stack(self.velocity(arr)))))
         first, self._first = self._first, None
-        k1 = first[1] if first is not None and first[0] is arr else None
+        if first is None or first[0] is not arr:
+            first = self._first_of(t, arr)
+        _, k1, v_s = first
+        check_cfl(grid, self.dt, velocity_max(v_s))
         nxt = self.finish(_if_rk4_step(arr, t, self.dt, self.e_full, self.e_half,
-                                       self.rhs, k1))
+                                       lambda t, y: self.rhs(t, y)[0], k1))
         sig_min = float(samples(grid, nxt[0]).min())
         if sig_min + 1.0 < params.sigma_floor:
             raise DensityFloorError(
@@ -416,23 +444,18 @@ class _DirectStepper(_Stepper):
     def diffusing(n: int) -> list[bool]:
         return [False] + [True] * n + [False] * (n * n)
 
-    def velocity(self, arr: np.ndarray) -> list[SpectralField]:
-        return _fields(self.grid, _split(self.grid, arr)[1])
-
-    def state(self, arr: np.ndarray) -> FluidState:
-        return FluidState(self.grid, arr)
-
     def finish(self, arr: np.ndarray) -> np.ndarray:
         n = self.grid.dim
-        arr[1:1 + n] = _stack(leray_project(_fields(self.grid, arr[1:1 + n])))
+        arr[1:1 + n] = stacked_leray(self.grid, arr[1:1 + n])
         return arr
 
 
 def step(state: FluidState, params: PhysicalParams, dt: float) -> FluidState:
     """One semi-implicit step of the full system."""
-    stepper = _DirectStepper(state.grid, params, dt)
-    arr = stepper.step(state.coeffs, 0.0)
-    return FluidState(state.grid, arr, stepper.last_grad)
+    grid = state.grid
+    stepper = _DirectStepper(grid, params, dt)
+    arr = stepper.step(to_half(grid, state.coeffs), 0.0)
+    return FluidState(grid, to_full(grid, arr), stepper.last.gradient)
 
 
 # -- constraint monitors -------------------------------------------------------
@@ -454,11 +477,13 @@ class ConstraintResiduals:
 
 def constraint_residuals(state: FluidState) -> ConstraintResiduals:
     """The deformation identity is evaluated once and reported under both
-    of its names (see `perturbation_identity_residual`)."""
+    of its names (see `perturbation_identity_residual`); h is sampled once,
+    for it and for the density flux."""
     grid = state.grid
-    identity = _l2_fields(deformation_identity_residual(state.h), grid)
     sigma, _, h = _split(grid, state.coeffs)
-    rho, flux = _density_flux(grid, sigma, h)
+    h_s = samples(grid, h)
+    identity = _l2_fields(_identity_residual(grid, h, h_s), grid)
+    rho, flux = _density_flux(grid, sigma, h_s)
     return ConstraintResiduals(
         div_velocity=_l2(divergence(state.velocity).coeffs, grid),
         weighted_div=_l2(_weighted_div(grid, rho, flux), grid),
@@ -517,9 +542,10 @@ def _run(stepper: _Stepper, arr: np.ndarray, tg: TimeGrid, norm_specs,
     norm_specs = norm_specs or []
 
     def save(t, arr):
-        st = stepper.state(arr)
+        direct = stepper.direct(arr)
+        st = FluidState(stepper.grid, to_full(stepper.grid, direct))
         res = constraint_residuals(st)
-        st.pressure_grad = stepper.first_stage(t, arr, st)
+        st.pressure_grad = stepper.first_stage(t, arr, direct)
         if on_save is not None:
             on_save(t, st)
         return st, {"time": t, **res.as_dict()}, _norm_rows_for(st, t, norm_specs)
@@ -537,26 +563,37 @@ def run(state0: FluidState, params: PhysicalParams, tg: TimeGrid, *,
     """Direct time integration; records norms and constraint residuals at
     every saved slice."""
     stepper = _DirectStepper(state0.grid, params, tg.dt)
-    return _run(stepper, state0.coeffs.copy(), tg, norm_specs, on_save)
+    return _run(stepper, to_half(state0.grid, state0.coeffs), tg, norm_specs, on_save)
 
 
 # -- velocity <-> tensor potential (the coupled variables) ---------------------
 
 
-def velocity_to_tensor(velocity: list[SpectralField]) -> list[list[SpectralField]]:
-    """d^{ij} = -Lam^{-1} d_j v^i; requires mean-zero components."""
-    grid = velocity[0].grid
-    n = grid.dim
-    for v in velocity:
-        if abs(v.mean) > 1e-12 * max(1.0, float(np.max(np.abs(v.coeffs)))):
+def stacked_velocity_to_tensor(grid: GridSpec, v: np.ndarray) -> np.ndarray:
+    """d^{ij} = -Lam^{-1} d_j v^i of the stacked velocity v (n, *grid) of
+    either layout, as (n, n, *grid); requires mean-zero components."""
+    for c in v:
+        if abs(c[(0,) * grid.dim].real) > 1e-12 * max(1.0, float(np.max(np.abs(c)))):
             raise ValueError("velocity must be mean-zero for the tensor map")
-    return [[-1.0 * lambda_power(derivative(velocity[i], j), -1.0) for j in range(n)]
-            for i in range(n)]
+    return -1.0 * (stacked_gradient(grid, v) * _lambda_multiplier(grid, -1.0, v.shape[-1]))
+
+
+def stacked_tensor_to_velocity(grid: GridSpec, d: np.ndarray) -> np.ndarray:
+    """v^i = Lam^{-1} d_j d^{ij} of the stacked tensor d (n, n, *grid) of
+    either layout; exact inverse on mean-zero solenoidal v."""
+    return stacked_divergence(grid, d) * _lambda_multiplier(grid, -1.0, d.shape[-1])
+
+
+def velocity_to_tensor(velocity: list[SpectralField]) -> list[list[SpectralField]]:
+    """`stacked_velocity_to_tensor` of a list of fields."""
+    grid = velocity[0].grid
+    return [_fields(grid, row) for row in stacked_velocity_to_tensor(grid, _stack(velocity))]
 
 
 def tensor_to_velocity(d: list[list[SpectralField]]) -> list[SpectralField]:
-    """v^i = Lam^{-1} d_j d^{ij}; exact inverse on mean-zero solenoidal v."""
-    return [lambda_power(divergence(row), -1.0) for row in d]
+    """`stacked_tensor_to_velocity` of a list of rows of fields."""
+    grid = d[0][0].grid
+    return _fields(grid, stacked_tensor_to_velocity(grid, np.array([_stack(r) for r in d])))
 
 
 def transform_to_coupled(state: FluidState):
@@ -577,27 +614,24 @@ class _CoupledStepper(_Stepper):
     def tensors(self, arr: np.ndarray):
         """Array views of d and h, each (n, n, *grid)."""
         n = self.grid.dim
-        return arr[1:].reshape((2, n, n) + self.grid.shape)
+        return arr[1:].reshape((2, n, n) + arr.shape[1:])
 
-    def velocity(self, arr: np.ndarray) -> list[SpectralField]:
-        return tensor_to_velocity([_fields(self.grid, row) for row in self.tensors(arr)[0]])
+    def direct(self, arr: np.ndarray) -> np.ndarray:
+        """The direct array (sigma, Leray v(d), h) of a coupled array."""
+        grid, n = self.grid, self.grid.dim
+        vel = stacked_leray(grid, stacked_tensor_to_velocity(grid, self.tensors(arr)[0]))
+        return np.concatenate([arr[:1], vel, arr[1 + n * n:]])
 
-    def state(self, arr: np.ndarray) -> FluidState:
-        """The direct state (sigma, Leray v(d), h) of a coupled array."""
-        n = self.grid.dim
-        vel = _stack(leray_project(self.velocity(arr)))
-        return FluidState(self.grid, np.concatenate([arr[:1], vel, arr[1 + n * n:]]))
-
-    def rhs(self, t: float, arr: np.ndarray, direct: np.ndarray | None = None) -> np.ndarray:
+    def rhs(self, t: float, arr: np.ndarray, direct: np.ndarray | None = None):
         grid = self.grid
         n = grid.dim
         d, h = self.tensors(arr)
         if direct is None:
-            direct = self.state(arr).coeffs
+            direct = self.direct(arr)
         vel = direct[1:1 + n]
         fluid, s, ds = self.stage(direct)
-        ik = grid_wavenumbers(grid)["ik"]
-        kmag = grid_wavenumbers(grid)["kmag"]
+        ik = to_half(grid, grid_wavenumbers(grid)["ik"])
+        kmag = to_half(grid, grid_wavenumbers(grid)["kmag"])
         # X_i = v.grad v^i + (sigma+1) d_i P - mu sigma Lap v^i - h^{mk} d_m h^{ik}
         bracket = np.einsum("k...,ik...->i...", ik, h) - fluid[1:1 + n]
         # d_j X_i plus the curl-type source -d_k Q[i, j, k] of the identity
@@ -609,7 +643,7 @@ class _CoupledStepper(_Stepper):
         out_d[...] = kmag * h + src / np.where(kmag > 0, kmag, np.inf)
         # the fluid h rows carry d_j v^i, which Lam d replaces here
         out_h[...] = _split(grid, fluid)[2] - stacked_gradient(grid, vel) - kmag * d
-        return out
+        return out, s
 
 
 def run_coupled(state0: FluidState, params: PhysicalParams, tg: TimeGrid, *,
@@ -617,10 +651,11 @@ def run_coupled(state0: FluidState, params: PhysicalParams, tg: TimeGrid, *,
                 on_save=None) -> RunResult:
     """Evolve the coupled variables (sigma, d, h), mapping back to fluid
     states and recording them as `run` does at every save."""
-    d0 = velocity_to_tensor(leray_project(state0.velocity))
-    comps = [state0.sigma] + [f for row in d0 for f in row] + state0.h_flat()
-    stepper = _CoupledStepper(state0.grid, params, tg.dt)
-    return _run(stepper, _stack(comps), tg, norm_specs, on_save)
+    grid, n = state0.grid, state0.grid.dim
+    arr = to_half(grid, state0.coeffs)
+    d0 = stacked_velocity_to_tensor(grid, stacked_leray(grid, arr[1:1 + n]))
+    y = np.concatenate([arr[:1], d0.reshape((n * n,) + arr.shape[1:]), arr[1 + n:]])
+    return _run(_CoupledStepper(grid, params, tg.dt), y, tg, norm_specs, on_save)
 
 
 # -- the linearization map and its fixed point ----------------------------------
@@ -676,7 +711,8 @@ def _phi_apply(prev: _TrajectoryInterpolant, state0: FluidState,
     heat solve for the velocity then consumes its output as the
     coefficients (a, xi) of its forcing, with the advecting u still frozen
     from `prev`.  Each callable below is a function of t alone, evaluated
-    once per distinct stage time, and interpolates only the rows it reads.
+    once per distinct stage time, interpolates only the rows it reads and
+    returns half-layout coefficients; `prev` may hold either layout.
     """
     grid = state0.grid
     n = grid.dim
@@ -684,14 +720,16 @@ def _phi_apply(prev: _TrajectoryInterpolant, state0: FluidState,
     warm = None
 
     def u_at(t):
-        return _fields(grid, prev(t, vel_rows))
+        return to_half(grid, prev(t, vel_rows))
 
     def sh_forcing(t):
-        u_xi = prev(t, slice(1, None))
-        u, xi = u_xi[:n], u_xi[n:].reshape((n, n) + grid.shape)
+        u_xi = to_half(grid, prev(t, slice(1, None)))
+        u, xi = u_xi[:n], u_xi[n:].reshape((n, n) + u_xi.shape[1:])
         src = stacked_gradient(grid, u) + dealiased(
             grid, _stretch(gradient_samples(grid, u), samples(grid, xi)))
-        return [zero_field(grid)] + _fields(grid, src.reshape((n * n,) + grid.shape))
+        out = np.zeros((1 + n * n,) + u.shape[1:], dtype=np.complex128)
+        out[1:] = src.reshape((n * n,) + u.shape[1:])
+        return out
 
     tg1 = TimeGrid(tg.t_end, tg.dt, save_stride=1)
     sh = solve_transport([state0.sigma] + state0.h_flat(), u_at, sh_forcing, tg1,
@@ -700,17 +738,17 @@ def _phi_apply(prev: _TrajectoryInterpolant, state0: FluidState,
 
     def v_forcing(t):
         nonlocal warm
-        sig_h = sh_interp(t)
-        arr = np.concatenate([sig_h[:1], prev(t, vel_rows), sig_h[1:]])
+        sig_h = to_half(grid, sh_interp(t))
+        arr = np.concatenate([sig_h[:1], u_at(t), sig_h[1:]])
         terms, s, _ = momentum_forcing(grid, arr, params.mu)
         g = terms[1:1 + n]
         res = compute_pressure(grid, s[0], g, warm_start=warm)
-        warm = res.potential
-        return _fields(grid, g - res.flux)
+        warm = res.u
+        return g - res.flux
 
     v_traj = solve_heat(state0.velocity, v_forcing, params.mu, tg1)
 
-    vel = np.stack([_stack(leray_project(v)) for v in v_traj.states])
+    vel = np.stack([stacked_leray(grid, v) for v in v_traj.coeffs])
     return np.concatenate([sh.coeffs[:, :1], vel, sh.coeffs[:, 1:]], axis=1)
 
 
@@ -752,7 +790,7 @@ def phi_iteration(state0: FluidState, params: PhysicalParams, tg: TimeGrid, *,
             "map may not contract", stacklevel=2)
 
     nt = tg.n_steps + 1
-    constant = np.repeat(state0.coeffs[None], nt, axis=0)
+    constant = np.repeat(to_half(grid, state0.coeffs)[None], nt, axis=0)
     times = np.arange(nt) * tg.dt
 
     current = _phi_apply(_TrajectoryInterpolant(times, constant), state0, params, tg)
@@ -762,7 +800,8 @@ def phi_iteration(state0: FluidState, params: PhysicalParams, tg: TimeGrid, *,
     monitors: list[dict] = []
     converged = False
     for _ in range(max_outer):
-        nxt = _phi_apply(_TrajectoryInterpolant(times, current), state0, params, tg)
+        nxt = _phi_apply(_TrajectoryInterpolant(times, to_half(grid, current)),
+                         state0, params, tg)
         applications += 1
         dist = _trajectory_distance(nxt, current, grid, tg)
         distances.append(dist)

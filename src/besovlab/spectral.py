@@ -1,23 +1,37 @@
 """Spectral fields on the periodic torus [0, 2pi)^N.
 
-Fields are carried as full complex DFT coefficient arrays in the usual
-wraparound frequency layout, normalized so that the coefficient of the
-mode e^{i k.x} is 1.  Every array holds the coefficients of a real
-field, so it is Hermitian: c(-k) = conj(c(k)).  All operators in this
-module are Fourier multipliers acting on those coefficients and keep
-that symmetry; they are pure functions and deterministic.
+Coefficients use the usual wraparound frequency layout, normalized so
+that the coefficient of the mode e^{i k.x} is 1.  Every array holds the
+coefficients of a real field, so it is Hermitian: c(-k) = conj(c(k)).
+All operators in this module are Fourier multipliers acting on those
+coefficients and keep that symmetry; they are pure functions and
+deterministic.
 
-Every grid transform is real-to-complex: the forward transforms
-(`forward_transform`, `dealiased`) take the k_last >= 0 half from
-`rfftn` and fill the k_last < 0 half by symmetry, and `samples` hands
-the k_last >= 0 half to `irfftn`, which returns real samples directly.
+Two layouts carry the same coefficients.  The full layout, shape
+(..., M, ..., M), lives at the API boundary: `SpectralField`, the states
+and trajectories the solvers return, snapshots, norms, the verifier and
+the random draws.  The half layout, shape (..., M, ..., M//2+1), holds
+only the k_last >= 0 modes; it is what `rfftn` gives and all that
+`irfftn` reads, and the integration core (the steppers, the stage kernel
+and the pressure solve) carries nothing else.  `to_half` (a slice) and
+`to_full` (the one mirror fill, k_last < 0 from the conjugate of -k) are
+the only conversions.  Inside the half, the k_last = 0 and k_last = M/2
+planes each hold both k and -k, so their Hermitian symmetry is a
+constraint within the plane (`hermitian_planes` projects onto it); every
+other plane stands for itself and its mirror, and a Parseval sum counts
+it twice.  The multiplier tables of `grid_wavenumbers` are full; each
+operator slices them to the last axis of the array it acts on
+(`ik[..., :c.shape[-1]]`), so it serves both layouts without a branch.
 
-`samples`, `gradient_samples`, `dealiased`, `stacked_gradient`,
-`product` and `advect` act on stacked arrays: any leading axes index
-components, the last `dim` axes are the grid.  A quadratic term is
-formed by sampling its factors on the grid, multiplying and contracting
-there, and one `dealiased` call for all its output components; `product`
-is the case of one scalar factor.  The largest array a right side
+`samples` and `gradient_samples` read either layout; `dealiased`, the
+core's one forward transform, returns the half, and `forward_transform`
+returns the full layout.  `samples`, `gradient_samples`, `dealiased`,
+`stacked_gradient`, `stacked_divergence`, `stacked_leray`, `product` and
+`advect` act on stacked arrays: any leading axes index components, the
+last `dim` axes are the grid.  A quadratic term is formed by sampling its
+factors on the grid, multiplying and contracting there, and one
+`dealiased` call for all its output components; `product` is the case of
+one scalar factor, at the API boundary.  The largest array a right side
 holds is the gradient samples of its whole stack, `dim` reals per
 component and grid point (13 x 3 x 32^3 float64 = 10 MB in 3D at M 32);
 the transforms that fill it hold a third of that at a time.
@@ -191,7 +205,40 @@ def hermitize(field: "SpectralField") -> "SpectralField":
     return SpectralField(field.grid, sym)
 
 
-# -- transforms ----------------------------------------------------------
+def hermitian_planes(grid: GridSpec, half: np.ndarray) -> np.ndarray:
+    """A copy of the half-layout `half` with its k_last = 0 and k_last = M/2
+    planes projected onto their Hermitian part, as `hermitize` does there.
+    On a mirror-filled array those planes are all that `hermitize`
+    changes: every other mode's -k already holds its conjugate."""
+    m = grid.points_per_axis
+    planes = half[..., [0, m // 2]]
+    at_minus_k = planes
+    for ax in range(-grid.dim, -1):
+        at_minus_k = np.take(at_minus_k, -np.arange(m) % m, axis=ax)
+    out = half.copy()
+    out[..., [0, m // 2]] = 0.5 * (planes + at_minus_k.conj())
+    return out
+
+
+# -- layouts and transforms -----------------------------------------------
+
+
+def to_half(grid: GridSpec, coeffs: np.ndarray) -> np.ndarray:
+    """The k_last >= 0 half of stacked coefficients of either layout (a
+    view; the identity on the half layout)."""
+    return coeffs[..., :grid.points_per_axis // 2 + 1]
+
+
+def to_full(grid: GridSpec, half: np.ndarray) -> np.ndarray:
+    """Full-layout coefficients of the stacked half-layout `half`: the
+    k_last < 0 half is the conjugate of the mode -k, which the half holds."""
+    m, width = grid.points_per_axis, grid.points_per_axis // 2 + 1
+    full = np.empty(half.shape[:-1] + (m,), dtype=np.complex128)
+    full[..., :width] = half
+    flat = half.reshape(half.shape[:-grid.dim] + (-1,))
+    np.conjugate(np.take(flat, grid_wavenumbers(grid)["mirror"], axis=-1),
+                 out=full[..., width:])
+    return full
 
 
 def make_grid(dim: int, points_per_axis: int) -> GridSpec:
@@ -205,7 +252,7 @@ def forward_transform(grid: GridSpec, samples: np.ndarray) -> SpectralField:
         raise GridError(f"sample shape {samples.shape} does not match grid {grid.shape}")
     if np.iscomplexobj(samples):
         raise GridError("samples must be real-valued")
-    return SpectralField(grid, _real_forward(grid, samples))
+    return SpectralField(grid, to_full(grid, _rfftn(grid, samples)))
 
 
 def inverse_transform(field: SpectralField) -> np.ndarray:
@@ -214,10 +261,11 @@ def inverse_transform(field: SpectralField) -> np.ndarray:
 
 
 def samples(grid: GridSpec, coeffs: np.ndarray) -> np.ndarray:
-    """Real grid samples of every component of a stacked coefficient array.
+    """Real grid samples of every component of a stacked coefficient array
+    of either layout.
 
     The coefficients must be Hermitian (those of real fields): only the
-    k_last >= 0 half is read, by `irfftn`, so that half alone will do.  norm="forward" is the
+    k_last >= 0 half is read, by `irfftn`.  norm="forward" is the
     unit-amplitude convention (the 1/M^dim sits on the forward transform).
     """
     half = grid.points_per_axis // 2 + 1
@@ -225,24 +273,16 @@ def samples(grid: GridSpec, coeffs: np.ndarray) -> np.ndarray:
                          axes=tuple(range(-grid.dim, 0)), norm="forward")
 
 
-def _real_forward(grid: GridSpec, values: np.ndarray) -> np.ndarray:
-    """Full coefficient arrays of stacked real samples: `rfftn` gives the
-    k_last >= 0 half, the k_last < 0 half is its mirrored conjugate."""
-    m, half = grid.points_per_axis, grid.points_per_axis // 2 + 1
-    part = np.fft.rfftn(values, axes=tuple(range(-grid.dim, 0)), norm="forward")
-    coeffs = np.empty(part.shape[:-1] + (m,), dtype=np.complex128)
-    coeffs[..., :half] = part
-    flat = part.reshape(part.shape[:-grid.dim] + (-1,))
-    np.conjugate(np.take(flat, grid_wavenumbers(grid)["mirror"], axis=-1),
-                 out=coeffs[..., half:])
-    return coeffs
+def _rfftn(grid: GridSpec, values: np.ndarray) -> np.ndarray:
+    """Half-layout coefficients of stacked real samples."""
+    return np.fft.rfftn(values, axes=tuple(range(-grid.dim, 0)), norm="forward")
 
 
 def dealiased(grid: GridSpec, values: np.ndarray) -> np.ndarray:
-    """Coefficients of every component of stacked real samples (by the
-    real-to-complex transform), with the two-thirds rule applied."""
-    coeffs = _real_forward(grid, values)
-    coeffs *= grid_wavenumbers(grid)["dealias_mask"]
+    """Half-layout coefficients of every component of stacked real samples,
+    with the two-thirds rule applied."""
+    coeffs = _rfftn(grid, values)
+    coeffs *= grid_wavenumbers(grid)["dealias_mask"][..., :coeffs.shape[-1]]
     return coeffs
 
 
@@ -269,7 +309,24 @@ def gradient(field: SpectralField) -> list[SpectralField]:
 def stacked_gradient(grid: GridSpec, coeffs: np.ndarray) -> np.ndarray:
     """d_l of every component of a stacked array, as `derivative` takes it;
     the new axis l sits just before the grid axes."""
-    return np.expand_dims(coeffs, -grid.dim - 1) * grid_wavenumbers(grid)["ik"]
+    ik = grid_wavenumbers(grid)["ik"]
+    return np.expand_dims(coeffs, -grid.dim - 1) * ik[..., :coeffs.shape[-1]]
+
+
+def stacked_divergence(grid: GridSpec, coeffs: np.ndarray) -> np.ndarray:
+    """d_l of component l, summed over the axis just before the grid axes
+    (`coeffs` holds vectors of `dim` components)."""
+    ik = grid_wavenumbers(grid)["ik"][..., :coeffs.shape[-1]]
+    return sum(k * c for k, c in zip(ik, np.moveaxis(coeffs, -grid.dim - 1, 0)))
+
+
+def _lambda_multiplier(grid: GridSpec, exponent: float, width: int) -> np.ndarray:
+    """|k|^exponent with the zero mode set to 0, on the first `width`
+    modes of the last axis."""
+    kmag = grid_wavenumbers(grid)["kmag"][..., :width]
+    with np.errstate(divide="ignore"):
+        mult = np.where(kmag > 0, kmag, 1.0) ** float(exponent)
+    return np.where(kmag > 0, mult, 0.0)
 
 
 def lambda_power(field: SpectralField, exponent: float) -> SpectralField:
@@ -278,45 +335,47 @@ def lambda_power(field: SpectralField, exponent: float) -> SpectralField:
     if exponent == 0:
         return field.copy()
     grid = field.grid
-    kmag = grid_wavenumbers(grid)["kmag"]
-    with np.errstate(divide="ignore"):
-        mult = np.where(kmag > 0, kmag, 1.0) ** float(exponent)
-    mult = np.where(kmag > 0, mult, 0.0)
-    return SpectralField(grid, field.coeffs * mult)
+    return SpectralField(grid, field.coeffs
+                         * _lambda_multiplier(grid, exponent, grid.points_per_axis))
+
+
+def _vector(fields: list[SpectralField]) -> np.ndarray:
+    """The stacked coefficients of `dim` fields on one grid."""
+    grid = fields[0].grid
+    if any(f.grid != grid for f in fields[1:]):
+        raise GridError("fields live on different grids")
+    if len(fields) != grid.dim:
+        raise GridError("component count does not match grid dimension")
+    return np.stack([f.coeffs for f in fields])
 
 
 def divergence(fields: list[SpectralField]) -> SpectralField:
     grid = fields[0].grid
-    if len(fields) != grid.dim:
-        raise GridError("component count does not match grid dimension")
-    out = np.zeros(grid.shape, dtype=np.complex128)
-    for ax, f in enumerate(fields):
-        out += derivative(f, ax).coeffs
-    return SpectralField(grid, out)
+    return SpectralField(grid, stacked_divergence(grid, _vector(fields)))
 
 
-def leray_project(fields: list[SpectralField]) -> list[SpectralField]:
-    """L2-orthogonal projection onto divergence-free vector fields.
+def stacked_leray(grid: GridSpec, coeffs: np.ndarray) -> np.ndarray:
+    """L2-orthogonal projection onto divergence-free vector fields of the
+    vectors in `coeffs` (the axis just before the grid axes indexes the
+    `dim` components), in either layout.
 
     Uses the same odd-multiplier convention as `derivative` (unmatched
     Nyquist lines count as frequency zero), so the projected field is
     annihilated by the artifact's own divergence.  The zero mode (mean
     flow) passes through unchanged.
     """
-    grid = fields[0].grid
-    for f in fields[1:]:
-        if f.grid != grid:
-            raise GridError("fields live on different grids")
-    if len(fields) != grid.dim:
-        raise GridError("component count does not match grid dimension")
-    kaxes = grid_wavenumbers(grid)["ik"].imag
+    kaxes = grid_wavenumbers(grid)["ik"][..., :coeffs.shape[-1]].imag
     k2 = sum(k ** 2 for k in kaxes)
-    kdotv = sum(k * f.coeffs for k, f in zip(kaxes, fields))
+    kdotv = sum(k * c for k, c in zip(kaxes, np.moveaxis(coeffs, -grid.dim - 1, 0)))
     with np.errstate(invalid="ignore", divide="ignore"):
         scale = np.where(k2 > 0, kdotv / np.where(k2 > 0, k2, 1.0), 0.0)
-    return [
-        SpectralField(grid, f.coeffs - kaxes[ax] * scale) for ax, f in enumerate(fields)
-    ]
+    return coeffs - kaxes * np.expand_dims(scale, -grid.dim - 1)
+
+
+def leray_project(fields: list[SpectralField]) -> list[SpectralField]:
+    """`stacked_leray` of `dim` fields."""
+    grid = fields[0].grid
+    return [SpectralField(grid, c) for c in stacked_leray(grid, _vector(fields))]
 
 
 def dealias(field: SpectralField) -> SpectralField:
@@ -327,15 +386,18 @@ def dealias(field: SpectralField) -> SpectralField:
 
 def product(f: SpectralField, g: SpectralField | np.ndarray):
     """Dealiased pointwise product of the scalar field `f` with `g`: a
-    field (returns a field) or a stacked coefficient array (returns the
+    field (returns a field), or stacked coefficients of either layout or
+    stacked real grid samples the caller holds (returns the full-layout
     stacked coefficients of f times each component; `f` is sampled once).
     Exact convolution on the retained band when both factors are
     supported below M/3."""
+    grid = f.grid
     if isinstance(g, SpectralField):
         f._check(g)
-        return SpectralField(f.grid, dealiased(f.grid, inverse_transform(f)
-                                               * inverse_transform(g)))
-    return dealiased(f.grid, inverse_transform(f) * samples(f.grid, g))
+        return SpectralField(grid, to_full(grid, dealiased(grid, inverse_transform(f)
+                                                           * inverse_transform(g))))
+    g_s = samples(grid, g) if np.iscomplexobj(g) else g
+    return to_full(grid, dealiased(grid, inverse_transform(f) * g_s))
 
 
 def gradient_samples(grid: GridSpec, coeffs: np.ndarray) -> np.ndarray:

@@ -339,6 +339,19 @@ class TestVariablePoisson:
         with pytest.raises(ValueError):
             solve_variable_poisson(a, f)
 
+    @pytest.mark.parametrize("dim,m", [(2, 32), (3, 16)])
+    def test_norms_count_the_full_spectrum(self, dim, m):
+        """The iteration holds the k_last >= 0 half; its norms still equal
+        sqrt(sum |c|^2) over the full spectrum: the first residual (u = 0)
+        is the norm of the right side."""
+        grid = make_grid(dim, m)
+        rng = np.random.default_rng(23)
+        a = forward_transform(grid, 1.0 + 0.2 * np.cos(grid.meshgrid()[0]))
+        f = random_scalar(grid, rng)
+        res = solve_variable_poisson(a, f, tol=1e-8)
+        fnorm = np.sqrt(np.sum(np.abs(f.coeffs) ** 2))
+        assert abs(res.residuals[0] - fnorm) <= 1e-14 * fnorm
+
     def test_nonconvergence_reported(self, grid2_32):
         # near-unit relative oscillation contracts too slowly to hit a
         # tight target in the allotted sweeps; the failure carries the

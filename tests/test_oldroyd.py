@@ -54,7 +54,10 @@ from besovlab.spectral import (
     make_grid,
     product,
     samples,
+    stacked_divergence,
     stacked_gradient,
+    to_full,
+    to_half,
     zero_field,
 )
 
@@ -139,10 +142,12 @@ class TestInitialData:
 
 
 def forcing_and_pressure(st, **kwargs):
-    """The momentum forcing G of a state (stacked) and its pressure solve."""
+    """The momentum forcing G of a state (stacked, full layout) and its
+    pressure solve."""
     n = st.grid.dim
     terms, s, _ = momentum_forcing(st.grid, st.coeffs, PARAMS.mu)
-    return terms[1:1 + n], compute_pressure(st.grid, s[0], terms[1:1 + n], **kwargs)
+    return (to_full(st.grid, terms[1:1 + n]),
+            compute_pressure(st.grid, s[0], terms[1:1 + n], **kwargs))
 
 
 class TestPressure:
@@ -357,7 +362,8 @@ class TestQuadraticTermsOracle:
                 for k in range(n):
                     acc = acc + h[l][k][0] * h[i][k][1][l]
             want.append(acc)
-        got = _fields(grid3_16, momentum_forcing(grid3_16, fields.coeffs, mu)[0][1:1 + n])
+        got = _fields(grid3_16, to_full(grid3_16, momentum_forcing(grid3_16, fields.coeffs,
+                                                                   mu)[0][1:1 + n]))
         self.assert_matches(grid3_16, got, want)
 
     def test_deformation_identity(self, grid3_16, data):
@@ -543,10 +549,10 @@ class TestPhiIteration:
             return _fields(grid, prev(t)[1:1 + n])
 
         def h_forcing(t):
-            _, u, xi = oldroyd._split(grid, prev(t))
+            _, u, xi = oldroyd._split(grid, to_half(grid, prev(t)))
             src = stacked_gradient(grid, u) + dealiased(
                 grid, oldroyd._stretch(gradient_samples(grid, u), samples(grid, xi)))
-            return _fields(grid, src.reshape((n * n,) + grid.shape))
+            return _fields(grid, to_full(grid, src.reshape((n * n,) + u.shape[1:])))
 
         sig = solve_transport(st.sigma, u_at, None, tg, check_divergence=False)
         h = solve_transport(st.h_flat(), u_at, h_forcing, tg, check_divergence=False)
@@ -574,7 +580,7 @@ class TestAdmissibleSpec:
 def per_component_advect(grid, velocity, coeffs):
     """Dealiased (v . grad) u, the gradient of one component sampled at a time."""
     v = samples(grid, velocity)
-    terms = np.empty(coeffs.shape)
+    terms = np.empty(coeffs.shape[:-grid.dim] + grid.shape)
     for idx in np.ndindex(coeffs.shape[:-grid.dim]):
         du = samples(grid, stacked_gradient(grid, coeffs[idx]))
         terms[idx] = np.einsum("l...,l...->...", v, du)
@@ -585,11 +591,12 @@ def per_row_fluid_terms(grid, arr, mu):
     """The explicit right side with each quadratic term sampled per row:
     d h^{i.} per momentum row, grad v sampled again for the stretching."""
     n = grid.dim
-    ik, k2 = grid_wavenumbers(grid)["ik"], grid_wavenumbers(grid)["k2"]
-    sigma, vel, h = arr[0], arr[1:1 + n], arr[1 + n:].reshape((n, n) + grid.shape)
+    arr = to_half(grid, arr)
+    ik, k2 = (to_half(grid, grid_wavenumbers(grid)[name]) for name in ("ik", "k2"))
+    sigma, vel, h = arr[0], arr[1:1 + n], arr[1 + n:].reshape((n, n) + arr.shape[1:])
     sig_s, h_s = samples(grid, sigma), samples(grid, h)
     lap_v = samples(grid, -k2 * vel)
-    stress = np.empty(vel.shape)
+    stress = np.empty(lap_v.shape)
     for i in range(n):
         dh_i = samples(grid, stacked_gradient(grid, h[i]))  # [k, j] = d_j h^{ik}
         stress[i] = mu * sig_s * lap_v[i] + np.einsum("jk...,kj...->...", h_s, dh_i)
@@ -598,14 +605,14 @@ def per_row_fluid_terms(grid, arr, mu):
     out[1:1 + n] += np.einsum("k...,ik...->i...", ik, h)
     dv = stacked_gradient(grid, vel)
     stretch = dv + dealiased(grid, np.einsum("ik...,kj...->ij...", samples(grid, dv), h_s))
-    out[1 + n:] += stretch.reshape((n * n,) + grid.shape)
+    out[1 + n:] += stretch.reshape((n * n,) + arr.shape[1:])
     return out
 
 
 def per_row_identity_quadratic(grid, h):
     n = grid.dim
     h_s = samples(grid, h)
-    q = np.empty((n,) + h.shape, dtype=np.complex128)
+    q = np.empty((n,) + to_half(grid, h).shape, dtype=np.complex128)
     for i in range(n):
         dh_i = samples(grid, stacked_gradient(grid, h[i]))  # [j, l] = d_l h^{ij}
         a = np.einsum("lk...,jl...->jk...", h_s, dh_i)
@@ -649,7 +656,7 @@ class TestStageKernel:
         vel = random_stack(grid, 32, (dim,))
         coeffs = random_stack(grid, 33, (2 * dim,))
         got = dealiased(grid, advect(grid, samples(grid, vel), gradient_samples(grid, coeffs)))
-        assert got.shape == coeffs.shape
+        assert got.shape == to_half(grid, coeffs).shape
         assert_close(got, per_component_advect(grid, vel, coeffs), 1e-13)
 
     @KERNEL_GRIDS
@@ -676,9 +683,33 @@ class TestStageKernel:
         assert_close(by_samples.potential.coeffs, by_field.potential.coeffs, 1e-14)
         # the kept flux is a grad u of the returned potential
         want = np.stack([product(a, g).coeffs for g in by_field.gradient])
-        assert_close(by_field.flux, want, 1e-14)
+        assert_close(by_field.flux, to_half(grid, want), 1e-14)
         with pytest.raises(NonPositiveCoefficientError):
             solve_variable_poisson(samples(grid, arr)[0] - 1.0, f)
+
+    @KERNEL_GRIDS
+    def test_full_and_half_layout_solves_agree(self, dim, m):
+        """The public call on full-layout fields and the call a stage makes
+        (coefficient samples, the half-layout right side of
+        `compute_pressure`) stop at the same iterate."""
+        grid = make_grid(dim, m)
+        st, _ = make_initial_data("general", 0.05, 5, grid)
+        terms, s, _ = momentum_forcing(grid, st.coeffs, PARAMS.mu)
+        f_half = -stacked_divergence(grid, terms[1:1 + dim])
+        a = SpectralField(grid, st.coeffs[0].copy())
+        a.coeffs[(0,) * dim] += 1.0
+        full = solve_variable_poisson(a, SpectralField(grid, to_full(grid, f_half)))
+        half = solve_variable_poisson(inverse_transform(a), f_half)
+        assert full.iterations == half.iterations > 1
+        assert np.array_equal(full.flux, half.flux)
+        assert np.array_equal(full.u, half.u)
+        # warm-started from either layout of the same potential
+        warm_full = solve_variable_poisson(a, SpectralField(grid, to_full(grid, f_half)),
+                                           tol=1e-13, warm_start=full.potential)
+        warm_half = solve_variable_poisson(inverse_transform(a), f_half, tol=1e-13,
+                                           warm_start=half.u)
+        assert warm_full.iterations == warm_half.iterations
+        assert np.array_equal(warm_full.flux, warm_half.flux)
 
     def test_transform_count(self, grid3_16, monkeypatch):
         """Fields transformed by one right side of the 3D direct stepper,
@@ -745,9 +776,9 @@ class TestSaveReusesFirstStage:
         step: one projection of the initial velocity, one per save, and one
         per stage that no save ran (3 a step)."""
         calls = []
-        project = oldroyd.leray_project
-        monkeypatch.setattr(oldroyd, "leray_project",
-                            lambda v: calls.append(1) or project(v))
+        project = oldroyd.stacked_leray
+        monkeypatch.setattr(oldroyd, "stacked_leray",
+                            lambda grid, v: calls.append(1) or project(grid, v))
         st, _ = make_initial_data("general", 0.05, 5, grid2_32)
         tg = TimeGrid(0.01, 5e-3)
         res = run_coupled(st, PARAMS, tg)

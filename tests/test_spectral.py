@@ -16,11 +16,14 @@ from besovlab.spectral import (
     lambda_power,
     leray_project,
     grid_wavenumbers,
+    hermitian_planes,
     make_grid,
     product,
     rescale,
     samples,
     stacked_gradient,
+    to_full,
+    to_half,
     zero_field,
 )
 from besovlab.randfields import random_scalar
@@ -239,9 +242,10 @@ class TestRealTransforms:
         want = np.fft.fftn(values, axes=tuple(range(-dim, 0)), norm="forward") \
             * grid_wavenumbers(grid)["dealias_mask"]
         got = dealiased(grid, values)
+        want = want[..., :m // 2 + 1]
         assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
         for c in got:
-            assert SpectralField(grid, c).hermitian_defect() <= 1e-15
+            assert SpectralField(grid, to_full(grid, c)).hermitian_defect() <= 1e-15
 
     def test_samples_match_complex_ifft(self, dim, m):
         grid = make_grid(dim, m)
@@ -264,8 +268,37 @@ class TestRealTransforms:
         f = random_scalar(grid, rng)
         stacked = product(f, coeffs[0])
         for i in range(2):
-            assert np.array_equal(stacked[i],
-                                  product(f, SpectralField(grid, coeffs[0, i])).coeffs)
+            assert np.array_equal(stacked[i], product(
+                f, SpectralField(grid, to_full(grid, coeffs[0, i]))).coeffs)
+
+
+@pytest.mark.parametrize("dim,m", REAL_TRANSFORM_GRIDS)
+class TestHalfLayout:
+    """The k_last >= 0 half the integration core carries, and its two
+    conversions."""
+
+    def test_round_trip(self, dim, m):
+        grid = make_grid(dim, m)
+        rng = np.random.default_rng(10)
+        c = np.stack([random_scalar(grid, rng).coeffs for _ in range(3)])
+        c = np.concatenate([c, stacked_gradient(grid, c[0])])
+        half = to_half(grid, c)
+        assert half.shape == c.shape[:-1] + (m // 2 + 1,)
+        assert np.array_equal(to_half(grid, half), half)
+        assert np.array_equal(to_full(grid, half), c)
+
+    def test_plane_projection_is_hermitize(self, dim, m):
+        """On a half whose k_last = 0 and M/2 planes are not Hermitian, the
+        plane projection equals the half of `hermitize` of its mirror fill."""
+        grid = make_grid(dim, m)
+        rng = np.random.default_rng(11)
+        shape = grid.shape[:-1] + (m // 2 + 1,)
+        half = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        want = to_half(grid, hermitize(SpectralField(grid, to_full(grid, half))).coeffs)
+        got = hermitian_planes(grid, half)
+        assert SpectralField(grid, to_full(grid, half)).hermitian_defect() > 0.1
+        assert np.array_equal(got, want)
+        assert SpectralField(grid, to_full(grid, got)).hermitian_defect() <= 1e-15
 
 
 class TestRescale:
