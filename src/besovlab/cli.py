@@ -262,9 +262,9 @@ def cmd_simulate(args, mode_override: str | None = None) -> int:
 
     snap_index = [0]
 
-    def on_save(t, state):
+    def on_save(t, state, s=None):
         name = f"snapshot_{snap_index[0]:06d}.bin"
-        write_snapshot(out_dir / name, grid, state_fields(state))
+        write_snapshot(out_dir / name, grid, state_fields(state, s))
         manifest.add(out_dir / name)
         snap_index[0] += 1
 

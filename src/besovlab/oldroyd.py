@@ -16,7 +16,11 @@ There is one pressure path: every right side (an RK stage, or the
 velocity forcing of the linearization map) is `momentum_forcing` of a
 stacked array followed by `compute_pressure` on the sigma samples it
 formed, and every saved slice of a run takes its pressure gradient from
-the first stage of the state it records.
+the first stage of the state it records.  There is one sample set per
+state: the samples and gradient samples that the first stage of a state
+forms (the next step's k1, or the save's `first_stage`) are all that its
+CFL check, its density-floor check, its constraint monitors and its
+snapshot read.
 
 Conventions, fixed here once:
   * matrix divergence is taken over the second index: (div A)^i = d_j A^{ij};
@@ -44,6 +48,7 @@ from .linsolve import (
     solve_variable_poisson,
     velocity_max,
     _fields,
+    _parseval_norm,
     _if_rk4_step,
     _stack,
 )
@@ -55,11 +60,9 @@ from .spectral import (
     SpectralField,
     advect,
     dealiased,
-    divergence,
     gradient_samples,
     grid_wavenumbers,
     _lambda_multiplier,
-    inverse_transform,
     product,
     samples,
     stacked_divergence,
@@ -178,28 +181,33 @@ def _stretch(dv_s, h_s) -> np.ndarray:
     return np.einsum("ik...,kj...->ij...", dv_s, h_s)
 
 
-def momentum_forcing(grid: GridSpec, arr: np.ndarray, mu: float):
+def momentum_forcing(grid: GridSpec, arr: np.ndarray, mu: float, *,
+                     momentum_only: bool = False):
     """Right side of the stacked (sigma, v, h) system without the pressure
     terms and without mu Lap v: transport of every row, plus
     mu sigma Lap v^i + d_k h^{ik} + h^{jk} d_j h^{ik} in the momentum rows
     (the momentum forcing G) and the stretching d_j v^i + d_k v^i h^{kj}
     in the h rows.  `arr` may have either layout; returns (terms, s, ds):
     the half-layout terms with the samples s of `arr` and ds of its
-    gradient they were formed from."""
+    gradient they were formed from, both from one `gradient_samples` call.
+    With `momentum_only`, terms holds the momentum rows alone."""
     n = grid.dim
     arr = to_half(grid, arr)
     wavenumbers = grid_wavenumbers(grid)
-    s, ds = samples(grid, arr), gradient_samples(grid, arr)
+    s, ds = gradient_samples(grid, arr, with_samples=True)
     _, vel, h = _split(grid, arr)
     sig_s, v_s, h_s = _split(grid, s)
     _, dv_s, dh_s = _split(grid, ds)  # dh_s[i, k, j] = d_j h^{ik}
     lap_v = samples(grid, -to_half(grid, wavenumbers["k2"]) * vel)
-    terms = -advect(grid, v_s, ds)
-    terms[1:1 + n] += mu * sig_s * lap_v + np.einsum("jk...,ikj...->i...", h_s, dh_s)
-    terms[1 + n:] += _stretch(dv_s, h_s).reshape((n * n,) + grid.shape)
+    mom = slice(0, n) if momentum_only else slice(1, 1 + n)  # the momentum rows of terms
+    terms = -advect(grid, v_s, dv_s if momentum_only else ds)
+    terms[mom] += mu * sig_s * lap_v + np.einsum("jk...,ikj...->i...", h_s, dh_s)
+    if not momentum_only:
+        terms[1 + n:] += _stretch(dv_s, h_s).reshape((n * n,) + grid.shape)
     out = dealiased(grid, terms)
-    out[1:1 + n] += np.einsum("k...,ik...->i...", to_half(grid, wavenumbers["ik"]), h)
-    out[1 + n:] += stacked_gradient(grid, vel).reshape((n * n,) + arr.shape[1:])
+    out[mom] += np.einsum("k...,ik...->i...", to_half(grid, wavenumbers["ik"]), h)
+    if not momentum_only:
+        out[1 + n:] += stacked_gradient(grid, vel).reshape((n * n,) + arr.shape[1:])
     return out, s, ds
 
 
@@ -217,16 +225,17 @@ def _identity_quadratic(grid: GridSpec, h_s: np.ndarray, dh_s: np.ndarray) -> np
     return q
 
 
-def _density_flux(grid: GridSpec, sigma, h):
-    """rho = 1/(sigma + 1) and the dealiased flux[j, i] = rho h^{ji}, from
-    full-layout sigma and the coefficients or the grid samples of h."""
-    rho = reciprocal_density(SpectralField(grid, sigma))
-    return rho.coeffs, product(rho, h)
+def _density_flux(grid: GridSpec, sig_s: np.ndarray, h):
+    """The half-layout rho = 1/(sigma + 1), dealiased, and the dealiased
+    flux[j, i] = rho h^{ji}, from the grid samples sig_s of sigma and the
+    coefficients or the grid samples of h."""
+    rho = SpectralField(grid, to_full(grid, dealiased(grid, 1.0 / (sig_s + 1.0))))
+    return to_half(grid, rho.coeffs), to_half(grid, product(rho, h))
 
 
 def _weighted_div(grid: GridSpec, rho, flux) -> np.ndarray:
-    """d_j(rho delta_{ji} + flux[j, i]) per i."""
-    ik = grid_wavenumbers(grid)["ik"]
+    """d_j(rho delta_{ji} + flux[j, i]) per i, on the half layout."""
+    ik = to_half(grid, grid_wavenumbers(grid)["ik"])
     return np.einsum("j...,ji...->i...", ik, flux) + ik * rho
 
 
@@ -243,29 +252,26 @@ class CompatibilityReport:
 
 
 def _l2(coeffs: np.ndarray, grid: GridSpec) -> float:
-    # Parseval for the unit-amplitude coefficient convention
-    return float(np.sqrt(np.sum(np.abs(coeffs) ** 2)) * (2 * np.pi) ** (grid.dim / 2.0))
+    """L2 norm of the real fields with stacked coefficients `coeffs` of
+    either layout: Parseval for the unit-amplitude convention, over the half."""
+    return _parseval_norm(to_half(grid, coeffs)) * (2 * np.pi) ** (grid.dim / 2.0)
 
 
 def _l2_fields(fields, grid: GridSpec) -> float:
     return float(np.sqrt(sum(_l2(f.coeffs, grid) ** 2 for f in fields)))
 
 
-def reciprocal_density(sigma: SpectralField) -> SpectralField:
-    """rho = 1/(sigma + 1) as a dealiased grid field."""
-    rho = 1.0 / (inverse_transform(sigma) + 1.0)
-    return SpectralField(sigma.grid, to_full(sigma.grid, dealiased(sigma.grid, rho)))
-
-
-def _identity_residual(grid: GridSpec, h: np.ndarray, h_s: np.ndarray) -> list[SpectralField]:
+def _identity_residual(grid: GridSpec, h: np.ndarray, h_s: np.ndarray,
+                       dh_s: np.ndarray) -> np.ndarray:
     """`deformation_identity_residual` of the stacked h (n, n, *grid), of
-    either layout, from its grid samples h_s."""
+    either layout, from its grid samples h_s and dh_s[i, j, l] = d_l h^{ij}
+    of its gradient, as a half-layout (n^3, ...) array."""
     h = to_half(grid, h)
-    res = _identity_quadratic(grid, h_s, gradient_samples(grid, h))
+    res = _identity_quadratic(grid, h_s, dh_s)
     dh = stacked_gradient(grid, h)
     res += dh  # the linear part d_k h^{ij} - d_j h^{ik}
     res -= dh.swapaxes(1, 2)
-    return _fields(grid, to_full(grid, res.reshape((-1,) + h.shape[2:])))
+    return res.reshape((-1,) + h.shape[2:])
 
 
 def deformation_identity_residual(h: list[list[SpectralField]]) -> list[SpectralField]:
@@ -273,7 +279,8 @@ def deformation_identity_residual(h: list[list[SpectralField]]) -> list[Spectral
     (i, j, k); vanishes for the gradient of an actual flow map."""
     grid = h[0][0].grid
     hh = np.array([_stack(row) for row in h])
-    return _identity_residual(grid, hh, samples(grid, hh))
+    h_s, dh_s = gradient_samples(grid, hh, with_samples=True)
+    return _fields(grid, to_full(grid, _identity_residual(grid, hh, h_s, dh_s)))
 
 
 # The identity written in the perturbation h,
@@ -332,8 +339,8 @@ def _restore_weighted_div(state: FluidState):
     reading one sample of rho."""
     grid = state.grid
     sigma, _, h = _split(grid, state.coeffs)
-    rho, flux = _density_flux(grid, sigma, h)
-    defect = _fields(grid, _weighted_div(grid, rho, flux))
+    rho, flux = _density_flux(grid, samples(grid, sigma), h)
+    defect = _weighted_div(grid, rho, flux)
     rho_s = samples(grid, rho)
     for i in range(grid.dim):
         res = solve_variable_poisson(rho_s, defect[i], tol=1e-13, max_iter=300)
@@ -365,17 +372,20 @@ def compute_pressure(grid: GridSpec, sig_s: np.ndarray, g: np.ndarray, *,
 
 class _Stepper:
     """IF-RK4 step of a stacked half-layout state with a pressure solve per
-    stage, a CFL check on the velocity samples of the step's first stage
-    and a density-floor check after.  A stage solves warm-started from the
-    last stage's potential `warm`; `last` is its EllipticResult.
+    stage.  The first stage of each state a step produces checks the
+    density floor on its sigma samples before its pressure solve (the
+    state a run starts from is not checked), and a step's CFL check reads
+    the velocity samples of its first stage.  A stage solves warm-started
+    from the last stage's potential `warm`; `last` is its EllipticResult.
 
     Subclasses supply `diffusing(n)` (which components carry mu Lap) and
     `direct` (the half-layout (sigma, v, h) array of a stacked state, which
     may be the state itself: `step` never writes into its input); `finish`
-    post-processes the new state in place and `rhs` (the right side and
-    the samples of the direct array it was formed from) is the fluid right
-    side unless overridden.  `first_stage` evaluates a step's first stage
-    ahead of it, for the save of the state the step starts from."""
+    post-processes the new state in place and `rhs` (the right side, with
+    the samples and gradient samples of the direct array it was formed
+    from) is the fluid right side unless overridden.  `first_stage`
+    evaluates a step's first stage ahead of it, for the save of the state
+    the step starts from."""
 
     def __init__(self, grid: GridSpec, params: PhysicalParams, dt: float):
         self.grid = grid
@@ -386,6 +396,7 @@ class _Stepper:
         self.warm: np.ndarray | None = None
         self.last: EllipticResult | None = None
         self._first = None  # (state, its right side, velocity samples)
+        self._unchecked = False  # the next stage is the first of a new state
 
     def stage(self, arr: np.ndarray):
         """`momentum_forcing` of a stacked (sigma, v, h) array, with
@@ -393,6 +404,14 @@ class _Stepper:
         rows."""
         n = self.grid.dim
         out, s, ds = momentum_forcing(self.grid, arr, self.params.mu)
+        if self._unchecked:
+            self._unchecked = False
+            sig_min = float(s[0].min())
+            if sig_min + 1.0 < self.params.sigma_floor:
+                raise DensityFloorError(
+                    f"min(sigma+1) = {sig_min + 1.0:.3g} fell below the floor "
+                    f"{self.params.sigma_floor}"
+                )
         res = compute_pressure(self.grid, s[0], out[1:1 + n], warm_start=self.warm)
         self.warm, self.last = res.u, res
         out[1:1 + n] -= res.flux
@@ -402,38 +421,29 @@ class _Stepper:
         return arr
 
     def rhs(self, t: float, arr: np.ndarray, direct: np.ndarray | None = None):
-        return self.stage(arr)[:2]
+        return self.stage(arr)
 
-    def _first_of(self, t: float, arr: np.ndarray, direct: np.ndarray | None = None):
-        """(arr, the right side at arr, the velocity samples it read)."""
-        out, s = self.rhs(t, arr, direct)
-        return arr, out, s[1:1 + self.grid.dim]
-
-    def first_stage(self, t: float, arr: np.ndarray, direct: np.ndarray) -> list[SpectralField]:
+    def first_stage(self, t: float, arr: np.ndarray, direct: np.ndarray | None = None):
         """Evaluate the right side at `arr` (whose direct array is `direct`)
-        for the step that starts from it; return the pressure gradient it
-        solved for."""
-        self._first = self._first_of(t, arr, direct)
-        return self.last.gradient
+        for the step that starts from it; return the samples and gradient
+        samples (s, ds) of the direct array (the pressure gradient it solved
+        for is `last.gradient`)."""
+        out, s, ds = self.rhs(t, arr, direct)
+        # a copy: a view would keep all of the stage's samples until the step
+        self._first = (arr, out, s[1:1 + self.grid.dim].copy())
+        return s, ds
 
     def finish(self, arr: np.ndarray) -> np.ndarray:
         return arr
 
     def step(self, arr: np.ndarray, t: float) -> np.ndarray:
-        grid, params = self.grid, self.params
-        first, self._first = self._first, None
-        if first is None or first[0] is not arr:
-            first = self._first_of(t, arr)
-        _, k1, v_s = first
-        check_cfl(grid, self.dt, velocity_max(v_s))
+        if self._first is None or self._first[0] is not arr:
+            self.first_stage(t, arr)
+        (_, k1, v_s), self._first = self._first, None
+        check_cfl(self.grid, self.dt, velocity_max(v_s))
         nxt = self.finish(_if_rk4_step(arr, t, self.dt, self.e_full, self.e_half,
                                        lambda t, y: self.rhs(t, y)[0], k1))
-        sig_min = float(samples(grid, nxt[0]).min())
-        if sig_min + 1.0 < params.sigma_floor:
-            raise DensityFloorError(
-                f"min(sigma+1) = {sig_min + 1.0:.3g} fell below the floor "
-                f"{params.sigma_floor}"
-            )
+        self._unchecked = True
         return nxt
 
 
@@ -451,10 +461,13 @@ class _DirectStepper(_Stepper):
 
 
 def step(state: FluidState, params: PhysicalParams, dt: float) -> FluidState:
-    """One semi-implicit step of the full system."""
+    """One semi-implicit step of the full system.  The new state carries
+    the pressure gradient of its own first stage, as a run's saves do, and
+    that stage checks its density floor."""
     grid = state.grid
     stepper = _DirectStepper(grid, params, dt)
     arr = stepper.step(to_half(grid, state.coeffs), 0.0)
+    stepper.first_stage(dt, arr)
     return FluidState(grid, to_full(grid, arr), stepper.last.gradient)
 
 
@@ -475,17 +488,21 @@ class ConstraintResiduals:
         return asdict(self)
 
 
-def constraint_residuals(state: FluidState) -> ConstraintResiduals:
-    """The deformation identity is evaluated once and reported under both
-    of its names (see `perturbation_identity_residual`); h is sampled once,
-    for it and for the density flux."""
+def constraint_residuals(state: FluidState, sampled=None) -> ConstraintResiduals:
+    """The residuals of `state`, read from `sampled`: the samples and the
+    gradient samples (s, ds) of its stacked array that its first stage
+    formed (`momentum_forcing`), or taken here in one `gradient_samples`
+    call when not given.  Every residual is a Parseval norm of a half-layout
+    array; the deformation identity is evaluated once and reported under
+    both of its names (see `perturbation_identity_residual`)."""
     grid = state.grid
-    sigma, _, h = _split(grid, state.coeffs)
-    h_s = samples(grid, h)
-    identity = _l2_fields(_identity_residual(grid, h, h_s), grid)
-    rho, flux = _density_flux(grid, sigma, h_s)
+    _, vel, h = _split(grid, to_half(grid, state.coeffs))
+    s, ds = sampled or gradient_samples(grid, state.coeffs, with_samples=True)
+    sig_s, _, h_s = _split(grid, s)
+    identity = _l2(_identity_residual(grid, h, h_s, _split(grid, ds)[2]), grid)
+    rho, flux = _density_flux(grid, sig_s, h_s)
     return ConstraintResiduals(
-        div_velocity=_l2(divergence(state.velocity).coeffs, grid),
+        div_velocity=_l2(stacked_divergence(grid, vel), grid),
         weighted_div=_l2(_weighted_div(grid, rho, flux), grid),
         weighted_div_transposed=_l2(_weighted_div(grid, rho, flux.swapaxes(0, 1)), grid),
         deformation_identity=identity,
@@ -536,18 +553,20 @@ def _norm_rows_for(state: FluidState, t: float, norm_specs) -> list[dict]:
 def _run(stepper: _Stepper, arr: np.ndarray, tg: TimeGrid, norm_specs,
          on_save) -> RunResult:
     """Integrate with `stepper`, recording at every saved slice the fluid
-    state with its diagnostic pressure (from `first_stage`), the
-    constraint residuals and the requested norms.  `on_save(t, state)` is
+    state with its diagnostic pressure, the constraint residuals and the
+    requested norms.  A save evaluates the first stage of its state first;
+    the monitors and `on_save(t, state, s)` read that stage's samples s
+    (and gradient samples), which no saved state keeps.  `on_save` is
     invoked per saved slice, so partial output survives a mid-run abort."""
     norm_specs = norm_specs or []
 
     def save(t, arr):
         direct = stepper.direct(arr)
-        st = FluidState(stepper.grid, to_full(stepper.grid, direct))
-        res = constraint_residuals(st)
-        st.pressure_grad = stepper.first_stage(t, arr, direct)
+        s, ds = stepper.first_stage(t, arr, direct)
+        st = FluidState(stepper.grid, to_full(stepper.grid, direct), stepper.last.gradient)
+        res = constraint_residuals(st, (s, ds))
         if on_save is not None:
-            on_save(t, st)
+            on_save(t, st, s)
         return st, {"time": t, **res.as_dict()}, _norm_rows_for(st, t, norm_specs)
 
     times, saved = integrate(arr, stepper.step, tg, save)
@@ -643,7 +662,7 @@ class _CoupledStepper(_Stepper):
         out_d[...] = kmag * h + src / np.where(kmag > 0, kmag, np.inf)
         # the fluid h rows carry d_j v^i, which Lam d replaces here
         out_h[...] = _split(grid, fluid)[2] - stacked_gradient(grid, vel) - kmag * d
-        return out, s
+        return out, s, ds
 
 
 def run_coupled(state0: FluidState, params: PhysicalParams, tg: TimeGrid, *,
@@ -740,8 +759,7 @@ def _phi_apply(prev: _TrajectoryInterpolant, state0: FluidState,
         nonlocal warm
         sig_h = to_half(grid, sh_interp(t))
         arr = np.concatenate([sig_h[:1], u_at(t), sig_h[1:]])
-        terms, s, _ = momentum_forcing(grid, arr, params.mu)
-        g = terms[1:1 + n]
+        g, s, _ = momentum_forcing(grid, arr, params.mu, momentum_only=True)
         res = compute_pressure(grid, s[0], g, warm_start=warm)
         warm = res.u
         return g - res.flux

@@ -9,15 +9,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .spectral import GridSpec, SpectralField, forward_transform, inverse_transform
+from .spectral import GridSpec, SpectralField, forward_transform, inverse_transform, samples
 
 
 class SnapshotFormatError(ValueError):
     """Malformed snapshot header or truncated payload."""
 
 
-def write_snapshot(path, grid: GridSpec, fields: dict[str, SpectralField]):
-    """Write named fields (insertion order preserved) to `path`."""
+def write_snapshot(path, grid: GridSpec, fields: dict[str, SpectralField | np.ndarray]):
+    """Write named fields (insertion order preserved) to `path`: each a
+    field, sampled here, or the real grid samples of one."""
     header = {
         "dim": grid.dim,
         "M": grid.points_per_axis,
@@ -29,8 +30,10 @@ def write_snapshot(path, grid: GridSpec, fields: dict[str, SpectralField]):
         fh.write(json.dumps(header).encode("utf-8"))
         fh.write(b"\n")
         for name in header["fields"]:
-            samples = inverse_transform(fields[name])
-            fh.write(np.ascontiguousarray(samples, dtype="<f8").tobytes())
+            values = fields[name]
+            if isinstance(values, SpectralField):
+                values = inverse_transform(values)
+            fh.write(np.ascontiguousarray(values, dtype="<f8").tobytes())
 
 
 def read_snapshot(path) -> tuple[GridSpec, dict[str, SpectralField]]:
@@ -74,16 +77,16 @@ def read_snapshot(path) -> tuple[GridSpec, dict[str, SpectralField]]:
     return grid, fields
 
 
-def state_fields(state) -> dict[str, SpectralField]:
-    """Flatten a fluid state into named scalar fields for a snapshot."""
-    n = state.grid.dim
-    out = {"sigma": state.sigma}
-    for i in range(n):
-        out[f"v{i}"] = state.velocity[i]
-    for i in range(n):
-        for j in range(n):
-            out[f"h{i}{j}"] = state.h[i][j]
+def state_fields(state, s: np.ndarray | None = None) -> dict[str, np.ndarray]:
+    """Named grid samples of a fluid state for a snapshot: those of its
+    stacked (sigma, v, h) are `s` when the caller holds them (a run's save
+    passes its first stage's) and are taken here in one call otherwise;
+    the pressure gradient, when the state has one, is sampled in one call."""
+    grid, n = state.grid, state.grid.dim
+    names = ["sigma"] + [f"v{i}" for i in range(n)] \
+        + [f"h{i}{j}" for i in range(n) for j in range(n)]
+    out = dict(zip(names, samples(grid, state.coeffs) if s is None else s))
     if state.pressure_grad is not None:
-        for i in range(n):
-            out[f"gradp{i}"] = state.pressure_grad[i]
+        gp = samples(grid, np.stack([g.coeffs for g in state.pressure_grad]))
+        out.update((f"gradp{i}", g) for i, g in enumerate(gp))
     return out

@@ -31,10 +31,12 @@ returns the full layout.  `samples`, `gradient_samples`, `dealiased`,
 last `dim` axes are the grid.  A quadratic term is formed by sampling its
 factors on the grid, multiplying and contracting there, and one
 `dealiased` call for all its output components; `product` is the case of
-one scalar factor, at the API boundary.  The largest array a right side
-holds is the gradient samples of its whole stack, `dim` reals per
-component and grid point (13 x 3 x 32^3 float64 = 10 MB in 3D at M 32);
-the transforms that fill it hold a third of that at a time.
+one scalar factor, at the API boundary.  The largest arrays a right side
+holds are those of the one `gradient_samples` call over its whole stack:
+the samples and the gradient samples, `dim` + 1 reals per component and
+grid point (13 x 4 x 32^3 float64 = 13.6 MB in 3D at M 32), filled from a
+work array of `dim` + 1 half-layout branches per component (14.5 MB) that
+is freed when the call returns.
 """
 
 from __future__ import annotations
@@ -116,9 +118,10 @@ def _grid_arrays(dim: int, m: int) -> dict:
     for k in kaxes:
         keep &= np.abs(k) <= limit
     # i k_axis per axis, the unmatched Nyquist line zeroed so that odd
-    # derivatives of real fields stay real
-    ik = np.stack([np.broadcast_to(np.where(k == -(m // 2), 0.0, 1j * k), (m,) * dim)
-                   for k in kaxes])
+    # derivatives of real fields stay real; `ik_axes` keeps each as the
+    # 1D multiplier it is, broadcastable along the other axes
+    ik_axes = [np.where(k == -(m // 2), 0.0, 1j * k) for k in kaxes]
+    ik = np.stack([np.broadcast_to(k, (m,) * dim) for k in ik_axes])
     # flat index into the k_last >= 0 half (last axis 0..M/2) of the mode
     # -k, for every k with k_last < 0 (last axis M/2+1..M-1)
     half = m // 2 + 1
@@ -126,7 +129,7 @@ def _grid_arrays(dim: int, m: int) -> dict:
     mirror = np.ravel_multi_index(tuple((-i) % m for i in idx[:-1]) + (m - half - idx[-1],),
                                   (m,) * (dim - 1) + (half,))
     return {"kaxes": kaxes, "k2": k2, "kmag": kmag, "dealias_mask": keep, "ik": ik,
-            "mirror": mirror}
+            "ik_axes": ik_axes, "mirror": mirror}
 
 
 def grid_wavenumbers(grid: GridSpec) -> dict:
@@ -400,26 +403,32 @@ def product(f: SpectralField, g: SpectralField | np.ndarray):
     return to_full(grid, dealiased(grid, inverse_transform(f) * g_s))
 
 
-def gradient_samples(grid: GridSpec, coeffs: np.ndarray) -> np.ndarray:
-    """Real grid samples of d_l of every component of a stacked array, laid
-    out as `stacked_gradient` (axis l just before the grid axes).  Only the
-    k_last >= 0 half of the multiplied coefficients is formed.  One field
-    takes one `irfftn` for all axes l; a stack takes one per axis l, over
-    every component, which in 3D holds a third of the transform's
-    temporaries at a time and runs faster than one call over all axes
-    (3D M 16, 13 fields: 2.5 vs 4.0 ms).  For one field the single call is
-    the faster: the Poisson residual takes 281 vs 342 us at 2D M 64 and
-    651 vs 760 us at 3D M 16, a whole pressure solve 3.24 vs 3.75 ms and
-    5.57 vs 6.29 ms (best of 9, 2-vCPU Xeon VM)."""
-    half = grid.points_per_axis // 2 + 1
-    ik = grid_wavenumbers(grid)["ik"][..., :half]
-    if coeffs.ndim == grid.dim:
-        return samples(grid, coeffs[..., :half] * ik)
-    out = np.empty(coeffs.shape[:-grid.dim] + (grid.dim,) + grid.shape)
-    by_axis = np.moveaxis(out, -grid.dim - 1, 0)
-    for ax in range(grid.dim):
-        by_axis[ax] = samples(grid, coeffs[..., :half] * ik[ax])
-    return out
+def gradient_samples(grid: GridSpec, coeffs: np.ndarray, *, with_samples: bool = False):
+    """Real grid samples of d_l of every component of a stacked array of
+    either layout, laid out as `stacked_gradient` (axis l just before the
+    grid axes); with `with_samples`, (samples, gradient samples).
+
+    i k_l acts on axis l alone, so it commutes with the 1D passes along the
+    other axes: the passes run in `irfftn`'s axis order over every branch at
+    once, and the branch d_l splits off the field's own (whose samples are
+    bitwise `samples`') just before its pass along axis l.  A field and its
+    gradient take 5 one-dimensional passes in 2D and 9 in 3D (the gradient
+    alone 4 and 8), against 6 and 12 as one `irfftn` each: 3D M 16, 13
+    fields, 2.8 vs 4.0 ms (median of 60 alternations, 2-vCPU Xeon VM)."""
+    n, m = grid.dim, grid.points_per_axis
+    coeffs = to_half(grid, coeffs)
+    width = coeffs.shape[-1]
+    ik = grid_wavenumbers(grid)["ik_axes"]
+    # branch b: the field (b = 0) or its derivative d_{b-1}, half-transformed
+    work = np.empty((n + 1,) + coeffs.shape, dtype=np.complex128)
+    work[0] = coeffs
+    for ax in range(n - 1):
+        np.multiply(work[0], ik[ax][..., :width], out=work[1 + ax])
+        np.fft.ifft(work[:ax + 2], axis=ax - n, norm="forward", out=work[:ax + 2])
+    np.multiply(work[0], ik[n - 1][..., :width], out=work[n])
+    out = np.fft.irfft(work[0 if with_samples else 1:], n=m, axis=-1, norm="forward")
+    grad = np.moveaxis(out[1:] if with_samples else out, 0, -n - 1)
+    return (out[0], grad) if with_samples else grad
 
 
 def advect(grid: GridSpec, v: np.ndarray, du: np.ndarray) -> np.ndarray:

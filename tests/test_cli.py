@@ -10,8 +10,9 @@ import pytest
 
 import besovlab
 from besovlab.cli import main
+from besovlab.linsolve import TimeGrid
 from besovlab.norms import BesovSpec, besov_norm
-from besovlab.oldroyd import make_initial_data
+from besovlab.oldroyd import PhysicalParams, make_initial_data, run
 from besovlab.snapshots import read_snapshot, write_snapshot
 from besovlab.spectral import inverse_transform, make_grid
 
@@ -241,6 +242,46 @@ class TestSimulateCommand:
         # the coupled run itself aborts in its first step, not the direct
         # comparison run after it: only the initial slice was saved
         assert [p.name for p in out.glob("snapshot_*.bin")] == ["snapshot_000000.bin"]
+
+    @pytest.mark.parametrize("stride", [2, 3], ids=["at_a_save", "between_saves"])
+    def test_density_floor_mid_run_exit_3(self, tmp_path, capsys, stride):
+        """min(1 + sigma) of this run falls step by step; the floor sits
+        between its values at steps 3 and 4.  The state of step 4 fails the
+        check its own first stage makes, the save's (stride 2) or the next
+        step's (stride 3), before any output of it: the partial outputs are
+        the files of a run that ends at the last save before it."""
+        grid = make_grid(2, 16)
+        initial = {"family": "general", "amplitude": 0.5, "seed": 10}
+        st, _ = make_initial_data("general", 0.5, 10, grid)
+        every = run(st, PhysicalParams(), TimeGrid(0.05, 0.01, save_stride=1))
+        mins = [float(inverse_transform(s.sigma).min()) + 1.0 for s in every.states]
+        floor = round(0.5 * (mins[3] + mins[4]), 8)
+        assert min(mins[:4]) > floor > mins[4]
+        last = 3 // stride * stride  # the last save before step 4
+        params = {"mu": 1.0, "sigma_floor": floor}
+
+        def simulate(name, t_end):
+            cfg = tmp_path / f"{name}.json"
+            cfg.write_text(json.dumps(config_dict(
+                params=params, initial=initial,
+                time={"T": t_end, "dt": 0.01, "save_stride": stride})))
+            return main(["simulate", "--config", str(cfg), "--out", str(tmp_path / name)])
+
+        capsys.readouterr()
+        assert simulate("aborted", 0.1) == 3
+        message = f"min(sigma+1) = {mins[4]:.3g} fell below the floor {floor}"
+        assert capsys.readouterr().err == f"solver abort: {message}\n"
+        out = tmp_path / "aborted"
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["aborted"] is True
+        assert manifest["error"] == f"DensityFloorError: {message}"
+        names = sorted(p.name for p in out.iterdir())
+        snaps = [f"snapshot_{i:06d}.bin" for i in range(last // stride + 1)]
+        assert names == ["config.json", "manifest.json"] + snaps
+        assert sorted(manifest["files"]) == ["config.json"] + snaps
+        assert simulate("completed", last * 0.01) == 0
+        for name in snaps:
+            assert (out / name).read_bytes() == (tmp_path / "completed" / name).read_bytes()
 
     @pytest.mark.parametrize("amplitude, error", [
         (2.0, "EllipticConvergenceError"),

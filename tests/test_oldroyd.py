@@ -42,6 +42,7 @@ from besovlab.spectral import (
     GridError,
     SpectralField,
     advect,
+    dealias,
     dealiased,
     derivative,
     divergence,
@@ -712,37 +713,112 @@ class TestStageKernel:
         assert np.array_equal(warm_full.flux, warm_half.flux)
 
     def test_transform_count(self, grid3_16, monkeypatch):
-        """Fields transformed by one right side of the 3D direct stepper,
-        the Poisson iterations left out: samples of the 13-row state (13)
-        and of its gradient (39), of Lap v (3) and one dealiased call for
-        all rows (13): 68; (sigma + 1) grad P is the flux of the solve's
-        last residual.  With each quadratic term sampled per row, every
-        component's gradient sampled one at a time, sigma sampled three
-        times and (sigma + 1) grad P formed anew, the same right side took
-        124."""
+        """One-dimensional passes over one field, by every `numpy.fft`
+        entry point, of one right side of the 3D direct stepper.  The stage
+        outside the Poisson solve: the samples and the whole gradient of
+        the 13-row state in shared passes (13 x 9), the samples of Lap v
+        (3 x 3) and one dealiased call for all rows (13 x 3): 165; each
+        Poisson residual: grad u in shared passes (8) and the flux (3 x 3):
+        17.  With one `irfftn` for the samples and one per gradient axis,
+        the stage took 204 and each residual 18."""
         n = grid3_16.dim
-        counted = {"fields": 0}
-        for name in ("rfftn", "irfftn"):
-            def counting(x, *args, _fft=getattr(np.fft, name), **kwargs):
-                counted["fields"] += int(np.prod(np.shape(x)[:-n]))
+        passes = [0]
+        for name in ("fft", "ifft", "rfft", "irfft", "fftn", "ifftn", "rfftn", "irfftn"):
+            def counting(x, *args, _fft=getattr(np.fft, name), _nd=name.endswith("n"),
+                         **kwargs):
+                passes[0] += int(np.prod(np.shape(x)[:-n])) * (n if _nd else 1)
                 return _fft(x, *args, **kwargs)
             monkeypatch.setattr(np.fft, name, counting)
-        residual_evals = []
+        in_poisson = []
 
         def poisson(*args, **kwargs):
+            before = passes[0]
             res = solve_variable_poisson(*args, **kwargs)
-            residual_evals.append(len(res.residuals))
+            in_poisson.append((passes[0] - before, len(res.residuals)))
             return res
 
         monkeypatch.setattr(oldroyd, "solve_variable_poisson", poisson)
         st, _ = make_initial_data("general", 0.05, 5, grid3_16)
         stepper = _DirectStepper(grid3_16, PARAMS, 5e-3)
-        counted["fields"] = 0
-        residual_evals.clear()
+        passes[0] = 0
+        in_poisson.clear()
         stepper.rhs(0.0, st.coeffs)
-        assert len(residual_evals) == 1
-        # each residual samples grad u and transforms the flux: 2n fields
-        assert counted["fields"] - 2 * n * residual_evals[0] <= 68
+        [(solve, residuals)] = in_poisson
+        assert solve == 17 * residuals
+        assert passes[0] - solve == 165
+
+    @KERNEL_GRIDS
+    def test_momentum_rows_match_all_rows(self, dim, m):
+        """The momentum-only kernel (the linearization map's) forms the
+        momentum rows from the same arithmetic as the whole right side."""
+        grid = make_grid(dim, m)
+        arr = random_stack(grid, 36, (1 + dim + dim * dim,))
+        terms, s, ds = momentum_forcing(grid, arr, 0.7)
+        rows, s_m, ds_m = momentum_forcing(grid, arr, 0.7, momentum_only=True)
+        assert np.array_equal(rows, terms[1:1 + dim])
+        assert np.array_equal(s_m, s) and np.array_equal(ds_m, ds)
+
+
+def full_layout_residuals(st: FluidState) -> dict:
+    """The constraint residuals written on the full layout one field at a
+    time: L2 sums over every mode, rho = 1/(sigma + 1) dealiased, each flux
+    entry and each quadratic identity term by `product`."""
+    grid, n = st.grid, st.grid.dim
+    h = st.h
+
+    def l2(fields):
+        return float(np.sqrt(sum(np.sum(np.abs(f.coeffs) ** 2) for f in fields))
+                     * (2 * np.pi) ** (n / 2.0))
+
+    rho = dealias(forward_transform(grid, 1.0 / (inverse_transform(st.sigma) + 1.0)))
+    flux = [[product(rho, h[j][i]) for i in range(n)] for j in range(n)]
+    weighted = [[derivative(rho, i) + sum((derivative(f[i], j) for j, f in enumerate(rows)),
+                                          zero_field(grid)) for i in range(n)]
+                for rows in (flux, [list(r) for r in zip(*flux)])]
+    identity = []
+    for i, j, k in np.ndindex(n, n, n):
+        acc = derivative(h[i][j], k) - derivative(h[i][k], j)
+        for l in range(n):
+            acc = acc + product(h[l][k], derivative(h[i][j], l)) \
+                - product(h[l][j], derivative(h[i][k], l))
+        identity.append(acc)
+    return {"div_velocity": l2([divergence(st.velocity)]),
+            "weighted_div": l2(weighted[0]), "weighted_div_transposed": l2(weighted[1]),
+            "deformation_identity": l2(identity), "perturbation_identity": l2(identity)}
+
+
+class TestSampledMonitors:
+    """A save's monitors read the samples of its state's first stage; the
+    call without them samples the state itself.  Both agree with the
+    residuals written on the full layout."""
+
+    @KERNEL_GRIDS
+    @pytest.mark.parametrize("runner", [run, run_coupled], ids=["direct", "coupled"])
+    def test_save_residuals(self, dim, m, runner):
+        st, _ = make_initial_data("general", 0.05, 5, make_grid(dim, m))
+        res = runner(st, PARAMS, TimeGrid(0.01, 5e-3))
+        assert len(res.residual_rows) == 3
+        for row, saved in zip(res.residual_rows, res.states):
+            row = {k: v for k, v in row.items() if k != "time"}
+            assert row == constraint_residuals(saved).as_dict()
+            for name, want in full_layout_residuals(saved).items():
+                assert abs(row[name] - want) <= 1e-14 * max(1.0, want), name
+
+    def test_samples_are_the_first_stage(self, grid2_32, monkeypatch):
+        """Each save hands the monitors the (s, ds) its first stage formed,
+        and no saved state keeps them."""
+        st, _ = make_initial_data("general", 0.05, 5, grid2_32)
+        seen = []
+        monitors = oldroyd.constraint_residuals
+        monkeypatch.setattr(oldroyd, "constraint_residuals",
+                            lambda st, sampled=None: seen.append(sampled)
+                            or monitors(st, sampled))
+        res = run(st, PARAMS, TimeGrid(0.01, 5e-3))
+        assert len(seen) == len(res.states) == 3
+        for (s, ds), saved in zip(seen, res.states):
+            want_s, want_ds = gradient_samples(grid2_32, saved.coeffs, with_samples=True)
+            assert np.array_equal(s, want_s) and np.array_equal(ds, want_ds)
+            assert vars(saved).keys() == {"grid", "coeffs", "pressure_grad"}
 
 
 class TestSaveReusesFirstStage:

@@ -3,13 +3,16 @@ import json
 import numpy as np
 import pytest
 
-from besovlab.oldroyd import compute_pressure, make_initial_data, momentum_forcing
+from besovlab.linsolve import TimeGrid
+from besovlab.oldroyd import (PhysicalParams, compute_pressure, make_initial_data,
+                              momentum_forcing, run)
 from besovlab.snapshots import (
     SnapshotFormatError,
     read_snapshot,
     state_fields,
     write_snapshot,
 )
+from besovlab.spectral import make_grid
 from conftest import field_of
 
 
@@ -89,3 +92,27 @@ def test_state_fields_names(grid2_32):
     st.pressure_grad = compute_pressure(grid2_32, s[0], terms[1:3]).gradient
     fields = state_fields(st)
     assert "gradp0" in fields and "gradp1" in fields
+
+
+@pytest.mark.parametrize("dim,m", [(2, 32), (3, 16)], ids=["2d_m32", "3d_m16"])
+def test_save_snapshot_from_stage_samples(tmp_path, dim, m):
+    """A run's save writes the (sigma, v, h) samples its first stage formed
+    and one batched sample of grad P: the bytes `inverse_transform` writes
+    field by field."""
+    grid = make_grid(dim, m)
+    st, _ = make_initial_data("general", 0.05, 5, grid)
+    saved = []
+    run(st, PhysicalParams(), TimeGrid(0.01, 5e-3),
+        on_save=lambda t, state, s: saved.append((state, s)))
+    assert len(saved) == 3
+    for state, s in saved:
+        by_field = {"sigma": state.sigma}
+        by_field.update((f"v{i}", v) for i, v in enumerate(state.velocity))
+        by_field.update((f"h{i}{j}", state.h[i][j]) for i in range(dim) for j in range(dim))
+        by_field.update((f"gradp{i}", g) for i, g in enumerate(state.pressure_grad))
+        write_snapshot(tmp_path / "samples.bin", grid, state_fields(state, s))
+        write_snapshot(tmp_path / "fields.bin", grid, by_field)
+        assert (tmp_path / "samples.bin").read_bytes() == (tmp_path / "fields.bin").read_bytes()
+        # without the stage's samples, the state is sampled in one call
+        write_snapshot(tmp_path / "state.bin", grid, state_fields(state))
+        assert (tmp_path / "state.bin").read_bytes() == (tmp_path / "fields.bin").read_bytes()
