@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 
 from .linsolve import (  # noqa: F401
     CflViolationError,
-    CoupledState,
     EllipticConvergenceError,
     NonSolenoidalError,
     TimeGrid,

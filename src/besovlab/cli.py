@@ -34,11 +34,12 @@ from .oldroyd import (
     run,
     run_coupled,
 )
-from .snapshots import SnapshotFormatError, read_snapshot, state_fields, write_snapshot
-from .spectral import GridSpec
+from .snapshots import SnapshotFormatError, read_snapshot, state_samples, write_snapshot
+from .spectral import GridSpec, gradient_samples
 from .verify import (
     EnsembleSpec,
     RatioReport,
+    band_safe_tuple,
     make_grid,
     pressure_slope,
     smallness_experiment,
@@ -138,7 +139,8 @@ def validate_config(cfg: dict):
             "initial.family must be exact_gradient or general")
     _expect(_typed(ini, "initial", "amplitude", None) >= 0,
             "initial.amplitude must be nonnegative")
-    _typed(ini, "initial", "seed", 0, integer=True)
+    seed = _typed(ini, "initial", "seed", 0, integer=True)
+    _expect(seed >= 0, f"initial.seed must be nonnegative, got {seed}")
     _expect(cfg["mode"] in ("direct", "phi", "coupled"),
             "mode must be direct, phi, or coupled")
     norms = cfg.get("norms", [])
@@ -264,7 +266,7 @@ def cmd_simulate(args, mode_override: str | None = None) -> int:
 
     def on_save(t, state, s=None):
         name = f"snapshot_{snap_index[0]:06d}.bin"
-        write_snapshot(out_dir / name, grid, state_fields(state, s))
+        write_snapshot(out_dir / name, grid, state_samples(state, s))
         manifest.add(out_dir / name)
         snap_index[0] += 1
 
@@ -275,12 +277,12 @@ def cmd_simulate(args, mode_override: str | None = None) -> int:
         report["compatibility"] = vars(compat)
         if mode == "phi":
             phi = phi_iteration(state0, params, tg)
-            for i, t in enumerate(phi.times):
-                on_save(t, phi.states[i])
-            norm_rows = [row for t, st in zip(phi.times, phi.states)
-                         for row in _norm_rows_for(st, float(t), norm_specs)]
-            residual_rows = [{"time": t, **constraint_residuals(st).as_dict()}
-                             for t, st in zip(phi.times, phi.states)]
+            norm_rows, residual_rows = [], []
+            for t, st in zip(phi.times, phi.states):
+                s, ds = gradient_samples(grid, st.coeffs, with_samples=True)
+                on_save(t, st, s)
+                norm_rows += _norm_rows_for(st, float(t), norm_specs)
+                residual_rows.append({"time": t, **constraint_residuals(st, (s, ds)).as_dict()})
             rows = []
             for i, (dist, mon) in enumerate(zip(phi.report.distances,
                                                 phi.report.monitors)):
@@ -370,8 +372,6 @@ def cmd_verify(args) -> int:
             elif suite == "commutator":
                 reports.append(verify_commutator(ens, 1.0, 1.0, 2.0, wide_grid))
             elif suite == "scaling":
-                from .verify import band_safe_tuple
-
                 sig, vel, h = band_safe_tuple(wide_grid, seed, m=1)
                 info = verify_scaling(sig, vel, h, m=1)
                 summary.append({"experiment": "scaling", "params": info,
@@ -484,6 +484,8 @@ def main(argv=None) -> int:
         print("error: --config is required for simulate/phi", file=sys.stderr)
         return EXIT_USAGE
     try:
+        _expect(args.seed is None or args.seed >= 0,
+                f"--seed must be nonnegative, got {args.seed}")
         return args.fn(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

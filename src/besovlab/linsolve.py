@@ -6,9 +6,12 @@ Time integration is 4-stage Runge-Kutta with an exact integrating
 factor on every diffusive mode, so the pure heat evolution is exact per
 Fourier mode.  Callbacks of t are evaluated once per distinct stage time.
 
-The solvers integrate the k_last >= 0 half of their coefficients (see
-`spectral`): inputs are sliced to it once, callables may return either
-layout, and each saved slice is mirror-filled back to the full layout.
+Every input, output and callable value is one field, scalar or stacked
+(or its coefficient array).  The solvers integrate the k_last >= 0 half
+of the coefficients (see `spectral`): inputs are sliced to it once,
+callables may return either layout, and a `TrajectoryResult` keeps the
+half-layout array it integrated; its `states` and `final` are
+mirror-filled to the full layout when read.
 """
 
 from __future__ import annotations
@@ -111,25 +114,16 @@ def integrate(y, step, tg: TimeGrid, save):
 # -- helpers ---------------------------------------------------------------
 
 
-def _as_list(u) -> list[SpectralField]:
-    return [u] if isinstance(u, SpectralField) else list(u)
-
-
-def _stack(fields: list[SpectralField]) -> np.ndarray:
-    return np.stack([f.coeffs for f in fields])
-
-
-def _fields(grid: GridSpec, arr: np.ndarray) -> list[SpectralField]:
-    """Fields viewing (not copying) the components of a stacked array."""
-    return [SpectralField(grid, c) for c in arr]
-
-
 def _coeffs(u) -> np.ndarray:
-    """The coefficients of a field, the stacked coefficients of a list of
-    fields, or an array as it is."""
-    if isinstance(u, SpectralField):
-        return u.coeffs
-    return u if isinstance(u, np.ndarray) else _stack(u)
+    """The coefficients of a field, or an array as it is."""
+    return u.coeffs if isinstance(u, SpectralField) else u
+
+
+def _rows(grid: GridSpec, coeffs: np.ndarray) -> np.ndarray:
+    """The half of `coeffs` with its component axes flattened to one (a
+    scalar field is one row): the array a solver integrates."""
+    half = to_half(grid, coeffs)
+    return half.reshape((-1,) + half.shape[-grid.dim:])
 
 
 def _per_stage_time(fn, dt: float):
@@ -157,9 +151,9 @@ def _velocity_samples(velocity, grid: GridSpec, dt: float):
 
 
 def _forcing_coeffs(forcing, grid: GridSpec, dt: float):
-    """None, or t -> the half of the stacked forcing(t) once per stage time."""
+    """None, or t -> `_rows` of forcing(t) once per stage time."""
     return None if forcing is None else _per_stage_time(
-        lambda t: to_half(grid, _coeffs(forcing(t))), dt)
+        lambda t: _rows(grid, _coeffs(forcing(t))), dt)
 
 
 def velocity_max(v_samples: np.ndarray) -> float:
@@ -218,48 +212,55 @@ def _if_rk4_step(y: np.ndarray, t: float, dt: float, e_full: np.ndarray,
 
 @dataclass
 class TrajectoryResult:
-    """Saved snapshots of a (possibly multi-component) field in time:
-    coeffs[it] stacks the components saved at times[it]."""
+    """Saved slices of a field, scalar or stacked, in time: coeffs[it] holds
+    the half-layout coefficients saved at times[it]."""
 
     times: np.ndarray
-    coeffs: np.ndarray  # (nt, ncomp, *grid)
+    coeffs: np.ndarray  # (nt, *components, *half grid)
     grid: GridSpec
-    scalar_input: bool = False
 
     @property
-    def states(self) -> list[list[SpectralField]]:
-        """Views of the components, one list per saved time."""
-        return [_fields(self.grid, a) for a in self.coeffs]
+    def states(self) -> SpectralField:
+        """The full-layout trajectory; its first axis is time."""
+        return SpectralField(self.grid, to_full(self.grid, self.coeffs))
 
     @property
-    def final(self):
-        last = _fields(self.grid, self.coeffs[-1])
-        return last[0] if self.scalar_input else last
+    def final(self) -> SpectralField:
+        return SpectralField(self.grid, to_full(self.grid, self.coeffs[-1]))
 
     def norm_series(self, p: float = 2.0) -> NormSeries:
         return norm_series(self.times, self.states, p)
 
 
-def solve_transport(u0, velocity, forcing, tg: TimeGrid, *,
+def _trajectory(grid: GridSpec, y0: np.ndarray, step, tg: TimeGrid,
+                shape: tuple) -> TrajectoryResult:
+    """Integrate the rows `y0` with `step`, keeping every saved array; the
+    result's slices are the half of coefficients of shape `shape`."""
+    times, saved = integrate(y0, step, tg, lambda t, y: y)
+    shape = (len(times),) + shape[:-1] + y0.shape[-1:]
+    return TrajectoryResult(times, np.stack(saved).reshape(shape), grid)
+
+
+def solve_transport(u0: SpectralField, velocity, forcing, tg: TimeGrid, *,
                     solenoidal_tol: float = 1e-10,
                     check_divergence: bool = True) -> TrajectoryResult:
     """Advance du/dt + (v . grad) u = g pseudo-spectrally with RK4.
 
-    `u0` is a field or a sequence of fields advected together; `velocity`
-    is a list of fields or a callable t -> list; `forcing` is None or a
-    callable t -> matching field(s).  Both callables must be functions of
-    t only, evaluated once per distinct stage time (t, t + dt/2); one
-    velocity sample serves the CFL guard and the stages at that time.  The
-    callables may return fields or stacked arrays of either layout.  The
-    advection product is dealiased and a CFL guard dt * |v|_inf * (M/3) <= 1
-    is enforced each step.
+    `u0` is a field, scalar or stacked, whose components are advected
+    together; `velocity` is a vector field or a callable t -> one;
+    `forcing` is None or a callable t -> a field shaped like `u0`.  Both
+    callables must be functions of t only, evaluated once per distinct
+    stage time (t, t + dt/2); one velocity sample serves the CFL guard and
+    the stages at that time.  The callables may return fields or
+    coefficient arrays of either layout.  The advection product is
+    dealiased and a CFL guard dt * |v|_inf * (M/3) <= 1 is enforced each
+    step.
     """
-    scalar_input = isinstance(u0, SpectralField)
-    comps = _as_list(u0)
-    grid = comps[0].grid
+    grid = u0.grid
     vel = _velocity_samples(velocity, grid, tg.dt)
     force = _forcing_coeffs(forcing, grid, tg.dt)
-    e_full, e_half = if_factors(grid, 0.0, tg.dt, [False] * len(comps))
+    y0 = _rows(grid, u0.coeffs)
+    e_full, e_half = if_factors(grid, 0.0, tg.dt, [False] * len(y0))
 
     def rhs(t, arr):
         out = np.zeros_like(arr) if vel is None else -dealiased(
@@ -276,17 +277,16 @@ def solve_transport(u0, velocity, forcing, tg: TimeGrid, *,
                 check_solenoidal(grid, v_now, solenoidal_tol)
         return _if_rk4_step(y, t, tg.dt, e_full, e_half, rhs)
 
-    times, saved = integrate(to_half(grid, _stack(comps)), step, tg,
-                             lambda t, y: to_full(grid, y))
-    return TrajectoryResult(times, np.stack(saved), grid, scalar_input)
+    return _trajectory(grid, y0, step, tg, u0.coeffs.shape)
 
 
 # -- heat -------------------------------------------------------------------
 
 
-def solve_heat(u0, forcing, mu: float, tg: TimeGrid) -> TrajectoryResult:
+def solve_heat(u0: SpectralField, forcing, mu: float, tg: TimeGrid) -> TrajectoryResult:
     """Advance du/dt - mu Lap(u) = f with an exact per-mode integrating
     factor; for f = 0 every mode decays exactly by exp(-mu |k|^2 dt).
+    `u0` and `forcing` are as in `solve_transport`.
 
     The forcing is state-independent, so the four Runge-Kutta stages
     collapse to a Simpson rule in the integrating-factor variable, with
@@ -294,12 +294,10 @@ def solve_heat(u0, forcing, mu: float, tg: TimeGrid) -> TrajectoryResult:
     """
     if not mu > 0:
         raise ValueError("mu must be positive")
-    scalar_input = isinstance(u0, SpectralField)
-    comps = _as_list(u0)
-    grid = comps[0].grid
+    grid = u0.grid
     dt = tg.dt
-    e_full, e_half = if_factors(grid, mu, dt, [True] * len(comps))
-
+    y0 = _rows(grid, u0.coeffs)
+    e_full, e_half = if_factors(grid, mu, dt, [True] * len(y0))
     force = _forcing_coeffs(forcing, grid, dt)
 
     def step(y, t):
@@ -309,9 +307,7 @@ def solve_heat(u0, forcing, mu: float, tg: TimeGrid) -> TrajectoryResult:
             e_full * force(t) + 4.0 * e_half * force(t + 0.5 * dt) + force(t + dt)
         )
 
-    times, saved = integrate(to_half(grid, _stack(comps)), step, tg,
-                             lambda t, y: to_full(grid, y))
-    return TrajectoryResult(times, np.stack(saved), grid, scalar_input)
+    return _trajectory(grid, y0, step, tg, u0.coeffs.shape)
 
 
 # -- variable-coefficient elliptic solve -------------------------------------
@@ -335,8 +331,8 @@ class EllipticResult:
         return SpectralField(self.grid, to_full(self.grid, self.u))
 
     @property
-    def gradient(self) -> list[SpectralField]:
-        return _fields(self.grid, to_full(self.grid, stacked_gradient(self.grid, self.u)))
+    def gradient(self) -> SpectralField:
+        return SpectralField(self.grid, to_full(self.grid, stacked_gradient(self.grid, self.u)))
 
     @property
     def contraction_factors(self) -> np.ndarray:
@@ -434,46 +430,26 @@ def solve_variable_poisson(a: SpectralField | np.ndarray, f: SpectralField | np.
 # -- coupled hyperbolic-parabolic pair ---------------------------------------
 
 
-@dataclass
-class CoupledState:
-    """State (c, d) of the skew-coupled pair; d carries the diffusion."""
-
-    c: list[SpectralField]
-    d: list[SpectralField]
-
-    def __post_init__(self):
-        if len(self.c) != len(self.d):
-            raise ValueError("c and d must have matching component counts")
-
-
-@dataclass
-class CoupledResult:
-    times: np.ndarray
-    states: list[CoupledState]
-
-    @property
-    def final(self) -> CoupledState:
-        return self.states[-1]
-
-
-def solve_coupled(c0, d0, velocity, forcing_c, forcing_d, mu: float,
-                  tg: TimeGrid) -> CoupledResult:
+def solve_coupled(c0: SpectralField, d0: SpectralField, velocity, forcing_c, forcing_d,
+                  mu: float, tg: TimeGrid) -> TrajectoryResult:
     """Advance the pair  dc/dt + v.grad c + Lam d = f,
     dd/dt + v.grad d - mu Lap d - Lam c = g,  with Lam = (-Lap)^(1/2).
 
-    The skew pair (Lam d, -Lam c) sits inside the Runge-Kutta stages;
-    diffusion on d uses the exact integrating factor, so with v = 0 and
-    zero forcing each mode follows the 2x2 linear system exactly up to
-    RK4 truncation of the skew rotation.  Callables of t are evaluated
-    once per distinct stage time, as in `solve_transport`.
+    `c0` and `d0` are fields of one shape; the result stacks c over d, so
+    `final[0]` is c and `final[1]` is d.  The skew pair (Lam d, -Lam c)
+    sits inside the Runge-Kutta stages; diffusion on d uses the exact
+    integrating factor, so with v = 0 and zero forcing each mode follows
+    the 2x2 linear system exactly up to RK4 truncation of the skew
+    rotation.  Callables of t are evaluated once per distinct stage time,
+    as in `solve_transport`.
     """
-    c_list, d_list = _as_list(c0), _as_list(d0)
-    if len(c_list) != len(d_list):
+    if c0.coeffs.shape != d0.coeffs.shape:
         raise ValueError("c0 and d0 must have matching component counts")
     if mu < 0:
         raise ValueError("mu must be nonnegative")
-    nc = len(c_list)
-    grid = c_list[0].grid
+    grid = c0.grid
+    c, d = _rows(grid, c0.coeffs), _rows(grid, d0.coeffs)
+    nc = len(c)
     vel = _velocity_samples(velocity, grid, tg.dt)
     force_c = _forcing_coeffs(forcing_c, grid, tg.dt)
     force_d = _forcing_coeffs(forcing_d, grid, tg.dt)
@@ -495,10 +471,4 @@ def solve_coupled(c0, d0, velocity, forcing_c, forcing_d, mu: float,
             check_cfl(grid, tg.dt, velocity_max(vel(t)[1]))
         return _if_rk4_step(y, t, tg.dt, e_full, e_half, rhs)
 
-    def snapshot(t, arr) -> CoupledState:
-        full = to_full(grid, arr)
-        return CoupledState(_fields(grid, full[:nc]), _fields(grid, full[nc:]))
-
-    y = to_half(grid, np.concatenate([_stack(c_list), _stack(d_list)]))
-    times, states = integrate(y, step, tg, snapshot)
-    return CoupledResult(times, states)
+    return _trajectory(grid, np.concatenate([c, d]), step, tg, (2,) + c0.coeffs.shape)

@@ -125,13 +125,6 @@ def _band_sum(spec, blocks: np.ndarray):
     return np.sum(terms ** spec.sum_r, axis=-1) ** (1.0 / spec.sum_r)
 
 
-def _components(u) -> list[SpectralField]:
-    """Flatten a field / vector / tensor of fields into components."""
-    if isinstance(u, SpectralField):
-        return [u]
-    return [c for item in u for c in _components(item)]
-
-
 @lru_cache(maxsize=32)
 def _parseval(dim: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     """(2pi)^N phi_q^2 as a (q_max+1, M^N) matrix, and the flat mask of the
@@ -142,13 +135,13 @@ def _parseval(dim: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     return TWO_PI ** dim * block_multipliers(grid).reshape(grid.q_max + 1, -1) ** 2, outside
 
 
-def _energy(comps: list[SpectralField]) -> np.ndarray:
-    """|c_k|^2 summed over components, flattened over the grid."""
-    return sum(np.abs(c.coeffs) ** 2 for c in comps).ravel()
+def _energy(u: SpectralField) -> np.ndarray:
+    """|c_k|^2 summed over the components of `u`, flattened over the grid."""
+    return sum(np.abs(c) ** 2 for c in u.coeffs.reshape((-1,) + u.grid.shape)).ravel()
 
 
-def block_lp(u, p: float, energy: np.ndarray | None = None) -> np.ndarray:
-    """Per-band L^p norms of a (possibly multi-component) field.
+def block_lp(u: SpectralField, p: float, energy: np.ndarray | None = None) -> np.ndarray:
+    """Per-band L^p norms of a field, scalar or stacked.
 
     Components combine inside each band as an l^p sum (the max for
     p = inf), so for p = 2 this is the usual L2 norm of the stacked
@@ -157,13 +150,11 @@ def block_lp(u, p: float, energy: np.ndarray | None = None) -> np.ndarray:
     holds |c_k|^2 summed over components (flat) passes it as `energy`.
     Other p sample every band.
     """
-    comps = _components(u)
-    grid = comps[0].grid
+    grid = u.grid
     if p == 2.0:
-        energy = _energy(comps) if energy is None else energy
+        energy = _energy(u) if energy is None else energy
         return np.sqrt(_parseval(grid.dim, grid.points_per_axis)[0] @ energy)
-    coeffs = np.stack([c.coeffs for c in comps])
-    return np.array([_grid_lp(samples(grid, coeffs * band), p, grid.cell_volume)
+    return np.array([_grid_lp(samples(grid, u.coeffs * band), p, grid.cell_volume)
                      for band in block_multipliers(grid)])
 
 
@@ -179,13 +170,16 @@ class NormBreakdown:
     truncation_flag: bool  # > 1% of L2 energy beyond the retained band
 
 
-def _dyadic_norm(u, spec) -> NormBreakdown:
-    """The spec's weighted band sum of `block_lp`, with the truncation
-    report; both read one energy array."""
-    comps = _components(u)
-    grid = comps[0].grid
-    energy = _energy(comps)
-    blocks = block_lp(comps, spec.p, energy)
+def besov_norm(u: SpectralField, spec: BesovSpec) -> NormBreakdown:
+    """Dyadic-sum norm: l^r over bands of 2^(qs) * ||band||_p, with the
+    truncation report; both read one energy array.
+
+    The zero mode is excluded; the components of a stacked `u` (vector,
+    tensor) combine per band as in `block_lp`.
+    """
+    grid = u.grid
+    energy = _energy(u)
+    blocks = block_lp(u, spec.p, energy)
     total = float(energy[1:].sum())
     outside = float(energy[_parseval(grid.dim, grid.points_per_axis)[1]].sum())
     frac = outside / total if total else 0.0
@@ -193,18 +187,10 @@ def _dyadic_norm(u, spec) -> NormBreakdown:
                          spec.weights(blocks.size) * blocks, frac, frac > 0.01)
 
 
-def besov_norm(u, spec: BesovSpec) -> NormBreakdown:
-    """Dyadic-sum norm: l^r over bands of 2^(qs) * ||band||_p.
-
-    The zero mode is excluded; `u` may be a single field or any nesting
-    of fields (vector, tensor), combined per band as in `block_lp`.
-    """
-    return _dyadic_norm(u, spec)
-
-
-def hybrid_norm(u, spec: HybridSpec) -> NormBreakdown:
-    """Sum over bands of 2^(qs) * max(mu, 2^-q)^(1-2/r) * ||band||_L2."""
-    return _dyadic_norm(u, spec)
+def hybrid_norm(u: SpectralField, spec: HybridSpec) -> NormBreakdown:
+    """Sum over bands of 2^(qs) * max(mu, 2^-q)^(1-2/r) * ||band||_L2: the
+    weighted band sum of `besov_norm` with the hybrid spec's weights."""
+    return besov_norm(u, spec)
 
 
 # -- time-sampled series ----------------------------------------------------
@@ -249,7 +235,8 @@ def _check_series_p(series: NormSeries, spec):
 
 
 def norm_series(times, fields_per_time, p: float = 2.0) -> NormSeries:
-    """Build a NormSeries by decomposing each sampled field."""
+    """Build a NormSeries by decomposing the field at each time: an
+    iterable of fields, or one field whose first axis is time."""
     rows = [block_lp(u, p) for u in fields_per_time]
     return NormSeries(np.asarray(times, dtype=float), np.vstack(rows), p)
 

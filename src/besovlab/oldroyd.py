@@ -8,9 +8,12 @@ viscosity mu (sigma + 1) Lap v.
 
 A state is one stacked coefficient array of 1 + n + n^2 components:
 sigma, then v^0..v^{n-1}, then h row by row.  `FluidState` stores it in
-the full layout, and its fields are views into it; the steppers advance
-its k_last >= 0 half (see `spectral`), sliced once when a run starts and
-mirror-filled back once per saved slice.
+the full layout, and its `sigma`, `velocity` (n, *grid) and `h`
+(n, n, *grid) are stacked fields viewing it; the steppers advance its
+k_last >= 0 half (see `spectral`), sliced once when a run starts and
+mirror-filled back once per saved slice.  The linearization map keeps
+its transport and heat trajectories on the half and mirror-fills the
+trajectory it returns once.
 
 There is one pressure path: every right side (an RK stage, or the
 velocity forcing of the linearization map) is `momentum_forcing` of a
@@ -47,12 +50,10 @@ from .linsolve import (
     solve_transport,
     solve_variable_poisson,
     velocity_max,
-    _fields,
     _parseval_norm,
     _if_rk4_step,
-    _stack,
 )
-from .norms import INF, BesovSpec, NormSeries, besov_norm, norm_series
+from .norms import INF, BesovSpec, NormSeries, besov_norm, chemin_lerner_norm, norm_series
 from .paley import retained_radius
 from .spectral import (
     GridError,
@@ -70,7 +71,6 @@ from .spectral import (
     stacked_leray,
     to_full,
     to_half,
-    zero_field,
 )
 
 
@@ -115,16 +115,17 @@ def _split(grid: GridSpec, arr: np.ndarray):
 @dataclass
 class FluidState:
     """One time slice: the stacked coefficients (1 + n + n^2, *grid) of
-    (sigma, v, h), plus the diagnostic pressure gradient.
+    (sigma, v, h), plus the diagnostic pressure gradient (n, *grid).
 
-    `sigma`, `velocity`, `h` and `h_flat()` are fields viewing `coeffs`:
-    writing into their `.coeffs` writes the state.  Assigning whole fields
-    (`st.sigma = f`, `st.velocity = [...]`, `st.h = [[...]]`) copies them
-    in; `h` is a tuple of tuples, so `st.h[i][j] = f` raises."""
+    `sigma`, `velocity` (n, *grid), `h` (n, n, *grid) and `h_flat()`
+    (n^2, *grid) are fields viewing `coeffs`: writing into their `.coeffs`
+    writes the state.  Assigning whole fields (`st.sigma = f`,
+    `st.velocity = v`, `st.h = h`) copies them in; a field supports no
+    item assignment, so `st.h[i][j] = f` raises."""
 
     grid: GridSpec
     coeffs: np.ndarray
-    pressure_grad: list[SpectralField] | None = None
+    pressure_grad: SpectralField | None = None
 
     def __post_init__(self):
         n = self.grid.dim
@@ -142,23 +143,23 @@ class FluidState:
         self.coeffs[0] = field.coeffs
 
     @property
-    def velocity(self) -> list[SpectralField]:
-        return _fields(self.grid, _split(self.grid, self.coeffs)[1])
+    def velocity(self) -> SpectralField:
+        return SpectralField(self.grid, _split(self.grid, self.coeffs)[1])
 
     @velocity.setter
-    def velocity(self, fields: list[SpectralField]):
-        _split(self.grid, self.coeffs)[1][...] = _stack(fields)
+    def velocity(self, field: SpectralField):
+        _split(self.grid, self.coeffs)[1][...] = field.coeffs
 
     @property
-    def h(self) -> tuple[tuple[SpectralField, ...], ...]:
-        return tuple(tuple(_fields(self.grid, row)) for row in _split(self.grid, self.coeffs)[2])
+    def h(self) -> SpectralField:
+        return SpectralField(self.grid, _split(self.grid, self.coeffs)[2])
 
     @h.setter
-    def h(self, rows: list[list[SpectralField]]):
-        _split(self.grid, self.coeffs)[2][...] = [_stack(row) for row in rows]
+    def h(self, field: SpectralField):
+        _split(self.grid, self.coeffs)[2][...] = field.coeffs
 
-    def h_flat(self) -> list[SpectralField]:
-        return _fields(self.grid, self.coeffs[1 + self.grid.dim:])
+    def h_flat(self) -> SpectralField:
+        return SpectralField(self.grid, self.coeffs[1 + self.grid.dim:])
 
 
 def zero_state(grid: GridSpec) -> FluidState:
@@ -257,10 +258,6 @@ def _l2(coeffs: np.ndarray, grid: GridSpec) -> float:
     return _parseval_norm(to_half(grid, coeffs)) * (2 * np.pi) ** (grid.dim / 2.0)
 
 
-def _l2_fields(fields, grid: GridSpec) -> float:
-    return float(np.sqrt(sum(_l2(f.coeffs, grid) ** 2 for f in fields)))
-
-
 def _identity_residual(grid: GridSpec, h: np.ndarray, h_s: np.ndarray,
                        dh_s: np.ndarray) -> np.ndarray:
     """`deformation_identity_residual` of the stacked h (n, n, *grid), of
@@ -274,13 +271,13 @@ def _identity_residual(grid: GridSpec, h: np.ndarray, h_s: np.ndarray,
     return res.reshape((-1,) + h.shape[2:])
 
 
-def deformation_identity_residual(h: list[list[SpectralField]]) -> list[SpectralField]:
-    """U^{lk} d_l U^{ij} - U^{lj} d_l U^{ik} with U = I + h, flattened over
-    (i, j, k); vanishes for the gradient of an actual flow map."""
-    grid = h[0][0].grid
-    hh = np.array([_stack(row) for row in h])
-    h_s, dh_s = gradient_samples(grid, hh, with_samples=True)
-    return _fields(grid, to_full(grid, _identity_residual(grid, hh, h_s, dh_s)))
+def deformation_identity_residual(h: SpectralField) -> SpectralField:
+    """U^{lk} d_l U^{ij} - U^{lj} d_l U^{ik} with U = I + h (n, n, *grid),
+    flattened over (i, j, k); vanishes for the gradient of an actual flow
+    map."""
+    grid = h.grid
+    h_s, dh_s = gradient_samples(grid, h.coeffs, with_samples=True)
+    return SpectralField(grid, to_full(grid, _identity_residual(grid, h.coeffs, h_s, dh_s)))
 
 
 # The identity written in the perturbation h,
@@ -320,10 +317,10 @@ def make_initial_data(family: str, amplitude: float, seed: int, grid: GridSpec, 
     state = zero_state(grid)
     sigma, vel, h = _split(grid, state.coeffs)
     if amplitude > 0:
-        vel[...] = amplitude * _stack(randfields.random_solenoidal(grid, rng, radius=radius))
+        vel[...] = amplitude * randfields.random_solenoidal(grid, rng, radius=radius).coeffs
         if h_amp > 0:
             w = randfields.random_solenoidal(grid, rng, radius=radius)
-            h[...] = h_amp * stacked_gradient(grid, _stack(w))
+            h[...] = h_amp * stacked_gradient(grid, w.coeffs)
         if family == "general":
             sigma[...] = amplitude * randfields.random_scalar(grid, rng, radius=radius).coeffs
             _restore_weighted_div(state)
@@ -344,7 +341,7 @@ def _restore_weighted_div(state: FluidState):
     rho_s = samples(grid, rho)
     for i in range(grid.dim):
         res = solve_variable_poisson(rho_s, defect[i], tol=1e-13, max_iter=300)
-        h[:, i] += _stack(res.gradient)
+        h[:, i] += res.gradient.coeffs
 
 
 # -- pressure ---------------------------------------------------------------------
@@ -526,28 +523,26 @@ class RunResult:
         return self.states[-1]
 
 
+def _groups(state: FluidState) -> dict[str, SpectralField]:
+    """The fields the norms read, by name; grad_p is zero when the state
+    has no pressure gradient."""
+    grad_p = state.pressure_grad
+    if grad_p is None:
+        grad_p = SpectralField(state.grid, np.zeros((state.grid.dim,) + state.grid.shape, complex))
+    return {"sigma": state.sigma, "velocity": state.velocity, "h": state.h_flat(),
+            "grad_p": grad_p}
+
+
 def _record_series(times, states: list[FluidState]) -> dict[str, NormSeries]:
-    sig = norm_series(times, [s.sigma for s in states])
-    vel = norm_series(times, [s.velocity for s in states])
-    hh = norm_series(times, [s.h_flat() for s in states])
-    grad_p = norm_series(
-        times,
-        [s.pressure_grad if s.pressure_grad is not None
-         else [zero_field(s.grid)] * s.grid.dim for s in states],
-    )
-    return {"sigma": sig, "velocity": vel, "h": hh, "grad_p": grad_p}
+    groups = [_groups(s) for s in states]
+    return {name: norm_series(times, [g[name] for g in groups]) for name in groups[0]}
 
 
 def _norm_rows_for(state: FluidState, t: float, norm_specs) -> list[dict]:
-    rows = []
-    groups = {"sigma": state.sigma, "velocity": state.velocity, "h": state.h_flat(),
-              "grad_p": state.pressure_grad or [zero_field(state.grid)] * state.grid.dim}
-    for name, spec in norm_specs:
-        target = groups[name]
-        val = besov_norm(target, spec).value
-        rows.append({"time": t, "norm_name": f"{name}:{spec.name}", "s": spec.s,
-                     "p": spec.p, "r": spec.r, "value": val})
-    return rows
+    groups = _groups(state)
+    return [{"time": t, "norm_name": f"{name}:{spec.name}", "s": spec.s, "p": spec.p,
+             "r": spec.r, "value": besov_norm(groups[name], spec).value}
+            for name, spec in norm_specs]
 
 
 def _run(stepper: _Stepper, arr: np.ndarray, tg: TimeGrid, norm_specs,
@@ -603,16 +598,14 @@ def stacked_tensor_to_velocity(grid: GridSpec, d: np.ndarray) -> np.ndarray:
     return stacked_divergence(grid, d) * _lambda_multiplier(grid, -1.0, d.shape[-1])
 
 
-def velocity_to_tensor(velocity: list[SpectralField]) -> list[list[SpectralField]]:
-    """`stacked_velocity_to_tensor` of a list of fields."""
-    grid = velocity[0].grid
-    return [_fields(grid, row) for row in stacked_velocity_to_tensor(grid, _stack(velocity))]
+def velocity_to_tensor(velocity: SpectralField) -> SpectralField:
+    """`stacked_velocity_to_tensor` of a vector field."""
+    return SpectralField(velocity.grid, stacked_velocity_to_tensor(velocity.grid, velocity.coeffs))
 
 
-def tensor_to_velocity(d: list[list[SpectralField]]) -> list[SpectralField]:
-    """`stacked_tensor_to_velocity` of a list of rows of fields."""
-    grid = d[0][0].grid
-    return _fields(grid, stacked_tensor_to_velocity(grid, np.array([_stack(r) for r in d])))
+def tensor_to_velocity(d: SpectralField) -> SpectralField:
+    """`stacked_tensor_to_velocity` of a tensor field."""
+    return SpectralField(d.grid, stacked_tensor_to_velocity(d.grid, d.coeffs))
 
 
 def transform_to_coupled(state: FluidState):
@@ -731,7 +724,9 @@ def _phi_apply(prev: _TrajectoryInterpolant, state0: FluidState,
     coefficients (a, xi) of its forcing, with the advecting u still frozen
     from `prev`.  Each callable below is a function of t alone, evaluated
     once per distinct stage time, interpolates only the rows it reads and
-    returns half-layout coefficients; `prev` may hold either layout.
+    returns half-layout coefficients: `prev`, both trajectories and the
+    trajectory returned hold the half layout.  The caller mirror-fills the
+    result once, after this call has freed both trajectories.
     """
     grid = state0.grid
     n = grid.dim
@@ -739,10 +734,10 @@ def _phi_apply(prev: _TrajectoryInterpolant, state0: FluidState,
     warm = None
 
     def u_at(t):
-        return to_half(grid, prev(t, vel_rows))
+        return prev(t, vel_rows)
 
     def sh_forcing(t):
-        u_xi = to_half(grid, prev(t, slice(1, None)))
+        u_xi = prev(t, slice(1, None))
         u, xi = u_xi[:n], u_xi[n:].reshape((n, n) + u_xi.shape[1:])
         src = stacked_gradient(grid, u) + dealiased(
             grid, _stretch(gradient_samples(grid, u), samples(grid, xi)))
@@ -751,13 +746,13 @@ def _phi_apply(prev: _TrajectoryInterpolant, state0: FluidState,
         return out
 
     tg1 = TimeGrid(tg.t_end, tg.dt, save_stride=1)
-    sh = solve_transport([state0.sigma] + state0.h_flat(), u_at, sh_forcing, tg1,
-                         check_divergence=False)
+    sigma_h = SpectralField(grid, np.delete(state0.coeffs, vel_rows, axis=0))
+    sh = solve_transport(sigma_h, u_at, sh_forcing, tg1, check_divergence=False)
     sh_interp = _TrajectoryInterpolant(sh.times, sh.coeffs)
 
     def v_forcing(t):
         nonlocal warm
-        sig_h = to_half(grid, sh_interp(t))
+        sig_h = sh_interp(t)
         arr = np.concatenate([sig_h[:1], u_at(t), sig_h[1:]])
         g, s, _ = momentum_forcing(grid, arr, params.mu, momentum_only=True)
         res = compute_pressure(grid, s[0], g, warm_start=warm)
@@ -766,7 +761,7 @@ def _phi_apply(prev: _TrajectoryInterpolant, state0: FluidState,
 
     v_traj = solve_heat(state0.velocity, v_forcing, params.mu, tg1)
 
-    vel = np.stack([stacked_leray(grid, v) for v in v_traj.coeffs])
+    vel = stacked_leray(grid, v_traj.coeffs)
     return np.concatenate([sh.coeffs[:, :1], vel, sh.coeffs[:, 1:]], axis=1)
 
 
@@ -811,20 +806,18 @@ def phi_iteration(state0: FluidState, params: PhysicalParams, tg: TimeGrid, *,
     constant = np.repeat(to_half(grid, state0.coeffs)[None], nt, axis=0)
     times = np.arange(nt) * tg.dt
 
-    current = _phi_apply(_TrajectoryInterpolant(times, constant), state0, params, tg)
-    applications = 1
+    current = to_full(grid, _phi_apply(_TrajectoryInterpolant(times, constant), state0,
+                                       params, tg))
 
     distances: list[float] = []
     monitors: list[dict] = []
     converged = False
     for _ in range(max_outer):
-        nxt = _phi_apply(_TrajectoryInterpolant(times, to_half(grid, current)),
-                         state0, params, tg)
-        applications += 1
+        nxt = to_full(grid, _phi_apply(_TrajectoryInterpolant(times, to_half(grid, current)),
+                                       state0, params, tg))
         dist = _trajectory_distance(nxt, current, grid, tg)
         distances.append(dist)
-        monitors.append(_admissible_monitor(nxt, times, grid, params, tg,
-                                            admissible))
+        monitors.append(_admissible_monitor(nxt, times, grid, params, tg, admissible))
         current = nxt
         if dist < tol:
             converged = True
@@ -834,20 +827,18 @@ def phi_iteration(state0: FluidState, params: PhysicalParams, tg: TimeGrid, *,
     states = [FluidState(grid, a) for a in current[save_idx]]
     saved_times = times[save_idx]
     series = _record_series(saved_times, states)
-    report = PhiReport(distances, monitors, converged, len(distances), applications)
+    report = PhiReport(distances, monitors, converged, len(distances), 1 + len(distances))
     return PhiResult(saved_times, states, report, series)
 
 
 def _admissible_monitor(traj: np.ndarray, times: np.ndarray, grid: GridSpec,
                         params: PhysicalParams, tg: TimeGrid,
                         admissible: AdmissibleSetSpec | None) -> dict:
-    from .norms import chemin_lerner_norm
-
     s = grid.dim / 2.0
     n = grid.dim
-    sig_series = norm_series(times, [SpectralField(grid, a[0]) for a in traj])
-    vel_series = norm_series(times, [_fields(grid, a[1:1 + n]) for a in traj])
-    h_series = norm_series(times, [_fields(grid, a[1 + n:]) for a in traj])
+    sig_series = norm_series(times, SpectralField(grid, traj[:, 0]))
+    vel_series = norm_series(times, SpectralField(grid, traj[:, 1:1 + n]))
+    h_series = norm_series(times, SpectralField(grid, traj[:, 1 + n:]))
     T = times[-1]
     r_meas = max(sig_series.besov_at(i, BesovSpec(s)) for i in range(len(times)))
     eta_meas = chemin_lerner_norm(vel_series, 1.0, BesovSpec(s + 1.0), T) \

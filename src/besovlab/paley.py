@@ -88,20 +88,18 @@ def default_profile() -> PartitionProfile:
 
 @dataclass
 class DyadicBlocks:
-    """Band-limited pieces Delta_q u of a field, q in [0, q_max]."""
+    """Band-limited pieces Delta_q u of a scalar field, stacked over q in
+    [0, q_max]: `blocks[q]` is band q."""
 
-    blocks: dict[int, SpectralField]
+    blocks: SpectralField
     q_max: int
     mean: float
 
     def reconstruct(self) -> SpectralField:
         """Sum of all bands plus the mean."""
-        grid = next(iter(self.blocks.values())).grid
-        out = np.zeros(grid.shape, dtype=np.complex128)
-        for b in self.blocks.values():
-            out += b.coeffs
-        out[(0,) * grid.dim] += self.mean
-        return SpectralField(grid, out)
+        out = self.blocks.coeffs.sum(axis=0)
+        out[(0,) * out.ndim] += self.mean
+        return SpectralField(self.blocks.grid, out)
 
 
 def block_multipliers(grid: GridSpec) -> np.ndarray:
@@ -147,20 +145,13 @@ def retained_radius(grid: GridSpec) -> float:
 
 def dyadic_decompose(field: SpectralField) -> DyadicBlocks:
     grid = field.grid
-    stack = block_multipliers(grid)
-    blocks = {
-        q: SpectralField(grid, field.coeffs * stack[q]) for q in range(stack.shape[0])
-    }
+    blocks = SpectralField(grid, field.coeffs * block_multipliers(grid))
     return DyadicBlocks(blocks=blocks, q_max=grid.q_max, mean=field.mean)
 
 
 def low_freq_cutoff(field: SpectralField, q: int) -> SpectralField:
     """S_q u: mean plus all bands strictly below q."""
     grid = field.grid
-    stack = block_multipliers(grid)
-    mult = np.zeros(grid.shape)
-    for j in range(0, min(q, stack.shape[0])):
-        mult += stack[j]
-    out = field.coeffs * mult
+    out = field.coeffs * block_multipliers(grid)[:max(q, 0)].sum(axis=0)
     out[(0,) * grid.dim] = field.coeffs[(0,) * grid.dim]
     return SpectralField(grid, out)

@@ -15,7 +15,7 @@ from .spectral import (
     SpectralField,
     forward_transform,
     grid_wavenumbers,
-    leray_project,
+    stacked_leray,
 )
 
 
@@ -37,20 +37,14 @@ def random_scalar(grid: GridSpec, rng: np.random.Generator, *,
     return SpectralField(grid, coeffs / scale)
 
 
-def random_vector(grid: GridSpec, rng: np.random.Generator, *,
-                  radius: float | None = None, radius_lo: float = 0.5,
-                  decay: float = 1.0) -> list[SpectralField]:
-    return [random_scalar(grid, rng, radius=radius, radius_lo=radius_lo, decay=decay)
-            for _ in range(grid.dim)]
-
-
 def random_solenoidal(grid: GridSpec, rng: np.random.Generator, *,
                       radius: float | None = None, radius_lo: float = 0.5,
-                      decay: float = 1.0) -> list[SpectralField]:
-    """Divergence-free unit-scale random vector field supported in
-    radius_lo < |k| <= radius."""
-    fields = leray_project(random_vector(grid, rng, radius=radius,
-                                         radius_lo=radius_lo, decay=decay))
-    scale = np.sqrt(sum(np.sum(np.abs(f.coeffs) ** 2) for f in fields)) \
-        * (2 * np.pi) ** (grid.dim / 2.0)
-    return [SpectralField(grid, f.coeffs / scale) for f in fields]
+                      decay: float = 1.0) -> SpectralField:
+    """Divergence-free unit-scale random vector field (dim, *grid)
+    supported in radius_lo < |k| <= radius: the Leray projection of `dim`
+    independent `random_scalar` draws."""
+    draws = np.stack([random_scalar(grid, rng, radius=radius, radius_lo=radius_lo,
+                                    decay=decay).coeffs for _ in range(grid.dim)])
+    coeffs = stacked_leray(grid, draws)
+    scale = np.sqrt(sum(np.sum(np.abs(c) ** 2) for c in coeffs)) * (2 * np.pi) ** (grid.dim / 2.0)
+    return SpectralField(grid, coeffs / scale)

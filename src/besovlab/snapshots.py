@@ -77,7 +77,7 @@ def read_snapshot(path) -> tuple[GridSpec, dict[str, SpectralField]]:
     return grid, fields
 
 
-def state_fields(state, s: np.ndarray | None = None) -> dict[str, np.ndarray]:
+def state_samples(state, s: np.ndarray | None = None) -> dict[str, np.ndarray]:
     """Named grid samples of a fluid state for a snapshot: those of its
     stacked (sigma, v, h) are `s` when the caller holds them (a run's save
     passes its first stage's) and are taken here in one call otherwise;
@@ -87,6 +87,6 @@ def state_fields(state, s: np.ndarray | None = None) -> dict[str, np.ndarray]:
         + [f"h{i}{j}" for i in range(n) for j in range(n)]
     out = dict(zip(names, samples(grid, state.coeffs) if s is None else s))
     if state.pressure_grad is not None:
-        gp = samples(grid, np.stack([g.coeffs for g in state.pressure_grad]))
+        gp = samples(grid, state.pressure_grad.coeffs)
         out.update((f"gradp{i}", g) for i, g in enumerate(gp))
     return out

@@ -7,36 +7,44 @@ All operators in this module are Fourier multipliers acting on those
 coefficients and keep that symmetry; they are pure functions and
 deterministic.
 
+A `SpectralField` is one field or a stack of them: its coefficients have
+shape (*components, *grid.shape), and indexing or iterating it gives
+views of its components.  A vector is a field of shape (dim, *grid), a
+tensor (dim, dim, *grid), a state (1 + n + n^2, *grid), a trajectory a
+leading time axis on top; no operator here takes a list of fields.
+
 Two layouts carry the same coefficients.  The full layout, shape
-(..., M, ..., M), lives at the API boundary: `SpectralField`, the states
-and trajectories the solvers return, snapshots, norms, the verifier and
-the random draws.  The half layout, shape (..., M, ..., M//2+1), holds
-only the k_last >= 0 modes; it is what `rfftn` gives and all that
-`irfftn` reads, and the integration core (the steppers, the stage kernel
-and the pressure solve) carries nothing else.  `to_half` (a slice) and
-`to_full` (the one mirror fill, k_last < 0 from the conjugate of -k) are
-the only conversions.  Inside the half, the k_last = 0 and k_last = M/2
-planes each hold both k and -k, so their Hermitian symmetry is a
-constraint within the plane (`hermitian_planes` projects onto it); every
-other plane stands for itself and its mirror, and a Parseval sum counts
-it twice.  The multiplier tables of `grid_wavenumbers` are full; each
-operator slices them to the last axis of the array it acts on
-(`ik[..., :c.shape[-1]]`), so it serves both layouts without a branch.
+(..., M, ..., M), lives at the API boundary: `SpectralField`, the saved
+states of the steppers, snapshots, norms, the verifier and the random
+draws.  The half layout, shape (..., M, ..., M//2+1), holds only the
+k_last >= 0 modes; it is what `rfftn` gives and all that `irfftn` reads,
+and the integration core (the steppers, the linear solvers and their
+trajectories, the stage kernel and the pressure solve) carries nothing
+else.  `to_half` (a slice) and `to_full` (the one mirror fill, k_last < 0
+from the conjugate of -k) are the only conversions.  Inside the half, the
+k_last = 0 and k_last = M/2 planes each hold both k and -k, so their
+Hermitian symmetry is a constraint within the plane (`hermitian_planes`
+projects onto it); every other plane stands for itself and its mirror,
+and a Parseval sum counts it twice.  The multiplier tables of
+`grid_wavenumbers` are full; each operator slices them to the last axis
+of the array it acts on (`ik[..., :c.shape[-1]]`), so it serves both
+layouts without a branch.
 
 `samples` and `gradient_samples` read either layout; `dealiased`, the
 core's one forward transform, returns the half, and `forward_transform`
-returns the full layout.  `samples`, `gradient_samples`, `dealiased`,
-`stacked_gradient`, `stacked_divergence`, `stacked_leray`, `product` and
-`advect` act on stacked arrays: any leading axes index components, the
-last `dim` axes are the grid.  A quadratic term is formed by sampling its
-factors on the grid, multiplying and contracting there, and one
-`dealiased` call for all its output components; `product` is the case of
-one scalar factor, at the API boundary.  The largest arrays a right side
-holds are those of the one `gradient_samples` call over its whole stack:
-the samples and the gradient samples, `dim` + 1 reals per component and
-grid point (13 x 4 x 32^3 float64 = 13.6 MB in 3D at M 32), filled from a
-work array of `dim` + 1 half-layout branches per component (14.5 MB) that
-is freed when the call returns.
+returns the full layout.  The `stacked_*` operators, `samples`,
+`gradient_samples`, `dealiased`, `product` and `advect` act on stacked
+arrays: any leading axes index components, the last `dim` axes are the
+grid; `gradient`, `divergence` and `leray_project` are their forms on a
+field.  A quadratic term is formed by sampling its factors on the grid,
+multiplying and contracting there, and one `dealiased` call for all its
+output components; `product` is the case of one scalar factor, at the
+API boundary.  The largest arrays a right side holds are those of the one
+`gradient_samples` call over its whole stack: the samples and the
+gradient samples, `dim` + 1 reals per component and grid point
+(13 x 4 x 32^3 float64 = 13.6 MB in 3D at M 32), filled from a work array
+of `dim` + 1 half-layout branches per component (14.5 MB) that is freed
+when the call returns.
 """
 
 from __future__ import annotations
@@ -138,13 +146,16 @@ def grid_wavenumbers(grid: GridSpec) -> dict:
 
 @dataclass
 class SpectralField:
-    """Complex Fourier coefficients of a real scalar field on `grid`."""
+    """Complex Fourier coefficients of a real field on `grid`, or of a stack
+    of them: shape (*components, *grid.shape).  `f[i]` and iteration give
+    views of the components along the first axis; a scalar field has none
+    (`len` raises TypeError), and no field supports item assignment."""
 
     grid: GridSpec
     coeffs: np.ndarray
 
     def __post_init__(self):
-        if self.coeffs.shape != self.grid.shape:
+        if self.coeffs.shape[-self.grid.dim:] != self.grid.shape:
             raise GridError(
                 f"coefficient shape {self.coeffs.shape} does not match grid {self.grid.shape}"
             )
@@ -152,6 +163,15 @@ class SpectralField:
             self.coeffs = self.coeffs.astype(np.complex128)
 
     # -- basic structure ------------------------------------------------
+    def __len__(self) -> int:
+        if self.coeffs.ndim == self.grid.dim:
+            raise TypeError("a scalar field has no components")
+        return self.coeffs.shape[0]
+
+    def __getitem__(self, i) -> "SpectralField":
+        len(self)  # a scalar field has no components to index
+        return SpectralField(self.grid, self.coeffs[i])
+
     def copy(self) -> "SpectralField":
         return SpectralField(self.grid, self.coeffs.copy())
 
@@ -161,7 +181,7 @@ class SpectralField:
 
     def hermitian_defect(self) -> float:
         """Max |c(-k) - conj(c(k))| relative to the largest coefficient."""
-        flipped = _reverse_modes(self.coeffs)
+        flipped = _reverse_modes(self.grid, self.coeffs)
         scale = np.max(np.abs(self.coeffs))
         if scale == 0.0:
             return 0.0
@@ -189,10 +209,10 @@ class SpectralField:
         return SpectralField(self.grid, -self.coeffs)
 
 
-def _reverse_modes(coeffs: np.ndarray) -> np.ndarray:
-    """Coefficient array at -k (mod M) for every k."""
+def _reverse_modes(grid: GridSpec, coeffs: np.ndarray) -> np.ndarray:
+    """Coefficient array at -k (mod M) for every k, per component."""
     out = coeffs
-    for ax in range(coeffs.ndim):
+    for ax in range(-grid.dim, 0):
         out = np.flip(np.roll(out, -1, axis=ax), axis=ax)
     return out
 
@@ -204,7 +224,7 @@ def hermitize(field: "SpectralField") -> "SpectralField":
     the anti-Hermitian part is invisible to any operator that works on
     real physical samples, so it is pure garbage to discard.
     """
-    sym = 0.5 * (field.coeffs + _reverse_modes(field.coeffs).conj())
+    sym = 0.5 * (field.coeffs + _reverse_modes(field.grid, field.coeffs).conj())
     return SpectralField(field.grid, sym)
 
 
@@ -305,8 +325,9 @@ def derivative(field: SpectralField, axis: int) -> SpectralField:
     return SpectralField(grid, field.coeffs * grid_wavenumbers(grid)["ik"][axis])
 
 
-def gradient(field: SpectralField) -> list[SpectralField]:
-    return [derivative(field, ax) for ax in range(field.grid.dim)]
+def gradient(field: SpectralField) -> SpectralField:
+    """`stacked_gradient` of a field: [..., l] = d_l of each component."""
+    return SpectralField(field.grid, stacked_gradient(field.grid, field.coeffs))
 
 
 def stacked_gradient(grid: GridSpec, coeffs: np.ndarray) -> np.ndarray:
@@ -320,7 +341,7 @@ def stacked_divergence(grid: GridSpec, coeffs: np.ndarray) -> np.ndarray:
     """d_l of component l, summed over the axis just before the grid axes
     (`coeffs` holds vectors of `dim` components)."""
     ik = grid_wavenumbers(grid)["ik"][..., :coeffs.shape[-1]]
-    return sum(k * c for k, c in zip(ik, np.moveaxis(coeffs, -grid.dim - 1, 0)))
+    return sum(k * c for k, c in zip(ik, np.moveaxis(coeffs, -grid.dim - 1, 0), strict=True))
 
 
 def _lambda_multiplier(grid: GridSpec, exponent: float, width: int) -> np.ndarray:
@@ -342,19 +363,9 @@ def lambda_power(field: SpectralField, exponent: float) -> SpectralField:
                          * _lambda_multiplier(grid, exponent, grid.points_per_axis))
 
 
-def _vector(fields: list[SpectralField]) -> np.ndarray:
-    """The stacked coefficients of `dim` fields on one grid."""
-    grid = fields[0].grid
-    if any(f.grid != grid for f in fields[1:]):
-        raise GridError("fields live on different grids")
-    if len(fields) != grid.dim:
-        raise GridError("component count does not match grid dimension")
-    return np.stack([f.coeffs for f in fields])
-
-
-def divergence(fields: list[SpectralField]) -> SpectralField:
-    grid = fields[0].grid
-    return SpectralField(grid, stacked_divergence(grid, _vector(fields)))
+def divergence(field: SpectralField) -> SpectralField:
+    """`stacked_divergence` of a field of vectors."""
+    return SpectralField(field.grid, stacked_divergence(field.grid, field.coeffs))
 
 
 def stacked_leray(grid: GridSpec, coeffs: np.ndarray) -> np.ndarray:
@@ -375,10 +386,9 @@ def stacked_leray(grid: GridSpec, coeffs: np.ndarray) -> np.ndarray:
     return coeffs - kaxes * np.expand_dims(scale, -grid.dim - 1)
 
 
-def leray_project(fields: list[SpectralField]) -> list[SpectralField]:
-    """`stacked_leray` of `dim` fields."""
-    grid = fields[0].grid
-    return [SpectralField(grid, c) for c in stacked_leray(grid, _vector(fields))]
+def leray_project(field: SpectralField) -> SpectralField:
+    """`stacked_leray` of a field of vectors."""
+    return SpectralField(field.grid, stacked_leray(field.grid, field.coeffs))
 
 
 def dealias(field: SpectralField) -> SpectralField:
@@ -443,42 +453,32 @@ def advect(grid: GridSpec, v: np.ndarray, du: np.ndarray) -> np.ndarray:
 
 
 def rescale(field: SpectralField, m: int) -> SpectralField:
-    """Spatial dilation x -> 2^m x: move the coefficient at k to 2^m * k.
+    """Spatial dilation x -> 2^m x of every component: move the coefficient
+    at k to 2^m * k.
 
     For m > 0 every populated mode must stay inside the grid; for m < 0
     every populated mode must sit on the 2^|m| sub-lattice.  Coefficients
-    at rounding level (1e-13 of the peak) count as unpopulated, so
-    transform noise in sampled fields does not trip the band checks.
+    at rounding level (1e-13 of the component's peak) count as unpopulated,
+    so transform noise in sampled fields does not trip the band checks.
     Amplitude prefactors of the critical-scaling transformation are left
     to the caller.
     """
     if m == 0:
         return field.copy()
-    grid = field.grid
+    grid, coeffs = field.grid, field.coeffs
     mm = grid.points_per_axis
-    half = mm // 2
-    k1 = np.fft.fftfreq(mm, d=1.0 / mm).astype(np.int64)
-    out = np.zeros(grid.shape, dtype=np.complex128)
     factor = 2 ** abs(m)
-    floor = 1e-13 * float(np.max(np.abs(field.coeffs)))
-    nz = np.argwhere(np.abs(field.coeffs) > floor)
+    mag = np.abs(coeffs)
+    nz = np.argwhere(mag > 1e-13 * mag.max(axis=tuple(range(-grid.dim, 0)), keepdims=True))
+    k = np.fft.fftfreq(mm, d=1.0 / mm).astype(np.int64)[nz[:, -grid.dim:]]
     if m > 0:
-        for idx in nz:
-            k = k1[list(idx)]
-            if np.any(np.abs(k) * factor >= half):
-                raise GridError(
-                    f"rescale by m={m} overflows the grid at mode {tuple(k)}"
-                )
-            new_idx = tuple((k * factor) % mm)
-            out[new_idx] = field.coeffs[tuple(idx)]
+        bad, moved = np.any(np.abs(k) * factor >= mm // 2, axis=1), k * factor
+        message = f"rescale by m={m} overflows the grid at mode"
     else:
-        for idx in nz:
-            k = k1[list(idx)]
-            if np.any(k % factor != 0):
-                raise GridError(
-                    f"rescale by m={m} needs modes on the 2^{abs(m)} sub-lattice, "
-                    f"found {tuple(k)}"
-                )
-            new_idx = tuple((k // factor) % mm)
-            out[new_idx] = field.coeffs[tuple(idx)]
+        bad, moved = np.any(k % factor != 0, axis=1), k // factor
+        message = f"rescale by m={m} needs modes on the 2^{abs(m)} sub-lattice, found"
+    if bad.any():
+        raise GridError(f"{message} {tuple(k[bad][0])}")
+    out = np.zeros_like(coeffs)
+    out[tuple(nz[:, :-grid.dim].T) + tuple((moved % mm).T)] = coeffs[tuple(nz.T)]
     return SpectralField(grid, out)

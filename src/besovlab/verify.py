@@ -22,13 +22,13 @@ import numpy as np
 
 from . import randfields
 from .linsolve import TimeGrid
-from .norms import INF, BesovSpec, HybridSpec, besov_norm, hybrid_norm, stacked_lp
+from .norms import (INF, BesovSpec, HybridSpec, besov_norm, hybrid_norm, hybrid_series_norm,
+                    lebesgue_time_norm, stacked_lp)
 from .oldroyd import PhysicalParams, make_initial_data, run
 from .paley import SHELL_HI, SHELL_LO, block_multipliers, retained_radius
 from .spectral import (
     GridSpec,
     SpectralField,
-    derivative,
     gradient,
     grid_wavenumbers,
     make_grid,
@@ -327,8 +327,7 @@ def band_safe_tuple(grid: GridSpec, seed: int, m: int = 1):
         raise ValueError(f"grid too coarse for a 2^{m} dilation band")
     sigma = randfields.random_scalar(grid, rng, radius=hi, radius_lo=lo)
     velocity = randfields.random_solenoidal(grid, rng, radius=hi, radius_lo=lo)
-    w = randfields.random_solenoidal(grid, rng, radius=hi, radius_lo=lo)
-    h = [[derivative(w[i], j) for j in range(grid.dim)] for i in range(grid.dim)]
+    h = gradient(randfields.random_solenoidal(grid, rng, radius=hi, radius_lo=lo))
     return sigma, velocity, h
 
 
@@ -350,18 +349,18 @@ def verify_scaling(sigma, velocity, h, m: int, p: float = 2.0, *,
     spec_vel = BesovSpec(n / p - 1.0, p, 1.0)
 
     sig_l = measure * rescale(sigma, m)
-    vel_l = [l * measure * rescale(f, m) for f in velocity]
-    h_l = [[measure * rescale(f, m) for f in row] for row in h]
+    vel_l = l * measure * rescale(velocity, m)
+    h_l = measure * rescale(h, m)
 
     before = {
         "sigma": besov_norm(sigma, spec_crit).value,
         "velocity": besov_norm(velocity, spec_vel).value,
-        "h": besov_norm([f for row in h for f in row], spec_crit).value,
+        "h": besov_norm(h, spec_crit).value,
     }
     after = {
         "sigma": besov_norm(sig_l, spec_crit).value,
         "velocity": besov_norm(vel_l, spec_vel).value,
-        "h": besov_norm([f for row in h_l for f in row], spec_crit).value,
+        "h": besov_norm(h_l, spec_crit).value,
     }
     defects = {}
     for key in before:
@@ -378,8 +377,6 @@ def verify_scaling(sigma, velocity, h, m: int, p: float = 2.0, *,
 
 def aggregate_energy_norm(result, mu: float, s: float) -> float:
     """Sup-in-time hybrid/critical norms plus mu-weighted time integrals."""
-    from .norms import hybrid_series_norm, lebesgue_time_norm
-
     T = result.times[-1]
     hyb_inf = HybridSpec(s, INF, mu)
     hyb_one = HybridSpec(s, 1.0, mu)
@@ -427,8 +424,6 @@ def smallness_experiment(alpha_list, T: float, grid: GridSpec,
             row["initial_norm"] = achieved
             result = run(state, params, TimeGrid(T, dt, save_stride))
             agg = aggregate_energy_norm(result, params.mu, s)
-            from .norms import lebesgue_time_norm
-
             press = lebesgue_time_norm(result.series["grad_p"], 1.0,
                                        BesovSpec(s - 1.0), result.times[-1])
             row["energy_aggregate"] = agg

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from besovlab.spectral import GridSpec, forward_transform
+from besovlab.spectral import GridSpec, SpectralField, forward_transform
 
 
 @pytest.fixture(scope="session")
@@ -25,3 +25,10 @@ def field_of(grid, fn):
 
 def l2_of_samples(grid, samples):
     return float(np.sqrt(np.sum(samples ** 2) * grid.cell_volume))
+
+
+def stack(fields):
+    """One stacked field from a list (or a list of lists) of fields on one
+    grid."""
+    parts = [f if isinstance(f, SpectralField) else stack(f) for f in fields]
+    return SpectralField(parts[0].grid, np.stack([f.coeffs for f in parts]))

@@ -21,7 +21,7 @@ from besovlab.oldroyd import (
     deformation_identity_residual,
     phi_iteration,
     run,
-    _l2_fields,
+    _l2,
 )
 from besovlab.paley import default_profile
 from besovlab.randfields import random_scalar
@@ -49,7 +49,7 @@ from besovlab.verify import (
     verify_scaling,
 )
 
-from conftest import field_of
+from conftest import field_of, stack
 
 PARAMS = PhysicalParams(mu=1.0, sigma_floor=0.1)
 
@@ -124,7 +124,7 @@ def test_04_transport_translation():
     clock = _Clock("04 transport-translation")
     grid = make_grid(2, 64)
     u0 = field_of(grid, lambda x, y: np.cos(x))
-    v = [forward_transform(grid, np.ones(grid.shape)), zero_field(grid)]
+    v = stack([forward_transform(grid, np.ones(grid.shape)), zero_field(grid)])
     # pi is not an integer multiple of 1e-3; use the nearest uniform step
     n = round(np.pi / 1e-3)
     res = solve_transport(u0, v, None, TimeGrid(np.pi, np.pi / n))
@@ -139,7 +139,7 @@ def test_05_variable_coefficient_pressure():
     grid = make_grid(2, 32)
     a = field_of(grid, lambda x, y: 1.0 + 0.2 * np.sin(x))
     u_star = field_of(grid, lambda x, y: np.sin(y))
-    flux = [product(a, derivative(u_star, ax)) for ax in range(2)]
+    flux = stack([product(a, derivative(u_star, ax)) for ax in range(2)])
     f = -1.0 * divergence(flux)
     res = solve_variable_poisson(a, f, tol=1e-12, max_iter=50)
     err = max(float(np.max(np.abs(res.gradient[ax].coeffs
@@ -167,8 +167,8 @@ def test_06_coupled_matrix_exponential():
         kk = float(np.hypot(k[idx[0]], k[idx[1]]))
         y0 = np.array([c0.coeffs[tuple(idx)], d0.coeffs[tuple(idx)]])
         want = scipy.linalg.expm(np.array([[0.0, -kk], [kk, -mu * kk ** 2]]) * T) @ y0
-        got = np.array([res.final.c[0].coeffs[tuple(idx)],
-                        res.final.d[0].coeffs[tuple(idx)]])
+        got = np.array([res.final[0].coeffs[tuple(idx)],
+                        res.final[1].coeffs[tuple(idx)]])
         worst = max(worst, float(np.max(np.abs(got - want)) / np.max(np.abs(y0))))
     clock.report(worst <= 1e-10, f"worst per-mode relative defect {worst:.3g}")
 
@@ -186,8 +186,8 @@ def test_07_constraint_propagation():
     for fn in (deformation_identity_residual, perturbation_identity_residual):
         fields = {dt: fn(finals[dt].h) for dt in finals}
         ref = fields[2e-3]
-        d1 = _l2_fields([a - b for a, b in zip(fields[8e-3], ref)], grid)
-        d2 = _l2_fields([a - b for a, b in zip(fields[4e-3], ref)], grid)
+        d1 = _l2((fields[8e-3] - ref).coeffs, grid)
+        d2 = _l2((fields[4e-3] - ref).coeffs, grid)
         ratios.append(d1 / d2)
     ok = all(r >= 3.0 for r in ratios) and div_worst <= 1e-10
     clock.report(ok, f"halving ratios {[f'{r:.1f}' for r in ratios]}, "

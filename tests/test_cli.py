@@ -171,6 +171,22 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("command, seed, option, message", [
+        ("simulate", -1, [], "initial.seed must be nonnegative, got -1"),
+        ("phi", -1, [], "initial.seed must be nonnegative, got -1"),
+        ("simulate", 4, ["--seed", "-2"], "--seed must be nonnegative, got -2"),
+        ("phi", 4, ["--seed", "-2"], "--seed must be nonnegative, got -2"),
+    ], ids=["simulate_config", "phi_config", "simulate_option", "phi_option"])
+    def test_negative_seed_exit_2(self, tmp_path, capsys, command, seed, option, message):
+        """A negative seed is a configuration error named by its field,
+        caught before the output directory is made."""
+        cfg = base_config(tmp_path, initial={"family": "exact_gradient",
+                                             "amplitude": 1e-3, "seed": seed})
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out), *option]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_invalid_json_exit_2(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{")
@@ -354,6 +370,14 @@ class TestVerifyCommand:
         out = tmp_path / "v"
         assert main(["verify", "bernstein", option, value, "--out", str(out)]) == 2
         assert_one_line_error(capsys)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [["verify", "bernstein"], ["smallness"]],
+                             ids=["verify", "smallness"])
+    def test_negative_seed_exit_2(self, tmp_path, capsys, command):
+        out = tmp_path / "v"
+        assert main([*command, "--seed", "-2", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: --seed must be nonnegative, got -2\n"
         assert not out.exists()
 
     def test_bernstein_passes(self, tmp_path):

@@ -27,7 +27,7 @@ from besovlab.spectral import (
     zero_field,
 )
 
-from conftest import field_of
+from conftest import field_of, stack
 
 
 class TestTimeGrid:
@@ -103,8 +103,8 @@ class TestTransport:
 
     def test_translation(self, grid2_32):
         u0 = field_of(grid2_32, lambda x, y: np.cos(x))
-        v = [forward_transform(grid2_32, np.ones(grid2_32.shape)),
-             zero_field(grid2_32)]
+        v = stack([forward_transform(grid2_32, np.ones(grid2_32.shape)),
+                   zero_field(grid2_32)])
         res = solve_transport(u0, v, None, TimeGrid(np.pi, np.pi / 1000))
         xx, _ = grid2_32.meshgrid()
         err = inverse_transform(res.final) + np.cos(xx)
@@ -115,7 +115,7 @@ class TestTransport:
         # steady shear v = (sin y, 0): backward tracing is exact, so the
         # oracle evaluates u0 along traced characteristics
         u0 = field_of(grid2_32, lambda x, y: np.cos(x))
-        v = [field_of(grid2_32, lambda x, y: np.sin(y)), zero_field(grid2_32)]
+        v = stack([field_of(grid2_32, lambda x, y: np.sin(y)), zero_field(grid2_32)])
         T = 1.0
         res = solve_transport(u0, v, None, TimeGrid(T, 2e-3))
         xx, yy = grid2_32.meshgrid()
@@ -128,8 +128,8 @@ class TestTransport:
         # generic oracle: RK4 backward particle tracing at dt/2 plus
         # direct Fourier evaluation of u0 at the feet
         u0 = field_of(grid2_32, lambda x, y: np.sin(x + y))
-        v = [field_of(grid2_32, lambda x, y: np.sin(y)),
-             field_of(grid2_32, lambda x, y: np.sin(x))]
+        v = stack([field_of(grid2_32, lambda x, y: np.sin(y)),
+                   field_of(grid2_32, lambda x, y: np.sin(x))])
         from besovlab.spectral import leray_project
 
         v = leray_project(v)
@@ -173,21 +173,21 @@ class TestTransport:
 
     def test_lp_conservation(self, grid2_32):
         u0 = field_of(grid2_32, lambda x, y: np.cos(x))
-        v = [field_of(grid2_32, lambda x, y: np.sin(y)), zero_field(grid2_32)]
+        v = stack([field_of(grid2_32, lambda x, y: np.sin(y)), zero_field(grid2_32)])
         res = solve_transport(u0, v, None, TimeGrid(1.0, 1e-3, save_stride=1000))
         drift = abs(lp_norm(res.final, 2) - lp_norm(u0, 2)) / lp_norm(u0, 2)
         assert drift <= 1e-6
 
     def test_cfl_guard(self, grid2_32):
         u0 = field_of(grid2_32, lambda x, y: np.cos(x))
-        v = [forward_transform(grid2_32, np.full(grid2_32.shape, 3.0)),
-             zero_field(grid2_32)]
+        v = stack([forward_transform(grid2_32, np.full(grid2_32.shape, 3.0)),
+                   zero_field(grid2_32)])
         with pytest.raises(CflViolationError):
             solve_transport(u0, v, None, TimeGrid(1.0, 0.05))
 
     def test_solenoidal_guard(self, grid2_32):
         u0 = field_of(grid2_32, lambda x, y: np.cos(x))
-        v = [field_of(grid2_32, lambda x, y: np.sin(x)), zero_field(grid2_32)]
+        v = stack([field_of(grid2_32, lambda x, y: np.sin(x)), zero_field(grid2_32)])
         with pytest.raises(NonSolenoidalError):
             solve_transport(u0, v, None, TimeGrid(1.0, 0.01))
 
@@ -200,7 +200,7 @@ class TestTransport:
 
         def one_case():
             u0 = random_scalar(grid2_32, rng)
-            v = [0.2 * f for f in random_solenoidal(grid2_32, rng)]
+            v = 0.2 * random_solenoidal(grid2_32, rng)
             g = random_scalar(grid2_32, rng)
             T, dt = 0.5, 5e-3
             res = solve_transport(u0, v, lambda t: g, TimeGrid(T, dt))
@@ -237,13 +237,13 @@ class TestStageTimeEvaluations:
     def test_transport(self, grid2_32, t_end, dt):
         rng = np.random.default_rng(3)
         u0, g = random_scalar(grid2_32, rng), random_scalar(grid2_32, rng)
-        v = [0.2 * f for f in random_solenoidal(grid2_32, rng)]
+        v = 0.2 * random_solenoidal(grid2_32, rng)
         tg = TimeGrid(t_end, dt)
         vel_calls, force_calls = [], []
         res = solve_transport(u0, self.counted(vel_calls, v),
                               self.counted(force_calls, g), tg)
         assert len(vel_calls) == len(force_calls) == 2 * tg.n_steps + 1
-        # a frozen velocity list gives the same trajectory bit for bit
+        # a frozen velocity field gives the same trajectory bit for bit
         frozen = solve_transport(u0, v, lambda t: g, tg)
         assert np.array_equal(res.coeffs, frozen.coeffs)
 
@@ -251,7 +251,7 @@ class TestStageTimeEvaluations:
     def test_coupled(self, grid2_32, t_end, dt):
         rng = np.random.default_rng(4)
         c0, d0 = random_scalar(grid2_32, rng), random_scalar(grid2_32, rng)
-        v = [0.2 * f for f in random_solenoidal(grid2_32, rng)]
+        v = 0.2 * random_solenoidal(grid2_32, rng)
         tg = TimeGrid(t_end, dt)
         vel_calls = []
         solve_coupled(c0, d0, self.counted(vel_calls, v), None, None, 1.0, tg)
@@ -272,7 +272,7 @@ class TestVariablePoisson:
         # a = 1 + 0.2 sin x, u* = sin y, f = -div(a grad u*)
         a = field_of(grid2_32, lambda x, y: 1.0 + 0.2 * np.sin(x))
         u_star = field_of(grid2_32, lambda x, y: np.sin(y))
-        flux = [product(a, derivative(u_star, ax)) for ax in range(2)]
+        flux = stack([product(a, derivative(u_star, ax)) for ax in range(2)])
         f = -1.0 * divergence(flux)
         res = solve_variable_poisson(a, f, tol=1e-12, max_iter=50)
         assert res.converged
@@ -292,7 +292,7 @@ class TestVariablePoisson:
         # a = 1 + 0.2 sin x sin z, u* = sin y + cos z, f = -div(a grad u*)
         a = field_of(grid3_16, lambda x, y, z: 1.0 + 0.2 * np.sin(x) * np.sin(z))
         u_star = field_of(grid3_16, lambda x, y, z: np.sin(y) + np.cos(z))
-        flux = [product(a, derivative(u_star, ax)) for ax in range(3)]
+        flux = stack([product(a, derivative(u_star, ax)) for ax in range(3)])
         f = -1.0 * divergence(flux)
         res = solve_variable_poisson(a, f, tol=1e-12, max_iter=50)
         assert res.converged
@@ -308,7 +308,7 @@ class TestVariablePoisson:
         f = random_scalar(grid2_32, rng)
         res = solve_variable_poisson(a, f, tol=tol)
         u = res.potential
-        r = f + divergence([product(a, derivative(u, ax)) for ax in range(2)])
+        r = f + divergence(stack([product(a, derivative(u, ax)) for ax in range(2)]))
         fnorm = np.sqrt(np.sum(np.abs(f.coeffs) ** 2))
         assert np.sqrt(np.sum(np.abs(r.coeffs) ** 2)) <= tol * fnorm
         assert res.iterations > 1
@@ -316,7 +316,7 @@ class TestVariablePoisson:
     def test_elliptic_shape_ratios_recorded(self, grid2_32):
         a = field_of(grid2_32, lambda x, y: 1.0 + 0.2 * np.sin(x))
         u_star = field_of(grid2_32, lambda x, y: np.sin(y))
-        flux = [product(a, derivative(u_star, ax)) for ax in range(2)]
+        flux = stack([product(a, derivative(u_star, ax)) for ax in range(2)])
         f = -1.0 * divergence(flux)
         res = solve_variable_poisson(a, f, tol=1e-12)
         grad = res.gradient
@@ -367,8 +367,8 @@ class TestCoupled:
     def test_zero_data(self, grid2_32):
         res = solve_coupled(zero_field(grid2_32), zero_field(grid2_32), None,
                             None, None, 1.0, TimeGrid(0.5, 0.01))
-        assert np.max(np.abs(res.final.c[0].coeffs)) == 0.0
-        assert np.max(np.abs(res.final.d[0].coeffs)) == 0.0
+        assert np.max(np.abs(res.final[0].coeffs)) == 0.0
+        assert np.max(np.abs(res.final[1].coeffs)) == 0.0
 
     def test_energy_conservation_inviscid(self, grid2_32):
         # mu = 0 leaves the skew rotation; per-mode energy is conserved
@@ -376,7 +376,7 @@ class TestCoupled:
         res = solve_coupled(c0, zero_field(grid2_32), None, None, None, 0.0,
                             TimeGrid(1.0, 1e-3))
         e0 = abs(c0.coeffs[1, 0]) ** 2
-        eT = abs(res.final.c[0].coeffs[1, 0]) ** 2 + abs(res.final.d[0].coeffs[1, 0]) ** 2
+        eT = abs(res.final[0].coeffs[1, 0]) ** 2 + abs(res.final[1].coeffs[1, 0]) ** 2
         assert abs(eT - e0) <= 1e-10 * e0
 
     def test_matrix_exponential_oracle(self, grid2_32):
@@ -395,8 +395,8 @@ class TestCoupled:
             mat = np.array([[0.0, -kk], [kk, -mu * kk ** 2]])
             want = scipy.linalg.expm(mat * T) @ np.array(
                 [c0.coeffs[tuple(idx)], d0.coeffs[tuple(idx)]])
-            got = np.array([res.final.c[0].coeffs[tuple(idx)],
-                            res.final.d[0].coeffs[tuple(idx)]])
+            got = np.array([res.final[0].coeffs[tuple(idx)],
+                            res.final[1].coeffs[tuple(idx)]])
             worst = max(worst, np.max(np.abs(got - want)))
         assert worst <= 1e-10 * scale
 
@@ -416,12 +416,12 @@ class TestCoupled:
             res = solve_coupled(c0, d0, None, None, None, mu,
                                 TimeGrid(T, 2e-3, save_stride=25))
             times = res.times
-            c_series = norm_series(times, [st.c for st in res.states])
-            d_series = norm_series(times, [st.d for st in res.states])
+            c_series = norm_series(times, [st[0] for st in res.states])
+            d_series = norm_series(times, [st[1] for st in res.states])
             hyb_inf = HybridSpec(s, INF, mu)
             hyb_one = HybridSpec(s, 1.0, mu)
-            final = hybrid_norm(res.final.c, hyb_inf).value \
-                + besov_norm(res.final.d, BesovSpec(s - 1.0)).value
+            final = hybrid_norm(res.final[0], hyb_inf).value \
+                + besov_norm(res.final[1], BesovSpec(s - 1.0)).value
             integ = mu * (hybrid_series_norm(c_series, 1.0, hyb_one, T)
                           + lebesgue_time_norm(d_series, 1.0, BesovSpec(s + 1.0), T))
             init = hybrid_norm(c0, hyb_inf).value \
@@ -432,9 +432,9 @@ class TestCoupled:
         print(f"coupled-estimate ratios over mu battery: {ratios}")
 
     def test_tensor_state(self, grid2_32):
-        # component lists advance together
-        c0 = [field_of(grid2_32, lambda x, y: np.cos(x)),
-              field_of(grid2_32, lambda x, y: np.sin(y))]
-        d0 = [zero_field(grid2_32), zero_field(grid2_32)]
+        # stacked components advance together
+        c0 = stack([field_of(grid2_32, lambda x, y: np.cos(x)),
+                    field_of(grid2_32, lambda x, y: np.sin(y))])
+        d0 = stack([zero_field(grid2_32), zero_field(grid2_32)])
         res = solve_coupled(c0, d0, None, None, None, 1.0, TimeGrid(0.1, 1e-3))
-        assert len(res.final.c) == 2 and len(res.final.d) == 2
+        assert len(res.final[0]) == 2 and len(res.final[1]) == 2

@@ -30,7 +30,7 @@ from besovlab.spectral import (
     zero_field,
 )
 
-from conftest import field_of
+from conftest import field_of, stack
 
 
 class TestLpNorm:
@@ -121,19 +121,19 @@ class TestBesovNorm:
         # |c|^2 sums to 1/2 and amplitude^2 / 2, so fraction = a^2 / (1 + a^2)
         inside = field_of(grid2_64, lambda x, y: np.cos(3 * x))
         outside = field_of(grid2_64, lambda x, y: amplitude * np.cos(20 * y))
-        rep = besov_norm([inside, outside], BesovSpec(0.0))
+        rep = besov_norm(stack([inside, outside]), BesovSpec(0.0))
         assert rep.outside_energy_fraction == pytest.approx(fraction, rel=1e-12)
         assert rep.truncation_flag == (fraction > 0.01)
-        np.testing.assert_allclose(rep.block_lp, block_lp([inside, outside], 2.0),
+        np.testing.assert_allclose(rep.block_lp, block_lp(stack([inside, outside]), 2.0),
                                    rtol=1e-15, atol=0)
 
     def test_vector_combination(self, grid2_64):
         f = field_of(grid2_64, lambda x, y: np.cos(2 * x))
         zero = zero_field(grid2_64)
         single = block_lp(f, 2.0)
-        stacked = block_lp([f, zero], 2.0)
+        stacked = block_lp(stack([f, zero]), 2.0)
         assert np.allclose(single, stacked)
-        both = block_lp([f, f], 2.0)
+        both = block_lp(stack([f, f]), 2.0)
         assert np.allclose(both, math.sqrt(2.0) * single)
 
     def test_invalid_spec(self):
@@ -158,7 +158,7 @@ class TestBlockLpReduction:
 
     def test_vector_components_combine(self, grid2_64):
         f = self.band_one(grid2_64)
-        vec = [f, 2.0 * f]
+        vec = stack([f, 2.0 * f])
         np.testing.assert_allclose(block_lp(vec, INF), [0.0, 2.0, 0.0, 0.0], rtol=0, atol=1e-12)
         np.testing.assert_allclose(block_lp(vec, 1.0), 3.0 * block_lp(f, 1.0),
                                    rtol=1e-12, atol=1e-12)
@@ -187,7 +187,7 @@ def _parseval_cases():
         cases[f"product_2d_m{m}"] = product(u, v)
     cases["solenoidal_2d_m64"] = random_solenoidal(GridSpec(2, 64), rng)
     w = random_solenoidal(GridSpec(3, 16), rng)
-    cases["tensor_3d_m16"] = [[derivative(w[i], j) for j in range(3)] for i in range(3)]
+    cases["tensor_3d_m16"] = stack([[derivative(w[i], j) for j in range(3)] for i in range(3)])
     return cases
 
 

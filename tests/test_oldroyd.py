@@ -33,9 +33,8 @@ from besovlab.oldroyd import (
     zero_state,
     _DirectStepper,
     _Stepper,
-    _fields,
     _identity_quadratic,
-    _l2_fields,
+    _l2,
 )
 from besovlab.randfields import random_scalar, random_solenoidal
 from besovlab.spectral import (
@@ -62,7 +61,7 @@ from besovlab.spectral import (
     zero_field,
 )
 
-from conftest import field_of
+from conftest import field_of, stack
 
 PARAMS = PhysicalParams(mu=1.0, sigma_floor=0.1)
 
@@ -90,7 +89,7 @@ class TestFluidState:
         assert st.coeffs[2, 1, 0] == 2.0 and st.coeffs[5, 0, 1] == 3.0
         st.sigma = field_of(grid2_32, lambda x, y: np.cos(x))
         assert st.coeffs[0, 1, 0] == pytest.approx(0.5, abs=1e-15)
-        st.h = [[st.sigma, zero_field(grid2_32)], [zero_field(grid2_32), st.sigma]]
+        st.h = stack([[st.sigma, zero_field(grid2_32)], [zero_field(grid2_32), st.sigma]])
         assert np.array_equal(st.coeffs[3], st.coeffs[0]) and not st.coeffs[4].any()
         with pytest.raises(TypeError):
             st.h[0][0] = zero_field(grid2_32)
@@ -162,7 +161,7 @@ class TestPressure:
         st, _ = make_initial_data("exact_gradient", 1e-2, 5, grid2_32)
         g, res = forcing_and_pressure(st, tol=1e-13)
         grad = res.gradient
-        div_g = divergence(_fields(grid2_32, g))
+        div_g = divergence(SpectralField(grid2_32, g))
         explicit = [-1.0 * derivative(lambda_power(div_g, -2.0), ax)
                     for ax in range(2)]
         scale = max(np.max(np.abs(f.coeffs)) for f in explicit)
@@ -172,7 +171,7 @@ class TestPressure:
     def test_manufactured_residual(self, grid2_32):
         st, _ = make_initial_data("general", 5e-2, 7, grid2_32)
         g, res = forcing_and_pressure(st, tol=1e-12)
-        div_g = divergence(_fields(grid2_32, g))
+        div_g = divergence(SpectralField(grid2_32, g))
         fnorm = np.sqrt(np.sum(np.abs(div_g.coeffs) ** 2))
         assert res.residuals[-1] <= 1e-10 * fnorm
 
@@ -213,7 +212,7 @@ class TestStep:
         assert out.sigma.mean == pytest.approx(mean_sigma, abs=1e-12)
 
         rng = np.random.default_rng(11)
-        vel = [0.05 * f for f in random_solenoidal(grid2_32, rng)]
+        vel = 0.05 * random_solenoidal(grid2_32, rng)
         means_h = [f.mean for f in st.h_flat()]
         res = solve_transport(st.h_flat(), vel, None, TimeGrid(1.0, 5e-3))
         for f, m in zip(res.final, means_h):
@@ -228,10 +227,10 @@ class TestStep:
 
         def tg_state(grid):
             st = zero_state(grid)
-            st.velocity = [
+            st.velocity = stack([
                 amp * field_of(grid, lambda x, y: np.sin(x) * np.cos(y)),
                 amp * field_of(grid, lambda x, y: -np.cos(x) * np.sin(y)),
-            ]
+            ])
             return st
 
         T = 0.25
@@ -261,9 +260,9 @@ class TestStep:
 class TestConstraints:
     def test_trivial_state(self, grid2_32):
         st = zero_state(grid2_32)
-        st.velocity = [amp * f for amp, f in
-                       zip([1e-2, 1e-2], random_solenoidal(
-                           grid2_32, np.random.default_rng(1)))]
+        st.velocity = stack([amp * f for amp, f in
+                             zip([1e-2, 1e-2], random_solenoidal(
+                                 grid2_32, np.random.default_rng(1)))])
         res = constraint_residuals(st)
         assert res.div_velocity <= 1e-12
         assert res.weighted_div <= 1e-12
@@ -304,8 +303,8 @@ class TestConstraints:
             final = run(st, PARAMS, TimeGrid(1.0, dt, save_stride=10 ** 6)).final
             fields[dt] = perturbation_identity_residual(final.h)
         ref = fields[2e-3]
-        d1 = _l2_fields([a - b for a, b in zip(fields[8e-3], ref)], grid2_32)
-        d2 = _l2_fields([a - b for a, b in zip(fields[4e-3], ref)], grid2_32)
+        d1 = _l2((fields[8e-3] - ref).coeffs, grid2_32)
+        d2 = _l2((fields[4e-3] - ref).coeffs, grid2_32)
         assert d1 / d2 >= 3.0
 
 
@@ -363,8 +362,8 @@ class TestQuadraticTermsOracle:
                 for k in range(n):
                     acc = acc + h[l][k][0] * h[i][k][1][l]
             want.append(acc)
-        got = _fields(grid3_16, to_full(grid3_16, momentum_forcing(grid3_16, fields.coeffs,
-                                                                   mu)[0][1:1 + n]))
+        got = SpectralField(grid3_16, to_full(grid3_16, momentum_forcing(grid3_16, fields.coeffs,
+                                                                         mu)[0][1:1 + n]))
         self.assert_matches(grid3_16, got, want)
 
     def test_deformation_identity(self, grid3_16, data):
@@ -427,7 +426,7 @@ class TestSharedIntegration:
 
 class TestCoupledFormulation:
     def test_tensor_map_zero(self, grid2_32):
-        d = velocity_to_tensor([zero_field(grid2_32), zero_field(grid2_32)])
+        d = velocity_to_tensor(stack([zero_field(grid2_32), zero_field(grid2_32)]))
         assert all(np.max(np.abs(f.coeffs)) == 0.0 for row in d for f in row)
 
     def test_round_trip(self, grid2_32):
@@ -440,7 +439,7 @@ class TestCoupledFormulation:
     def test_hand_multiplier_single_mode(self, grid2_32):
         # v = (0, e^{ix}) projected solenoidal stays (0, e^{ix});
         # d^{ij} = -i k_j / |k| v^i at k = (1, 0)
-        v = [zero_field(grid2_32), zero_field(grid2_32)]
+        v = stack([zero_field(grid2_32), zero_field(grid2_32)])
         v[1].coeffs[1, 0] = 1.0
         v[1].coeffs[-1, 0] = 1.0  # keep it a real field
         v = leray_project(v)
@@ -450,8 +449,8 @@ class TestCoupledFormulation:
         assert np.max(np.abs(d[1][1].coeffs)) < 1e-13
 
     def test_rejects_nonzero_mean(self, grid2_32):
-        v = [forward_transform(grid2_32, np.full(grid2_32.shape, 1.0)),
-             zero_field(grid2_32)]
+        v = stack([forward_transform(grid2_32, np.full(grid2_32.shape, 1.0)),
+                   zero_field(grid2_32)])
         with pytest.raises(ValueError):
             velocity_to_tensor(v)
 
@@ -531,7 +530,7 @@ class TestPhiIteration:
         st, _ = make_initial_data("exact_gradient", 1e-2, 5, grid)
         tg = TimeGrid(0.05, 2.5e-3)
         times = np.arange(tg.n_steps + 1) * tg.dt
-        constant = np.repeat(st.coeffs[None], len(times), axis=0)
+        constant = np.repeat(to_half(grid, st.coeffs)[None], len(times), axis=0)
         first = oldroyd._phi_apply(oldroyd._TrajectoryInterpolant(times, constant),
                                    st, PARAMS, tg)
         reads = []
@@ -547,19 +546,38 @@ class TestPhiIteration:
         assert len(reads) == 3 * (2 * tg.n_steps + 1)
 
         def u_at(t):
-            return _fields(grid, prev(t)[1:1 + n])
+            return prev(t)[1:1 + n]
 
         def h_forcing(t):
-            _, u, xi = oldroyd._split(grid, to_half(grid, prev(t)))
+            _, u, xi = oldroyd._split(grid, prev(t))
             src = stacked_gradient(grid, u) + dealiased(
                 grid, oldroyd._stretch(gradient_samples(grid, u), samples(grid, xi)))
-            return _fields(grid, to_full(grid, src.reshape((n * n,) + u.shape[1:])))
+            return src.reshape((n * n,) + u.shape[1:])
 
         sig = solve_transport(st.sigma, u_at, None, tg, check_divergence=False)
         h = solve_transport(st.h_flat(), u_at, h_forcing, tg, check_divergence=False)
-        want = np.concatenate([sig.coeffs, h.coeffs], axis=1)
+        want = np.concatenate([sig.coeffs[:, None], h.coeffs], axis=1)
         have = np.concatenate([got[:, :1], got[:, 1 + n:]], axis=1)
         assert np.max(np.abs(have - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_mirror_fill_count(self, grid2_32, monkeypatch):
+        """`to_full` calls, as the linear solvers and the map see it, in one
+        iteration of 20 steps (4 applications of the map): the transport
+        and heat trajectories stay on the half layout, and the (21, 7)
+        trajectory of each application is filled once, 4 calls.  When the
+        solvers returned full-layout trajectories, every saved step of both
+        was filled and sliced back: 4 x 2 x 21 = 168 calls."""
+        from besovlab import linsolve
+
+        calls = []
+        for module in (linsolve, oldroyd):
+            monkeypatch.setattr(module, "to_full", lambda grid, half, _fill=module.to_full:
+                                calls.append(half.shape) or _fill(grid, half))
+        st, _ = make_initial_data("exact_gradient", 1e-3, 5, grid2_32)
+        calls.clear()
+        res = phi_iteration(st, PARAMS, TimeGrid(0.05, 2.5e-3, save_stride=10))
+        assert res.report.applications == 4
+        assert calls == [(21, 7, 32, 17)] * 4
 
     def test_warns_on_large_sigma(self, grid2_32):
         st, _ = make_initial_data("general", 0.5, 5, grid2_32)
@@ -677,7 +695,7 @@ class TestStageKernel:
         a = SpectralField(grid, arr[0].copy())
         a.coeffs[0, 0, 0] += 1.0
         assert 0.5 < inverse_transform(a).min()
-        f = -1.0 * divergence(_fields(grid, arr[1:4]))
+        f = -1.0 * divergence(SpectralField(grid, arr[1:4]))
         by_field = solve_variable_poisson(a, f)
         by_samples = solve_variable_poisson(samples(grid, arr)[0] + 1.0, f)
         assert by_samples.iterations == by_field.iterations
@@ -868,6 +886,6 @@ class TestSaveReusesFirstStage:
         every = runner(st, PARAMS, TimeGrid(0.02, 5e-3, save_stride=1))
         ends = runner(st, PARAMS, TimeGrid(0.02, 5e-3, save_stride=4))
         a, b = every.final, ends.final
-        for x, y in zip([a.sigma] + a.velocity + a.h_flat() + a.pressure_grad,
-                        [b.sigma] + b.velocity + b.h_flat() + b.pressure_grad):
+        for x, y in zip([a.sigma, a.velocity, a.h_flat(), a.pressure_grad],
+                        [b.sigma, b.velocity, b.h_flat(), b.pressure_grad]):
             assert np.array_equal(x.coeffs, y.coeffs)

@@ -72,10 +72,10 @@ class TestDyadicBlocks:
         # radius 2 meets only the shells of bands 0 and 1
         u = field_of(grid2_64, lambda x, y: np.cos(2 * x))
         blocks = dyadic_decompose(u)
-        active = [q for q, b in blocks.blocks.items()
+        active = [q for q, b in enumerate(blocks.blocks)
                   if np.max(np.abs(b.coeffs)) > 1e-14]
         assert active == [0, 1]
-        total = sum(b.coeffs[2, 0].real for b in blocks.blocks.values())
+        total = sum(b.coeffs[2, 0].real for b in blocks.blocks)
         assert total == pytest.approx(0.5, rel=1e-12)
 
     def test_reconstruction(self, grid2_64):

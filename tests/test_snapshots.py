@@ -9,7 +9,7 @@ from besovlab.oldroyd import (PhysicalParams, compute_pressure, make_initial_dat
 from besovlab.snapshots import (
     SnapshotFormatError,
     read_snapshot,
-    state_fields,
+    state_samples,
     write_snapshot,
 )
 from besovlab.spectral import make_grid
@@ -86,11 +86,11 @@ def test_bad_header_rejected(tmp_path, header):
 
 def test_state_fields_names(grid2_32):
     st, _ = make_initial_data("general", 1e-2, 3, grid2_32)
-    fields = state_fields(st)
+    fields = state_samples(st)
     assert set(fields) == {"sigma", "v0", "v1", "h00", "h01", "h10", "h11"}
     terms, s, _ = momentum_forcing(grid2_32, st.coeffs, 1.0)
     st.pressure_grad = compute_pressure(grid2_32, s[0], terms[1:3]).gradient
-    fields = state_fields(st)
+    fields = state_samples(st)
     assert "gradp0" in fields and "gradp1" in fields
 
 
@@ -110,9 +110,9 @@ def test_save_snapshot_from_stage_samples(tmp_path, dim, m):
         by_field.update((f"v{i}", v) for i, v in enumerate(state.velocity))
         by_field.update((f"h{i}{j}", state.h[i][j]) for i in range(dim) for j in range(dim))
         by_field.update((f"gradp{i}", g) for i, g in enumerate(state.pressure_grad))
-        write_snapshot(tmp_path / "samples.bin", grid, state_fields(state, s))
+        write_snapshot(tmp_path / "samples.bin", grid, state_samples(state, s))
         write_snapshot(tmp_path / "fields.bin", grid, by_field)
         assert (tmp_path / "samples.bin").read_bytes() == (tmp_path / "fields.bin").read_bytes()
         # without the stage's samples, the state is sampled in one call
-        write_snapshot(tmp_path / "state.bin", grid, state_fields(state))
+        write_snapshot(tmp_path / "state.bin", grid, state_samples(state))
         assert (tmp_path / "state.bin").read_bytes() == (tmp_path / "fields.bin").read_bytes()

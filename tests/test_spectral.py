@@ -29,7 +29,7 @@ from besovlab.spectral import (
 )
 from besovlab.randfields import random_scalar
 
-from conftest import field_of
+from conftest import field_of, stack
 
 
 class TestGridSpec:
@@ -91,6 +91,62 @@ class TestTransforms:
         assert h.hermitian_defect() < 1e-15
 
 
+class TestStackedField:
+    """A field with leading component axes: indexing and iteration give
+    views of the components, and the per-field operations act on each."""
+
+    @staticmethod
+    def random_stack(grid, shape, seed):
+        rng = np.random.default_rng(seed)
+        return SpectralField(grid, np.stack(
+            [forward_transform(grid, rng.standard_normal(grid.shape)).coeffs
+             for _ in range(int(np.prod(shape)))]).reshape(shape + grid.shape))
+
+    def test_components_are_views(self, grid2_32):
+        u = SpectralField(grid2_32, np.zeros((2, 2) + grid2_32.shape, complex))
+        assert len(u) == 2 and len(u[1]) == 2
+        u[1][0].coeffs[1, 0] = 2.0
+        assert u.coeffs[1, 0, 1, 0] == 2.0
+        for i, row in enumerate(u):
+            assert np.shares_memory(row.coeffs, u.coeffs) and row.coeffs.shape == (2, 32, 32)
+            row[1].coeffs[0, 1] = i + 1.0
+        assert [c.coeffs[0, 1] for c in u[:, 1]] == [1.0, 2.0]
+
+    def test_scalar_has_no_components(self, grid2_32):
+        f = zero_field(grid2_32)
+        with pytest.raises(TypeError):
+            len(f)
+        with pytest.raises(TypeError):
+            f[0]
+
+    def test_no_item_assignment(self, grid2_32):
+        u = SpectralField(grid2_32, np.zeros((2, 2) + grid2_32.shape, complex))
+        with pytest.raises(TypeError):
+            u[0] = zero_field(grid2_32)
+        with pytest.raises(TypeError):
+            u[0][1] = zero_field(grid2_32)
+
+    def test_grid_mismatch(self, grid2_32):
+        with pytest.raises(GridError):
+            SpectralField(grid2_32, np.zeros((2, 16, 16), complex))
+        with pytest.raises(GridError):
+            SpectralField(grid2_32, np.zeros((2, 32, 32), complex)) \
+                + SpectralField(make_grid(2, 16), np.zeros((2, 16, 16), complex))
+
+    @pytest.mark.parametrize("dim,m", [(2, 32), (3, 16)])
+    def test_hermitian_per_component(self, dim, m):
+        grid = make_grid(dim, m)
+        u = self.random_stack(grid, (2, 3), 8)
+        u.coeffs[1, 2][(1,) * dim] += 1.0j  # no matching conjugate at -k
+        parts = [u[i][j] for i in range(2) for j in range(3)]
+        want = [hermitize(f).coeffs for f in parts]
+        assert np.array_equal(hermitize(u).coeffs.reshape((6,) + grid.shape), np.stack(want))
+        scale = np.max(np.abs(u.coeffs))
+        defect = max(f.hermitian_defect() * np.max(np.abs(f.coeffs)) for f in parts)
+        assert u.hermitian_defect() == pytest.approx(defect / scale, rel=1e-15)
+        assert u.hermitian_defect() > 0.1 and hermitize(u).hermitian_defect() < 1e-15
+
+
 class TestDerivative:
     def test_sin_to_cos(self, grid2_32):
         f = field_of(grid2_32, lambda x, y: np.sin(x))
@@ -149,8 +205,8 @@ class TestLeray:
         assert all(np.max(np.abs(f.coeffs)) < 1e-13 for f in out)
 
     def test_fixes_solenoidal(self, grid2_32):
-        v = [field_of(grid2_32, lambda x, y: np.sin(y)),
-             field_of(grid2_32, lambda x, y: np.sin(x))]
+        v = stack([field_of(grid2_32, lambda x, y: np.sin(y)),
+                   field_of(grid2_32, lambda x, y: np.sin(x))])
         out = leray_project(v)
         for a, b in zip(out, v):
             assert np.max(np.abs(a.coeffs - b.coeffs)) < 1e-13
@@ -159,7 +215,7 @@ class TestLeray:
         # v = (sin y + d1 psi, d2 psi) with psi = cos(x+y) projects to (sin y, 0)
         psi = field_of(grid2_32, lambda x, y: np.cos(x + y))
         g = gradient(psi)
-        v = [field_of(grid2_32, lambda x, y: np.sin(y)) + g[0], g[1]]
+        v = stack([field_of(grid2_32, lambda x, y: np.sin(y)) + g[0], g[1]])
         out = leray_project(v)
         xx, yy = grid2_32.meshgrid()
         assert np.max(np.abs(inverse_transform(out[0]) - np.sin(yy))) < 1e-12
@@ -167,24 +223,24 @@ class TestLeray:
 
     def test_output_divergence_free(self, grid2_32):
         rng = np.random.default_rng(3)
-        v = [forward_transform(grid2_32, rng.standard_normal(grid2_32.shape))
-             for _ in range(2)]
+        v = stack([forward_transform(grid2_32, rng.standard_normal(grid2_32.shape))
+                   for _ in range(2)])
         out = leray_project(v)
         scale = max(np.max(np.abs(f.coeffs)) for f in v)
         assert np.max(np.abs(divergence(out).coeffs)) < 1e-12 * scale
 
     def test_idempotent(self, grid2_32):
         rng = np.random.default_rng(4)
-        v = [forward_transform(grid2_32, rng.standard_normal(grid2_32.shape))
-             for _ in range(2)]
+        v = stack([forward_transform(grid2_32, rng.standard_normal(grid2_32.shape))
+                   for _ in range(2)])
         once = leray_project(v)
         twice = leray_project(once)
         for a, b in zip(once, twice):
             assert np.max(np.abs(a.coeffs - b.coeffs)) < 1e-13
 
     def test_zero_mode_untouched(self, grid2_32):
-        v = [forward_transform(grid2_32, np.full(grid2_32.shape, 2.0)),
-             forward_transform(grid2_32, np.full(grid2_32.shape, -1.0))]
+        v = stack([forward_transform(grid2_32, np.full(grid2_32.shape, 2.0)),
+                   forward_transform(grid2_32, np.full(grid2_32.shape, -1.0))])
         out = leray_project(v)
         assert out[0].coeffs[0, 0] == pytest.approx(2.0)
         assert out[1].coeffs[0, 0] == pytest.approx(-1.0)
