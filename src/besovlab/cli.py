@@ -143,6 +143,8 @@ def validate_config(cfg: dict):
     _expect(seed >= 0, f"initial.seed must be nonnegative, got {seed}")
     _expect(cfg["mode"] in ("direct", "phi", "coupled"),
             "mode must be direct, phi, or coupled")
+    _expect(isinstance(cfg.get("output_dir", ""), str),
+            f"output_dir must be a string, got {cfg.get('output_dir')!r}")
     norms = cfg.get("norms", [])
     _expect(isinstance(norms, list) and all(isinstance(spec, dict) for spec in norms),
             "norms must be a list of objects")
@@ -190,6 +192,18 @@ class Manifest:
         (self.out_dir / "manifest.json").write_text(json.dumps(doc, indent=2))
 
 
+def _make_out_dir(path) -> Path:
+    """Create the output directory `path` and its parents; a path that
+    cannot be made a directory is a ConfigError that names it."""
+    out_dir = Path(path)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out_dir}: "
+                          f"{exc.strerror or exc}") from exc
+    return out_dir
+
+
 def _write_csv(path: Path, fieldnames: list[str], rows: list[dict]):
     with open(path, "w", newline="") as fh:
         w = csv.DictWriter(fh, fieldnames=fieldnames)
@@ -213,6 +227,10 @@ def cmd_norms(args) -> int:
     except FileNotFoundError:
         print(f"error: snapshot {args.snapshot} not found", file=sys.stderr)
         return EXIT_USAGE
+    except OSError as exc:
+        print(f"error: cannot read snapshot {args.snapshot}: {exc.strerror or exc}",
+              file=sys.stderr)
+        return EXIT_USAGE
     except SnapshotFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -232,9 +250,7 @@ def cmd_norms(args) -> int:
             rows.append({"time": 0.0, "norm_name": f"{name}:{spec.name}",
                          "s": spec.s, "p": spec.p, "r": spec.r, "value": val})
     if args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        write_norm_rows(out_dir / "norms.csv", rows)
+        write_norm_rows(_make_out_dir(args.out) / "norms.csv", rows)
     else:
         w = csv.writer(sys.stdout)
         w.writerow(["time", "norm_name", "s", "p", "r", "value"])
@@ -250,8 +266,7 @@ def cmd_norms(args) -> int:
 def cmd_simulate(args, mode_override: str | None = None) -> int:
     cfg, (grid, params, tg, norm_specs) = load_config(args.config)
     mode = mode_override or cfg["mode"]
-    out_dir = Path(args.out or cfg.get("output_dir", "out"))
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _make_out_dir(args.out or cfg.get("output_dir", "out"))
     manifest = Manifest(out_dir, cfg)
 
     ini = cfg["initial"]
@@ -351,8 +366,7 @@ def cmd_verify(args) -> int:
             f"--alphas must be finite, nonnegative and hold at least two positive "
             f"values, got {text!r}")
     _build("--T/--dt", lambda: TimeGrid(args.T, args.dt))
-    out_dir = Path(args.out or "verify_out")
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _make_out_dir(args.out or "verify_out")
     manifest = Manifest(out_dir, None)
     hard_failures: list[str] = []
     reports: list[RatioReport] = []

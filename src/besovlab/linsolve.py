@@ -7,11 +7,8 @@ factor on every diffusive mode, so the pure heat evolution is exact per
 Fourier mode.  Callbacks of t are evaluated once per distinct stage time.
 
 Every input, output and callable value is one field, scalar or stacked
-(or its coefficient array).  The solvers integrate the k_last >= 0 half
-of the coefficients (see `spectral`): inputs are sliced to it once,
-callables may return either layout, and a `TrajectoryResult` keeps the
-half-layout array it integrated; its `states` and `final` are
-mirror-filled to the full layout when read.
+(or its coefficient array, the k_last >= 0 half of `spectral`), and a
+`TrajectoryResult` keeps the array its solver integrated.
 """
 
 from __future__ import annotations
@@ -27,15 +24,14 @@ from .spectral import (
     SpectralField,
     advect,
     dealiased,
+    energy,
     gradient_samples,
     grid_wavenumbers,
-    hermitian_planes,
+    hermitize,
     inverse_transform,
     samples,
     stacked_divergence,
     stacked_gradient,
-    to_full,
-    to_half,
 )
 
 CFL_LIMIT = 1.0
@@ -120,10 +116,9 @@ def _coeffs(u) -> np.ndarray:
 
 
 def _rows(grid: GridSpec, coeffs: np.ndarray) -> np.ndarray:
-    """The half of `coeffs` with its component axes flattened to one (a
-    scalar field is one row): the array a solver integrates."""
-    half = to_half(grid, coeffs)
-    return half.reshape((-1,) + half.shape[-grid.dim:])
+    """`coeffs` with its component axes flattened to one (a scalar field is
+    one row): the array a solver integrates."""
+    return coeffs.reshape((-1,) + grid.coeff_shape)
 
 
 def _per_stage_time(fn, dt: float):
@@ -171,8 +166,8 @@ def check_cfl(grid: GridSpec, dt: float, vmax: float):
 
 
 def check_solenoidal(grid: GridSpec, velocity: np.ndarray, tol: float = 1e-10):
-    """Raise NonSolenoidalError unless the stacked velocity coefficients (of
-    either layout) are divergence-free to `tol` of their largest."""
+    """Raise NonSolenoidalError unless the stacked velocity coefficients are
+    divergence-free to `tol` of their largest."""
     div = stacked_divergence(grid, velocity)
     scale = max(np.max(np.abs(velocity)), 1e-300)
     defect = np.max(np.abs(div)) / scale
@@ -187,10 +182,9 @@ def heat_decay(grid: GridSpec, mu: float, dt: float) -> np.ndarray:
 
 def if_factors(grid: GridSpec, mu: float, dt: float, diffusing) -> tuple:
     """Integrating factors (exp(mu Lap dt), exp(mu Lap dt/2)) stacked per
-    component, on the half layout the steppers integrate; components with
-    diffusing[i] false get the factor 1."""
+    component; components with diffusing[i] false get the factor 1."""
     mask = np.asarray(diffusing, dtype=bool).reshape((-1,) + (1,) * grid.dim)
-    return tuple(np.where(mask, to_half(grid, heat_decay(grid, mu, h)), 1.0)
+    return tuple(np.where(mask, heat_decay(grid, mu, h), 1.0)
                  for h in (dt, 0.5 * dt))
 
 
@@ -213,20 +207,20 @@ def _if_rk4_step(y: np.ndarray, t: float, dt: float, e_full: np.ndarray,
 @dataclass
 class TrajectoryResult:
     """Saved slices of a field, scalar or stacked, in time: coeffs[it] holds
-    the half-layout coefficients saved at times[it]."""
+    the coefficients saved at times[it]."""
 
     times: np.ndarray
-    coeffs: np.ndarray  # (nt, *components, *half grid)
+    coeffs: np.ndarray  # (nt, *components, *grid.coeff_shape)
     grid: GridSpec
 
     @property
     def states(self) -> SpectralField:
-        """The full-layout trajectory; its first axis is time."""
-        return SpectralField(self.grid, to_full(self.grid, self.coeffs))
+        """The trajectory as one field; its first axis is time."""
+        return SpectralField(self.grid, self.coeffs)
 
     @property
     def final(self) -> SpectralField:
-        return SpectralField(self.grid, to_full(self.grid, self.coeffs[-1]))
+        return SpectralField(self.grid, self.coeffs[-1])
 
     def norm_series(self, p: float = 2.0) -> NormSeries:
         return norm_series(self.times, self.states, p)
@@ -235,10 +229,9 @@ class TrajectoryResult:
 def _trajectory(grid: GridSpec, y0: np.ndarray, step, tg: TimeGrid,
                 shape: tuple) -> TrajectoryResult:
     """Integrate the rows `y0` with `step`, keeping every saved array; the
-    result's slices are the half of coefficients of shape `shape`."""
+    result's slices are coefficients of shape `shape`."""
     times, saved = integrate(y0, step, tg, lambda t, y: y)
-    shape = (len(times),) + shape[:-1] + y0.shape[-1:]
-    return TrajectoryResult(times, np.stack(saved).reshape(shape), grid)
+    return TrajectoryResult(times, np.stack(saved).reshape((len(times),) + shape), grid)
 
 
 def solve_transport(u0: SpectralField, velocity, forcing, tg: TimeGrid, *,
@@ -252,7 +245,7 @@ def solve_transport(u0: SpectralField, velocity, forcing, tg: TimeGrid, *,
     callables must be functions of t only, evaluated once per distinct
     stage time (t, t + dt/2); one velocity sample serves the CFL guard and
     the stages at that time.  The callables may return fields or
-    coefficient arrays of either layout.  The advection product is
+    coefficient arrays.  The advection product is
     dealiased and a CFL guard dt * |v|_inf * (M/3) <= 1 is enforced each
     step.
     """
@@ -316,10 +309,10 @@ def solve_heat(u0: SpectralField, forcing, mu: float, tg: TimeGrid) -> Trajector
 @dataclass
 class EllipticResult:
     """The solution's potential plus the Richardson iteration record; `u`
-    and `flux` are half-layout, `potential` and `gradient` full-layout."""
+    and `flux` are coefficient arrays, `potential` and `gradient` fields."""
 
     grid: GridSpec
-    u: np.ndarray  # the potential's coefficients, k_last >= 0 half
+    u: np.ndarray  # the potential's coefficients
     residuals: np.ndarray
     iterations: int
     converged: bool
@@ -328,23 +321,16 @@ class EllipticResult:
 
     @property
     def potential(self) -> SpectralField:
-        return SpectralField(self.grid, to_full(self.grid, self.u))
+        return SpectralField(self.grid, self.u)
 
     @property
     def gradient(self) -> SpectralField:
-        return SpectralField(self.grid, to_full(self.grid, stacked_gradient(self.grid, self.u)))
+        return SpectralField(self.grid, stacked_gradient(self.grid, self.u))
 
     @property
     def contraction_factors(self) -> np.ndarray:
         r = self.residuals
         return r[1:] / np.where(r[:-1] > 0, r[:-1], 1.0)
-
-
-def _parseval_norm(half: np.ndarray) -> float:
-    """sqrt(sum |c|^2) over the full spectrum, from its k_last >= 0 half:
-    the k_last = 0 and M/2 planes count once, every other plane twice."""
-    planes = half[..., [0, -1]]
-    return float(np.sqrt(2.0 * np.vdot(half, half).real - np.vdot(planes, planes).real))
 
 
 def solve_variable_poisson(a: SpectralField | np.ndarray, f: SpectralField | np.ndarray, *,
@@ -360,10 +346,9 @@ def solve_variable_poisson(a: SpectralField | np.ndarray, f: SpectralField | np.
     the caller holds (a stage passes sigma + 1 from its own samples of
     sigma); the positivity check, abar (their mean) and every residual
     read those samples.  `f` and `warm_start` are fields or coefficient
-    arrays of either layout; the iteration runs on their k_last >= 0 half,
-    which is all a real field needs, after projecting the k_last = 0 and
-    M/2 planes of f onto their Hermitian part (its anti-Hermitian rounding
-    content is unreachable by the real-sample operator).  Each residual
+    arrays; f is projected onto the real-field subspace (`hermitize`: its
+    anti-Hermitian rounding content is unreachable by the real-sample
+    operator).  Each residual
     samples the stacked gradient of u, multiplies by them and takes one
     dealiased transform of the flux, the arithmetic of
     `product(a, derivative(u, ax))` per axis; the result keeps the flux of
@@ -376,25 +361,25 @@ def solve_variable_poisson(a: SpectralField | np.ndarray, f: SpectralField | np.
         grid = GridSpec(a.ndim, a.shape[0])
     if isinstance(f, SpectralField) and f.grid != grid:
         raise ValueError("coefficient and right side live on different grids")
-    f = hermitian_planes(grid, to_half(grid, _coeffs(f)))
-    width = grid.points_per_axis // 2 + 1
-    if a.shape != grid.shape or f.shape != grid.shape[:-1] + (width,):
+    f = _coeffs(f)
+    if a.shape != grid.shape or f.shape != grid.coeff_shape:
         raise ValueError(f"coefficient samples {a.shape} do not match the right "
                          f"side {f.shape}")
+    f = hermitize(SpectralField(grid, f)).coeffs
     a_min = float(a.min())
     if a_min <= 0:
         raise NonPositiveCoefficientError(
             f"elliptic coefficient min = {a_min:.3g} is not positive on the grid")
     abar = float(a.mean())
-    fnorm = _parseval_norm(f)
+    fnorm = float(np.sqrt(energy(f)))
     f_mean = float(f[(0,) * grid.dim].real)
     if abs(f_mean) > 1e-10 * max(1.0, fnorm):
         raise ValueError(f"right side must be mean-zero, got mean {f_mean:.3g}")
 
     wavenumbers = grid_wavenumbers(grid)
-    k2, ik = to_half(grid, wavenumbers["k2"]), to_half(grid, wavenumbers["ik"])
+    k2, ik = wavenumbers["k2"], wavenumbers["ik"]
     inv_lap = np.where(k2 > 0, 1.0 / (abar * np.where(k2 > 0, k2, 1.0)), 0.0)
-    u = (to_half(grid, _coeffs(warm_start)).copy() if warm_start is not None
+    u = (_coeffs(warm_start).copy() if warm_start is not None
          else np.zeros(f.shape, complex))
 
     def result(it, stagnated=False):
@@ -409,7 +394,7 @@ def solve_variable_poisson(a: SpectralField | np.ndarray, f: SpectralField | np.
     for it in range(max_iter + 1):
         flux = dealiased(grid, a * gradient_samples(grid, u))
         r = f + (ik * flux).sum(axis=0)
-        rnorm = _parseval_norm(r)
+        rnorm = float(np.sqrt(energy(r)))
         residuals.append(rnorm)
         if rnorm <= target or fnorm == 0.0:
             return result(it)
@@ -454,7 +439,7 @@ def solve_coupled(c0: SpectralField, d0: SpectralField, velocity, forcing_c, for
     force_c = _forcing_coeffs(forcing_c, grid, tg.dt)
     force_d = _forcing_coeffs(forcing_d, grid, tg.dt)
     e_full, e_half = if_factors(grid, mu, tg.dt, [False] * nc + [True] * nc)
-    kmag = to_half(grid, grid_wavenumbers(grid)["kmag"])
+    kmag = grid_wavenumbers(grid)["kmag"]
 
     def rhs(t, arr):
         out = np.concatenate([-kmag * arr[nc:], kmag * arr[:nc]])

@@ -7,9 +7,10 @@ its block exponent `p`, band weights `weights` and band-sum exponent
 `sum_r` once; all norms here go through that one weighted band sum.
 
 For p = 2 the block norms take no transform: by discrete Parseval the
-rectangle-rule ||Delta_q u||_2^2 is (2pi)^N sum_k phi_q(k)^2 |c_k|^2,
-exactly, because the coefficients are Hermitian (those of real fields,
-which every `spectral` operator keeps).  Other p sample each band.
+rectangle-rule ||Delta_q u||_2^2 is (2pi)^N sum_k phi_q(k)^2 |c_k|^2 over
+every mode k, exactly, because the coefficients are those of real fields;
+`spectral.energy` weights the half the coefficients hold.  Other p sample
+each band.
 
 Integrability and summation exponents are floats in [1, inf]; infinity
 is encoded as Python's IEEE ``math.inf``, never by a magic number.
@@ -25,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from .paley import block_multipliers, retained_mask
-from .spectral import TWO_PI, GridSpec, SpectralField, inverse_transform, samples
+from .spectral import TWO_PI, GridSpec, SpectralField, energy, inverse_transform, samples
 
 INF = math.inf
 
@@ -109,10 +110,10 @@ def lp_norm(f: SpectralField, p: float) -> float:
 
 def stacked_lp(grid: GridSpec, coeffs: np.ndarray, p: float) -> np.ndarray:
     """`lp_norm` of every field of a stacked coefficient array: by Parseval
-    for p = 2 (Hermitian coefficients), else from one `samples` call."""
+    (`energy`) for p = 2, else from one `samples` call."""
     axes = tuple(range(-grid.dim, 0))
     if p == 2.0:
-        return np.sqrt(TWO_PI ** grid.dim * np.sum(np.abs(coeffs) ** 2, axis=axes))
+        return np.sqrt(TWO_PI ** grid.dim * energy(coeffs, axis=axes))
     return _grid_lp(samples(grid, coeffs), p, grid.cell_volume, axes)
 
 
@@ -127,8 +128,9 @@ def _band_sum(spec, blocks: np.ndarray):
 
 @lru_cache(maxsize=32)
 def _parseval(dim: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """(2pi)^N phi_q^2 as a (q_max+1, M^N) matrix, and the flat mask of the
-    modes beyond the retained radius (not the zero mode, entry 0)."""
+    """(2pi)^N phi_q^2 as a (q_max+1, modes) matrix over the flattened
+    coefficient shape, and the flat mask of the modes beyond the retained
+    radius (not the zero mode, entry 0)."""
     grid = GridSpec(dim, m)
     outside = ~retained_mask(grid).ravel()
     outside[0] = False
@@ -136,8 +138,9 @@ def _parseval(dim: int, m: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _energy(u: SpectralField) -> np.ndarray:
-    """|c_k|^2 summed over the components of `u`, flattened over the grid."""
-    return sum(np.abs(c) ** 2 for c in u.coeffs.reshape((-1,) + u.grid.shape)).ravel()
+    """The Parseval `energy` of `u` per mode, summed over its components and
+    flattened over the coefficient shape."""
+    return energy(u.coeffs.reshape((-1,) + u.grid.coeff_shape), axis=0).ravel()
 
 
 def block_lp(u: SpectralField, p: float, energy: np.ndarray | None = None) -> np.ndarray:
@@ -146,8 +149,8 @@ def block_lp(u: SpectralField, p: float, energy: np.ndarray | None = None) -> np
     Components combine inside each band as an l^p sum (the max for
     p = inf), so for p = 2 this is the usual L2 norm of the stacked
     object.  For p = 2 it is (2pi)^N sum_k phi_q^2 |c_k|^2, by Parseval
-    the sampled sum exactly for Hermitian coefficients; a caller that
-    holds |c_k|^2 summed over components (flat) passes it as `energy`.
+    the sampled sum exactly; a caller that holds `_energy(u)` passes it
+    as `energy`.
     Other p sample every band.
     """
     grid = u.grid

@@ -7,13 +7,10 @@ div h and h-grad-h, a variable-coefficient pressure gradient, and
 viscosity mu (sigma + 1) Lap v.
 
 A state is one stacked coefficient array of 1 + n + n^2 components:
-sigma, then v^0..v^{n-1}, then h row by row.  `FluidState` stores it in
-the full layout, and its `sigma`, `velocity` (n, *grid) and `h`
-(n, n, *grid) are stacked fields viewing it; the steppers advance its
-k_last >= 0 half (see `spectral`), sliced once when a run starts and
-mirror-filled back once per saved slice.  The linearization map keeps
-its transport and heat trajectories on the half and mirror-fills the
-trajectory it returns once.
+sigma, then v^0..v^{n-1}, then h row by row.  `FluidState` stores it, and
+its `sigma`, `velocity` (n, *grid) and `h` (n, n, *grid) are stacked
+fields viewing it; the steppers advance the same array, and a saved
+slice of a run is the array a step produced.
 
 There is one pressure path: every right side (an RK stage, or the
 velocity forcing of the linearization map) is `momentum_forcing` of a
@@ -50,17 +47,18 @@ from .linsolve import (
     solve_transport,
     solve_variable_poisson,
     velocity_max,
-    _parseval_norm,
     _if_rk4_step,
 )
 from .norms import INF, BesovSpec, NormSeries, besov_norm, chemin_lerner_norm, norm_series
 from .paley import retained_radius
 from .spectral import (
+    TWO_PI,
     GridError,
     GridSpec,
     SpectralField,
     advect,
     dealiased,
+    energy,
     gradient_samples,
     grid_wavenumbers,
     _lambda_multiplier,
@@ -69,8 +67,6 @@ from .spectral import (
     stacked_divergence,
     stacked_gradient,
     stacked_leray,
-    to_full,
-    to_half,
 )
 
 
@@ -114,8 +110,9 @@ def _split(grid: GridSpec, arr: np.ndarray):
 
 @dataclass
 class FluidState:
-    """One time slice: the stacked coefficients (1 + n + n^2, *grid) of
-    (sigma, v, h), plus the diagnostic pressure gradient (n, *grid).
+    """One time slice: the stacked coefficients (1 + n + n^2,
+    *grid.coeff_shape) of (sigma, v, h), plus the diagnostic pressure
+    gradient (n, *grid).
 
     `sigma`, `velocity` (n, *grid), `h` (n, n, *grid) and `h_flat()`
     (n^2, *grid) are fields viewing `coeffs`: writing into their `.coeffs`
@@ -129,9 +126,10 @@ class FluidState:
 
     def __post_init__(self):
         n = self.grid.dim
-        shape = (1 + n + n * n,) + self.grid.shape
+        shape = (1 + n + n * n,) + self.grid.coeff_shape
         if self.coeffs.shape != shape:
-            raise GridError(f"state shape {self.coeffs.shape} does not match {shape}")
+            raise GridError(f"state shape {self.coeffs.shape} does not match {shape}: the "
+                            f"k_last >= 0 half of a component has shape {self.grid.coeff_shape}")
         self.coeffs = self.coeffs.astype(np.complex128, copy=False)
 
     @property
@@ -164,7 +162,7 @@ class FluidState:
 
 def zero_state(grid: GridSpec) -> FluidState:
     n = grid.dim
-    return FluidState(grid, np.zeros((1 + n + n * n,) + grid.shape, dtype=np.complex128))
+    return FluidState(grid, np.zeros((1 + n + n * n,) + grid.coeff_shape, dtype=np.complex128))
 
 
 # -- the stage kernel ------------------------------------------------------------
@@ -188,25 +186,24 @@ def momentum_forcing(grid: GridSpec, arr: np.ndarray, mu: float, *,
     terms and without mu Lap v: transport of every row, plus
     mu sigma Lap v^i + d_k h^{ik} + h^{jk} d_j h^{ik} in the momentum rows
     (the momentum forcing G) and the stretching d_j v^i + d_k v^i h^{kj}
-    in the h rows.  `arr` may have either layout; returns (terms, s, ds):
-    the half-layout terms with the samples s of `arr` and ds of its
-    gradient they were formed from, both from one `gradient_samples` call.
+    in the h rows.  Returns (terms, s, ds): the terms with the samples s
+    of `arr` and ds of its gradient they were formed from, both from one
+    `gradient_samples` call.
     With `momentum_only`, terms holds the momentum rows alone."""
     n = grid.dim
-    arr = to_half(grid, arr)
     wavenumbers = grid_wavenumbers(grid)
     s, ds = gradient_samples(grid, arr, with_samples=True)
     _, vel, h = _split(grid, arr)
     sig_s, v_s, h_s = _split(grid, s)
     _, dv_s, dh_s = _split(grid, ds)  # dh_s[i, k, j] = d_j h^{ik}
-    lap_v = samples(grid, -to_half(grid, wavenumbers["k2"]) * vel)
+    lap_v = samples(grid, -wavenumbers["k2"] * vel)
     mom = slice(0, n) if momentum_only else slice(1, 1 + n)  # the momentum rows of terms
     terms = -advect(grid, v_s, dv_s if momentum_only else ds)
     terms[mom] += mu * sig_s * lap_v + np.einsum("jk...,ikj...->i...", h_s, dh_s)
     if not momentum_only:
         terms[1 + n:] += _stretch(dv_s, h_s).reshape((n * n,) + grid.shape)
     out = dealiased(grid, terms)
-    out[mom] += np.einsum("k...,ik...->i...", to_half(grid, wavenumbers["ik"]), h)
+    out[mom] += np.einsum("k...,ik...->i...", wavenumbers["ik"], h)
     if not momentum_only:
         out[1 + n:] += stacked_gradient(grid, vel).reshape((n * n,) + arr.shape[1:])
     return out, s, ds
@@ -227,16 +224,16 @@ def _identity_quadratic(grid: GridSpec, h_s: np.ndarray, dh_s: np.ndarray) -> np
 
 
 def _density_flux(grid: GridSpec, sig_s: np.ndarray, h):
-    """The half-layout rho = 1/(sigma + 1), dealiased, and the dealiased
-    flux[j, i] = rho h^{ji}, from the grid samples sig_s of sigma and the
-    coefficients or the grid samples of h."""
-    rho = SpectralField(grid, to_full(grid, dealiased(grid, 1.0 / (sig_s + 1.0))))
-    return to_half(grid, rho.coeffs), to_half(grid, product(rho, h))
+    """rho = 1/(sigma + 1), dealiased, and the dealiased flux[j, i] =
+    rho h^{ji}, from the grid samples sig_s of sigma and the coefficients or
+    the grid samples of h."""
+    rho = dealiased(grid, 1.0 / (sig_s + 1.0))
+    return rho, product(SpectralField(grid, rho), h)
 
 
 def _weighted_div(grid: GridSpec, rho, flux) -> np.ndarray:
-    """d_j(rho delta_{ji} + flux[j, i]) per i, on the half layout."""
-    ik = to_half(grid, grid_wavenumbers(grid)["ik"])
+    """d_j(rho delta_{ji} + flux[j, i]) per i."""
+    ik = grid_wavenumbers(grid)["ik"]
     return np.einsum("j...,ji...->i...", ik, flux) + ik * rho
 
 
@@ -253,17 +250,16 @@ class CompatibilityReport:
 
 
 def _l2(coeffs: np.ndarray, grid: GridSpec) -> float:
-    """L2 norm of the real fields with stacked coefficients `coeffs` of
-    either layout: Parseval for the unit-amplitude convention, over the half."""
-    return _parseval_norm(to_half(grid, coeffs)) * (2 * np.pi) ** (grid.dim / 2.0)
+    """L2 norm of the real fields with stacked coefficients `coeffs`: the
+    Parseval `energy` for the unit-amplitude convention."""
+    return float(np.sqrt(TWO_PI ** grid.dim * energy(coeffs)))
 
 
 def _identity_residual(grid: GridSpec, h: np.ndarray, h_s: np.ndarray,
                        dh_s: np.ndarray) -> np.ndarray:
-    """`deformation_identity_residual` of the stacked h (n, n, *grid), of
-    either layout, from its grid samples h_s and dh_s[i, j, l] = d_l h^{ij}
-    of its gradient, as a half-layout (n^3, ...) array."""
-    h = to_half(grid, h)
+    """`deformation_identity_residual` of the stacked h (n, n, *grid), from
+    its grid samples h_s and dh_s[i, j, l] = d_l h^{ij} of its gradient, as
+    an (n^3, *grid) array."""
     res = _identity_quadratic(grid, h_s, dh_s)
     dh = stacked_gradient(grid, h)
     res += dh  # the linear part d_k h^{ij} - d_j h^{ik}
@@ -277,7 +273,7 @@ def deformation_identity_residual(h: SpectralField) -> SpectralField:
     map."""
     grid = h.grid
     h_s, dh_s = gradient_samples(grid, h.coeffs, with_samples=True)
-    return SpectralField(grid, to_full(grid, _identity_residual(grid, h.coeffs, h_s, dh_s)))
+    return SpectralField(grid, _identity_residual(grid, h.coeffs, h_s, dh_s))
 
 
 # The identity written in the perturbation h,
@@ -356,11 +352,10 @@ def compute_pressure(grid: GridSpec, sig_s: np.ndarray, g: np.ndarray, *,
                      ) -> EllipticResult:
     """Solve div((sigma+1) grad P) = div G for the pressure P, from the
     grid samples sig_s of sigma and the stacked momentum forcing g (rows
-    1..n of `momentum_forcing`'s terms, either layout).  The samples give
-    the coefficient and its positivity check; the result's `gradient` is
-    grad P and its `flux` is (sigma + 1) grad P, the flux of the solve's
-    last residual, on the half layout."""
-    return solve_variable_poisson(sig_s + 1.0, -stacked_divergence(grid, to_half(grid, g)),
+    1..n of `momentum_forcing`'s terms).  The samples give the coefficient
+    and its positivity check; the result's `gradient` is grad P and its
+    `flux` is (sigma + 1) grad P, the flux of the solve's last residual."""
+    return solve_variable_poisson(sig_s + 1.0, -stacked_divergence(grid, g),
                                   tol=tol, warm_start=warm_start)
 
 
@@ -368,16 +363,15 @@ def compute_pressure(grid: GridSpec, sig_s: np.ndarray, g: np.ndarray, *,
 
 
 class _Stepper:
-    """IF-RK4 step of a stacked half-layout state with a pressure solve per
-    stage.  The first stage of each state a step produces checks the
+    """IF-RK4 step of a stacked state with a pressure solve per stage.  The first stage of each state a step produces checks the
     density floor on its sigma samples before its pressure solve (the
     state a run starts from is not checked), and a step's CFL check reads
     the velocity samples of its first stage.  A stage solves warm-started
     from the last stage's potential `warm`; `last` is its EllipticResult.
 
     Subclasses supply `diffusing(n)` (which components carry mu Lap) and
-    `direct` (the half-layout (sigma, v, h) array of a stacked state, which
-    may be the state itself: `step` never writes into its input); `finish`
+    `direct` (the (sigma, v, h) array of a stacked state, which may be the
+    state itself: `step` never writes into its input); `finish`
     post-processes the new state in place and `rhs` (the right side, with
     the samples and gradient samples of the direct array it was formed
     from) is the fluid right side unless overridden.  `first_stage`
@@ -463,9 +457,9 @@ def step(state: FluidState, params: PhysicalParams, dt: float) -> FluidState:
     that stage checks its density floor."""
     grid = state.grid
     stepper = _DirectStepper(grid, params, dt)
-    arr = stepper.step(to_half(grid, state.coeffs), 0.0)
+    arr = stepper.step(state.coeffs, 0.0)
     stepper.first_stage(dt, arr)
-    return FluidState(grid, to_full(grid, arr), stepper.last.gradient)
+    return FluidState(grid, arr, stepper.last.gradient)
 
 
 # -- constraint monitors -------------------------------------------------------
@@ -489,11 +483,11 @@ def constraint_residuals(state: FluidState, sampled=None) -> ConstraintResiduals
     """The residuals of `state`, read from `sampled`: the samples and the
     gradient samples (s, ds) of its stacked array that its first stage
     formed (`momentum_forcing`), or taken here in one `gradient_samples`
-    call when not given.  Every residual is a Parseval norm of a half-layout
-    array; the deformation identity is evaluated once and reported under
+    call when not given.  Every residual is a Parseval norm (`_l2`); the
+    deformation identity is evaluated once and reported under
     both of its names (see `perturbation_identity_residual`)."""
     grid = state.grid
-    _, vel, h = _split(grid, to_half(grid, state.coeffs))
+    _, vel, h = _split(grid, state.coeffs)
     s, ds = sampled or gradient_samples(grid, state.coeffs, with_samples=True)
     sig_s, _, h_s = _split(grid, s)
     identity = _l2(_identity_residual(grid, h, h_s, _split(grid, ds)[2]), grid)
@@ -528,7 +522,8 @@ def _groups(state: FluidState) -> dict[str, SpectralField]:
     has no pressure gradient."""
     grad_p = state.pressure_grad
     if grad_p is None:
-        grad_p = SpectralField(state.grid, np.zeros((state.grid.dim,) + state.grid.shape, complex))
+        grad_p = SpectralField(state.grid, np.zeros((state.grid.dim,) + state.grid.coeff_shape,
+                                                    complex))
     return {"sigma": state.sigma, "velocity": state.velocity, "h": state.h_flat(),
             "grad_p": grad_p}
 
@@ -558,7 +553,7 @@ def _run(stepper: _Stepper, arr: np.ndarray, tg: TimeGrid, norm_specs,
     def save(t, arr):
         direct = stepper.direct(arr)
         s, ds = stepper.first_stage(t, arr, direct)
-        st = FluidState(stepper.grid, to_full(stepper.grid, direct), stepper.last.gradient)
+        st = FluidState(stepper.grid, direct, stepper.last.gradient)
         res = constraint_residuals(st, (s, ds))
         if on_save is not None:
             on_save(t, st, s)
@@ -577,25 +572,25 @@ def run(state0: FluidState, params: PhysicalParams, tg: TimeGrid, *,
     """Direct time integration; records norms and constraint residuals at
     every saved slice."""
     stepper = _DirectStepper(state0.grid, params, tg.dt)
-    return _run(stepper, to_half(state0.grid, state0.coeffs), tg, norm_specs, on_save)
+    return _run(stepper, state0.coeffs.copy(), tg, norm_specs, on_save)
 
 
 # -- velocity <-> tensor potential (the coupled variables) ---------------------
 
 
 def stacked_velocity_to_tensor(grid: GridSpec, v: np.ndarray) -> np.ndarray:
-    """d^{ij} = -Lam^{-1} d_j v^i of the stacked velocity v (n, *grid) of
-    either layout, as (n, n, *grid); requires mean-zero components."""
+    """d^{ij} = -Lam^{-1} d_j v^i of the stacked velocity v (n, *grid), as
+    (n, n, *grid); requires mean-zero components."""
     for c in v:
         if abs(c[(0,) * grid.dim].real) > 1e-12 * max(1.0, float(np.max(np.abs(c)))):
             raise ValueError("velocity must be mean-zero for the tensor map")
-    return -1.0 * (stacked_gradient(grid, v) * _lambda_multiplier(grid, -1.0, v.shape[-1]))
+    return -1.0 * (stacked_gradient(grid, v) * _lambda_multiplier(grid, -1.0))
 
 
 def stacked_tensor_to_velocity(grid: GridSpec, d: np.ndarray) -> np.ndarray:
-    """v^i = Lam^{-1} d_j d^{ij} of the stacked tensor d (n, n, *grid) of
-    either layout; exact inverse on mean-zero solenoidal v."""
-    return stacked_divergence(grid, d) * _lambda_multiplier(grid, -1.0, d.shape[-1])
+    """v^i = Lam^{-1} d_j d^{ij} of the stacked tensor d (n, n, *grid);
+    exact inverse on mean-zero solenoidal v."""
+    return stacked_divergence(grid, d) * _lambda_multiplier(grid, -1.0)
 
 
 def velocity_to_tensor(velocity: SpectralField) -> SpectralField:
@@ -642,8 +637,8 @@ class _CoupledStepper(_Stepper):
             direct = self.direct(arr)
         vel = direct[1:1 + n]
         fluid, s, ds = self.stage(direct)
-        ik = to_half(grid, grid_wavenumbers(grid)["ik"])
-        kmag = to_half(grid, grid_wavenumbers(grid)["kmag"])
+        ik = grid_wavenumbers(grid)["ik"]
+        kmag = grid_wavenumbers(grid)["kmag"]
         # X_i = v.grad v^i + (sigma+1) d_i P - mu sigma Lap v^i - h^{mk} d_m h^{ik}
         bracket = np.einsum("k...,ik...->i...", ik, h) - fluid[1:1 + n]
         # d_j X_i plus the curl-type source -d_k Q[i, j, k] of the identity
@@ -664,7 +659,7 @@ def run_coupled(state0: FluidState, params: PhysicalParams, tg: TimeGrid, *,
     """Evolve the coupled variables (sigma, d, h), mapping back to fluid
     states and recording them as `run` does at every save."""
     grid, n = state0.grid, state0.grid.dim
-    arr = to_half(grid, state0.coeffs)
+    arr = state0.coeffs
     d0 = stacked_velocity_to_tensor(grid, stacked_leray(grid, arr[1:1 + n]))
     y = np.concatenate([arr[:1], d0.reshape((n * n,) + arr.shape[1:]), arr[1 + n:]])
     return _run(_CoupledStepper(grid, params, tg.dt), y, tg, norm_specs, on_save)
@@ -724,9 +719,7 @@ def _phi_apply(prev: _TrajectoryInterpolant, state0: FluidState,
     coefficients (a, xi) of its forcing, with the advecting u still frozen
     from `prev`.  Each callable below is a function of t alone, evaluated
     once per distinct stage time, interpolates only the rows it reads and
-    returns half-layout coefficients: `prev`, both trajectories and the
-    trajectory returned hold the half layout.  The caller mirror-fills the
-    result once, after this call has freed both trajectories.
+    returns coefficients.
     """
     grid = state0.grid
     n = grid.dim
@@ -803,18 +796,16 @@ def phi_iteration(state0: FluidState, params: PhysicalParams, tg: TimeGrid, *,
             "map may not contract", stacklevel=2)
 
     nt = tg.n_steps + 1
-    constant = np.repeat(to_half(grid, state0.coeffs)[None], nt, axis=0)
+    constant = np.repeat(state0.coeffs[None], nt, axis=0)
     times = np.arange(nt) * tg.dt
 
-    current = to_full(grid, _phi_apply(_TrajectoryInterpolant(times, constant), state0,
-                                       params, tg))
+    current = _phi_apply(_TrajectoryInterpolant(times, constant), state0, params, tg)
 
     distances: list[float] = []
     monitors: list[dict] = []
     converged = False
     for _ in range(max_outer):
-        nxt = to_full(grid, _phi_apply(_TrajectoryInterpolant(times, to_half(grid, current)),
-                                       state0, params, tg))
+        nxt = _phi_apply(_TrajectoryInterpolant(times, current), state0, params, tg)
         dist = _trajectory_distance(nxt, current, grid, tg)
         distances.append(dist)
         monitors.append(_admissible_monitor(nxt, times, grid, params, tg, admissible))

@@ -103,7 +103,7 @@ class DyadicBlocks:
 
 
 def block_multipliers(grid: GridSpec) -> np.ndarray:
-    """Stack of band multipliers, shape (q_max+1, *grid.shape).
+    """Stack of band multipliers, shape (q_max+1, *grid.coeff_shape).
 
     Band q >= 1 is phi(2^-q |k|); band 0 additionally absorbs the whole
     q <= 0 tail of the partition so that bands sum to one on the
@@ -117,10 +117,10 @@ def _block_multipliers(dim: int, m: int) -> np.ndarray:
     grid = GridSpec(dim, m)
     kmag = grid_wavenumbers(grid)["kmag"]
     nq = grid.q_max + 1
-    stack = np.zeros((nq,) + grid.shape)
+    stack = np.zeros((nq,) + grid.coeff_shape)
     for q in range(1, nq):
         stack[q] = _DEFAULT_PROFILE.value(np.exp2(-q) * kmag)
-    low = np.zeros(grid.shape)
+    low = np.zeros(grid.coeff_shape)
     for j in range(0, 4):  # phi(2^j rho) vanishes for rho >= 1 once 2^j > 8/3
         low += _DEFAULT_PROFILE.value(np.exp2(j) * kmag)
     stack[0] = low

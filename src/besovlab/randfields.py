@@ -11,12 +11,23 @@ import numpy as np
 
 from .paley import retained_radius
 from .spectral import (
+    TWO_PI,
     GridSpec,
     SpectralField,
+    energy,
     forward_transform,
     grid_wavenumbers,
     stacked_leray,
 )
+
+
+def _unit_l2(grid: GridSpec, coeffs: np.ndarray) -> SpectralField:
+    """The field with coefficients `coeffs` scaled to unit L2 norm (over all
+    its components)."""
+    scale = np.sqrt(TWO_PI ** grid.dim * energy(coeffs))
+    if scale == 0.0:
+        raise ValueError("empty spectral band requested")
+    return SpectralField(grid, coeffs / scale)
 
 
 def random_scalar(grid: GridSpec, rng: np.random.Generator, *,
@@ -30,11 +41,7 @@ def random_scalar(grid: GridSpec, rng: np.random.Generator, *,
     coeffs = forward_transform(grid, noise).coeffs
     keep = (kmag > radius_lo) & (kmag <= radius)
     envelope = np.where(keep, np.where(kmag > 0, kmag, 1.0) ** (-decay), 0.0)
-    coeffs = coeffs * envelope
-    scale = np.sqrt(np.sum(np.abs(coeffs) ** 2)) * (2 * np.pi) ** (grid.dim / 2.0)
-    if scale == 0.0:
-        raise ValueError("empty spectral band requested")
-    return SpectralField(grid, coeffs / scale)
+    return _unit_l2(grid, coeffs * envelope)
 
 
 def random_solenoidal(grid: GridSpec, rng: np.random.Generator, *,
@@ -45,6 +52,4 @@ def random_solenoidal(grid: GridSpec, rng: np.random.Generator, *,
     independent `random_scalar` draws."""
     draws = np.stack([random_scalar(grid, rng, radius=radius, radius_lo=radius_lo,
                                     decay=decay).coeffs for _ in range(grid.dim)])
-    coeffs = stacked_leray(grid, draws)
-    scale = np.sqrt(sum(np.sum(np.abs(c) ** 2) for c in coeffs)) * (2 * np.pi) ** (grid.dim / 2.0)
-    return SpectralField(grid, coeffs / scale)
+    return _unit_l2(grid, stacked_leray(grid, draws))

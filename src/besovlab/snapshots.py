@@ -13,7 +13,7 @@ from .spectral import GridSpec, SpectralField, forward_transform, inverse_transf
 
 
 class SnapshotFormatError(ValueError):
-    """Malformed snapshot header or truncated payload."""
+    """Malformed snapshot header, truncated payload or non-finite sample."""
 
 
 def write_snapshot(path, grid: GridSpec, fields: dict[str, SpectralField | np.ndarray]):
@@ -73,6 +73,8 @@ def read_snapshot(path) -> tuple[GridSpec, dict[str, SpectralField]]:
     for i, name in enumerate(names):
         chunk = payload[8 * count * i: 8 * count * (i + 1)]
         samples = np.frombuffer(chunk, dtype="<f8").reshape(grid.shape)
+        if not np.isfinite(samples).all():
+            raise SnapshotFormatError(f"field {name!r} holds non-finite samples")
         fields[name] = forward_transform(grid, samples.copy())
     return grid, fields
 

@@ -1,50 +1,41 @@
 """Spectral fields on the periodic torus [0, 2pi)^N.
 
-Coefficients use the usual wraparound frequency layout, normalized so
-that the coefficient of the mode e^{i k.x} is 1.  Every array holds the
-coefficients of a real field, so it is Hermitian: c(-k) = conj(c(k)).
-All operators in this module are Fourier multipliers acting on those
-coefficients and keep that symmetry; they are pure functions and
-deterministic.
+Coefficients are normalized so that the coefficient of the mode e^{i k.x}
+is 1.  Every array holds the coefficients of real fields, c(-k) =
+conj(c(k)), so the modes with k_last >= 0 determine it, and that half is
+all any array holds: shape (..., M, ..., M//2+1) (`GridSpec.coeff_shape`),
+the wraparound layout on every axis but the last, which runs over
+k_last = 0..M/2.  It is what `rfftn` gives and all that `irfftn` reads.
+The k_last = 0 and k_last = M/2 planes each hold both k and -k, so their
+Hermitian symmetry is a constraint within the plane (`hermitize` projects
+onto it); every other plane stands for itself and for the modes -k,
+which it determines, and a Parseval sum (`energy`) counts it twice.  All operators in this module
+are Fourier multipliers acting on those coefficients and keep that
+symmetry; they are pure functions and deterministic.  The multiplier
+tables of `grid_wavenumbers` are built on the same half.
 
 A `SpectralField` is one field or a stack of them: its coefficients have
-shape (*components, *grid.shape), and indexing or iterating it gives
-views of its components.  A vector is a field of shape (dim, *grid), a
-tensor (dim, dim, *grid), a state (1 + n + n^2, *grid), a trajectory a
-leading time axis on top; no operator here takes a list of fields.
+shape (*components, *grid.coeff_shape), and indexing or iterating it
+gives views of its components.  A vector is a field of shape
+(dim, *grid), a tensor (dim, dim, *grid), a state (1 + n + n^2, *grid), a
+trajectory a leading time axis on top; no operator here takes a list of
+fields.
 
-Two layouts carry the same coefficients.  The full layout, shape
-(..., M, ..., M), lives at the API boundary: `SpectralField`, the saved
-states of the steppers, snapshots, norms, the verifier and the random
-draws.  The half layout, shape (..., M, ..., M//2+1), holds only the
-k_last >= 0 modes; it is what `rfftn` gives and all that `irfftn` reads,
-and the integration core (the steppers, the linear solvers and their
-trajectories, the stage kernel and the pressure solve) carries nothing
-else.  `to_half` (a slice) and `to_full` (the one mirror fill, k_last < 0
-from the conjugate of -k) are the only conversions.  Inside the half, the
-k_last = 0 and k_last = M/2 planes each hold both k and -k, so their
-Hermitian symmetry is a constraint within the plane (`hermitian_planes`
-projects onto it); every other plane stands for itself and its mirror,
-and a Parseval sum counts it twice.  The multiplier tables of
-`grid_wavenumbers` are full; each operator slices them to the last axis
-of the array it acts on (`ik[..., :c.shape[-1]]`), so it serves both
-layouts without a branch.
-
-`samples` and `gradient_samples` read either layout; `dealiased`, the
-core's one forward transform, returns the half, and `forward_transform`
-returns the full layout.  The `stacked_*` operators, `samples`,
-`gradient_samples`, `dealiased`, `product` and `advect` act on stacked
-arrays: any leading axes index components, the last `dim` axes are the
-grid; `gradient`, `divergence` and `leray_project` are their forms on a
-field.  A quadratic term is formed by sampling its factors on the grid,
+`samples` and `gradient_samples` sample coefficients on the grid;
+`dealiased`, the one forward transform of the integration core, applies
+the two-thirds rule, and `forward_transform` is the plain transform of
+one field.  The `stacked_*` operators, `samples`, `gradient_samples`,
+`dealiased`, `product` and `advect` act on stacked arrays: any leading
+axes index components, the last `dim` axes are the grid; `gradient`,
+`divergence` and `leray_project` are their forms on a field.  A
+quadratic term is formed by sampling its factors on the grid,
 multiplying and contracting there, and one `dealiased` call for all its
-output components; `product` is the case of one scalar factor, at the
-API boundary.  The largest arrays a right side holds are those of the one
-`gradient_samples` call over its whole stack: the samples and the
-gradient samples, `dim` + 1 reals per component and grid point
-(13 x 4 x 32^3 float64 = 13.6 MB in 3D at M 32), filled from a work array
-of `dim` + 1 half-layout branches per component (14.5 MB) that is freed
-when the call returns.
+output components; `product` is the case of one scalar factor.  The
+largest arrays a right side holds are those of the one `gradient_samples`
+call over its whole stack: the samples and the gradient samples, `dim` +
+1 reals per component and grid point (13 x 4 x 32^3 float64 = 13.6 MB in
+3D at M 32), filled from a work array of `dim` + 1 coefficient branches
+per component (14.5 MB) that is freed when the call returns.
 """
 
 from __future__ import annotations
@@ -84,6 +75,12 @@ class GridSpec:
         return (self.points_per_axis,) * self.dim
 
     @property
+    def coeff_shape(self) -> tuple[int, ...]:
+        """Shape of one field's coefficients: the k_last >= 0 half."""
+        m = self.points_per_axis
+        return (m,) * (self.dim - 1) + (m // 2 + 1,)
+
+    @property
     def cell_volume(self) -> float:
         return (TWO_PI / self.points_per_axis) ** self.dim
 
@@ -111,33 +108,26 @@ class GridSpec:
 
 @lru_cache(maxsize=32)
 def _grid_arrays(dim: int, m: int) -> dict:
-    """Cached wavenumber arrays for a (dim, M) grid."""
+    """Cached wavenumber arrays for a (dim, M) grid, on the coefficient
+    shape: k_axis wraps around on every axis but the last, which holds
+    k_last = 0..M/2."""
+    shape = GridSpec(dim, m).coeff_shape
     k1 = np.fft.fftfreq(m, d=1.0 / m).astype(np.int64)
-    kaxes = []
-    for ax in range(dim):
-        shape = [1] * dim
-        shape[ax] = m
-        kaxes.append(k1.reshape(shape))
+    kaxes = [k1.reshape([-1 if i == ax else 1 for i in range(dim)]) for ax in range(dim - 1)]
+    kaxes.append(np.arange(shape[-1]).reshape((1,) * (dim - 1) + (-1,)))
     k2 = sum((k.astype(np.float64) ** 2 for k in kaxes), np.zeros((1,) * dim))
-    k2 = np.broadcast_to(k2, (m,) * dim).copy()
+    k2 = np.broadcast_to(k2, shape).copy()
     kmag = np.sqrt(k2)
     limit = m / 3.0
-    keep = np.ones((m,) * dim, dtype=bool)
+    keep = np.ones(shape, dtype=bool)
     for k in kaxes:
         keep &= np.abs(k) <= limit
-    # i k_axis per axis, the unmatched Nyquist line zeroed so that odd
-    # derivatives of real fields stay real; `ik_axes` keeps each as the
-    # 1D multiplier it is, broadcastable along the other axes
-    ik_axes = [np.where(k == -(m // 2), 0.0, 1j * k) for k in kaxes]
-    ik = np.stack([np.broadcast_to(k, (m,) * dim) for k in ik_axes])
-    # flat index into the k_last >= 0 half (last axis 0..M/2) of the mode
-    # -k, for every k with k_last < 0 (last axis M/2+1..M-1)
-    half = m // 2 + 1
-    idx = np.indices((m,) * (dim - 1) + (m - half,))
-    mirror = np.ravel_multi_index(tuple((-i) % m for i in idx[:-1]) + (m - half - idx[-1],),
-                                  (m,) * (dim - 1) + (half,))
-    return {"kaxes": kaxes, "k2": k2, "kmag": kmag, "dealias_mask": keep, "ik": ik,
-            "ik_axes": ik_axes, "mirror": mirror}
+    # i k_axis per axis, the unmatched Nyquist line |k_axis| = M/2 zeroed so
+    # that odd derivatives of real fields stay real; `ik_axes` keeps each
+    # as the 1D multiplier it is, broadcastable along the other axes
+    ik_axes = [np.where(np.abs(k) == m // 2, 0.0, 1j * k) for k in kaxes]
+    ik = np.stack([np.broadcast_to(k, shape) for k in ik_axes])
+    return {"k2": k2, "kmag": kmag, "dealias_mask": keep, "ik": ik, "ik_axes": ik_axes}
 
 
 def grid_wavenumbers(grid: GridSpec) -> dict:
@@ -147,17 +137,18 @@ def grid_wavenumbers(grid: GridSpec) -> dict:
 @dataclass
 class SpectralField:
     """Complex Fourier coefficients of a real field on `grid`, or of a stack
-    of them: shape (*components, *grid.shape).  `f[i]` and iteration give
-    views of the components along the first axis; a scalar field has none
-    (`len` raises TypeError), and no field supports item assignment."""
+    of them: shape (*components, *grid.coeff_shape).  `f[i]` and iteration
+    give views of the components along the first axis; a scalar field has
+    none (`len` raises TypeError), and no field supports item assignment."""
 
     grid: GridSpec
     coeffs: np.ndarray
 
     def __post_init__(self):
-        if self.coeffs.shape[-self.grid.dim:] != self.grid.shape:
+        if self.coeffs.shape[-self.grid.dim:] != self.grid.coeff_shape:
             raise GridError(
-                f"coefficient shape {self.coeffs.shape} does not match grid {self.grid.shape}"
+                f"coefficient shape {self.coeffs.shape} does not match grid {self.grid.shape}: "
+                f"the k_last >= 0 half has shape {self.grid.coeff_shape}"
             )
         if self.coeffs.dtype != np.complex128:
             self.coeffs = self.coeffs.astype(np.complex128)
@@ -180,12 +171,14 @@ class SpectralField:
         return float(self.coeffs[(0,) * self.grid.dim].real)
 
     def hermitian_defect(self) -> float:
-        """Max |c(-k) - conj(c(k))| relative to the largest coefficient."""
-        flipped = _reverse_modes(self.grid, self.coeffs)
+        """Max |c(-k) - conj(c(k))| relative to the largest coefficient, on
+        the k_last = 0 and M/2 planes: no other mode can break the symmetry,
+        since each determines its own -k."""
         scale = np.max(np.abs(self.coeffs))
         if scale == 0.0:
             return 0.0
-        return float(np.max(np.abs(flipped.conj() - self.coeffs)) / scale)
+        planes, at_minus_k = _planes(self.grid, self.coeffs)
+        return float(np.max(np.abs(at_minus_k.conj() - planes)) / scale)
 
     # -- arithmetic -----------------------------------------------------
     def _check(self, other: "SpectralField"):
@@ -209,59 +202,46 @@ class SpectralField:
         return SpectralField(self.grid, -self.coeffs)
 
 
-def _reverse_modes(grid: GridSpec, coeffs: np.ndarray) -> np.ndarray:
-    """Coefficient array at -k (mod M) for every k, per component."""
-    out = coeffs
-    for ax in range(-grid.dim, 0):
-        out = np.flip(np.roll(out, -1, axis=ax), axis=ax)
-    return out
+def _planes(grid: GridSpec, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The k_last = 0 and M/2 planes of stacked coefficients (a copy, the
+    two planes on the last axis), and the same planes at -k."""
+    m = grid.points_per_axis
+    planes = coeffs[..., [0, m // 2]]
+    at_minus_k = planes
+    for ax in range(-grid.dim, -1):
+        at_minus_k = np.take(at_minus_k, -np.arange(m) % m, axis=ax)
+    return planes, at_minus_k
 
 
-def hermitize(field: "SpectralField") -> "SpectralField":
-    """Project onto the Hermitian-symmetric (real-field) subspace.
+def hermitize(field: SpectralField) -> SpectralField:
+    """Project onto the Hermitian-symmetric (real-field) subspace: a copy
+    with the k_last = 0 and M/2 planes replaced by their Hermitian part
+    (c(k) + conj(c(-k))) / 2, the only modes that can leave it.
 
     Rounding noise in long evaluation chains drifts off that subspace;
     the anti-Hermitian part is invisible to any operator that works on
     real physical samples, so it is pure garbage to discard.
     """
-    sym = 0.5 * (field.coeffs + _reverse_modes(field.grid, field.coeffs).conj())
-    return SpectralField(field.grid, sym)
-
-
-def hermitian_planes(grid: GridSpec, half: np.ndarray) -> np.ndarray:
-    """A copy of the half-layout `half` with its k_last = 0 and k_last = M/2
-    planes projected onto their Hermitian part, as `hermitize` does there.
-    On a mirror-filled array those planes are all that `hermitize`
-    changes: every other mode's -k already holds its conjugate."""
-    m = grid.points_per_axis
-    planes = half[..., [0, m // 2]]
-    at_minus_k = planes
-    for ax in range(-grid.dim, -1):
-        at_minus_k = np.take(at_minus_k, -np.arange(m) % m, axis=ax)
-    out = half.copy()
+    m = field.grid.points_per_axis
+    planes, at_minus_k = _planes(field.grid, field.coeffs)
+    out = field.coeffs.copy()
     out[..., [0, m // 2]] = 0.5 * (planes + at_minus_k.conj())
-    return out
+    return SpectralField(field.grid, out)
 
 
-# -- layouts and transforms -----------------------------------------------
+def energy(coeffs: np.ndarray, axis=None):
+    """sum_k |c_k|^2 over every mode k of the real fields with stacked
+    coefficients `coeffs`, reduced over `axis` (default: all axes): the
+    k_last = 0 and M/2 planes count once, every other plane stands for
+    itself and for the modes -k and counts twice.  By discrete Parseval,
+    (2pi)^N times this is the rectangle-rule sum of the squared samples;
+    every L2 norm and residual of the package is this one sum."""
+    sq = np.abs(coeffs) ** 2
+    sq[..., 1:-1] *= 2.0
+    return sq.sum(axis=axis)
 
 
-def to_half(grid: GridSpec, coeffs: np.ndarray) -> np.ndarray:
-    """The k_last >= 0 half of stacked coefficients of either layout (a
-    view; the identity on the half layout)."""
-    return coeffs[..., :grid.points_per_axis // 2 + 1]
-
-
-def to_full(grid: GridSpec, half: np.ndarray) -> np.ndarray:
-    """Full-layout coefficients of the stacked half-layout `half`: the
-    k_last < 0 half is the conjugate of the mode -k, which the half holds."""
-    m, width = grid.points_per_axis, grid.points_per_axis // 2 + 1
-    full = np.empty(half.shape[:-1] + (m,), dtype=np.complex128)
-    full[..., :width] = half
-    flat = half.reshape(half.shape[:-grid.dim] + (-1,))
-    np.conjugate(np.take(flat, grid_wavenumbers(grid)["mirror"], axis=-1),
-                 out=full[..., width:])
-    return full
+# -- transforms -------------------------------------------------------------
 
 
 def make_grid(dim: int, points_per_axis: int) -> GridSpec:
@@ -275,7 +255,7 @@ def forward_transform(grid: GridSpec, samples: np.ndarray) -> SpectralField:
         raise GridError(f"sample shape {samples.shape} does not match grid {grid.shape}")
     if np.iscomplexobj(samples):
         raise GridError("samples must be real-valued")
-    return SpectralField(grid, to_full(grid, _rfftn(grid, samples)))
+    return SpectralField(grid, _rfftn(grid, samples))
 
 
 def inverse_transform(field: SpectralField) -> np.ndarray:
@@ -284,33 +264,28 @@ def inverse_transform(field: SpectralField) -> np.ndarray:
 
 
 def samples(grid: GridSpec, coeffs: np.ndarray) -> np.ndarray:
-    """Real grid samples of every component of a stacked coefficient array
-    of either layout.
-
-    The coefficients must be Hermitian (those of real fields): only the
-    k_last >= 0 half is read, by `irfftn`.  norm="forward" is the
-    unit-amplitude convention (the 1/M^dim sits on the forward transform).
-    """
-    half = grid.points_per_axis // 2 + 1
-    return np.fft.irfftn(coeffs[..., :half], s=grid.shape,
-                         axes=tuple(range(-grid.dim, 0)), norm="forward")
+    """Real grid samples of every component of a stacked coefficient
+    array, by `irfftn`.  norm="forward" is the unit-amplitude convention
+    (the 1/M^dim sits on the forward transform)."""
+    return np.fft.irfftn(coeffs, s=grid.shape, axes=tuple(range(-grid.dim, 0)),
+                         norm="forward")
 
 
 def _rfftn(grid: GridSpec, values: np.ndarray) -> np.ndarray:
-    """Half-layout coefficients of stacked real samples."""
+    """Coefficients of stacked real samples."""
     return np.fft.rfftn(values, axes=tuple(range(-grid.dim, 0)), norm="forward")
 
 
 def dealiased(grid: GridSpec, values: np.ndarray) -> np.ndarray:
-    """Half-layout coefficients of every component of stacked real samples,
-    with the two-thirds rule applied."""
+    """Coefficients of every component of stacked real samples, with the
+    two-thirds rule applied."""
     coeffs = _rfftn(grid, values)
-    coeffs *= grid_wavenumbers(grid)["dealias_mask"][..., :coeffs.shape[-1]]
+    coeffs *= grid_wavenumbers(grid)["dealias_mask"]
     return coeffs
 
 
 def zero_field(grid: GridSpec) -> SpectralField:
-    return SpectralField(grid, np.zeros(grid.shape, dtype=np.complex128))
+    return SpectralField(grid, np.zeros(grid.coeff_shape, dtype=np.complex128))
 
 
 # -- multiplier operators -------------------------------------------------
@@ -334,20 +309,19 @@ def stacked_gradient(grid: GridSpec, coeffs: np.ndarray) -> np.ndarray:
     """d_l of every component of a stacked array, as `derivative` takes it;
     the new axis l sits just before the grid axes."""
     ik = grid_wavenumbers(grid)["ik"]
-    return np.expand_dims(coeffs, -grid.dim - 1) * ik[..., :coeffs.shape[-1]]
+    return np.expand_dims(coeffs, -grid.dim - 1) * ik
 
 
 def stacked_divergence(grid: GridSpec, coeffs: np.ndarray) -> np.ndarray:
     """d_l of component l, summed over the axis just before the grid axes
     (`coeffs` holds vectors of `dim` components)."""
-    ik = grid_wavenumbers(grid)["ik"][..., :coeffs.shape[-1]]
+    ik = grid_wavenumbers(grid)["ik"]
     return sum(k * c for k, c in zip(ik, np.moveaxis(coeffs, -grid.dim - 1, 0), strict=True))
 
 
-def _lambda_multiplier(grid: GridSpec, exponent: float, width: int) -> np.ndarray:
-    """|k|^exponent with the zero mode set to 0, on the first `width`
-    modes of the last axis."""
-    kmag = grid_wavenumbers(grid)["kmag"][..., :width]
+def _lambda_multiplier(grid: GridSpec, exponent: float) -> np.ndarray:
+    """|k|^exponent with the zero mode set to 0."""
+    kmag = grid_wavenumbers(grid)["kmag"]
     with np.errstate(divide="ignore"):
         mult = np.where(kmag > 0, kmag, 1.0) ** float(exponent)
     return np.where(kmag > 0, mult, 0.0)
@@ -358,9 +332,7 @@ def lambda_power(field: SpectralField, exponent: float) -> SpectralField:
     for any nonzero exponent."""
     if exponent == 0:
         return field.copy()
-    grid = field.grid
-    return SpectralField(grid, field.coeffs
-                         * _lambda_multiplier(grid, exponent, grid.points_per_axis))
+    return SpectralField(field.grid, field.coeffs * _lambda_multiplier(field.grid, exponent))
 
 
 def divergence(field: SpectralField) -> SpectralField:
@@ -371,14 +343,14 @@ def divergence(field: SpectralField) -> SpectralField:
 def stacked_leray(grid: GridSpec, coeffs: np.ndarray) -> np.ndarray:
     """L2-orthogonal projection onto divergence-free vector fields of the
     vectors in `coeffs` (the axis just before the grid axes indexes the
-    `dim` components), in either layout.
+    `dim` components).
 
     Uses the same odd-multiplier convention as `derivative` (unmatched
     Nyquist lines count as frequency zero), so the projected field is
     annihilated by the artifact's own divergence.  The zero mode (mean
     flow) passes through unchanged.
     """
-    kaxes = grid_wavenumbers(grid)["ik"][..., :coeffs.shape[-1]].imag
+    kaxes = grid_wavenumbers(grid)["ik"].imag
     k2 = sum(k ** 2 for k in kaxes)
     kdotv = sum(k * c for k, c in zip(kaxes, np.moveaxis(coeffs, -grid.dim - 1, 0)))
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -399,23 +371,21 @@ def dealias(field: SpectralField) -> SpectralField:
 
 def product(f: SpectralField, g: SpectralField | np.ndarray):
     """Dealiased pointwise product of the scalar field `f` with `g`: a
-    field (returns a field), or stacked coefficients of either layout or
-    stacked real grid samples the caller holds (returns the full-layout
-    stacked coefficients of f times each component; `f` is sampled once).
-    Exact convolution on the retained band when both factors are
-    supported below M/3."""
+    field (returns a field), or stacked coefficients or stacked real grid
+    samples the caller holds (returns the stacked coefficients of f times
+    each component; `f` is sampled once).  Exact convolution on the
+    retained band when both factors are supported below M/3."""
     grid = f.grid
     if isinstance(g, SpectralField):
         f._check(g)
-        return SpectralField(grid, to_full(grid, dealiased(grid, inverse_transform(f)
-                                                           * inverse_transform(g))))
+        return SpectralField(grid, dealiased(grid, inverse_transform(f) * inverse_transform(g)))
     g_s = samples(grid, g) if np.iscomplexobj(g) else g
-    return to_full(grid, dealiased(grid, inverse_transform(f) * g_s))
+    return dealiased(grid, inverse_transform(f) * g_s)
 
 
 def gradient_samples(grid: GridSpec, coeffs: np.ndarray, *, with_samples: bool = False):
-    """Real grid samples of d_l of every component of a stacked array of
-    either layout, laid out as `stacked_gradient` (axis l just before the
+    """Real grid samples of d_l of every component of a stacked array,
+    laid out as `stacked_gradient` (axis l just before the
     grid axes); with `with_samples`, (samples, gradient samples).
 
     i k_l acts on axis l alone, so it commutes with the 1D passes along the
@@ -426,16 +396,14 @@ def gradient_samples(grid: GridSpec, coeffs: np.ndarray, *, with_samples: bool =
     alone 4 and 8), against 6 and 12 as one `irfftn` each: 3D M 16, 13
     fields, 2.8 vs 4.0 ms (median of 60 alternations, 2-vCPU Xeon VM)."""
     n, m = grid.dim, grid.points_per_axis
-    coeffs = to_half(grid, coeffs)
-    width = coeffs.shape[-1]
     ik = grid_wavenumbers(grid)["ik_axes"]
     # branch b: the field (b = 0) or its derivative d_{b-1}, half-transformed
     work = np.empty((n + 1,) + coeffs.shape, dtype=np.complex128)
     work[0] = coeffs
     for ax in range(n - 1):
-        np.multiply(work[0], ik[ax][..., :width], out=work[1 + ax])
+        np.multiply(work[0], ik[ax], out=work[1 + ax])
         np.fft.ifft(work[:ax + 2], axis=ax - n, norm="forward", out=work[:ax + 2])
-    np.multiply(work[0], ik[n - 1][..., :width], out=work[n])
+    np.multiply(work[0], ik[n - 1], out=work[n])
     out = np.fft.irfft(work[0 if with_samples else 1:], n=m, axis=-1, norm="forward")
     grad = np.moveaxis(out[1:] if with_samples else out, 0, -n - 1)
     return (out[0], grad) if with_samples else grad
@@ -454,7 +422,7 @@ def advect(grid: GridSpec, v: np.ndarray, du: np.ndarray) -> np.ndarray:
 
 def rescale(field: SpectralField, m: int) -> SpectralField:
     """Spatial dilation x -> 2^m x of every component: move the coefficient
-    at k to 2^m * k.
+    at k to 2^m * k (k_last, the index on the last axis, stays in 0..M/2).
 
     For m > 0 every populated mode must stay inside the grid; for m < 0
     every populated mode must sit on the 2^|m| sub-lattice.  Coefficients
@@ -470,7 +438,9 @@ def rescale(field: SpectralField, m: int) -> SpectralField:
     factor = 2 ** abs(m)
     mag = np.abs(coeffs)
     nz = np.argwhere(mag > 1e-13 * mag.max(axis=tuple(range(-grid.dim, 0)), keepdims=True))
-    k = np.fft.fftfreq(mm, d=1.0 / mm).astype(np.int64)[nz[:, -grid.dim:]]
+    idx = nz[:, -grid.dim:]
+    k = np.where(idx >= mm // 2, idx - mm, idx)  # the wraparound frequency
+    k[:, -1] = idx[:, -1]
     if m > 0:
         bad, moved = np.any(np.abs(k) * factor >= mm // 2, axis=1), k * factor
         message = f"rescale by m={m} overflows the grid at mode"

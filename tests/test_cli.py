@@ -49,6 +49,21 @@ class TestNormsCommand:
     def test_missing_file_exit_2(self, tmp_path, capsys):
         assert main(["norms", str(tmp_path / "nope.bin")]) == 2
 
+    def test_directory_exit_2(self, tmp_path, capsys):
+        assert main(["norms", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: cannot read snapshot {tmp_path}: Is a directory\n"
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_sample_exit_2(self, tmp_path, capsys, value):
+        grid = make_grid(2, 16)
+        bad = np.zeros(grid.shape)
+        bad[3, 5] = value
+        path = tmp_path / "bad.bin"
+        write_snapshot(path, grid, {"u": np.ones(grid.shape), "v": bad})
+        assert main(["norms", str(path)]) == 2
+        assert capsys.readouterr().err == "error: field 'v' holds non-finite samples\n"
+
     def test_malformed_snapshot_exit_2(self, tmp_path):
         bad = tmp_path / "bad.bin"
         bad.write_bytes(b"junk with no newline")
@@ -186,6 +201,24 @@ class TestSimulateCommand:
         assert main([command, "--config", str(cfg), "--out", str(out), *option]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
+
+    def test_output_dir_not_a_string_exit_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg = base_config(tmp_path, output_dir=5)
+        assert main(["simulate", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == "error: output_dir must be a string, got 5\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+    @pytest.mark.parametrize("command", ["simulate", "verify"])
+    def test_out_is_a_file_exit_2(self, tmp_path, capsys, command):
+        out = tmp_path / "taken"
+        out.write_text("not a directory")
+        args = (["simulate", "--config", str(base_config(tmp_path))] if command == "simulate"
+                else ["verify", "bernstein"])
+        assert main([*args, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            f"error: cannot create output directory {out}: File exists\n"
+        assert out.read_text() == "not a directory"
 
     def test_invalid_json_exit_2(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -27,7 +27,7 @@ from besovlab.spectral import (
     zero_field,
 )
 
-from conftest import field_of, stack
+from conftest import field_of, full_spectrum_norm, stack
 
 
 class TestTimeGrid:
@@ -65,9 +65,8 @@ class TestHeat:
         u0 = random_scalar(grid2_32, rng)
         mu, T = 0.7, 1.5
         res = solve_heat(u0, None, mu, TimeGrid(T, 0.015))
-        k2 = np.zeros(grid2_32.shape)
         k = np.fft.fftfreq(32, d=1 / 32).astype(int)
-        k2 = k[:, None] ** 2 + k[None, :] ** 2
+        k2 = k[:, None] ** 2 + np.arange(17)[None, :] ** 2  # the last axis holds k_last >= 0
         want = u0.coeffs * np.exp(-mu * k2 * T)
         assert np.max(np.abs(res.final.coeffs - want)) <= \
             1e-12 * np.max(np.abs(u0.coeffs))
@@ -138,19 +137,20 @@ class TestTransport:
 
         vx, vy = inverse_transform(v[0]), inverse_transform(v[1])
 
-        def vel_at(pts):
-            # direct Fourier sum of the band-limited velocity at points
-            out = np.zeros((2,) + pts.shape[1:])
+        def fourier_sum(coeffs, pts):
+            # direct Fourier sum of a band-limited real field at points: the
+            # coefficients hold k_last >= 0, and a mode off the k_last = 0
+            # and 16 planes also stands for its conjugate at -k
             k = np.fft.fftfreq(32, d=1 / 32).astype(int)
-            for comp, vf in enumerate(v):
-                nz = np.argwhere(np.abs(vf.coeffs) > 1e-14)
-                acc = np.zeros(pts.shape[1:], complex)
-                for idx in nz:
-                    ka, kb = k[idx[0]], k[idx[1]]
-                    acc += vf.coeffs[tuple(idx)] * np.exp(
-                        1j * (ka * pts[0] + kb * pts[1]))
-                out[comp] = acc.real
-            return out
+            acc = np.zeros(pts.shape[1:], complex)
+            for idx in np.argwhere(np.abs(coeffs) > 1e-14):
+                ka, kb = k[idx[0]], idx[1]
+                weight = 1.0 if kb in (0, 16) else 2.0
+                acc += weight * coeffs[tuple(idx)] * np.exp(1j * (ka * pts[0] + kb * pts[1]))
+            return acc.real
+
+        def vel_at(pts):
+            return np.stack([fourier_sum(vf.coeffs, pts) for vf in v])
 
         xx, yy = grid2_32.meshgrid()
         pts = np.stack([xx, yy])
@@ -161,13 +161,7 @@ class TestTransport:
             k3 = vel_at(pts - 0.5 * h * k2)
             k4 = vel_at(pts - h * k3)
             pts = pts - (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-        oracle = np.zeros(grid2_32.shape, complex)
-        k = np.fft.fftfreq(32, d=1 / 32).astype(int)
-        nz = np.argwhere(np.abs(u0.coeffs) > 1e-14)
-        for idx in nz:
-            ka, kb = k[idx[0]], k[idx[1]]
-            oracle += u0.coeffs[tuple(idx)] * np.exp(1j * (ka * pts[0] + kb * pts[1]))
-        err = inverse_transform(res.final) - oracle.real
+        err = inverse_transform(res.final) - fourier_sum(u0.coeffs, pts)
         l2 = np.sqrt(np.sum(err ** 2) * grid2_32.cell_volume)
         assert l2 <= 1e-6
 
@@ -309,8 +303,7 @@ class TestVariablePoisson:
         res = solve_variable_poisson(a, f, tol=tol)
         u = res.potential
         r = f + divergence(stack([product(a, derivative(u, ax)) for ax in range(2)]))
-        fnorm = np.sqrt(np.sum(np.abs(f.coeffs) ** 2))
-        assert np.sqrt(np.sum(np.abs(r.coeffs) ** 2)) <= tol * fnorm
+        assert full_spectrum_norm(r) <= tol * full_spectrum_norm(f)
         assert res.iterations > 1
 
     def test_elliptic_shape_ratios_recorded(self, grid2_32):
@@ -349,7 +342,7 @@ class TestVariablePoisson:
         a = forward_transform(grid, 1.0 + 0.2 * np.cos(grid.meshgrid()[0]))
         f = random_scalar(grid, rng)
         res = solve_variable_poisson(a, f, tol=1e-8)
-        fnorm = np.sqrt(np.sum(np.abs(f.coeffs) ** 2))
+        fnorm = full_spectrum_norm(f)
         assert abs(res.residuals[0] - fnorm) <= 1e-14 * fnorm
 
     def test_nonconvergence_reported(self, grid2_32):

@@ -16,9 +16,10 @@ from besovlab.norms import (
     lebesgue_time_norm,
     lp_norm,
     norm_series,
+    stacked_lp,
     write_norm_rows,
 )
-from besovlab.paley import block_multipliers
+from besovlab.paley import block_multipliers, retained_mask
 from besovlab.randfields import random_scalar, random_solenoidal
 from besovlab.spectral import (
     GridSpec,
@@ -27,10 +28,11 @@ from besovlab.spectral import (
     forward_transform,
     gradient,
     product,
+    samples,
     zero_field,
 )
 
-from conftest import field_of, stack
+from conftest import field_of, l2_of_samples, stack
 
 
 class TestLpNorm:
@@ -188,6 +190,10 @@ def _parseval_cases():
     cases["solenoidal_2d_m64"] = random_solenoidal(GridSpec(2, 64), rng)
     w = random_solenoidal(GridSpec(3, 16), rng)
     cases["tensor_3d_m16"] = stack([[derivative(w[i], j) for j in range(3)] for i in range(3)])
+    # every mode populated, the k_last = M/2 plane too
+    for dim, m in ((2, 32), (3, 16)):
+        grid = GridSpec(dim, m)
+        cases[f"white_noise_{dim}d_m{m}"] = forward_transform(grid, rng.standard_normal(grid.shape))
     return cases
 
 
@@ -195,8 +201,10 @@ PARSEVAL_CASES = _parseval_cases()
 
 
 class TestParsevalBlocks:
-    """For p = 2, `block_lp` sums phi_q^2 |c_k|^2 without a transform; it
-    must equal the sampled rectangle rule band by band."""
+    """For p = 2, `block_lp`, `stacked_lp` and the truncation fraction sum
+    |c_k|^2 over the k_last >= 0 half without a transform, each mode off the
+    k_last = 0 and M/2 planes counted twice; they must equal the sampled
+    rectangle rule."""
 
     @pytest.mark.parametrize("name", sorted(PARSEVAL_CASES))
     def test_matches_sampled_bands(self, name):
@@ -204,6 +212,28 @@ class TestParsevalBlocks:
         want = _sampled_l2_blocks(u)
         assert want.max() > 0
         np.testing.assert_allclose(block_lp(u, 2.0), want, rtol=0, atol=1e-14 * want.max())
+
+    @pytest.mark.parametrize("name", sorted(PARSEVAL_CASES))
+    def test_stacked_lp_matches_samples(self, name):
+        u = PARSEVAL_CASES[name]
+        grid = u.grid
+        coeffs = u.coeffs.reshape((-1,) + grid.coeff_shape)
+        want = [l2_of_samples(grid, samples(grid, c)) for c in coeffs]
+        np.testing.assert_allclose(stacked_lp(grid, coeffs, 2.0), want, rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("name", sorted(PARSEVAL_CASES))
+    def test_outside_fraction_matches_samples(self, name):
+        """The energy beyond the retained radius over the energy of the
+        mean-free field, both sampled."""
+        u = PARSEVAL_CASES[name]
+        grid = u.grid
+        zero = (Ellipsis,) + (0,) * grid.dim
+        outside, mean_free = u.coeffs * ~retained_mask(grid), u.coeffs.copy()
+        outside[zero] = mean_free[zero] = 0.0
+        want = l2_of_samples(grid, samples(grid, outside)) ** 2 \
+            / l2_of_samples(grid, samples(grid, mean_free)) ** 2
+        got = besov_norm(u, BesovSpec(0.0)).outside_energy_fraction
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
 
 
 class TestRescaleCriticality:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -56,23 +58,17 @@ from besovlab.spectral import (
     samples,
     stacked_divergence,
     stacked_gradient,
-    to_full,
-    to_half,
     zero_field,
 )
 
-from conftest import field_of, stack
+from conftest import field_of, full_spectrum, full_spectrum_norm, l2_of_samples, stack
 
 PARAMS = PhysicalParams(mu=1.0, sigma_floor=0.1)
 
 
 def state_l2(a: FluidState, b: FluidState) -> float:
-    acc = float(np.sum(np.abs(a.sigma.coeffs - b.sigma.coeffs) ** 2))
-    for x, y in zip(a.velocity, b.velocity):
-        acc += float(np.sum(np.abs(x.coeffs - y.coeffs) ** 2))
-    for x, y in zip(a.h_flat(), b.h_flat()):
-        acc += float(np.sum(np.abs(x.coeffs - y.coeffs) ** 2))
-    return float(np.sqrt(acc) * (2 * np.pi) ** (a.grid.dim / 2.0))
+    """Rectangle-rule L2 distance of every sampled field of two states."""
+    return l2_of_samples(a.grid, samples(a.grid, a.coeffs - b.coeffs))
 
 
 class TestFluidState:
@@ -80,7 +76,19 @@ class TestFluidState:
 
     def test_wrong_shape_raises(self, grid2_32):
         with pytest.raises(GridError):
-            FluidState(grid2_32, np.zeros((6,) + grid2_32.shape, dtype=complex))
+            FluidState(grid2_32, np.zeros((6,) + grid2_32.coeff_shape, dtype=complex))
+
+    @pytest.mark.parametrize("dim, m, half", [(2, 32, "(32, 17)"), (3, 16, "(16, 16, 9)")],
+                             ids=["2d", "3d"])
+    def test_full_layout_rejected(self, dim, m, half):
+        """Coefficients over every mode k, shape (..., M, ..., M), are not a
+        field: the error names the k_last >= 0 half it expects."""
+        grid = make_grid(dim, m)
+        full = (2,) + grid.shape
+        with pytest.raises(GridError, match=re.escape(half)):
+            SpectralField(grid, np.zeros(full, dtype=complex))
+        with pytest.raises(GridError, match=re.escape(half)):
+            FluidState(grid, np.zeros((1 + dim + dim * dim,) + grid.shape, dtype=complex))
 
     def test_field_views_write_the_state(self, grid2_32):
         st = zero_state(grid2_32)
@@ -142,11 +150,10 @@ class TestInitialData:
 
 
 def forcing_and_pressure(st, **kwargs):
-    """The momentum forcing G of a state (stacked, full layout) and its
-    pressure solve."""
+    """The momentum forcing G of a state (stacked) and its pressure solve."""
     n = st.grid.dim
     terms, s, _ = momentum_forcing(st.grid, st.coeffs, PARAMS.mu)
-    return (to_full(st.grid, terms[1:1 + n]),
+    return (terms[1:1 + n],
             compute_pressure(st.grid, s[0], terms[1:1 + n], **kwargs))
 
 
@@ -172,7 +179,7 @@ class TestPressure:
         st, _ = make_initial_data("general", 5e-2, 7, grid2_32)
         g, res = forcing_and_pressure(st, tol=1e-12)
         div_g = divergence(SpectralField(grid2_32, g))
-        fnorm = np.sqrt(np.sum(np.abs(div_g.coeffs) ** 2))
+        fnorm = full_spectrum_norm(div_g)
         assert res.residuals[-1] <= 1e-10 * fnorm
 
 
@@ -239,12 +246,13 @@ class TestStep:
         # compare on the coarse grid's retained modes
         err = 0.0
         norm = 0.0
+        # k_last = 1..7 also stand for -k; k_last = 8 stands for -8
+        weight = np.r_[1.0, np.full(7, 2.0), 1.0]
         for vc, vf in zip(res_c.final.velocity, res_f.final.velocity):
-            half = 8
-            cc = np.fft.fftshift(vc.coeffs)
-            ff = np.fft.fftshift(vf.coeffs)[8:24, 8:24]
-            err += np.sum(np.abs(cc - ff) ** 2)
-            norm += np.sum(np.abs(ff) ** 2)
+            cc = np.fft.fftshift(vc.coeffs, axes=0)
+            ff = np.fft.fftshift(vf.coeffs, axes=0)[8:24, :9]
+            err += np.sum(weight * np.abs(cc - ff) ** 2)
+            norm += np.sum(weight * np.abs(ff) ** 2)
         assert np.sqrt(err / norm) <= 1e-6
 
     def test_twin_run_convergence(self, grid2_32):
@@ -362,8 +370,7 @@ class TestQuadraticTermsOracle:
                 for k in range(n):
                     acc = acc + h[l][k][0] * h[i][k][1][l]
             want.append(acc)
-        got = SpectralField(grid3_16, to_full(grid3_16, momentum_forcing(grid3_16, fields.coeffs,
-                                                                         mu)[0][1:1 + n]))
+        got = SpectralField(grid3_16, momentum_forcing(grid3_16, fields.coeffs, mu)[0][1:1 + n])
         self.assert_matches(grid3_16, got, want)
 
     def test_deformation_identity(self, grid3_16, data):
@@ -530,7 +537,7 @@ class TestPhiIteration:
         st, _ = make_initial_data("exact_gradient", 1e-2, 5, grid)
         tg = TimeGrid(0.05, 2.5e-3)
         times = np.arange(tg.n_steps + 1) * tg.dt
-        constant = np.repeat(to_half(grid, st.coeffs)[None], len(times), axis=0)
+        constant = np.repeat(st.coeffs[None], len(times), axis=0)
         first = oldroyd._phi_apply(oldroyd._TrajectoryInterpolant(times, constant),
                                    st, PARAMS, tg)
         reads = []
@@ -559,25 +566,6 @@ class TestPhiIteration:
         want = np.concatenate([sig.coeffs[:, None], h.coeffs], axis=1)
         have = np.concatenate([got[:, :1], got[:, 1 + n:]], axis=1)
         assert np.max(np.abs(have - want)) <= 1e-14 * np.max(np.abs(want))
-
-    def test_mirror_fill_count(self, grid2_32, monkeypatch):
-        """`to_full` calls, as the linear solvers and the map see it, in one
-        iteration of 20 steps (4 applications of the map): the transport
-        and heat trajectories stay on the half layout, and the (21, 7)
-        trajectory of each application is filled once, 4 calls.  When the
-        solvers returned full-layout trajectories, every saved step of both
-        was filled and sliced back: 4 x 2 x 21 = 168 calls."""
-        from besovlab import linsolve
-
-        calls = []
-        for module in (linsolve, oldroyd):
-            monkeypatch.setattr(module, "to_full", lambda grid, half, _fill=module.to_full:
-                                calls.append(half.shape) or _fill(grid, half))
-        st, _ = make_initial_data("exact_gradient", 1e-3, 5, grid2_32)
-        calls.clear()
-        res = phi_iteration(st, PARAMS, TimeGrid(0.05, 2.5e-3, save_stride=10))
-        assert res.report.applications == 4
-        assert calls == [(21, 7, 32, 17)] * 4
 
     def test_warns_on_large_sigma(self, grid2_32):
         st, _ = make_initial_data("general", 0.5, 5, grid2_32)
@@ -610,8 +598,7 @@ def per_row_fluid_terms(grid, arr, mu):
     """The explicit right side with each quadratic term sampled per row:
     d h^{i.} per momentum row, grad v sampled again for the stretching."""
     n = grid.dim
-    arr = to_half(grid, arr)
-    ik, k2 = (to_half(grid, grid_wavenumbers(grid)[name]) for name in ("ik", "k2"))
+    ik, k2 = (grid_wavenumbers(grid)[name] for name in ("ik", "k2"))
     sigma, vel, h = arr[0], arr[1:1 + n], arr[1 + n:].reshape((n, n) + arr.shape[1:])
     sig_s, h_s = samples(grid, sigma), samples(grid, h)
     lap_v = samples(grid, -k2 * vel)
@@ -631,7 +618,7 @@ def per_row_fluid_terms(grid, arr, mu):
 def per_row_identity_quadratic(grid, h):
     n = grid.dim
     h_s = samples(grid, h)
-    q = np.empty((n,) + to_half(grid, h).shape, dtype=np.complex128)
+    q = np.empty((n,) + h.shape, dtype=np.complex128)
     for i in range(n):
         dh_i = samples(grid, stacked_gradient(grid, h[i]))  # [j, l] = d_l h^{ij}
         a = np.einsum("lk...,jl...->jk...", h_s, dh_i)
@@ -641,7 +628,7 @@ def per_row_identity_quadratic(grid, h):
 
 def random_stack(grid, seed, shape):
     rng = np.random.default_rng(seed)
-    out = np.empty(shape + grid.shape, dtype=np.complex128)
+    out = np.empty(shape + grid.coeff_shape, dtype=np.complex128)
     for idx in np.ndindex(shape):
         out[idx] = random_scalar(grid, rng).coeffs
     return out
@@ -675,7 +662,7 @@ class TestStageKernel:
         vel = random_stack(grid, 32, (dim,))
         coeffs = random_stack(grid, 33, (2 * dim,))
         got = dealiased(grid, advect(grid, samples(grid, vel), gradient_samples(grid, coeffs)))
-        assert got.shape == to_half(grid, coeffs).shape
+        assert got.shape == coeffs.shape
         assert_close(got, per_component_advect(grid, vel, coeffs), 1e-13)
 
     @KERNEL_GRIDS
@@ -702,33 +689,33 @@ class TestStageKernel:
         assert_close(by_samples.potential.coeffs, by_field.potential.coeffs, 1e-14)
         # the kept flux is a grad u of the returned potential
         want = np.stack([product(a, g).coeffs for g in by_field.gradient])
-        assert_close(by_field.flux, to_half(grid, want), 1e-14)
+        assert_close(by_field.flux, want, 1e-14)
         with pytest.raises(NonPositiveCoefficientError):
             solve_variable_poisson(samples(grid, arr)[0] - 1.0, f)
 
     @KERNEL_GRIDS
-    def test_full_and_half_layout_solves_agree(self, dim, m):
-        """The public call on full-layout fields and the call a stage makes
-        (coefficient samples, the half-layout right side of
-        `compute_pressure`) stop at the same iterate."""
+    def test_field_and_array_solves_agree(self, dim, m):
+        """The public call on fields and the call a stage makes (coefficient
+        samples, the right side of `compute_pressure` as an array) stop at
+        the same iterate."""
         grid = make_grid(dim, m)
         st, _ = make_initial_data("general", 0.05, 5, grid)
         terms, s, _ = momentum_forcing(grid, st.coeffs, PARAMS.mu)
-        f_half = -stacked_divergence(grid, terms[1:1 + dim])
+        f = -stacked_divergence(grid, terms[1:1 + dim])
         a = SpectralField(grid, st.coeffs[0].copy())
         a.coeffs[(0,) * dim] += 1.0
-        full = solve_variable_poisson(a, SpectralField(grid, to_full(grid, f_half)))
-        half = solve_variable_poisson(inverse_transform(a), f_half)
-        assert full.iterations == half.iterations > 1
-        assert np.array_equal(full.flux, half.flux)
-        assert np.array_equal(full.u, half.u)
-        # warm-started from either layout of the same potential
-        warm_full = solve_variable_poisson(a, SpectralField(grid, to_full(grid, f_half)),
-                                           tol=1e-13, warm_start=full.potential)
-        warm_half = solve_variable_poisson(inverse_transform(a), f_half, tol=1e-13,
-                                           warm_start=half.u)
-        assert warm_full.iterations == warm_half.iterations
-        assert np.array_equal(warm_full.flux, warm_half.flux)
+        by_field = solve_variable_poisson(a, SpectralField(grid, f))
+        by_array = solve_variable_poisson(inverse_transform(a), f)
+        assert by_field.iterations == by_array.iterations > 1
+        assert np.array_equal(by_field.flux, by_array.flux)
+        assert np.array_equal(by_field.u, by_array.u)
+        # warm-started from the same potential as a field or as an array
+        warm_field = solve_variable_poisson(a, SpectralField(grid, f), tol=1e-13,
+                                            warm_start=by_field.potential)
+        warm_array = solve_variable_poisson(inverse_transform(a), f, tol=1e-13,
+                                            warm_start=by_array.u)
+        assert warm_field.iterations == warm_array.iterations
+        assert np.array_equal(warm_field.flux, warm_array.flux)
 
     def test_transform_count(self, grid3_16, monkeypatch):
         """One-dimensional passes over one field, by every `numpy.fft`
@@ -785,8 +772,8 @@ def full_layout_residuals(st: FluidState) -> dict:
     h = st.h
 
     def l2(fields):
-        return float(np.sqrt(sum(np.sum(np.abs(f.coeffs) ** 2) for f in fields))
-                     * (2 * np.pi) ** (n / 2.0))
+        return float(np.sqrt(sum(np.sum(np.abs(full_spectrum(grid, f.coeffs)) ** 2)
+                                 for f in fields)) * (2 * np.pi) ** (n / 2.0))
 
     rho = dealias(forward_transform(grid, 1.0 / (inverse_transform(st.sigma) + 1.0)))
     flux = [[product(rho, h[j][i]) for i in range(n)] for j in range(n)]

@@ -17,19 +17,16 @@ from besovlab.spectral import (
     lambda_power,
     leray_project,
     grid_wavenumbers,
-    hermitian_planes,
     make_grid,
     product,
     rescale,
     samples,
     stacked_gradient,
-    to_full,
-    to_half,
     zero_field,
 )
 from besovlab.randfields import random_scalar
 
-from conftest import field_of, stack
+from conftest import field_of, full_spectrum, stack
 
 
 class TestGridSpec:
@@ -100,15 +97,15 @@ class TestStackedField:
         rng = np.random.default_rng(seed)
         return SpectralField(grid, np.stack(
             [forward_transform(grid, rng.standard_normal(grid.shape)).coeffs
-             for _ in range(int(np.prod(shape)))]).reshape(shape + grid.shape))
+             for _ in range(int(np.prod(shape)))]).reshape(shape + grid.coeff_shape))
 
     def test_components_are_views(self, grid2_32):
-        u = SpectralField(grid2_32, np.zeros((2, 2) + grid2_32.shape, complex))
+        u = SpectralField(grid2_32, np.zeros((2, 2) + grid2_32.coeff_shape, complex))
         assert len(u) == 2 and len(u[1]) == 2
         u[1][0].coeffs[1, 0] = 2.0
         assert u.coeffs[1, 0, 1, 0] == 2.0
         for i, row in enumerate(u):
-            assert np.shares_memory(row.coeffs, u.coeffs) and row.coeffs.shape == (2, 32, 32)
+            assert np.shares_memory(row.coeffs, u.coeffs) and row.coeffs.shape == (2, 32, 17)
             row[1].coeffs[0, 1] = i + 1.0
         assert [c.coeffs[0, 1] for c in u[:, 1]] == [1.0, 2.0]
 
@@ -120,7 +117,7 @@ class TestStackedField:
             f[0]
 
     def test_no_item_assignment(self, grid2_32):
-        u = SpectralField(grid2_32, np.zeros((2, 2) + grid2_32.shape, complex))
+        u = SpectralField(grid2_32, np.zeros((2, 2) + grid2_32.coeff_shape, complex))
         with pytest.raises(TypeError):
             u[0] = zero_field(grid2_32)
         with pytest.raises(TypeError):
@@ -130,17 +127,18 @@ class TestStackedField:
         with pytest.raises(GridError):
             SpectralField(grid2_32, np.zeros((2, 16, 16), complex))
         with pytest.raises(GridError):
-            SpectralField(grid2_32, np.zeros((2, 32, 32), complex)) \
-                + SpectralField(make_grid(2, 16), np.zeros((2, 16, 16), complex))
+            SpectralField(grid2_32, np.zeros((2, 32, 17), complex)) \
+                + SpectralField(make_grid(2, 16), np.zeros((2, 16, 9), complex))
 
     @pytest.mark.parametrize("dim,m", [(2, 32), (3, 16)])
     def test_hermitian_per_component(self, dim, m):
         grid = make_grid(dim, m)
         u = self.random_stack(grid, (2, 3), 8)
-        u.coeffs[1, 2][(1,) * dim] += 1.0j  # no matching conjugate at -k
+        # no matching conjugate at -k, which the k_last = 0 plane holds
+        u.coeffs[1, 2][(1,) * (dim - 1) + (0,)] += 1.0j
         parts = [u[i][j] for i in range(2) for j in range(3)]
         want = [hermitize(f).coeffs for f in parts]
-        assert np.array_equal(hermitize(u).coeffs.reshape((6,) + grid.shape), np.stack(want))
+        assert np.array_equal(hermitize(u).coeffs.reshape((6,) + grid.coeff_shape), np.stack(want))
         scale = np.max(np.abs(u.coeffs))
         defect = max(f.hermitian_defect() * np.max(np.abs(f.coeffs)) for f in parts)
         assert u.hermitian_defect() == pytest.approx(defect / scale, rel=1e-15)
@@ -264,26 +262,27 @@ class TestDealias:
         grid = make_grid(2, 16)
         rng = np.random.default_rng(5)
 
-        def band_limited():
-            c = np.fft.fftn(rng.standard_normal(grid.shape)) / 16 ** 2
-            k = np.fft.fftfreq(16, d=1 / 16).astype(int)
-            mask = (np.abs(k[:, None]) <= 2) & (np.abs(k[None, :]) <= 2)
-            return SpectralField(grid, c * mask)
+        k1 = np.fft.fftfreq(16, d=1 / 16).astype(int)
 
-        u, v = band_limited(), band_limited()
+        def band_limited():
+            # the full spectrum (every k) of a real field, then its k_last >= 0 half
+            c = np.fft.fftn(rng.standard_normal(grid.shape)) / 16 ** 2
+            mask = (np.abs(k1[:, None]) <= 2) & (np.abs(k1[None, :]) <= 2)
+            return c * mask, SpectralField(grid, (c * mask)[:, :9])
+
+        (u_full, u), (v_full, v) = band_limited(), band_limited()
         got = product(u, v)
 
-        k1 = np.fft.fftfreq(16, d=1 / 16).astype(int)
         oracle = np.zeros(grid.shape, complex)
-        nz_u = np.argwhere(np.abs(u.coeffs) > 0)
-        nz_v = np.argwhere(np.abs(v.coeffs) > 0)
+        nz_u = np.argwhere(np.abs(u_full) > 0)
+        nz_v = np.argwhere(np.abs(v_full) > 0)
         for iu in nz_u:
             for iv in nz_v:
                 ka = k1[iu[0]] + k1[iv[0]]
                 kb = k1[iu[1]] + k1[iv[1]]
-                oracle[ka % 16, kb % 16] += u.coeffs[tuple(iu)] * v.coeffs[tuple(iv)]
+                oracle[ka % 16, kb % 16] += u_full[tuple(iu)] * v_full[tuple(iv)]
         keep = (np.abs(k1[:, None]) <= 16 / 3) & (np.abs(k1[None, :]) <= 16 / 3)
-        assert np.max(np.abs(got.coeffs - oracle * keep)) < 1e-14
+        assert np.max(np.abs(got.coeffs - (oracle * keep)[:, :9])) < 1e-14
 
 
 REAL_TRANSFORM_GRIDS = [(2, 32), (2, 64), (3, 16)]
@@ -296,19 +295,19 @@ class TestRealTransforms:
     def test_dealiased_matches_complex_fft(self, dim, m):
         grid = make_grid(dim, m)
         values = np.random.default_rng(7).standard_normal((3,) + grid.shape)
-        want = np.fft.fftn(values, axes=tuple(range(-dim, 0)), norm="forward") \
+        want = np.fft.fftn(values, axes=tuple(range(-dim, 0)), norm="forward")[..., :m // 2 + 1] \
             * grid_wavenumbers(grid)["dealias_mask"]
         got = dealiased(grid, values)
-        want = want[..., :m // 2 + 1]
         assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
         for c in got:
-            assert SpectralField(grid, to_full(grid, c)).hermitian_defect() <= 1e-15
+            assert SpectralField(grid, c).hermitian_defect() <= 1e-15
 
     def test_samples_match_complex_ifft(self, dim, m):
         grid = make_grid(dim, m)
         u = random_scalar(grid, np.random.default_rng(8)).coeffs
         coeffs = np.concatenate([u[None], stacked_gradient(grid, u)])
-        want = np.fft.ifftn(coeffs, axes=tuple(range(-dim, 0)), norm="forward").real
+        want = np.fft.ifftn(full_spectrum(grid, coeffs), axes=tuple(range(-dim, 0)),
+                            norm="forward").real
         got = samples(grid, coeffs)
         for g, w in zip(got, want):
             assert np.max(np.abs(g - w)) <= 1e-15 * np.max(np.abs(w))
@@ -325,8 +324,7 @@ class TestRealTransforms:
         f = random_scalar(grid, rng)
         stacked = product(f, coeffs[0])
         for i in range(2):
-            assert np.array_equal(stacked[i], product(
-                f, SpectralField(grid, to_full(grid, coeffs[0, i]))).coeffs)
+            assert np.array_equal(stacked[i], product(f, SpectralField(grid, coeffs[0, i])).coeffs)
 
 
 @pytest.mark.parametrize("dim,m", REAL_TRANSFORM_GRIDS)
@@ -339,53 +337,55 @@ class TestGradientSamples:
     def test_matches_multiply_then_irfftn(self, dim, m, lead):
         grid = make_grid(dim, m)
         rng = np.random.default_rng(10)
-        coeffs = np.empty(lead + grid.shape, dtype=np.complex128)
+        coeffs = np.empty(lead + grid.coeff_shape, dtype=np.complex128)
         for idx in np.ndindex(lead):
             coeffs[idx] = random_scalar(grid, rng).coeffs
-        half = m // 2 + 1
-        ik = grid_wavenumbers(grid)["ik"][..., :half]
+        ik = grid_wavenumbers(grid)["ik"]
         want = np.empty(lead + (dim,) + grid.shape)
         for idx in np.ndindex(lead):
             for ax in range(dim):
-                want[idx + (ax,)] = np.fft.irfftn(coeffs[idx][..., :half] * ik[ax], s=grid.shape,
+                want[idx + (ax,)] = np.fft.irfftn(coeffs[idx] * ik[ax], s=grid.shape,
                                                   axes=tuple(range(dim)), norm="forward")
         s, ds = gradient_samples(grid, coeffs, with_samples=True)
         assert ds.shape == want.shape
         assert np.max(np.abs(ds - want)) <= 1e-15 * np.max(np.abs(want))
         # the field's own branch is irfftn's arithmetic; the gradient alone
-        # is the same passes without it, from either layout
+        # is the same passes without it
         assert np.array_equal(s, samples(grid, coeffs))
         assert np.array_equal(ds, gradient_samples(grid, coeffs))
-        assert np.array_equal(ds, gradient_samples(grid, to_half(grid, coeffs)))
 
 
 @pytest.mark.parametrize("dim,m", REAL_TRANSFORM_GRIDS)
 class TestHalfLayout:
-    """The k_last >= 0 half the integration core carries, and its two
-    conversions."""
+    """The k_last >= 0 half, the one coefficient layout: it determines the
+    real fields, and `hermitize` projects its k_last = 0 and M/2 planes."""
 
     def test_round_trip(self, dim, m):
+        """Stacked coefficients of real fields come back from their samples
+        through numpy's real transform."""
         grid = make_grid(dim, m)
         rng = np.random.default_rng(10)
         c = np.stack([random_scalar(grid, rng).coeffs for _ in range(3)])
         c = np.concatenate([c, stacked_gradient(grid, c[0])])
-        half = to_half(grid, c)
-        assert half.shape == c.shape[:-1] + (m // 2 + 1,)
-        assert np.array_equal(to_half(grid, half), half)
-        assert np.array_equal(to_full(grid, half), c)
+        assert c.shape == (3 + dim,) + grid.shape[:-1] + (m // 2 + 1,)
+        back = np.fft.rfftn(samples(grid, c), axes=tuple(range(-dim, 0)), norm="forward")
+        assert np.max(np.abs(back - c)) <= 1e-15 * np.max(np.abs(c))
 
     def test_plane_projection_is_hermitize(self, dim, m):
-        """On a half whose k_last = 0 and M/2 planes are not Hermitian, the
-        plane projection equals the half of `hermitize` of its mirror fill."""
+        """On a half whose k_last = 0 and M/2 planes are not Hermitian,
+        `hermitize` equals the real round trip rfftn(irfftn(x)), which keeps
+        only the real field that x stands for."""
         grid = make_grid(dim, m)
         rng = np.random.default_rng(11)
-        shape = grid.shape[:-1] + (m // 2 + 1,)
+        shape = grid.coeff_shape
         half = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        want = to_half(grid, hermitize(SpectralField(grid, to_full(grid, half))).coeffs)
-        got = hermitian_planes(grid, half)
-        assert SpectralField(grid, to_full(grid, half)).hermitian_defect() > 0.1
-        assert np.array_equal(got, want)
-        assert SpectralField(grid, to_full(grid, got)).hermitian_defect() <= 1e-15
+        axes = tuple(range(dim))
+        want = np.fft.rfftn(np.fft.irfftn(half, s=grid.shape, axes=axes, norm="forward"),
+                            axes=axes, norm="forward")
+        got = hermitize(SpectralField(grid, half)).coeffs
+        assert SpectralField(grid, half).hermitian_defect() > 0.1
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+        assert SpectralField(grid, got).hermitian_defect() <= 1e-15
 
 
 class TestRescale:

@@ -157,7 +157,7 @@ class TestCommutator:
         a_grad_b = [product(a, g) for g in grad_b]
         out = []
         for band in block_multipliers(grid):
-            acc = np.zeros(grid.shape, dtype=np.complex128)
+            acc = np.zeros(grid.coeff_shape, dtype=np.complex128)
             for ax in range(grid.dim):
                 first = product(a, SpectralField(grid, grad_b[ax].coeffs * band))
                 second = SpectralField(grid, a_grad_b[ax].coeffs * band)
