@@ -22,6 +22,9 @@ from .norms import NormSeries, norm_series
 from .spectral import (
     GridSpec,
     SpectralField,
+    _band_width,
+    _dealiased,
+    _gradient_passes,
     advect,
     dealiased,
     energy,
@@ -376,11 +379,16 @@ def solve_variable_poisson(a: SpectralField | np.ndarray, f: SpectralField | np.
     if abs(f_mean) > 1e-10 * max(1.0, fnorm):
         raise ValueError(f"right side must be mean-zero, got mean {f_mean:.3g}")
 
-    wavenumbers = grid_wavenumbers(grid)
-    k2, ik = wavenumbers["k2"], wavenumbers["ik"]
+    k2 = grid_wavenumbers(grid)["k2"]
     inv_lap = np.where(k2 > 0, 1.0 / (abar * np.where(k2 > 0, k2, 1.0)), 0.0)
-    u = (_coeffs(warm_start).copy() if warm_start is not None
+    u = (np.array(_coeffs(warm_start), dtype=complex) if warm_start is not None
          else np.zeros(f.shape, complex))
+    # r = f + div(flux) with the flux dealiased, so every iterate keeps the
+    # k_last columns of f and the warm start: the band is decided once
+    width = max(_band_width(grid, f), _band_width(grid, u))
+    work = np.empty((grid.dim + 1,) + grid.coeff_shape[:-1] + (width,), dtype=complex)
+    grad = np.empty((grid.dim,) + grid.shape)
+    flux = np.empty((grid.dim,) + grid.coeff_shape, dtype=complex)
 
     def result(it, stagnated=False):
         return EllipticResult(grid, u, np.asarray(residuals), it, True, flux, stagnated)
@@ -392,8 +400,11 @@ def solve_variable_poisson(a: SpectralField | np.ndarray, f: SpectralField | np.
     # accepted as converged-at-floor rather than reported as failure
     floor_gate = np.sqrt(np.finfo(float).eps) * max(fnorm, 1e-300)
     for it in range(max_iter + 1):
-        flux = dealiased(grid, a * gradient_samples(grid, u))
-        r = f + (ik * flux).sum(axis=0)
+        _gradient_passes(grid, u, work, grad)
+        np.multiply(a, grad, out=grad)
+        _dealiased(grid, grad, flux)
+        r = stacked_divergence(grid, flux)
+        r += f
         rnorm = float(np.sqrt(energy(r)))
         residuals.append(rnorm)
         if rnorm <= target or fnorm == 0.0:
@@ -404,7 +415,7 @@ def solve_variable_poisson(a: SpectralField | np.ndarray, f: SpectralField | np.
                 return result(it, stagnated=True)
         if it == max_iter:
             break
-        u = u + r * inv_lap
+        u += r * inv_lap
     raise EllipticConvergenceError(
         f"no convergence in {max_iter} iterations; final residual "
         f"{residuals[-1]:.3g} (target {target:.3g})",

@@ -30,12 +30,17 @@ axes index components, the last `dim` axes are the grid; `gradient`,
 `divergence` and `leray_project` are their forms on a field.  A
 quadratic term is formed by sampling its factors on the grid,
 multiplying and contracting there, and one `dealiased` call for all its
-output components; `product` is the case of one scalar factor.  The
-largest arrays a right side holds are those of the one `gradient_samples`
-call over its whole stack: the samples and the gradient samples, `dim` +
-1 reals per component and grid point (13 x 4 x 32^3 float64 = 13.6 MB in
-3D at M 32), filled from a work array of `dim` + 1 coefficient branches
-per component (14.5 MB) that is freed when the call returns.
+output components; `product` is the case of one scalar factor.
+
+The two-thirds rule leaves the arrays of the integration core without
+content in the columns k_last > M/3, which the complex passes along the
+wraparound axes skip (`_band_width`, `_dealiased`).  The largest arrays a
+right side holds are those of the one `gradient_samples` call over its
+whole stack: the samples and the gradient samples, `dim` + 1 reals per
+component and grid point (13 x 4 x 32^3 float64 = 13.6 MB in 3D at
+M 32), filled from a work array of `dim` + 1 coefficient branches per
+component on the 11 band columns (9.4 MB; 14.5 MB on all 17) that is
+freed when the call returns.
 """
 
 from __future__ import annotations
@@ -255,7 +260,7 @@ def forward_transform(grid: GridSpec, samples: np.ndarray) -> SpectralField:
         raise GridError(f"sample shape {samples.shape} does not match grid {grid.shape}")
     if np.iscomplexobj(samples):
         raise GridError("samples must be real-valued")
-    return SpectralField(grid, _rfftn(grid, samples))
+    return SpectralField(grid, np.fft.rfftn(samples, norm="forward"))
 
 
 def inverse_transform(field: SpectralField) -> np.ndarray:
@@ -265,22 +270,43 @@ def inverse_transform(field: SpectralField) -> np.ndarray:
 
 def samples(grid: GridSpec, coeffs: np.ndarray) -> np.ndarray:
     """Real grid samples of every component of a stacked coefficient
-    array, by `irfftn`.  norm="forward" is the unit-amplitude convention
-    (the 1/M^dim sits on the forward transform)."""
-    return np.fft.irfftn(coeffs, s=grid.shape, axes=tuple(range(-grid.dim, 0)),
-                         norm="forward")
+    array: `irfftn`'s passes, on the `_band_width` columns.  norm="forward"
+    is the unit-amplitude convention (the 1/M^dim sits on the forward
+    transform)."""
+    a = coeffs[..., :_band_width(grid, coeffs)]
+    for ax in range(-grid.dim, -1):
+        a = np.fft.ifft(a, axis=ax, norm="forward")
+    return np.fft.irfft(a, n=grid.points_per_axis, axis=-1, norm="forward")
 
 
-def _rfftn(grid: GridSpec, values: np.ndarray) -> np.ndarray:
-    """Coefficients of stacked real samples."""
-    return np.fft.rfftn(values, axes=tuple(range(-grid.dim, 0)), norm="forward")
+def _band_width(grid: GridSpec, coeffs: np.ndarray) -> int:
+    """The k_last columns the passes of an inverse transform along the
+    wraparound axes must run on: the M//3 + 1 of the two-thirds band when
+    every later column of `coeffs` is zero (`irfft` pads them so), else
+    all.  A 1D pass acts column by column, so the kept columns see the
+    arithmetic of the full pass."""
+    band = grid.points_per_axis // 3 + 1
+    return coeffs.shape[-1] if coeffs[..., band:].any() else band
 
 
 def dealiased(grid: GridSpec, values: np.ndarray) -> np.ndarray:
     """Coefficients of every component of stacked real samples, with the
-    two-thirds rule applied."""
-    coeffs = _rfftn(grid, values)
-    coeffs *= grid_wavenumbers(grid)["dealias_mask"]
+    two-thirds rule applied: the values of `rfftn` times the mask."""
+    return _dealiased(grid, values)
+
+
+def _dealiased(grid: GridSpec, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """`dealiased`, written into `out` when given: the passes along the
+    wraparound axes run on the columns k_last <= M/3 alone, and the mask
+    zeroes the rest and the rows |k_axis| > M/3."""
+    m = grid.points_per_axis
+    band = m // 3 + 1
+    coeffs = np.fft.rfft(values, axis=-1, norm="forward", out=out)
+    kept = coeffs[..., :band]
+    for ax in range(-2, -grid.dim - 1, -1):
+        np.fft.fft(kept, axis=ax, norm="forward", out=kept)
+        kept[(..., slice(band, m - band + 1)) + (slice(None),) * (-1 - ax)] = 0.0
+    coeffs[..., band:] = 0.0
     return coeffs
 
 
@@ -315,8 +341,12 @@ def stacked_gradient(grid: GridSpec, coeffs: np.ndarray) -> np.ndarray:
 def stacked_divergence(grid: GridSpec, coeffs: np.ndarray) -> np.ndarray:
     """d_l of component l, summed over the axis just before the grid axes
     (`coeffs` holds vectors of `dim` components)."""
-    ik = grid_wavenumbers(grid)["ik"]
-    return sum(k * c for k, c in zip(ik, np.moveaxis(coeffs, -grid.dim - 1, 0), strict=True))
+    ik = grid_wavenumbers(grid)["ik_axes"]
+    parts = np.moveaxis(coeffs, -grid.dim - 1, 0)
+    out = parts[0] * ik[0]
+    for k, c in zip(ik[1:], parts[1:], strict=True):
+        out += c * k
+    return out
 
 
 def _lambda_multiplier(grid: GridSpec, exponent: float) -> np.ndarray:
@@ -393,20 +423,34 @@ def gradient_samples(grid: GridSpec, coeffs: np.ndarray, *, with_samples: bool =
     once, and the branch d_l splits off the field's own (whose samples are
     bitwise `samples`') just before its pass along axis l.  A field and its
     gradient take 5 one-dimensional passes in 2D and 9 in 3D (the gradient
-    alone 4 and 8), against 6 and 12 as one `irfftn` each: 3D M 16, 13
-    fields, 2.8 vs 4.0 ms (median of 60 alternations, 2-vCPU Xeon VM)."""
-    n, m = grid.dim, grid.points_per_axis
+    alone 4 and 8), against 6 and 12 as one `irfftn` each, and the passes
+    along the wraparound axes run on the `_band_width` columns only: 3D
+    M 16, 13 band-limited fields, 2.9 ms, against 3.0 ms for the same
+    passes over every column and 6.3 ms as one `irfftn` each (median of 60
+    alternations, 2-vCPU Xeon VM)."""
+    n = grid.dim
+    work = np.empty((n + 1,) + coeffs.shape[:-1] + (_band_width(grid, coeffs),),
+                    dtype=np.complex128)
+    out = _gradient_passes(grid, coeffs, work, with_samples=with_samples)
+    grad = np.moveaxis(out[1:] if with_samples else out, 0, -n - 1)
+    return (out[0], grad) if with_samples else grad
+
+
+def _gradient_passes(grid: GridSpec, coeffs: np.ndarray, work: np.ndarray,
+                     out: np.ndarray | None = None, *, with_samples: bool = False) -> np.ndarray:
+    """`gradient_samples`' passes through the caller's work array of
+    `dim` + 1 branches (the field, then d_0, d_1, ...) on its k_last
+    columns, beyond which `coeffs` is zero; returns the samples
+    branch-major, written into `out` when given."""
+    n, width = grid.dim, work.shape[-1]
     ik = grid_wavenumbers(grid)["ik_axes"]
-    # branch b: the field (b = 0) or its derivative d_{b-1}, half-transformed
-    work = np.empty((n + 1,) + coeffs.shape, dtype=np.complex128)
-    work[0] = coeffs
+    work[0] = coeffs[..., :width]
     for ax in range(n - 1):
         np.multiply(work[0], ik[ax], out=work[1 + ax])
         np.fft.ifft(work[:ax + 2], axis=ax - n, norm="forward", out=work[:ax + 2])
-    np.multiply(work[0], ik[n - 1], out=work[n])
-    out = np.fft.irfft(work[0 if with_samples else 1:], n=m, axis=-1, norm="forward")
-    grad = np.moveaxis(out[1:] if with_samples else out, 0, -n - 1)
-    return (out[0], grad) if with_samples else grad
+    np.multiply(work[0], ik[n - 1][..., :width], out=work[n])
+    return np.fft.irfft(work[0 if with_samples else 1:], n=grid.points_per_axis, axis=-1,
+                        norm="forward", out=out)
 
 
 def advect(grid: GridSpec, v: np.ndarray, du: np.ndarray) -> np.ndarray:

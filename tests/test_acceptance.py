@@ -8,7 +8,6 @@ per-criterion timing.
 import time
 
 import numpy as np
-import pytest
 import scipy.linalg
 
 from besovlab.linsolve import TimeGrid, solve_coupled, solve_heat, solve_transport, \
@@ -26,11 +25,9 @@ from besovlab.oldroyd import (
 from besovlab.paley import default_profile
 from besovlab.randfields import random_scalar
 from besovlab.spectral import (
-    SpectralField,
     derivative,
     divergence,
     forward_transform,
-    gradient,
     grid_wavenumbers,
     inverse_transform,
     make_grid,

@@ -15,7 +15,6 @@ from besovlab.linsolve import (
 from besovlab.norms import BesovSpec
 from besovlab.oldroyd import (
     AdmissibleSetSpec,
-    CompatibilityReport,
     DensityFloorError,
     FluidState,
     PhysicalParams,

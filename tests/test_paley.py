@@ -16,7 +16,6 @@ from besovlab.spectral import (
     derivative,
     forward_transform,
     grid_wavenumbers,
-    make_grid,
     zero_field,
 )
 

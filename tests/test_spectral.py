@@ -3,7 +3,6 @@ import pytest
 
 from besovlab.spectral import (
     GridError,
-    GridSpec,
     SpectralField,
     dealias,
     dealiased,
@@ -353,6 +352,89 @@ class TestGradientSamples:
         # is the same passes without it
         assert np.array_equal(s, samples(grid, coeffs))
         assert np.array_equal(ds, gradient_samples(grid, coeffs))
+
+
+def passes_oracle(grid, coeffs, l):
+    """Samples of d_l of stacked coefficients by 1D passes over every k_last
+    column in `irfftn`'s axis order, the multiplier i k_l applied just
+    before the pass along axis l: `gradient_samples`' arithmetic, unpruned."""
+    n = grid.dim
+    x = coeffs
+    for ax in range(n):
+        if ax == l:
+            x = x * grid_wavenumbers(grid)["ik_axes"][l]
+        if ax < n - 1:
+            x = np.fft.ifft(x, axis=ax - n, norm="forward")
+    return np.fft.irfft(x, n=grid.points_per_axis, axis=-1, norm="forward")
+
+
+@pytest.mark.parametrize("dim,m", REAL_TRANSFORM_GRIDS + [(3, 32)])
+@pytest.mark.parametrize("lead", [(), (3,)], ids=["field", "stack"])
+@pytest.mark.parametrize("band", [True, False], ids=["band", "white"])
+class TestBandPasses:
+    """The passes along the wraparound axes run on the k_last <= M/3
+    columns alone: `dealiased` always, `samples` and `gradient_samples` when
+    the input is zero beyond them.  Either way the results are numpy's
+    full transforms, bitwise."""
+
+    @staticmethod
+    def coeffs(grid, lead, band):
+        axes = tuple(range(-grid.dim, 0))
+        white = np.fft.rfftn(np.random.default_rng(11).standard_normal(lead + grid.shape),
+                             axes=axes, norm="forward")
+        return white * grid_wavenumbers(grid)["dealias_mask"] if band else white
+
+    def test_dealiased_is_rfftn_times_mask(self, dim, m, lead, band):
+        grid = make_grid(dim, m)
+        values = np.random.default_rng(12).standard_normal(lead + grid.shape)
+        want = np.fft.rfftn(values, axes=tuple(range(-dim, 0)), norm="forward") \
+            * grid_wavenumbers(grid)["dealias_mask"]
+        assert np.array_equal(dealiased(grid, values), want)
+
+    def test_samples_is_irfftn(self, dim, m, lead, band):
+        grid = make_grid(dim, m)
+        c = self.coeffs(grid, lead, band)
+        want = np.fft.irfftn(c, s=grid.shape, axes=tuple(range(-dim, 0)), norm="forward")
+        assert np.array_equal(samples(grid, c), want)
+
+    def test_gradient_samples_are_the_full_passes(self, dim, m, lead, band):
+        grid = make_grid(dim, m)
+        c = self.coeffs(grid, lead, band)
+        s, ds = gradient_samples(grid, c, with_samples=True)
+        assert np.array_equal(s, np.fft.irfftn(c, s=grid.shape, axes=tuple(range(-dim, 0)),
+                                               norm="forward"))
+        assert np.array_equal(ds, gradient_samples(grid, c))
+        by_axis = np.moveaxis(ds, -dim - 1, 0)
+        for l in range(dim):
+            assert np.array_equal(by_axis[l], passes_oracle(grid, c, l))
+        # d_0 is multiply-then-irfftn bitwise; the later axes' multipliers
+        # act after some passes, which moves the result by rounding only
+        want = np.fft.irfftn(stacked_gradient(grid, c), s=grid.shape,
+                             axes=tuple(range(-dim, 0)), norm="forward")
+        assert np.array_equal(by_axis[0], np.moveaxis(want, -dim - 1, 0)[0])
+        assert np.max(np.abs(ds - want)) <= 1e-15 * np.max(np.abs(want))
+
+    def test_passes_read_band_columns(self, dim, m, lead, band, monkeypatch):
+        """The `fft`/`ifft` passes (every pass along a wraparound axis) read
+        M//3 + 1 k_last columns, for `dealiased` always and for the inverse
+        transforms of a band-limited input; a white-noise input's inverse
+        passes read all M//2 + 1."""
+        grid = make_grid(dim, m)
+        widths = []
+        for name in ("fft", "ifft"):
+            def counting(x, *args, _fft=getattr(np.fft, name), **kwargs):
+                assert kwargs["axis"] < -1
+                widths.append(np.shape(x)[-1])
+                return _fft(x, *args, **kwargs)
+            monkeypatch.setattr(np.fft, name, counting)
+        c = self.coeffs(grid, lead, band)
+        inverse = m // 3 + 1 if band else m // 2 + 1
+        samples(grid, c)
+        gradient_samples(grid, c, with_samples=True)
+        assert widths == [inverse] * (2 * (dim - 1))
+        widths.clear()
+        dealiased(grid, np.zeros(lead + grid.shape))
+        assert widths == [m // 3 + 1] * (dim - 1)
 
 
 @pytest.mark.parametrize("dim,m", REAL_TRANSFORM_GRIDS)
