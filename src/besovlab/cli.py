@@ -82,6 +82,13 @@ def _build(section: str, make):
         raise ConfigError(f"{section}: {exc}") from exc
 
 
+# the keys `validate_config` reads ("": top level, "norms": a norm spec)
+CONFIG_KEYS = {"": ("grid", "params", "time", "initial", "mode", "output_dir", "norms"),
+               "grid": ("dim", "M"), "params": ("mu", "sigma_floor"),
+               "time": ("T", "dt", "save_stride"), "initial": ("family", "amplitude", "seed"),
+               "norms": ("name", "s", "p", "r")}
+
+
 def _typed(values: dict, section: str, key: str, default, integer: bool = False):
     """values[key] (`default` when absent), which must be an integer or, if
     not `integer`, any finite number; JSON true and false count as neither,
@@ -148,6 +155,11 @@ def validate_config(cfg: dict):
     norms = cfg.get("norms", [])
     _expect(isinstance(norms, list) and all(isinstance(spec, dict) for spec in norms),
             "norms must be a list of objects")
+    sections = [("", cfg)] + [(key, cfg[key]) for key in ("grid", "params", "time", "initial")]
+    for section, values in sections + [("norms", spec) for spec in norms]:
+        for key in values:
+            _expect(key in CONFIG_KEYS[section],
+                    f"unknown config key {(section + '.' if section else '') + key!r}")
     norm_specs = []
     for spec in norms:
         _expect(spec.get("name") in ("sigma", "velocity", "h", "grad_p"),
@@ -344,15 +356,9 @@ SUITES = ("bernstein", "products", "loginterp", "commutator", "scaling",
 
 
 def _report_rows(reports: list[RatioReport]):
-    rows = []
-    for rep in reports:
-        rows.append({
-            "experiment": rep.name, "params": json.dumps(rep.params),
-            "max_ratio": rep.max_ratio, "min_ratio": rep.min_ratio,
-            "count": rep.count, "stable": rep.stable,
-            "max_ratio_doubled": rep.max_ratio_doubled,
-        })
-    return rows
+    """A report's summary without its extras, its params as JSON."""
+    return [{**{key: value for key, value in rep.as_dict().items() if key not in rep.extras},
+             "params": json.dumps(rep.params)} for rep in reports]
 
 
 def cmd_verify(args) -> int:

@@ -190,6 +190,22 @@ def besov_norm(u: SpectralField, spec: BesovSpec) -> NormBreakdown:
                          spec.weights(blocks.size) * blocks, frac, frac > 0.01)
 
 
+def ensemble_norms(grid: GridSpec, coeffs: np.ndarray, *specs) -> np.ndarray:
+    """`besov_norm(SpectralField(grid, c), spec).value`, bitwise, of every
+    draw c along the first axis of `coeffs` (a field, scalar or stacked) for
+    every spec: shape (len(specs), draws).  For p = 2 the block norms are one
+    `np.matmul` with a column per draw, which sums as `block_lp` does."""
+    blocks = {}
+    for p in {spec.p for spec in specs}:
+        if p == 2.0:
+            e = energy(coeffs.reshape((len(coeffs), -1) + grid.coeff_shape), axis=1)
+            e = e.reshape(len(coeffs), -1, 1)
+            blocks[p] = np.sqrt(np.matmul(_parseval(grid.dim, grid.points_per_axis)[0], e))[..., 0]
+        else:
+            blocks[p] = np.array([block_lp(SpectralField(grid, c), p) for c in coeffs])
+    return np.array([_band_sum(spec, blocks[spec.p]) for spec in specs])
+
+
 def hybrid_norm(u: SpectralField, spec: HybridSpec) -> NormBreakdown:
     """Sum over bands of 2^(qs) * max(mu, 2^-q)^(1-2/r) * ||band||_L2: the
     weighted band sum of `besov_norm` with the hybrid spec's weights."""

@@ -273,10 +273,19 @@ def samples(grid: GridSpec, coeffs: np.ndarray) -> np.ndarray:
     array: `irfftn`'s passes, on the `_band_width` columns.  norm="forward"
     is the unit-amplitude convention (the 1/M^dim sits on the forward
     transform)."""
-    a = coeffs[..., :_band_width(grid, coeffs)]
+    return _samples(grid, coeffs, None)
+
+
+def _samples(grid: GridSpec, coeffs: np.ndarray, work: np.ndarray | None,
+             out: np.ndarray | None = None) -> np.ndarray:
+    """`samples`, its passes along the wraparound axes written into the
+    caller's work array when given (on as many k_last columns as it holds;
+    in place when it is a view of those columns of `coeffs`), and its
+    result into `out` when given."""
+    a = coeffs[..., :_band_width(grid, coeffs) if work is None else work.shape[-1]]
     for ax in range(-grid.dim, -1):
-        a = np.fft.ifft(a, axis=ax, norm="forward")
-    return np.fft.irfft(a, n=grid.points_per_axis, axis=-1, norm="forward")
+        a = np.fft.ifft(a, axis=ax, norm="forward", out=work)
+    return np.fft.irfft(a, n=grid.points_per_axis, axis=-1, norm="forward", out=out)
 
 
 def _band_width(grid: GridSpec, coeffs: np.ndarray) -> int:
@@ -401,10 +410,11 @@ def dealias(field: SpectralField) -> SpectralField:
 
 def product(f: SpectralField, g: SpectralField | np.ndarray):
     """Dealiased pointwise product of the scalar field `f` with `g`: a
-    field (returns a field), or stacked coefficients or stacked real grid
-    samples the caller holds (returns the stacked coefficients of f times
-    each component; `f` is sampled once).  Exact convolution on the
-    retained band when both factors are supported below M/3."""
+    field (returns a field; stacks of one shape multiply component by
+    component), or stacked coefficients or stacked real grid samples the
+    caller holds (returns the stacked coefficients of f times each
+    component; `f` is sampled once).  Exact convolution on the retained
+    band when both factors are supported below M/3."""
     grid = f.grid
     if isinstance(g, SpectralField):
         f._check(g)

@@ -6,6 +6,10 @@ whose maxima must be stable (within 20%) under doubling the ensemble;
 the two statements with exact shell-determined constants (the gradient
 bracket and the critical-scaling invariance) are hard assertions.
 
+An ensemble is drawn and evaluated in chunks that fit `CHUNK_BYTES`, each
+one stacked `random_scalar` draw whose norms are one `ensemble_norms` call;
+every value is bitwise that of drawing and evaluating one field at a time.
+
 `STABILITY_MARGIN` bounds the relative growth of the ensemble maximum
 when the ensemble doubles.  A maximum over random draws keeps growing
 with the count when the ratio's distribution has a heavy tail, so a
@@ -22,22 +26,43 @@ import numpy as np
 
 from . import randfields
 from .linsolve import TimeGrid
-from .norms import (INF, BesovSpec, HybridSpec, besov_norm, hybrid_norm, hybrid_series_norm,
-                    lebesgue_time_norm, stacked_lp)
+from .norms import (INF, BesovSpec, HybridSpec, besov_norm, ensemble_norms, hybrid_norm,
+                    hybrid_series_norm, lebesgue_time_norm, stacked_lp)
 from .oldroyd import PhysicalParams, make_initial_data, run
 from .paley import SHELL_HI, SHELL_LO, block_multipliers, retained_radius
 from .spectral import (
     GridSpec,
     SpectralField,
+    _band_width,
+    _dealiased,
+    _samples,
+    dealiased,
     gradient,
     grid_wavenumbers,
     make_grid,
     product,
     rescale,
+    samples,
     stacked_gradient,
 )
 
 STABILITY_MARGIN = 0.2
+# memory budget of one ensemble chunk: the coefficient arrays of its
+# widest stack (a draw's gradient, a pair and its product, a pair's
+# commutator band stack)
+CHUNK_BYTES = 1 << 18
+
+
+def _draw_chunks(grid: GridSpec, ensemble, fields: int, radius, shape=()):
+    """The 2 * count draws of an ensemble, `shape` fields each, in
+    consecutive chunks that are each one stacked `random_scalar` draw, sized
+    so that `fields` coefficient arrays per draw fit CHUNK_BYTES (at least
+    one draw a chunk)."""
+    rng, n = np.random.default_rng(ensemble.seed), 2 * ensemble.count
+    size = max(1, CHUNK_BYTES // (fields * 16 * math.prod(grid.coeff_shape)))
+    for i in range(0, n, size):
+        yield randfields.random_scalar(grid, rng, radius=radius, decay=ensemble.decay,
+                                       shape=(min(size, n - i),) + shape).coeffs
 
 
 @dataclass(frozen=True)
@@ -86,9 +111,9 @@ class RatioReport:
         }
 
 
-def _ratio_report(name: str, params: dict, ratios_fn, count: int) -> RatioReport:
-    """Evaluate per-sample ratios for count and 2*count nested draws."""
-    ratios = ratios_fn(2 * count)
+def _ratio_report(name: str, params: dict, ratios: list, count: int) -> RatioReport:
+    """Report the ratios of 2*count nested draws (None where a draw is
+    degenerate): the first count are the ensemble, all of them its double."""
     base = [r for r in ratios[:count] if r is not None]
     full = [r for r in ratios if r is not None]
     if not base:
@@ -109,21 +134,12 @@ def verify_bernstein(spec: BesovSpec, ensemble: EnsembleSpec,
     """
     grid = grid or make_grid(2, 32)
     hard = (spec.p == 2.0) if hard is None else hard
-    rng = np.random.default_rng(ensemble.seed)
     lo = BesovSpec(spec.s - 1.0, spec.p, spec.r)
-
-    def ratios(n):
-        out = []
-        for _ in range(n):
-            u = randfields.random_scalar(grid, rng, radius=ensemble.radius,
-                                         decay=ensemble.decay)
-            denom = besov_norm(u, spec).value
-            if denom == 0.0:
-                out.append(None)
-                continue
-            out.append(besov_norm(gradient(u), lo).value / denom)
-        return out
-
+    ratios = []
+    for u in _draw_chunks(grid, ensemble, grid.dim, ensemble.radius):
+        denom, = ensemble_norms(grid, u, spec).tolist()
+        num, = ensemble_norms(grid, stacked_gradient(grid, u), lo).tolist()
+        ratios += [None if d == 0.0 else g / d for g, d in zip(num, denom)]
     rep = _ratio_report("bernstein", {"s": spec.s, "p": spec.p, "r": spec.r},
                         ratios, ensemble.count)
     if hard:
@@ -163,7 +179,6 @@ def verify_product_laws(s1: float, s2: float, p: float, ensemble: EnsembleSpec,
     n = grid.dim
     _check_product_indices(s1, s2, p, n, strict=True)
     s12 = s1 + s2 - n / p
-    rng = np.random.default_rng(ensemble.seed)
     radius = ensemble.radius if ensemble.radius is not None \
         else retained_radius(grid) / 2.0
 
@@ -171,29 +186,17 @@ def verify_product_laws(s1: float, s2: float, p: float, ensemble: EnsembleSpec,
     # index 0: r = 1 (the strong law), index 1: r = inf (the weak law)
     specs_v = [BesovSpec(s2, p, r) for r in (1.0, INF)]
     specs_uv = [BesovSpec(s12, p, r) for r in (1.0, INF)]
-    # per pair, formed once: |u|, and |v| and |uv| per law
-    norms: list[tuple[float, list[float], list[float]]] = []
-
-    def draw(k):
-        while len(norms) < k:
-            u = randfields.random_scalar(grid, rng, radius=radius, decay=ensemble.decay)
-            v = randfields.random_scalar(grid, rng, radius=radius, decay=ensemble.decay)
-            uv = product(u, v)
-            norms.append((besov_norm(u, spec1).value,
-                          [besov_norm(v, spec).value for spec in specs_v],
-                          [besov_norm(uv, spec).value for spec in specs_uv]))
+    rows = []  # per chunk, each pair's norms formed once: |u|, |v| and |uv| per law
+    for pairs in _draw_chunks(grid, ensemble, 3, radius, (2,)):
+        u, v = (SpectralField(grid, pairs[:, i]) for i in range(2))
+        rows.append(np.concatenate([ensemble_norms(grid, u.coeffs, spec1),
+                                    ensemble_norms(grid, v.coeffs, *specs_v),
+                                    ensemble_norms(grid, product(u, v).coeffs, *specs_uv)]))
+    nu, *laws = np.concatenate(rows, axis=1).tolist()
 
     def ratios(r, factor=1.0):
-        def fn(k):
-            draw(k)
-            out = []
-            for nu, nv, nuv in norms[:k]:
-                if nu == 0.0 or nv[r] == 0.0:
-                    out.append(None)
-                    continue
-                out.append(factor * nuv[r] / (nu * nv[r]))
-            return out
-        return fn
+        return [None if a == 0.0 or b == 0.0 else factor * c / (a * b)
+                for a, b, c in zip(nu, laws[r], laws[2 + r])]
 
     # time-integrated versions: f = a(t) u, g = b(t) v on [0, 1] with
     # shifted cosine envelopes; Hoelder exponents (q1, q2, q) = (2, 2, 1).
@@ -226,28 +229,13 @@ def verify_log_interpolation(ensemble: EnsembleSpec, s: float, eps: float,
     if not 0 < eps <= 1:
         raise ValueError("eps must lie in (0, 1]")
     grid = grid or make_grid(2, 64)
-    rng = np.random.default_rng(ensemble.seed)
-    spec_one = BesovSpec(s, p, 1.0)
-    spec_inf = BesovSpec(s, p, INF)
-    spec_lo = BesovSpec(s - eps, p, INF)
-    spec_hi = BesovSpec(s + eps, p, INF)
-
-    def ratios(n):
-        out = []
-        for _ in range(n):
-            u = randfields.random_scalar(grid, rng, radius=ensemble.radius,
-                                         decay=ensemble.decay)
-            n_inf = besov_norm(u, spec_inf).value
-            if n_inf == 0.0:
-                out.append(None)
-                continue
-            n_one = besov_norm(u, spec_one).value
-            n_lo = besov_norm(u, spec_lo).value
-            n_hi = besov_norm(u, spec_hi).value
-            majorant = (n_inf / eps) * math.log(math.e + (n_lo + n_hi) / n_inf)
-            out.append(n_one / majorant)
-        return out
-
+    specs = [BesovSpec(s, p, INF), BesovSpec(s, p, 1.0), BesovSpec(s - eps, p, INF),
+             BesovSpec(s + eps, p, INF)]
+    ratios = []
+    for u in _draw_chunks(grid, ensemble, 1, ensemble.radius):
+        for n_inf, n_one, n_lo, n_hi in ensemble_norms(grid, u, *specs).T.tolist():
+            ratios.append(None if n_inf == 0.0 else n_one / (
+                (n_inf / eps) * math.log(math.e + (n_lo + n_hi) / n_inf)))
     return _ratio_report("log_interpolation", {"s": s, "eps": eps, "p": p},
                          ratios, ensemble.count)
 
@@ -258,14 +246,34 @@ def verify_log_interpolation(ensemble: EnsembleSpec, s: float, eps: float,
 def commutator_band_norms(a: SpectralField, b: SpectralField, p: float) -> np.ndarray:
     """||div(A (band_q grad B)) - band_q div(A grad B)||_p for every band.
 
-    Both terms are formed for the whole (band, axis) stack at once, so `a`
-    is sampled once per term, and contracted with i k to one field per band.
+    Both terms are formed for the whole (band, axis) stack at once, from one
+    sampling of `a`, and contracted with i k to one field per band.
     """
-    grid = a.grid
+    return _commutator_bands(a.grid, a.coeffs[None], b.coeffs[None], p, [])[0]
+
+
+def _commutator_bands(grid: GridSpec, a: np.ndarray, b: np.ndarray, p: float,
+                      work: list) -> np.ndarray:
+    """`commutator_band_norms` of the pairs (a[i], b[i]) of stacked scalar
+    coefficients, shape (pairs, bands), with `product`'s arithmetic: `a` is
+    sampled once, and the (pair, band, axis) stack band_q grad b is formed,
+    sampled and dealiased in `work` (its coefficients and samples), made on
+    the first call and kept by the caller across chunks of no more pairs."""
+    if not work:
+        shape = (len(a), grid.q_max + 1, grid.dim)
+        work += [np.empty(shape + grid.coeff_shape, np.complex128), np.empty(shape + grid.shape)]
+    stack, stack_s = (w[:len(a)] for w in work)
     bands = block_multipliers(grid)[:, None]
-    grad_b = stacked_gradient(grid, b.coeffs)
-    terms = product(a, bands * grad_b) - bands * product(a, grad_b)
-    comm = np.einsum("qa...,a...->q...", terms, grid_wavenumbers(grid)["ik"])
+    a_s = samples(grid, a)
+    grad_b = stacked_gradient(grid, b)
+    np.multiply(bands, grad_b[:, None], out=stack)
+    first = _samples(grid, stack, stack[..., :_band_width(grid, stack)], stack_s)
+    first *= a_s[:, None, None]
+    first = _dealiased(grid, first, stack)
+    second = dealiased(grid, samples(grid, grad_b) * a_s[:, None])
+    for q, band in enumerate(bands):
+        first[:, q] -= band * second
+    comm = np.einsum("cqa...,a...->cq...", first, grid_wavenumbers(grid)["ik"])
     return stacked_lp(grid, comm, p)
 
 
@@ -282,29 +290,19 @@ def verify_commutator(ensemble: EnsembleSpec, s: float, t: float, p: float = 2.0
     npp = n / p
     if not (t <= npp + 1.0 + 1e-12 and 1.0 <= s <= npp + 1.0 + 1e-12 and s + t > 1.0):
         raise ValueError("commutator index window violated")
-    rng = np.random.default_rng(ensemble.seed)
     radius = ensemble.radius if ensemble.radius is not None \
         else retained_radius(grid) / 2.0
     spec_a = BesovSpec(s - 1.0, p, 1.0)
     spec_b = BesovSpec(t - 1.0, p, 1.0)
-    expo = s + t - 2.0 - npp
-
-    def ratios(count):
-        out = []
-        for _ in range(count):
-            a = randfields.random_scalar(grid, rng, radius=radius, decay=ensemble.decay)
-            b = randfields.random_scalar(grid, rng, radius=radius, decay=ensemble.decay)
-            na = besov_norm(gradient(a), spec_a).value
-            nb = besov_norm(gradient(b), spec_b).value
-            if na == 0.0 or nb == 0.0:
-                out.append(None)
-                continue
-            band = commutator_band_norms(a, b, p)
-            qs = np.arange(band.size)
-            cq = np.exp2(qs * expo) * band / (na * nb)
-            out.append(float(cq.sum()))
-        return out
-
+    weights = np.exp2(np.arange(grid.q_max + 1) * (s + t - 2.0 - npp))
+    ratios, work = [], []  # the work arrays are made for the first chunk, the largest
+    for pairs in _draw_chunks(grid, ensemble, (grid.q_max + 1) * n, radius, (2,)):
+        a, b = pairs[:, 0], pairs[:, 1]
+        na, = ensemble_norms(grid, stacked_gradient(grid, a), spec_a).tolist()
+        nb, = ensemble_norms(grid, stacked_gradient(grid, b), spec_b).tolist()
+        for x, y, band in zip(na, nb, _commutator_bands(grid, a, b, p, work)):
+            ratios.append(None if x == 0.0 or y == 0.0
+                          else float((weights * band / (x * y)).sum()))
     return _ratio_report("commutator", {"s": s, "t": t, "p": p}, ratios,
                          ensemble.count)
 
@@ -348,20 +346,11 @@ def verify_scaling(sigma, velocity, h, m: int, p: float = 2.0, *,
     spec_crit = BesovSpec(n / p, p, 1.0)
     spec_vel = BesovSpec(n / p - 1.0, p, 1.0)
 
-    sig_l = measure * rescale(sigma, m)
-    vel_l = l * measure * rescale(velocity, m)
-    h_l = measure * rescale(h, m)
-
-    before = {
-        "sigma": besov_norm(sigma, spec_crit).value,
-        "velocity": besov_norm(velocity, spec_vel).value,
-        "h": besov_norm(h, spec_crit).value,
-    }
-    after = {
-        "sigma": besov_norm(sig_l, spec_crit).value,
-        "velocity": besov_norm(vel_l, spec_vel).value,
-        "h": besov_norm(h_l, spec_crit).value,
-    }
+    # per field: itself, its amplitude prefactor and its critical norm
+    parts = {"sigma": (sigma, measure, spec_crit), "velocity": (velocity, l * measure, spec_vel),
+             "h": (h, measure, spec_crit)}
+    before = {key: besov_norm(f, spec).value for key, (f, _, spec) in parts.items()}
+    after = {key: besov_norm(c * rescale(f, m), spec).value for key, (f, c, spec) in parts.items()}
     defects = {}
     for key in before:
         scale = max(before[key], 1e-300)

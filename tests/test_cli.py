@@ -202,6 +202,28 @@ class TestSimulateCommand:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("section, key", [
+        ("params", "sigma_flor"), ("time", "save_strid"), ("initial", "seeed"), (None, "nrms"),
+        ("norms", "rr"),
+    ], ids=["params_sigma_flor", "time_save_strid", "initial_seeed", "top_nrms", "norm_rr"])
+    def test_unknown_key_exit_2(self, tmp_path, capsys, section, key):
+        """A key the config schema does not read is a misspelling: it exits 2
+        and names the key, before the output directory is made."""
+        cfg = config_dict()
+        if section is None:
+            cfg[key] = cfg["norms"]
+        elif section == "norms":
+            cfg["norms"][1][key] = 1
+        else:
+            cfg[section][key] = 5
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
+        name = key if section is None else f"{section}.{key}"
+        assert capsys.readouterr().err == f"error: unknown config key {name!r}\n"
+        assert not out.exists()
+
     def test_output_dir_not_a_string_exit_2(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
         cfg = base_config(tmp_path, output_dir=5)

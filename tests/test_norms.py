@@ -11,6 +11,7 @@ from besovlab.norms import (
     besov_norm,
     block_lp,
     chemin_lerner_norm,
+    ensemble_norms,
     hybrid_norm,
     hybrid_series_norm,
     lebesgue_time_norm,
@@ -234,6 +235,18 @@ class TestParsevalBlocks:
             / l2_of_samples(grid, samples(grid, mean_free)) ** 2
         got = besov_norm(u, BesovSpec(0.0)).outside_energy_fraction
         assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
+
+
+@pytest.mark.parametrize("name", sorted(PARSEVAL_CASES))
+def test_ensemble_norms_equal_per_draw(name):
+    """`ensemble_norms` of a stack of draws (each a field of the case's
+    shape) is `besov_norm` of each draw, bitwise, for every block exponent."""
+    u = PARSEVAL_CASES[name]
+    draws = np.stack([u.coeffs, -2.5 * u.coeffs, np.roll(u.coeffs, 1, axis=-2)])
+    specs = [BesovSpec(1.0, 2.0, 1.0), BesovSpec(-0.5, 2.0, INF), BesovSpec(0.5, 1.0, 2.0),
+             HybridSpec(1.0, INF, 0.3), BesovSpec(0.0, INF, 1.0)]
+    want = [[besov_norm(SpectralField(u.grid, d), spec).value for d in draws] for spec in specs]
+    assert np.array_equal(ensemble_norms(u.grid, draws, *specs), want)
 
 
 class TestRescaleCriticality:

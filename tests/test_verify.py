@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
-from besovlab.norms import INF, BesovSpec, besov_norm, lp_norm
+import besovlab.verify as verify
+from besovlab.norms import INF, BesovSpec, besov_norm, lp_norm, stacked_lp
 from besovlab.oldroyd import PhysicalParams
 from besovlab.paley import block_multipliers, retained_radius
 from besovlab.randfields import random_scalar
@@ -10,8 +13,10 @@ from besovlab.spectral import (
     derivative,
     forward_transform,
     gradient,
+    grid_wavenumbers,
     make_grid,
     product,
+    stacked_gradient,
 )
 from besovlab.verify import (
     EnsembleSpec,
@@ -70,15 +75,15 @@ class TestProductLaws:
 
     def test_one_product_per_pair(self, grid2_64, monkeypatch):
         """Every pair's product and norms are formed once for all four
-        reports; each report equals its ratio written out per pair."""
-        import besovlab.verify as verify
-
-        calls = []
+        reports (the products of a chunk of pairs are one stacked
+        `product`, a row per pair); each report equals its ratio written
+        out per pair."""
+        rows = []
         monkeypatch.setattr(verify, "product",
-                            lambda u, v: calls.append(1) or product(u, v))
+                            lambda u, v: rows.append(len(u)) or product(u, v))
         ens = EnsembleSpec(count=4, seed=3)
         reports = verify_product_laws(1.0, 1.0, 2.0, ens, grid2_64)
-        assert len(calls) == 2 * ens.count
+        assert sum(rows) == 2 * ens.count
         rng = np.random.default_rng(ens.seed)
         radius = retained_radius(grid2_64) / 2.0
         pairs = [(random_scalar(grid2_64, rng, radius=radius),
@@ -123,8 +128,6 @@ class TestLogInterpolation:
     def test_single_block_value(self, grid2_64):
         # pure band-1 radius: r=1 and r=inf norms coincide, so the ratio
         # is 1/((1/eps) log(e + lo+hi over mid))
-        import math
-
         f = field_of(grid2_64, lambda x, y: np.cos(2 * x + 2 * y))
         s, eps = 1.0, 0.5
         n_inf = besov_norm(f, BesovSpec(s, 2.0, INF)).value
@@ -166,6 +169,16 @@ class TestCommutator:
         return np.array(out)
 
     @pytest.mark.parametrize("p", [2.0, 1.0, INF])
+    @pytest.mark.parametrize("dim, m", [(2, 64), (3, 16)])
+    def test_equals_one_pair_formula(self, dim, m, p):
+        """The kept-buffer kernel gives, bitwise, both products of the
+        (band, axis) stack formed the way `product` forms them."""
+        grid = make_grid(dim, m)
+        rng = np.random.default_rng(43)
+        a, b = (random_scalar(grid, rng, radius=retained_radius(grid) / 2.0) for _ in "ab")
+        assert np.array_equal(commutator_band_norms(a, b, p), one_pair_commutator(a, b, p))
+
+    @pytest.mark.parametrize("p", [2.0, 1.0, INF])
     def test_stacked_matches_band_loop(self, grid2_64, p):
         rng = np.random.default_rng(41)
         radius = retained_radius(grid2_64) / 2.0
@@ -186,6 +199,92 @@ class TestCommutator:
         rep = verify_commutator(ENS, 1.0, 1.0, 2.0, grid2_64)
         assert rep.stable
         assert rep.max_ratio > 0
+
+
+def one_pair_commutator(a, b, p):
+    """||div(A (band_q grad B)) - band_q div(A grad B)||_p per band, one
+    pair at a time through `product`."""
+    grid = a.grid
+    bands = block_multipliers(grid)[:, None]
+    grad_b = stacked_gradient(grid, b.coeffs)
+    terms = product(a, bands * grad_b) - bands * product(a, grad_b)
+    return stacked_lp(grid, np.einsum("qa...,a...->q...", terms, grid_wavenumbers(grid)["ik"]), p)
+
+
+def drawn(grid, ens, n, radius=None):
+    """n fields drawn one at a time from the ensemble's seed."""
+    rng = np.random.default_rng(ens.seed)
+    return [random_scalar(grid, rng, radius=radius, decay=ens.decay) for _ in range(n)]
+
+
+def extremes(ratios, count):
+    """(max, min) over the first `count` ratios and the max over all."""
+    base = [r for r in ratios[:count] if r is not None]
+    return max(base), min(base), max(r for r in ratios if r is not None)
+
+
+@pytest.fixture(params=[None, 1 << 20], ids=["default_budget", "wide_budget"])
+def budget(request, monkeypatch):
+    """The default chunk budget, and one wide enough for several commutator
+    pairs a chunk."""
+    if request.param is not None:
+        monkeypatch.setattr(verify, "CHUNK_BYTES", request.param)
+
+
+@pytest.mark.parametrize("count", [3, 13])
+class TestChunkedEnsembles:
+    """Every suite's report equals the one drawn and evaluated one field at
+    a time, with counts that are not multiples of the chunk sizes."""
+
+    def test_bernstein(self, grid2_32, count, budget):
+        ens, spec = EnsembleSpec(count=count, seed=21), BesovSpec(1.0, 2.0, 1.0)
+        rep = verify_bernstein(spec, ens, grid2_32)
+        ratios = [besov_norm(gradient(u), BesovSpec(0.0, 2.0, 1.0)).value
+                  / besov_norm(u, spec).value for u in drawn(grid2_32, ens, 2 * count)]
+        assert (rep.max_ratio, rep.min_ratio, rep.max_ratio_doubled) == extremes(ratios, count)
+
+    def test_products(self, grid2_64, count, budget):
+        ens = EnsembleSpec(count=count, seed=22)
+        reports = verify_product_laws(1.0, 1.0, 2.0, ens, grid2_64)
+        fields = drawn(grid2_64, ens, 4 * count, retained_radius(grid2_64) / 2.0)
+        tgrid = np.linspace(0.0, 1.0, 65)
+        env_a = 1.0 + 0.5 * np.cos(2 * np.pi * tgrid)
+        env_b = 1.0 + 0.5 * np.sin(2 * np.pi * tgrid)
+        envelopes = float(np.trapezoid(env_a * env_b, tgrid)) / (
+            float(np.trapezoid(env_a ** 2, tgrid) ** 0.5)
+            * float(np.trapezoid(env_b ** 2, tgrid) ** 0.5))
+        for i, rep in enumerate(reports):
+            r, factor = (1.0, INF)[i % 2], (1.0, envelopes)[i // 2]
+            ratios = [factor * besov_norm(product(u, v), BesovSpec(1.0, 2.0, r)).value
+                      / (besov_norm(u, BesovSpec(1.0, 2.0, 1.0)).value
+                         * besov_norm(v, BesovSpec(1.0, 2.0, r)).value)
+                      for u, v in zip(fields[::2], fields[1::2])]
+            assert (rep.max_ratio, rep.min_ratio, rep.max_ratio_doubled) == \
+                extremes(ratios, count)
+
+    def test_loginterp(self, grid2_64, count, budget):
+        ens, s, eps = EnsembleSpec(count=count, seed=23), 1.0, 0.5
+        rep = verify_log_interpolation(ens, s, eps, 2.0, grid2_64)
+        ratios = []
+        for u in drawn(grid2_64, ens, 2 * count):
+            n_inf, n_lo, n_hi = (besov_norm(u, BesovSpec(t, 2.0, INF)).value
+                                 for t in (s, s - eps, s + eps))
+            ratios.append(besov_norm(u, BesovSpec(s, 2.0, 1.0)).value
+                          / ((n_inf / eps) * math.log(math.e + (n_lo + n_hi) / n_inf)))
+        assert (rep.max_ratio, rep.min_ratio, rep.max_ratio_doubled) == extremes(ratios, count)
+
+    def test_commutator(self, grid2_64, count, budget):
+        ens = EnsembleSpec(count=count, seed=24)
+        rep = verify_commutator(ens, 1.0, 1.0, 2.0, grid2_64)
+        fields = drawn(grid2_64, ens, 4 * count, retained_radius(grid2_64) / 2.0)
+        spec = BesovSpec(0.0, 2.0, 1.0)
+        ratios = []
+        for a, b in zip(fields[::2], fields[1::2]):
+            band = one_pair_commutator(a, b, 2.0)
+            cq = np.exp2(np.arange(band.size) * -1.0) * band / (
+                besov_norm(gradient(a), spec).value * besov_norm(gradient(b), spec).value)
+            ratios.append(float(cq.sum()))
+        assert (rep.max_ratio, rep.min_ratio, rep.max_ratio_doubled) == extremes(ratios, count)
 
 
 class TestScaling:
@@ -218,12 +317,12 @@ class TestRatioReport:
 
         # 0/0 cases arrive as None and are excluded; the base maximum is
         # over the first `count` draws, the doubled one over all of them
-        rep = _ratio_report("x", {}, lambda n: ([None, 1.0, None, 1.1] * n)[:n], 2)
+        rep = _ratio_report("x", {}, [None, 1.0, None, 1.1], 2)
         assert rep.min_ratio == 1.0 and rep.max_ratio == 1.0
         assert rep.max_ratio_doubled == 1.1
         assert rep.stable
         with pytest.raises(ValueError):
-            _ratio_report("x", {}, lambda n: [None] * n, 2)
+            _ratio_report("x", {}, [None] * 4, 2)
 
 
 class TestSmallness:
