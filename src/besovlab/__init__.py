@@ -20,7 +20,6 @@ from .norms import (  # noqa: F401
     NormSeries,
     besov_norm,
     chemin_lerner_norm,
-    hybrid_norm,
     lp_norm,
 )
 from .oldroyd import (  # noqa: F401
@@ -30,29 +29,25 @@ from .oldroyd import (  # noqa: F401
     PhysicalParams,
     compute_pressure,
     constraint_residuals,
+    deformation_identity_residual,
     make_initial_data,
     phi_iteration,
     run,
     run_coupled,
     step,
-    transform_to_coupled,
 )
-from .paley import (  # noqa: F401
-    DyadicBlocks,
-    PartitionProfile,
-    default_profile,
-    dyadic_decompose,
-    low_freq_cutoff,
-)
+from .paley import PartitionProfile, default_profile  # noqa: F401
 from .spectral import (  # noqa: F401
     GridSpec,
     SpectralField,
     dealias,
     derivative,
+    divergence,
     forward_transform,
     inverse_transform,
     lambda_power,
     leray_project,
     make_grid,
     rescale,
+    zero_field,
 )

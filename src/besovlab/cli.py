@@ -8,6 +8,7 @@ configuration error, 3 solver abort (partial outputs preserved).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import json
@@ -21,7 +22,7 @@ from pathlib import Path
 from . import __version__
 from .linsolve import (CflViolationError, EllipticConvergenceError,
                        NonPositiveCoefficientError, TimeGrid)
-from .norms import BesovSpec, besov_norm, write_norm_rows
+from .norms import BesovSpec, besov_norm
 from .oldroyd import (
     ConstraintResiduals,
     DensityFloorError,
@@ -37,6 +38,7 @@ from .oldroyd import (
 from .snapshots import SnapshotFormatError, read_snapshot, state_samples, write_snapshot
 from .spectral import GridSpec, gradient_samples
 from .verify import (
+    SMALLNESS_COLUMNS,
     EnsembleSpec,
     RatioReport,
     band_safe_tuple,
@@ -58,6 +60,7 @@ EXIT_SOLVER_ABORT = 3
 ABORT_ERRORS = (CflViolationError, DensityFloorError, EllipticConvergenceError,
                 NonPositiveCoefficientError)
 RESIDUAL_COLUMNS = ["time"] + [f.name for f in fields(ConstraintResiduals)]
+NORM_COLUMNS = ["time", "norm_name", "s", "p", "r", "value"]
 
 
 class ConfigError(ValueError):
@@ -82,36 +85,76 @@ def _build(section: str, make):
         raise ConfigError(f"{section}: {exc}") from exc
 
 
-# the keys `validate_config` reads ("": top level, "norms": a norm spec)
-CONFIG_KEYS = {"": ("grid", "params", "time", "initial", "mode", "output_dir", "norms"),
-               "grid": ("dim", "M"), "params": ("mu", "sigma_floor"),
-               "time": ("T", "dt", "save_stride"), "initial": ("family", "amplitude", "seed"),
-               "norms": ("name", "s", "p", "r")}
+REQUIRED = None  # the default of a key that a config must spell out
+# The config schema, one row a key: (section, key, kind, default).  Section ""
+# is the top level and "norms" each norm spec.  A kind is "object", "str",
+# "norms" (a list of objects), "int", "number" (finite; JSON true and false
+# count as neither), "exponent" (a number or "inf") or a tuple of the values
+# allowed.  Value checks are the run objects' constructors' own.
+CONFIG_SCHEMA = (
+    ("", "grid", "object", REQUIRED), ("", "params", "object", REQUIRED),
+    ("", "time", "object", REQUIRED), ("", "initial", "object", REQUIRED),
+    ("", "mode", ("direct", "phi", "coupled"), REQUIRED),
+    ("", "output_dir", "str", "out"), ("", "norms", "norms", []),
+    ("grid", "dim", "int", REQUIRED), ("grid", "M", "int", REQUIRED),
+    ("params", "mu", "number", REQUIRED), ("params", "sigma_floor", "number", 0.1),
+    ("time", "T", "number", REQUIRED), ("time", "dt", "number", REQUIRED),
+    ("time", "save_stride", "int", 1),
+    ("initial", "family", ("exact_gradient", "general"), REQUIRED),
+    ("initial", "amplitude", "number", REQUIRED), ("initial", "seed", "int", 0),
+    ("norms", "name", ("sigma", "velocity", "h", "grad_p"), REQUIRED),
+    ("norms", "s", "number", REQUIRED), ("norms", "p", "exponent", 2),
+    ("norms", "r", "exponent", 1),
+)
 
 
-def _typed(values: dict, section: str, key: str, default, integer: bool = False):
-    """values[key] (`default` when absent), which must be an integer or, if
-    not `integer`, any finite number; JSON true and false count as neither,
-    and Infinity and NaN, which Python's json accepts, are rejected."""
-    value = values.get(key, default)
-    ok = isinstance(value, int if integer else (int, float)) and not isinstance(value, bool)
-    _expect(ok, f"{section}.{key} must be {'an integer' if integer else 'a number'}, "
-                f"got {value!r}")
-    _expect(isinstance(value, int) or math.isfinite(value),
-            f"{section}.{key} must be finite, got {value!r}")
+def _checked(name: str, value, kind):
+    """`value` of the config key `name` if it is of `kind`: an object comes
+    back resolved (`_resolved`), a norm list as its resolved specs and an
+    exponent as a float (math.inf for "inf")."""
+    if kind == "object":
+        _expect(isinstance(value, dict), f"{name} must be a JSON object")
+        return _resolved(name, value)
+    if kind == "norms":
+        _expect(isinstance(value, list) and all(isinstance(v, dict) for v in value),
+                f"{name} must be a list of objects")
+        return [_resolved("norms", spec) for spec in value]
+    if kind == "exponent":
+        if value in ("inf", "Infinity"):
+            return math.inf
+        _expect(isinstance(value, (int, float)) and not isinstance(value, bool),
+                f"{name} must be a number or 'inf'")
+        return float(value)
+    if kind == "str":
+        _expect(isinstance(value, str), f"{name} must be a string, got {value!r}")
+    elif isinstance(kind, tuple):
+        _expect(value in kind, f"{name} must be one of {', '.join(kind)}, got {value!r}")
+    else:
+        integer = kind == "int"
+        ok = isinstance(value, int if integer else (int, float)) and not isinstance(value, bool)
+        _expect(ok, f"{name} must be {'an integer' if integer else 'a number'}, got {value!r}")
+        _expect(isinstance(value, int) or math.isfinite(value),
+                f"{name} must be finite, got {value!r}")
     return value
 
 
-def _exponent(value, name):
-    if value in ("inf", "Infinity"):
-        return math.inf
-    _expect(isinstance(value, (int, float)) and not isinstance(value, bool),
-            f"{name} must be a number or 'inf'")
-    return float(value)
+def _resolved(section: str, values: dict) -> dict:
+    """The keys of `section`'s schema rows, each read from `values` or, when
+    absent, its default, and checked; any other key in `values` is a
+    misspelling."""
+    rows = {key: (kind, default) for sec, key, kind, default in CONFIG_SCHEMA if sec == section}
+    prefix = f"{section}." if section else ""
+    for key in values:
+        _expect(key in rows, f"unknown config key {prefix + key!r}")
+    out = {}
+    for key, (kind, default) in rows.items():
+        _expect(key in values or default is not REQUIRED, f"config missing {prefix + key!r}")
+        out[key] = _checked(prefix + key, values.get(key, default), kind)
+    return out
 
 
 def load_config(path):
-    """Read a run configuration; returns (cfg, (grid, params, tg, norm_specs))."""
+    """Read a run configuration; returns (cfg, validate_config(cfg))."""
     try:
         raw = Path(path).read_text()
     except OSError as exc:
@@ -124,51 +167,20 @@ def load_config(path):
 
 
 def validate_config(cfg: dict):
-    """Check the schema and build the run objects once; returns (grid,
-    params, tg, norm_specs).  The types of the grid, params and time
-    fields are checked here, so a message names the field; value checks
-    are the constructors' own."""
+    """Check `cfg` against CONFIG_SCHEMA and build the run objects once;
+    returns (values, grid, params, tg, norm_specs), `values` being `cfg`
+    resolved (`_resolved`): every default filled in."""
     _expect(isinstance(cfg, dict), "config must be a JSON object")
-    for key in ("grid", "params", "time", "initial", "mode"):
-        _expect(key in cfg, f"config missing {key!r}")
-    for key in ("grid", "params", "time", "initial"):
-        _expect(isinstance(cfg[key], dict), f"{key} must be a JSON object")
-    g, p, t, ini = cfg["grid"], cfg["params"], cfg["time"], cfg["initial"]
-    _expect("dim" in g and "M" in g, "grid needs dim and M")
-    grid = _build("grid", lambda: GridSpec(_typed(g, "grid", "dim", None, integer=True),
-                                           _typed(g, "grid", "M", None, integer=True)))
-    params = _build("params", lambda: PhysicalParams(
-        _typed(p, "params", "mu", 0), _typed(p, "params", "sigma_floor", 0.1)))
-    tg = _build("time", lambda: TimeGrid(
-        _typed(t, "time", "T", 0), _typed(t, "time", "dt", 0),
-        _typed(t, "time", "save_stride", 1, integer=True)))
-    _expect(ini.get("family") in ("exact_gradient", "general"),
-            "initial.family must be exact_gradient or general")
-    _expect(_typed(ini, "initial", "amplitude", None) >= 0,
-            "initial.amplitude must be nonnegative")
-    seed = _typed(ini, "initial", "seed", 0, integer=True)
-    _expect(seed >= 0, f"initial.seed must be nonnegative, got {seed}")
-    _expect(cfg["mode"] in ("direct", "phi", "coupled"),
-            "mode must be direct, phi, or coupled")
-    _expect(isinstance(cfg.get("output_dir", ""), str),
-            f"output_dir must be a string, got {cfg.get('output_dir')!r}")
-    norms = cfg.get("norms", [])
-    _expect(isinstance(norms, list) and all(isinstance(spec, dict) for spec in norms),
-            "norms must be a list of objects")
-    sections = [("", cfg)] + [(key, cfg[key]) for key in ("grid", "params", "time", "initial")]
-    for section, values in sections + [("norms", spec) for spec in norms]:
-        for key in values:
-            _expect(key in CONFIG_KEYS[section],
-                    f"unknown config key {(section + '.' if section else '') + key!r}")
-    norm_specs = []
-    for spec in norms:
-        _expect(spec.get("name") in ("sigma", "velocity", "h", "grad_p"),
-                "norm name must be one of sigma, velocity, h, grad_p")
-        _expect("s" in spec, "norm spec needs s")
-        norm_specs.append((spec["name"], _build("norms", lambda: BesovSpec(
-            float(_typed(spec, "norms", "s", None)), _exponent(spec.get("p", 2), "norm p"),
-            _exponent(spec.get("r", 1), "norm r")))))
-    return grid, params, tg, norm_specs
+    values = _resolved("", cfg)
+    g, p, t, ini = (values[key] for key in ("grid", "params", "time", "initial"))
+    _expect(ini["amplitude"] >= 0, "initial.amplitude must be nonnegative")
+    _expect(ini["seed"] >= 0, f"initial.seed must be nonnegative, got {ini['seed']}")
+    grid = _build("grid", lambda: GridSpec(g["dim"], g["M"]))
+    params = _build("params", lambda: PhysicalParams(p["mu"], p["sigma_floor"]))
+    tg = _build("time", lambda: TimeGrid(t["T"], t["dt"], t["save_stride"]))
+    norm_specs = [(spec["name"], _build("norms", lambda: BesovSpec(
+        float(spec["s"]), spec["p"], spec["r"]))) for spec in values["norms"]]
+    return values, grid, params, tg, norm_specs
 
 
 # -- manifest ------------------------------------------------------------------
@@ -216,18 +228,17 @@ def _make_out_dir(path) -> Path:
     return out_dir
 
 
-def _write_csv(path: Path, fieldnames: list[str], rows: list[dict]):
-    with open(path, "w", newline="") as fh:
+def _write_csv(path: Path | None, fieldnames: list[str], rows: list[dict]) -> Path | None:
+    """Write `rows` under the header `fieldnames` to `path`, or to stdout
+    when it is None: floats as %.17g, a key a row lacks as an empty cell.
+    Returns `path`."""
+    with open(path, "w", newline="") if path else contextlib.nullcontext(sys.stdout) as fh:
         w = csv.DictWriter(fh, fieldnames=fieldnames)
         w.writeheader()
         for row in rows:
-            w.writerow({k: _fmt_cell(row.get(k)) for k in fieldnames})
-
-
-def _fmt_cell(x):
-    if isinstance(x, float):
-        return f"{x:.17g}"
-    return x
+            cells = {k: row.get(k) for k in fieldnames}
+            w.writerow({k: f"{v:.17g}" if isinstance(v, float) else v for k, v in cells.items()})
+    return path
 
 
 # -- norms command ----------------------------------------------------------------
@@ -251,7 +262,7 @@ def cmd_norms(args) -> int:
         try:
             s, p, r = (float(x) for x in text.split(":"))
             _expect(math.isfinite(s), f"norm s must be finite, got {s!r}")
-            specs.append(BesovSpec(s, _exponent(p, "norm p"), _exponent(r, "norm r")))
+            specs.append(BesovSpec(s, p, r))
         except ValueError as exc:
             print(f"error: bad norm spec {text!r}: {exc}", file=sys.stderr)
             return EXIT_USAGE
@@ -261,14 +272,8 @@ def cmd_norms(args) -> int:
             val = besov_norm(field, spec).value
             rows.append({"time": 0.0, "norm_name": f"{name}:{spec.name}",
                          "s": spec.s, "p": spec.p, "r": spec.r, "value": val})
-    if args.out:
-        write_norm_rows(_make_out_dir(args.out) / "norms.csv", rows)
-    else:
-        w = csv.writer(sys.stdout)
-        w.writerow(["time", "norm_name", "s", "p", "r", "value"])
-        for row in rows:
-            w.writerow([_fmt_cell(row[k]) for k in
-                        ("time", "norm_name", "s", "p", "r", "value")])
+    path = _make_out_dir(args.out) / "norms.csv" if args.out else None
+    _write_csv(path, NORM_COLUMNS, rows)
     return EXIT_OK
 
 
@@ -276,17 +281,16 @@ def cmd_norms(args) -> int:
 
 
 def cmd_simulate(args, mode_override: str | None = None) -> int:
-    cfg, (grid, params, tg, norm_specs) = load_config(args.config)
-    mode = mode_override or cfg["mode"]
-    out_dir = _make_out_dir(args.out or cfg.get("output_dir", "out"))
+    cfg, (values, grid, params, tg, norm_specs) = load_config(args.config)
+    mode = mode_override or values["mode"]
+    out_dir = _make_out_dir(args.out or values["output_dir"])
     manifest = Manifest(out_dir, cfg)
 
-    ini = cfg["initial"]
-    seed = args.seed if args.seed is not None else int(ini.get("seed", 0))
-    cfg_copy = dict(cfg)
-    cfg_copy["initial"] = {**ini, "seed": seed}
+    ini = values["initial"]
+    seed = args.seed if args.seed is not None else ini["seed"]
     path = out_dir / "config.json"
-    path.write_text(json.dumps(cfg_copy, indent=2, sort_keys=True))
+    path.write_text(json.dumps({**cfg, "initial": {**cfg["initial"], "seed": seed}},
+                               indent=2, sort_keys=True))
     manifest.add(path)
 
     snap_index = [0]
@@ -310,17 +314,11 @@ def cmd_simulate(args, mode_override: str | None = None) -> int:
                 on_save(t, st, s)
                 norm_rows += _norm_rows_for(st, float(t), norm_specs)
                 residual_rows.append({"time": t, **constraint_residuals(st, (s, ds)).as_dict()})
-            rows = []
-            for i, (dist, mon) in enumerate(zip(phi.report.distances,
-                                                phi.report.monitors)):
-                rows.append({"outer_iter": i + 1, "distance": dist,
-                             "in_admissible_set": mon.get("in_admissible_set", ""),
-                             **{k: v for k, v in mon.items()
-                                if k != "in_admissible_set"}})
-            path = out_dir / "contraction.csv"
-            _write_csv(path, ["outer_iter", "distance", "in_admissible_set",
-                              "sigma_sup", "velocity_smoothing", "sup_energy"], rows)
-            manifest.add(path)
+            rows = [{"outer_iter": i + 1, "distance": dist, **mon} for i, (dist, mon)
+                    in enumerate(zip(phi.report.distances, phi.report.monitors))]
+            manifest.add(_write_csv(out_dir / "contraction.csv", [
+                "outer_iter", "distance", "in_admissible_set", "sigma_sup",
+                "velocity_smoothing", "sup_energy"], rows))
         else:
             evolve = run_coupled if mode == "coupled" else run
             result = evolve(state0, params, tg, norm_specs=norm_specs, on_save=on_save)
@@ -329,21 +327,16 @@ def cmd_simulate(args, mode_override: str | None = None) -> int:
             direct = run(state0, params, tg)
             rows = [{"time": t, "l2_distance": _l2(a.coeffs - b.coeffs, grid)}
                     for t, a, b in zip(result.times, result.states, direct.states)]
-            path = out_dir / "cross_formulation.csv"
-            _write_csv(path, ["time", "l2_distance"], rows)
-            manifest.add(path)
+            manifest.add(_write_csv(out_dir / "cross_formulation.csv",
+                                    ["time", "l2_distance"], rows))
     except ABORT_ERRORS as exc:
         manifest.write({"aborted": True, "error": f"{type(exc).__name__}: {exc}",
                         **report})
         print(f"solver abort: {exc}", file=sys.stderr)
         return EXIT_SOLVER_ABORT
 
-    path = out_dir / "norms.csv"
-    write_norm_rows(path, norm_rows)
-    manifest.add(path)
-    path = out_dir / "residuals.csv"
-    _write_csv(path, RESIDUAL_COLUMNS, residual_rows)
-    manifest.add(path)
+    manifest.add(_write_csv(out_dir / "norms.csv", NORM_COLUMNS, norm_rows))
+    manifest.add(_write_csv(out_dir / "residuals.csv", RESIDUAL_COLUMNS, residual_rows))
     manifest.write({"aborted": False, **report})
     return EXIT_OK
 
@@ -400,9 +393,7 @@ def cmd_verify(args) -> int:
                 rows = smallness_experiment(
                     alphas, args.T, grid, PhysicalParams(mu=1.0),
                     dt=args.dt, seed=seed)
-                path = out_dir / "smallness.csv"
-                _write_csv(path, list(rows[0].keys()), rows)
-                manifest.add(path)
+                manifest.add(_write_csv(out_dir / "smallness.csv", SMALLNESS_COLUMNS, rows))
                 ok_rows = [r for r in rows if r.get("ok")]
                 ratios = [r["energy_over_alpha"] for r in ok_rows if r["alpha"] > 0]
                 spread_ok = bool(ratios) and max(ratios) <= 2.0 * min(ratios)
@@ -424,9 +415,7 @@ def cmd_verify(args) -> int:
 
     rows = _report_rows(reports)
     if rows:
-        path = out_dir / "ratio_reports.csv"
-        _write_csv(path, list(rows[0].keys()), rows)
-        manifest.add(path)
+        manifest.add(_write_csv(out_dir / "ratio_reports.csv", list(rows[0]), rows))
     summary.extend(rep.as_dict() for rep in reports)
     path = out_dir / "summary.json"
     path.write_text(json.dumps(summary, indent=2, default=str))

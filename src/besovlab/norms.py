@@ -18,7 +18,6 @@ is encoded as Python's IEEE ``math.inf``, never by a magic number.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -173,9 +172,10 @@ class NormBreakdown:
     truncation_flag: bool  # > 1% of L2 energy beyond the retained band
 
 
-def besov_norm(u: SpectralField, spec: BesovSpec) -> NormBreakdown:
-    """Dyadic-sum norm: l^r over bands of 2^(qs) * ||band||_p, with the
-    truncation report; both read one energy array.
+def besov_norm(u: SpectralField, spec: BesovSpec | HybridSpec) -> NormBreakdown:
+    """Dyadic-sum norm: l^r over bands of 2^(qs) * ||band||_p (a HybridSpec
+    gives the hybrid norm), with the truncation report; both read one
+    energy array.
 
     The zero mode is excluded; the components of a stacked `u` (vector,
     tensor) combine per band as in `block_lp`.
@@ -204,12 +204,6 @@ def ensemble_norms(grid: GridSpec, coeffs: np.ndarray, *specs) -> np.ndarray:
         else:
             blocks[p] = np.array([block_lp(SpectralField(grid, c), p) for c in coeffs])
     return np.array([_band_sum(spec, blocks[spec.p]) for spec in specs])
-
-
-def hybrid_norm(u: SpectralField, spec: HybridSpec) -> NormBreakdown:
-    """Sum over bands of 2^(qs) * max(mu, 2^-q)^(1-2/r) * ||band||_L2: the
-    weighted band sum of `besov_norm` with the hybrid spec's weights."""
-    return besov_norm(u, spec)
 
 
 # -- time-sampled series ----------------------------------------------------
@@ -287,32 +281,11 @@ def chemin_lerner_norm(series: NormSeries, k: float, spec: BesovSpec, T: float) 
     return float(_band_sum(spec, _time_lk(values, times, k)))
 
 
-def lebesgue_time_norm(series: NormSeries, k: float, spec: BesovSpec, T: float) -> float:
-    """Time-outside norm: L^k over [0, T] of the instantaneous dyadic norm."""
+def lebesgue_time_norm(series: NormSeries, k: float, spec: BesovSpec | HybridSpec,
+                       T: float) -> float:
+    """Time-outside norm: L^k over [0, T] of the instantaneous dyadic norm,
+    hybrid for a HybridSpec (whose series must be p = 2)."""
     _check_exponent("k", k)
     _check_series_p(series, spec)
     times, values = _slice_to(series, T)
     return float(_time_lk(_band_sum(spec, values), times, k))
-
-
-def hybrid_series_norm(series: NormSeries, k: float, spec: HybridSpec, T: float) -> float:
-    """L^k in time of the instantaneous hybrid norm (series must be p=2)."""
-    return lebesgue_time_norm(series, k, spec, T)
-
-
-# -- CSV reports ------------------------------------------------------------
-
-
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return f"{x:.17g}"
-    return str(x)
-
-
-def write_norm_rows(path, rows):
-    """Rows: dicts with keys time, norm_name, s, p, r, value."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["time", "norm_name", "s", "p", "r", "value"])
-        for row in rows:
-            w.writerow([_fmt(row[key]) for key in ("time", "norm_name", "s", "p", "r", "value")])

@@ -276,12 +276,6 @@ def deformation_identity_residual(h: SpectralField) -> SpectralField:
     return SpectralField(grid, _identity_residual(grid, h.coeffs, h_s, dh_s))
 
 
-# The identity written in the perturbation h,
-# d_k h^{ij} - d_j h^{ik} - (h^{lj} d_l h^{ik} - h^{lk} d_l h^{ij}),
-# is the same expression, because d(I + h) = dh.
-perturbation_identity_residual = deformation_identity_residual
-
-
 def make_initial_data(family: str, amplitude: float, seed: int, grid: GridSpec, *,
                       h_amplitude: float | None = None,
                       band_radius: float | None = None):
@@ -473,6 +467,9 @@ class ConstraintResiduals:
     weighted_div: float            # row convention d_j(rho U^{ji})
     weighted_div_transposed: float  # the other contraction, reported alongside
     deformation_identity: float
+    # the identity written in the perturbation h, d_k h^{ij} - d_j h^{ik}
+    # - (h^{lj} d_l h^{ik} - h^{lk} d_l h^{ij}), is the same expression,
+    # because d(I + h) = dh
     perturbation_identity: float
 
     def as_dict(self) -> dict:
@@ -485,7 +482,7 @@ def constraint_residuals(state: FluidState, sampled=None) -> ConstraintResiduals
     formed (`momentum_forcing`), or taken here in one `gradient_samples`
     call when not given.  Every residual is a Parseval norm (`_l2`); the
     deformation identity is evaluated once and reported under
-    both of its names (see `perturbation_identity_residual`)."""
+    both of its names."""
     grid = state.grid
     _, vel, h = _split(grid, state.coeffs)
     s, ds = sampled or gradient_samples(grid, state.coeffs, with_samples=True)
@@ -591,21 +588,6 @@ def stacked_tensor_to_velocity(grid: GridSpec, d: np.ndarray) -> np.ndarray:
     """v^i = Lam^{-1} d_j d^{ij} of the stacked tensor d (n, n, *grid);
     exact inverse on mean-zero solenoidal v."""
     return stacked_divergence(grid, d) * _lambda_multiplier(grid, -1.0)
-
-
-def velocity_to_tensor(velocity: SpectralField) -> SpectralField:
-    """`stacked_velocity_to_tensor` of a vector field."""
-    return SpectralField(velocity.grid, stacked_velocity_to_tensor(velocity.grid, velocity.coeffs))
-
-
-def tensor_to_velocity(d: SpectralField) -> SpectralField:
-    """`stacked_tensor_to_velocity` of a tensor field."""
-    return SpectralField(d.grid, stacked_tensor_to_velocity(d.grid, d.coeffs))
-
-
-def transform_to_coupled(state: FluidState):
-    """(sigma, v, h) -> (sigma, d, h) with d the tensor potential of v."""
-    return state.sigma, velocity_to_tensor(state.velocity), state.h
 
 
 # -- coupled-variable evolution -------------------------------------------------

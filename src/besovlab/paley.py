@@ -16,12 +16,11 @@ live on the norm specs in `norms`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .spectral import GridSpec, SpectralField, grid_wavenumbers
+from .spectral import GridSpec, grid_wavenumbers
 
 SHELL_LO = 0.75
 SHELL_HI = 8.0 / 3.0
@@ -86,22 +85,6 @@ def default_profile() -> PartitionProfile:
     return _DEFAULT_PROFILE
 
 
-@dataclass
-class DyadicBlocks:
-    """Band-limited pieces Delta_q u of a scalar field, stacked over q in
-    [0, q_max]: `blocks[q]` is band q."""
-
-    blocks: SpectralField
-    q_max: int
-    mean: float
-
-    def reconstruct(self) -> SpectralField:
-        """Sum of all bands plus the mean."""
-        out = self.blocks.coeffs.sum(axis=0)
-        out[(0,) * out.ndim] += self.mean
-        return SpectralField(self.blocks.grid, out)
-
-
 def block_multipliers(grid: GridSpec) -> np.ndarray:
     """Stack of band multipliers, shape (q_max+1, *grid.coeff_shape).
 
@@ -127,11 +110,6 @@ def _block_multipliers(dim: int, m: int) -> np.ndarray:
     return stack
 
 
-def coverage(grid: GridSpec) -> np.ndarray:
-    """Pointwise sum of the truncated ladder's multipliers."""
-    return block_multipliers(grid).sum(axis=0)
-
-
 def retained_mask(grid: GridSpec) -> np.ndarray:
     """Nonzero frequencies fully covered by the truncated ladder."""
     kmag = grid_wavenumbers(grid)["kmag"]
@@ -141,17 +119,3 @@ def retained_mask(grid: GridSpec) -> np.ndarray:
 def retained_radius(grid: GridSpec) -> float:
     """Largest |k| with complete band coverage: 3/4 * 2^(q_max+1)."""
     return SHELL_LO * 2.0 ** (grid.q_max + 1)
-
-
-def dyadic_decompose(field: SpectralField) -> DyadicBlocks:
-    grid = field.grid
-    blocks = SpectralField(grid, field.coeffs * block_multipliers(grid))
-    return DyadicBlocks(blocks=blocks, q_max=grid.q_max, mean=field.mean)
-
-
-def low_freq_cutoff(field: SpectralField, q: int) -> SpectralField:
-    """S_q u: mean plus all bands strictly below q."""
-    grid = field.grid
-    out = field.coeffs * block_multipliers(grid)[:max(q, 0)].sum(axis=0)
-    out[(0,) * grid.dim] = field.coeffs[(0,) * grid.dim]
-    return SpectralField(grid, out)

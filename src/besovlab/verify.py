@@ -26,8 +26,8 @@ import numpy as np
 
 from . import randfields
 from .linsolve import TimeGrid
-from .norms import (INF, BesovSpec, HybridSpec, besov_norm, ensemble_norms, hybrid_norm,
-                    hybrid_series_norm, lebesgue_time_norm, stacked_lp)
+from .norms import (INF, BesovSpec, HybridSpec, besov_norm, ensemble_norms, lebesgue_time_norm,
+                    stacked_lp)
 from .oldroyd import PhysicalParams, make_initial_data, run
 from .paley import SHELL_HI, SHELL_LO, block_multipliers, retained_radius
 from .spectral import (
@@ -243,22 +243,15 @@ def verify_log_interpolation(ensemble: EnsembleSpec, s: float, eps: float,
 # -- commutator with a dyadic block ------------------------------------------------
 
 
-def commutator_band_norms(a: SpectralField, b: SpectralField, p: float) -> np.ndarray:
-    """||div(A (band_q grad B)) - band_q div(A grad B)||_p for every band.
-
-    Both terms are formed for the whole (band, axis) stack at once, from one
-    sampling of `a`, and contracted with i k to one field per band.
-    """
-    return _commutator_bands(a.grid, a.coeffs[None], b.coeffs[None], p, [])[0]
-
-
 def _commutator_bands(grid: GridSpec, a: np.ndarray, b: np.ndarray, p: float,
                       work: list) -> np.ndarray:
-    """`commutator_band_norms` of the pairs (a[i], b[i]) of stacked scalar
-    coefficients, shape (pairs, bands), with `product`'s arithmetic: `a` is
-    sampled once, and the (pair, band, axis) stack band_q grad b is formed,
-    sampled and dealiased in `work` (its coefficients and samples), made on
-    the first call and kept by the caller across chunks of no more pairs."""
+    """||div(A (band_q grad B)) - band_q div(A grad B)||_p for every band q
+    and every pair (a[i], b[i]) of stacked scalar coefficients, shape
+    (pairs, bands), with `product`'s arithmetic: `a` is sampled once, and
+    the (pair, band, axis) stack band_q grad b is formed, sampled and
+    dealiased in `work` (its coefficients and samples), made on the first
+    call and kept by the caller across chunks of no more pairs; each band's
+    terms are contracted with i k to one field."""
     if not work:
         shape = (len(a), grid.q_max + 1, grid.dim)
         work += [np.empty(shape + grid.coeff_shape, np.complex128), np.empty(shape + grid.shape)]
@@ -369,20 +362,26 @@ def aggregate_energy_norm(result, mu: float, s: float) -> float:
     T = result.times[-1]
     hyb_inf = HybridSpec(s, INF, mu)
     hyb_one = HybridSpec(s, 1.0, mu)
-    sup_sig_h = hybrid_series_norm(result.series["sigma"], INF, hyb_inf, T) \
-        + hybrid_series_norm(result.series["h"], INF, hyb_inf, T)
+    sup_sig_h = lebesgue_time_norm(result.series["sigma"], INF, hyb_inf, T) \
+        + lebesgue_time_norm(result.series["h"], INF, hyb_inf, T)
     sup_v = lebesgue_time_norm(result.series["velocity"], INF, BesovSpec(s - 1.0), T)
-    int_sig_h = hybrid_series_norm(result.series["sigma"], 1.0, hyb_one, T) \
-        + hybrid_series_norm(result.series["h"], 1.0, hyb_one, T)
+    int_sig_h = lebesgue_time_norm(result.series["sigma"], 1.0, hyb_one, T) \
+        + lebesgue_time_norm(result.series["h"], 1.0, hyb_one, T)
     int_v = lebesgue_time_norm(result.series["velocity"], 1.0, BesovSpec(s + 1.0), T)
     return sup_sig_h + sup_v + mu * (int_sig_h + int_v)
 
 
 def initial_hybrid_size(state, mu: float, s: float) -> float:
     hyb = HybridSpec(s, INF, mu)
-    return (hybrid_norm(state.sigma, hyb).value
+    return (besov_norm(state.sigma, hyb).value
             + besov_norm(state.velocity, BesovSpec(s - 1.0)).value
-            + hybrid_norm(state.h_flat(), hyb).value)
+            + besov_norm(state.h_flat(), hyb).value)
+
+
+# the keys of a `smallness_experiment` row; the row of a failed run lacks
+# the quantities the run did not reach and holds its `error`
+SMALLNESS_COLUMNS = ["alpha", "initial_norm", "energy_aggregate", "pressure_l1",
+                     "energy_over_alpha", "pressure_over_alpha_sq", "ok", "error"]
 
 
 def smallness_experiment(alpha_list, T: float, grid: GridSpec,

@@ -15,6 +15,7 @@ from besovlab.norms import BesovSpec, besov_norm
 from besovlab.oldroyd import PhysicalParams, make_initial_data, run
 from besovlab.snapshots import read_snapshot, write_snapshot
 from besovlab.spectral import inverse_transform, make_grid
+from besovlab.verify import SMALLNESS_COLUMNS
 
 from conftest import field_of
 
@@ -223,6 +224,44 @@ class TestSimulateCommand:
         name = key if section is None else f"{section}.{key}"
         assert capsys.readouterr().err == f"error: unknown config key {name!r}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("name", [
+        "grid", "params", "time", "initial", "mode", "grid.dim", "grid.M", "params.mu",
+        "time.T", "time.dt", "initial.family", "initial.amplitude"])
+    def test_missing_required_key_exit_2(self, tmp_path, capsys, name):
+        """Every key without a default is reported the same way when it is
+        absent, before the output directory is made."""
+        cfg = config_dict()
+        *section, key = name.split(".")
+        del (cfg[section[0]] if section else cfg)[key]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: config missing {name!r}\n"
+        assert not out.exists()
+
+    def test_defaults_resolved_once(self, tmp_path, monkeypatch):
+        """A config that leaves out the keys with defaults writes the same
+        outputs to the default directory as one that spells them out."""
+        spelled = config_dict(params={"mu": 1.0, "sigma_floor": 0.1},
+                              time={"T": 0.05, "dt": 0.01, "save_stride": 1},
+                              initial={"family": "general", "amplitude": 1e-3, "seed": 0},
+                              output_dir="out")
+        omitted = config_dict(params={"mu": 1.0}, time={"T": 0.05, "dt": 0.01},
+                              initial={"family": "general", "amplitude": 1e-3})
+        files = {}
+        for name, cfg in (("spelled", spelled), ("omitted", omitted)):
+            (tmp_path / name).mkdir()
+            monkeypatch.chdir(tmp_path / name)
+            Path("run.json").write_text(json.dumps(cfg))
+            assert main(["simulate", "--config", "run.json"]) == 0
+            files[name] = {p.name: p.read_bytes() for p in Path("out").iterdir()
+                           if p.name not in ("config.json", "manifest.json")}
+        assert len(files["spelled"]) == 8  # six snapshots and two CSVs
+        assert files["omitted"] == files["spelled"]
+        stored = json.loads((tmp_path / "omitted" / "out" / "config.json").read_text())
+        assert stored == {**omitted, "initial": {**omitted["initial"], "seed": 0}}
 
     def test_output_dir_not_a_string_exit_2(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -450,6 +489,24 @@ class TestVerifyCommand:
                      "--seed", "9", "--alphas", "1e-3,1e-2", "--T", "0.1",
                      "--dt", "0.01", "--out", str(tmp_path / "v")])
         assert code == 1
+
+    def test_smallness_columns_fixed(self, tmp_path):
+        """A failed run, first or last, neither drops the other rows' columns
+        nor loses its own error text."""
+        headers = []
+        for alphas in ("5000,1e-3,2e-3", "1e-3,2e-3,5000"):
+            out = tmp_path / alphas
+            main(["smallness", "--alphas", alphas, "--T", "0.5", "--dt", "0.01",
+                  "--grid-m", "16", "--out", str(out)])
+            lines = (out / "smallness.csv").read_text().splitlines()
+            headers.append(lines[0])
+            rows = {r["alpha"]: r for r in csv.DictReader(lines)}
+            assert rows["5000"]["ok"] == "False"
+            assert rows["5000"]["error"].startswith("CflViolationError: CFL number")
+            for alpha in ("0.001", "0.002"):
+                assert rows[alpha]["ok"] == "True" and rows[alpha]["error"] == ""
+                assert float(rows[alpha]["energy_over_alpha"]) > 0
+        assert headers[0] == headers[1] == ",".join(SMALLNESS_COLUMNS)
 
     def test_smallness_command(self, tmp_path):
         assert main(["smallness", "--alphas", "1e-3,1e-2", "--T", "0.1",

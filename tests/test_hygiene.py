@@ -1,9 +1,12 @@
-"""Source hygiene: every name a module imports is used in it.
+"""Source hygiene: every name a module imports is used in it, and every
+public name the package defines has a caller.
 
-An AST scan, so no linter is needed: a name bound by `import` or
+AST scans, so no linter is needed: a name bound by `import` or
 `from ... import` counts as used when it appears as a name anywhere in the
 same file (an attribute chain `np.fft.rfft` uses `np`).  Package
-`__init__.py` files are left out, since re-exporting is their purpose.
+`__init__.py` files are left out, since re-exporting is their purpose.  A
+top-level public function or class of `src/besovlab` has a caller when some
+package module loads it by name or attribute, or `__init__.py` exports it.
 """
 
 import ast
@@ -36,6 +39,37 @@ def test_scan_sees_unused_names():
               "import os.path\nimport numpy as np\nfrom a import b, c as d\n"
               "print(np.fft, d)\n")
     assert unused_imports(source) == [(2, "os"), (4, "b")]
+
+
+def uncalled_public_names(sources: dict[str, str], exported: str) -> list[str]:
+    """`module.name` of each top-level public function or class in
+    `sources` (module name -> source) that no source loads by name or
+    attribute and the `exported` (`__init__.py`) source does not import."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    loaded = {node.id for tree in trees.values() for node in ast.walk(tree)
+              if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    loaded |= {node.attr for tree in trees.values() for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute)}
+    loaded |= {alias.asname or alias.name for node in ast.walk(ast.parse(exported))
+               if isinstance(node, ast.ImportFrom) for alias in node.names}
+    return sorted(f"{module}.{node.name}" for module, tree in trees.items()
+                  for node in tree.body
+                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                  and not node.name.startswith("_") and node.name not in loaded)
+
+
+def test_scan_sees_uncalled_names():
+    sources = {"a": "def used(): pass\ndef spare(): pass\nclass Kept: pass\n"
+                    "def _private(): pass\n",
+               "b": "from .a import used\nused()\n"}
+    assert uncalled_public_names(sources, "from .a import Kept\n") == ["a.spare"]
+
+
+def test_no_public_name_without_a_caller():
+    package = ROOT / "src" / "besovlab"
+    sources = {p.stem: p.read_text() for p in package.glob("*.py") if p.name != "__init__.py"}
+    uncalled = uncalled_public_names(sources, (package / "__init__.py").read_text())
+    assert not uncalled, "public names nothing calls or exports: " + ", ".join(uncalled)
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))

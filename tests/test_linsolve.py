@@ -447,8 +447,7 @@ class TestCoupled:
     def test_estimate_shape_over_mu_battery(self, grid2_32):
         # decay-plus-integral aggregate against the initial data, with the
         # hybrid weight tied to the viscosity
-        from besovlab.norms import HybridSpec, hybrid_norm, hybrid_series_norm, \
-            lebesgue_time_norm, norm_series
+        from besovlab.norms import HybridSpec, lebesgue_time_norm, norm_series
 
         rng = np.random.default_rng(24)
         c0 = random_scalar(grid2_32, rng)
@@ -464,11 +463,11 @@ class TestCoupled:
             d_series = norm_series(times, [st[1] for st in res.states])
             hyb_inf = HybridSpec(s, INF, mu)
             hyb_one = HybridSpec(s, 1.0, mu)
-            final = hybrid_norm(res.final[0], hyb_inf).value \
+            final = besov_norm(res.final[0], hyb_inf).value \
                 + besov_norm(res.final[1], BesovSpec(s - 1.0)).value
-            integ = mu * (hybrid_series_norm(c_series, 1.0, hyb_one, T)
+            integ = mu * (lebesgue_time_norm(c_series, 1.0, hyb_one, T)
                           + lebesgue_time_norm(d_series, 1.0, BesovSpec(s + 1.0), T))
-            init = hybrid_norm(c0, hyb_inf).value \
+            init = besov_norm(c0, hyb_inf).value \
                 + besov_norm(d0, BesovSpec(s - 1.0)).value
             ratios.append((final + integ) / init)
         assert all(np.isfinite(r) for r in ratios)

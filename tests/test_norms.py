@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from besovlab.cli import NORM_COLUMNS, _write_csv
 from besovlab.norms import (
     INF,
     BesovSpec,
@@ -12,13 +13,10 @@ from besovlab.norms import (
     block_lp,
     chemin_lerner_norm,
     ensemble_norms,
-    hybrid_norm,
-    hybrid_series_norm,
     lebesgue_time_norm,
     lp_norm,
     norm_series,
     stacked_lp,
-    write_norm_rows,
 )
 from besovlab.paley import block_multipliers, retained_mask
 from besovlab.randfields import random_scalar, random_solenoidal
@@ -335,7 +333,7 @@ class TestHybridNorm:
         u = random_scalar(grid2_64, rng)
         for s in (0.5, 1.0):
             for mu in (0.1, 1.0, 10.0):
-                hyb = hybrid_norm(u, HybridSpec(s, 2.0, mu)).value
+                hyb = besov_norm(u, HybridSpec(s, 2.0, mu)).value
                 bes = besov_norm(u, BesovSpec(s, 2.0, 1.0)).value
                 assert hyb == pytest.approx(bes, rel=1e-12)
 
@@ -345,7 +343,7 @@ class TestHybridNorm:
         f = field_of(grid2_64, lambda x, y: np.cos(2 * x + 2 * y))
         mu = 3.0
         q = 1
-        got = hybrid_norm(f, HybridSpec(1.0, INF, mu)).value
+        got = besov_norm(f, HybridSpec(1.0, INF, mu)).value
         want = mu * 2.0 ** q * lp_norm(f, 2)
         assert got == pytest.approx(want, rel=1e-12)
 
@@ -358,7 +356,7 @@ class TestHybridNorm:
         ratios = []
         for _ in range(20):
             u = random_scalar(grid2_64, rng)
-            hyb = hybrid_norm(u, spec).value
+            hyb = besov_norm(u, spec).value
             pair = besov_norm(u, BesovSpec(0.0)).value + besov_norm(u, BesovSpec(1.0)).value
             ratios.append(hyb / pair)
         lo, hi = min(ratios), max(ratios)
@@ -375,17 +373,17 @@ class TestHybridNorm:
         times = np.linspace(0.0, 1.0, 9)
         series = norm_series(times, [f] * 9)
         spec = HybridSpec(1.0, INF, 3.0)
-        static = hybrid_norm(f, spec).value
-        assert hybrid_series_norm(series, 1.0, spec, 1.0) == pytest.approx(
+        static = besov_norm(f, spec).value
+        assert lebesgue_time_norm(series, 1.0, spec, 1.0) == pytest.approx(
             static, rel=1e-12)
-        assert hybrid_series_norm(series, INF, spec, 1.0) == pytest.approx(
+        assert lebesgue_time_norm(series, INF, spec, 1.0) == pytest.approx(
             static, rel=1e-12)
 
     def test_series_norm_needs_l2_series(self, grid2_64):
         f = field_of(grid2_64, lambda x, y: np.cos(4 * x))
         series = norm_series(np.linspace(0.0, 1.0, 3), [f] * 3, p=1.0)
         with pytest.raises(ValueError):
-            hybrid_series_norm(series, 1.0, HybridSpec(1.0, INF, 3.0), 1.0)
+            lebesgue_time_norm(series, 1.0, HybridSpec(1.0, INF, 3.0), 1.0)
 
     def test_series_norms_check_spec_p(self, grid2_64):
         # an L2 series evaluated with an L^inf spec used to return the
@@ -408,7 +406,7 @@ class TestReports:
         rep = besov_norm(f, BesovSpec(1.0, 2.0, 1.0))
         rows = [{"time": 0.0, "norm_name": "u:test", "s": 1.0, "p": 2.0,
                  "r": 1.0, "value": rep.value}]
-        write_norm_rows(tmp_path / "norms.csv", rows)
+        _write_csv(tmp_path / "norms.csv", NORM_COLUMNS, rows)
         norms_text = (tmp_path / "norms.csv").read_text().splitlines()
         assert norms_text[0] == "time,norm_name,s,p,r,value"
         assert len(norms_text) == 2

@@ -4,22 +4,21 @@ import pytest
 from besovlab.paley import (
     PartitionProfile,
     block_multipliers,
-    coverage,
     default_profile,
-    dyadic_decompose,
-    low_freq_cutoff,
     retained_mask,
     retained_radius,
 )
 from besovlab.randfields import random_scalar
-from besovlab.spectral import (
-    derivative,
-    forward_transform,
-    grid_wavenumbers,
-    zero_field,
-)
+from besovlab.spectral import SpectralField, derivative, grid_wavenumbers
 
 from conftest import field_of
+
+
+def reconstruct(u):
+    """The sum of the dyadic blocks of `u` plus its mean."""
+    out = (u.coeffs * block_multipliers(u.grid)).sum(axis=0)
+    out[(0,) * u.grid.dim] += u.mean
+    return out
 
 
 class TestPartitionProfile:
@@ -70,50 +69,30 @@ class TestDyadicBlocks:
     def test_second_harmonic_blocks(self, grid2_64):
         # radius 2 meets only the shells of bands 0 and 1
         u = field_of(grid2_64, lambda x, y: np.cos(2 * x))
-        blocks = dyadic_decompose(u)
-        active = [q for q, b in enumerate(blocks.blocks)
-                  if np.max(np.abs(b.coeffs)) > 1e-14]
+        blocks = u.coeffs * block_multipliers(grid2_64)
+        active = [q for q, b in enumerate(blocks) if np.max(np.abs(b)) > 1e-14]
         assert active == [0, 1]
-        total = sum(b.coeffs[2, 0].real for b in blocks.blocks)
+        total = sum(b[2, 0].real for b in blocks)
         assert total == pytest.approx(0.5, rel=1e-12)
 
     def test_reconstruction(self, grid2_64):
         rng = np.random.default_rng(6)
         u = random_scalar(grid2_64, rng)  # supported on the retained band
-        blocks = dyadic_decompose(u)
-        defect = blocks.reconstruct().coeffs - u.coeffs
+        defect = reconstruct(u) - u.coeffs
         assert np.max(np.abs(defect)) < 1e-10 * np.max(np.abs(u.coeffs))
-
-    def test_reconstruction_keeps_mean(self, grid2_64):
-        u = forward_transform(grid2_64, np.full(grid2_64.shape, 1.5))
-        blocks = dyadic_decompose(u)
-        assert blocks.mean == pytest.approx(1.5)
-        assert blocks.reconstruct().coeffs[0, 0] == pytest.approx(1.5)
-
-    def test_low_freq_cutoff(self, grid2_64):
-        rng = np.random.default_rng(7)
-        u = random_scalar(grid2_64, rng)
-        u.coeffs[0, 0] = 0.7
-        blocks = dyadic_decompose(u)
-        for q in range(blocks.q_max + 2):
-            sq = low_freq_cutoff(u, q)
-            expect = zero_field(grid2_64).coeffs
-            for j in range(min(q, blocks.q_max + 1)):
-                expect = expect + blocks.blocks[j].coeffs
-            expect[0, 0] = 0.7
-            assert np.max(np.abs(sq.coeffs - expect)) < 1e-13
 
     def test_multipliers_commute_with_derivative(self, grid2_64):
         rng = np.random.default_rng(8)
         u = random_scalar(grid2_64, rng)
-        left = dyadic_decompose(derivative(u, 0)).blocks[1]
-        right = derivative(dyadic_decompose(u).blocks[1], 0)
-        assert np.max(np.abs(left.coeffs - right.coeffs)) < 1e-15
+        band = block_multipliers(grid2_64)[1]
+        left = derivative(u, 0).coeffs * band
+        right = derivative(SpectralField(grid2_64, u.coeffs * band), 0).coeffs
+        assert np.max(np.abs(left - right)) < 1e-15
 
     def test_retained_band(self, grid2_64):
         assert retained_radius(grid2_64) == pytest.approx(12.0)
         kmag = grid_wavenumbers(grid2_64)["kmag"]
-        cov = coverage(grid2_64)
+        cov = block_multipliers(grid2_64).sum(axis=0)
         inside = (kmag > 0) & (kmag <= 12.0)
         assert np.max(np.abs(cov[inside] - 1.0)) < 1e-12
         mask = retained_mask(grid2_64)
@@ -125,7 +104,6 @@ class TestDyadicBlocks:
     def test_grid3_decomposition(self, grid3_16):
         rng = np.random.default_rng(9)
         u = random_scalar(grid3_16, rng)
-        blocks = dyadic_decompose(u)
-        assert blocks.q_max == grid3_16.q_max == 1
-        defect = blocks.reconstruct().coeffs - u.coeffs
+        assert len(block_multipliers(grid3_16)) == grid3_16.q_max + 1 == 2
+        defect = reconstruct(u) - u.coeffs
         assert np.max(np.abs(defect)) < 1e-10

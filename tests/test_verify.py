@@ -22,7 +22,6 @@ from besovlab.verify import (
     EnsembleSpec,
     RatioReport,
     band_safe_tuple,
-    commutator_band_norms,
     pressure_slope,
     smallness_experiment,
     verify_bernstein,
@@ -143,12 +142,17 @@ class TestLogInterpolation:
             verify_log_interpolation(ENS, 1.0, 1.5, 2.0, grid2_64)
 
 
+def kernel_band_norms(a, b, p):
+    """The per-band commutator norms of the one pair (a, b)."""
+    return verify._commutator_bands(a.grid, a.coeffs[None], b.coeffs[None], p, [])[0]
+
+
 class TestCommutator:
     def test_constant_multiplier_commutes(self, grid2_64):
         a = forward_transform(grid2_64, np.full(grid2_64.shape, 2.5))
         rng = np.random.default_rng(31)
         b = random_scalar(grid2_64, rng, radius=5.0)
-        norms = commutator_band_norms(a, b, 2.0)
+        norms = kernel_band_norms(a, b, 2.0)
         assert np.max(norms) <= 1e-12
 
     @staticmethod
@@ -176,7 +180,7 @@ class TestCommutator:
         grid = make_grid(dim, m)
         rng = np.random.default_rng(43)
         a, b = (random_scalar(grid, rng, radius=retained_radius(grid) / 2.0) for _ in "ab")
-        assert np.array_equal(commutator_band_norms(a, b, p), one_pair_commutator(a, b, p))
+        assert np.array_equal(kernel_band_norms(a, b, p), one_pair_commutator(a, b, p))
 
     @pytest.mark.parametrize("p", [2.0, 1.0, INF])
     def test_stacked_matches_band_loop(self, grid2_64, p):
@@ -186,7 +190,7 @@ class TestCommutator:
         b = random_scalar(grid2_64, rng, radius=radius)
         want = self.looped_band_norms(a, b, p)
         assert want.max() > 0
-        np.testing.assert_allclose(commutator_band_norms(a, b, p), want,
+        np.testing.assert_allclose(kernel_band_norms(a, b, p), want,
                                    rtol=0, atol=1e-14 * want.max())
 
     def test_window_validation(self, grid2_64):
