@@ -36,7 +36,7 @@ from .oldroyd import (  # noqa: F401
     run_coupled,
     step,
 )
-from .paley import PartitionProfile, default_profile  # noqa: F401
+from .paley import profile  # noqa: F401
 from .spectral import (  # noqa: F401
     GridSpec,
     SpectralField,
@@ -47,7 +47,6 @@ from .spectral import (  # noqa: F401
     inverse_transform,
     lambda_power,
     leray_project,
-    make_grid,
     rescale,
     zero_field,
 )

@@ -22,13 +22,14 @@ from pathlib import Path
 from . import __version__
 from .linsolve import (CflViolationError, EllipticConvergenceError,
                        NonPositiveCoefficientError, TimeGrid)
-from .norms import BesovSpec, besov_norm
+from .norms import BesovSpec
 from .oldroyd import (
     ConstraintResiduals,
     DensityFloorError,
     PhysicalParams,
+    _groups,
     _l2,
-    _norm_rows_for,
+    _norm_rows,
     constraint_residuals,
     make_initial_data,
     phi_iteration,
@@ -42,7 +43,6 @@ from .verify import (
     EnsembleSpec,
     RatioReport,
     band_safe_tuple,
-    make_grid,
     pressure_slope,
     smallness_experiment,
     verify_bernstein,
@@ -266,12 +266,7 @@ def cmd_norms(args) -> int:
         except ValueError as exc:
             print(f"error: bad norm spec {text!r}: {exc}", file=sys.stderr)
             return EXIT_USAGE
-    rows = []
-    for name, field in fields.items():
-        for spec in specs:
-            val = besov_norm(field, spec).value
-            rows.append({"time": 0.0, "norm_name": f"{name}:{spec.name}",
-                         "s": spec.s, "p": spec.p, "r": spec.r, "value": val})
+    rows = _norm_rows(fields, 0.0, [(name, spec) for name in fields for spec in specs])
     path = _make_out_dir(args.out) / "norms.csv" if args.out else None
     _write_csv(path, NORM_COLUMNS, rows)
     return EXIT_OK
@@ -295,7 +290,7 @@ def cmd_simulate(args, mode_override: str | None = None) -> int:
 
     snap_index = [0]
 
-    def on_save(t, state, s=None):
+    def on_save(t, state, s):
         name = f"snapshot_{snap_index[0]:06d}.bin"
         write_snapshot(out_dir / name, grid, state_samples(state, s))
         manifest.add(out_dir / name)
@@ -305,14 +300,14 @@ def cmd_simulate(args, mode_override: str | None = None) -> int:
     try:
         state0, compat = make_initial_data(ini["family"], float(ini["amplitude"]),
                                            seed, grid)
-        report["compatibility"] = vars(compat)
+        report["compatibility"] = compat.as_dict()
         if mode == "phi":
             phi = phi_iteration(state0, params, tg)
             norm_rows, residual_rows = [], []
             for t, st in zip(phi.times, phi.states):
                 s, ds = gradient_samples(grid, st.coeffs, with_samples=True)
                 on_save(t, st, s)
-                norm_rows += _norm_rows_for(st, float(t), norm_specs)
+                norm_rows += _norm_rows(_groups(st), float(t), norm_specs)
                 residual_rows.append({"time": t, **constraint_residuals(st, (s, ds)).as_dict()})
             rows = [{"outer_iter": i + 1, "distance": dist, **mon} for i, (dist, mon)
                     in enumerate(zip(phi.report.distances, phi.report.monitors))]
@@ -356,8 +351,8 @@ def _report_rows(reports: list[RatioReport]):
 
 def cmd_verify(args) -> int:
     seed = args.seed if args.seed is not None else 7
-    grid = _build("--grid-m", lambda: make_grid(2, args.grid_m))
-    wide_grid = make_grid(2, max(64, args.grid_m))
+    grid = _build("--grid-m", lambda: GridSpec(2, args.grid_m))
+    wide_grid = GridSpec(2, max(64, args.grid_m))
     ens = _build("--count", lambda: EnsembleSpec(count=args.count, seed=seed))
     text = args.alphas or "1e-3,3e-3,1e-2"
     alphas = _build("--alphas", lambda: [float(a) for a in text.split(",")])
@@ -394,8 +389,9 @@ def cmd_verify(args) -> int:
                     alphas, args.T, grid, PhysicalParams(mu=1.0),
                     dt=args.dt, seed=seed)
                 manifest.add(_write_csv(out_dir / "smallness.csv", SMALLNESS_COLUMNS, rows))
-                ok_rows = [r for r in rows if r.get("ok")]
-                ratios = [r["energy_over_alpha"] for r in ok_rows if r["alpha"] > 0]
+                failed = [f"smallness: alpha {r['alpha']:g} failed: {r['error']}"
+                          for r in rows if not r["ok"]]
+                ratios = [r["energy_over_alpha"] for r in rows if r["ok"] and r["alpha"] > 0]
                 spread_ok = bool(ratios) and max(ratios) <= 2.0 * min(ratios)
                 try:
                     slope = pressure_slope(rows)
@@ -406,7 +402,8 @@ def cmd_verify(args) -> int:
                                 "params": {"alphas": alphas, "T": args.T},
                                 "energy_ratio_spread_ok": spread_ok,
                                 "pressure_slope": slope,
-                                "stable": spread_ok and slope_ok})
+                                "stable": spread_ok and slope_ok and not failed})
+                hard_failures += failed
                 if not (spread_ok and slope_ok):
                     hard_failures.append("smallness criteria not met")
         except AssertionError as exc:

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .norms import NormSeries, norm_series
 from .spectral import (
     GridSpec,
     SpectralField,
@@ -168,14 +167,14 @@ def check_cfl(grid: GridSpec, dt: float, vmax: float):
         )
 
 
-def check_solenoidal(grid: GridSpec, velocity: np.ndarray, tol: float = 1e-10):
+def check_solenoidal(grid: GridSpec, velocity: np.ndarray):
     """Raise NonSolenoidalError unless the stacked velocity coefficients are
-    divergence-free to `tol` of their largest."""
+    divergence-free to 1e-10 of their largest."""
     div = stacked_divergence(grid, velocity)
     scale = max(np.max(np.abs(velocity)), 1e-300)
     defect = np.max(np.abs(div)) / scale
-    if defect > tol:
-        raise NonSolenoidalError(f"velocity divergence {defect:.3g} exceeds {tol}")
+    if defect > 1e-10:
+        raise NonSolenoidalError(f"velocity divergence {defect:.3g} exceeds 1e-10")
 
 
 def heat_decay(grid: GridSpec, mu: float, dt: float) -> np.ndarray:
@@ -221,13 +220,6 @@ class TrajectoryResult:
         """The trajectory as one field; its first axis is time."""
         return SpectralField(self.grid, self.coeffs)
 
-    @property
-    def final(self) -> SpectralField:
-        return SpectralField(self.grid, self.coeffs[-1])
-
-    def norm_series(self, p: float = 2.0) -> NormSeries:
-        return norm_series(self.times, self.states, p)
-
 
 def _trajectory(grid: GridSpec, y0: np.ndarray, step, tg: TimeGrid,
                 shape: tuple) -> TrajectoryResult:
@@ -238,7 +230,6 @@ def _trajectory(grid: GridSpec, y0: np.ndarray, step, tg: TimeGrid,
 
 
 def solve_transport(u0: SpectralField, velocity, forcing, tg: TimeGrid, *,
-                    solenoidal_tol: float = 1e-10,
                     check_divergence: bool = True) -> TrajectoryResult:
     """Advance du/dt + (v . grad) u = g pseudo-spectrally with RK4.
 
@@ -270,7 +261,7 @@ def solve_transport(u0: SpectralField, velocity, forcing, tg: TimeGrid, *,
             v_now, v_s = vel(t)
             check_cfl(grid, tg.dt, velocity_max(v_s))
             if check_divergence:
-                check_solenoidal(grid, v_now, solenoidal_tol)
+                check_solenoidal(grid, v_now)
         return _if_rk4_step(y, t, tg.dt, e_full, e_half, rhs)
 
     return _trajectory(grid, y0, step, tg, u0.coeffs.shape)
@@ -312,7 +303,7 @@ def solve_heat(u0: SpectralField, forcing, mu: float, tg: TimeGrid) -> Trajector
 @dataclass
 class EllipticResult:
     """The solution's potential plus the Richardson iteration record; `u`
-    and `flux` are coefficient arrays, `potential` and `gradient` fields."""
+    and `flux` are coefficient arrays, `gradient` a field."""
 
     grid: GridSpec
     u: np.ndarray  # the potential's coefficients
@@ -323,17 +314,8 @@ class EllipticResult:
     stagnated: bool = False  # stopped at the rounding floor below target
 
     @property
-    def potential(self) -> SpectralField:
-        return SpectralField(self.grid, self.u)
-
-    @property
     def gradient(self) -> SpectralField:
         return SpectralField(self.grid, stacked_gradient(self.grid, self.u))
-
-    @property
-    def contraction_factors(self) -> np.ndarray:
-        r = self.residuals
-        return r[1:] / np.where(r[:-1] > 0, r[:-1], 1.0)
 
 
 def solve_variable_poisson(a: SpectralField | np.ndarray, f: SpectralField | np.ndarray, *,
@@ -432,10 +414,10 @@ def solve_coupled(c0: SpectralField, d0: SpectralField, velocity, forcing_c, for
     dd/dt + v.grad d - mu Lap d - Lam c = g,  with Lam = (-Lap)^(1/2).
 
     `c0` and `d0` are fields of one shape; the result stacks c over d, so
-    `final[0]` is c and `final[1]` is d.  The skew pair (Lam d, -Lam c)
-    sits inside the Runge-Kutta stages; diffusion on d uses the exact
-    integrating factor, so with v = 0 and zero forcing each mode follows
-    the 2x2 linear system exactly up to RK4 truncation of the skew
+    `states[-1][0]` is c and `states[-1][1]` is d.  The skew pair
+    (Lam d, -Lam c) sits inside the Runge-Kutta stages; diffusion on d uses
+    the exact integrating factor, so with v = 0 and zero forcing each mode
+    follows the 2x2 linear system exactly up to RK4 truncation of the skew
     rotation.  Callables of t are evaluated once per distinct stage time,
     as in `solve_transport`.
     """

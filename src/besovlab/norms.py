@@ -165,9 +165,7 @@ class NormBreakdown:
     """A dyadic-sum norm with its per-band terms and truncation report."""
 
     value: float
-    qs: np.ndarray
     block_lp: np.ndarray
-    weighted: np.ndarray
     outside_energy_fraction: float
     truncation_flag: bool  # > 1% of L2 energy beyond the retained band
 
@@ -186,8 +184,7 @@ def besov_norm(u: SpectralField, spec: BesovSpec | HybridSpec) -> NormBreakdown:
     total = float(energy[1:].sum())
     outside = float(energy[_parseval(grid.dim, grid.points_per_axis)[1]].sum())
     frac = outside / total if total else 0.0
-    return NormBreakdown(float(_band_sum(spec, blocks)), np.arange(blocks.size), blocks,
-                         spec.weights(blocks.size) * blocks, frac, frac > 0.01)
+    return NormBreakdown(float(_band_sum(spec, blocks)), blocks, frac, frac > 0.01)
 
 
 def ensemble_norms(grid: GridSpec, coeffs: np.ndarray, *specs) -> np.ndarray:
@@ -229,10 +226,6 @@ class NormSeries:
             raise ValueError("times must be strictly increasing")
         if np.any(self.values < 0):
             raise ValueError("per-band norms must be nonnegative")
-
-    @property
-    def n_bands(self) -> int:
-        return self.values.shape[1]
 
     def besov_at(self, i: int, spec: BesovSpec) -> float:
         _check_series_p(self, spec)

@@ -114,11 +114,11 @@ class FluidState:
     *grid.coeff_shape) of (sigma, v, h), plus the diagnostic pressure
     gradient (n, *grid).
 
-    `sigma`, `velocity` (n, *grid), `h` (n, n, *grid) and `h_flat()`
-    (n^2, *grid) are fields viewing `coeffs`: writing into their `.coeffs`
-    writes the state.  Assigning whole fields (`st.sigma = f`,
-    `st.velocity = v`, `st.h = h`) copies them in; a field supports no
-    item assignment, so `st.h[i][j] = f` raises."""
+    `sigma`, `velocity` (n, *grid) and `h` (n, n, *grid) are fields viewing
+    `coeffs`: writing into their `.coeffs` writes the state.  Assigning
+    whole fields (`st.sigma = f`, `st.velocity = v`, `st.h = h`) copies
+    them in; a field supports no item assignment, so `st.h[i][j] = f`
+    raises."""
 
     grid: GridSpec
     coeffs: np.ndarray
@@ -155,9 +155,6 @@ class FluidState:
     @h.setter
     def h(self, field: SpectralField):
         _split(self.grid, self.coeffs)[2][...] = field.coeffs
-
-    def h_flat(self) -> SpectralField:
-        return SpectralField(self.grid, self.coeffs[1 + self.grid.dim:])
 
 
 def zero_state(grid: GridSpec) -> FluidState:
@@ -240,15 +237,6 @@ def _weighted_div(grid: GridSpec, rho, flux) -> np.ndarray:
 # -- initial data -------------------------------------------------------------
 
 
-@dataclass
-class CompatibilityReport:
-    """L2 residuals of the three initial-data constraints."""
-
-    div_velocity: float
-    weighted_div: float      # || d_j(rho0 U0^{ji}) ||_L2 summed over i
-    deformation_identity: float  # the quadratic compatibility of U0
-
-
 def _l2(coeffs: np.ndarray, grid: GridSpec) -> float:
     """L2 norm of the real fields with stacked coefficients `coeffs`: the
     Parseval `energy` for the unit-amplitude convention."""
@@ -276,10 +264,9 @@ def deformation_identity_residual(h: SpectralField) -> SpectralField:
     return SpectralField(grid, _identity_residual(grid, h.coeffs, h_s, dh_s))
 
 
-def make_initial_data(family: str, amplitude: float, seed: int, grid: GridSpec, *,
-                      h_amplitude: float | None = None,
-                      band_radius: float | None = None):
-    """Draw compatible initial data; returns (state, CompatibilityReport).
+def make_initial_data(family: str, amplitude: float, seed: int, grid: GridSpec):
+    """Draw compatible initial data, supported in the radius the dyadic
+    ladder fully covers; returns (state, its `constraint_residuals`).
 
     family "exact_gradient": sigma0 = 0, v0 a solenoidal random field,
     h0 = grad w with w a solenoidal random potential.  The solenoidal and
@@ -295,29 +282,20 @@ def make_initial_data(family: str, amplitude: float, seed: int, grid: GridSpec, 
         raise ValueError("amplitude must be nonnegative")
     if family not in ("exact_gradient", "general"):
         raise ValueError(f"unknown family {family!r}")
-    h_amp = amplitude if h_amplitude is None else h_amplitude
-    if family == "general" and amplitude > 0 and h_amp == 0:
-        raise ValueError(
-            "non-constant sigma0 with h0 = 0 cannot satisfy the weighted-"
-            "divergence constraint; provide a nonzero h amplitude"
-        )
     rng = np.random.default_rng(seed)
-    radius = band_radius if band_radius is not None else retained_radius(grid)
+    radius = retained_radius(grid)
 
     state = zero_state(grid)
     sigma, vel, h = _split(grid, state.coeffs)
     if amplitude > 0:
         vel[...] = amplitude * randfields.random_solenoidal(grid, rng, radius=radius).coeffs
-        if h_amp > 0:
-            w = randfields.random_solenoidal(grid, rng, radius=radius)
-            h[...] = h_amp * stacked_gradient(grid, w.coeffs)
+        w = randfields.random_solenoidal(grid, rng, radius=radius)
+        h[...] = amplitude * stacked_gradient(grid, w.coeffs)
         if family == "general":
             sigma[...] = amplitude * randfields.random_scalar(grid, rng, radius=radius).coeffs
             _restore_weighted_div(state)
 
-    res = constraint_residuals(state)
-    return state, CompatibilityReport(res.div_velocity, res.weighted_div,
-                                      res.deformation_identity)
+    return state, constraint_residuals(state)
 
 
 def _restore_weighted_div(state: FluidState):
@@ -341,7 +319,6 @@ PRESSURE_TOL = 1e-11
 
 
 def compute_pressure(grid: GridSpec, sig_s: np.ndarray, g: np.ndarray, *,
-                     tol: float = PRESSURE_TOL,
                      warm_start: SpectralField | np.ndarray | None = None
                      ) -> EllipticResult:
     """Solve div((sigma+1) grad P) = div G for the pressure P, from the
@@ -350,7 +327,7 @@ def compute_pressure(grid: GridSpec, sig_s: np.ndarray, g: np.ndarray, *,
     and its positivity check; the result's `gradient` is grad P and its
     `flux` is (sigma + 1) grad P, the flux of the solve's last residual."""
     return solve_variable_poisson(sig_s + 1.0, -stacked_divergence(grid, g),
-                                  tol=tol, warm_start=warm_start)
+                                  tol=PRESSURE_TOL, warm_start=warm_start)
 
 
 # -- the IF-RK4 steppers -----------------------------------------------------------
@@ -509,10 +486,6 @@ class RunResult:
     residual_rows: list[dict]
     norm_rows: list[dict] = field(default_factory=list)
 
-    @property
-    def final(self) -> FluidState:
-        return self.states[-1]
-
 
 def _groups(state: FluidState) -> dict[str, SpectralField]:
     """The fields the norms read, by name; grad_p is zero when the state
@@ -521,7 +494,7 @@ def _groups(state: FluidState) -> dict[str, SpectralField]:
     if grad_p is None:
         grad_p = SpectralField(state.grid, np.zeros((state.grid.dim,) + state.grid.coeff_shape,
                                                     complex))
-    return {"sigma": state.sigma, "velocity": state.velocity, "h": state.h_flat(),
+    return {"sigma": state.sigma, "velocity": state.velocity, "h": state.h,
             "grad_p": grad_p}
 
 
@@ -530,10 +503,11 @@ def _record_series(times, states: list[FluidState]) -> dict[str, NormSeries]:
     return {name: norm_series(times, [g[name] for g in groups]) for name in groups[0]}
 
 
-def _norm_rows_for(state: FluidState, t: float, norm_specs) -> list[dict]:
-    groups = _groups(state)
+def _norm_rows(fields: dict[str, SpectralField], t: float, norm_specs) -> list[dict]:
+    """The `norms.csv` rows at time t: one per (name, spec) of `norm_specs`,
+    the spec's norm of fields[name]."""
     return [{"time": t, "norm_name": f"{name}:{spec.name}", "s": spec.s, "p": spec.p,
-             "r": spec.r, "value": besov_norm(groups[name], spec).value}
+             "r": spec.r, "value": besov_norm(fields[name], spec).value}
             for name, spec in norm_specs]
 
 
@@ -554,7 +528,7 @@ def _run(stepper: _Stepper, arr: np.ndarray, tg: TimeGrid, norm_specs,
         res = constraint_residuals(st, (s, ds))
         if on_save is not None:
             on_save(t, st, s)
-        return st, {"time": t, **res.as_dict()}, _norm_rows_for(st, t, norm_specs)
+        return st, {"time": t, **res.as_dict()}, _norm_rows(_groups(st), t, norm_specs)
 
     times, saved = integrate(arr, stepper.step, tg, save)
     states = [st for st, _, _ in saved]
@@ -666,10 +640,6 @@ class PhiResult:
     report: PhiReport
     series: dict[str, NormSeries]
 
-    @property
-    def final(self) -> FluidState:
-        return self.states[-1]
-
 
 class _TrajectoryInterpolant:
     """Linear-in-time interpolation of stacked coefficient snapshots (of
@@ -751,7 +721,7 @@ def _trajectory_distance(a: np.ndarray, b: np.ndarray, grid: GridSpec,
     for it in tg.save_steps():
         diff = FluidState(grid, a[it] - b[it])
         d = besov_norm(diff.sigma, spec_s).value + besov_norm(diff.velocity, spec_sm1).value \
-            + besov_norm(diff.h_flat(), spec_s).value
+            + besov_norm(diff.h, spec_s).value
         worst = max(worst, d)
     return worst
 

@@ -10,7 +10,7 @@ band-0 shell.  The zero mode (mean) is excluded from every band and
 tracked separately.
 
 The partition is fixed: every band multiplier, hence every dyadic norm,
-comes from `default_profile()`.  Band weights and summation exponents
+comes from `profile`.  Band weights and summation exponents
 live on the norm specs in `norms`.
 """
 
@@ -41,48 +41,41 @@ def _smooth_step(t: np.ndarray) -> np.ndarray:
     return out
 
 
-class PartitionProfile:
-    """Radial bump phi with sum_{q in Z} phi(2^-q rho) = 1 for rho > 0.
+def _raw(rho: np.ndarray) -> np.ndarray:
+    """The unnormalized bump: a plateau on [1, 2] with smooth edges down to
+    the shell bounds."""
+    rising = _smooth_step((rho - SHELL_LO) / (1.0 - SHELL_LO))
+    falling = _smooth_step((SHELL_HI - rho) / (SHELL_HI - 2.0))
+    return rising * falling
 
-    Built as a mollified plateau on [1, 2] with smooth edges down to the
-    shell bounds, then normalized pointwise by its own dyadic sum; the
-    sum is invariant under rho -> 2 rho, so the partition identity holds
-    to machine precision by construction.
-    """
 
-    def _raw(self, rho: np.ndarray) -> np.ndarray:
-        rho = np.asarray(rho, dtype=np.float64)
-        rising = _smooth_step((rho - SHELL_LO) / (1.0 - SHELL_LO))
-        falling = _smooth_step((SHELL_HI - rho) / (SHELL_HI - 2.0))
-        return rising * falling
-
-    def _dyadic_sum(self, rho: np.ndarray) -> np.ndarray:
-        rho = np.asarray(rho, dtype=np.float64)
-        out = np.zeros_like(rho)
-        pos = rho > 0.0
-        if not np.any(pos):
-            return out
-        r = rho[pos]
-        base = np.floor(np.log2(r)).astype(np.int64)
-        acc = np.zeros_like(r)
-        for off in (-2, -1, 0, 1, 2):
-            acc += self._raw(r * np.exp2(-(base + off)))
-        out[pos] = acc
+def _dyadic_sum(rho: np.ndarray) -> np.ndarray:
+    """sum over q of `_raw`(2^-q rho), zero at rho = 0."""
+    out = np.zeros_like(rho)
+    pos = rho > 0.0
+    if not np.any(pos):
         return out
-
-    def value(self, rho) -> np.ndarray:
-        """phi(rho); zero at rho = 0 and outside the shell."""
-        rho = np.asarray(rho, dtype=np.float64)
-        raw = self._raw(rho)
-        denom = self._dyadic_sum(rho)
-        return np.where(raw > 0.0, raw / np.where(denom > 0.0, denom, 1.0), 0.0)
-
-
-_DEFAULT_PROFILE = PartitionProfile()
+    r = rho[pos]
+    base = np.floor(np.log2(r)).astype(np.int64)
+    acc = np.zeros_like(r)
+    for off in (-2, -1, 0, 1, 2):
+        acc += _raw(r * np.exp2(-(base + off)))
+    out[pos] = acc
+    return out
 
 
-def default_profile() -> PartitionProfile:
-    return _DEFAULT_PROFILE
+def profile(rho) -> np.ndarray:
+    """The radial bump phi(rho), with sum_{q in Z} phi(2^-q rho) = 1 for
+    rho > 0; zero at rho = 0 and outside the shell.
+
+    The bump is normalized pointwise by its own dyadic sum; the sum is
+    invariant under rho -> 2 rho, so the partition identity holds to
+    machine precision by construction.
+    """
+    rho = np.asarray(rho, dtype=np.float64)
+    raw = _raw(rho)
+    denom = _dyadic_sum(rho)
+    return np.where(raw > 0.0, raw / np.where(denom > 0.0, denom, 1.0), 0.0)
 
 
 def block_multipliers(grid: GridSpec) -> np.ndarray:
@@ -102,10 +95,10 @@ def _block_multipliers(dim: int, m: int) -> np.ndarray:
     nq = grid.q_max + 1
     stack = np.zeros((nq,) + grid.coeff_shape)
     for q in range(1, nq):
-        stack[q] = _DEFAULT_PROFILE.value(np.exp2(-q) * kmag)
+        stack[q] = profile(np.exp2(-q) * kmag)
     low = np.zeros(grid.coeff_shape)
     for j in range(0, 4):  # phi(2^j rho) vanishes for rho >= 1 once 2^j > 8/3
-        low += _DEFAULT_PROFILE.value(np.exp2(j) * kmag)
+        low += profile(np.exp2(j) * kmag)
     stack[0] = low
     return stack
 

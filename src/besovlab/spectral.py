@@ -175,16 +175,6 @@ class SpectralField:
     def mean(self) -> float:
         return float(self.coeffs[(0,) * self.grid.dim].real)
 
-    def hermitian_defect(self) -> float:
-        """Max |c(-k) - conj(c(k))| relative to the largest coefficient, on
-        the k_last = 0 and M/2 planes: no other mode can break the symmetry,
-        since each determines its own -k."""
-        scale = np.max(np.abs(self.coeffs))
-        if scale == 0.0:
-            return 0.0
-        planes, at_minus_k = _planes(self.grid, self.coeffs)
-        return float(np.max(np.abs(at_minus_k.conj() - planes)) / scale)
-
     # -- arithmetic -----------------------------------------------------
     def _check(self, other: "SpectralField"):
         if other.grid != self.grid:
@@ -247,10 +237,6 @@ def energy(coeffs: np.ndarray, axis=None):
 
 
 # -- transforms -------------------------------------------------------------
-
-
-def make_grid(dim: int, points_per_axis: int) -> GridSpec:
-    return GridSpec(dim, points_per_axis)
 
 
 def forward_transform(grid: GridSpec, samples: np.ndarray) -> SpectralField:

@@ -39,7 +39,6 @@ from .spectral import (
     dealiased,
     gradient,
     grid_wavenumbers,
-    make_grid,
     product,
     rescale,
     samples,
@@ -132,7 +131,7 @@ def verify_bernstein(spec: BesovSpec, ensemble: EnsembleSpec,
     at s.  For p = 2 every mode in band q carries |k| in the band shell,
     so the ratio lies in [3/4, 8/3] exactly; asserted for p = 2.
     """
-    grid = grid or make_grid(2, 32)
+    grid = grid or GridSpec(2, 32)
     hard = (spec.p == 2.0) if hard is None else hard
     lo = BesovSpec(spec.s - 1.0, spec.p, spec.r)
     ratios = []
@@ -156,16 +155,13 @@ def verify_bernstein(spec: BesovSpec, ensemble: EnsembleSpec,
 # -- product laws ----------------------------------------------------------------
 
 
-def _check_product_indices(s1: float, s2: float, p: float, n: int, strict: bool):
+def _check_product_indices(s1: float, s2: float, p: float, n: int):
     npp = n / p
     if s1 > npp + 1e-12 or s2 > npp + 1e-12:
         raise ValueError(f"product law needs s1, s2 <= N/p = {npp}")
     floor = n * max(0.0, 2.0 / p - 1.0)
-    total = s1 + s2
-    if strict and not total > floor:
+    if not s1 + s2 > floor:
         raise ValueError(f"product law needs s1 + s2 > {floor}")
-    if not strict and not total >= floor:
-        raise ValueError(f"product law needs s1 + s2 >= {floor}")
 
 
 def verify_product_laws(s1: float, s2: float, p: float, ensemble: EnsembleSpec,
@@ -175,9 +171,9 @@ def verify_product_laws(s1: float, s2: float, p: float, ensemble: EnsembleSpec,
     time envelopes, for which the mixed-exponent time norms factor).
     Each pair's product and norms are formed once and read by all four
     reports."""
-    grid = grid or make_grid(2, 64)
+    grid = grid or GridSpec(2, 64)
     n = grid.dim
-    _check_product_indices(s1, s2, p, n, strict=True)
+    _check_product_indices(s1, s2, p, n)
     s12 = s1 + s2 - n / p
     radius = ensemble.radius if ensemble.radius is not None \
         else retained_radius(grid) / 2.0
@@ -228,7 +224,7 @@ def verify_log_interpolation(ensemble: EnsembleSpec, s: float, eps: float,
     from r=inf norms at s and s -/+ eps."""
     if not 0 < eps <= 1:
         raise ValueError("eps must lie in (0, 1]")
-    grid = grid or make_grid(2, 64)
+    grid = grid or GridSpec(2, 64)
     specs = [BesovSpec(s, p, INF), BesovSpec(s, p, 1.0), BesovSpec(s - eps, p, INF),
              BesovSpec(s + eps, p, INF)]
     ratios = []
@@ -278,7 +274,7 @@ def verify_commutator(ensemble: EnsembleSpec, s: float, t: float, p: float = 2.0
     normalized by ||grad A|| ||grad B|| is summed over q; the ensemble
     maximum of the sum is the recorded constant.
     """
-    grid = grid or make_grid(2, 64)
+    grid = grid or GridSpec(2, 64)
     n = grid.dim
     npp = n / p
     if not (t <= npp + 1.0 + 1e-12 and 1.0 <= s <= npp + 1.0 + 1e-12 and s + t > 1.0):
@@ -322,18 +318,19 @@ def band_safe_tuple(grid: GridSpec, seed: int, m: int = 1):
     return sigma, velocity, h
 
 
-def verify_scaling(sigma, velocity, h, m: int, p: float = 2.0, *,
-                   tol: float = 1e-10) -> dict:
-    """Assert invariance of the critical norms under the dyadic rescaling.
+def verify_scaling(sigma, velocity, h, m: int, *, tol: float = 1e-10) -> dict:
+    """Assert invariance of the critical norms under the dyadic rescaling,
+    with L^2 block norms (p = 2), the one exponent where it is exact.
 
     The transformation dilates x by l = 2^m and multiplies amplitudes by
     the covariance prefactors (1 for sigma and h, l for v) times the
     fixed-measure torus factor l^{-N/p}, which on the whole space is
     supplied by the Lebesgue measure.  Critical norms (s = N/p for sigma
-    and h, N/p - 1 for v) are then preserved exactly for p = 2.
+    and h, N/p - 1 for v) are then preserved.
     """
     grid = sigma.grid
     n = grid.dim
+    p = 2.0
     l = 2.0 ** m
     measure = l ** (-n / p)
     spec_crit = BesovSpec(n / p, p, 1.0)
@@ -375,7 +372,7 @@ def initial_hybrid_size(state, mu: float, s: float) -> float:
     hyb = HybridSpec(s, INF, mu)
     return (besov_norm(state.sigma, hyb).value
             + besov_norm(state.velocity, BesovSpec(s - 1.0)).value
-            + besov_norm(state.h_flat(), hyb).value)
+            + besov_norm(state.h, hyb).value)
 
 
 # the keys of a `smallness_experiment` row; the row of a failed run lacks
@@ -386,17 +383,15 @@ SMALLNESS_COLUMNS = ["alpha", "initial_norm", "energy_aggregate", "pressure_l1",
 
 def smallness_experiment(alpha_list, T: float, grid: GridSpec,
                          params: PhysicalParams, *, dt: float = 0.01,
-                         save_stride: int = 10, seed: int = 11,
-                         family: str = "exact_gradient",
-                         bisect_rtol: float = 0.01) -> list[dict]:
+                         save_stride: int = 10, seed: int = 11) -> list[dict]:
     """For each target size alpha, build compatible data whose initial
     hybrid norm equals alpha (amplitude bisection to 1%), run to T, and
     record the energy-aggregate/alpha ratio and the pressure/alpha^2
     ratio.
 
-    Run failures are recorded per row, not raised.  The default family
-    keeps sigma0 = 0, for which the pressure source is genuinely
-    quadratic in the data size.
+    Run failures are recorded per row, not raised.  The data are of the
+    "exact_gradient" family, whose sigma0 = 0 makes the pressure source
+    genuinely quadratic in the data size.
     """
     s = grid.dim / 2.0
     rows = []
@@ -404,10 +399,9 @@ def smallness_experiment(alpha_list, T: float, grid: GridSpec,
         row: dict = {"alpha": alpha}
         try:
             if alpha == 0.0:
-                state = make_initial_data(family, 0.0, seed, grid)[0]
+                state = make_initial_data("exact_gradient", 0.0, seed, grid)[0]
             else:
-                state = _bisect_amplitude(alpha, family, seed, grid, params.mu, s,
-                                          rtol=bisect_rtol)
+                state = _bisect_amplitude(alpha, seed, grid, params.mu, s)
             achieved = initial_hybrid_size(state, params.mu, s)
             row["initial_norm"] = achieved
             result = run(state, params, TimeGrid(T, dt, save_stride))
@@ -426,10 +420,9 @@ def smallness_experiment(alpha_list, T: float, grid: GridSpec,
     return rows
 
 
-def _bisect_amplitude(alpha: float, family: str, seed: int, grid: GridSpec,
-                      mu: float, s: float, rtol: float):
+def _bisect_amplitude(alpha: float, seed: int, grid: GridSpec, mu: float, s: float):
     def size(amp):
-        st = make_initial_data(family, amp, seed, grid)[0]
+        st = make_initial_data("exact_gradient", amp, seed, grid)[0]
         return st, initial_hybrid_size(st, mu, s)
 
     amp = alpha
@@ -439,7 +432,7 @@ def _bisect_amplitude(alpha: float, family: str, seed: int, grid: GridSpec,
     lo, hi = 0.5 * amp, 2.0 * amp
     st, val = size(amp)
     for _ in range(60):
-        if abs(val - alpha) <= rtol * alpha:
+        if abs(val - alpha) <= 0.01 * alpha:
             return st
         if val < alpha:
             lo = amp

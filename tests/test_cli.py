@@ -14,7 +14,7 @@ from besovlab.linsolve import TimeGrid
 from besovlab.norms import BesovSpec, besov_norm
 from besovlab.oldroyd import PhysicalParams, make_initial_data, run
 from besovlab.snapshots import read_snapshot, write_snapshot
-from besovlab.spectral import inverse_transform, make_grid
+from besovlab.spectral import GridSpec, inverse_transform
 from besovlab.verify import SMALLNESS_COLUMNS
 
 from conftest import field_of
@@ -57,7 +57,7 @@ class TestNormsCommand:
 
     @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
     def test_non_finite_sample_exit_2(self, tmp_path, capsys, value):
-        grid = make_grid(2, 16)
+        grid = GridSpec(2, 16)
         bad = np.zeros(grid.shape)
         bad[3, 5] = value
         path = tmp_path / "bad.bin"
@@ -71,7 +71,7 @@ class TestNormsCommand:
         assert main(["norms", str(bad)]) == 2
 
     def test_zero_snapshot(self, tmp_path, capsys):
-        grid = make_grid(2, 16)
+        grid = GridSpec(2, 16)
         f = field_of(grid, lambda x, y: 0.0 * x)
         path = tmp_path / "zero.bin"
         write_snapshot(path, grid, {"u": f})
@@ -80,7 +80,7 @@ class TestNormsCommand:
         assert float(rows[0]["value"]) == 0.0
 
     def test_matches_library_bitwise(self, tmp_path, capsys):
-        grid = make_grid(2, 32)
+        grid = GridSpec(2, 32)
         f = field_of(grid, lambda x, y: np.cos(x))
         path = tmp_path / "cos.bin"
         write_snapshot(path, grid, {"u": f})
@@ -100,7 +100,7 @@ class TestNormsCommand:
         assert_one_line_error(capsys)
 
     def test_bad_spec_exit_2(self, tmp_path, capsys):
-        grid = make_grid(2, 16)
+        grid = GridSpec(2, 16)
         f = field_of(grid, lambda x, y: 0.0 * x)
         path = tmp_path / "zero.bin"
         write_snapshot(path, grid, {"u": f})
@@ -114,7 +114,7 @@ class TestNormsCommand:
 
     def test_negative_s_as_separate_token(self, tmp_path, capsys):
         """`--spec -1:2:1` reads -1:2:1 as the spec, not as an option."""
-        grid = make_grid(2, 16)
+        grid = GridSpec(2, 16)
         path = tmp_path / "cos.bin"
         write_snapshot(path, grid, {"u": field_of(grid, lambda x, y: np.cos(x + 2 * y))})
         for spec in ("-1:2:1", "-0.5:2:inf"):
@@ -336,7 +336,7 @@ class TestSimulateCommand:
 
     def test_coupled_density_floor_exit_3(self, tmp_path):
         # same data as the run below: the floor sits above min(1 + sigma0)
-        st, _ = make_initial_data("general", 0.2, 5, make_grid(2, 16))
+        st, _ = make_initial_data("general", 0.2, 5, GridSpec(2, 16))
         floor = float(inverse_transform(st.sigma).min()) + 1.0 + 0.01
         cfg = base_config(
             tmp_path,
@@ -360,7 +360,7 @@ class TestSimulateCommand:
         check its own first stage makes, the save's (stride 2) or the next
         step's (stride 3), before any output of it: the partial outputs are
         the files of a run that ends at the last save before it."""
-        grid = make_grid(2, 16)
+        grid = GridSpec(2, 16)
         initial = {"family": "general", "amplitude": 0.5, "seed": 10}
         st, _ = make_initial_data("general", 0.5, 10, grid)
         every = run(st, PhysicalParams(), TimeGrid(0.05, 0.01, save_stride=1))
@@ -490,14 +490,22 @@ class TestVerifyCommand:
                      "--dt", "0.01", "--out", str(tmp_path / "v")])
         assert code == 1
 
-    def test_smallness_columns_fixed(self, tmp_path):
+    def test_smallness_columns_fixed(self, tmp_path, capsys):
         """A failed run, first or last, neither drops the other rows' columns
-        nor loses its own error text."""
+        nor loses its own error text, and it is a hard failure (exit 1) that
+        names its alpha and error, with the verdict `stable` false."""
         headers = []
         for alphas in ("5000,1e-3,2e-3", "1e-3,2e-3,5000"):
             out = tmp_path / alphas
-            main(["smallness", "--alphas", alphas, "--T", "0.5", "--dt", "0.01",
-                  "--grid-m", "16", "--out", str(out)])
+            assert main(["smallness", "--alphas", alphas, "--T", "0.5", "--dt", "0.01",
+                         "--grid-m", "16", "--out", str(out)]) == 1
+            err = capsys.readouterr().err
+            assert "smallness: alpha 5000 failed: CflViolationError: CFL number" in err
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["hard_failures"][0].startswith(
+                "smallness: alpha 5000 failed: CflViolationError: CFL number")
+            summary, = json.loads((out / "summary.json").read_text())
+            assert summary["stable"] is False
             lines = (out / "smallness.csv").read_text().splitlines()
             headers.append(lines[0])
             rows = {r["alpha"]: r for r in csv.DictReader(lines)}

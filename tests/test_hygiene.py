@@ -1,12 +1,16 @@
 """Source hygiene: every name a module imports is used in it, and every
-public name the package defines has a caller.
+public name and class member the package defines has a caller.
 
 AST scans, so no linter is needed: a name bound by `import` or
 `from ... import` counts as used when it appears as a name anywhere in the
 same file (an attribute chain `np.fft.rfft` uses `np`).  Package
 `__init__.py` files are left out, since re-exporting is their purpose.  A
 top-level public function or class of `src/besovlab` has a caller when some
-package module loads it by name or attribute, or `__init__.py` exports it.
+package module loads it by name or attribute, or `__init__.py` exports it.  A
+public method or property of a class there has a caller when some package
+module loads an attribute of its name.  Both scans go by name alone, so a
+member that shares its name with a loaded attribute of anything else (such
+as `GridSpec.meshgrid` and `np.meshgrid`) counts as called.
 """
 
 import ast
@@ -70,6 +74,33 @@ def test_no_public_name_without_a_caller():
     sources = {p.stem: p.read_text() for p in package.glob("*.py") if p.name != "__init__.py"}
     uncalled = uncalled_public_names(sources, (package / "__init__.py").read_text())
     assert not uncalled, "public names nothing calls or exports: " + ", ".join(uncalled)
+
+
+def unread_members(sources: dict[str, str]) -> list[str]:
+    """`Class.name` of each public method or property of a class in `sources`
+    (module name -> source) that no source loads as an attribute."""
+    trees = [ast.parse(source) for source in sources.values()]
+    loaded = {node.attr for tree in trees for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return sorted({f"{cls.name}.{node.name}" for tree in trees for cls in ast.walk(tree)
+                   if isinstance(cls, ast.ClassDef) for node in cls.body
+                   if isinstance(node, ast.FunctionDef)
+                   and not node.name.startswith("_") and node.name not in loaded})
+
+
+def test_scan_sees_unread_members():
+    sources = {"a": "class A:\n    def used(self): pass\n    def spare(self): pass\n"
+                    "    @property\n    def view(self): pass\n"
+                    "    @view.setter\n    def view(self, v): pass\n"
+                    "    def __len__(self): return 0\n    def _helper(self): pass\n",
+               "b": "from .a import A\nA().used()\nA().view = 1\n"}
+    assert unread_members(sources) == ["A.spare", "A.view"]
+
+
+def test_no_class_member_without_a_caller():
+    sources = {p.stem: p.read_text() for p in (ROOT / "src" / "besovlab").glob("*.py")}
+    unread = unread_members(sources)
+    assert not unread, "class members no module reads: " + ", ".join(unread)
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))

@@ -12,7 +12,7 @@ from besovlab.linsolve import (
     solve_transport,
     solve_variable_poisson,
 )
-from besovlab.norms import BesovSpec
+from besovlab.norms import INF, BesovSpec, besov_norm, block_lp, norm_series
 from besovlab.oldroyd import (
     AdmissibleSetSpec,
     DensityFloorError,
@@ -37,6 +37,7 @@ from besovlab.oldroyd import (
 )
 from besovlab.randfields import random_scalar, random_solenoidal
 from besovlab.spectral import (
+    GridSpec,
     GridError,
     SpectralField,
     advect,
@@ -50,7 +51,6 @@ from besovlab.spectral import (
     inverse_transform,
     lambda_power,
     leray_project,
-    make_grid,
     product,
     samples,
     stacked_divergence,
@@ -80,7 +80,7 @@ class TestFluidState:
     def test_full_layout_rejected(self, dim, m, half):
         """Coefficients over every mode k, shape (..., M, ..., M), are not a
         field: the error names the k_last >= 0 half it expects."""
-        grid = make_grid(dim, m)
+        grid = GridSpec(dim, m)
         full = (2,) + grid.shape
         with pytest.raises(GridError, match=re.escape(half)):
             SpectralField(grid, np.zeros(full, dtype=complex))
@@ -99,6 +99,21 @@ class TestFluidState:
         with pytest.raises(TypeError):
             st.h[0][0] = zero_field(grid2_32)
 
+    @pytest.mark.parametrize("dim, m", [(2, 32), (3, 16)], ids=["2d", "3d"])
+    @pytest.mark.parametrize("p", [1.0, 2.0, INF], ids=["p1", "p2", "pinf"])
+    def test_h_norms_match_the_flat_rows(self, dim, m, p):
+        """The norms of `st.h` (n, n, *grid) are those of the same rows as one
+        (n^2, *grid) stack, bitwise: the components combine in one order."""
+        grid = GridSpec(dim, m)
+        st, _ = make_initial_data("general", 0.05, 5, grid)
+        flat = SpectralField(grid, st.coeffs[1 + dim:])
+        spec = BesovSpec(dim / 2.0, p, 1.0)
+        assert besov_norm(st.h, spec).value == besov_norm(flat, spec).value
+        assert np.array_equal(block_lp(st.h, p), block_lp(flat, p))
+        times = [0.0, 1.0]
+        assert np.array_equal(norm_series(times, [st.h, 2.0 * st.h], p).values,
+                              norm_series(times, [flat, 2.0 * flat], p).values)
+
     @pytest.mark.parametrize("evolve", [
         lambda st, tg: run(st, PARAMS, tg),
         lambda st, tg: phi_iteration(st, PARAMS, tg, max_outer=1, tol=1.0),
@@ -109,7 +124,7 @@ class TestFluidState:
         res = evolve(st, TimeGrid(0.02, 5e-3, save_stride=2))
         assert np.array_equal(st.coeffs, before)
         assert not any(np.shares_memory(s.coeffs, st.coeffs) for s in res.states)
-        assert not np.array_equal(res.final.coeffs, before)
+        assert not np.array_equal(res.states[-1].coeffs, before)
 
 
 class TestInitialData:
@@ -137,21 +152,17 @@ class TestInitialData:
         assert rep.div_velocity <= 1e-12
         assert rep.weighted_div <= 1e-10
 
-    def test_rejects_sigma_without_h(self, grid2_32):
-        with pytest.raises(ValueError):
-            make_initial_data("general", 1e-2, 3, grid2_32, h_amplitude=0.0)
-
     def test_unknown_family(self, grid2_32):
         with pytest.raises(ValueError):
             make_initial_data("other", 1e-2, 3, grid2_32)
 
 
-def forcing_and_pressure(st, **kwargs):
+def forcing_and_pressure(st):
     """The momentum forcing G of a state (stacked) and its pressure solve."""
     n = st.grid.dim
     terms, s, _ = momentum_forcing(st.grid, st.coeffs, PARAMS.mu)
-    return (terms[1:1 + n],
-            compute_pressure(st.grid, s[0], terms[1:1 + n], **kwargs))
+    g = terms[1:1 + n]
+    return g, compute_pressure(st.grid, s[0], g)
 
 
 class TestPressure:
@@ -163,7 +174,7 @@ class TestPressure:
         # sigma = 0 reduces to P = inv-Lap div G, i.e. grad P is the
         # multiplier -grad Lam^{-2} applied to div G
         st, _ = make_initial_data("exact_gradient", 1e-2, 5, grid2_32)
-        g, res = forcing_and_pressure(st, tol=1e-13)
+        g, res = forcing_and_pressure(st)
         grad = res.gradient
         div_g = divergence(SpectralField(grid2_32, g))
         explicit = [-1.0 * derivative(lambda_power(div_g, -2.0), ax)
@@ -174,7 +185,7 @@ class TestPressure:
 
     def test_manufactured_residual(self, grid2_32):
         st, _ = make_initial_data("general", 5e-2, 7, grid2_32)
-        g, res = forcing_and_pressure(st, tol=1e-12)
+        g, res = forcing_and_pressure(st)
         div_g = divergence(SpectralField(grid2_32, g))
         fnorm = full_spectrum_norm(div_g)
         assert res.residuals[-1] <= 1e-10 * fnorm
@@ -217,16 +228,17 @@ class TestStep:
 
         rng = np.random.default_rng(11)
         vel = 0.05 * random_solenoidal(grid2_32, rng)
-        means_h = [f.mean for f in st.h_flat()]
-        res = solve_transport(st.h_flat(), vel, None, TimeGrid(1.0, 5e-3))
-        for f, m in zip(res.final, means_h):
+        h_rows = SpectralField(grid2_32, st.coeffs[3:])  # h^{00}, h^{01}, ...
+        means_h = [f.mean for f in h_rows]
+        res = solve_transport(h_rows, vel, None, TimeGrid(1.0, 5e-3))
+        for f, m in zip(res.states[-1], means_h):
             assert abs(f.mean - m) <= 1e-10
 
     def test_self_convergence_taylor_green(self):
         # sigma = 0, h = 0, single-mode solenoidal start; compare against
         # a doubled-resolution, quartered-step reference
-        coarse = make_grid(2, 16)
-        fine = make_grid(2, 32)
+        coarse = GridSpec(2, 16)
+        fine = GridSpec(2, 32)
         amp = 0.1
 
         def tg_state(grid):
@@ -245,7 +257,7 @@ class TestStep:
         norm = 0.0
         # k_last = 1..7 also stand for -k; k_last = 8 stands for -8
         weight = np.r_[1.0, np.full(7, 2.0), 1.0]
-        for vc, vf in zip(res_c.final.velocity, res_f.final.velocity):
+        for vc, vf in zip(res_c.states[-1].velocity, res_f.states[-1].velocity):
             cc = np.fft.fftshift(vc.coeffs, axes=0)
             ff = np.fft.fftshift(vf.coeffs, axes=0)[8:24, :9]
             err += np.sum(weight * np.abs(cc - ff) ** 2)
@@ -256,7 +268,7 @@ class TestStep:
         st, _ = make_initial_data("exact_gradient", 1e-2, 9, grid2_32)
         finals = {}
         for dt in (4e-3, 2e-3, 1e-3):
-            finals[dt] = run(st, PARAMS, TimeGrid(0.5, dt, save_stride=10 ** 6)).final
+            finals[dt] = run(st, PARAMS, TimeGrid(0.5, dt, save_stride=10 ** 6)).states[-1]
         d1 = state_l2(finals[4e-3], finals[2e-3])
         d2 = state_l2(finals[2e-3], finals[1e-3])
         assert d1 / d2 >= 3.0
@@ -305,7 +317,7 @@ class TestConstraints:
         st, _ = make_initial_data("exact_gradient", 1e-2, 3, grid2_32)
         fields = {}
         for dt in (8e-3, 4e-3, 2e-3):
-            final = run(st, PARAMS, TimeGrid(1.0, dt, save_stride=10 ** 6)).final
+            final = run(st, PARAMS, TimeGrid(1.0, dt, save_stride=10 ** 6)).states[-1]
             fields[dt] = deformation_identity_residual(final.h)
         ref = fields[2e-3]
         d1 = _l2((fields[8e-3] - ref).coeffs, grid2_32)
@@ -463,11 +475,11 @@ class TestCoupledFormulation:
     @pytest.mark.parametrize("dim, m, t_end", [(2, 32, 0.2), (3, 16, 0.02)],
                              ids=["2d", "3d"])
     def test_cross_formulation_agreement(self, dim, m, t_end):
-        st, _ = make_initial_data("exact_gradient", 1e-3, 5, make_grid(dim, m))
+        st, _ = make_initial_data("exact_gradient", 1e-3, 5, GridSpec(dim, m))
         tg = TimeGrid(t_end, 2.5e-3, save_stride=80)
         direct = run(st, PARAMS, tg)
         coupled = run_coupled(st, PARAMS, tg)
-        assert state_l2(direct.final, coupled.final) <= 1e-6
+        assert state_l2(direct.states[-1], coupled.states[-1]) <= 1e-6
 
 
 class TestPhiIteration:
@@ -485,7 +497,7 @@ class TestPhiIteration:
         d = res.report.distances
         assert all(d[i + 1] < d[i] for i in range(len(d) - 1))
         direct = run(st, PARAMS, tg)
-        assert state_l2(res.final, direct.final) <= 1e-6
+        assert state_l2(res.states[-1], direct.states[-1]) <= 1e-6
 
     def test_admissible_monitor_flags(self, grid2_32):
         st, _ = make_initial_data("exact_gradient", 1e-3, 5, grid2_32)
@@ -554,7 +566,8 @@ class TestPhiIteration:
             return src.reshape((n * n,) + u.shape[1:])
 
         sig = solve_transport(st.sigma, u_at, None, tg, check_divergence=False)
-        h = solve_transport(st.h_flat(), u_at, h_forcing, tg, check_divergence=False)
+        h_rows = SpectralField(grid, st.coeffs[1 + n:])
+        h = solve_transport(h_rows, u_at, h_forcing, tg, check_divergence=False)
         want = np.concatenate([sig.coeffs[:, None], h.coeffs], axis=1)
         have = np.concatenate([got[:, :1], got[:, 1 + n:]], axis=1)
         assert np.max(np.abs(have - want)) <= 1e-14 * np.max(np.abs(want))
@@ -641,7 +654,7 @@ class TestStageKernel:
 
     @KERNEL_GRIDS
     def test_fluid_terms_match_per_row(self, dim, m):
-        grid = make_grid(dim, m)
+        grid = GridSpec(dim, m)
         arr = random_stack(grid, 31, (1 + dim + dim * dim,))
         got, s, ds = momentum_forcing(grid, arr, 0.7)
         assert_close(got, per_row_fluid_terms(grid, arr, 0.7), 1e-13)
@@ -650,7 +663,7 @@ class TestStageKernel:
 
     @KERNEL_GRIDS
     def test_batched_advect_matches_loop(self, dim, m):
-        grid = make_grid(dim, m)
+        grid = GridSpec(dim, m)
         vel = random_stack(grid, 32, (dim,))
         coeffs = random_stack(grid, 33, (2 * dim,))
         got = dealiased(grid, advect(grid, samples(grid, vel), gradient_samples(grid, coeffs)))
@@ -659,7 +672,7 @@ class TestStageKernel:
 
     @KERNEL_GRIDS
     def test_identity_quadratic_matches_per_row(self, dim, m):
-        grid = make_grid(dim, m)
+        grid = GridSpec(dim, m)
         h = random_stack(grid, 34, (dim, dim))
         got = _identity_quadratic(grid, samples(grid, h), gradient_samples(grid, h))
         assert_close(got, per_row_identity_quadratic(grid, h), 1e-13)
@@ -678,7 +691,7 @@ class TestStageKernel:
         by_field = solve_variable_poisson(a, f)
         by_samples = solve_variable_poisson(samples(grid, arr)[0] + 1.0, f)
         assert by_samples.iterations == by_field.iterations
-        assert_close(by_samples.potential.coeffs, by_field.potential.coeffs, 1e-14)
+        assert_close(by_samples.u, by_field.u, 1e-14)
         # the kept flux is a grad u of the returned potential
         want = np.stack([product(a, g).coeffs for g in by_field.gradient])
         assert_close(by_field.flux, want, 1e-14)
@@ -690,7 +703,7 @@ class TestStageKernel:
         """The public call on fields and the call a stage makes (coefficient
         samples, the right side of `compute_pressure` as an array) stop at
         the same iterate."""
-        grid = make_grid(dim, m)
+        grid = GridSpec(dim, m)
         st, _ = make_initial_data("general", 0.05, 5, grid)
         terms, s, _ = momentum_forcing(grid, st.coeffs, PARAMS.mu)
         f = -stacked_divergence(grid, terms[1:1 + dim])
@@ -703,7 +716,7 @@ class TestStageKernel:
         assert np.array_equal(by_field.u, by_array.u)
         # warm-started from the same potential as a field or as an array
         warm_field = solve_variable_poisson(a, SpectralField(grid, f), tol=1e-13,
-                                            warm_start=by_field.potential)
+                                            warm_start=SpectralField(grid, by_field.u))
         warm_array = solve_variable_poisson(inverse_transform(a), f, tol=1e-13,
                                             warm_start=by_array.u)
         assert warm_field.iterations == warm_array.iterations
@@ -748,7 +761,7 @@ class TestStageKernel:
     def test_momentum_rows_match_all_rows(self, dim, m):
         """The momentum-only kernel (the linearization map's) forms the
         momentum rows from the same arithmetic as the whole right side."""
-        grid = make_grid(dim, m)
+        grid = GridSpec(dim, m)
         arr = random_stack(grid, 36, (1 + dim + dim * dim,))
         terms, s, ds = momentum_forcing(grid, arr, 0.7)
         rows, s_m, ds_m = momentum_forcing(grid, arr, 0.7, momentum_only=True)
@@ -792,7 +805,7 @@ class TestSampledMonitors:
     @KERNEL_GRIDS
     @pytest.mark.parametrize("runner", [run, run_coupled], ids=["direct", "coupled"])
     def test_save_residuals(self, dim, m, runner):
-        st, _ = make_initial_data("general", 0.05, 5, make_grid(dim, m))
+        st, _ = make_initial_data("general", 0.05, 5, GridSpec(dim, m))
         res = runner(st, PARAMS, TimeGrid(0.01, 5e-3))
         assert len(res.residual_rows) == 3
         for row, saved in zip(res.residual_rows, res.states):
@@ -864,7 +877,7 @@ class TestSaveReusesFirstStage:
         st, _ = make_initial_data("general", 0.05, 5, grid2_32)
         every = runner(st, PARAMS, TimeGrid(0.02, 5e-3, save_stride=1))
         ends = runner(st, PARAMS, TimeGrid(0.02, 5e-3, save_stride=4))
-        a, b = every.final, ends.final
-        for x, y in zip([a.sigma, a.velocity, a.h_flat(), a.pressure_grad],
-                        [b.sigma, b.velocity, b.h_flat(), b.pressure_grad]):
+        a, b = every.states[-1], ends.states[-1]
+        for x, y in zip([a.sigma, a.velocity, a.h, a.pressure_grad],
+                        [b.sigma, b.velocity, b.h, b.pressure_grad]):
             assert np.array_equal(x.coeffs, y.coeffs)

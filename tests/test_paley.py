@@ -1,13 +1,7 @@
 import numpy as np
 import pytest
 
-from besovlab.paley import (
-    PartitionProfile,
-    block_multipliers,
-    default_profile,
-    retained_mask,
-    retained_radius,
-)
+from besovlab.paley import block_multipliers, profile, retained_mask, retained_radius
 from besovlab.randfields import random_scalar
 from besovlab.spectral import SpectralField, derivative, grid_wavenumbers
 
@@ -23,26 +17,23 @@ def reconstruct(u):
 
 class TestPartitionProfile:
     def test_supported_in_shell(self):
-        prof = default_profile()
         rho = np.array([0.0, 0.5, 0.74, 8 / 3 + 1e-9, 5.0, 100.0])
-        assert np.all(prof.value(rho) == 0.0)
-        assert np.all(prof.value(np.array([1.0, 1.5, 2.0])) > 0.0)
+        assert np.all(profile(rho) == 0.0)
+        assert np.all(profile(np.array([1.0, 1.5, 2.0])) > 0.0)
 
     def test_partition_of_unity_on_grid(self, grid2_64):
         kmag = grid_wavenumbers(grid2_64)["kmag"]
         rho = kmag[kmag > 0]
-        prof = default_profile()
         total = np.zeros_like(rho)
         for q in range(-10, 12):
-            total += prof.value(np.exp2(-q) * rho)
+            total += profile(np.exp2(-q) * rho)
         assert np.max(np.abs(total - 1.0)) < 1e-12
 
     def test_partition_of_unity_dense_radii(self):
-        prof = PartitionProfile()
         rho = np.geomspace(1e-3, 1e3, 4001)
         total = np.zeros_like(rho)
         for q in range(-16, 18):
-            total += prof.value(np.exp2(-q) * rho)
+            total += profile(np.exp2(-q) * rho)
         assert np.max(np.abs(total - 1.0)) < 1e-12
 
 

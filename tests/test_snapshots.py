@@ -12,7 +12,7 @@ from besovlab.snapshots import (
     state_samples,
     write_snapshot,
 )
-from besovlab.spectral import make_grid
+from besovlab.spectral import GridSpec
 from conftest import field_of
 
 
@@ -99,7 +99,7 @@ def test_save_snapshot_from_stage_samples(tmp_path, dim, m):
     """A run's save writes the (sigma, v, h) samples its first stage formed
     and one batched sample of grad P: the bytes `inverse_transform` writes
     field by field."""
-    grid = make_grid(dim, m)
+    grid = GridSpec(dim, m)
     st, _ = make_initial_data("general", 0.05, 5, grid)
     saved = []
     run(st, PhysicalParams(), TimeGrid(0.01, 5e-3),

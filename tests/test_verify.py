@@ -9,12 +9,12 @@ from besovlab.oldroyd import PhysicalParams
 from besovlab.paley import block_multipliers, retained_radius
 from besovlab.randfields import random_scalar
 from besovlab.spectral import (
+    GridSpec,
     SpectralField,
     derivative,
     forward_transform,
     gradient,
     grid_wavenumbers,
-    make_grid,
     product,
     stacked_gradient,
 )
@@ -177,7 +177,7 @@ class TestCommutator:
     def test_equals_one_pair_formula(self, dim, m, p):
         """The kept-buffer kernel gives, bitwise, both products of the
         (band, axis) stack formed the way `product` forms them."""
-        grid = make_grid(dim, m)
+        grid = GridSpec(dim, m)
         rng = np.random.default_rng(43)
         a, b = (random_scalar(grid, rng, radius=retained_radius(grid) / 2.0) for _ in "ab")
         assert np.array_equal(kernel_band_norms(a, b, p), one_pair_commutator(a, b, p))
@@ -304,7 +304,7 @@ class TestScaling:
 
     def test_band_guard(self):
         with pytest.raises(ValueError):
-            band_safe_tuple(make_grid(2, 16), 5, m=2)
+            band_safe_tuple(GridSpec(2, 16), 5, m=2)
 
 
 class TestRatioReport:
