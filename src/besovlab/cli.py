@@ -15,29 +15,30 @@ import json
 import math
 import sys
 import time
+import warnings
 from dataclasses import fields
 from datetime import datetime, timezone
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .linsolve import (CflViolationError, EllipticConvergenceError,
                        NonPositiveCoefficientError, TimeGrid)
-from .norms import BesovSpec
+from .norms import BesovSpec, besov_norm
 from .oldroyd import (
     ConstraintResiduals,
     DensityFloorError,
+    FluidState,
     PhysicalParams,
-    _groups,
     _l2,
-    _norm_rows,
-    constraint_residuals,
     make_initial_data,
     phi_iteration,
     run,
     run_coupled,
 )
 from .snapshots import SnapshotFormatError, read_snapshot, state_samples, write_snapshot
-from .spectral import GridSpec, gradient_samples
+from .spectral import GridSpec, SpectralField
 from .verify import (
     SMALLNESS_COLUMNS,
     EnsembleSpec,
@@ -241,6 +242,24 @@ def _write_csv(path: Path | None, fieldnames: list[str], rows: list[dict]) -> Pa
     return path
 
 
+def _groups(state: FluidState) -> dict[str, SpectralField]:
+    """The fields a config's norm specs name, by name; grad_p is zero when
+    the state has no pressure gradient."""
+    grid, grad_p = state.grid, state.pressure_grad
+    if grad_p is None:
+        grad_p = SpectralField(grid, np.zeros((grid.dim,) + grid.coeff_shape, complex))
+    return {"sigma": state.sigma, "velocity": state.velocity, "h": state.h,
+            "grad_p": grad_p}
+
+
+def _norm_rows(fields: dict[str, SpectralField], t: float, norm_specs) -> list[dict]:
+    """The `norms.csv` rows at time t: one per (name, spec) of `norm_specs`,
+    the spec's norm of fields[name]."""
+    return [{"time": t, "norm_name": f"{name}:{spec.name}", "s": spec.s, "p": spec.p,
+             "r": spec.r, "value": besov_norm(fields[name], spec).value}
+            for name, spec in norm_specs]
+
+
 # -- norms command ----------------------------------------------------------------
 
 
@@ -297,27 +316,28 @@ def cmd_simulate(args, mode_override: str | None = None) -> int:
         snap_index[0] += 1
 
     report = {}
+
+    def note(message, *_):  # a warning: one line of ours and a manifest entry
+        print(f"warning: {message}", file=sys.stderr)
+        report.setdefault("warnings", []).append(str(message))
+
     try:
-        state0, compat = make_initial_data(ini["family"], float(ini["amplitude"]),
-                                           seed, grid)
+        state0, compat = make_initial_data(ini["family"], float(ini["amplitude"]), seed, grid)
         report["compatibility"] = compat.as_dict()
+        # built per call, so that a rebinding of `run` or `phi_iteration` here is called
+        evolve = {"direct": run, "coupled": run_coupled, "phi": phi_iteration}[mode]
+        with warnings.catch_warnings():
+            warnings.simplefilter("default")  # once per warning and call site
+            warnings.showwarning = note
+            result = evolve(state0, params, tg, on_save=on_save)
         if mode == "phi":
-            phi = phi_iteration(state0, params, tg)
-            norm_rows, residual_rows = [], []
-            for t, st in zip(phi.times, phi.states):
-                s, ds = gradient_samples(grid, st.coeffs, with_samples=True)
-                on_save(t, st, s)
-                norm_rows += _norm_rows(_groups(st), float(t), norm_specs)
-                residual_rows.append({"time": t, **constraint_residuals(st, (s, ds)).as_dict()})
+            phi = result.report
             rows = [{"outer_iter": i + 1, "distance": dist, **mon} for i, (dist, mon)
-                    in enumerate(zip(phi.report.distances, phi.report.monitors))]
+                    in enumerate(zip(phi.distances, phi.monitors))]
             manifest.add(_write_csv(out_dir / "contraction.csv", [
                 "outer_iter", "distance", "in_admissible_set", "sigma_sup",
                 "velocity_smoothing", "sup_energy"], rows))
-        else:
-            evolve = run_coupled if mode == "coupled" else run
-            result = evolve(state0, params, tg, norm_specs=norm_specs, on_save=on_save)
-            norm_rows, residual_rows = result.norm_rows, result.residual_rows
+            report.update(converged=phi.converged, last_distance=phi.distances[-1])
         if mode == "coupled":
             direct = run(state0, params, tg)
             rows = [{"time": t, "l2_distance": _l2(a.coeffs - b.coeffs, grid)}
@@ -325,13 +345,20 @@ def cmd_simulate(args, mode_override: str | None = None) -> int:
             manifest.add(_write_csv(out_dir / "cross_formulation.csv",
                                     ["time", "l2_distance"], rows))
     except ABORT_ERRORS as exc:
-        manifest.write({"aborted": True, "error": f"{type(exc).__name__}: {exc}",
-                        **report})
+        manifest.write({"aborted": True, "error": f"{type(exc).__name__}: {exc}", **report})
         print(f"solver abort: {exc}", file=sys.stderr)
         return EXIT_SOLVER_ABORT
 
+    norm_rows = [row for t, st in zip(result.times, result.states)
+                 for row in _norm_rows(_groups(st), float(t), norm_specs)]
     manifest.add(_write_csv(out_dir / "norms.csv", NORM_COLUMNS, norm_rows))
-    manifest.add(_write_csv(out_dir / "residuals.csv", RESIDUAL_COLUMNS, residual_rows))
+    manifest.add(_write_csv(out_dir / "residuals.csv", RESIDUAL_COLUMNS, result.residual_rows))
+    if mode == "phi" and not phi.converged:
+        message = (f"fixed point not reached: last distance {phi.distances[-1]:.3g} > "
+                   f"tol {phi.tol:g} after {phi.iterations} iterations")
+        manifest.write({"aborted": True, "error": message, **report})
+        print(f"solver abort: {message}", file=sys.stderr)
+        return EXIT_SOLVER_ABORT
     manifest.write({"aborted": False, **report})
     return EXIT_OK
 

@@ -14,6 +14,7 @@ Every input, output and callable value is one field, scalar or stacked
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,6 +73,8 @@ class TimeGrid:
         if not (0 < self.dt < math.inf and 0 < self.t_end < math.inf):
             raise ValueError("dt and t_end must be positive and finite")
         n = self.t_end / self.dt
+        if not n <= sys.maxsize:
+            raise ValueError(f"t_end/dt = {n:g} steps exceed the largest step index {sys.maxsize}")
         if abs(n - round(n)) > 1e-9 * max(1.0, n):
             raise ValueError(f"t_end/dt = {n} is not an integer")
         if self.n_steps < 1:

@@ -17,10 +17,10 @@ velocity forcing of the linearization map) is `momentum_forcing` of a
 stacked array followed by `compute_pressure` on the sigma samples it
 formed, and every saved slice of a run takes its pressure gradient from
 the first stage of the state it records.  There is one sample set per
-state: the samples and gradient samples that the first stage of a state
-forms (the next step's k1, or the save's `first_stage`) are all that its
-CFL check, its density-floor check, its constraint monitors and its
-snapshot read.
+state: the step that produces a state evaluates its first stage (the
+next step's k1), and the samples and gradient samples that stage forms
+are all that its CFL check, its density-floor check, its constraint
+monitors and its snapshot read.
 
 Conventions, fixed here once:
   * matrix divergence is taken over the second index: (div A)^i = d_j A^{ij};
@@ -32,7 +32,7 @@ Conventions, fixed here once:
 from __future__ import annotations
 
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -49,7 +49,7 @@ from .linsolve import (
     velocity_max,
     _if_rk4_step,
 )
-from .norms import INF, BesovSpec, NormSeries, besov_norm, chemin_lerner_norm, norm_series
+from .norms import INF, BesovSpec, besov_norm, chemin_lerner_norm, norm_series
 from .paley import retained_radius
 from .spectral import (
     TWO_PI,
@@ -334,10 +334,12 @@ def compute_pressure(grid: GridSpec, sig_s: np.ndarray, g: np.ndarray, *,
 
 
 class _Stepper:
-    """IF-RK4 step of a stacked state with a pressure solve per stage.  The first stage of each state a step produces checks the
-    density floor on its sigma samples before its pressure solve (the
-    state a run starts from is not checked), and a step's CFL check reads
-    the velocity samples of its first stage.  A stage solves warm-started
+    """IF-RK4 step of a stacked state with a pressure solve per stage.
+    `start` evaluates the first stage of a state into `first`; `step`
+    takes its k1 and its CFL check's velocity samples from there, and
+    ends by calling `start` on the state it produced, whose stage checks
+    the density floor on its sigma samples before its pressure solve (the
+    state a run starts from is not checked).  A stage solves warm-started
     from the last stage's potential `warm`; `last` is its EllipticResult.
 
     Subclasses supply `diffusing(n)` (which components carry mu Lap) and
@@ -345,9 +347,7 @@ class _Stepper:
     state itself: `step` never writes into its input); `finish`
     post-processes the new state in place and `rhs` (the right side, with
     the samples and gradient samples of the direct array it was formed
-    from) is the fluid right side unless overridden.  `first_stage`
-    evaluates a step's first stage ahead of it, for the save of the state
-    the step starts from."""
+    from) is the fluid right side unless overridden."""
 
     def __init__(self, grid: GridSpec, params: PhysicalParams, dt: float):
         self.grid = grid
@@ -357,17 +357,15 @@ class _Stepper:
                                               self.diffusing(grid.dim))
         self.warm: np.ndarray | None = None
         self.last: EllipticResult | None = None
-        self._first = None  # (state, its right side, velocity samples)
-        self._unchecked = False  # the next stage is the first of a new state
+        self.first = None  # (direct array, k1, s, ds) of the state the next step starts from
 
-    def stage(self, arr: np.ndarray):
+    def stage(self, arr: np.ndarray, floor: bool = False):
         """`momentum_forcing` of a stacked (sigma, v, h) array, with
         (sigma + 1) grad P from `compute_pressure` taken off its momentum
-        rows."""
+        rows; with `floor`, the density floor is checked first."""
         n = self.grid.dim
         out, s, ds = momentum_forcing(self.grid, arr, self.params.mu)
-        if self._unchecked:
-            self._unchecked = False
+        if floor:
             sig_min = float(s[0].min())
             if sig_min + 1.0 < self.params.sigma_floor:
                 raise DensityFloorError(
@@ -382,30 +380,30 @@ class _Stepper:
     def direct(self, arr: np.ndarray) -> np.ndarray:
         return arr
 
-    def rhs(self, t: float, arr: np.ndarray, direct: np.ndarray | None = None):
-        return self.stage(arr)
+    def rhs(self, t: float, arr: np.ndarray, direct: np.ndarray | None = None,
+            floor: bool = False):
+        return self.stage(arr, floor)
 
-    def first_stage(self, t: float, arr: np.ndarray, direct: np.ndarray | None = None):
-        """Evaluate the right side at `arr` (whose direct array is `direct`)
-        for the step that starts from it; return the samples and gradient
-        samples (s, ds) of the direct array (the pressure gradient it solved
-        for is `last.gradient`)."""
-        out, s, ds = self.rhs(t, arr, direct)
-        # a copy: a view would keep all of the stage's samples until the step
-        self._first = (arr, out, s[1:1 + self.grid.dim].copy())
-        return s, ds
+    def start(self, t: float, arr: np.ndarray, floor: bool = True):
+        """Evaluate the first stage of the state `arr` for the step that
+        starts from it, into `first` = (its direct array, the right side
+        k1, the samples s and gradient samples ds of the direct array); the
+        pressure gradient it solved for is `last.gradient`."""
+        direct = self.direct(arr)
+        self.first = (direct, *self.rhs(t, arr, direct, floor))
 
     def finish(self, arr: np.ndarray) -> np.ndarray:
         return arr
 
     def step(self, arr: np.ndarray, t: float) -> np.ndarray:
-        if self._first is None or self._first[0] is not arr:
-            self.first_stage(t, arr)
-        (_, k1, v_s), self._first = self._first, None
-        check_cfl(self.grid, self.dt, velocity_max(v_s))
+        k1, s = self.first[1:3]
+        self.first = None
+        check_cfl(self.grid, self.dt, velocity_max(s[1:1 + self.grid.dim]))
+        del s  # the stage's samples, then k1, go before the next stage forms its own
         nxt = self.finish(_if_rk4_step(arr, t, self.dt, self.e_full, self.e_half,
                                        lambda t, y: self.rhs(t, y)[0], k1))
-        self._unchecked = True
+        del k1
+        self.start(t + self.dt, nxt)
         return nxt
 
 
@@ -426,11 +424,10 @@ def step(state: FluidState, params: PhysicalParams, dt: float) -> FluidState:
     """One semi-implicit step of the full system.  The new state carries
     the pressure gradient of its own first stage, as a run's saves do, and
     that stage checks its density floor."""
-    grid = state.grid
-    stepper = _DirectStepper(grid, params, dt)
+    stepper = _DirectStepper(state.grid, params, dt)
+    stepper.start(0.0, state.coeffs, floor=False)
     arr = stepper.step(state.coeffs, 0.0)
-    stepper.first_stage(dt, arr)
-    return FluidState(grid, arr, stepper.last.gradient)
+    return FluidState(state.grid, arr, stepper.last.gradient)
 
 
 # -- constraint monitors -------------------------------------------------------
@@ -480,70 +477,47 @@ def constraint_residuals(state: FluidState, sampled=None) -> ConstraintResiduals
 
 @dataclass
 class RunResult:
+    """The saved slices of an evolution: their times, the fluid states and
+    each one's `residuals.csv` row."""
+
     times: np.ndarray
     states: list[FluidState]
-    series: dict[str, NormSeries]
     residual_rows: list[dict]
-    norm_rows: list[dict] = field(default_factory=list)
 
 
-def _groups(state: FluidState) -> dict[str, SpectralField]:
-    """The fields the norms read, by name; grad_p is zero when the state
-    has no pressure gradient."""
-    grad_p = state.pressure_grad
-    if grad_p is None:
-        grad_p = SpectralField(state.grid, np.zeros((state.grid.dim,) + state.grid.coeff_shape,
-                                                    complex))
-    return {"sigma": state.sigma, "velocity": state.velocity, "h": state.h,
-            "grad_p": grad_p}
+def _record(t: float, st: FluidState, sampled, on_save) -> dict:
+    """Record the saved state `st` at time t: its `residuals.csv` row, from
+    the samples and gradient samples `sampled` = (s, ds) of its stacked
+    array, then `on_save(t, st, s)`.  Returns the row."""
+    row = {"time": t, **constraint_residuals(st, sampled).as_dict()}
+    if on_save is not None:
+        on_save(t, st, sampled[0])
+    return row
 
 
-def _record_series(times, states: list[FluidState]) -> dict[str, NormSeries]:
-    groups = [_groups(s) for s in states]
-    return {name: norm_series(times, [g[name] for g in groups]) for name in groups[0]}
-
-
-def _norm_rows(fields: dict[str, SpectralField], t: float, norm_specs) -> list[dict]:
-    """The `norms.csv` rows at time t: one per (name, spec) of `norm_specs`,
-    the spec's norm of fields[name]."""
-    return [{"time": t, "norm_name": f"{name}:{spec.name}", "s": spec.s, "p": spec.p,
-             "r": spec.r, "value": besov_norm(fields[name], spec).value}
-            for name, spec in norm_specs]
-
-
-def _run(stepper: _Stepper, arr: np.ndarray, tg: TimeGrid, norm_specs,
-         on_save) -> RunResult:
-    """Integrate with `stepper`, recording at every saved slice the fluid
-    state with its diagnostic pressure, the constraint residuals and the
-    requested norms.  A save evaluates the first stage of its state first;
-    the monitors and `on_save(t, state, s)` read that stage's samples s
-    (and gradient samples), which no saved state keeps.  `on_save` is
+def _run(stepper: _Stepper, arr: np.ndarray, tg: TimeGrid, on_save) -> RunResult:
+    """Integrate with `stepper`, recording (`_record`) at every saved slice
+    the fluid state with its diagnostic pressure.  The step that produced
+    a slice evaluated its first stage, whose samples the monitors and
+    `on_save(t, state, s)` read and no saved state keeps.  `on_save` is
     invoked per saved slice, so partial output survives a mid-run abort."""
-    norm_specs = norm_specs or []
 
     def save(t, arr):
-        direct = stepper.direct(arr)
-        s, ds = stepper.first_stage(t, arr, direct)
+        direct, _, s, ds = stepper.first
         st = FluidState(stepper.grid, direct, stepper.last.gradient)
-        res = constraint_residuals(st, (s, ds))
-        if on_save is not None:
-            on_save(t, st, s)
-        return st, {"time": t, **res.as_dict()}, _norm_rows(_groups(st), t, norm_specs)
+        return st, _record(t, st, (s, ds), on_save)
 
+    stepper.start(0.0, arr, floor=False)
     times, saved = integrate(arr, stepper.step, tg, save)
-    states = [st for st, _, _ in saved]
-    return RunResult(times, states, _record_series(times, states),
-                     [row for _, row, _ in saved],
-                     [row for _, _, rows in saved for row in rows])
+    return RunResult(times, [st for st, _ in saved], [row for _, row in saved])
 
 
 def run(state0: FluidState, params: PhysicalParams, tg: TimeGrid, *,
-        norm_specs: list[tuple[str, BesovSpec]] | None = None,
         on_save=None) -> RunResult:
-    """Direct time integration; records norms and constraint residuals at
-    every saved slice."""
+    """Direct time integration; records the constraint residuals at every
+    saved slice."""
     stepper = _DirectStepper(state0.grid, params, tg.dt)
-    return _run(stepper, state0.coeffs.copy(), tg, norm_specs, on_save)
+    return _run(stepper, state0.coeffs.copy(), tg, on_save)
 
 
 # -- velocity <-> tensor potential (the coupled variables) ---------------------
@@ -585,14 +559,15 @@ class _CoupledStepper(_Stepper):
         vel = stacked_leray(grid, stacked_tensor_to_velocity(grid, self.tensors(arr)[0]))
         return np.concatenate([arr[:1], vel, arr[1 + n * n:]])
 
-    def rhs(self, t: float, arr: np.ndarray, direct: np.ndarray | None = None):
+    def rhs(self, t: float, arr: np.ndarray, direct: np.ndarray | None = None,
+            floor: bool = False):
         grid = self.grid
         n = grid.dim
         d, h = self.tensors(arr)
         if direct is None:
             direct = self.direct(arr)
         vel = direct[1:1 + n]
-        fluid, s, ds = self.stage(direct)
+        fluid, s, ds = self.stage(direct, floor)
         ik = grid_wavenumbers(grid)["ik"]
         kmag = grid_wavenumbers(grid)["kmag"]
         # X_i = v.grad v^i + (sigma+1) d_i P - mu sigma Lap v^i - h^{mk} d_m h^{ik}
@@ -610,7 +585,6 @@ class _CoupledStepper(_Stepper):
 
 
 def run_coupled(state0: FluidState, params: PhysicalParams, tg: TimeGrid, *,
-                norm_specs: list[tuple[str, BesovSpec]] | None = None,
                 on_save=None) -> RunResult:
     """Evolve the coupled variables (sigma, d, h), mapping back to fluid
     states and recording them as `run` does at every save."""
@@ -618,7 +592,7 @@ def run_coupled(state0: FluidState, params: PhysicalParams, tg: TimeGrid, *,
     arr = state0.coeffs
     d0 = stacked_velocity_to_tensor(grid, stacked_leray(grid, arr[1:1 + n]))
     y = np.concatenate([arr[:1], d0.reshape((n * n,) + arr.shape[1:]), arr[1 + n:]])
-    return _run(_CoupledStepper(grid, params, tg.dt), y, tg, norm_specs, on_save)
+    return _run(_CoupledStepper(grid, params, tg.dt), y, tg, on_save)
 
 
 # -- the linearization map and its fixed point ----------------------------------
@@ -631,14 +605,14 @@ class PhiReport:
     converged: bool
     iterations: int      # recorded Picard steps (distance checks)
     applications: int    # total applications of the map, seed included
+    tol: float           # the distance below which the iteration converges
 
 
 @dataclass
-class PhiResult:
-    times: np.ndarray
-    states: list[FluidState]
+class PhiResult(RunResult):
+    """A `RunResult` of the fixed-point trajectory, with its report."""
+
     report: PhiReport
-    series: dict[str, NormSeries]
 
 
 class _TrajectoryInterpolant:
@@ -728,7 +702,7 @@ def _trajectory_distance(a: np.ndarray, b: np.ndarray, grid: GridSpec,
 
 def phi_iteration(state0: FluidState, params: PhysicalParams, tg: TimeGrid, *,
                   max_outer: int = 10, tol: float = 1e-8,
-                  admissible: AdmissibleSetSpec | None = None) -> PhiResult:
+                  admissible: AdmissibleSetSpec | None = None, on_save=None) -> PhiResult:
     """Iterate the linearization map on whole trajectories until the
     sampled-sup critical-norm distance between successive iterates falls
     below `tol`.
@@ -736,8 +710,10 @@ def phi_iteration(state0: FluidState, params: PhysicalParams, tg: TimeGrid, *,
     The seed trajectory is one application of the map to the constant
     extension of the initial data (the frozen-coefficient linear
     solution); reported distances are between successive Picard
-    iterates from there on.  Returns the fixed-point trajectory with
-    per-iteration distances and admissible-set monitor flags.
+    iterates from there on.  Returns the fixed-point trajectory's saved
+    slices, each recorded as `run` records its saves (`_record`, with
+    `on_save`), with per-iteration distances and admissible-set monitor
+    flags.
     """
     grid = state0.grid
     s = grid.dim / 2.0
@@ -769,9 +745,10 @@ def phi_iteration(state0: FluidState, params: PhysicalParams, tg: TimeGrid, *,
     save_idx = tg.save_steps()
     states = [FluidState(grid, a) for a in current[save_idx]]
     saved_times = times[save_idx]
-    series = _record_series(saved_times, states)
-    report = PhiReport(distances, monitors, converged, len(distances), 1 + len(distances))
-    return PhiResult(saved_times, states, report, series)
+    rows = [_record(t, st, gradient_samples(grid, st.coeffs, with_samples=True), on_save)
+            for t, st in zip(saved_times, states)]
+    report = PhiReport(distances, monitors, converged, len(distances), 1 + len(distances), tol)
+    return PhiResult(saved_times, states, rows, report)
 
 
 def _admissible_monitor(traj: np.ndarray, times: np.ndarray, grid: GridSpec,

@@ -79,15 +79,15 @@ def read_snapshot(path) -> tuple[GridSpec, dict[str, SpectralField]]:
     return grid, fields
 
 
-def state_samples(state, s: np.ndarray | None = None) -> dict[str, np.ndarray]:
-    """Named grid samples of a fluid state for a snapshot: those of its
-    stacked (sigma, v, h) are `s` when the caller holds them (a run's save
-    passes its first stage's) and are taken here in one call otherwise;
-    the pressure gradient, when the state has one, is sampled in one call."""
+def state_samples(state, s: np.ndarray) -> dict[str, np.ndarray]:
+    """Named grid samples of a fluid state for a snapshot: `s`, the samples
+    of its stacked (sigma, v, h) (a save passes those its first stage
+    formed), and the pressure gradient, when the state has one, sampled in
+    one call."""
     grid, n = state.grid, state.grid.dim
     names = ["sigma"] + [f"v{i}" for i in range(n)] \
         + [f"h{i}{j}" for i in range(n) for j in range(n)]
-    out = dict(zip(names, samples(grid, state.coeffs) if s is None else s))
+    out = dict(zip(names, s))
     if state.pressure_grad is not None:
         gp = samples(grid, state.pressure_grad.coeffs)
         out.update((f"gradp{i}", g) for i, g in enumerate(gp))

@@ -27,7 +27,7 @@ import numpy as np
 from . import randfields
 from .linsolve import TimeGrid
 from .norms import (INF, BesovSpec, HybridSpec, besov_norm, ensemble_norms, lebesgue_time_norm,
-                    stacked_lp)
+                    norm_series, stacked_lp)
 from .oldroyd import PhysicalParams, make_initial_data, run
 from .paley import SHELL_HI, SHELL_LO, block_multipliers, retained_radius
 from .spectral import (
@@ -60,18 +60,16 @@ def _draw_chunks(grid: GridSpec, ensemble, fields: int, radius, shape=()):
     rng, n = np.random.default_rng(ensemble.seed), 2 * ensemble.count
     size = max(1, CHUNK_BYTES // (fields * 16 * math.prod(grid.coeff_shape)))
     for i in range(0, n, size):
-        yield randfields.random_scalar(grid, rng, radius=radius, decay=ensemble.decay,
+        yield randfields.random_scalar(grid, rng, radius=radius,
                                        shape=(min(size, n - i),) + shape).coeffs
 
 
 @dataclass(frozen=True)
 class EnsembleSpec:
-    """Random-field ensemble: count, seed, and spectral band/decay."""
+    """Random-field ensemble: count and seed."""
 
     count: int = 48
     seed: int = 7
-    radius: float | None = None
-    decay: float = 1.0
 
     def __post_init__(self):
         if self.count < 1:
@@ -125,23 +123,20 @@ def _ratio_report(name: str, params: dict, ratios: list, count: int) -> RatioRep
 # -- gradient-norm bracket -----------------------------------------------------
 
 
-def verify_bernstein(spec: BesovSpec, ensemble: EnsembleSpec,
-                     grid: GridSpec | None = None, *, hard: bool | None = None) -> RatioReport:
+def verify_bernstein(spec: BesovSpec, ensemble: EnsembleSpec, grid: GridSpec) -> RatioReport:
     """Ratio of the gradient's dyadic norm at smoothness s-1 to the field's
     at s.  For p = 2 every mode in band q carries |k| in the band shell,
     so the ratio lies in [3/4, 8/3] exactly; asserted for p = 2.
     """
-    grid = grid or GridSpec(2, 32)
-    hard = (spec.p == 2.0) if hard is None else hard
     lo = BesovSpec(spec.s - 1.0, spec.p, spec.r)
     ratios = []
-    for u in _draw_chunks(grid, ensemble, grid.dim, ensemble.radius):
+    for u in _draw_chunks(grid, ensemble, grid.dim, None):
         denom, = ensemble_norms(grid, u, spec).tolist()
         num, = ensemble_norms(grid, stacked_gradient(grid, u), lo).tolist()
         ratios += [None if d == 0.0 else g / d for g, d in zip(num, denom)]
     rep = _ratio_report("bernstein", {"s": spec.s, "p": spec.p, "r": spec.r},
                         ratios, ensemble.count)
-    if hard:
+    if spec.p == 2.0:
         tol = 1e-9
         if not (SHELL_LO - tol <= rep.min_ratio and rep.max_ratio_doubled <= SHELL_HI + tol):
             raise AssertionError(
@@ -165,18 +160,16 @@ def _check_product_indices(s1: float, s2: float, p: float, n: int):
 
 
 def verify_product_laws(s1: float, s2: float, p: float, ensemble: EnsembleSpec,
-                        grid: GridSpec | None = None) -> list[RatioReport]:
+                        grid: GridSpec) -> list[RatioReport]:
     """Bounded-ratio checks of the four product estimates: the two static
     ones and their time-integrated versions (with separable synthetic
     time envelopes, for which the mixed-exponent time norms factor).
     Each pair's product and norms are formed once and read by all four
     reports."""
-    grid = grid or GridSpec(2, 64)
     n = grid.dim
     _check_product_indices(s1, s2, p, n)
     s12 = s1 + s2 - n / p
-    radius = ensemble.radius if ensemble.radius is not None \
-        else retained_radius(grid) / 2.0
+    radius = retained_radius(grid) / 2.0
 
     spec1 = BesovSpec(s1, p, 1.0)
     # index 0: r = 1 (the strong law), index 1: r = inf (the weak law)
@@ -219,16 +212,15 @@ def verify_product_laws(s1: float, s2: float, p: float, ensemble: EnsembleSpec,
 
 
 def verify_log_interpolation(ensemble: EnsembleSpec, s: float, eps: float,
-                             p: float = 2.0, grid: GridSpec | None = None) -> RatioReport:
+                             p: float, grid: GridSpec) -> RatioReport:
     """Ratio of the r=1 dyadic norm to its log-interpolation majorant built
     from r=inf norms at s and s -/+ eps."""
     if not 0 < eps <= 1:
         raise ValueError("eps must lie in (0, 1]")
-    grid = grid or GridSpec(2, 64)
     specs = [BesovSpec(s, p, INF), BesovSpec(s, p, 1.0), BesovSpec(s - eps, p, INF),
              BesovSpec(s + eps, p, INF)]
     ratios = []
-    for u in _draw_chunks(grid, ensemble, 1, ensemble.radius):
+    for u in _draw_chunks(grid, ensemble, 1, None):
         for n_inf, n_one, n_lo, n_hi in ensemble_norms(grid, u, *specs).T.tolist():
             ratios.append(None if n_inf == 0.0 else n_one / (
                 (n_inf / eps) * math.log(math.e + (n_lo + n_hi) / n_inf)))
@@ -266,21 +258,19 @@ def _commutator_bands(grid: GridSpec, a: np.ndarray, b: np.ndarray, p: float,
     return stacked_lp(grid, comm, p)
 
 
-def verify_commutator(ensemble: EnsembleSpec, s: float, t: float, p: float = 2.0,
-                      grid: GridSpec | None = None) -> RatioReport:
+def verify_commutator(ensemble: EnsembleSpec, s: float, t: float, p: float,
+                      grid: GridSpec) -> RatioReport:
     """Weighted per-band commutator sums against the gradient norms.
 
     The per-band sequence c_q = 2^{q(s+t-2-N/p)} ||div[A, band_q] grad B||_p
     normalized by ||grad A|| ||grad B|| is summed over q; the ensemble
     maximum of the sum is the recorded constant.
     """
-    grid = grid or GridSpec(2, 64)
     n = grid.dim
     npp = n / p
     if not (t <= npp + 1.0 + 1e-12 and 1.0 <= s <= npp + 1.0 + 1e-12 and s + t > 1.0):
         raise ValueError("commutator index window violated")
-    radius = ensemble.radius if ensemble.radius is not None \
-        else retained_radius(grid) / 2.0
+    radius = retained_radius(grid) / 2.0
     spec_a = BesovSpec(s - 1.0, p, 1.0)
     spec_b = BesovSpec(t - 1.0, p, 1.0)
     weights = np.exp2(np.arange(grid.q_max + 1) * (s + t - 2.0 - npp))
@@ -354,17 +344,17 @@ def verify_scaling(sigma, velocity, h, m: int, *, tol: float = 1e-10) -> dict:
 # -- small-data boundedness of the nonlinear system ----------------------------------
 
 
-def aggregate_energy_norm(result, mu: float, s: float) -> float:
-    """Sup-in-time hybrid/critical norms plus mu-weighted time integrals."""
-    T = result.times[-1]
+def aggregate_energy_norm(series: dict, T: float, mu: float, s: float) -> float:
+    """Sup-in-time hybrid/critical norms plus mu-weighted time integrals
+    over [0, T] of the norm `series` of sigma, velocity and h."""
     hyb_inf = HybridSpec(s, INF, mu)
     hyb_one = HybridSpec(s, 1.0, mu)
-    sup_sig_h = lebesgue_time_norm(result.series["sigma"], INF, hyb_inf, T) \
-        + lebesgue_time_norm(result.series["h"], INF, hyb_inf, T)
-    sup_v = lebesgue_time_norm(result.series["velocity"], INF, BesovSpec(s - 1.0), T)
-    int_sig_h = lebesgue_time_norm(result.series["sigma"], 1.0, hyb_one, T) \
-        + lebesgue_time_norm(result.series["h"], 1.0, hyb_one, T)
-    int_v = lebesgue_time_norm(result.series["velocity"], 1.0, BesovSpec(s + 1.0), T)
+    sup_sig_h = lebesgue_time_norm(series["sigma"], INF, hyb_inf, T) \
+        + lebesgue_time_norm(series["h"], INF, hyb_inf, T)
+    sup_v = lebesgue_time_norm(series["velocity"], INF, BesovSpec(s - 1.0), T)
+    int_sig_h = lebesgue_time_norm(series["sigma"], 1.0, hyb_one, T) \
+        + lebesgue_time_norm(series["h"], 1.0, hyb_one, T)
+    int_v = lebesgue_time_norm(series["velocity"], 1.0, BesovSpec(s + 1.0), T)
     return sup_sig_h + sup_v + mu * (int_sig_h + int_v)
 
 
@@ -405,8 +395,10 @@ def smallness_experiment(alpha_list, T: float, grid: GridSpec,
             achieved = initial_hybrid_size(state, params.mu, s)
             row["initial_norm"] = achieved
             result = run(state, params, TimeGrid(T, dt, save_stride))
-            agg = aggregate_energy_norm(result, params.mu, s)
-            press = lebesgue_time_norm(result.series["grad_p"], 1.0,
+            series = {name: norm_series(result.times, [getattr(st, name) for st in result.states])
+                      for name in ("sigma", "velocity", "h", "pressure_grad")}
+            agg = aggregate_energy_norm(series, result.times[-1], params.mu, s)
+            press = lebesgue_time_norm(series["pressure_grad"], 1.0,
                                        BesovSpec(s - 1.0), result.times[-1])
             row["energy_aggregate"] = agg
             row["pressure_l1"] = press

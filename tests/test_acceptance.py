@@ -109,7 +109,7 @@ def test_03_bernstein_bracket():
     ens = EnsembleSpec(count=50, seed=7)  # doubling inside gives 100 fields
     lo, hi = np.inf, 0.0
     for s in (0.0, 1.0, grid.dim / 2.0):
-        rep = verify_bernstein(BesovSpec(s, 2.0, 1.0), ens, grid, hard=True)
+        rep = verify_bernstein(BesovSpec(s, 2.0, 1.0), ens, grid)
         lo, hi = min(lo, rep.min_ratio), max(hi, rep.max_ratio_doubled)
     ok = 0.75 - 1e-9 <= lo and hi <= 8.0 / 3.0 + 1e-9
     clock.report(ok, f"ratios within [{lo:.4f}, {hi:.4f}]")

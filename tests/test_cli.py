@@ -3,16 +3,20 @@ import json
 import os
 import subprocess
 import sys
+import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import besovlab
+from besovlab import cli
 from besovlab.cli import main
 from besovlab.linsolve import TimeGrid
 from besovlab.norms import BesovSpec, besov_norm
-from besovlab.oldroyd import PhysicalParams, make_initial_data, run
+from besovlab.oldroyd import (PhysicalParams, compute_pressure, make_initial_data,
+                              momentum_forcing, phi_iteration, run)
 from besovlab.snapshots import read_snapshot, write_snapshot
 from besovlab.spectral import GridSpec, inverse_transform
 from besovlab.verify import SMALLNESS_COLUMNS
@@ -424,6 +428,65 @@ class TestSimulateCommand:
         assert rows
         dists = [float(r["distance"]) for r in rows]
         assert all(b < a for a, b in zip(dists, dists[1:]))
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["aborted"] is False and manifest["converged"] is True
+        assert manifest["last_distance"] == dists[-1] < 1e-8
+        assert "warnings" not in manifest
+
+    def test_phi_unconverged_exit_3(self, tmp_path, capsys, monkeypatch):
+        """A fixed-point iteration that stops at `max_outer` above `tol` is a
+        solver abort: every output is written, the manifest says so, and
+        stderr holds one line naming the last distance and `tol`."""
+        monkeypatch.setattr(cli, "phi_iteration", lambda *a, **k: phi_iteration(
+            *a, **k, max_outer=1, tol=0.0))
+        cfg = base_config(tmp_path, initial={"family": "exact_gradient",
+                                             "amplitude": 1e-3, "seed": 5})
+        out = tmp_path / "phi_out"
+        capsys.readouterr()
+        assert main(["phi", "--config", str(cfg), "--out", str(out)]) == 3
+        rows = list(csv.DictReader((out / "contraction.csv").read_text().splitlines()))
+        last = float(rows[-1]["distance"])
+        message = f"fixed point not reached: last distance {last:.3g} > tol 0 after 1 iterations"
+        assert capsys.readouterr().err == f"solver abort: {message}\n"
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["aborted"] is True and manifest["error"] == message
+        assert manifest["converged"] is False and manifest["last_distance"] == last
+        snaps = [f"snapshot_{i:06d}.bin" for i in range(4)]  # T 0.05, stride 2
+        assert sorted(manifest["files"]) == sorted(
+            ["config.json", "contraction.csv", "norms.csv", "residuals.csv"] + snaps)
+        assert all((out / name).exists() for name in manifest["files"])
+
+    def test_phi_sigma_warning_one_line(self, tmp_path, capsys, monkeypatch):
+        """A large initial sigma is reported once, as a line of the CLI's own
+        and a manifest entry, never through Python's warning format."""
+        monkeypatch.setattr(cli, "phi_iteration", lambda *a, **k: phi_iteration(
+            *a, **k, max_outer=1, tol=1.0))
+        cfg = base_config(tmp_path, time={"T": 0.02, "dt": 0.01, "save_stride": 1},
+                          initial={"family": "general", "amplitude": 0.3, "seed": 1})
+        out = tmp_path / "phi_out"
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as leaked:
+            warnings.simplefilter("always")
+            assert main(["phi", "--config", str(cfg), "--out", str(out)]) == 0
+        assert not leaked
+        err = capsys.readouterr().err
+        assert err.startswith("warning: initial sigma norm ") and err.count("\n") == 1
+        assert err.endswith(" > 0.1; the linearization map may not contract\n")
+        assert "UserWarning" not in err and "cli.py" not in err
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["warnings"] == [err[len("warning: "):-1]]
+        assert manifest["converged"] is True
+
+    def test_step_count_beyond_any_index_exit_2(self, tmp_path, capsys):
+        """A step count no index can hold is refused before anything is
+        allocated; only that value is tested, since a large but
+        representable count would allocate."""
+        cfg = base_config(tmp_path, time={"T": 0.02, "dt": 1e-300, "save_stride": 1})
+        capsys.readouterr()
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: time: t_end/dt = 2e+298 steps exceed the largest ")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_coupled_mode(self, tmp_path):
         cfg = base_config(
@@ -523,3 +586,45 @@ class TestVerifyCommand:
         rows = list(csv.DictReader(
             (tmp_path / "s" / "smallness.csv").read_text().splitlines()))
         assert len(rows) == 2
+
+
+class TestBenchmarkContract:
+    """What the benchmark harness reads of the package: a run's result has
+    no `report`, a fixed point's report counts the map's applications, a
+    pressure solve reports its iterations and stagnation, and the commands
+    call their work entry points through this module's attributes, looked
+    up at call time, so that rebinding one in `cli` reaches every call."""
+
+    ENTRY_POINTS = ("run", "run_coupled", "phi_iteration", "verify_bernstein",
+                    "verify_product_laws", "verify_log_interpolation", "verify_commutator",
+                    "verify_scaling")
+
+    def test_results(self):
+        grid = GridSpec(2, 16)
+        st, _ = make_initial_data("exact_gradient", 1e-3, 5, grid)
+        tg = TimeGrid(0.02, 0.01)
+        assert not hasattr(run(st, PhysicalParams(), tg), "report")
+        report = phi_iteration(st, PhysicalParams(), tg).report
+        assert report.distances and report.applications == 1 + len(report.distances)
+        terms, s, _ = momentum_forcing(grid, st.coeffs, 1.0)
+        res = compute_pressure(grid, s[0], terms[1:3])
+        assert isinstance(res.iterations, int) and isinstance(res.stagnated, bool)
+
+    def test_entry_points_looked_up_at_call_time(self, tmp_path, monkeypatch):
+        calls = Counter()
+        for name in self.ENTRY_POINTS:
+            monkeypatch.setattr(cli, name, lambda *a, _fn=getattr(cli, name), _name=name, **k:
+                                calls.update([_name]) or _fn(*a, **k))
+        for mode in ("direct", "coupled", "phi"):
+            cfg = base_config(tmp_path, mode=mode, time={"T": 0.02, "dt": 0.01})
+            assert main(["simulate", "--config", str(cfg),
+                         "--out", str(tmp_path / mode)]) == 0
+        # the coupled mode runs the direct evolution too, for its comparison
+        assert calls == {"run": 2, "run_coupled": 1, "phi_iteration": 1}
+        for suite in ("bernstein", "products", "loginterp", "commutator", "scaling"):
+            main(["verify", suite, "--count", "2", "--grid-m", "16",
+                  "--out", str(tmp_path / suite)])
+        assert calls == {"run": 2, "run_coupled": 1, "phi_iteration": 1,
+                         "verify_bernstein": 3, "verify_product_laws": 1,
+                         "verify_log_interpolation": 1, "verify_commutator": 1,
+                         "verify_scaling": 1}

@@ -12,7 +12,7 @@ from besovlab.snapshots import (
     state_samples,
     write_snapshot,
 )
-from besovlab.spectral import GridSpec
+from besovlab.spectral import GridSpec, samples
 from conftest import field_of
 
 
@@ -86,11 +86,11 @@ def test_bad_header_rejected(tmp_path, header):
 
 def test_state_fields_names(grid2_32):
     st, _ = make_initial_data("general", 1e-2, 3, grid2_32)
-    fields = state_samples(st)
+    fields = state_samples(st, samples(grid2_32, st.coeffs))
     assert set(fields) == {"sigma", "v0", "v1", "h00", "h01", "h10", "h11"}
     terms, s, _ = momentum_forcing(grid2_32, st.coeffs, 1.0)
     st.pressure_grad = compute_pressure(grid2_32, s[0], terms[1:3]).gradient
-    fields = state_samples(st)
+    fields = state_samples(st, samples(grid2_32, st.coeffs))
     assert "gradp0" in fields and "gradp1" in fields
 
 
@@ -113,6 +113,7 @@ def test_save_snapshot_from_stage_samples(tmp_path, dim, m):
         write_snapshot(tmp_path / "samples.bin", grid, state_samples(state, s))
         write_snapshot(tmp_path / "fields.bin", grid, by_field)
         assert (tmp_path / "samples.bin").read_bytes() == (tmp_path / "fields.bin").read_bytes()
-        # without the stage's samples, the state is sampled in one call
-        write_snapshot(tmp_path / "state.bin", grid, state_samples(state))
+        # the state's own samples, taken in one call, give the same bytes
+        write_snapshot(tmp_path / "state.bin", grid,
+                       state_samples(state, samples(grid, state.coeffs)))
         assert (tmp_path / "state.bin").read_bytes() == (tmp_path / "fields.bin").read_bytes()

@@ -218,7 +218,7 @@ def one_pair_commutator(a, b, p):
 def drawn(grid, ens, n, radius=None):
     """n fields drawn one at a time from the ensemble's seed."""
     rng = np.random.default_rng(ens.seed)
-    return [random_scalar(grid, rng, radius=radius, decay=ens.decay) for _ in range(n)]
+    return [random_scalar(grid, rng, radius=radius) for _ in range(n)]
 
 
 def extremes(ratios, count):
