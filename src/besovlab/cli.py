@@ -25,13 +25,12 @@ import numpy as np
 from . import __version__
 from .linsolve import (CflViolationError, EllipticConvergenceError,
                        NonPositiveCoefficientError, TimeGrid)
-from .norms import BesovSpec, besov_norm
+from .norms import BesovSpec, besov_norm, l2_norm
 from .oldroyd import (
     ConstraintResiduals,
     DensityFloorError,
     FluidState,
     PhysicalParams,
-    _l2,
     make_initial_data,
     phi_iteration,
     run,
@@ -340,7 +339,7 @@ def cmd_simulate(args, mode_override: str | None = None) -> int:
             report.update(converged=phi.converged, last_distance=phi.distances[-1])
         if mode == "coupled":
             direct = run(state0, params, tg)
-            rows = [{"time": t, "l2_distance": _l2(a.coeffs - b.coeffs, grid)}
+            rows = [{"time": t, "l2_distance": l2_norm(a.coeffs - b.coeffs, grid)}
                     for t, a, b in zip(result.times, result.states, direct.states)]
             manifest.add(_write_csv(out_dir / "cross_formulation.csv",
                                     ["time", "l2_distance"], rows))

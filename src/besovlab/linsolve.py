@@ -22,9 +22,6 @@ import numpy as np
 from .spectral import (
     GridSpec,
     SpectralField,
-    _band_width,
-    _dealiased,
-    _gradient_passes,
     advect,
     dealiased,
     energy,
@@ -193,8 +190,8 @@ def if_factors(grid: GridSpec, mu: float, dt: float, diffusing) -> tuple:
                  for h in (dt, 0.5 * dt))
 
 
-def _if_rk4_step(y: np.ndarray, t: float, dt: float, e_full: np.ndarray,
-                 e_half: np.ndarray, rhs, k1: np.ndarray | None = None) -> np.ndarray:
+def if_rk4_step(y: np.ndarray, t: float, dt: float, e_full: np.ndarray,
+                e_half: np.ndarray, rhs, k1: np.ndarray | None = None) -> np.ndarray:
     """One Lawson (integrating-factor) RK4 step of y' = L y + N(t, y),
     where exp(L dt) = e_full acts diagonally; `k1` is N(t, y) when the
     caller has it already."""
@@ -265,7 +262,7 @@ def solve_transport(u0: SpectralField, velocity, forcing, tg: TimeGrid, *,
             check_cfl(grid, tg.dt, velocity_max(v_s))
             if check_divergence:
                 check_solenoidal(grid, v_now)
-        return _if_rk4_step(y, t, tg.dt, e_full, e_half, rhs)
+        return if_rk4_step(y, t, tg.dt, e_full, e_half, rhs)
 
     return _trajectory(grid, y0, step, tg, u0.coeffs.shape)
 
@@ -312,7 +309,6 @@ class EllipticResult:
     u: np.ndarray  # the potential's coefficients
     residuals: np.ndarray
     iterations: int
-    converged: bool
     flux: np.ndarray  # dealiased a grad u, stacked: the last residual's flux
     stagnated: bool = False  # stopped at the rounding floor below target
 
@@ -368,15 +364,11 @@ def solve_variable_poisson(a: SpectralField | np.ndarray, f: SpectralField | np.
     inv_lap = np.where(k2 > 0, 1.0 / (abar * np.where(k2 > 0, k2, 1.0)), 0.0)
     u = (np.array(_coeffs(warm_start), dtype=complex) if warm_start is not None
          else np.zeros(f.shape, complex))
-    # r = f + div(flux) with the flux dealiased, so every iterate keeps the
-    # k_last columns of f and the warm start: the band is decided once
-    width = max(_band_width(grid, f), _band_width(grid, u))
-    work = np.empty((grid.dim + 1,) + grid.coeff_shape[:-1] + (width,), dtype=complex)
     grad = np.empty((grid.dim,) + grid.shape)
     flux = np.empty((grid.dim,) + grid.coeff_shape, dtype=complex)
 
     def result(it, stagnated=False):
-        return EllipticResult(grid, u, np.asarray(residuals), it, True, flux, stagnated)
+        return EllipticResult(grid, u, np.asarray(residuals), it, flux, stagnated)
 
     residuals = []
     target = tol * max(fnorm, 1e-300)
@@ -385,9 +377,9 @@ def solve_variable_poisson(a: SpectralField | np.ndarray, f: SpectralField | np.
     # accepted as converged-at-floor rather than reported as failure
     floor_gate = np.sqrt(np.finfo(float).eps) * max(fnorm, 1e-300)
     for it in range(max_iter + 1):
-        _gradient_passes(grid, u, work, grad)
+        gradient_samples(grid, u, out=grad)
         np.multiply(a, grad, out=grad)
-        _dealiased(grid, grad, flux)
+        dealiased(grid, grad, flux)
         r = stacked_divergence(grid, flux)
         r += f
         rnorm = float(np.sqrt(energy(r)))
@@ -450,6 +442,6 @@ def solve_coupled(c0: SpectralField, d0: SpectralField, velocity, forcing_c, for
     def step(y, t):
         if vel is not None:
             check_cfl(grid, tg.dt, velocity_max(vel(t)[1]))
-        return _if_rk4_step(y, t, tg.dt, e_full, e_half, rhs)
+        return if_rk4_step(y, t, tg.dt, e_full, e_half, rhs)
 
     return _trajectory(grid, np.concatenate([c, d]), step, tg, (2,) + c0.coeffs.shape)

@@ -107,6 +107,12 @@ def lp_norm(f: SpectralField, p: float) -> float:
     return float(_grid_lp(inverse_transform(f), p, f.grid.cell_volume))
 
 
+def l2_norm(coeffs: np.ndarray, grid: GridSpec) -> float:
+    """L2 norm of the real fields with stacked coefficients `coeffs`: the
+    Parseval `energy` for the unit-amplitude convention."""
+    return float(np.sqrt(TWO_PI ** grid.dim * energy(coeffs)))
+
+
 def stacked_lp(grid: GridSpec, coeffs: np.ndarray, p: float) -> np.ndarray:
     """`lp_norm` of every field of a stacked coefficient array: by Parseval
     (`energy`) for p = 2, else from one `samples` call."""

@@ -39,29 +39,28 @@ import numpy as np
 from . import randfields
 from .linsolve import (
     EllipticResult,
+    NonPositiveCoefficientError,
     TimeGrid,
     check_cfl,
     if_factors,
+    if_rk4_step,
     integrate,
     solve_heat,
     solve_transport,
     solve_variable_poisson,
     velocity_max,
-    _if_rk4_step,
 )
-from .norms import INF, BesovSpec, besov_norm, chemin_lerner_norm, norm_series
+from .norms import INF, BesovSpec, besov_norm, chemin_lerner_norm, l2_norm, norm_series
 from .paley import retained_radius
 from .spectral import (
-    TWO_PI,
     GridError,
     GridSpec,
     SpectralField,
     advect,
     dealiased,
-    energy,
     gradient_samples,
     grid_wavenumbers,
-    _lambda_multiplier,
+    lambda_multiplier,
     product,
     samples,
     stacked_divergence,
@@ -237,12 +236,6 @@ def _weighted_div(grid: GridSpec, rho, flux) -> np.ndarray:
 # -- initial data -------------------------------------------------------------
 
 
-def _l2(coeffs: np.ndarray, grid: GridSpec) -> float:
-    """L2 norm of the real fields with stacked coefficients `coeffs`: the
-    Parseval `energy` for the unit-amplitude convention."""
-    return float(np.sqrt(TWO_PI ** grid.dim * energy(coeffs)))
-
-
 def _identity_residual(grid: GridSpec, h: np.ndarray, h_s: np.ndarray,
                        dh_s: np.ndarray) -> np.ndarray:
     """`deformation_identity_residual` of the stacked h (n, n, *grid), from
@@ -301,10 +294,15 @@ def make_initial_data(family: str, amplitude: float, seed: int, grid: GridSpec):
 def _restore_weighted_div(state: FluidState):
     """Add a gradient column correction to h so d_j(rho (I+h)^{ji}) = 0:
     one solve -div(rho grad phi_i) = d_j(rho U^{ji}) per column i, all
-    reading one sample of rho."""
+    reading one sample of rho.  min(1 + sigma0) must be positive."""
     grid = state.grid
     sigma, _, h = _split(grid, state.coeffs)
-    rho, flux = _density_flux(grid, samples(grid, sigma), h)
+    sig_s = samples(grid, sigma)
+    sig_min = float(sig_s.min())
+    if sig_min + 1.0 <= 0:
+        raise NonPositiveCoefficientError(
+            f"initial data: min(1+sigma0) = {sig_min + 1.0:.3g} is not positive")
+    rho, flux = _density_flux(grid, sig_s, h)
     defect = _weighted_div(grid, rho, flux)
     rho_s = samples(grid, rho)
     for i in range(grid.dim):
@@ -331,6 +329,15 @@ def compute_pressure(grid: GridSpec, sig_s: np.ndarray, g: np.ndarray, *,
 
 
 # -- the IF-RK4 steppers -----------------------------------------------------------
+
+
+def _check_floor(sig_s: np.ndarray, params: PhysicalParams):
+    """Raise DensityFloorError when min(sigma + 1) over the grid samples
+    sig_s of sigma is below `params.sigma_floor`."""
+    sig_min = float(sig_s.min())
+    if sig_min + 1.0 < params.sigma_floor:
+        raise DensityFloorError(
+            f"min(sigma+1) = {sig_min + 1.0:.3g} fell below the floor {params.sigma_floor}")
 
 
 class _Stepper:
@@ -366,12 +373,7 @@ class _Stepper:
         n = self.grid.dim
         out, s, ds = momentum_forcing(self.grid, arr, self.params.mu)
         if floor:
-            sig_min = float(s[0].min())
-            if sig_min + 1.0 < self.params.sigma_floor:
-                raise DensityFloorError(
-                    f"min(sigma+1) = {sig_min + 1.0:.3g} fell below the floor "
-                    f"{self.params.sigma_floor}"
-                )
+            _check_floor(s[0], self.params)
         res = compute_pressure(self.grid, s[0], out[1:1 + n], warm_start=self.warm)
         self.warm, self.last = res.u, res
         out[1:1 + n] -= res.flux
@@ -400,8 +402,8 @@ class _Stepper:
         self.first = None
         check_cfl(self.grid, self.dt, velocity_max(s[1:1 + self.grid.dim]))
         del s  # the stage's samples, then k1, go before the next stage forms its own
-        nxt = self.finish(_if_rk4_step(arr, t, self.dt, self.e_full, self.e_half,
-                                       lambda t, y: self.rhs(t, y)[0], k1))
+        nxt = self.finish(if_rk4_step(arr, t, self.dt, self.e_full, self.e_half,
+                                      lambda t, y: self.rhs(t, y)[0], k1))
         del k1
         self.start(t + self.dt, nxt)
         return nxt
@@ -454,19 +456,19 @@ def constraint_residuals(state: FluidState, sampled=None) -> ConstraintResiduals
     """The residuals of `state`, read from `sampled`: the samples and the
     gradient samples (s, ds) of its stacked array that its first stage
     formed (`momentum_forcing`), or taken here in one `gradient_samples`
-    call when not given.  Every residual is a Parseval norm (`_l2`); the
+    call when not given.  Every residual is a Parseval norm (`l2_norm`); the
     deformation identity is evaluated once and reported under
     both of its names."""
     grid = state.grid
     _, vel, h = _split(grid, state.coeffs)
     s, ds = sampled or gradient_samples(grid, state.coeffs, with_samples=True)
     sig_s, _, h_s = _split(grid, s)
-    identity = _l2(_identity_residual(grid, h, h_s, _split(grid, ds)[2]), grid)
+    identity = l2_norm(_identity_residual(grid, h, h_s, _split(grid, ds)[2]), grid)
     rho, flux = _density_flux(grid, sig_s, h_s)
     return ConstraintResiduals(
-        div_velocity=_l2(stacked_divergence(grid, vel), grid),
-        weighted_div=_l2(_weighted_div(grid, rho, flux), grid),
-        weighted_div_transposed=_l2(_weighted_div(grid, rho, flux.swapaxes(0, 1)), grid),
+        div_velocity=l2_norm(stacked_divergence(grid, vel), grid),
+        weighted_div=l2_norm(_weighted_div(grid, rho, flux), grid),
+        weighted_div_transposed=l2_norm(_weighted_div(grid, rho, flux.swapaxes(0, 1)), grid),
         deformation_identity=identity,
         perturbation_identity=identity,
     )
@@ -529,13 +531,13 @@ def stacked_velocity_to_tensor(grid: GridSpec, v: np.ndarray) -> np.ndarray:
     for c in v:
         if abs(c[(0,) * grid.dim].real) > 1e-12 * max(1.0, float(np.max(np.abs(c)))):
             raise ValueError("velocity must be mean-zero for the tensor map")
-    return -1.0 * (stacked_gradient(grid, v) * _lambda_multiplier(grid, -1.0))
+    return -1.0 * (stacked_gradient(grid, v) * lambda_multiplier(grid, -1.0))
 
 
 def stacked_tensor_to_velocity(grid: GridSpec, d: np.ndarray) -> np.ndarray:
     """v^i = Lam^{-1} d_j d^{ij} of the stacked tensor d (n, n, *grid);
     exact inverse on mean-zero solenoidal v."""
-    return stacked_divergence(grid, d) * _lambda_multiplier(grid, -1.0)
+    return stacked_divergence(grid, d) * lambda_multiplier(grid, -1.0)
 
 
 # -- coupled-variable evolution -------------------------------------------------
@@ -645,7 +647,9 @@ def _phi_apply(prev: _TrajectoryInterpolant, state0: FluidState,
     coefficients (a, xi) of its forcing, with the advecting u still frozen
     from `prev`.  Each callable below is a function of t alone, evaluated
     once per distinct stage time, interpolates only the rows it reads and
-    returns coefficients.
+    returns coefficients.  The velocity forcing checks the density floor on
+    its sigma samples at every stage time t > 0; the initial state is not
+    checked, as in `run`.
     """
     grid = state0.grid
     n = grid.dim
@@ -674,6 +678,8 @@ def _phi_apply(prev: _TrajectoryInterpolant, state0: FluidState,
         sig_h = sh_interp(t)
         arr = np.concatenate([sig_h[:1], u_at(t), sig_h[1:]])
         g, s, _ = momentum_forcing(grid, arr, params.mu, momentum_only=True)
+        if t > 0:
+            _check_floor(s[0], params)
         res = compute_pressure(grid, s[0], g, warm_start=warm)
         warm = res.u
         return g - res.flux

@@ -34,13 +34,15 @@ output components; `product` is the case of one scalar factor.
 
 The two-thirds rule leaves the arrays of the integration core without
 content in the columns k_last > M/3, which the complex passes along the
-wraparound axes skip (`_band_width`, `_dealiased`).  The largest arrays a
-right side holds are those of the one `gradient_samples` call over its
-whole stack: the samples and the gradient samples, `dim` + 1 reals per
-component and grid point (13 x 4 x 32^3 float64 = 13.6 MB in 3D at
-M 32), filled from a work array of `dim` + 1 coefficient branches per
-component on the 11 band columns (9.4 MB; 14.5 MB on all 17) that is
-freed when the call returns.
+wraparound axes skip (`_band_width`, `dealiased`).  The transforms write
+their result into `out=` when given; `samples` and `gradient_samples` run
+their passes in a work array kept per shape (`_scratch`), so no transform
+is safe across threads.  The largest arrays a right side holds are those
+of the one `gradient_samples` call over its whole stack: the samples and
+the gradient samples, `dim` + 1 reals per component and grid point
+(13 x 4 x 32^3 float64 = 13.6 MB in 3D at M 32), filled from a work array
+of `dim` + 1 coefficient branches per component on the 11 band columns
+(9.4 MB; 14.5 MB on all 17), which stays kept after the call.
 """
 
 from __future__ import annotations
@@ -254,24 +256,26 @@ def inverse_transform(field: SpectralField) -> np.ndarray:
     return samples(field.grid, field.coeffs)
 
 
-def samples(grid: GridSpec, coeffs: np.ndarray) -> np.ndarray:
+def samples(grid: GridSpec, coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Real grid samples of every component of a stacked coefficient
-    array: `irfftn`'s passes, on the `_band_width` columns.  norm="forward"
-    is the unit-amplitude convention (the 1/M^dim sits on the forward
-    transform)."""
-    return _samples(grid, coeffs, None)
-
-
-def _samples(grid: GridSpec, coeffs: np.ndarray, work: np.ndarray | None,
-             out: np.ndarray | None = None) -> np.ndarray:
-    """`samples`, its passes along the wraparound axes written into the
-    caller's work array when given (on as many k_last columns as it holds;
-    in place when it is a view of those columns of `coeffs`), and its
-    result into `out` when given."""
-    a = coeffs[..., :_band_width(grid, coeffs) if work is None else work.shape[-1]]
+    array, written into `out` when given: `irfftn`'s passes, those along
+    the wraparound axes on the `_band_width` columns in a `_scratch` array.
+    norm="forward" is the unit-amplitude convention (the 1/M^dim sits on
+    the forward transform)."""
+    a = coeffs[..., :_band_width(grid, coeffs)]
+    work = _scratch(a.shape)
     for ax in range(-grid.dim, -1):
         a = np.fft.ifft(a, axis=ax, norm="forward", out=work)
     return np.fft.irfft(a, n=grid.points_per_axis, axis=-1, norm="forward", out=out)
+
+
+@lru_cache(maxsize=4)
+def _scratch(shape: tuple[int, ...]) -> np.ndarray:
+    """A complex work array of `shape`, kept across calls.  A transform asks
+    for one, makes no other transform call before it returns and never
+    returns it: so an eviction never frees an array in use, and no caller
+    holds one.  The transforms are therefore not safe across threads."""
+    return np.empty(shape, np.complex128)
 
 
 def _band_width(grid: GridSpec, coeffs: np.ndarray) -> int:
@@ -284,16 +288,12 @@ def _band_width(grid: GridSpec, coeffs: np.ndarray) -> int:
     return coeffs.shape[-1] if coeffs[..., band:].any() else band
 
 
-def dealiased(grid: GridSpec, values: np.ndarray) -> np.ndarray:
+def dealiased(grid: GridSpec, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Coefficients of every component of stacked real samples, with the
-    two-thirds rule applied: the values of `rfftn` times the mask."""
-    return _dealiased(grid, values)
-
-
-def _dealiased(grid: GridSpec, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """`dealiased`, written into `out` when given: the passes along the
-    wraparound axes run on the columns k_last <= M/3 alone, and the mask
-    zeroes the rest and the rows |k_axis| > M/3."""
+    two-thirds rule applied: the values of `rfftn` times the mask, written
+    into `out` when given.  The passes along the wraparound axes run on
+    the columns k_last <= M/3 alone, and the mask zeroes the rest and the
+    rows |k_axis| > M/3."""
     m = grid.points_per_axis
     band = m // 3 + 1
     coeffs = np.fft.rfft(values, axis=-1, norm="forward", out=out)
@@ -344,7 +344,7 @@ def stacked_divergence(grid: GridSpec, coeffs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _lambda_multiplier(grid: GridSpec, exponent: float) -> np.ndarray:
+def lambda_multiplier(grid: GridSpec, exponent: float) -> np.ndarray:
     """|k|^exponent with the zero mode set to 0."""
     kmag = grid_wavenumbers(grid)["kmag"]
     with np.errstate(divide="ignore"):
@@ -357,7 +357,7 @@ def lambda_power(field: SpectralField, exponent: float) -> SpectralField:
     for any nonzero exponent."""
     if exponent == 0:
         return field.copy()
-    return SpectralField(field.grid, field.coeffs * _lambda_multiplier(field.grid, exponent))
+    return SpectralField(field.grid, field.coeffs * lambda_multiplier(field.grid, exponent))
 
 
 def divergence(field: SpectralField) -> SpectralField:
@@ -409,15 +409,18 @@ def product(f: SpectralField, g: SpectralField | np.ndarray):
     return dealiased(grid, inverse_transform(f) * g_s)
 
 
-def gradient_samples(grid: GridSpec, coeffs: np.ndarray, *, with_samples: bool = False):
+def gradient_samples(grid: GridSpec, coeffs: np.ndarray, *, with_samples: bool = False,
+                     out: np.ndarray | None = None):
     """Real grid samples of d_l of every component of a stacked array,
     laid out as `stacked_gradient` (axis l just before the
-    grid axes); with `with_samples`, (samples, gradient samples).
+    grid axes) and written into `out` when given; with `with_samples`,
+    (samples, gradient samples), and no `out`.
 
     i k_l acts on axis l alone, so it commutes with the 1D passes along the
     other axes: the passes run in `irfftn`'s axis order over every branch at
-    once, and the branch d_l splits off the field's own (whose samples are
-    bitwise `samples`') just before its pass along axis l.  A field and its
+    once (the field, then d_0, d_1, ..., in one `_scratch` array), and the
+    branch d_l splits off the field's own (whose samples are bitwise
+    `samples`') just before its pass along axis l.  A field and its
     gradient take 5 one-dimensional passes in 2D and 9 in 3D (the gradient
     alone 4 and 8), against 6 and 12 as one `irfftn` each, and the passes
     along the wraparound axes run on the `_band_width` columns only: 3D
@@ -425,28 +428,23 @@ def gradient_samples(grid: GridSpec, coeffs: np.ndarray, *, with_samples: bool =
     passes over every column and 6.3 ms as one `irfftn` each (median of 60
     alternations, 2-vCPU Xeon VM)."""
     n = grid.dim
-    work = np.empty((n + 1,) + coeffs.shape[:-1] + (_band_width(grid, coeffs),),
-                    dtype=np.complex128)
-    out = _gradient_passes(grid, coeffs, work, with_samples=with_samples)
-    grad = np.moveaxis(out[1:] if with_samples else out, 0, -n - 1)
-    return (out[0], grad) if with_samples else grad
-
-
-def _gradient_passes(grid: GridSpec, coeffs: np.ndarray, work: np.ndarray,
-                     out: np.ndarray | None = None, *, with_samples: bool = False) -> np.ndarray:
-    """`gradient_samples`' passes through the caller's work array of
-    `dim` + 1 branches (the field, then d_0, d_1, ...) on its k_last
-    columns, beyond which `coeffs` is zero; returns the samples
-    branch-major, written into `out` when given."""
-    n, width = grid.dim, work.shape[-1]
+    width = _band_width(grid, coeffs)
+    work = _scratch((n + 1,) + coeffs.shape[:-1] + (width,))
     ik = grid_wavenumbers(grid)["ik_axes"]
     work[0] = coeffs[..., :width]
     for ax in range(n - 1):
         np.multiply(work[0], ik[ax], out=work[1 + ax])
         np.fft.ifft(work[:ax + 2], axis=ax - n, norm="forward", out=work[:ax + 2])
     np.multiply(work[0], ik[n - 1][..., :width], out=work[n])
-    return np.fft.irfft(work[0 if with_samples else 1:], n=grid.points_per_axis, axis=-1,
-                        norm="forward", out=out)
+    stacked = coeffs.ndim > n  # a scalar's branches are in `stacked_gradient` layout already
+    branches = np.moveaxis(out, -n - 1, 0) if stacked and out is not None else out
+    res = np.fft.irfft(work[0 if with_samples else 1:], n=grid.points_per_axis, axis=-1,
+                       norm="forward", out=branches)
+    if out is not None:
+        return out
+    grad = res[1:] if with_samples else res
+    grad = np.moveaxis(grad, 0, -n - 1) if stacked else grad
+    return (res[0], grad) if with_samples else grad
 
 
 def advect(grid: GridSpec, v: np.ndarray, du: np.ndarray) -> np.ndarray:

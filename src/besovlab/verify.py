@@ -33,9 +33,6 @@ from .paley import SHELL_HI, SHELL_LO, block_multipliers, retained_radius
 from .spectral import (
     GridSpec,
     SpectralField,
-    _band_width,
-    _dealiased,
-    _samples,
     dealiased,
     gradient,
     grid_wavenumbers,
@@ -232,25 +229,26 @@ def verify_log_interpolation(ensemble: EnsembleSpec, s: float, eps: float,
 
 
 def _commutator_bands(grid: GridSpec, a: np.ndarray, b: np.ndarray, p: float,
-                      work: list) -> np.ndarray:
+                      kept: list) -> np.ndarray:
     """||div(A (band_q grad B)) - band_q div(A grad B)||_p for every band q
     and every pair (a[i], b[i]) of stacked scalar coefficients, shape
     (pairs, bands), with `product`'s arithmetic: `a` is sampled once, and
     the (pair, band, axis) stack band_q grad b is formed, sampled and
-    dealiased in `work` (its coefficients and samples), made on the first
-    call and kept by the caller across chunks of no more pairs; each band's
-    terms are contracted with i k to one field."""
-    if not work:
+    dealiased into `kept` (the transforms' output arrays: its coefficients
+    and samples), made on the first call and kept by the caller across
+    chunks of no more pairs; each band's terms are contracted with i k to
+    one field."""
+    if not kept:
         shape = (len(a), grid.q_max + 1, grid.dim)
-        work += [np.empty(shape + grid.coeff_shape, np.complex128), np.empty(shape + grid.shape)]
-    stack, stack_s = (w[:len(a)] for w in work)
+        kept += [np.empty(shape + grid.coeff_shape, np.complex128), np.empty(shape + grid.shape)]
+    stack, stack_s = (w[:len(a)] for w in kept)
     bands = block_multipliers(grid)[:, None]
     a_s = samples(grid, a)
     grad_b = stacked_gradient(grid, b)
     np.multiply(bands, grad_b[:, None], out=stack)
-    first = _samples(grid, stack, stack[..., :_band_width(grid, stack)], stack_s)
+    first = samples(grid, stack, stack_s)
     first *= a_s[:, None, None]
-    first = _dealiased(grid, first, stack)
+    first = dealiased(grid, first, stack)
     second = dealiased(grid, samples(grid, grad_b) * a_s[:, None])
     for q, band in enumerate(bands):
         first[:, q] -= band * second
@@ -274,12 +272,12 @@ def verify_commutator(ensemble: EnsembleSpec, s: float, t: float, p: float,
     spec_a = BesovSpec(s - 1.0, p, 1.0)
     spec_b = BesovSpec(t - 1.0, p, 1.0)
     weights = np.exp2(np.arange(grid.q_max + 1) * (s + t - 2.0 - npp))
-    ratios, work = [], []  # the work arrays are made for the first chunk, the largest
+    ratios, kept = [], []  # the output arrays are made for the first chunk, the largest
     for pairs in _draw_chunks(grid, ensemble, (grid.q_max + 1) * n, radius, (2,)):
         a, b = pairs[:, 0], pairs[:, 1]
         na, = ensemble_norms(grid, stacked_gradient(grid, a), spec_a).tolist()
         nb, = ensemble_norms(grid, stacked_gradient(grid, b), spec_b).tolist()
-        for x, y, band in zip(na, nb, _commutator_bands(grid, a, b, p, work)):
+        for x, y, band in zip(na, nb, _commutator_bands(grid, a, b, p, kept)):
             ratios.append(None if x == 0.0 or y == 0.0
                           else float((weights * band / (x * y)).sum()))
     return _ratio_report("commutator", {"s": s, "t": t, "p": p}, ratios,

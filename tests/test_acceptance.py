@@ -12,14 +12,13 @@ import scipy.linalg
 
 from besovlab.linsolve import TimeGrid, solve_coupled, solve_heat, solve_transport, \
     solve_variable_poisson
-from besovlab.norms import BesovSpec
+from besovlab.norms import BesovSpec, l2_norm
 from besovlab.oldroyd import (
     PhysicalParams,
     make_initial_data,
     deformation_identity_residual,
     phi_iteration,
     run,
-    _l2,
 )
 from besovlab.paley import profile
 from besovlab.randfields import random_scalar
@@ -179,7 +178,7 @@ def test_07_constraint_propagation():
         div_worst = max(div_worst, max(r["div_velocity"] for r in res.residual_rows))
     fields = {dt: deformation_identity_residual(finals[dt].h) for dt in finals}
     ref = fields[2e-3]
-    ratio = _l2((fields[8e-3] - ref).coeffs, grid) / _l2((fields[4e-3] - ref).coeffs, grid)
+    ratio = l2_norm((fields[8e-3] - ref).coeffs, grid) / l2_norm((fields[4e-3] - ref).coeffs, grid)
     ok = ratio >= 3.0 and div_worst <= 1e-10
     clock.report(ok, f"halving ratio {ratio:.1f}, max div v {div_worst:.3g}")
 

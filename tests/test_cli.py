@@ -415,6 +415,33 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    def test_initial_sigma_not_positive_exit_3(self, tmp_path, capsys):
+        # 1 + sigma0 itself is negative somewhere: the abort names it, not
+        # the coefficient of the weighted-divergence correction
+        cfg = base_config(tmp_path, time={"T": 0.02, "dt": 0.01, "save_stride": 1},
+                          initial={"family": "general", "amplitude": 50.0, "seed": 0})
+        out = tmp_path / "init_out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 3
+        message = "initial data: min(1+sigma0) = -19.2 is not positive"
+        assert capsys.readouterr().err == f"solver abort: {message}\n"
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["error"] == f"NonPositiveCoefficientError: {message}"
+
+    @pytest.mark.parametrize("mode", ["direct", "coupled", "phi"])
+    def test_density_floor_every_mode_exit_3(self, tmp_path, capsys, mode):
+        # min(1 + sigma) stays near 0.96 over the run, far below the floor;
+        # the initial state is not checked, its first evolved stage is
+        cfg = base_config(tmp_path, params={"mu": 1.0, "sigma_floor": 1.5},
+                          time={"T": 0.02, "dt": 0.01, "save_stride": 1},
+                          initial={"family": "general", "amplitude": 0.1, "seed": 0}, mode=mode)
+        out = tmp_path / "floor_out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 3
+        message = "min(sigma+1) = 0.96 fell below the floor 1.5"
+        assert capsys.readouterr().err.endswith(f"solver abort: {message}\n")
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["aborted"] is True
+        assert manifest["error"] == f"DensityFloorError: {message}"
+
     def test_phi_mode(self, tmp_path):
         cfg = base_config(
             tmp_path,

@@ -10,7 +10,9 @@ package module loads it by name or attribute, or `__init__.py` exports it.  A
 public method or property of a class there has a caller when some package
 module loads an attribute of its name.  Both scans go by name alone, so a
 member that shares its name with a loaded attribute of anything else (such
-as `GridSpec.meshgrid` and `np.meshgrid`) counts as called.
+as `GridSpec.meshgrid` and `np.meshgrid`) counts as called.  No package
+module imports another's private (`_`) name: what a module shares is
+public.
 """
 
 import ast
@@ -101,6 +103,31 @@ def test_no_class_member_without_a_caller():
     sources = {p.stem: p.read_text() for p in (ROOT / "src" / "besovlab").glob("*.py")}
     unread = unread_members(sources)
     assert not unread, "class members no module reads: " + ", ".join(unread)
+
+
+def private_imports(sources: dict[str, str]) -> list[str]:
+    """`module: name` of each private (`_`, not dunder) name a module of
+    `sources` (module name -> source) imports from another package module,
+    by a relative or a `besovlab` import."""
+    return sorted(f"{module}: {alias.name}" for module, source in sources.items()
+                  for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.ImportFrom)
+                  and (node.level > 0 or (node.module or "").startswith("besovlab"))
+                  for alias in node.names
+                  if alias.name.startswith("_") and not alias.name.endswith("__"))
+
+
+def test_scan_sees_private_imports():
+    sources = {"a": "from __future__ import annotations\nfrom . import __version__, b\n"
+                    "from .b import Public, _private\nfrom numpy import _core\n",
+               "c": "from besovlab.b import _other\n"}
+    assert private_imports(sources) == ["a: _private", "c: _other"]
+
+
+def test_no_private_import_across_modules():
+    sources = {p.stem: p.read_text() for p in (ROOT / "src" / "besovlab").glob("*.py")}
+    private = private_imports(sources)
+    assert not private, "private names imported from another module: " + ", ".join(private)
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))

@@ -12,7 +12,7 @@ from besovlab.linsolve import (
     solve_transport,
     solve_variable_poisson,
 )
-from besovlab.norms import INF, BesovSpec, besov_norm, block_lp, norm_series
+from besovlab.norms import INF, BesovSpec, besov_norm, block_lp, l2_norm, norm_series
 from besovlab.oldroyd import (
     AdmissibleSetSpec,
     DensityFloorError,
@@ -33,7 +33,6 @@ from besovlab.oldroyd import (
     _DirectStepper,
     _Stepper,
     _identity_quadratic,
-    _l2,
 )
 from besovlab.randfields import random_scalar, random_solenoidal
 from besovlab.spectral import (
@@ -320,8 +319,8 @@ class TestConstraints:
             final = run(st, PARAMS, TimeGrid(1.0, dt, save_stride=10 ** 6)).states[-1]
             fields[dt] = deformation_identity_residual(final.h)
         ref = fields[2e-3]
-        d1 = _l2((fields[8e-3] - ref).coeffs, grid2_32)
-        d2 = _l2((fields[4e-3] - ref).coeffs, grid2_32)
+        d1 = l2_norm((fields[8e-3] - ref).coeffs, grid2_32)
+        d2 = l2_norm((fields[4e-3] - ref).coeffs, grid2_32)
         assert d1 / d2 >= 3.0
 
 

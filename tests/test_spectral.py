@@ -22,6 +22,7 @@ from besovlab.spectral import (
     samples,
     stacked_gradient,
     zero_field,
+    _scratch,
 )
 from besovlab.randfields import random_scalar
 
@@ -442,6 +443,59 @@ class TestBandPasses:
         widths.clear()
         dealiased(grid, np.zeros(lead + grid.shape))
         assert widths == [m // 3 + 1] * (dim - 1)
+
+
+@pytest.mark.parametrize("dim,m", REAL_TRANSFORM_GRIDS)
+@pytest.mark.parametrize("lead", [(), (3,)], ids=["field", "stack"])
+@pytest.mark.parametrize("band", [True, False], ids=["band", "white"])
+class TestTransformBuffers:
+    """The buffer contract of the three transforms: `out=` receives the
+    allocating call's values, the work arrays `spectral` keeps never reach a
+    caller, and `_scratch.cache_clear()` empties their pool."""
+
+    @staticmethod
+    def calls(grid, lead, band, seed):
+        """(name, call with an optional `out`, the shape of its result) of
+        each transform, on inputs drawn from `seed`."""
+        c = TestBandPasses.coeffs(grid, lead, band) * (1.0 + seed)
+        values = np.random.default_rng(seed).standard_normal(lead + grid.shape)
+        return [
+            ("samples", lambda out=None: samples(grid, c, out), lead + grid.shape),
+            ("dealiased", lambda out=None: dealiased(grid, values, out),
+             lead + grid.coeff_shape),
+            ("gradient_samples", lambda out=None: gradient_samples(grid, c, out=out),
+             lead + (grid.dim,) + grid.shape),
+        ]
+
+    def test_out_is_returned_bitwise(self, dim, m, lead, band):
+        for name, call, shape in self.calls(GridSpec(dim, m), lead, band, 0):
+            want = call()
+            out = np.full(shape, np.nan, dtype=want.dtype)
+            assert call(out) is out, name
+            assert np.array_equal(out, want), name
+
+    def test_successive_results_share_no_memory(self, dim, m, lead, band):
+        grid = GridSpec(dim, m)
+        for (name, first, _), (_, second, _) in zip(self.calls(grid, lead, band, 0),
+                                                     self.calls(grid, lead, band, 1)):
+            a = first()
+            kept = a.copy()
+            b = second()
+            assert not np.shares_memory(a, b), name
+            assert np.array_equal(a, kept), name
+        c = TestBandPasses.coeffs(grid, lead, band)
+        s, ds = gradient_samples(grid, c, with_samples=True)
+        kept = s.copy(), ds.copy()
+        s2, ds2 = gradient_samples(grid, 2.0 * c, with_samples=True)
+        assert not any(np.shares_memory(x, y) for x in (s, ds) for y in (s2, ds2))
+        assert np.array_equal(s, kept[0]) and np.array_equal(ds, kept[1])
+
+    def test_cache_clear_empties_the_pool(self, dim, m, lead, band):
+        grid = GridSpec(dim, m)
+        samples(grid, TestBandPasses.coeffs(grid, lead, band))
+        assert _scratch.cache_info().currsize > 0
+        _scratch.cache_clear()
+        assert _scratch.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("dim,m", REAL_TRANSFORM_GRIDS)
