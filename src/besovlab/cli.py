@@ -2,7 +2,9 @@
 
 Commands: norms, simulate, phi (simulate with mode=phi), verify,
 smallness.  Exit codes: 0 pass, 1 soft verification failure, 2 usage or
-configuration error, 3 solver abort (partial outputs preserved).
+configuration error, 3 solver abort (partial outputs preserved).  A grid
+numpy cannot size exits 2; running out of memory exits 3 in simulate and
+phi, and 2 in any other command.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ EXIT_USAGE = 2
 EXIT_SOLVER_ABORT = 3
 
 ABORT_ERRORS = (CflViolationError, DensityFloorError, EllipticConvergenceError,
-                NonPositiveCoefficientError)
+                NonPositiveCoefficientError, MemoryError)
 RESIDUAL_COLUMNS = ["time"] + [f.name for f in fields(ConstraintResiduals)]
 NORM_COLUMNS = ["time", "norm_name", "s", "p", "r", "value"]
 
@@ -521,6 +523,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:  # simulate and phi report it as a solver abort
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

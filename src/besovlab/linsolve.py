@@ -2,9 +2,9 @@
 diffusion (heat), the variable-coefficient elliptic problem, and the
 skew-coupled hyperbolic-parabolic pair.
 
-Time integration is 4-stage Runge-Kutta with an exact integrating
-factor on every diffusive mode, so the pure heat evolution is exact per
-Fourier mode.  Callbacks of t are evaluated once per distinct stage time.
+One 4-stage Runge-Kutta core (`_evolve`) advances the three evolutions,
+with an exact integrating factor on every diffusive mode (pure heat is
+exact per Fourier mode); callbacks of t run once per distinct stage time.
 
 Every input, output and callable value is one field, scalar or stacked
 (or its coefficient array, the k_last >= 0 half of `spectral`), and a
@@ -139,20 +139,6 @@ def _per_stage_time(fn, dt: float):
     return at
 
 
-def _velocity_samples(velocity, grid: GridSpec, dt: float):
-    """None, or t -> (stacked velocity, its samples) once per stage time."""
-    def sample(t):
-        v = _coeffs(velocity(t) if callable(velocity) else velocity)
-        return v, samples(grid, v)
-    return None if velocity is None else _per_stage_time(sample, dt)
-
-
-def _forcing_coeffs(forcing, grid: GridSpec, dt: float):
-    """None, or t -> `_rows` of forcing(t) once per stage time."""
-    return None if forcing is None else _per_stage_time(
-        lambda t: _rows(grid, _coeffs(forcing(t))), dt)
-
-
 def velocity_max(v_samples: np.ndarray) -> float:
     """Max pointwise speed sqrt(sum v_i^2), from the velocity's samples."""
     speed2 = sum(v ** 2 for v in v_samples)
@@ -184,7 +170,8 @@ def heat_decay(grid: GridSpec, mu: float, dt: float) -> np.ndarray:
 
 def if_factors(grid: GridSpec, mu: float, dt: float, diffusing) -> tuple:
     """Integrating factors (exp(mu Lap dt), exp(mu Lap dt/2)) stacked per
-    component; components with diffusing[i] false get the factor 1."""
+    component; components with diffusing[i] false get the factor 1 (one
+    flag serves every component)."""
     mask = np.asarray(diffusing, dtype=bool).reshape((-1,) + (1,) * grid.dim)
     return tuple(np.where(mask, heat_decay(grid, mu, h), 1.0)
                  for h in (dt, 0.5 * dt))
@@ -203,7 +190,7 @@ def if_rk4_step(y: np.ndarray, t: float, dt: float, e_full: np.ndarray,
     return e_full * y + (dt / 6.0) * (e_full * k1 + 2.0 * e_half * (k2 + k3) + k4)
 
 
-# -- transport --------------------------------------------------------------
+# -- linear evolutions -----------------------------------------------------
 
 
 @dataclass
@@ -221,12 +208,52 @@ class TrajectoryResult:
         return SpectralField(self.grid, self.coeffs)
 
 
-def _trajectory(grid: GridSpec, y0: np.ndarray, step, tg: TimeGrid,
-                shape: tuple) -> TrajectoryResult:
-    """Integrate the rows `y0` with `step`, keeping every saved array; the
-    result's slices are coefficients of shape `shape`."""
-    times, saved = integrate(y0, step, tg, lambda t, y: y)
-    return TrajectoryResult(times, np.stack(saved).reshape((len(times),) + shape), grid)
+def _evolve(u0: SpectralField, tg: TimeGrid, mu: float, diffusing, velocity=None,
+            forcing=None, linear=None, check_divergence: bool = False) -> TrajectoryResult:
+    """Integrate the rows y of `u0` (`_rows`) under  y' = mu Lap y (on the
+    rows `diffusing` marks, as in `if_factors`) + linear(y) - (v . grad) y +
+    g(t)  by IF-RK4 steps, keeping every saved array.
+
+    `velocity` is None, a vector field or a callable t -> one; `forcing` is
+    None or a callable t -> a field shaped like `u0`; `linear` is None or a
+    map of the rows.  The callables may return fields or coefficient arrays
+    and must be functions of t only: each is evaluated once per distinct
+    stage time (t, t + dt/2; t + dt is the next step's t), and one velocity
+    sample serves the CFL guard dt * |v|_inf * (M/3) <= 1, the divergence
+    check when `check_divergence` and the stages at that time.  The
+    advection product is dealiased.
+    """
+    grid, dt = u0.grid, tg.dt
+
+    def sample(t):  # the stacked velocity and its samples
+        v = _coeffs(velocity(t) if callable(velocity) else velocity)
+        return v, samples(grid, v)
+
+    vel = None if velocity is None else _per_stage_time(sample, dt)
+    force = None if forcing is None else _per_stage_time(
+        lambda t: _rows(grid, _coeffs(forcing(t))), dt)
+    e_full, e_half = if_factors(grid, mu, dt, diffusing)
+
+    def rhs(t, arr):  # a stage never writes into its k, so a kept forcing serves as one
+        out = None if linear is None else linear(arr)
+        if vel is not None:
+            adv = dealiased(grid, advect(grid, vel(t)[1], gradient_samples(grid, arr)))
+            out = -adv if out is None else out - adv
+        if force is not None:
+            out = force(t) if out is None else np.add(out, force(t), out=out)
+        return np.zeros_like(arr) if out is None else out
+
+    def step(y, t):
+        if vel is not None:
+            v_now, v_s = vel(t)
+            check_cfl(grid, dt, velocity_max(v_s))
+            if check_divergence:
+                check_solenoidal(grid, v_now)
+        return if_rk4_step(y, t, dt, e_full, e_half, rhs)
+
+    times, saved = integrate(_rows(grid, u0.coeffs), step, tg, lambda t, y: y)
+    shape = (len(times),) + u0.coeffs.shape
+    return TrajectoryResult(times, np.stack(saved).reshape(shape), grid)
 
 
 def solve_transport(u0: SpectralField, velocity, forcing, tg: TimeGrid, *,
@@ -234,67 +261,25 @@ def solve_transport(u0: SpectralField, velocity, forcing, tg: TimeGrid, *,
     """Advance du/dt + (v . grad) u = g pseudo-spectrally with RK4.
 
     `u0` is a field, scalar or stacked, whose components are advected
-    together; `velocity` is a vector field or a callable t -> one;
-    `forcing` is None or a callable t -> a field shaped like `u0`.  Both
-    callables must be functions of t only, evaluated once per distinct
-    stage time (t, t + dt/2); one velocity sample serves the CFL guard and
-    the stages at that time.  The callables may return fields or
-    coefficient arrays.  The advection product is
-    dealiased and a CFL guard dt * |v|_inf * (M/3) <= 1 is enforced each
-    step.
+    together; `velocity` is a vector field or a callable t -> one, and
+    `forcing` None or a callable t -> a field shaped like `u0`, both of t
+    only (`_evolve` gives the stage times and the CFL guard).
     """
-    grid = u0.grid
-    vel = _velocity_samples(velocity, grid, tg.dt)
-    force = _forcing_coeffs(forcing, grid, tg.dt)
-    y0 = _rows(grid, u0.coeffs)
-    e_full, e_half = if_factors(grid, 0.0, tg.dt, [False] * len(y0))
-
-    def rhs(t, arr):
-        out = np.zeros_like(arr) if vel is None else -dealiased(
-            grid, advect(grid, vel(t)[1], gradient_samples(grid, arr)))
-        if force is not None:
-            out += force(t)
-        return out
-
-    def step(y, t):
-        if vel is not None:
-            v_now, v_s = vel(t)
-            check_cfl(grid, tg.dt, velocity_max(v_s))
-            if check_divergence:
-                check_solenoidal(grid, v_now)
-        return if_rk4_step(y, t, tg.dt, e_full, e_half, rhs)
-
-    return _trajectory(grid, y0, step, tg, u0.coeffs.shape)
-
-
-# -- heat -------------------------------------------------------------------
+    return _evolve(u0, tg, 0.0, False, velocity, forcing, check_divergence=check_divergence)
 
 
 def solve_heat(u0: SpectralField, forcing, mu: float, tg: TimeGrid) -> TrajectoryResult:
     """Advance du/dt - mu Lap(u) = f with an exact per-mode integrating
-    factor; for f = 0 every mode decays exactly by exp(-mu |k|^2 dt).
-    `u0` and `forcing` are as in `solve_transport`.
+    factor; `u0` and `forcing` are as in `solve_transport`.
 
-    The forcing is state-independent, so the four Runge-Kutta stages
-    collapse to a Simpson rule in the integrating-factor variable, with
-    one evaluation per distinct stage time.
+    The IF-RK4 step is exact for f = 0: every mode decays by
+    exp(-mu |k|^2 dt).  The forcing does not read the state, so the two
+    midpoint stages agree and the step is Simpson's rule for the Duhamel
+    integral of f.
     """
     if not mu > 0:
         raise ValueError("mu must be positive")
-    grid = u0.grid
-    dt = tg.dt
-    y0 = _rows(grid, u0.coeffs)
-    e_full, e_half = if_factors(grid, mu, dt, [True] * len(y0))
-    force = _forcing_coeffs(forcing, grid, dt)
-
-    def step(y, t):
-        if force is None:
-            return e_full * y
-        return e_full * y + (dt / 6.0) * (
-            e_full * force(t) + 4.0 * e_half * force(t + 0.5 * dt) + force(t + dt)
-        )
-
-    return _trajectory(grid, y0, step, tg, u0.coeffs.shape)
+    return _evolve(u0, tg, mu, True, forcing=forcing)
 
 
 # -- variable-coefficient elliptic solve -------------------------------------
@@ -413,35 +398,22 @@ def solve_coupled(c0: SpectralField, d0: SpectralField, velocity, forcing_c, for
     (Lam d, -Lam c) sits inside the Runge-Kutta stages; diffusion on d uses
     the exact integrating factor, so with v = 0 and zero forcing each mode
     follows the 2x2 linear system exactly up to RK4 truncation of the skew
-    rotation.  Callables of t are evaluated once per distinct stage time,
-    as in `solve_transport`.
+    rotation.  `velocity` is as in `solve_transport`, and `forcing_c`,
+    `forcing_d` as its `forcing`.
     """
     if c0.coeffs.shape != d0.coeffs.shape:
         raise ValueError("c0 and d0 must have matching component counts")
     if mu < 0:
         raise ValueError("mu must be nonnegative")
     grid = c0.grid
-    c, d = _rows(grid, c0.coeffs), _rows(grid, d0.coeffs)
-    nc = len(c)
-    vel = _velocity_samples(velocity, grid, tg.dt)
-    force_c = _forcing_coeffs(forcing_c, grid, tg.dt)
-    force_d = _forcing_coeffs(forcing_d, grid, tg.dt)
-    e_full, e_half = if_factors(grid, mu, tg.dt, [False] * nc + [True] * nc)
-    kmag = grid_wavenumbers(grid)["kmag"]
+    c = _rows(grid, c0.coeffs)
+    nc, kmag = len(c), grid_wavenumbers(grid)["kmag"]
 
-    def rhs(t, arr):
-        out = np.concatenate([-kmag * arr[nc:], kmag * arr[:nc]])
-        if vel is not None:
-            out -= dealiased(grid, advect(grid, vel(t)[1], gradient_samples(grid, arr)))
-        if force_c is not None:
-            out[:nc] += force_c(t)
-        if force_d is not None:
-            out[nc:] += force_d(t)
-        return out
+    def forcing(t):  # a missing half is zero
+        return np.concatenate([np.zeros_like(c) if f is None else _rows(grid, _coeffs(f(t)))
+                               for f in (forcing_c, forcing_d)])
 
-    def step(y, t):
-        if vel is not None:
-            check_cfl(grid, tg.dt, velocity_max(vel(t)[1]))
-        return if_rk4_step(y, t, tg.dt, e_full, e_half, rhs)
-
-    return _trajectory(grid, np.concatenate([c, d]), step, tg, (2,) + c0.coeffs.shape)
+    return _evolve(SpectralField(grid, np.stack([c0.coeffs, d0.coeffs])), tg, mu,
+                   [False] * nc + [True] * nc, velocity,
+                   None if forcing_c is None and forcing_d is None else forcing,
+                   lambda y: np.concatenate([-kmag * y[nc:], kmag * y[:nc]]))

@@ -76,6 +76,10 @@ class GridSpec:
         m = self.points_per_axis
         if m < 16 or (m & (m - 1)) != 0:
             raise GridError(f"points_per_axis must be a power of two >= 16, got {m}")
+        n = self.dim  # the largest array: a state's samples and gradient samples
+        if 8 * (1 + n + n * n) * (n + 1) * m ** n > np.iinfo(np.intp).max:
+            raise GridError(f"points_per_axis {m} is too large: a state's samples and "
+                            f"gradient samples would exceed numpy's largest array")
 
     @property
     def shape(self) -> tuple[int, ...]:

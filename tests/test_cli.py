@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import io
 import json
 import os
 import subprocess
@@ -9,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import besovlab
 from besovlab import cli
@@ -515,6 +519,38 @@ class TestSimulateCommand:
         assert err.startswith("error: time: t_end/dt = 2e+298 steps exceed the largest ")
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    def test_grid_numpy_cannot_size_exit_2(self, tmp_path, capsys):
+        """A grid whose state numpy cannot size is a configuration error,
+        refused before anything is allocated or the output directory made."""
+        cfg = base_config(tmp_path, grid={"dim": 2, "M": 2 ** 30})
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: grid: points_per_axis 1073741824 is too large: a state's samples "
+            "and gradient samples would exceed numpy's largest array\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode", ["direct", "phi"])
+    def test_out_of_memory_exit_3(self, tmp_path, capsys, monkeypatch, mode):
+        """Running out of memory during a run is a solver abort that keeps
+        numpy's message; a raised MemoryError stands in for the allocation
+        of a grid too large for the machine."""
+        message = ("Unable to allocate 56.0 TiB for an array with shape "
+                   "(7, 1048576, 1048576) and data type float64")
+
+        def exhausted(*args):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "make_initial_data", exhausted)
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(["simulate", "--config", str(base_config(tmp_path, mode=mode)),
+                     "--out", str(out)]) == 3
+        assert capsys.readouterr().err == f"solver abort: {message}\n"
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["aborted"] is True and manifest["error"] == f"MemoryError: {message}"
+        assert manifest["files"] == ["config.json"]
+
     def test_coupled_mode(self, tmp_path):
         cfg = base_config(
             tmp_path,
@@ -528,6 +564,94 @@ class TestSimulateCommand:
             (out / "cross_formulation.csv").read_text().splitlines()))
         assert rows
         assert float(rows[-1]["l2_distance"]) <= 1e-6
+
+
+INF, NAN = float("inf"), float("nan")
+
+
+def log_uniform(lo, hi):
+    return st.floats(lo, hi).map(lambda e: 10.0 ** e)
+
+
+# (section, key) of a `cli.CONFIG_SCHEMA` row: (strategy of valid values,
+# malformed values: a wrong type, a non-finite or an out-of-range value).
+# Valid grids are 2D with at most 32^2 points, and the valid `time.T` is a
+# step count of at most 4, multiplied by dt; the malformed grid sizes are
+# refused before anything is allocated.
+SCHEMA_VALUES = {
+    ("", "grid"): (None, [[], "16"]), ("", "params"): (None, [1.0]),
+    ("", "time"): (None, [None]), ("", "initial"): (None, ["general"]),
+    ("", "mode"): (st.sampled_from(["direct", "phi", "coupled"]), ["fast", None]),
+    ("", "output_dir"): (st.just("out"), [5]),
+    ("", "norms"): (None, ["velocity", [1], {"name": "h", "s": 0.0}]),
+    ("grid", "dim"): (st.just(2), [1, 4, "2", 2.0, True]),
+    ("grid", "M"): (st.sampled_from([16, 32]), [24, 2 ** 30, "16", 16.0]),
+    ("params", "mu"): (log_uniform(-2.0, 1.0), [0.0, -1.0, "1", INF, NAN]),
+    ("params", "sigma_floor"): (st.floats(0.05, 2.0), [0.0, "0.1", INF, NAN]),
+    ("time", "T"): (st.integers(1, 4), [-0.01, "0.02", INF, NAN, 0.015]),
+    ("time", "dt"): (st.sampled_from([0.01, 0.005, 0.0025]), [0.0, 1e-300, "0.01", INF, 0.03]),
+    ("time", "save_stride"): (st.integers(1, 4), [0, 1.5, "2", True]),
+    ("initial", "family"): (st.sampled_from(["exact_gradient", "general"]), ["exact"]),
+    ("initial", "amplitude"): (st.one_of(st.just(0.0), log_uniform(-4.0, 1.7)),
+                               [-0.1, "0.1", INF, NAN, True]),
+    ("initial", "seed"): (st.integers(0, 99), [-1, 1.5, "3", True]),
+    ("norms", "name"): (st.sampled_from(["sigma", "velocity", "h", "grad_p"]), ["pressure"]),
+    ("norms", "s"): (st.floats(-1.0, 2.0), ["1", INF, True]),
+    ("norms", "p"): (st.sampled_from([1, 2, 4, "inf"]), [0.5, "2", True]),
+    ("norms", "r"): (st.sampled_from([1, 2, "inf"]), [0.5, NAN]),
+}
+
+
+@st.composite
+def schema_configs(draw):
+    """A config with every schema row valid, or (half the draws) one row
+    malformed."""
+    rows = {(sec, key): kind for sec, key, kind, _ in cli.CONFIG_SCHEMA}
+    broken = draw(st.sampled_from([None] * len(rows) + list(rows)))
+
+    def value(sec, key):
+        valid, malformed = SCHEMA_VALUES[sec, key]
+        if (sec, key) == broken:
+            return draw(st.sampled_from(malformed))
+        if rows[sec, key] == "object":
+            return {k: value(key, k) for s, k in rows if s == key}
+        if rows[sec, key] == "norms":
+            return [{k: value(key, k) for s, k in rows if s == key}
+                    for _ in range(draw(st.integers(0, 2)))]
+        return draw(valid)
+
+    cfg = {key: value(sec, key) for sec, key in rows if sec == ""}
+    t = cfg["time"]
+    if isinstance(t, dict) and ("time", "T") != broken:
+        t["T"] *= 0.01 if ("time", "dt") == broken else t["dt"]
+    return cfg
+
+
+class TestExitContract:
+    """Every drawn config ends in a documented exit: no traceback, an abort
+    keeps its manifest and the files it lists, and a fixed point that exits
+    0 converged."""
+
+    def test_every_schema_row_drawn(self):
+        assert set(SCHEMA_VALUES) == {(sec, key) for sec, key, *_ in cli.CONFIG_SCHEMA}
+
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @given(cfg=schema_configs())
+    def test_documented_exit(self, tmp_path_factory, cfg):
+        root = tmp_path_factory.mktemp("contract")
+        path, out = root / "config.json", root / "out"
+        path.write_text(json.dumps(cfg))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["simulate", "--config", str(path), "--out", str(out)])
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err.getvalue()
+        if code == 3:
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["aborted"] is True
+            assert all((out / name).exists() for name in manifest["files"])
+        if code == 0 and cfg["mode"] == "phi":
+            assert json.loads((out / "manifest.json").read_text())["converged"] is True
 
 
 class TestModuleEntryPoint:
@@ -563,6 +687,20 @@ class TestVerifyCommand:
         assert main([*command, "--seed", "-2", "--out", str(out)]) == 2
         assert capsys.readouterr().err == "error: --seed must be nonnegative, got -2\n"
         assert not out.exists()
+
+    def test_out_of_memory_exit_2(self, tmp_path, capsys, monkeypatch):
+        """A suite that runs out of memory ends in one error line, not a
+        traceback; a raised MemoryError stands in for the allocation."""
+        message = ("Unable to allocate 4.00 TiB for an array with shape "
+                   "(1048576, 524289) and data type float64")
+
+        def exhausted(*args):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "verify_bernstein", exhausted)
+        capsys.readouterr()
+        assert main(["verify", "bernstein", "--out", str(tmp_path / "v")]) == 2
+        assert capsys.readouterr().err == f"error: out of memory: {message}\n"
 
     def test_bernstein_passes(self, tmp_path):
         assert main(["verify", "bernstein", "--count", "8", "--grid-m", "32",

@@ -7,6 +7,7 @@ from besovlab.linsolve import (
     EllipticConvergenceError,
     NonSolenoidalError,
     TimeGrid,
+    if_factors,
     solve_coupled,
     solve_heat,
     solve_transport,
@@ -93,6 +94,32 @@ class TestHeat:
     def test_rejects_nonpositive_mu(self, grid2_32):
         with pytest.raises(ValueError):
             solve_heat(zero_field(grid2_32), None, 0.0, TimeGrid(1.0, 0.1))
+
+    def test_time_only_forcing_is_simpson(self, grid2_32):
+        """A forcing of t alone gives equal midpoint stages, so each IF-RK4
+        step is Simpson's rule for the Duhamel integral, bit for bit:
+        e_full y + dt/6 (e_full f(t) + 4 e_half f(t + dt/2) + f(t + dt)),
+        with f evaluated at the time the solver first asks for each
+        half-step index (at dt 2.5e-3, n dt + dt, which may differ from
+        (n + 1) dt by an ulp)."""
+        rng = np.random.default_rng(22)
+        u0, a, b = (random_scalar(grid2_32, rng) for _ in range(3))
+        mu, dt = 0.7, 2.5e-3
+        tg = TimeGrid(0.05, dt)
+        f = lambda t: a.coeffs * np.cos(3.0 * t) + b.coeffs * t
+        kept = {}  # half-step index -> the time f was evaluated at
+
+        def forcing(t):
+            kept[round(2.0 * t / dt)] = t
+            return f(t)
+
+        res = solve_heat(u0, forcing, mu, tg)
+        e_full, e_half = (e[0] for e in if_factors(grid2_32, mu, dt, [True]))
+        y = u0.coeffs
+        for n in range(tg.n_steps):
+            f0, f_half, f1 = (f(kept[2 * n + j]) for j in range(3))
+            y = e_full * y + (dt / 6.0) * (e_full * f0 + 4.0 * e_half * f_half + f1)
+            assert np.array_equal(res.coeffs[n + 1], y)
 
 
 class TestTransport:
@@ -241,6 +268,15 @@ class TestStageTimeEvaluations:
         # a frozen velocity field gives the same trajectory bit for bit
         frozen = solve_transport(u0, v, lambda t: g, tg)
         assert np.array_equal(res.coeffs, frozen.coeffs)
+
+    @pytest.mark.parametrize("t_end, dt", CASES)
+    def test_heat(self, grid2_32, t_end, dt):
+        rng = np.random.default_rng(5)
+        u0, g = random_scalar(grid2_32, rng), random_scalar(grid2_32, rng)
+        tg = TimeGrid(t_end, dt)
+        force_calls = []
+        solve_heat(u0, self.counted(force_calls, g), 1.0, tg)
+        assert [round(2.0 * t / dt) for t in force_calls] == list(range(2 * tg.n_steps + 1))
 
     @pytest.mark.parametrize("t_end, dt", CASES)
     def test_coupled(self, grid2_32, t_end, dt):

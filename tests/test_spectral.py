@@ -50,6 +50,19 @@ class TestGridSpec:
         with pytest.raises(GridError):
             GridSpec(dim, m)
 
+    @pytest.mark.parametrize("dim, largest", [(2, 2 ** 27), (3, 2 ** 18)])
+    def test_rejects_grid_numpy_cannot_size(self, dim, largest):
+        """A state's samples and gradient samples, (1 + n + n^2)(n + 1) M^n
+        float64 values, must fit numpy's largest array: the next grid after
+        `largest` is refused, as numpy refuses to size that array (a size
+        check, nothing is allocated)."""
+        n = dim
+        GridSpec(n, largest)
+        with pytest.raises(GridError, match="too large"):
+            GridSpec(n, 2 * largest)
+        with pytest.raises(ValueError, match="array is too big"):
+            np.empty(((1 + n + n * n) * (n + 1),) + (2 * largest,) * n)
+
     def test_cell_volume(self, grid2_32):
         assert grid2_32.cell_volume == pytest.approx((2 * np.pi / 32) ** 2, rel=1e-15)
 
