@@ -40,12 +40,11 @@ from .paley import profile  # noqa: F401
 from .spectral import (  # noqa: F401
     GridSpec,
     SpectralField,
-    dealias,
-    derivative,
     divergence,
     forward_transform,
+    gradient,
     inverse_transform,
-    lambda_power,
+    lambda_multiplier,
     leray_project,
     rescale,
     zero_field,

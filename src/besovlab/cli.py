@@ -341,7 +341,7 @@ def cmd_simulate(args, mode_override: str | None = None) -> int:
             report.update(converged=phi.converged, last_distance=phi.distances[-1])
         if mode == "coupled":
             direct = run(state0, params, tg)
-            rows = [{"time": t, "l2_distance": l2_norm(a.coeffs - b.coeffs, grid)}
+            rows = [{"time": t, "l2_distance": l2_norm(grid, a.coeffs - b.coeffs)}
                     for t, a, b in zip(result.times, result.states, direct.states)]
             manifest.add(_write_csv(out_dir / "cross_formulation.csv",
                                     ["time", "l2_distance"], rows))

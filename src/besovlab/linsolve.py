@@ -24,14 +24,14 @@ from .spectral import (
     SpectralField,
     advect,
     dealiased,
+    divergence,
     energy,
+    gradient,
     gradient_samples,
     grid_wavenumbers,
     hermitize,
     inverse_transform,
     samples,
-    stacked_divergence,
-    stacked_gradient,
 )
 
 CFL_LIMIT = 1.0
@@ -156,7 +156,7 @@ def check_cfl(grid: GridSpec, dt: float, vmax: float):
 def check_solenoidal(grid: GridSpec, velocity: np.ndarray):
     """Raise NonSolenoidalError unless the stacked velocity coefficients are
     divergence-free to 1e-10 of their largest."""
-    div = stacked_divergence(grid, velocity)
+    div = divergence(grid, velocity)
     scale = max(np.max(np.abs(velocity)), 1e-300)
     defect = np.max(np.abs(div)) / scale
     if defect > 1e-10:
@@ -299,7 +299,7 @@ class EllipticResult:
 
     @property
     def gradient(self) -> SpectralField:
-        return SpectralField(self.grid, stacked_gradient(self.grid, self.u))
+        return SpectralField(self.grid, gradient(self.grid, self.u))
 
 
 def solve_variable_poisson(a: SpectralField | np.ndarray, f: SpectralField | np.ndarray, *,
@@ -317,12 +317,12 @@ def solve_variable_poisson(a: SpectralField | np.ndarray, f: SpectralField | np.
     read those samples.  `f` and `warm_start` are fields or coefficient
     arrays; f is projected onto the real-field subspace (`hermitize`: its
     anti-Hermitian rounding content is unreachable by the real-sample
-    operator).  Each residual
-    samples the stacked gradient of u, multiplies by them and takes one
-    dealiased transform of the flux, the arithmetic of
-    `product(a, derivative(u, ax))` per axis; the result keeps the flux of
-    the returned potential.  Raises EllipticConvergenceError when max_iter
-    is hit, with the residual history attached.
+    operator).  Each residual samples the stacked gradient of u,
+    multiplies by them and takes one dealiased transform of the flux, the
+    arithmetic of `product` of a with each d_l u; the result keeps the flux
+    of the returned potential.  Raises EllipticConvergenceError, with the
+    residual history, when max_iter is hit or a residual is not finite
+    (divergence: a_max/abar above 2, which the message names).
     """
     if isinstance(a, SpectralField):
         grid, a = a.grid, inverse_transform(a)
@@ -361,23 +361,29 @@ def solve_variable_poisson(a: SpectralField | np.ndarray, f: SpectralField | np.
     # tight relative target; flat iterations deep below the data scale are
     # accepted as converged-at-floor rather than reported as failure
     floor_gate = np.sqrt(np.finfo(float).eps) * max(fnorm, 1e-300)
-    for it in range(max_iter + 1):
-        gradient_samples(grid, u, out=grad)
-        np.multiply(a, grad, out=grad)
-        dealiased(grid, grad, flux)
-        r = stacked_divergence(grid, flux)
-        r += f
-        rnorm = float(np.sqrt(energy(r)))
-        residuals.append(rnorm)
-        if rnorm <= target or fnorm == 0.0:
-            return result(it)
-        if it >= 4 and rnorm <= floor_gate:
-            recent = residuals[-4:]
-            if recent[-1] > 0.99 * min(recent[:-1]):
-                return result(it, stagnated=True)
-        if it == max_iter:
-            break
-        u += r * inv_lap
+    with np.errstate(over="ignore", invalid="ignore"):  # a diverging iterate overflows
+        for it in range(max_iter + 1):
+            gradient_samples(grid, u, out=grad)
+            np.multiply(a, grad, out=grad)
+            dealiased(grid, grad, flux)
+            r = divergence(grid, flux)
+            r += f
+            rnorm = float(np.sqrt(energy(r)))
+            if not math.isfinite(rnorm):
+                raise EllipticConvergenceError(
+                    f"Richardson iteration diverged at iteration {it}: a_max/abar = "
+                    f"{float(a.max()) / abar:.3g} (it converges below 2), last finite "
+                    f"residual {(residuals or [fnorm])[-1]:.3g}", np.asarray(residuals))
+            residuals.append(rnorm)
+            if rnorm <= target or fnorm == 0.0:
+                return result(it)
+            if it >= 4 and rnorm <= floor_gate:
+                recent = residuals[-4:]
+                if recent[-1] > 0.99 * min(recent[:-1]):
+                    return result(it, stagnated=True)
+            if it == max_iter:
+                break
+            u += r * inv_lap
     raise EllipticConvergenceError(
         f"no convergence in {max_iter} iterations; final residual "
         f"{residuals[-1]:.3g} (target {target:.3g})",

@@ -107,7 +107,7 @@ def lp_norm(f: SpectralField, p: float) -> float:
     return float(_grid_lp(inverse_transform(f), p, f.grid.cell_volume))
 
 
-def l2_norm(coeffs: np.ndarray, grid: GridSpec) -> float:
+def l2_norm(grid: GridSpec, coeffs: np.ndarray) -> float:
     """L2 norm of the real fields with stacked coefficients `coeffs`: the
     Parseval `energy` for the unit-amplitude convention."""
     return float(np.sqrt(TWO_PI ** grid.dim * energy(coeffs)))

@@ -58,14 +58,14 @@ from .spectral import (
     SpectralField,
     advect,
     dealiased,
+    divergence,
+    gradient,
     gradient_samples,
     grid_wavenumbers,
     lambda_multiplier,
+    leray_project,
     product,
     samples,
-    stacked_divergence,
-    stacked_gradient,
-    stacked_leray,
 )
 
 
@@ -201,7 +201,7 @@ def momentum_forcing(grid: GridSpec, arr: np.ndarray, mu: float, *,
     out = dealiased(grid, terms)
     out[mom] += np.einsum("k...,ik...->i...", wavenumbers["ik"], h)
     if not momentum_only:
-        out[1 + n:] += stacked_gradient(grid, vel).reshape((n * n,) + arr.shape[1:])
+        out[1 + n:] += gradient(grid, vel).reshape((n * n,) + arr.shape[1:])
     return out, s, ds
 
 
@@ -242,7 +242,7 @@ def _identity_residual(grid: GridSpec, h: np.ndarray, h_s: np.ndarray,
     its grid samples h_s and dh_s[i, j, l] = d_l h^{ij} of its gradient, as
     an (n^3, *grid) array."""
     res = _identity_quadratic(grid, h_s, dh_s)
-    dh = stacked_gradient(grid, h)
+    dh = gradient(grid, h)
     res += dh  # the linear part d_k h^{ij} - d_j h^{ik}
     res -= dh.swapaxes(1, 2)
     return res.reshape((-1,) + h.shape[2:])
@@ -283,7 +283,7 @@ def make_initial_data(family: str, amplitude: float, seed: int, grid: GridSpec):
     if amplitude > 0:
         vel[...] = amplitude * randfields.random_solenoidal(grid, rng, radius=radius).coeffs
         w = randfields.random_solenoidal(grid, rng, radius=radius)
-        h[...] = amplitude * stacked_gradient(grid, w.coeffs)
+        h[...] = amplitude * gradient(grid, w.coeffs)
         if family == "general":
             sigma[...] = amplitude * randfields.random_scalar(grid, rng, radius=radius).coeffs
             _restore_weighted_div(state)
@@ -324,7 +324,7 @@ def compute_pressure(grid: GridSpec, sig_s: np.ndarray, g: np.ndarray, *,
     1..n of `momentum_forcing`'s terms).  The samples give the coefficient
     and its positivity check; the result's `gradient` is grad P and its
     `flux` is (sigma + 1) grad P, the flux of the solve's last residual."""
-    return solve_variable_poisson(sig_s + 1.0, -stacked_divergence(grid, g),
+    return solve_variable_poisson(sig_s + 1.0, -divergence(grid, g),
                                   tol=PRESSURE_TOL, warm_start=warm_start)
 
 
@@ -418,7 +418,7 @@ class _DirectStepper(_Stepper):
 
     def finish(self, arr: np.ndarray) -> np.ndarray:
         n = self.grid.dim
-        arr[1:1 + n] = stacked_leray(self.grid, arr[1:1 + n])
+        arr[1:1 + n] = leray_project(self.grid, arr[1:1 + n])
         return arr
 
 
@@ -463,12 +463,12 @@ def constraint_residuals(state: FluidState, sampled=None) -> ConstraintResiduals
     _, vel, h = _split(grid, state.coeffs)
     s, ds = sampled or gradient_samples(grid, state.coeffs, with_samples=True)
     sig_s, _, h_s = _split(grid, s)
-    identity = l2_norm(_identity_residual(grid, h, h_s, _split(grid, ds)[2]), grid)
+    identity = l2_norm(grid, _identity_residual(grid, h, h_s, _split(grid, ds)[2]))
     rho, flux = _density_flux(grid, sig_s, h_s)
     return ConstraintResiduals(
-        div_velocity=l2_norm(stacked_divergence(grid, vel), grid),
-        weighted_div=l2_norm(_weighted_div(grid, rho, flux), grid),
-        weighted_div_transposed=l2_norm(_weighted_div(grid, rho, flux.swapaxes(0, 1)), grid),
+        div_velocity=l2_norm(grid, divergence(grid, vel)),
+        weighted_div=l2_norm(grid, _weighted_div(grid, rho, flux)),
+        weighted_div_transposed=l2_norm(grid, _weighted_div(grid, rho, flux.swapaxes(0, 1))),
         deformation_identity=identity,
         perturbation_identity=identity,
     )
@@ -531,13 +531,13 @@ def stacked_velocity_to_tensor(grid: GridSpec, v: np.ndarray) -> np.ndarray:
     for c in v:
         if abs(c[(0,) * grid.dim].real) > 1e-12 * max(1.0, float(np.max(np.abs(c)))):
             raise ValueError("velocity must be mean-zero for the tensor map")
-    return -1.0 * (stacked_gradient(grid, v) * lambda_multiplier(grid, -1.0))
+    return -1.0 * (gradient(grid, v) * lambda_multiplier(grid, -1.0))
 
 
 def stacked_tensor_to_velocity(grid: GridSpec, d: np.ndarray) -> np.ndarray:
     """v^i = Lam^{-1} d_j d^{ij} of the stacked tensor d (n, n, *grid);
     exact inverse on mean-zero solenoidal v."""
-    return stacked_divergence(grid, d) * lambda_multiplier(grid, -1.0)
+    return divergence(grid, d) * lambda_multiplier(grid, -1.0)
 
 
 # -- coupled-variable evolution -------------------------------------------------
@@ -558,7 +558,7 @@ class _CoupledStepper(_Stepper):
     def direct(self, arr: np.ndarray) -> np.ndarray:
         """The direct array (sigma, Leray v(d), h) of a coupled array."""
         grid, n = self.grid, self.grid.dim
-        vel = stacked_leray(grid, stacked_tensor_to_velocity(grid, self.tensors(arr)[0]))
+        vel = leray_project(grid, stacked_tensor_to_velocity(grid, self.tensors(arr)[0]))
         return np.concatenate([arr[:1], vel, arr[1 + n * n:]])
 
     def rhs(self, t: float, arr: np.ndarray, direct: np.ndarray | None = None,
@@ -582,7 +582,7 @@ class _CoupledStepper(_Stepper):
         out_d, out_h = self.tensors(out)
         out_d[...] = kmag * h + src / np.where(kmag > 0, kmag, np.inf)
         # the fluid h rows carry d_j v^i, which Lam d replaces here
-        out_h[...] = _split(grid, fluid)[2] - stacked_gradient(grid, vel) - kmag * d
+        out_h[...] = _split(grid, fluid)[2] - gradient(grid, vel) - kmag * d
         return out, s, ds
 
 
@@ -592,7 +592,7 @@ def run_coupled(state0: FluidState, params: PhysicalParams, tg: TimeGrid, *,
     states and recording them as `run` does at every save."""
     grid, n = state0.grid, state0.grid.dim
     arr = state0.coeffs
-    d0 = stacked_velocity_to_tensor(grid, stacked_leray(grid, arr[1:1 + n]))
+    d0 = stacked_velocity_to_tensor(grid, leray_project(grid, arr[1:1 + n]))
     y = np.concatenate([arr[:1], d0.reshape((n * n,) + arr.shape[1:]), arr[1 + n:]])
     return _run(_CoupledStepper(grid, params, tg.dt), y, tg, on_save)
 
@@ -662,7 +662,7 @@ def _phi_apply(prev: _TrajectoryInterpolant, state0: FluidState,
     def sh_forcing(t):
         u_xi = prev(t, slice(1, None))
         u, xi = u_xi[:n], u_xi[n:].reshape((n, n) + u_xi.shape[1:])
-        src = stacked_gradient(grid, u) + dealiased(
+        src = gradient(grid, u) + dealiased(
             grid, _stretch(gradient_samples(grid, u), samples(grid, xi)))
         out = np.zeros((1 + n * n,) + u.shape[1:], dtype=np.complex128)
         out[1:] = src.reshape((n * n,) + u.shape[1:])
@@ -686,7 +686,7 @@ def _phi_apply(prev: _TrajectoryInterpolant, state0: FluidState,
 
     v_traj = solve_heat(state0.velocity, v_forcing, params.mu, tg1)
 
-    vel = stacked_leray(grid, v_traj.coeffs)
+    vel = leray_project(grid, v_traj.coeffs)
     return np.concatenate([sh.coeffs[:, :1], vel, sh.coeffs[:, 1:]], axis=1)
 
 

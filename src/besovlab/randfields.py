@@ -18,7 +18,7 @@ from .spectral import (
     SpectralField,
     energy,
     grid_wavenumbers,
-    stacked_leray,
+    leray_project,
 )
 
 
@@ -71,4 +71,4 @@ def random_solenoidal(grid: GridSpec, rng: np.random.Generator, *,
     independent `random_scalar` draws."""
     draws = random_scalar(grid, rng, radius=radius, radius_lo=radius_lo, decay=decay,
                           shape=(grid.dim,))
-    return _unit_l2(grid, stacked_leray(grid, draws.coeffs))
+    return _unit_l2(grid, leray_project(grid, draws.coeffs))

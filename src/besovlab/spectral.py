@@ -24,13 +24,15 @@ fields.
 `samples` and `gradient_samples` sample coefficients on the grid;
 `dealiased`, the one forward transform of the integration core, applies
 the two-thirds rule, and `forward_transform` is the plain transform of
-one field.  The `stacked_*` operators, `samples`, `gradient_samples`,
-`dealiased`, `product` and `advect` act on stacked arrays: any leading
-axes index components, the last `dim` axes are the grid; `gradient`,
-`divergence` and `leray_project` are their forms on a field.  A
-quadratic term is formed by sampling its factors on the grid,
-multiplying and contracting there, and one `dealiased` call for all its
-output components; `product` is the case of one scalar factor.
+one field.  Each operator has one form, on stacked arrays, whose
+leading axes index components and whose last `dim` axes are the grid:
+`gradient`, `divergence` and `leray_project` take `(grid, coeffs)`, as do
+`samples` and `gradient_samples`; `dealiased` and `advect` take grid
+samples, and `lambda_multiplier` and the `grid_wavenumbers` tables are
+multipliers to apply.  A quadratic term is formed by sampling its
+factors on the grid, multiplying and contracting there, and one
+`dealiased` call for all its output components; `product` is the case
+of one scalar factor.
 
 The two-thirds rule leaves the arrays of the integration core without
 content in the columns k_last > M/3, which the complex passes along the
@@ -133,9 +135,8 @@ def _grid_arrays(dim: int, m: int) -> dict:
     keep = np.ones(shape, dtype=bool)
     for k in kaxes:
         keep &= np.abs(k) <= limit
-    # i k_axis per axis, the unmatched Nyquist line |k_axis| = M/2 zeroed so
-    # that odd derivatives of real fields stay real; `ik_axes` keeps each
-    # as the 1D multiplier it is, broadcastable along the other axes
+    # i k_axis per axis, the Nyquist line zeroed (`gradient`); `ik_axes` keeps
+    # each as the 1D multiplier it is, broadcastable along the other axes
     ik_axes = [np.where(np.abs(k) == m // 2, 0.0, 1j * k) for k in kaxes]
     ik = np.stack([np.broadcast_to(k, shape) for k in ik_axes])
     return {"k2": k2, "kmag": kmag, "dealias_mask": keep, "ik": ik, "ik_axes": ik_axes}
@@ -316,28 +317,16 @@ def zero_field(grid: GridSpec) -> SpectralField:
 # -- multiplier operators -------------------------------------------------
 
 
-def derivative(field: SpectralField, axis: int) -> SpectralField:
-    """d/dx_axis as the multiplier i*k_axis, with the unmatched Nyquist
-    mode zeroed to keep odd derivatives real."""
-    grid = field.grid
-    if not 0 <= axis < grid.dim:
-        raise GridError(f"axis {axis} out of range for dim {grid.dim}")
-    return SpectralField(grid, field.coeffs * grid_wavenumbers(grid)["ik"][axis])
-
-
-def gradient(field: SpectralField) -> SpectralField:
-    """`stacked_gradient` of a field: [..., l] = d_l of each component."""
-    return SpectralField(field.grid, stacked_gradient(field.grid, field.coeffs))
-
-
-def stacked_gradient(grid: GridSpec, coeffs: np.ndarray) -> np.ndarray:
-    """d_l of every component of a stacked array, as `derivative` takes it;
-    the new axis l sits just before the grid axes."""
+def gradient(grid: GridSpec, coeffs: np.ndarray) -> np.ndarray:
+    """d_l of every component of a stacked array, the multiplier i k_l
+    with the unmatched Nyquist line |k_l| = M/2 zeroed so that odd
+    derivatives of real fields stay real; the new axis l sits just before
+    the grid axes."""
     ik = grid_wavenumbers(grid)["ik"]
     return np.expand_dims(coeffs, -grid.dim - 1) * ik
 
 
-def stacked_divergence(grid: GridSpec, coeffs: np.ndarray) -> np.ndarray:
+def divergence(grid: GridSpec, coeffs: np.ndarray) -> np.ndarray:
     """d_l of component l, summed over the axis just before the grid axes
     (`coeffs` holds vectors of `dim` components)."""
     ik = grid_wavenumbers(grid)["ik_axes"]
@@ -349,32 +338,19 @@ def stacked_divergence(grid: GridSpec, coeffs: np.ndarray) -> np.ndarray:
 
 
 def lambda_multiplier(grid: GridSpec, exponent: float) -> np.ndarray:
-    """|k|^exponent with the zero mode set to 0."""
+    """|k|^exponent, zero mode 0: the multiplier of (-Laplacian)^(exponent/2)."""
     kmag = grid_wavenumbers(grid)["kmag"]
     with np.errstate(divide="ignore"):
         mult = np.where(kmag > 0, kmag, 1.0) ** float(exponent)
     return np.where(kmag > 0, mult, 0.0)
 
 
-def lambda_power(field: SpectralField, exponent: float) -> SpectralField:
-    """(-Laplacian)^(exponent/2): multiplier |k|^exponent, zero mode -> 0
-    for any nonzero exponent."""
-    if exponent == 0:
-        return field.copy()
-    return SpectralField(field.grid, field.coeffs * lambda_multiplier(field.grid, exponent))
-
-
-def divergence(field: SpectralField) -> SpectralField:
-    """`stacked_divergence` of a field of vectors."""
-    return SpectralField(field.grid, stacked_divergence(field.grid, field.coeffs))
-
-
-def stacked_leray(grid: GridSpec, coeffs: np.ndarray) -> np.ndarray:
+def leray_project(grid: GridSpec, coeffs: np.ndarray) -> np.ndarray:
     """L2-orthogonal projection onto divergence-free vector fields of the
     vectors in `coeffs` (the axis just before the grid axes indexes the
     `dim` components).
 
-    Uses the same odd-multiplier convention as `derivative` (unmatched
+    Uses the same odd-multiplier convention as `gradient` (unmatched
     Nyquist lines count as frequency zero), so the projected field is
     annihilated by the artifact's own divergence.  The zero mode (mean
     flow) passes through unchanged.
@@ -385,17 +361,6 @@ def stacked_leray(grid: GridSpec, coeffs: np.ndarray) -> np.ndarray:
     with np.errstate(invalid="ignore", divide="ignore"):
         scale = np.where(k2 > 0, kdotv / np.where(k2 > 0, k2, 1.0), 0.0)
     return coeffs - kaxes * np.expand_dims(scale, -grid.dim - 1)
-
-
-def leray_project(field: SpectralField) -> SpectralField:
-    """`stacked_leray` of a field of vectors."""
-    return SpectralField(field.grid, stacked_leray(field.grid, field.coeffs))
-
-
-def dealias(field: SpectralField) -> SpectralField:
-    """Two-thirds rule: zero every coefficient with any |k_axis| > M/3."""
-    mask = grid_wavenumbers(field.grid)["dealias_mask"]
-    return SpectralField(field.grid, field.coeffs * mask)
 
 
 def product(f: SpectralField, g: SpectralField | np.ndarray):
@@ -416,8 +381,8 @@ def product(f: SpectralField, g: SpectralField | np.ndarray):
 def gradient_samples(grid: GridSpec, coeffs: np.ndarray, *, with_samples: bool = False,
                      out: np.ndarray | None = None):
     """Real grid samples of d_l of every component of a stacked array,
-    laid out as `stacked_gradient` (axis l just before the
-    grid axes) and written into `out` when given; with `with_samples`,
+    laid out as `gradient` (axis l just before the grid
+    axes) and written into `out` when given; with `with_samples`,
     (samples, gradient samples), and no `out`.
 
     i k_l acts on axis l alone, so it commutes with the 1D passes along the
@@ -440,7 +405,7 @@ def gradient_samples(grid: GridSpec, coeffs: np.ndarray, *, with_samples: bool =
         np.multiply(work[0], ik[ax], out=work[1 + ax])
         np.fft.ifft(work[:ax + 2], axis=ax - n, norm="forward", out=work[:ax + 2])
     np.multiply(work[0], ik[n - 1][..., :width], out=work[n])
-    stacked = coeffs.ndim > n  # a scalar's branches are in `stacked_gradient` layout already
+    stacked = coeffs.ndim > n  # a scalar's branches are in `gradient` layout already
     branches = np.moveaxis(out, -n - 1, 0) if stacked and out is not None else out
     res = np.fft.irfft(work[0 if with_samples else 1:], n=grid.points_per_axis, axis=-1,
                        norm="forward", out=branches)

@@ -39,7 +39,6 @@ from .spectral import (
     product,
     rescale,
     samples,
-    stacked_gradient,
 )
 
 STABILITY_MARGIN = 0.2
@@ -129,7 +128,7 @@ def verify_bernstein(spec: BesovSpec, ensemble: EnsembleSpec, grid: GridSpec) ->
     ratios = []
     for u in _draw_chunks(grid, ensemble, grid.dim, None):
         denom, = ensemble_norms(grid, u, spec).tolist()
-        num, = ensemble_norms(grid, stacked_gradient(grid, u), lo).tolist()
+        num, = ensemble_norms(grid, gradient(grid, u), lo).tolist()
         ratios += [None if d == 0.0 else g / d for g, d in zip(num, denom)]
     rep = _ratio_report("bernstein", {"s": spec.s, "p": spec.p, "r": spec.r},
                         ratios, ensemble.count)
@@ -244,7 +243,7 @@ def _commutator_bands(grid: GridSpec, a: np.ndarray, b: np.ndarray, p: float,
     stack, stack_s = (w[:len(a)] for w in kept)
     bands = block_multipliers(grid)[:, None]
     a_s = samples(grid, a)
-    grad_b = stacked_gradient(grid, b)
+    grad_b = gradient(grid, b)
     np.multiply(bands, grad_b[:, None], out=stack)
     first = samples(grid, stack, stack_s)
     first *= a_s[:, None, None]
@@ -275,8 +274,8 @@ def verify_commutator(ensemble: EnsembleSpec, s: float, t: float, p: float,
     ratios, kept = [], []  # the output arrays are made for the first chunk, the largest
     for pairs in _draw_chunks(grid, ensemble, (grid.q_max + 1) * n, radius, (2,)):
         a, b = pairs[:, 0], pairs[:, 1]
-        na, = ensemble_norms(grid, stacked_gradient(grid, a), spec_a).tolist()
-        nb, = ensemble_norms(grid, stacked_gradient(grid, b), spec_b).tolist()
+        na, = ensemble_norms(grid, gradient(grid, a), spec_a).tolist()
+        nb, = ensemble_norms(grid, gradient(grid, b), spec_b).tolist()
         for x, y, band in zip(na, nb, _commutator_bands(grid, a, b, p, kept)):
             ratios.append(None if x == 0.0 or y == 0.0
                           else float((weights * band / (x * y)).sum()))
@@ -302,7 +301,8 @@ def band_safe_tuple(grid: GridSpec, seed: int, m: int = 1):
         raise ValueError(f"grid too coarse for a 2^{m} dilation band")
     sigma = randfields.random_scalar(grid, rng, radius=hi, radius_lo=lo)
     velocity = randfields.random_solenoidal(grid, rng, radius=hi, radius_lo=lo)
-    h = gradient(randfields.random_solenoidal(grid, rng, radius=hi, radius_lo=lo))
+    w = randfields.random_solenoidal(grid, rng, radius=hi, radius_lo=lo)
+    h = SpectralField(grid, gradient(grid, w.coeffs))
     return sigma, velocity, h
 
 

@@ -1,26 +1,35 @@
-"""Source hygiene: every name a module imports is used in it, and every
-public name and class member the package defines has a caller.
+"""Source hygiene: every name a module imports is used in it, every
+public name and class member the package defines has a caller, the
+README's Python API section states the package's exports, and every name a
+docstring quotes exists.
 
 AST scans, so no linter is needed: a name bound by `import` or
 `from ... import` counts as used when it appears as a name anywhere in the
 same file (an attribute chain `np.fft.rfft` uses `np`).  Package
 `__init__.py` files are left out, since re-exporting is their purpose.  A
 top-level public function or class of `src/besovlab` has a caller when some
-package module loads it by name or attribute, or `__init__.py` exports it.  A
-public method or property of a class there has a caller when some package
-module loads an attribute of its name.  Both scans go by name alone, so a
-member that shares its name with a loaded attribute of anything else (such
-as `GridSpec.meshgrid` and `np.meshgrid`) counts as called.  No package
+package module loads it by name or attribute; one that none loads is an
+entry point, and must be both exported by `__init__.py` and named in the
+README's Python API section, which names exactly the exports.  A public
+method or property of a class there has a caller when some package module
+loads an attribute of its name.  Both scans go by name alone, so a member
+that shares its name with a loaded attribute of anything else (such as
+`GridSpec.meshgrid` and `np.meshgrid`) counts as called.  No package
 module imports another's private (`_`) name: what a module shares is
 public.
 """
 
 import ast
+import builtins
+import math
+import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "besovlab"
 SOURCES = sorted(p for p in [*ROOT.glob("tests/*.py"), *ROOT.glob("src/besovlab/*.py")]
                  if p.name != "__init__.py")
 
@@ -47,17 +56,39 @@ def test_scan_sees_unused_names():
     assert unused_imports(source) == [(2, "os"), (4, "b")]
 
 
-def uncalled_public_names(sources: dict[str, str], exported: str) -> list[str]:
+def exported_names(init: str) -> set[str]:
+    """The names an `__init__.py` source imports: the package's exports."""
+    return {alias.asname or alias.name for node in ast.walk(ast.parse(init))
+            if isinstance(node, ast.ImportFrom) for alias in node.names}
+
+
+def api_section_names(readme: str) -> set[str]:
+    """Every backticked identifier of the list items (paragraphs that start
+    with `- `) of the README section headed `## Python API`, up to the next
+    `## ` heading; a dotted module path such as `besovlab.spectral` is not
+    an identifier and is skipped, and so is the section's prose."""
+    section = readme.split("\n## Python API\n", 1)[1].split("\n## ", 1)[0]
+    items = "\n".join(p for p in re.split(r"\n(?=- )|\n\n", section) if p.startswith("- "))
+    return {name for name in re.findall(r"`([^`]+)`", items) if name.isidentifier()}
+
+
+def test_scan_reads_the_api_section():
+    readme = ("# x\n`early`\n## Python API\n\nProse `prose`.\n\n- `besovlab.a`: `run`,\n"
+              "  `GridSpec` (`grid, coeffs`)\n- `step`\n\nMore `prose`.\n## Next\n`late`\n")
+    assert api_section_names(readme) == {"run", "GridSpec", "step"}
+
+
+def uncalled_public_names(sources: dict[str, str], exported: set[str],
+                          documented: set[str]) -> list[str]:
     """`module.name` of each top-level public function or class in
     `sources` (module name -> source) that no source loads by name or
-    attribute and the `exported` (`__init__.py`) source does not import."""
+    attribute, unless it is both `exported` and `documented`."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
     loaded = {node.id for tree in trees.values() for node in ast.walk(tree)
               if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
     loaded |= {node.attr for tree in trees.values() for node in ast.walk(tree)
                if isinstance(node, ast.Attribute)}
-    loaded |= {alias.asname or alias.name for node in ast.walk(ast.parse(exported))
-               if isinstance(node, ast.ImportFrom) for alias in node.names}
+    loaded |= exported & documented
     return sorted(f"{module}.{node.name}" for module, tree in trees.items()
                   for node in tree.body
                   if isinstance(node, (ast.FunctionDef, ast.ClassDef))
@@ -66,16 +97,27 @@ def uncalled_public_names(sources: dict[str, str], exported: str) -> list[str]:
 
 def test_scan_sees_uncalled_names():
     sources = {"a": "def used(): pass\ndef spare(): pass\nclass Kept: pass\n"
-                    "def _private(): pass\n",
+                    "def listed(): pass\ndef _private(): pass\n",
                "b": "from .a import used\nused()\n"}
-    assert uncalled_public_names(sources, "from .a import Kept\n") == ["a.spare"]
+    exported = exported_names("from .a import Kept, listed\n")
+    assert uncalled_public_names(sources, exported, {"listed", "spare"}) == ["a.Kept", "a.spare"]
+
 
 
 def test_no_public_name_without_a_caller():
-    package = ROOT / "src" / "besovlab"
-    sources = {p.stem: p.read_text() for p in package.glob("*.py") if p.name != "__init__.py"}
-    uncalled = uncalled_public_names(sources, (package / "__init__.py").read_text())
-    assert not uncalled, "public names nothing calls or exports: " + ", ".join(uncalled)
+    sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py") if p.name != "__init__.py"}
+    uncalled = uncalled_public_names(sources, exported_names((PACKAGE / "__init__.py").read_text()),
+                                     api_section_names((ROOT / "README.md").read_text()))
+    assert not uncalled, ("public names nothing calls, and that are not both exported and "
+                          "in README's Python API section: " + ", ".join(uncalled))
+
+
+def test_readme_states_the_exports():
+    exported = exported_names((PACKAGE / "__init__.py").read_text())
+    documented = api_section_names((ROOT / "README.md").read_text())
+    assert documented == exported, (f"exported, not in README's Python API section: "
+                                    f"{sorted(exported - documented)}; in the section, not "
+                                    f"exported: {sorted(documented - exported)}")
 
 
 def unread_members(sources: dict[str, str]) -> list[str]:
@@ -100,7 +142,7 @@ def test_scan_sees_unread_members():
 
 
 def test_no_class_member_without_a_caller():
-    sources = {p.stem: p.read_text() for p in (ROOT / "src" / "besovlab").glob("*.py")}
+    sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
     unread = unread_members(sources)
     assert not unread, "class members no module reads: " + ", ".join(unread)
 
@@ -125,9 +167,57 @@ def test_scan_sees_private_imports():
 
 
 def test_no_private_import_across_modules():
-    sources = {p.stem: p.read_text() for p in (ROOT / "src" / "besovlab").glob("*.py")}
+    sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
     private = private_imports(sources)
     assert not private, "private names imported from another module: " + ", ".join(private)
+
+
+def stale_docstring_names(sources: dict[str, str]) -> list[str]:
+    """`module: name` of each identifier inside a backticked span of a
+    docstring in `sources` (module name -> source) that names nothing: not
+    a def, class, parameter, assigned name or assigned attribute of the
+    sources, a module of them, a string literal in them, or an attribute of
+    `numpy`, `numpy.fft`, `numpy.random.Generator`, `math` or the builtins.
+    A dotted name resolves by its last part, and a file name with an
+    extension (`residuals.csv`) stands for itself."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    known = set(sources)
+    for node in (node for tree in trees.values() for node in ast.walk(tree)):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            known.add(node.name)
+        elif isinstance(node, ast.arg):
+            known.add(node.arg)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            known.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            known.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            known.add(node.value)
+    for namespace in (np, np.fft, np.random.Generator, math, builtins):
+        known |= set(dir(namespace))
+    stale = set()
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)):
+                for span in re.findall(r"`([^`]+)`", ast.get_docstring(node) or ""):
+                    for name in re.findall(r"[A-Za-z_]\w*(?:\.\w+)*", span):
+                        if not (name.split(".")[-1] in known
+                                or re.fullmatch(r"\w+\.(csv|json|npz|py)", name)):
+                            stale.add(f"{module}: {name}")
+    return sorted(stale)
+
+
+def test_scan_sees_stale_docstring_names():
+    sources = {"a": 'def f(x):\n    """`x`, `np.fft.rfft(x)`, `len`, `key`, `out.csv`, '
+                    '`b.g`, `gone(x)`."""\n    return {"key": x}\n',
+               "b": 'class C:\n    """`self.y = f`, `spare`."""\n    def g(self):\n'
+                    '        self.y = 1\n'}
+    assert stale_docstring_names(sources) == ["a: gone", "b: spare"]
+
+
+def test_no_stale_names_in_docstrings():
+    stale = stale_docstring_names({p.stem: p.read_text() for p in PACKAGE.glob("*.py")})
+    assert not stale, "docstrings quote names that do not exist: " + ", ".join(stale)
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))

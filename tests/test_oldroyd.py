@@ -2,6 +2,7 @@ import re
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from besovlab import oldroyd
 from besovlab.linsolve import (
@@ -40,20 +41,17 @@ from besovlab.spectral import (
     GridError,
     SpectralField,
     advect,
-    dealias,
     dealiased,
-    derivative,
     divergence,
     forward_transform,
+    gradient,
     gradient_samples,
     grid_wavenumbers,
     inverse_transform,
-    lambda_power,
+    lambda_multiplier,
     leray_project,
     product,
     samples,
-    stacked_divergence,
-    stacked_gradient,
     zero_field,
 )
 
@@ -175,8 +173,9 @@ class TestPressure:
         st, _ = make_initial_data("exact_gradient", 1e-2, 5, grid2_32)
         g, res = forcing_and_pressure(st)
         grad = res.gradient
-        div_g = divergence(SpectralField(grid2_32, g))
-        explicit = [-1.0 * derivative(lambda_power(div_g, -2.0), ax)
+        div_g = SpectralField(grid2_32, divergence(grid2_32, g))
+        explicit = [-1.0 * SpectralField(grid2_32, gradient(
+                        grid2_32, div_g.coeffs * lambda_multiplier(grid2_32, -2.0))[..., ax, :, :])
                     for ax in range(2)]
         scale = max(np.max(np.abs(f.coeffs)) for f in explicit)
         for got, want in zip(grad, explicit):
@@ -185,7 +184,7 @@ class TestPressure:
     def test_manufactured_residual(self, grid2_32):
         st, _ = make_initial_data("general", 5e-2, 7, grid2_32)
         g, res = forcing_and_pressure(st)
-        div_g = divergence(SpectralField(grid2_32, g))
+        div_g = SpectralField(grid2_32, divergence(grid2_32, g))
         fnorm = full_spectrum_norm(div_g)
         assert res.residuals[-1] <= 1e-10 * fnorm
 
@@ -319,8 +318,8 @@ class TestConstraints:
             final = run(st, PARAMS, TimeGrid(1.0, dt, save_stride=10 ** 6)).states[-1]
             fields[dt] = deformation_identity_residual(final.h)
         ref = fields[2e-3]
-        d1 = l2_norm((fields[8e-3] - ref).coeffs, grid2_32)
-        d2 = l2_norm((fields[4e-3] - ref).coeffs, grid2_32)
+        d1 = l2_norm(grid2_32, (fields[8e-3] - ref).coeffs)
+        d2 = l2_norm(grid2_32, (fields[4e-3] - ref).coeffs)
         assert d1 / d2 >= 3.0
 
 
@@ -410,6 +409,57 @@ class TestRun:
         assert max(r["div_velocity"] for r in res.residual_rows) <= 1e-10
 
 
+def plane_shear_wave(grid, k, e, sigma, modes, mu, t):
+    """The exact plane shear wave at time t: v = e f(xi), h = e (x) k g(xi)
+    with xi = k.x, e a unit vector orthogonal to the integer wave vector k,
+    and sigma constant.  Transport, the quadratic terms and the pressure
+    vanish, and each profile mode m, f = a sin(m xi) and g = A cos(m xi),
+    follows a' = -mu (1 + sigma) |k|^2 m^2 a - |k|^2 m A, A' = m a, the
+    2x2 linear system solved here by its matrix exponential.  `modes` maps
+    m to (a, A) at t = 0.  The coefficients are set directly on the modes
+    m k, so the wave is band-limited when m |k_axis| <= M/3."""
+    kk = float(np.dot(k, k))
+    arr = zero_state(grid).coeffs
+    _, vel, h = arr[0], arr[1:1 + grid.dim], arr[1 + grid.dim:]
+    arr[0][(0,) * grid.dim] = sigma
+    for m, y0 in modes.items():
+        mat = np.array([[-mu * (1.0 + sigma) * kk * m * m, -kk * m], [m, 0.0]])
+        a, big_a = scipy.linalg.expm(mat * t) @ np.array(y0)
+        idx = tuple(m * kj % grid.points_per_axis for kj in k)  # k_last = m k_last > 0
+        for i in range(grid.dim):
+            vel[i][idx] += -0.5j * a * e[i]
+            for j in range(grid.dim):
+                h[i * grid.dim + j][idx] += 0.5 * big_a * e[i] * k[j]
+    return FluidState(grid, arr)
+
+
+class TestPlaneShearWave:
+    """`run` against the exact plane shear wave, 2D M 32, mu 0.5, T 0.4,
+    two profile modes.  The bands were fixed before the first run: the
+    error ratio per dt halving in [14.5, 17.5] (fourth order), and at
+    every save max |grad P| <= 1e-14 and each enforced residual <= 1e-13."""
+
+    K, E = (1, 2), np.array([2.0, -1.0]) / np.sqrt(5.0)
+    MODES = {1: (0.3, 0.1), 2: (0.1, -0.2)}
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.25])
+    def test_run_is_fourth_order(self, grid2_32, sigma):
+        params, t_end = PhysicalParams(mu=0.5), 0.4
+        state0 = plane_shear_wave(grid2_32, self.K, self.E, sigma, self.MODES, params.mu, 0.0)
+        exact = plane_shear_wave(grid2_32, self.K, self.E, sigma, self.MODES, params.mu, t_end)
+        errors = []
+        for dt in (0.02, 0.01, 0.005, 0.0025):
+            res = run(state0, params, TimeGrid(t_end, dt))
+            for st, row in zip(res.states, res.residual_rows):
+                assert np.max(np.abs(st.pressure_grad.coeffs)) <= 1e-14
+                assert max(row[name] for name in ("div_velocity", "weighted_div",
+                                                  "deformation_identity",
+                                                  "perturbation_identity")) <= 1e-13
+            errors.append(l2_norm(grid2_32, res.states[-1].coeffs - exact.coeffs))
+        ratios = np.array(errors[:-1]) / np.array(errors[1:])
+        assert np.all((14.5 <= ratios) & (ratios <= 17.5)), ratios
+
+
 class TestSharedIntegration:
     @pytest.mark.parametrize("evolve", [
         lambda st, tg: solve_transport(st.sigma, st.velocity, None, tg),
@@ -459,7 +509,7 @@ class TestCoupledFormulation:
         v = stack([zero_field(grid2_32), zero_field(grid2_32)])
         v[1].coeffs[1, 0] = 1.0
         v[1].coeffs[-1, 0] = 1.0  # keep it a real field
-        v = leray_project(v)
+        v = SpectralField(grid2_32, leray_project(grid2_32, v.coeffs))
         d = stacked_velocity_to_tensor(grid2_32, v.coeffs)
         assert d[1, 0][1, 0] == pytest.approx(-1.0j, abs=1e-13)
         assert np.max(np.abs(d[0, 0])) < 1e-13
@@ -560,7 +610,7 @@ class TestPhiIteration:
 
         def h_forcing(t):
             _, u, xi = oldroyd._split(grid, prev(t))
-            src = stacked_gradient(grid, u) + dealiased(
+            src = gradient(grid, u) + dealiased(
                 grid, oldroyd._stretch(gradient_samples(grid, u), samples(grid, xi)))
             return src.reshape((n * n,) + u.shape[1:])
 
@@ -593,7 +643,7 @@ def per_component_advect(grid, velocity, coeffs):
     v = samples(grid, velocity)
     terms = np.empty(coeffs.shape[:-grid.dim] + grid.shape)
     for idx in np.ndindex(coeffs.shape[:-grid.dim]):
-        du = samples(grid, stacked_gradient(grid, coeffs[idx]))
+        du = samples(grid, gradient(grid, coeffs[idx]))
         terms[idx] = np.einsum("l...,l...->...", v, du)
     return dealiased(grid, terms)
 
@@ -608,12 +658,12 @@ def per_row_fluid_terms(grid, arr, mu):
     lap_v = samples(grid, -k2 * vel)
     stress = np.empty(lap_v.shape)
     for i in range(n):
-        dh_i = samples(grid, stacked_gradient(grid, h[i]))  # [k, j] = d_j h^{ik}
+        dh_i = samples(grid, gradient(grid, h[i]))  # [k, j] = d_j h^{ik}
         stress[i] = mu * sig_s * lap_v[i] + np.einsum("jk...,kj...->...", h_s, dh_i)
     out = -per_component_advect(grid, vel, arr)
     out[1:1 + n] += dealiased(grid, stress)
     out[1:1 + n] += np.einsum("k...,ik...->i...", ik, h)
-    dv = stacked_gradient(grid, vel)
+    dv = gradient(grid, vel)
     stretch = dv + dealiased(grid, np.einsum("ik...,kj...->ij...", samples(grid, dv), h_s))
     out[1 + n:] += stretch.reshape((n * n,) + arr.shape[1:])
     return out
@@ -624,7 +674,7 @@ def per_row_identity_quadratic(grid, h):
     h_s = samples(grid, h)
     q = np.empty((n,) + h.shape, dtype=np.complex128)
     for i in range(n):
-        dh_i = samples(grid, stacked_gradient(grid, h[i]))  # [j, l] = d_l h^{ij}
+        dh_i = samples(grid, gradient(grid, h[i]))  # [j, l] = d_l h^{ij}
         a = np.einsum("lk...,jl...->jk...", h_s, dh_i)
         q[i] = dealiased(grid, a - a.swapaxes(0, 1))
     return q
@@ -686,7 +736,7 @@ class TestStageKernel:
         a = SpectralField(grid, arr[0].copy())
         a.coeffs[0, 0, 0] += 1.0
         assert 0.5 < inverse_transform(a).min()
-        f = -1.0 * divergence(SpectralField(grid, arr[1:4]))
+        f = -1.0 * SpectralField(grid, divergence(grid, arr[1:4]))
         by_field = solve_variable_poisson(a, f)
         by_samples = solve_variable_poisson(samples(grid, arr)[0] + 1.0, f)
         assert by_samples.iterations == by_field.iterations
@@ -705,7 +755,7 @@ class TestStageKernel:
         grid = GridSpec(dim, m)
         st, _ = make_initial_data("general", 0.05, 5, grid)
         terms, s, _ = momentum_forcing(grid, st.coeffs, PARAMS.mu)
-        f = -stacked_divergence(grid, terms[1:1 + dim])
+        f = -divergence(grid, terms[1:1 + dim])
         a = SpectralField(grid, st.coeffs[0].copy())
         a.coeffs[(0,) * dim] += 1.0
         by_field = solve_variable_poisson(a, SpectralField(grid, f))
@@ -779,19 +829,23 @@ def full_layout_residuals(st: FluidState) -> dict:
         return float(np.sqrt(sum(np.sum(np.abs(full_spectrum(grid, f.coeffs)) ** 2)
                                  for f in fields)) * (2 * np.pi) ** (n / 2.0))
 
-    rho = dealias(forward_transform(grid, 1.0 / (inverse_transform(st.sigma) + 1.0)))
+    def dx(f, ax):  # d/dx_ax of one field, as a field
+        return SpectralField(grid, gradient(grid, f.coeffs)[(..., ax) + (slice(None),) * n])
+
+    rho = forward_transform(grid, 1.0 / (inverse_transform(st.sigma) + 1.0))
+    rho = SpectralField(grid, rho.coeffs * grid_wavenumbers(grid)["dealias_mask"])
     flux = [[product(rho, h[j][i]) for i in range(n)] for j in range(n)]
-    weighted = [[derivative(rho, i) + sum((derivative(f[i], j) for j, f in enumerate(rows)),
-                                          zero_field(grid)) for i in range(n)]
+    weighted = [[dx(rho, i) + sum((dx(f[i], j) for j, f in enumerate(rows)), zero_field(grid))
+                 for i in range(n)]
                 for rows in (flux, [list(r) for r in zip(*flux)])]
     identity = []
     for i, j, k in np.ndindex(n, n, n):
-        acc = derivative(h[i][j], k) - derivative(h[i][k], j)
+        acc = dx(h[i][j], k) - dx(h[i][k], j)
         for l in range(n):
-            acc = acc + product(h[l][k], derivative(h[i][j], l)) \
-                - product(h[l][j], derivative(h[i][k], l))
+            acc = acc + product(h[l][k], dx(h[i][j], l)) \
+                - product(h[l][j], dx(h[i][k], l))
         identity.append(acc)
-    return {"div_velocity": l2([divergence(st.velocity)]),
+    return {"div_velocity": l2([SpectralField(grid, divergence(grid, st.velocity.coeffs))]),
             "weighted_div": l2(weighted[0]), "weighted_div_transposed": l2(weighted[1]),
             "deformation_identity": l2(identity), "perturbation_identity": l2(identity)}
 
@@ -862,8 +916,8 @@ class TestSaveReusesFirstStage:
         step: one projection of the initial velocity, one per save, and one
         per stage that no save ran (3 a step)."""
         calls = []
-        project = oldroyd.stacked_leray
-        monkeypatch.setattr(oldroyd, "stacked_leray",
+        project = oldroyd.leray_project
+        monkeypatch.setattr(oldroyd, "leray_project",
                             lambda grid, v: calls.append(1) or project(grid, v))
         st, _ = make_initial_data("general", 0.05, 5, grid2_32)
         tg = TimeGrid(0.01, 5e-3)

@@ -7,7 +7,7 @@ import pytest
 
 from besovlab.paley import retained_radius
 from besovlab.randfields import random_scalar, random_solenoidal
-from besovlab.spectral import TWO_PI, GridSpec, energy, grid_wavenumbers, stacked_leray
+from besovlab.spectral import TWO_PI, GridSpec, energy, grid_wavenumbers, leray_project
 
 GRIDS = [GridSpec(2, 32), GridSpec(2, 64), GridSpec(3, 16), GridSpec(3, 32)]
 # (radius as a fraction of M, radius_lo, decay): the ladder's default,
@@ -64,7 +64,7 @@ def test_solenoidal_equals_component_loop(grid, name):
     got = random_solenoidal(grid, np.random.default_rng(4), **kwargs).coeffs
     rng = np.random.default_rng(4)
     draws = np.stack([one_draw(grid, rng, **kwargs) for _ in range(grid.dim)])
-    want = stacked_leray(grid, draws)
+    want = leray_project(grid, draws)
     want = want / np.sqrt(TWO_PI ** grid.dim * energy(want))
     assert np.array_equal(got, want)
     assert np.max(np.abs(np.einsum("a...,a...->...", grid_wavenumbers(grid)["ik"], got))) \
