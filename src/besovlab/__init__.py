@@ -34,7 +34,6 @@ from .oldroyd import (  # noqa: F401
     phi_iteration,
     run,
     run_coupled,
-    step,
 )
 from .paley import profile  # noqa: F401
 from .spectral import (  # noqa: F401

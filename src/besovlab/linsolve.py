@@ -6,9 +6,11 @@ One 4-stage Runge-Kutta core (`_evolve`) advances the three evolutions,
 with an exact integrating factor on every diffusive mode (pure heat is
 exact per Fourier mode); callbacks of t run once per distinct stage time.
 
-Every input, output and callable value is one field, scalar or stacked
-(or its coefficient array, the k_last >= 0 half of `spectral`), and a
-`TrajectoryResult` keeps the array its solver integrated.
+Every solver takes `(grid, arrays)`: its fields are stacked coefficient
+arrays (the k_last >= 0 half of `spectral`), scalar or stacked, its
+velocity and forcing are None or callables t -> such arrays, the
+elliptic coefficient is grid samples, and a `TrajectoryResult` keeps the
+array its solver integrated.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from .spectral import (
     gradient_samples,
     grid_wavenumbers,
     hermitize,
-    inverse_transform,
     samples,
 )
 
@@ -47,7 +48,7 @@ class NonSolenoidalError(ValueError):
 
 class NonPositiveCoefficientError(ValueError):
     """The elliptic coefficient (sigma + 1 for the pressure) is not positive
-    on the grid."""
+    and finite on the grid."""
 
 
 class EllipticConvergenceError(RuntimeError):
@@ -112,11 +113,6 @@ def integrate(y, step, tg: TimeGrid, save):
 # -- helpers ---------------------------------------------------------------
 
 
-def _coeffs(u) -> np.ndarray:
-    """The coefficients of a field, or an array as it is."""
-    return u.coeffs if isinstance(u, SpectralField) else u
-
-
 def _rows(grid: GridSpec, coeffs: np.ndarray) -> np.ndarray:
     """`coeffs` with its component axes flattened to one (a scalar field is
     one row): the array a solver integrates."""
@@ -147,9 +143,10 @@ def velocity_max(v_samples: np.ndarray) -> float:
 
 def check_cfl(grid: GridSpec, dt: float, vmax: float):
     cfl = dt * vmax * grid.dealias_radius
-    if cfl > CFL_LIMIT * (1 + 1e-12):
+    if not cfl <= CFL_LIMIT * (1 + 1e-12):  # a NaN speed fails too
+        problem = f"exceeds {CFL_LIMIT}" if math.isfinite(cfl) else "is not finite"
         raise CflViolationError(
-            f"CFL number {cfl:.3g} exceeds {CFL_LIMIT} (dt={dt}, |v|max={vmax:.3g})"
+            f"CFL number {cfl:.3g} {problem} (dt={dt}, |v|max={vmax:.3g})"
         )
 
 
@@ -195,43 +192,39 @@ def if_rk4_step(y: np.ndarray, t: float, dt: float, e_full: np.ndarray,
 
 @dataclass
 class TrajectoryResult:
-    """Saved slices of a field, scalar or stacked, in time: coeffs[it] holds
-    the coefficients saved at times[it]."""
+    """Saved slices of a stacked coefficient array in time: coeffs[it]
+    holds the coefficients saved at times[it]."""
 
     times: np.ndarray
     coeffs: np.ndarray  # (nt, *components, *grid.coeff_shape)
-    grid: GridSpec
-
-    @property
-    def states(self) -> SpectralField:
-        """The trajectory as one field; its first axis is time."""
-        return SpectralField(self.grid, self.coeffs)
 
 
-def _evolve(u0: SpectralField, tg: TimeGrid, mu: float, diffusing, velocity=None,
-            forcing=None, linear=None, check_divergence: bool = False) -> TrajectoryResult:
-    """Integrate the rows y of `u0` (`_rows`) under  y' = mu Lap y (on the
-    rows `diffusing` marks, as in `if_factors`) + linear(y) - (v . grad) y +
-    g(t)  by IF-RK4 steps, keeping every saved array.
+def _evolve(grid: GridSpec, u0: np.ndarray, tg: TimeGrid, mu: float, diffusing,
+            velocity=None, forcing=None, linear=None,
+            check_divergence: bool = False) -> TrajectoryResult:
+    """Integrate the rows y of the coefficients `u0` (`_rows`) under
+    y' = mu Lap y (on the rows `diffusing` marks, as in `if_factors`) +
+    linear(y) - (v . grad) y + g(t)  by IF-RK4 steps, keeping every saved
+    array.
 
-    `velocity` is None, a vector field or a callable t -> one; `forcing` is
-    None or a callable t -> a field shaped like `u0`; `linear` is None or a
-    map of the rows.  The callables may return fields or coefficient arrays
-    and must be functions of t only: each is evaluated once per distinct
-    stage time (t, t + dt/2; t + dt is the next step's t), and one velocity
-    sample serves the CFL guard dt * |v|_inf * (M/3) <= 1, the divergence
-    check when `check_divergence` and the stages at that time.  The
-    advection product is dealiased.
+    `velocity` is None or a callable t -> the stacked velocity
+    coefficients (dim, *grid); `forcing` is None or a callable t ->
+    coefficients shaped like `u0`; `linear` is None or a map of the rows.
+    The callables must be functions of t only: each is evaluated once per
+    distinct stage time (t, t + dt/2; t + dt is the next step's t), and one
+    velocity sample serves the CFL guard dt * |v|_inf * (M/3) <= 1, the
+    divergence check when `check_divergence` and the stages at that time.
+    The advection product is dealiased.
     """
-    grid, dt = u0.grid, tg.dt
+    dt = tg.dt
 
     def sample(t):  # the stacked velocity and its samples
-        v = _coeffs(velocity(t) if callable(velocity) else velocity)
+        v = velocity(t)
         return v, samples(grid, v)
 
     vel = None if velocity is None else _per_stage_time(sample, dt)
     force = None if forcing is None else _per_stage_time(
-        lambda t: _rows(grid, _coeffs(forcing(t))), dt)
+        lambda t: _rows(grid, forcing(t)), dt)
     e_full, e_half = if_factors(grid, mu, dt, diffusing)
 
     def rhs(t, arr):  # a stage never writes into its k, so a kept forcing serves as one
@@ -251,24 +244,26 @@ def _evolve(u0: SpectralField, tg: TimeGrid, mu: float, diffusing, velocity=None
                 check_solenoidal(grid, v_now)
         return if_rk4_step(y, t, dt, e_full, e_half, rhs)
 
-    times, saved = integrate(_rows(grid, u0.coeffs), step, tg, lambda t, y: y)
-    shape = (len(times),) + u0.coeffs.shape
-    return TrajectoryResult(times, np.stack(saved).reshape(shape), grid)
+    times, saved = integrate(_rows(grid, u0), step, tg, lambda t, y: y)
+    return TrajectoryResult(times, np.stack(saved).reshape((len(times),) + u0.shape))
 
 
-def solve_transport(u0: SpectralField, velocity, forcing, tg: TimeGrid, *,
+def solve_transport(grid: GridSpec, u0: np.ndarray, velocity, forcing, tg: TimeGrid, *,
                     check_divergence: bool = True) -> TrajectoryResult:
     """Advance du/dt + (v . grad) u = g pseudo-spectrally with RK4.
 
-    `u0` is a field, scalar or stacked, whose components are advected
-    together; `velocity` is a vector field or a callable t -> one, and
-    `forcing` None or a callable t -> a field shaped like `u0`, both of t
-    only (`_evolve` gives the stage times and the CFL guard).
+    `u0` holds coefficients, scalar or stacked, whose components are
+    advected together; `velocity` is None or a callable t -> the stacked
+    velocity coefficients (a constant v is passed as lambda t: v), and
+    `forcing` None or a callable t -> coefficients shaped like `u0`, both
+    of t only (`_evolve` gives the stage times and the CFL guard).
     """
-    return _evolve(u0, tg, 0.0, False, velocity, forcing, check_divergence=check_divergence)
+    return _evolve(grid, u0, tg, 0.0, False, velocity, forcing,
+                   check_divergence=check_divergence)
 
 
-def solve_heat(u0: SpectralField, forcing, mu: float, tg: TimeGrid) -> TrajectoryResult:
+def solve_heat(grid: GridSpec, u0: np.ndarray, forcing, mu: float,
+               tg: TimeGrid) -> TrajectoryResult:
     """Advance du/dt - mu Lap(u) = f with an exact per-mode integrating
     factor; `u0` and `forcing` are as in `solve_transport`.
 
@@ -279,7 +274,7 @@ def solve_heat(u0: SpectralField, forcing, mu: float, tg: TimeGrid) -> Trajector
     """
     if not mu > 0:
         raise ValueError("mu must be positive")
-    return _evolve(u0, tg, mu, True, forcing=forcing)
+    return _evolve(grid, u0, tg, mu, True, forcing=forcing)
 
 
 # -- variable-coefficient elliptic solve -------------------------------------
@@ -302,44 +297,37 @@ class EllipticResult:
         return SpectralField(self.grid, gradient(self.grid, self.u))
 
 
-def solve_variable_poisson(a: SpectralField | np.ndarray, f: SpectralField | np.ndarray, *,
+def solve_variable_poisson(grid: GridSpec, a: np.ndarray, f: np.ndarray, *,
                            tol: float = 1e-12, max_iter: int = 200,
-                           warm_start: SpectralField | np.ndarray | None = None
-                           ) -> EllipticResult:
+                           warm_start: np.ndarray | None = None) -> EllipticResult:
     """Solve -div(a grad u) = f on the torus by mean-preconditioned
     Richardson iteration: u <- u + (-abar Lap)^(-1) (f + div(a grad u)).
 
-    Requires a > 0 on the grid (else NonPositiveCoefficientError) and
-    mean-zero f (solvability); converges when the relative oscillation of
-    `a` is below one.  `a` is a field, sampled here once, or grid samples
-    the caller holds (a stage passes sigma + 1 from its own samples of
-    sigma); the positivity check, abar (their mean) and every residual
-    read those samples.  `f` and `warm_start` are fields or coefficient
-    arrays; f is projected onto the real-field subspace (`hermitize`: its
-    anti-Hermitian rounding content is unreachable by the real-sample
-    operator).  Each residual samples the stacked gradient of u,
-    multiplies by them and takes one dealiased transform of the flux, the
-    arithmetic of `product` of a with each d_l u; the result keeps the flux
-    of the returned potential.  Raises EllipticConvergenceError, with the
-    residual history, when max_iter is hit or a residual is not finite
-    (divergence: a_max/abar above 2, which the message names).
+    Requires finite a > 0 on the grid (else NonPositiveCoefficientError)
+    and mean-zero f (solvability); converges when the relative oscillation
+    of `a` is below one.  `a` is the grid samples of the coefficient (a
+    stage passes sigma + 1 from its own samples of sigma); the positivity
+    check, abar (their mean) and every residual read them.  `f` and
+    `warm_start` are coefficients; f is projected onto the real-field
+    subspace (`hermitize`: its anti-Hermitian rounding content is
+    unreachable by the real-sample operator).  Each residual samples the
+    stacked gradient of u, multiplies by `a` and takes one dealiased
+    transform of the flux, the arithmetic of `product` of a with each
+    d_l u; the result keeps the flux of the returned potential.  Raises
+    EllipticConvergenceError, with the residual history, when max_iter is
+    hit or a residual is not finite (divergence: a_max/abar above 2, which
+    the message names).
     """
-    if isinstance(a, SpectralField):
-        grid, a = a.grid, inverse_transform(a)
-    else:
-        grid = GridSpec(a.ndim, a.shape[0])
-    if isinstance(f, SpectralField) and f.grid != grid:
-        raise ValueError("coefficient and right side live on different grids")
-    f = _coeffs(f)
     if a.shape != grid.shape or f.shape != grid.coeff_shape:
-        raise ValueError(f"coefficient samples {a.shape} do not match the right "
-                         f"side {f.shape}")
+        raise ValueError(f"coefficient samples {a.shape} and right side {f.shape} do not "
+                         f"match the grid {grid.shape}")
     f = hermitize(SpectralField(grid, f)).coeffs
-    a_min = float(a.min())
-    if a_min <= 0:
+    a_min, abar = float(a.min()), float(a.mean())
+    if not (a_min > 0 and math.isfinite(abar)):  # NaN and inf samples fail too
         raise NonPositiveCoefficientError(
-            f"elliptic coefficient min = {a_min:.3g} is not positive on the grid")
-    abar = float(a.mean())
+            f"elliptic coefficient min = {a_min:.3g} is not positive on the grid"
+            if math.isfinite(abar) else
+            f"elliptic coefficient mean = {abar:.3g} is not finite on the grid")
     fnorm = float(np.sqrt(energy(f)))
     f_mean = float(f[(0,) * grid.dim].real)
     if abs(f_mean) > 1e-10 * max(1.0, fnorm):
@@ -347,7 +335,7 @@ def solve_variable_poisson(a: SpectralField | np.ndarray, f: SpectralField | np.
 
     k2 = grid_wavenumbers(grid)["k2"]
     inv_lap = np.where(k2 > 0, 1.0 / (abar * np.where(k2 > 0, k2, 1.0)), 0.0)
-    u = (np.array(_coeffs(warm_start), dtype=complex) if warm_start is not None
+    u = (np.array(warm_start, dtype=complex) if warm_start is not None
          else np.zeros(f.shape, complex))
     grad = np.empty((grid.dim,) + grid.shape)
     flux = np.empty((grid.dim,) + grid.coeff_shape, dtype=complex)
@@ -394,32 +382,30 @@ def solve_variable_poisson(a: SpectralField | np.ndarray, f: SpectralField | np.
 # -- coupled hyperbolic-parabolic pair ---------------------------------------
 
 
-def solve_coupled(c0: SpectralField, d0: SpectralField, velocity, forcing_c, forcing_d,
-                  mu: float, tg: TimeGrid) -> TrajectoryResult:
+def solve_coupled(grid: GridSpec, c0: np.ndarray, d0: np.ndarray, velocity, forcing_c,
+                  forcing_d, mu: float, tg: TimeGrid) -> TrajectoryResult:
     """Advance the pair  dc/dt + v.grad c + Lam d = f,
     dd/dt + v.grad d - mu Lap d - Lam c = g,  with Lam = (-Lap)^(1/2).
 
-    `c0` and `d0` are fields of one shape; the result stacks c over d, so
-    `states[-1][0]` is c and `states[-1][1]` is d.  The skew pair
+    `c0` and `d0` are coefficients of one shape; the result stacks c over
+    d, so `coeffs[-1, 0]` is c and `coeffs[-1, 1]` is d.  The skew pair
     (Lam d, -Lam c) sits inside the Runge-Kutta stages; diffusion on d uses
     the exact integrating factor, so with v = 0 and zero forcing each mode
     follows the 2x2 linear system exactly up to RK4 truncation of the skew
     rotation.  `velocity` is as in `solve_transport`, and `forcing_c`,
     `forcing_d` as its `forcing`.
     """
-    if c0.coeffs.shape != d0.coeffs.shape:
+    if c0.shape != d0.shape:
         raise ValueError("c0 and d0 must have matching component counts")
     if mu < 0:
         raise ValueError("mu must be nonnegative")
-    grid = c0.grid
-    c = _rows(grid, c0.coeffs)
+    c = _rows(grid, c0)
     nc, kmag = len(c), grid_wavenumbers(grid)["kmag"]
 
     def forcing(t):  # a missing half is zero
-        return np.concatenate([np.zeros_like(c) if f is None else _rows(grid, _coeffs(f(t)))
+        return np.concatenate([np.zeros_like(c) if f is None else _rows(grid, f(t))
                                for f in (forcing_c, forcing_d)])
 
-    return _evolve(SpectralField(grid, np.stack([c0.coeffs, d0.coeffs])), tg, mu,
-                   [False] * nc + [True] * nc, velocity,
+    return _evolve(grid, np.stack([c0, d0]), tg, mu, [False] * nc + [True] * nc, velocity,
                    None if forcing_c is None and forcing_d is None else forcing,
                    lambda y: np.concatenate([-kmag * y[nc:], kmag * y[:nc]]))

@@ -114,10 +114,9 @@ class FluidState:
     gradient (n, *grid).
 
     `sigma`, `velocity` (n, *grid) and `h` (n, n, *grid) are fields viewing
-    `coeffs`: writing into their `.coeffs` writes the state.  Assigning
-    whole fields (`st.sigma = f`, `st.velocity = v`, `st.h = h`) copies
-    them in; a field supports no item assignment, so `st.h[i][j] = f`
-    raises."""
+    `coeffs`: writing into their `.coeffs` (`st.h.coeffs[...] = h.coeffs`)
+    writes the state; a field supports no item assignment, so
+    `st.h[i][j] = f` raises."""
 
     grid: GridSpec
     coeffs: np.ndarray
@@ -135,25 +134,13 @@ class FluidState:
     def sigma(self) -> SpectralField:
         return SpectralField(self.grid, self.coeffs[0])
 
-    @sigma.setter
-    def sigma(self, field: SpectralField):
-        self.coeffs[0] = field.coeffs
-
     @property
     def velocity(self) -> SpectralField:
         return SpectralField(self.grid, _split(self.grid, self.coeffs)[1])
 
-    @velocity.setter
-    def velocity(self, field: SpectralField):
-        _split(self.grid, self.coeffs)[1][...] = field.coeffs
-
     @property
     def h(self) -> SpectralField:
         return SpectralField(self.grid, _split(self.grid, self.coeffs)[2])
-
-    @h.setter
-    def h(self, field: SpectralField):
-        _split(self.grid, self.coeffs)[2][...] = field.coeffs
 
 
 def zero_state(grid: GridSpec) -> FluidState:
@@ -219,12 +206,11 @@ def _identity_quadratic(grid: GridSpec, h_s: np.ndarray, dh_s: np.ndarray) -> np
     return q
 
 
-def _density_flux(grid: GridSpec, sig_s: np.ndarray, h):
+def _density_flux(grid: GridSpec, sig_s: np.ndarray, h_s: np.ndarray):
     """rho = 1/(sigma + 1), dealiased, and the dealiased flux[j, i] =
-    rho h^{ji}, from the grid samples sig_s of sigma and the coefficients or
-    the grid samples of h."""
+    rho h^{ji}, from the grid samples sig_s of sigma and h_s of h."""
     rho = dealiased(grid, 1.0 / (sig_s + 1.0))
-    return rho, product(SpectralField(grid, rho), h)
+    return rho, product(grid, rho, h_s)
 
 
 def _weighted_div(grid: GridSpec, rho, flux) -> np.ndarray:
@@ -299,14 +285,15 @@ def _restore_weighted_div(state: FluidState):
     sigma, _, h = _split(grid, state.coeffs)
     sig_s = samples(grid, sigma)
     sig_min = float(sig_s.min())
-    if sig_min + 1.0 <= 0:
+    if not sig_min + 1.0 > 0:  # a NaN sample fails too
+        problem = "is not positive" if np.isfinite(sig_min) else "is not finite"
         raise NonPositiveCoefficientError(
-            f"initial data: min(1+sigma0) = {sig_min + 1.0:.3g} is not positive")
-    rho, flux = _density_flux(grid, sig_s, h)
+            f"initial data: min(1+sigma0) = {sig_min + 1.0:.3g} {problem}")
+    rho, flux = _density_flux(grid, sig_s, samples(grid, h))
     defect = _weighted_div(grid, rho, flux)
     rho_s = samples(grid, rho)
     for i in range(grid.dim):
-        res = solve_variable_poisson(rho_s, defect[i], tol=1e-13, max_iter=300)
+        res = solve_variable_poisson(grid, rho_s, defect[i], tol=1e-13, max_iter=300)
         h[:, i] += res.gradient.coeffs
 
 
@@ -317,14 +304,13 @@ PRESSURE_TOL = 1e-11
 
 
 def compute_pressure(grid: GridSpec, sig_s: np.ndarray, g: np.ndarray, *,
-                     warm_start: SpectralField | np.ndarray | None = None
-                     ) -> EllipticResult:
+                     warm_start: np.ndarray | None = None) -> EllipticResult:
     """Solve div((sigma+1) grad P) = div G for the pressure P, from the
     grid samples sig_s of sigma and the stacked momentum forcing g (rows
     1..n of `momentum_forcing`'s terms).  The samples give the coefficient
     and its positivity check; the result's `gradient` is grad P and its
     `flux` is (sigma + 1) grad P, the flux of the solve's last residual."""
-    return solve_variable_poisson(sig_s + 1.0, -divergence(grid, g),
+    return solve_variable_poisson(grid, sig_s + 1.0, -divergence(grid, g),
                                   tol=PRESSURE_TOL, warm_start=warm_start)
 
 
@@ -333,11 +319,12 @@ def compute_pressure(grid: GridSpec, sig_s: np.ndarray, g: np.ndarray, *,
 
 def _check_floor(sig_s: np.ndarray, params: PhysicalParams):
     """Raise DensityFloorError when min(sigma + 1) over the grid samples
-    sig_s of sigma is below `params.sigma_floor`."""
+    sig_s of sigma is below `params.sigma_floor` or is not a number."""
     sig_min = float(sig_s.min())
-    if sig_min + 1.0 < params.sigma_floor:
-        raise DensityFloorError(
-            f"min(sigma+1) = {sig_min + 1.0:.3g} fell below the floor {params.sigma_floor}")
+    if not sig_min + 1.0 >= params.sigma_floor:  # a NaN sample fails too
+        problem = (f"fell below the floor {params.sigma_floor}" if np.isfinite(sig_min)
+                   else "is not finite")
+        raise DensityFloorError(f"min(sigma+1) = {sig_min + 1.0:.3g} {problem}")
 
 
 class _Stepper:
@@ -420,16 +407,6 @@ class _DirectStepper(_Stepper):
         n = self.grid.dim
         arr[1:1 + n] = leray_project(self.grid, arr[1:1 + n])
         return arr
-
-
-def step(state: FluidState, params: PhysicalParams, dt: float) -> FluidState:
-    """One semi-implicit step of the full system.  The new state carries
-    the pressure gradient of its own first stage, as a run's saves do, and
-    that stage checks its density floor."""
-    stepper = _DirectStepper(state.grid, params, dt)
-    stepper.start(0.0, state.coeffs, floor=False)
-    arr = stepper.step(state.coeffs, 0.0)
-    return FluidState(state.grid, arr, stepper.last.gradient)
 
 
 # -- constraint monitors -------------------------------------------------------
@@ -669,8 +646,8 @@ def _phi_apply(prev: _TrajectoryInterpolant, state0: FluidState,
         return out
 
     tg1 = TimeGrid(tg.t_end, tg.dt, save_stride=1)
-    sigma_h = SpectralField(grid, np.delete(state0.coeffs, vel_rows, axis=0))
-    sh = solve_transport(sigma_h, u_at, sh_forcing, tg1, check_divergence=False)
+    sigma_h = np.delete(state0.coeffs, vel_rows, axis=0)
+    sh = solve_transport(grid, sigma_h, u_at, sh_forcing, tg1, check_divergence=False)
     sh_interp = _TrajectoryInterpolant(sh.times, sh.coeffs)
 
     def v_forcing(t):
@@ -684,7 +661,7 @@ def _phi_apply(prev: _TrajectoryInterpolant, state0: FluidState,
         warm = res.u
         return g - res.flux
 
-    v_traj = solve_heat(state0.velocity, v_forcing, params.mu, tg1)
+    v_traj = solve_heat(grid, state0.coeffs[vel_rows], v_forcing, params.mu, tg1)
 
     vel = leray_project(grid, v_traj.coeffs)
     return np.concatenate([sh.coeffs[:, :1], vel, sh.coeffs[:, 1:]], axis=1)

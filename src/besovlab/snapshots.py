@@ -9,16 +9,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .spectral import GridSpec, SpectralField, forward_transform, inverse_transform, samples
+from .spectral import GridSpec, SpectralField, forward_transform, samples
 
 
 class SnapshotFormatError(ValueError):
     """Malformed snapshot header, truncated payload or non-finite sample."""
 
 
-def write_snapshot(path, grid: GridSpec, fields: dict[str, SpectralField | np.ndarray]):
-    """Write named fields (insertion order preserved) to `path`: each a
-    field, sampled here, or the real grid samples of one."""
+def write_snapshot(path, grid: GridSpec, fields: dict[str, np.ndarray]):
+    """Write named fields (insertion order preserved) to `path`, each given
+    by its real grid samples."""
     header = {
         "dim": grid.dim,
         "M": grid.points_per_axis,
@@ -30,10 +30,7 @@ def write_snapshot(path, grid: GridSpec, fields: dict[str, SpectralField | np.nd
         fh.write(json.dumps(header).encode("utf-8"))
         fh.write(b"\n")
         for name in header["fields"]:
-            values = fields[name]
-            if isinstance(values, SpectralField):
-                values = inverse_transform(values)
-            fh.write(np.ascontiguousarray(values, dtype="<f8").tobytes())
+            fh.write(np.ascontiguousarray(fields[name], dtype="<f8").tobytes())
 
 
 def read_snapshot(path) -> tuple[GridSpec, dict[str, SpectralField]]:

@@ -31,8 +31,8 @@ leading axes index components and whose last `dim` axes are the grid:
 samples, and `lambda_multiplier` and the `grid_wavenumbers` tables are
 multipliers to apply.  A quadratic term is formed by sampling its
 factors on the grid, multiplying and contracting there, and one
-`dealiased` call for all its output components; `product` is the case
-of one scalar factor.
+`dealiased` call for all its output components; `product(grid, f, g)`
+is the case of one factor's coefficients and the other's samples.
 
 The two-thirds rule leaves the arrays of the integration core without
 content in the columns k_last > M/3, which the complex passes along the
@@ -363,19 +363,14 @@ def leray_project(grid: GridSpec, coeffs: np.ndarray) -> np.ndarray:
     return coeffs - kaxes * np.expand_dims(scale, -grid.dim - 1)
 
 
-def product(f: SpectralField, g: SpectralField | np.ndarray):
-    """Dealiased pointwise product of the scalar field `f` with `g`: a
-    field (returns a field; stacks of one shape multiply component by
-    component), or stacked coefficients or stacked real grid samples the
-    caller holds (returns the stacked coefficients of f times each
-    component; `f` is sampled once).  Exact convolution on the retained
-    band when both factors are supported below M/3."""
-    grid = f.grid
-    if isinstance(g, SpectralField):
-        f._check(g)
-        return SpectralField(grid, dealiased(grid, inverse_transform(f) * inverse_transform(g)))
-    g_s = samples(grid, g) if np.iscomplexobj(g) else g
-    return dealiased(grid, inverse_transform(f) * g_s)
+def product(grid: GridSpec, f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Dealiased pointwise product of the coefficients `f` with the stacked
+    real grid samples `g`: the stacked coefficients of f times each
+    component of g, `f` sampled once (a stack of g's shape multiplies
+    component by component).  A caller holding coefficients of g passes
+    `samples(grid, g)`.  Exact convolution on the retained band when both
+    factors are supported below M/3."""
+    return dealiased(grid, samples(grid, f) * g)
 
 
 def gradient_samples(grid: GridSpec, coeffs: np.ndarray, *, with_samples: bool = False,

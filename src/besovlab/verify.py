@@ -173,10 +173,11 @@ def verify_product_laws(s1: float, s2: float, p: float, ensemble: EnsembleSpec,
     specs_uv = [BesovSpec(s12, p, r) for r in (1.0, INF)]
     rows = []  # per chunk, each pair's norms formed once: |u|, |v| and |uv| per law
     for pairs in _draw_chunks(grid, ensemble, 3, radius, (2,)):
-        u, v = (SpectralField(grid, pairs[:, i]) for i in range(2))
-        rows.append(np.concatenate([ensemble_norms(grid, u.coeffs, spec1),
-                                    ensemble_norms(grid, v.coeffs, *specs_v),
-                                    ensemble_norms(grid, product(u, v).coeffs, *specs_uv)]))
+        u, v = pairs[:, 0], pairs[:, 1]
+        rows.append(np.concatenate([ensemble_norms(grid, u, spec1),
+                                    ensemble_norms(grid, v, *specs_v),
+                                    ensemble_norms(grid, product(grid, u, samples(grid, v)),
+                                                   *specs_uv)]))
     nu, *laws = np.concatenate(rows, axis=1).tolist()
 
     def ratios(r, factor=1.0):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from besovlab.spectral import GridSpec, SpectralField, forward_transform, inverse_transform
+from besovlab.spectral import (GridSpec, SpectralField, forward_transform, inverse_transform,
+                               product)
 
 
 @pytest.fixture(scope="session")
@@ -50,3 +51,9 @@ def stack(fields):
     grid."""
     parts = [f if isinstance(f, SpectralField) else stack(f) for f in fields]
     return SpectralField(parts[0].grid, np.stack([f.coeffs for f in parts]))
+
+
+def field_product(f, g):
+    """`product` of the fields f and g (stacks of one shape multiply
+    component by component), as a field."""
+    return SpectralField(f.grid, product(f.grid, f.coeffs, inverse_transform(g)))

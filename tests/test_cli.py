@@ -82,7 +82,7 @@ class TestNormsCommand:
         grid = GridSpec(2, 16)
         f = field_of(grid, lambda x, y: 0.0 * x)
         path = tmp_path / "zero.bin"
-        write_snapshot(path, grid, {"u": f})
+        write_snapshot(path, grid, {"u": inverse_transform(f)})
         assert main(["norms", str(path), "--spec", "1:2:1"]) == 0
         rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
         assert float(rows[0]["value"]) == 0.0
@@ -91,7 +91,7 @@ class TestNormsCommand:
         grid = GridSpec(2, 32)
         f = field_of(grid, lambda x, y: np.cos(x))
         path = tmp_path / "cos.bin"
-        write_snapshot(path, grid, {"u": f})
+        write_snapshot(path, grid, {"u": inverse_transform(f)})
         assert main(["norms", str(path), "--spec", "1:2:1"]) == 0
         rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
         # the snapshot round-trips through samples, exactly as the CLI reads
@@ -111,7 +111,7 @@ class TestNormsCommand:
         grid = GridSpec(2, 16)
         f = field_of(grid, lambda x, y: 0.0 * x)
         path = tmp_path / "zero.bin"
-        write_snapshot(path, grid, {"u": f})
+        write_snapshot(path, grid, {"u": inverse_transform(f)})
         assert main(["norms", str(path), "--spec", "nonsense"]) == 2
         assert_one_line_error(capsys)
         # a non-finite s is rejected as a config's is, naming s
@@ -124,7 +124,8 @@ class TestNormsCommand:
         """`--spec -1:2:1` reads -1:2:1 as the spec, not as an option."""
         grid = GridSpec(2, 16)
         path = tmp_path / "cos.bin"
-        write_snapshot(path, grid, {"u": field_of(grid, lambda x, y: np.cos(x + 2 * y))})
+        write_snapshot(path, grid,
+                       {"u": inverse_transform(field_of(grid, lambda x, y: np.cos(x + 2 * y)))})
         for spec in ("-1:2:1", "-0.5:2:inf"):
             assert main(["norms", str(path), "--spec", spec]) == 0
             separate = capsys.readouterr().out

@@ -16,7 +16,9 @@ loads an attribute of its name.  Both scans go by name alone, so a member
 that shares its name with a loaded attribute of anything else (such as
 `GridSpec.meshgrid` and `np.meshgrid`) counts as called.  No package
 module imports another's private (`_`) name: what a module shares is
-public.
+public.  No package module asks which form an argument has
+(`isinstance(x, SpectralField)` or `callable(x)`): every argument has one
+type.
 """
 
 import ast
@@ -170,6 +172,37 @@ def test_no_private_import_across_modules():
     sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
     private = private_imports(sources)
     assert not private, "private names imported from another module: " + ", ".join(private)
+
+
+def form_branches(sources: dict[str, str]) -> list[str]:
+    """`module:line` of each call in `sources` (module name -> source) that
+    asks which form an argument has: `callable(...)`, or `isinstance(...)`
+    whose type argument names `SpectralField`, alone or in a tuple, plain
+    or as an attribute."""
+    found = []
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)):
+                continue
+            names = {n.id if isinstance(n, ast.Name) else n.attr
+                     for arg in node.args[1:2] for n in ast.walk(arg)
+                     if isinstance(n, (ast.Name, ast.Attribute))}
+            if node.func.id == "callable" or (node.func.id == "isinstance"
+                                              and "SpectralField" in names):
+                found.append(f"{module}:{node.lineno}")
+    return found
+
+
+def test_scan_sees_form_branches():
+    sources = {"a": "if isinstance(u, SpectralField):\n    u = u.coeffs\n"
+                    "isinstance(u, int)\nisinstance(u, (int, spectral.SpectralField))\n"
+                    "v = v(t) if callable(v) else v\nSpectralField(grid, u)\n"}
+    assert form_branches(sources) == ["a:1", "a:4", "a:5"]
+
+
+def test_no_form_branches():
+    found = form_branches({p.stem: p.read_text() for p in PACKAGE.glob("*.py")})
+    assert not found, "calls that ask which form an argument has: " + ", ".join(found)
 
 
 def stale_docstring_names(sources: dict[str, str]) -> list[str]:

@@ -7,13 +7,16 @@ import scipy.linalg
 from besovlab.linsolve import (
     CflViolationError,
     EllipticConvergenceError,
+    NonPositiveCoefficientError,
     NonSolenoidalError,
     TimeGrid,
+    check_cfl,
     if_factors,
     solve_coupled,
     solve_heat,
     solve_transport,
     solve_variable_poisson,
+    velocity_max,
 )
 from besovlab.norms import INF, BesovSpec, besov_norm, chemin_lerner_norm, lp_norm, norm_series
 from besovlab.randfields import random_scalar, random_solenoidal
@@ -27,6 +30,7 @@ from besovlab.spectral import (
     grid_wavenumbers,
     inverse_transform,
     product,
+    samples,
     zero_field,
 )
 
@@ -53,25 +57,25 @@ class TestTimeGrid:
 class TestHeat:
     def test_cosine_decay(self, grid2_32):
         u0 = field_of(grid2_32, lambda x, y: np.cos(x))
-        res = solve_heat(u0, None, 1.0, TimeGrid(1.0, 0.01))
-        got = res.states[-1].coeffs[1, 0]
+        res = solve_heat(grid2_32, u0.coeffs, None, 1.0, TimeGrid(1.0, 0.01))
+        got = res.coeffs[-1, 1, 0]
         assert abs(got - 0.5 * np.exp(-1.0)) <= 1e-12 * 0.5 * np.exp(-1.0)
 
     def test_constant_forcing_grows_mean(self, grid2_32):
         c = 0.7
-        forcing = lambda t: forward_transform(grid2_32, np.full(grid2_32.shape, c))
-        res = solve_heat(zero_field(grid2_32), forcing, 1.0, TimeGrid(2.0, 0.02))
-        assert res.states[-1].coeffs[0, 0].real == pytest.approx(c * 2.0, rel=1e-12)
+        forcing = lambda t: forward_transform(grid2_32, np.full(grid2_32.shape, c)).coeffs
+        res = solve_heat(grid2_32, zero_field(grid2_32).coeffs, forcing, 1.0, TimeGrid(2.0, 0.02))
+        assert res.coeffs[-1, 0, 0].real == pytest.approx(c * 2.0, rel=1e-12)
 
     def test_every_mode_exact(self, grid2_32):
         rng = np.random.default_rng(20)
         u0 = random_scalar(grid2_32, rng)
         mu, T = 0.7, 1.5
-        res = solve_heat(u0, None, mu, TimeGrid(T, 0.015))
+        res = solve_heat(grid2_32, u0.coeffs, None, mu, TimeGrid(T, 0.015))
         k = np.fft.fftfreq(32, d=1 / 32).astype(int)
         k2 = k[:, None] ** 2 + np.arange(17)[None, :] ** 2  # the last axis holds k_last >= 0
         want = u0.coeffs * np.exp(-mu * k2 * T)
-        assert np.max(np.abs(res.states[-1].coeffs - want)) <= \
+        assert np.max(np.abs(res.coeffs[-1] - want)) <= \
             1e-12 * np.max(np.abs(u0.coeffs))
 
     def test_smoothing_ratio_bounded_and_mu_uniform(self, grid2_32):
@@ -85,8 +89,8 @@ class TestHeat:
         ratios = []
         for mu in (0.1, 1.0, 10.0):
             T = 1.0 / mu
-            res = solve_heat(u0, None, mu, TimeGrid(T, T / 128, save_stride=1))
-            series = norm_series(res.times, res.states)
+            res = solve_heat(grid2_32, u0.coeffs, None, mu, TimeGrid(T, T / 128, save_stride=1))
+            series = norm_series(res.times, SpectralField(grid2_32, res.coeffs))
             ratios.append(mu * chemin_lerner_norm(series, 1.0, spec_hi, T) / denom)
         assert max(ratios) <= (4.0 / 3.0) ** 2 * (1 + 1e-10)
         assert max(ratios) - min(ratios) <= 1e-10 * max(ratios)
@@ -94,7 +98,7 @@ class TestHeat:
 
     def test_rejects_nonpositive_mu(self, grid2_32):
         with pytest.raises(ValueError):
-            solve_heat(zero_field(grid2_32), None, 0.0, TimeGrid(1.0, 0.1))
+            solve_heat(grid2_32, zero_field(grid2_32).coeffs, None, 0.0, TimeGrid(1.0, 0.1))
 
     def test_time_only_forcing_is_simpson(self, grid2_32):
         """A forcing of t alone gives equal midpoint stages, so each IF-RK4
@@ -114,7 +118,7 @@ class TestHeat:
             kept[round(2.0 * t / dt)] = t
             return f(t)
 
-        res = solve_heat(u0, forcing, mu, tg)
+        res = solve_heat(grid2_32, u0.coeffs, forcing, mu, tg)
         e_full, e_half = (e[0] for e in if_factors(grid2_32, mu, dt, [True]))
         y = u0.coeffs
         for n in range(tg.n_steps):
@@ -126,16 +130,17 @@ class TestHeat:
 class TestTransport:
     def test_no_velocity_identity(self, grid2_32):
         u0 = field_of(grid2_32, lambda x, y: np.cos(2 * x) * np.sin(y))
-        res = solve_transport(u0, None, None, TimeGrid(1.0, 0.01))
-        assert np.max(np.abs(res.states[-1].coeffs - u0.coeffs)) < 1e-13
+        res = solve_transport(grid2_32, u0.coeffs, None, None, TimeGrid(1.0, 0.01))
+        assert np.max(np.abs(res.coeffs[-1] - u0.coeffs)) < 1e-13
 
     def test_translation(self, grid2_32):
         u0 = field_of(grid2_32, lambda x, y: np.cos(x))
         v = stack([forward_transform(grid2_32, np.ones(grid2_32.shape)),
                    zero_field(grid2_32)])
-        res = solve_transport(u0, v, None, TimeGrid(np.pi, np.pi / 1000))
+        res = solve_transport(grid2_32, u0.coeffs, lambda t: v.coeffs, None,
+                              TimeGrid(np.pi, np.pi / 1000))
         xx, _ = grid2_32.meshgrid()
-        err = inverse_transform(res.states[-1]) + np.cos(xx)
+        err = samples(grid2_32, res.coeffs[-1]) + np.cos(xx)
         l2 = np.sqrt(np.sum(err ** 2) * grid2_32.cell_volume)
         assert l2 <= 1e-8
 
@@ -145,10 +150,10 @@ class TestTransport:
         u0 = field_of(grid2_32, lambda x, y: np.cos(x))
         v = stack([field_of(grid2_32, lambda x, y: np.sin(y)), zero_field(grid2_32)])
         T = 1.0
-        res = solve_transport(u0, v, None, TimeGrid(T, 2e-3))
+        res = solve_transport(grid2_32, u0.coeffs, lambda t: v.coeffs, None, TimeGrid(T, 2e-3))
         xx, yy = grid2_32.meshgrid()
         oracle = np.cos(xx - T * np.sin(yy))
-        err = inverse_transform(res.states[-1]) - oracle
+        err = samples(grid2_32, res.coeffs[-1]) - oracle
         l2 = np.sqrt(np.sum(err ** 2) * grid2_32.cell_volume)
         assert l2 <= 1e-6
 
@@ -162,7 +167,7 @@ class TestTransport:
 
         v = SpectralField(grid2_32, leray_project(grid2_32, v.coeffs))
         T, dt = 0.5, 2e-3
-        res = solve_transport(u0, v, None, TimeGrid(T, dt))
+        res = solve_transport(grid2_32, u0.coeffs, lambda t: v.coeffs, None, TimeGrid(T, dt))
 
         vx, vy = inverse_transform(v[0]), inverse_transform(v[1])
 
@@ -190,15 +195,17 @@ class TestTransport:
             k3 = vel_at(pts - 0.5 * h * k2)
             k4 = vel_at(pts - h * k3)
             pts = pts - (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-        err = inverse_transform(res.states[-1]) - fourier_sum(u0.coeffs, pts)
+        err = samples(grid2_32, res.coeffs[-1]) - fourier_sum(u0.coeffs, pts)
         l2 = np.sqrt(np.sum(err ** 2) * grid2_32.cell_volume)
         assert l2 <= 1e-6
 
     def test_lp_conservation(self, grid2_32):
         u0 = field_of(grid2_32, lambda x, y: np.cos(x))
         v = stack([field_of(grid2_32, lambda x, y: np.sin(y)), zero_field(grid2_32)])
-        res = solve_transport(u0, v, None, TimeGrid(1.0, 1e-3, save_stride=1000))
-        drift = abs(lp_norm(res.states[-1], 2) - lp_norm(u0, 2)) / lp_norm(u0, 2)
+        res = solve_transport(grid2_32, u0.coeffs, lambda t: v.coeffs, None,
+                              TimeGrid(1.0, 1e-3, save_stride=1000))
+        final = SpectralField(grid2_32, res.coeffs[-1])
+        drift = abs(lp_norm(final, 2) - lp_norm(u0, 2)) / lp_norm(u0, 2)
         assert drift <= 1e-6
 
     def test_cfl_guard(self, grid2_32):
@@ -206,13 +213,19 @@ class TestTransport:
         v = stack([forward_transform(grid2_32, np.full(grid2_32.shape, 3.0)),
                    zero_field(grid2_32)])
         with pytest.raises(CflViolationError):
-            solve_transport(u0, v, None, TimeGrid(1.0, 0.05))
+            solve_transport(grid2_32, u0.coeffs, lambda t: v.coeffs, None, TimeGrid(1.0, 0.05))
+
+    def test_cfl_guard_rejects_a_nan_sample(self, grid2_32):
+        v_s = np.zeros((2,) + grid2_32.shape)
+        v_s[0, 3, 5] = np.nan
+        with pytest.raises(CflViolationError, match="CFL number nan is not finite"):
+            check_cfl(grid2_32, 0.01, velocity_max(v_s))
 
     def test_solenoidal_guard(self, grid2_32):
         u0 = field_of(grid2_32, lambda x, y: np.cos(x))
         v = stack([field_of(grid2_32, lambda x, y: np.sin(x)), zero_field(grid2_32)])
         with pytest.raises(NonSolenoidalError):
-            solve_transport(u0, v, None, TimeGrid(1.0, 0.01))
+            solve_transport(grid2_32, u0.coeffs, lambda t: v.coeffs, None, TimeGrid(1.0, 0.01))
 
     def test_growth_estimate_shape(self, grid2_32):
         # ratio of the evolved dyadic norm to exp(V)(initial + forcing
@@ -226,7 +239,8 @@ class TestTransport:
             v = 0.2 * random_solenoidal(grid2_32, rng)
             g = random_scalar(grid2_32, rng)
             T, dt = 0.5, 5e-3
-            res = solve_transport(u0, v, lambda t: g, TimeGrid(T, dt))
+            res = solve_transport(grid2_32, u0.coeffs, lambda t: v.coeffs, lambda t: g.coeffs,
+                                  TimeGrid(T, dt))
             vv = besov_norm(SpectralField(grid2_32, gradient(grid2_32, v[0].coeffs)),
                             BesovSpec(1.0)).value \
                 + besov_norm(SpectralField(grid2_32, gradient(grid2_32, v[1].coeffs)),
@@ -239,7 +253,7 @@ class TestTransport:
                     for ax in range(2))
             majorant = np.exp(vv * T) * (
                 besov_norm(u0, spec).value + T * besov_norm(g, spec).value)
-            return besov_norm(res.states[-1], spec).value / majorant
+            return besov_norm(SpectralField(grid2_32, res.coeffs[-1]), spec).value / majorant
 
         first = [one_case() for _ in range(8)]
         second = [one_case() for _ in range(8)]
@@ -269,11 +283,11 @@ class TestStageTimeEvaluations:
         v = 0.2 * random_solenoidal(grid2_32, rng)
         tg = TimeGrid(t_end, dt)
         vel_calls, force_calls = [], []
-        res = solve_transport(u0, self.counted(vel_calls, v),
-                              self.counted(force_calls, g), tg)
+        res = solve_transport(grid2_32, u0.coeffs, self.counted(vel_calls, v.coeffs),
+                              self.counted(force_calls, g.coeffs), tg)
         assert len(vel_calls) == len(force_calls) == 2 * tg.n_steps + 1
-        # a frozen velocity field gives the same trajectory bit for bit
-        frozen = solve_transport(u0, v, lambda t: g, tg)
+        # a constant velocity gives the same trajectory bit for bit
+        frozen = solve_transport(grid2_32, u0.coeffs, lambda t: v.coeffs, lambda t: g.coeffs, tg)
         assert np.array_equal(res.coeffs, frozen.coeffs)
 
     @pytest.mark.parametrize("t_end, dt", CASES)
@@ -282,7 +296,7 @@ class TestStageTimeEvaluations:
         u0, g = random_scalar(grid2_32, rng), random_scalar(grid2_32, rng)
         tg = TimeGrid(t_end, dt)
         force_calls = []
-        solve_heat(u0, self.counted(force_calls, g), 1.0, tg)
+        solve_heat(grid2_32, u0.coeffs, self.counted(force_calls, g.coeffs), 1.0, tg)
         assert [round(2.0 * t / dt) for t in force_calls] == list(range(2 * tg.n_steps + 1))
 
     @pytest.mark.parametrize("t_end, dt", CASES)
@@ -292,7 +306,8 @@ class TestStageTimeEvaluations:
         v = 0.2 * random_solenoidal(grid2_32, rng)
         tg = TimeGrid(t_end, dt)
         vel_calls = []
-        solve_coupled(c0, d0, self.counted(vel_calls, v), None, None, 1.0, tg)
+        solve_coupled(grid2_32, c0.coeffs, d0.coeffs, self.counted(vel_calls, v.coeffs),
+                      None, None, 1.0, tg)
         assert len(vel_calls) == 2 * tg.n_steps + 1
 
 
@@ -300,7 +315,7 @@ class TestVariablePoisson:
     def test_identity_coefficient(self, grid2_32):
         a = forward_transform(grid2_32, np.ones(grid2_32.shape))
         f = field_of(grid2_32, lambda x, y: np.cos(x))
-        res = solve_variable_poisson(a, f)
+        res = solve_variable_poisson(grid2_32, inverse_transform(a), f.coeffs)
         assert res.iterations <= 1
         assert res.residuals[-1] <= 1e-12 * np.sqrt(np.sum(np.abs(f.coeffs) ** 2))
         xx, _ = grid2_32.meshgrid()
@@ -310,10 +325,11 @@ class TestVariablePoisson:
         # a = 1 + 0.2 sin x, u* = sin y, f = -div(a grad u*)
         a = field_of(grid2_32, lambda x, y: 1.0 + 0.2 * np.sin(x))
         u_star = field_of(grid2_32, lambda x, y: np.sin(y))
-        flux = stack([product(a, SpectralField(
-            grid2_32, gradient(grid2_32, u_star.coeffs)[..., ax, :, :])) for ax in range(2)])
-        f = -1.0 * SpectralField(grid2_32, divergence(grid2_32, flux.coeffs))
-        res = solve_variable_poisson(a, f, tol=1e-12, max_iter=50)
+        flux = np.stack([product(grid2_32, a.coeffs, samples(grid2_32, g))
+                         for g in gradient(grid2_32, u_star.coeffs)])
+        f = -1.0 * SpectralField(grid2_32, divergence(grid2_32, flux))
+        res = solve_variable_poisson(grid2_32, inverse_transform(a), f.coeffs, tol=1e-12,
+                                     max_iter=50)
         assert res.iterations <= 50
         diffs = np.diff(res.residuals)
         assert np.all(diffs < 0)
@@ -332,10 +348,11 @@ class TestVariablePoisson:
         # a = 1 + 0.2 sin x sin z, u* = sin y + cos z, f = -div(a grad u*)
         a = field_of(grid3_16, lambda x, y, z: 1.0 + 0.2 * np.sin(x) * np.sin(z))
         u_star = field_of(grid3_16, lambda x, y, z: np.sin(y) + np.cos(z))
-        flux = stack([product(a, SpectralField(
-            grid3_16, gradient(grid3_16, u_star.coeffs)[..., ax, :, :, :])) for ax in range(3)])
-        f = -1.0 * SpectralField(grid3_16, divergence(grid3_16, flux.coeffs))
-        res = solve_variable_poisson(a, f, tol=1e-12, max_iter=50)
+        flux = np.stack([product(grid3_16, a.coeffs, samples(grid3_16, g))
+                         for g in gradient(grid3_16, u_star.coeffs)])
+        f = -1.0 * SpectralField(grid3_16, divergence(grid3_16, flux))
+        res = solve_variable_poisson(grid3_16, inverse_transform(a), f.coeffs, tol=1e-12,
+                                     max_iter=50)
         for ax in range(3):
             err = np.max(np.abs(res.gradient[ax].coeffs
                                 - gradient(grid3_16, u_star.coeffs)[..., ax, :, :, :]))
@@ -347,21 +364,20 @@ class TestVariablePoisson:
         rng = np.random.default_rng(21)
         a = field_of(grid2_32, lambda x, y: 1.0 + 0.3 * np.sin(x) * np.cos(2 * y))
         f = random_scalar(grid2_32, rng)
-        res = solve_variable_poisson(a, f, tol=tol)
-        u = SpectralField(grid2_32, res.u)
-        flux = stack([product(a, SpectralField(
-            grid2_32, gradient(grid2_32, u.coeffs)[..., ax, :, :])) for ax in range(2)])
-        r = f + SpectralField(grid2_32, divergence(grid2_32, flux.coeffs))
+        res = solve_variable_poisson(grid2_32, inverse_transform(a), f.coeffs, tol=tol)
+        flux = np.stack([product(grid2_32, a.coeffs, samples(grid2_32, g))
+                         for g in gradient(grid2_32, res.u)])
+        r = f + SpectralField(grid2_32, divergence(grid2_32, flux))
         assert full_spectrum_norm(r) <= tol * full_spectrum_norm(f)
         assert res.iterations > 1
 
     def test_elliptic_shape_ratios_recorded(self, grid2_32):
         a = field_of(grid2_32, lambda x, y: 1.0 + 0.2 * np.sin(x))
         u_star = field_of(grid2_32, lambda x, y: np.sin(y))
-        flux = stack([product(a, SpectralField(
-            grid2_32, gradient(grid2_32, u_star.coeffs)[..., ax, :, :])) for ax in range(2)])
-        f = -1.0 * SpectralField(grid2_32, divergence(grid2_32, flux.coeffs))
-        res = solve_variable_poisson(a, f, tol=1e-12)
+        flux = np.stack([product(grid2_32, a.coeffs, samples(grid2_32, g))
+                         for g in gradient(grid2_32, u_star.coeffs)])
+        f = -1.0 * SpectralField(grid2_32, divergence(grid2_32, flux))
+        res = solve_variable_poisson(grid2_32, inverse_transform(a), f.coeffs, tol=1e-12)
         grad = res.gradient
         num = besov_norm(grad, BesovSpec(0.0, 2.0, 1.0)).value
         den = besov_norm(f, BesovSpec(-1.0, 2.0, 1.0)).value
@@ -374,13 +390,22 @@ class TestVariablePoisson:
         a = forward_transform(grid2_32, np.ones(grid2_32.shape))
         f = forward_transform(grid2_32, 1.0 + np.cos(grid2_32.meshgrid()[0]))
         with pytest.raises(ValueError):
-            solve_variable_poisson(a, f)
+            solve_variable_poisson(grid2_32, inverse_transform(a), f.coeffs)
 
     def test_nonpositive_coefficient(self, grid2_32):
         a = field_of(grid2_32, lambda x, y: np.sin(x))  # touches negative
         f = field_of(grid2_32, lambda x, y: np.cos(x))
         with pytest.raises(ValueError):
-            solve_variable_poisson(a, f)
+            solve_variable_poisson(grid2_32, inverse_transform(a), f.coeffs)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_coefficient(self, grid2_32, bad):
+        a = 1.0 + 0.3 * np.cos(grid2_32.meshgrid()[0])
+        a[3, 5] = bad
+        f = field_of(grid2_32, lambda x, y: np.cos(x))
+        with pytest.raises(NonPositiveCoefficientError,
+                           match=f"elliptic coefficient mean = {bad} is not finite"):
+            solve_variable_poisson(grid2_32, a, f.coeffs, max_iter=5)
 
     @pytest.mark.parametrize("dim,m", [(2, 32), (3, 16)])
     def test_norms_count_the_full_spectrum(self, dim, m):
@@ -391,7 +416,7 @@ class TestVariablePoisson:
         rng = np.random.default_rng(23)
         a = forward_transform(grid, 1.0 + 0.2 * np.cos(grid.meshgrid()[0]))
         f = random_scalar(grid, rng)
-        res = solve_variable_poisson(a, f, tol=1e-8)
+        res = solve_variable_poisson(grid, inverse_transform(a), f.coeffs, tol=1e-8)
         fnorm = full_spectrum_norm(f)
         assert abs(res.residuals[0] - fnorm) <= 1e-14 * fnorm
 
@@ -433,7 +458,7 @@ class TestVariablePoisson:
             # enough that skipping them in the passes shows in the history
             u_star, u0 = transform(band), np.zeros(grid.coeff_shape, complex)
             f = -residual(u_star, 0.0) + 1e-9 * transform(high)
-        res = solve_variable_poisson(a, f, tol=1e-9, warm_start=u0)
+        res = solve_variable_poisson(grid, a, f, tol=1e-9, warm_start=u0)
         assert not res.stagnated and res.iterations > 5
 
         u, want = u0.copy(), []
@@ -453,7 +478,8 @@ class TestVariablePoisson:
         a = field_of(grid2_32, lambda x, y: 1.0 + 0.95 * np.sin(x))
         f = field_of(grid2_32, lambda x, y: np.cos(x))
         with pytest.raises(EllipticConvergenceError) as err:
-            solve_variable_poisson(a, f, tol=1e-12, max_iter=30)
+            solve_variable_poisson(grid2_32, inverse_transform(a), f.coeffs, tol=1e-12,
+                                   max_iter=30)
         assert len(err.value.residuals) == 31
 
     def test_divergence_ends_in_a_clear_message(self):
@@ -468,7 +494,7 @@ class TestVariablePoisson:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(EllipticConvergenceError) as err:
-                solve_variable_poisson(a, f, max_iter=400)
+                solve_variable_poisson(grid, a, f.coeffs, max_iter=400)
         message = str(err.value)
         assert "a_max/abar = 5" in message and "iteration 271" in message
         residuals = err.value.residuals
@@ -479,18 +505,18 @@ class TestVariablePoisson:
 
 class TestCoupled:
     def test_zero_data(self, grid2_32):
-        res = solve_coupled(zero_field(grid2_32), zero_field(grid2_32), None,
-                            None, None, 1.0, TimeGrid(0.5, 0.01))
-        assert np.max(np.abs(res.states[-1][0].coeffs)) == 0.0
-        assert np.max(np.abs(res.states[-1][1].coeffs)) == 0.0
+        zero = zero_field(grid2_32).coeffs
+        res = solve_coupled(grid2_32, zero, zero, None, None, None, 1.0, TimeGrid(0.5, 0.01))
+        assert np.max(np.abs(res.coeffs[-1, 0])) == 0.0
+        assert np.max(np.abs(res.coeffs[-1, 1])) == 0.0
 
     def test_energy_conservation_inviscid(self, grid2_32):
         # mu = 0 leaves the skew rotation; per-mode energy is conserved
         c0 = field_of(grid2_32, lambda x, y: np.cos(x))
-        res = solve_coupled(c0, zero_field(grid2_32), None, None, None, 0.0,
-                            TimeGrid(1.0, 1e-3))
+        res = solve_coupled(grid2_32, c0.coeffs, zero_field(grid2_32).coeffs, None, None, None,
+                            0.0, TimeGrid(1.0, 1e-3))
         e0 = abs(c0.coeffs[1, 0]) ** 2
-        eT = abs(res.states[-1][0].coeffs[1, 0]) ** 2 + abs(res.states[-1][1].coeffs[1, 0]) ** 2
+        eT = abs(res.coeffs[-1, 0][1, 0]) ** 2 + abs(res.coeffs[-1, 1][1, 0]) ** 2
         assert abs(eT - e0) <= 1e-10 * e0
 
     def test_matrix_exponential_oracle(self, grid2_32):
@@ -500,7 +526,8 @@ class TestCoupled:
         c0 = random_scalar(grid2_32, rng)
         d0 = random_scalar(grid2_32, rng)
         mu, T = 1.0, 1.0
-        res = solve_coupled(c0, d0, None, None, None, mu, TimeGrid(T, 1e-3))
+        res = solve_coupled(grid2_32, c0.coeffs, d0.coeffs, None, None, None, mu,
+                            TimeGrid(T, 1e-3))
         k = np.fft.fftfreq(32, d=1 / 32).astype(int)
         worst = 0.0
         scale = max(np.max(np.abs(c0.coeffs)), np.max(np.abs(d0.coeffs)))
@@ -509,8 +536,8 @@ class TestCoupled:
             mat = np.array([[0.0, -kk], [kk, -mu * kk ** 2]])
             want = scipy.linalg.expm(mat * T) @ np.array(
                 [c0.coeffs[tuple(idx)], d0.coeffs[tuple(idx)]])
-            got = np.array([res.states[-1][0].coeffs[tuple(idx)],
-                            res.states[-1][1].coeffs[tuple(idx)]])
+            got = np.array([res.coeffs[-1, 0][tuple(idx)],
+                            res.coeffs[-1, 1][tuple(idx)]])
             worst = max(worst, np.max(np.abs(got - want)))
         assert worst <= 1e-10 * scale
 
@@ -526,15 +553,16 @@ class TestCoupled:
         ratios = []
         for mu in (0.1, 1.0, 10.0):
             T = 1.0
-            res = solve_coupled(c0, d0, None, None, None, mu,
+            res = solve_coupled(grid2_32, c0.coeffs, d0.coeffs, None, None, None, mu,
                                 TimeGrid(T, 2e-3, save_stride=25))
             times = res.times
-            c_series = norm_series(times, [st[0] for st in res.states])
-            d_series = norm_series(times, [st[1] for st in res.states])
+            c_traj, d_traj = (SpectralField(grid2_32, res.coeffs[:, i]) for i in range(2))
+            c_series = norm_series(times, c_traj)
+            d_series = norm_series(times, d_traj)
             hyb_inf = HybridSpec(s, INF, mu)
             hyb_one = HybridSpec(s, 1.0, mu)
-            final = besov_norm(res.states[-1][0], hyb_inf).value \
-                + besov_norm(res.states[-1][1], BesovSpec(s - 1.0)).value
+            final = besov_norm(c_traj[-1], hyb_inf).value \
+                + besov_norm(d_traj[-1], BesovSpec(s - 1.0)).value
             integ = mu * (lebesgue_time_norm(c_series, 1.0, hyb_one, T)
                           + lebesgue_time_norm(d_series, 1.0, BesovSpec(s + 1.0), T))
             init = besov_norm(c0, hyb_inf).value \
@@ -549,5 +577,6 @@ class TestCoupled:
         c0 = stack([field_of(grid2_32, lambda x, y: np.cos(x)),
                     field_of(grid2_32, lambda x, y: np.sin(y))])
         d0 = stack([zero_field(grid2_32), zero_field(grid2_32)])
-        res = solve_coupled(c0, d0, None, None, None, 1.0, TimeGrid(0.1, 1e-3))
-        assert len(res.states[-1][0]) == 2 and len(res.states[-1][1]) == 2
+        res = solve_coupled(grid2_32, c0.coeffs, d0.coeffs, None, None, None, 1.0,
+                            TimeGrid(0.1, 1e-3))
+        assert len(res.coeffs[-1, 0]) == 2 and len(res.coeffs[-1, 1]) == 2

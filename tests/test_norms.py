@@ -25,12 +25,11 @@ from besovlab.spectral import (
     SpectralField,
     forward_transform,
     gradient,
-    product,
     samples,
     zero_field,
 )
 
-from conftest import field_of, l2_of_samples, stack
+from conftest import field_of, field_product, l2_of_samples, stack
 
 
 class TestLpNorm:
@@ -185,7 +184,7 @@ def _parseval_cases():
         grid = GridSpec(2, m)
         u, v = random_scalar(grid, rng), random_scalar(grid, rng)
         cases[f"scalar_2d_m{m}"] = u
-        cases[f"product_2d_m{m}"] = product(u, v)
+        cases[f"product_2d_m{m}"] = field_product(u, v)
     cases["solenoidal_2d_m64"] = random_solenoidal(GridSpec(2, 64), rng)
     w = random_solenoidal(GridSpec(3, 16), rng)
     cases["tensor_3d_m16"] = stack([[SpectralField(

@@ -8,6 +8,7 @@ from besovlab import oldroyd
 from besovlab.linsolve import (
     NonPositiveCoefficientError,
     TimeGrid,
+    TrajectoryResult,
     solve_coupled,
     solve_heat,
     solve_transport,
@@ -29,7 +30,6 @@ from besovlab.oldroyd import (
     run_coupled,
     stacked_tensor_to_velocity,
     stacked_velocity_to_tensor,
-    step,
     zero_state,
     _DirectStepper,
     _Stepper,
@@ -50,12 +50,12 @@ from besovlab.spectral import (
     inverse_transform,
     lambda_multiplier,
     leray_project,
-    product,
     samples,
     zero_field,
 )
 
-from conftest import field_of, full_spectrum, full_spectrum_norm, l2_of_samples, stack
+from conftest import (field_of, field_product, full_spectrum, full_spectrum_norm, l2_of_samples,
+                      stack)
 
 PARAMS = PhysicalParams(mu=1.0, sigma_floor=0.1)
 
@@ -89,9 +89,10 @@ class TestFluidState:
         st.velocity[1].coeffs[1, 0] = 2.0
         st.h[1][0].coeffs[0, 1] = 3.0
         assert st.coeffs[2, 1, 0] == 2.0 and st.coeffs[5, 0, 1] == 3.0
-        st.sigma = field_of(grid2_32, lambda x, y: np.cos(x))
+        st.sigma.coeffs[...] = field_of(grid2_32, lambda x, y: np.cos(x)).coeffs
         assert st.coeffs[0, 1, 0] == pytest.approx(0.5, abs=1e-15)
-        st.h = stack([[st.sigma, zero_field(grid2_32)], [zero_field(grid2_32), st.sigma]])
+        st.h.coeffs[...] = stack([[st.sigma, zero_field(grid2_32)],
+                                  [zero_field(grid2_32), st.sigma]]).coeffs
         assert np.array_equal(st.coeffs[3], st.coeffs[0]) and not st.coeffs[4].any()
         with pytest.raises(TypeError):
             st.h[0][0] = zero_field(grid2_32)
@@ -153,6 +154,13 @@ class TestInitialData:
         with pytest.raises(ValueError):
             make_initial_data("other", 1e-2, 3, grid2_32)
 
+    def test_restore_rejects_non_finite_sigma(self, grid2_32):
+        st, _ = make_initial_data("general", 1e-2, 3, grid2_32)
+        st.coeffs[0, 1, 0] = np.nan  # every sample of sigma0 is NaN
+        with pytest.raises(NonPositiveCoefficientError,
+                           match=re.escape("min(1+sigma0) = nan is not finite")):
+            oldroyd._restore_weighted_div(st)
+
 
 def forcing_and_pressure(st):
     """The momentum forcing G of a state (stacked) and its pressure solve."""
@@ -191,7 +199,7 @@ class TestPressure:
 
 class TestStep:
     def test_zero_state_fixed(self, grid2_32):
-        out = step(zero_state(grid2_32), PARAMS, 1e-2)
+        out = run(zero_state(grid2_32), PARAMS, TimeGrid(1e-2, 1e-2)).states[-1]
         assert np.max(np.abs(out.sigma.coeffs)) == 0.0
         assert all(np.max(np.abs(v.coeffs)) == 0.0 for v in out.velocity)
 
@@ -202,14 +210,20 @@ class TestStep:
         c = 0.3
         for i in range(2):
             st.h[i][i].coeffs[...] = forward_transform(grid2_32, np.full(grid2_32.shape, c)).coeffs
-        out = step(st, PARAMS, 1e-2)
+        out = run(st, PARAMS, TimeGrid(1e-2, 1e-2)).states[-1]
         assert state_l2(out, st) <= 1e-13
 
     def test_density_floor_abort(self, grid2_32):
         st = zero_state(grid2_32)
-        st.sigma = field_of(grid2_32, lambda x, y: -0.95 + 0.0 * x)
+        st.sigma.coeffs[...] = field_of(grid2_32, lambda x, y: -0.95 + 0.0 * x).coeffs
         with pytest.raises(DensityFloorError):
-            step(st, PARAMS, 1e-2)
+            run(st, PARAMS, TimeGrid(1e-2, 1e-2))
+
+    def test_density_floor_rejects_a_nan_sample(self, grid2_32):
+        sig_s = np.zeros(grid2_32.shape)
+        sig_s[3, 5] = np.nan
+        with pytest.raises(DensityFloorError, match=r"min\(sigma\+1\) = nan is not finite"):
+            oldroyd._check_floor(sig_s, PARAMS)
 
     def test_transport_conserves_means(self, grid2_32):
         # advection by a solenoidal field is mean-free, so sigma's mean is
@@ -221,15 +235,16 @@ class TestStep:
         mean_sigma = st.sigma.mean
         out = st
         for _ in range(10):
-            out = step(out, PARAMS, 5e-3)
+            out = run(out, PARAMS, TimeGrid(5e-3, 5e-3)).states[-1]
         assert out.sigma.mean == pytest.approx(mean_sigma, abs=1e-12)
 
         rng = np.random.default_rng(11)
         vel = 0.05 * random_solenoidal(grid2_32, rng)
         h_rows = SpectralField(grid2_32, st.coeffs[3:])  # h^{00}, h^{01}, ...
         means_h = [f.mean for f in h_rows]
-        res = solve_transport(h_rows, vel, None, TimeGrid(1.0, 5e-3))
-        for f, m in zip(res.states[-1], means_h):
+        res = solve_transport(grid2_32, h_rows.coeffs, lambda t: vel.coeffs, None,
+                              TimeGrid(1.0, 5e-3))
+        for f, m in zip(SpectralField(grid2_32, res.coeffs[-1]), means_h):
             assert abs(f.mean - m) <= 1e-10
 
     def test_self_convergence_taylor_green(self):
@@ -241,10 +256,10 @@ class TestStep:
 
         def tg_state(grid):
             st = zero_state(grid)
-            st.velocity = stack([
+            st.velocity.coeffs[...] = stack([
                 amp * field_of(grid, lambda x, y: np.sin(x) * np.cos(y)),
                 amp * field_of(grid, lambda x, y: -np.cos(x) * np.sin(y)),
-            ])
+            ]).coeffs
             return st
 
         T = 0.25
@@ -275,9 +290,9 @@ class TestStep:
 class TestConstraints:
     def test_trivial_state(self, grid2_32):
         st = zero_state(grid2_32)
-        st.velocity = stack([amp * f for amp, f in
-                             zip([1e-2, 1e-2], random_solenoidal(
-                                 grid2_32, np.random.default_rng(1)))])
+        st.velocity.coeffs[...] = stack([amp * f for amp, f in
+                                         zip([1e-2, 1e-2], random_solenoidal(
+                                             grid2_32, np.random.default_rng(1)))]).coeffs
         res = constraint_residuals(st)
         assert res.div_velocity <= 1e-12
         assert res.weighted_div <= 1e-12
@@ -462,10 +477,11 @@ class TestPlaneShearWave:
 
 class TestSharedIntegration:
     @pytest.mark.parametrize("evolve", [
-        lambda st, tg: solve_transport(st.sigma, st.velocity, None, tg),
-        lambda st, tg: solve_heat(st.velocity, None, 1.0, tg),
-        lambda st, tg: solve_coupled(st.velocity, st.velocity, None, None, None,
-                                     1.0, tg),
+        lambda st, tg: solve_transport(st.grid, st.sigma.coeffs, lambda t: st.velocity.coeffs,
+                                       None, tg),
+        lambda st, tg: solve_heat(st.grid, st.velocity.coeffs, None, 1.0, tg),
+        lambda st, tg: solve_coupled(st.grid, st.velocity.coeffs, st.velocity.coeffs, None,
+                                     None, None, 1.0, tg),
         lambda st, tg: run(st, PARAMS, tg),
         lambda st, tg: run_coupled(st, PARAMS, tg),
         lambda st, tg: phi_iteration(st, PARAMS, tg, max_outer=1, tol=1.0),
@@ -477,8 +493,9 @@ class TestSharedIntegration:
         tg = TimeGrid(7e-3, 1e-3, save_stride=3)
         assert tg.save_steps() == [0, 3, 6, 7]
         res = evolve(st, tg)
+        saved = res.coeffs if isinstance(res, TrajectoryResult) else res.states
         assert list(res.times) == pytest.approx([0.0, 3e-3, 6e-3, 7e-3], abs=1e-15)
-        assert len(res.states) == 4
+        assert len(saved) == 4
 
     def test_density_floor_in_both_formulations(self, grid2_32):
         st, _ = make_initial_data("general", 0.2, 5, grid2_32)
@@ -614,9 +631,8 @@ class TestPhiIteration:
                 grid, oldroyd._stretch(gradient_samples(grid, u), samples(grid, xi)))
             return src.reshape((n * n,) + u.shape[1:])
 
-        sig = solve_transport(st.sigma, u_at, None, tg, check_divergence=False)
-        h_rows = SpectralField(grid, st.coeffs[1 + n:])
-        h = solve_transport(h_rows, u_at, h_forcing, tg, check_divergence=False)
+        sig = solve_transport(grid, st.sigma.coeffs, u_at, None, tg, check_divergence=False)
+        h = solve_transport(grid, st.coeffs[1 + n:], u_at, h_forcing, tg, check_divergence=False)
         want = np.concatenate([sig.coeffs[:, None], h.coeffs], axis=1)
         have = np.concatenate([got[:, :1], got[:, 1 + n:]], axis=1)
         assert np.max(np.abs(have - want)) <= 1e-14 * np.max(np.abs(want))
@@ -728,48 +744,20 @@ class TestStageKernel:
 
     def test_pressure_from_sigma_samples(self, grid3_16):
         """The stage hands the Poisson solve sigma + 1 from its own batched
-        samples; sampling the coefficient field itself gives the same
-        potential."""
+        samples, and the solve keeps the flux of its potential."""
         grid = grid3_16
         arr = random_stack(grid, 35, (1 + 3 + 9,))
         arr[0] *= 2.0
         a = SpectralField(grid, arr[0].copy())
         a.coeffs[0, 0, 0] += 1.0
         assert 0.5 < inverse_transform(a).min()
-        f = -1.0 * SpectralField(grid, divergence(grid, arr[1:4]))
-        by_field = solve_variable_poisson(a, f)
-        by_samples = solve_variable_poisson(samples(grid, arr)[0] + 1.0, f)
-        assert by_samples.iterations == by_field.iterations
-        assert_close(by_samples.u, by_field.u, 1e-14)
+        f = -1.0 * divergence(grid, arr[1:4])
+        by_samples = solve_variable_poisson(grid, samples(grid, arr)[0] + 1.0, f)
         # the kept flux is a grad u of the returned potential
-        want = np.stack([product(a, g).coeffs for g in by_field.gradient])
-        assert_close(by_field.flux, want, 1e-14)
+        want = np.stack([field_product(a, g).coeffs for g in by_samples.gradient])
+        assert_close(by_samples.flux, want, 1e-14)
         with pytest.raises(NonPositiveCoefficientError):
-            solve_variable_poisson(samples(grid, arr)[0] - 1.0, f)
-
-    @KERNEL_GRIDS
-    def test_field_and_array_solves_agree(self, dim, m):
-        """The public call on fields and the call a stage makes (coefficient
-        samples, the right side of `compute_pressure` as an array) stop at
-        the same iterate."""
-        grid = GridSpec(dim, m)
-        st, _ = make_initial_data("general", 0.05, 5, grid)
-        terms, s, _ = momentum_forcing(grid, st.coeffs, PARAMS.mu)
-        f = -divergence(grid, terms[1:1 + dim])
-        a = SpectralField(grid, st.coeffs[0].copy())
-        a.coeffs[(0,) * dim] += 1.0
-        by_field = solve_variable_poisson(a, SpectralField(grid, f))
-        by_array = solve_variable_poisson(inverse_transform(a), f)
-        assert by_field.iterations == by_array.iterations > 1
-        assert np.array_equal(by_field.flux, by_array.flux)
-        assert np.array_equal(by_field.u, by_array.u)
-        # warm-started from the same potential as a field or as an array
-        warm_field = solve_variable_poisson(a, SpectralField(grid, f), tol=1e-13,
-                                            warm_start=SpectralField(grid, by_field.u))
-        warm_array = solve_variable_poisson(inverse_transform(a), f, tol=1e-13,
-                                            warm_start=by_array.u)
-        assert warm_field.iterations == warm_array.iterations
-        assert np.array_equal(warm_field.flux, warm_array.flux)
+            solve_variable_poisson(grid, samples(grid, arr)[0] - 1.0, f)
 
     def test_transform_count(self, grid3_16, monkeypatch):
         """One-dimensional passes over one field, by every `numpy.fft`
@@ -834,7 +822,7 @@ def full_layout_residuals(st: FluidState) -> dict:
 
     rho = forward_transform(grid, 1.0 / (inverse_transform(st.sigma) + 1.0))
     rho = SpectralField(grid, rho.coeffs * grid_wavenumbers(grid)["dealias_mask"])
-    flux = [[product(rho, h[j][i]) for i in range(n)] for j in range(n)]
+    flux = [[field_product(rho, h[j][i]) for i in range(n)] for j in range(n)]
     weighted = [[dx(rho, i) + sum((dx(f[i], j) for j, f in enumerate(rows)), zero_field(grid))
                  for i in range(n)]
                 for rows in (flux, [list(r) for r in zip(*flux)])]
@@ -842,8 +830,8 @@ def full_layout_residuals(st: FluidState) -> dict:
     for i, j, k in np.ndindex(n, n, n):
         acc = dx(h[i][j], k) - dx(h[i][k], j)
         for l in range(n):
-            acc = acc + product(h[l][k], dx(h[i][j], l)) \
-                - product(h[l][j], dx(h[i][k], l))
+            acc = acc + field_product(h[l][k], dx(h[i][j], l)) \
+                - field_product(h[l][j], dx(h[i][k], l))
         identity.append(acc)
     return {"div_velocity": l2([SpectralField(grid, divergence(grid, st.velocity.coeffs))]),
             "weighted_div": l2(weighted[0]), "weighted_div_transposed": l2(weighted[1]),

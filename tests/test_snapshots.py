@@ -12,7 +12,7 @@ from besovlab.snapshots import (
     state_samples,
     write_snapshot,
 )
-from besovlab.spectral import GridSpec, samples
+from besovlab.spectral import GridSpec, inverse_transform, samples
 from conftest import field_of
 
 
@@ -20,7 +20,7 @@ def test_round_trip(tmp_path, grid2_32):
     f = field_of(grid2_32, lambda x, y: np.cos(x) + 0.3 * np.sin(2 * y))
     g = field_of(grid2_32, lambda x, y: np.sin(x + y))
     path = tmp_path / "snap.bin"
-    write_snapshot(path, grid2_32, {"alpha": f, "beta": g})
+    write_snapshot(path, grid2_32, {"alpha": inverse_transform(f), "beta": inverse_transform(g)})
     grid, fields = read_snapshot(path)
     assert grid == grid2_32
     assert list(fields) == ["alpha", "beta"]
@@ -31,7 +31,7 @@ def test_round_trip(tmp_path, grid2_32):
 def test_header_contents(tmp_path, grid2_32):
     f = field_of(grid2_32, lambda x, y: np.cos(x))
     path = tmp_path / "snap.bin"
-    write_snapshot(path, grid2_32, {"u": f})
+    write_snapshot(path, grid2_32, {"u": inverse_transform(f)})
     header = json.loads(path.read_bytes().split(b"\n", 1)[0])
     assert header == {"dim": 2, "M": 32, "fields": ["u"],
                       "layout": "row-major", "scalar": "float64-le"}
@@ -54,7 +54,7 @@ def test_bad_json(tmp_path):
 def test_truncated_payload(tmp_path, grid2_32):
     f = field_of(grid2_32, lambda x, y: np.cos(x))
     path = tmp_path / "snap.bin"
-    write_snapshot(path, grid2_32, {"u": f})
+    write_snapshot(path, grid2_32, {"u": inverse_transform(f)})
     raw = path.read_bytes()
     path.write_bytes(raw[:-8])
     with pytest.raises(SnapshotFormatError):
@@ -111,7 +111,8 @@ def test_save_snapshot_from_stage_samples(tmp_path, dim, m):
         by_field.update((f"h{i}{j}", state.h[i][j]) for i in range(dim) for j in range(dim))
         by_field.update((f"gradp{i}", g) for i, g in enumerate(state.pressure_grad))
         write_snapshot(tmp_path / "samples.bin", grid, state_samples(state, s))
-        write_snapshot(tmp_path / "fields.bin", grid, by_field)
+        write_snapshot(tmp_path / "fields.bin", grid,
+                       {name: inverse_transform(f) for name, f in by_field.items()})
         assert (tmp_path / "samples.bin").read_bytes() == (tmp_path / "fields.bin").read_bytes()
         # the state's own samples, taken in one call, give the same bytes
         write_snapshot(tmp_path / "state.bin", grid,

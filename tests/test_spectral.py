@@ -23,7 +23,7 @@ from besovlab.spectral import (
 )
 from besovlab.randfields import random_scalar
 
-from conftest import field_of, full_spectrum, stack
+from conftest import field_of, field_product, full_spectrum, stack
 
 
 def hermitian_defect(f: SpectralField) -> float:
@@ -289,7 +289,7 @@ class TestDealias:
             return c * mask, SpectralField(grid, (c * mask)[:, :9])
 
         (u_full, u), (v_full, v) = band_limited(), band_limited()
-        got = product(u, v)
+        got = field_product(u, v)
 
         oracle = np.zeros(grid.shape, complex)
         nz_u = np.argwhere(np.abs(u_full) > 0)
@@ -340,9 +340,10 @@ class TestRealTransforms:
             assert np.array_equal(coeffs[idx], dealiased(grid, values[idx]))
             assert np.array_equal(got[idx], samples(grid, coeffs[idx]))
         f = random_scalar(grid, rng)
-        stacked = product(f, coeffs[0])
+        stacked = product(grid, f.coeffs, samples(grid, coeffs[0]))
         for i in range(2):
-            assert np.array_equal(stacked[i], product(f, SpectralField(grid, coeffs[0, i])).coeffs)
+            assert np.array_equal(stacked[i],
+                                  field_product(f, SpectralField(grid, coeffs[0, i])).coeffs)
 
 
 @pytest.mark.parametrize("dim,m", REAL_TRANSFORM_GRIDS)

@@ -15,6 +15,7 @@ from besovlab.spectral import (
     gradient,
     grid_wavenumbers,
     product,
+    samples,
 )
 from besovlab.verify import (
     EnsembleSpec,
@@ -29,7 +30,7 @@ from besovlab.verify import (
     verify_scaling,
 )
 
-from conftest import field_of
+from conftest import field_of, field_product
 
 ENS = EnsembleSpec(count=16, seed=7)
 
@@ -76,7 +77,7 @@ class TestProductLaws:
         out per pair."""
         rows = []
         monkeypatch.setattr(verify, "product",
-                            lambda u, v: rows.append(len(u)) or product(u, v))
+                            lambda grid, u, v: rows.append(len(u)) or product(grid, u, v))
         ens = EnsembleSpec(count=4, seed=3)
         reports = verify_product_laws(1.0, 1.0, 2.0, ens, grid2_64)
         assert sum(rows) == 2 * ens.count
@@ -87,7 +88,7 @@ class TestProductLaws:
                  for _ in range(2 * ens.count)]
         # s1 = s2 = 1 and p = 2 in 2D: the product's index is s1 + s2 - N/p = 1
         for rep, r in zip(reports[:2], (1.0, INF)):
-            ratios = [besov_norm(product(u, v), BesovSpec(1.0, 2.0, r)).value
+            ratios = [besov_norm(field_product(u, v), BesovSpec(1.0, 2.0, r)).value
                       / (besov_norm(u, BesovSpec(1.0, 2.0, 1.0)).value
                          * besov_norm(v, BesovSpec(1.0, 2.0, r)).value) for u, v in pairs]
             assert rep.max_ratio == max(ratios[:ens.count])
@@ -97,20 +98,16 @@ class TestProductLaws:
     def test_square_ratio_recorded(self, grid2_64):
         # v = u: the ratio is the squared-field norm over the norm squared
         rng = np.random.default_rng(30)
-        from besovlab.spectral import product
-
         u = random_scalar(grid2_64, rng, radius=5.0)
         spec = BesovSpec(1.0, 2.0, 1.0)
-        ratio = besov_norm(product(u, u), spec).value / besov_norm(u, spec).value ** 2
+        ratio = besov_norm(field_product(u, u), spec).value / besov_norm(u, spec).value ** 2
         assert np.isfinite(ratio) and ratio > 0
 
     def test_disjoint_shells_finite(self, grid2_64):
-        from besovlab.spectral import product
-
         u = field_of(grid2_64, lambda x, y: np.cos(x))        # band 0
         v = field_of(grid2_64, lambda x, y: np.cos(8 * x))    # band 2/3
         spec = BesovSpec(1.0, 2.0, 1.0)
-        ratio = besov_norm(product(u, v), spec).value / (
+        ratio = besov_norm(field_product(u, v), spec).value / (
             besov_norm(u, spec).value * besov_norm(v, spec).value)
         assert np.isfinite(ratio)
 
@@ -158,12 +155,12 @@ class TestCommutator:
         field sampled for the L^p norm."""
         grid = a.grid
         grad_b = SpectralField(grid, gradient(grid, b.coeffs))
-        a_grad_b = [product(a, g) for g in grad_b]
+        a_grad_b = [field_product(a, g) for g in grad_b]
         out = []
         for band in block_multipliers(grid):
             acc = np.zeros(grid.coeff_shape, dtype=np.complex128)
             for ax in range(grid.dim):
-                first = product(a, SpectralField(grid, grad_b[ax].coeffs * band))
+                first = field_product(a, SpectralField(grid, grad_b[ax].coeffs * band))
                 second = SpectralField(grid, a_grad_b[ax].coeffs * band)
                 acc += gradient(grid, first.coeffs)[..., ax, :, :] \
                     - gradient(grid, second.coeffs)[..., ax, :, :]
@@ -209,7 +206,8 @@ def one_pair_commutator(a, b, p):
     grid = a.grid
     bands = block_multipliers(grid)[:, None]
     grad_b = gradient(grid, b.coeffs)
-    terms = product(a, bands * grad_b) - bands * product(a, grad_b)
+    terms = product(grid, a.coeffs, samples(grid, bands * grad_b)) \
+        - bands * product(grid, a.coeffs, samples(grid, grad_b))
     return stacked_lp(grid, np.einsum("qa...,a...->q...", terms, grid_wavenumbers(grid)["ik"]), p)
 
 
@@ -258,7 +256,7 @@ class TestChunkedEnsembles:
             * float(np.trapezoid(env_b ** 2, tgrid) ** 0.5))
         for i, rep in enumerate(reports):
             r, factor = (1.0, INF)[i % 2], (1.0, envelopes)[i // 2]
-            ratios = [factor * besov_norm(product(u, v), BesovSpec(1.0, 2.0, r)).value
+            ratios = [factor * besov_norm(field_product(u, v), BesovSpec(1.0, 2.0, r)).value
                       / (besov_norm(u, BesovSpec(1.0, 2.0, 1.0)).value
                          * besov_norm(v, BesovSpec(1.0, 2.0, r)).value)
                       for u, v in zip(fields[::2], fields[1::2])]
