@@ -38,13 +38,11 @@ from .oldroyd import (  # noqa: F401
 from .paley import profile  # noqa: F401
 from .spectral import (  # noqa: F401
     GridSpec,
-    SpectralField,
     divergence,
     forward_transform,
     gradient,
-    inverse_transform,
     lambda_multiplier,
     leray_project,
     rescale,
-    zero_field,
+    samples,
 )

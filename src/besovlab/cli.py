@@ -39,7 +39,7 @@ from .oldroyd import (
     run_coupled,
 )
 from .snapshots import SnapshotFormatError, read_snapshot, state_samples, write_snapshot
-from .spectral import GridSpec, SpectralField
+from .spectral import GridSpec
 from .verify import (
     SMALLNESS_COLUMNS,
     EnsembleSpec,
@@ -243,21 +243,21 @@ def _write_csv(path: Path | None, fieldnames: list[str], rows: list[dict]) -> Pa
     return path
 
 
-def _groups(state: FluidState) -> dict[str, SpectralField]:
-    """The fields a config's norm specs name, by name; grad_p is zero when
-    the state has no pressure gradient."""
+def _groups(state: FluidState) -> dict[str, np.ndarray]:
+    """The coefficients of the fields a config's norm specs name, by name;
+    grad_p is zero when the state has no pressure gradient."""
     grid, grad_p = state.grid, state.pressure_grad
     if grad_p is None:
-        grad_p = SpectralField(grid, np.zeros((grid.dim,) + grid.coeff_shape, complex))
+        grad_p = np.zeros((grid.dim,) + grid.coeff_shape, complex)
     return {"sigma": state.sigma, "velocity": state.velocity, "h": state.h,
             "grad_p": grad_p}
 
 
-def _norm_rows(fields: dict[str, SpectralField], t: float, norm_specs) -> list[dict]:
+def _norm_rows(grid: GridSpec, fields: dict[str, np.ndarray], t: float, norm_specs) -> list[dict]:
     """The `norms.csv` rows at time t: one per (name, spec) of `norm_specs`,
-    the spec's norm of fields[name]."""
+    the spec's norm of the coefficients fields[name]."""
     return [{"time": t, "norm_name": f"{name}:{spec.name}", "s": spec.s, "p": spec.p,
-             "r": spec.r, "value": besov_norm(fields[name], spec).value}
+             "r": spec.r, "value": besov_norm(grid, fields[name], spec).value}
             for name, spec in norm_specs]
 
 
@@ -286,7 +286,7 @@ def cmd_norms(args) -> int:
         except ValueError as exc:
             print(f"error: bad norm spec {text!r}: {exc}", file=sys.stderr)
             return EXIT_USAGE
-    rows = _norm_rows(fields, 0.0, [(name, spec) for name in fields for spec in specs])
+    rows = _norm_rows(grid, fields, 0.0, [(name, spec) for name in fields for spec in specs])
     path = _make_out_dir(args.out) / "norms.csv" if args.out else None
     _write_csv(path, NORM_COLUMNS, rows)
     return EXIT_OK
@@ -351,7 +351,7 @@ def cmd_simulate(args, mode_override: str | None = None) -> int:
         return EXIT_SOLVER_ABORT
 
     norm_rows = [row for t, st in zip(result.times, result.states)
-                 for row in _norm_rows(_groups(st), float(t), norm_specs)]
+                 for row in _norm_rows(grid, _groups(st), float(t), norm_specs)]
     manifest.add(_write_csv(out_dir / "norms.csv", NORM_COLUMNS, norm_rows))
     manifest.add(_write_csv(out_dir / "residuals.csv", RESIDUAL_COLUMNS, result.residual_rows))
     if mode == "phi" and not phi.converged:
@@ -409,7 +409,7 @@ def cmd_verify(args) -> int:
                 reports.append(verify_commutator(ens, 1.0, 1.0, 2.0, wide_grid))
             elif suite == "scaling":
                 sig, vel, h = band_safe_tuple(wide_grid, seed, m=1)
-                info = verify_scaling(sig, vel, h, m=1)
+                info = verify_scaling(wide_grid, sig, vel, h, m=1)
                 summary.append({"experiment": "scaling", "params": info,
                                 "stable": True})
             elif suite == "smallness":

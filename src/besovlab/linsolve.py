@@ -23,7 +23,6 @@ import numpy as np
 
 from .spectral import (
     GridSpec,
-    SpectralField,
     advect,
     dealiased,
     divergence,
@@ -36,6 +35,7 @@ from .spectral import (
 )
 
 CFL_LIMIT = 1.0
+GROWTH_LIMIT = 1e3  # a residual above this times max(|f|, first residual) diverges
 
 
 class CflViolationError(RuntimeError):
@@ -282,8 +282,8 @@ def solve_heat(grid: GridSpec, u0: np.ndarray, forcing, mu: float,
 
 @dataclass
 class EllipticResult:
-    """The solution's potential plus the Richardson iteration record; `u`
-    and `flux` are coefficient arrays, `gradient` a field."""
+    """The solution's potential plus the Richardson iteration record; `u`,
+    `flux` and `gradient` are coefficient arrays."""
 
     grid: GridSpec
     u: np.ndarray  # the potential's coefficients
@@ -293,8 +293,8 @@ class EllipticResult:
     stagnated: bool = False  # stopped at the rounding floor below target
 
     @property
-    def gradient(self) -> SpectralField:
-        return SpectralField(self.grid, gradient(self.grid, self.u))
+    def gradient(self) -> np.ndarray:
+        return gradient(self.grid, self.u)
 
 
 def solve_variable_poisson(grid: GridSpec, a: np.ndarray, f: np.ndarray, *,
@@ -315,13 +315,14 @@ def solve_variable_poisson(grid: GridSpec, a: np.ndarray, f: np.ndarray, *,
     transform of the flux, the arithmetic of `product` of a with each
     d_l u; the result keeps the flux of the returned potential.  Raises
     EllipticConvergenceError, with the residual history, when max_iter is
-    hit or a residual is not finite (divergence: a_max/abar above 2, which
-    the message names).
+    hit or a residual is not at most GROWTH_LIMIT times the larger of |f|
+    and the first residual (divergence: a_max/abar above 2, which the
+    message names; the history ends in that residual).
     """
     if a.shape != grid.shape or f.shape != grid.coeff_shape:
         raise ValueError(f"coefficient samples {a.shape} and right side {f.shape} do not "
                          f"match the grid {grid.shape}")
-    f = hermitize(SpectralField(grid, f)).coeffs
+    f = hermitize(grid, f)
     a_min, abar = float(a.min()), float(a.mean())
     if not (a_min > 0 and math.isfinite(abar)):  # NaN and inf samples fail too
         raise NonPositiveCoefficientError(
@@ -357,12 +358,13 @@ def solve_variable_poisson(grid: GridSpec, a: np.ndarray, f: np.ndarray, *,
             r = divergence(grid, flux)
             r += f
             rnorm = float(np.sqrt(energy(r)))
-            if not math.isfinite(rnorm):
-                raise EllipticConvergenceError(
-                    f"Richardson iteration diverged at iteration {it}: a_max/abar = "
-                    f"{float(a.max()) / abar:.3g} (it converges below 2), last finite "
-                    f"residual {(residuals or [fnorm])[-1]:.3g}", np.asarray(residuals))
             residuals.append(rnorm)
+            if not rnorm <= GROWTH_LIMIT * max(fnorm, residuals[0]):  # NaN and inf fail too
+                raise EllipticConvergenceError(
+                    f"Richardson iteration diverged at iteration {it}: residual {rnorm:.3g} "
+                    f"exceeds {GROWTH_LIMIT:g} x max(|f|, first residual), |f| = {fnorm:.3g}; "
+                    f"a_max/abar = {float(a.max()) / abar:.3g} (it converges below 2)",
+                    np.asarray(residuals))
             if rnorm <= target or fnorm == 0.0:
                 return result(it)
             if it >= 4 and rnorm <= floor_gate:

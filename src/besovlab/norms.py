@@ -25,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from .paley import block_multipliers, retained_mask
-from .spectral import TWO_PI, GridSpec, SpectralField, energy, inverse_transform, samples
+from .spectral import TWO_PI, GridError, GridSpec, energy, samples
 
 INF = math.inf
 
@@ -90,6 +90,14 @@ class HybridSpec:
         return np.exp2(qs * self.s) * np.maximum(self.weight, np.exp2(-qs.astype(float))) ** expo
 
 
+def _check_shape(grid: GridSpec, coeffs: np.ndarray):
+    """Raise GridError unless the last `grid.dim` axes of `coeffs` are the
+    grid's coefficient shape: every norm here reshapes over it."""
+    if coeffs.shape[-grid.dim:] != grid.coeff_shape:
+        raise GridError(f"coefficient shape {coeffs.shape} does not match grid {grid.shape}: "
+                        f"the k_last >= 0 half has shape {grid.coeff_shape}")
+
+
 # -- plain grid norms -------------------------------------------------------
 
 
@@ -101,21 +109,25 @@ def _grid_lp(values: np.ndarray, p: float, cell_volume: float, axis=None):
     return (np.sum(np.abs(values) ** p, axis=axis) * cell_volume) ** (1.0 / p)
 
 
-def lp_norm(f: SpectralField, p: float) -> float:
-    """Rectangle-rule L^p norm of the physical samples; p = inf is the max."""
+def lp_norm(grid: GridSpec, coeffs: np.ndarray, p: float) -> float:
+    """Rectangle-rule L^p norm of the physical samples of the coefficients
+    `coeffs`, scalar or stacked; p = inf is the max."""
     _check_exponent("p", p)
-    return float(_grid_lp(inverse_transform(f), p, f.grid.cell_volume))
+    _check_shape(grid, coeffs)
+    return float(_grid_lp(samples(grid, coeffs), p, grid.cell_volume))
 
 
 def l2_norm(grid: GridSpec, coeffs: np.ndarray) -> float:
     """L2 norm of the real fields with stacked coefficients `coeffs`: the
     Parseval `energy` for the unit-amplitude convention."""
+    _check_shape(grid, coeffs)
     return float(np.sqrt(TWO_PI ** grid.dim * energy(coeffs)))
 
 
 def stacked_lp(grid: GridSpec, coeffs: np.ndarray, p: float) -> np.ndarray:
     """`lp_norm` of every field of a stacked coefficient array: by Parseval
     (`energy`) for p = 2, else from one `samples` call."""
+    _check_shape(grid, coeffs)
     axes = tuple(range(-grid.dim, 0))
     if p == 2.0:
         return np.sqrt(TWO_PI ** grid.dim * energy(coeffs, axis=axes))
@@ -142,27 +154,28 @@ def _parseval(dim: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     return TWO_PI ** dim * block_multipliers(grid).reshape(grid.q_max + 1, -1) ** 2, outside
 
 
-def _energy(u: SpectralField) -> np.ndarray:
-    """The Parseval `energy` of `u` per mode, summed over its components and
-    flattened over the coefficient shape."""
-    return energy(u.coeffs.reshape((-1,) + u.grid.coeff_shape), axis=0).ravel()
+def _energy(grid: GridSpec, u: np.ndarray) -> np.ndarray:
+    """The Parseval `energy` of the coefficients `u` per mode, summed over
+    their components and flattened over the coefficient shape."""
+    return energy(u.reshape((-1,) + grid.coeff_shape), axis=0).ravel()
 
 
-def block_lp(u: SpectralField, p: float, energy: np.ndarray | None = None) -> np.ndarray:
-    """Per-band L^p norms of a field, scalar or stacked.
+def block_lp(grid: GridSpec, u: np.ndarray, p: float,
+             energy: np.ndarray | None = None) -> np.ndarray:
+    """Per-band L^p norms of the coefficients `u`, scalar or stacked.
 
     Components combine inside each band as an l^p sum (the max for
     p = inf), so for p = 2 this is the usual L2 norm of the stacked
     object.  For p = 2 it is (2pi)^N sum_k phi_q^2 |c_k|^2, by Parseval
-    the sampled sum exactly; a caller that holds `_energy(u)` passes it
-    as `energy`.
+    the sampled sum exactly; a caller that holds `_energy(grid, u)` passes
+    it as `energy`.
     Other p sample every band.
     """
-    grid = u.grid
+    _check_shape(grid, u)
     if p == 2.0:
-        energy = _energy(u) if energy is None else energy
+        energy = _energy(grid, u) if energy is None else energy
         return np.sqrt(_parseval(grid.dim, grid.points_per_axis)[0] @ energy)
-    return np.array([_grid_lp(samples(grid, u.coeffs * band), p, grid.cell_volume)
+    return np.array([_grid_lp(samples(grid, u * band), p, grid.cell_volume)
                      for band in block_multipliers(grid)])
 
 
@@ -176,17 +189,17 @@ class NormBreakdown:
     truncation_flag: bool  # > 1% of L2 energy beyond the retained band
 
 
-def besov_norm(u: SpectralField, spec: BesovSpec | HybridSpec) -> NormBreakdown:
+def besov_norm(grid: GridSpec, u: np.ndarray, spec: BesovSpec | HybridSpec) -> NormBreakdown:
     """Dyadic-sum norm: l^r over bands of 2^(qs) * ||band||_p (a HybridSpec
     gives the hybrid norm), with the truncation report; both read one
     energy array.
 
-    The zero mode is excluded; the components of a stacked `u` (vector,
-    tensor) combine per band as in `block_lp`.
+    The zero mode is excluded; the components of stacked coefficients `u`
+    (vector, tensor) combine per band as in `block_lp`.
     """
-    grid = u.grid
-    energy = _energy(u)
-    blocks = block_lp(u, spec.p, energy)
+    _check_shape(grid, u)
+    energy = _energy(grid, u)
+    blocks = block_lp(grid, u, spec.p, energy)
     total = float(energy[1:].sum())
     outside = float(energy[_parseval(grid.dim, grid.points_per_axis)[1]].sum())
     frac = outside / total if total else 0.0
@@ -194,10 +207,11 @@ def besov_norm(u: SpectralField, spec: BesovSpec | HybridSpec) -> NormBreakdown:
 
 
 def ensemble_norms(grid: GridSpec, coeffs: np.ndarray, *specs) -> np.ndarray:
-    """`besov_norm(SpectralField(grid, c), spec).value`, bitwise, of every
-    draw c along the first axis of `coeffs` (a field, scalar or stacked) for
-    every spec: shape (len(specs), draws).  For p = 2 the block norms are one
+    """`besov_norm(grid, c, spec).value`, bitwise, of every draw c along the
+    first axis of `coeffs` (each draw scalar or stacked) for every spec:
+    shape (len(specs), draws).  For p = 2 the block norms are one
     `np.matmul` with a column per draw, which sums as `block_lp` does."""
+    _check_shape(grid, coeffs)
     blocks = {}
     for p in {spec.p for spec in specs}:
         if p == 2.0:
@@ -205,7 +219,7 @@ def ensemble_norms(grid: GridSpec, coeffs: np.ndarray, *specs) -> np.ndarray:
             e = e.reshape(len(coeffs), -1, 1)
             blocks[p] = np.sqrt(np.matmul(_parseval(grid.dim, grid.points_per_axis)[0], e))[..., 0]
         else:
-            blocks[p] = np.array([block_lp(SpectralField(grid, c), p) for c in coeffs])
+            blocks[p] = np.array([block_lp(grid, c, p) for c in coeffs])
     return np.array([_band_sum(spec, blocks[spec.p]) for spec in specs])
 
 
@@ -246,10 +260,10 @@ def _check_series_p(series: NormSeries, spec):
                          f"the series' p = {series.p:g}")
 
 
-def norm_series(times, fields_per_time, p: float = 2.0) -> NormSeries:
-    """Build a NormSeries by decomposing the field at each time: an
-    iterable of fields, or one field whose first axis is time."""
-    rows = [block_lp(u, p) for u in fields_per_time]
+def norm_series(grid: GridSpec, times, coeffs_per_time, p: float = 2.0) -> NormSeries:
+    """Build a NormSeries by decomposing the coefficients at each time: an
+    iterable of coefficient arrays, or one array whose first axis is time."""
+    rows = [block_lp(grid, u, p) for u in coeffs_per_time]
     return NormSeries(np.asarray(times, dtype=float), np.vstack(rows), p)
 
 

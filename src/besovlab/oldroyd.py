@@ -8,8 +8,8 @@ viscosity mu (sigma + 1) Lap v.
 
 A state is one stacked coefficient array of 1 + n + n^2 components:
 sigma, then v^0..v^{n-1}, then h row by row.  `FluidState` stores it, and
-its `sigma`, `velocity` (n, *grid) and `h` (n, n, *grid) are stacked
-fields viewing it; the steppers advance the same array, and a saved
+its `sigma`, `velocity` (n, *grid) and `h` (n, n, *grid) are array views
+of it; the steppers advance the same array, and a saved
 slice of a run is the array a step produced.
 
 There is one pressure path: every right side (an RK stage, or the
@@ -55,7 +55,6 @@ from .paley import retained_radius
 from .spectral import (
     GridError,
     GridSpec,
-    SpectralField,
     advect,
     dealiased,
     divergence,
@@ -110,17 +109,15 @@ def _split(grid: GridSpec, arr: np.ndarray):
 @dataclass
 class FluidState:
     """One time slice: the stacked coefficients (1 + n + n^2,
-    *grid.coeff_shape) of (sigma, v, h), plus the diagnostic pressure
-    gradient (n, *grid).
+    *grid.coeff_shape) of (sigma, v, h), plus the coefficients of the
+    diagnostic pressure gradient (n, *grid).
 
-    `sigma`, `velocity` (n, *grid) and `h` (n, n, *grid) are fields viewing
-    `coeffs`: writing into their `.coeffs` (`st.h.coeffs[...] = h.coeffs`)
-    writes the state; a field supports no item assignment, so
-    `st.h[i][j] = f` raises."""
+    `sigma`, `velocity` (n, *grid) and `h` (n, n, *grid) are views of
+    `coeffs` (`_split`): writing into them writes the state."""
 
     grid: GridSpec
     coeffs: np.ndarray
-    pressure_grad: SpectralField | None = None
+    pressure_grad: np.ndarray | None = None
 
     def __post_init__(self):
         n = self.grid.dim
@@ -131,16 +128,16 @@ class FluidState:
         self.coeffs = self.coeffs.astype(np.complex128, copy=False)
 
     @property
-    def sigma(self) -> SpectralField:
-        return SpectralField(self.grid, self.coeffs[0])
+    def sigma(self) -> np.ndarray:
+        return _split(self.grid, self.coeffs)[0]
 
     @property
-    def velocity(self) -> SpectralField:
-        return SpectralField(self.grid, _split(self.grid, self.coeffs)[1])
+    def velocity(self) -> np.ndarray:
+        return _split(self.grid, self.coeffs)[1]
 
     @property
-    def h(self) -> SpectralField:
-        return SpectralField(self.grid, _split(self.grid, self.coeffs)[2])
+    def h(self) -> np.ndarray:
+        return _split(self.grid, self.coeffs)[2]
 
 
 def zero_state(grid: GridSpec) -> FluidState:
@@ -234,13 +231,12 @@ def _identity_residual(grid: GridSpec, h: np.ndarray, h_s: np.ndarray,
     return res.reshape((-1,) + h.shape[2:])
 
 
-def deformation_identity_residual(h: SpectralField) -> SpectralField:
-    """U^{lk} d_l U^{ij} - U^{lj} d_l U^{ik} with U = I + h (n, n, *grid),
-    flattened over (i, j, k); vanishes for the gradient of an actual flow
-    map."""
-    grid = h.grid
-    h_s, dh_s = gradient_samples(grid, h.coeffs, with_samples=True)
-    return SpectralField(grid, _identity_residual(grid, h.coeffs, h_s, dh_s))
+def deformation_identity_residual(grid: GridSpec, h: np.ndarray) -> np.ndarray:
+    """U^{lk} d_l U^{ij} - U^{lj} d_l U^{ik} with U = I + h, from the
+    coefficients of h (n, n, *grid), flattened over (i, j, k); vanishes for
+    the gradient of an actual flow map."""
+    h_s, dh_s = gradient_samples(grid, h, with_samples=True)
+    return _identity_residual(grid, h, h_s, dh_s)
 
 
 def make_initial_data(family: str, amplitude: float, seed: int, grid: GridSpec):
@@ -267,11 +263,11 @@ def make_initial_data(family: str, amplitude: float, seed: int, grid: GridSpec):
     state = zero_state(grid)
     sigma, vel, h = _split(grid, state.coeffs)
     if amplitude > 0:
-        vel[...] = amplitude * randfields.random_solenoidal(grid, rng, radius=radius).coeffs
+        vel[...] = amplitude * randfields.random_solenoidal(grid, rng, radius=radius)
         w = randfields.random_solenoidal(grid, rng, radius=radius)
-        h[...] = amplitude * gradient(grid, w.coeffs)
+        h[...] = amplitude * gradient(grid, w)
         if family == "general":
-            sigma[...] = amplitude * randfields.random_scalar(grid, rng, radius=radius).coeffs
+            sigma[...] = amplitude * randfields.random_scalar(grid, rng, radius=radius)
             _restore_weighted_div(state)
 
     return state, constraint_residuals(state)
@@ -294,7 +290,7 @@ def _restore_weighted_div(state: FluidState):
     rho_s = samples(grid, rho)
     for i in range(grid.dim):
         res = solve_variable_poisson(grid, rho_s, defect[i], tol=1e-13, max_iter=300)
-        h[:, i] += res.gradient.coeffs
+        h[:, i] += res.gradient
 
 
 # -- pressure ---------------------------------------------------------------------
@@ -676,9 +672,9 @@ def _trajectory_distance(a: np.ndarray, b: np.ndarray, grid: GridSpec,
     spec_sm1 = BesovSpec(s - 1.0, 2.0, 1.0)
     worst = 0.0
     for it in tg.save_steps():
-        diff = FluidState(grid, a[it] - b[it])
-        d = besov_norm(diff.sigma, spec_s).value + besov_norm(diff.velocity, spec_sm1).value \
-            + besov_norm(diff.h, spec_s).value
+        sigma, vel, h = _split(grid, a[it] - b[it])
+        d = besov_norm(grid, sigma, spec_s).value + besov_norm(grid, vel, spec_sm1).value \
+            + besov_norm(grid, h, spec_s).value
         worst = max(worst, d)
     return worst
 
@@ -700,7 +696,7 @@ def phi_iteration(state0: FluidState, params: PhysicalParams, tg: TimeGrid, *,
     """
     grid = state0.grid
     s = grid.dim / 2.0
-    sig_norm = besov_norm(state0.sigma, BesovSpec(s, 2.0, 1.0)).value
+    sig_norm = besov_norm(grid, state0.sigma, BesovSpec(s, 2.0, 1.0)).value
     if sig_norm > 0.1:
         warnings.warn(
             f"initial sigma norm {sig_norm:.3g} > 0.1; the linearization "
@@ -739,9 +735,9 @@ def _admissible_monitor(traj: np.ndarray, times: np.ndarray, grid: GridSpec,
                         admissible: AdmissibleSetSpec | None) -> dict:
     s = grid.dim / 2.0
     n = grid.dim
-    sig_series = norm_series(times, SpectralField(grid, traj[:, 0]))
-    vel_series = norm_series(times, SpectralField(grid, traj[:, 1:1 + n]))
-    h_series = norm_series(times, SpectralField(grid, traj[:, 1 + n:]))
+    sig_series = norm_series(grid, times, traj[:, 0])
+    vel_series = norm_series(grid, times, traj[:, 1:1 + n])
+    h_series = norm_series(grid, times, traj[:, 1 + n:])
     T = times[-1]
     r_meas = max(sig_series.besov_at(i, BesovSpec(s)) for i in range(len(times)))
     eta_meas = chemin_lerner_norm(vel_series, 1.0, BesovSpec(s + 1.0), T) \

@@ -15,21 +15,20 @@ from .paley import retained_radius
 from .spectral import (
     TWO_PI,
     GridSpec,
-    SpectralField,
     energy,
     grid_wavenumbers,
     leray_project,
 )
 
 
-def _unit_l2(grid: GridSpec, coeffs: np.ndarray, lead: int = 0) -> SpectralField:
-    """The field with coefficients `coeffs`, each of its fields over the
-    first `lead` axes scaled to unit L2 norm (over all its components)."""
+def _unit_l2(grid: GridSpec, coeffs: np.ndarray, lead: int = 0) -> np.ndarray:
+    """`coeffs` with each of its fields over the first `lead` axes scaled
+    to unit L2 norm (over all its components)."""
     axes = tuple(range(lead, coeffs.ndim))
     scale = np.sqrt(TWO_PI ** grid.dim * energy(coeffs, axis=axes))
     if np.any(scale == 0.0):
         raise ValueError("empty spectral band requested")
-    return SpectralField(grid, coeffs / np.expand_dims(scale, axes))
+    return coeffs / np.expand_dims(scale, axes)
 
 
 @lru_cache(maxsize=32)
@@ -46,12 +45,13 @@ def _envelope(grid: GridSpec, radius: float, radius_lo: float,
 
 def random_scalar(grid: GridSpec, rng: np.random.Generator, *,
                   radius: float | None = None, radius_lo: float = 0.5,
-                  decay: float = 1.0, shape: tuple[int, ...] = ()) -> SpectralField:
-    """Unit-L2 mean-zero random field supported in radius_lo < |k| <= radius
-    (by default the radius the dyadic ladder fully covers), or a stack of
-    `shape` of them: one `standard_normal` call, which fills them in order,
-    so bitwise as many draws in turn.  The passes along the wraparound axes
-    run on the columns the envelope populates: `rfftn`'s, column by column."""
+                  decay: float = 1.0, shape: tuple[int, ...] = ()) -> np.ndarray:
+    """Coefficients of a unit-L2 mean-zero random field supported in
+    radius_lo < |k| <= radius (by default the radius the dyadic ladder
+    fully covers), or a stack of `shape` of them: one `standard_normal`
+    call, which fills them in order, so bitwise as many draws in turn.
+    The passes along the wraparound axes run on the columns the envelope
+    populates: `rfftn`'s, column by column."""
     radius = radius if radius is not None else retained_radius(grid)
     envelope, width = _envelope(grid, radius, radius_lo, decay)
     coeffs = np.fft.rfft(rng.standard_normal(tuple(shape) + grid.shape), axis=-1, norm="forward")
@@ -65,10 +65,10 @@ def random_scalar(grid: GridSpec, rng: np.random.Generator, *,
 
 def random_solenoidal(grid: GridSpec, rng: np.random.Generator, *,
                       radius: float | None = None, radius_lo: float = 0.5,
-                      decay: float = 1.0) -> SpectralField:
-    """Divergence-free unit-scale random vector field (dim, *grid)
-    supported in radius_lo < |k| <= radius: the Leray projection of `dim`
-    independent `random_scalar` draws."""
+                      decay: float = 1.0) -> np.ndarray:
+    """Coefficients (dim, *grid) of a divergence-free unit-scale random
+    vector field supported in radius_lo < |k| <= radius: the Leray
+    projection of `dim` independent `random_scalar` draws."""
     draws = random_scalar(grid, rng, radius=radius, radius_lo=radius_lo, decay=decay,
                           shape=(grid.dim,))
-    return _unit_l2(grid, leray_project(grid, draws.coeffs))
+    return _unit_l2(grid, leray_project(grid, draws))

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .spectral import GridSpec, SpectralField, forward_transform, samples
+from .spectral import GridSpec, forward_transform, samples
 
 
 class SnapshotFormatError(ValueError):
@@ -33,7 +33,8 @@ def write_snapshot(path, grid: GridSpec, fields: dict[str, np.ndarray]):
             fh.write(np.ascontiguousarray(fields[name], dtype="<f8").tobytes())
 
 
-def read_snapshot(path) -> tuple[GridSpec, dict[str, SpectralField]]:
+def read_snapshot(path) -> tuple[GridSpec, dict[str, np.ndarray]]:
+    """The grid of the snapshot at `path` and the coefficients of its fields."""
     path = Path(path)
     raw = path.read_bytes()
     nl = raw.find(b"\n")
@@ -66,7 +67,7 @@ def read_snapshot(path) -> tuple[GridSpec, dict[str, SpectralField]]:
     if len(payload) != expected:
         raise SnapshotFormatError(
             f"payload holds {len(payload)} bytes, expected {expected}")
-    fields: dict[str, SpectralField] = {}
+    fields: dict[str, np.ndarray] = {}
     for i, name in enumerate(names):
         chunk = payload[8 * count * i: 8 * count * (i + 1)]
         samples = np.frombuffer(chunk, dtype="<f8").reshape(grid.shape)
@@ -86,6 +87,6 @@ def state_samples(state, s: np.ndarray) -> dict[str, np.ndarray]:
         + [f"h{i}{j}" for i in range(n) for j in range(n)]
     out = dict(zip(names, s))
     if state.pressure_grad is not None:
-        gp = samples(grid, state.pressure_grad.coeffs)
+        gp = samples(grid, state.pressure_grad)
         out.update((f"gradp{i}", g) for i, g in enumerate(gp))
     return out

@@ -14,20 +14,19 @@ are Fourier multipliers acting on those coefficients and keep that
 symmetry; they are pure functions and deterministic.  The multiplier
 tables of `grid_wavenumbers` are built on the same half.
 
-A `SpectralField` is one field or a stack of them: its coefficients have
-shape (*components, *grid.coeff_shape), and indexing or iterating it
-gives views of its components.  A vector is a field of shape
-(dim, *grid), a tensor (dim, dim, *grid), a state (1 + n + n^2, *grid), a
-trajectory a leading time axis on top; no operator here takes a list of
-fields.
+A field, or a stack of them, is one array of coefficients passed with
+its grid: shape (*components, *grid.coeff_shape).  A scalar has no
+component axes, a vector has shape (dim, *grid), a tensor (dim, dim,
+*grid), a state (1 + n + n^2, *grid), a trajectory a leading time axis on
+top; no function here takes a list of fields or a class around an array.
 
 `samples` and `gradient_samples` sample coefficients on the grid;
 `dealiased`, the one forward transform of the integration core, applies
 the two-thirds rule, and `forward_transform` is the plain transform of
-one field.  Each operator has one form, on stacked arrays, whose
+one field's samples.  Each operator has one form, on stacked arrays, whose
 leading axes index components and whose last `dim` axes are the grid:
 `gradient`, `divergence` and `leray_project` take `(grid, coeffs)`, as do
-`samples` and `gradient_samples`; `dealiased` and `advect` take grid
+`samples`, `gradient_samples`, `hermitize` and `rescale`; `dealiased` and `advect` take grid
 samples, and `lambda_multiplier` and the `grid_wavenumbers` tables are
 multipliers to apply.  A quadratic term is formed by sampling its
 factors on the grid, multiplying and contracting there, and one
@@ -146,89 +145,24 @@ def grid_wavenumbers(grid: GridSpec) -> dict:
     return _grid_arrays(grid.dim, grid.points_per_axis)
 
 
-@dataclass
-class SpectralField:
-    """Complex Fourier coefficients of a real field on `grid`, or of a stack
-    of them: shape (*components, *grid.coeff_shape).  `f[i]` and iteration
-    give views of the components along the first axis; a scalar field has
-    none (`len` raises TypeError), and no field supports item assignment."""
-
-    grid: GridSpec
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        if self.coeffs.shape[-self.grid.dim:] != self.grid.coeff_shape:
-            raise GridError(
-                f"coefficient shape {self.coeffs.shape} does not match grid {self.grid.shape}: "
-                f"the k_last >= 0 half has shape {self.grid.coeff_shape}"
-            )
-        if self.coeffs.dtype != np.complex128:
-            self.coeffs = self.coeffs.astype(np.complex128)
-
-    # -- basic structure ------------------------------------------------
-    def __len__(self) -> int:
-        if self.coeffs.ndim == self.grid.dim:
-            raise TypeError("a scalar field has no components")
-        return self.coeffs.shape[0]
-
-    def __getitem__(self, i) -> "SpectralField":
-        len(self)  # a scalar field has no components to index
-        return SpectralField(self.grid, self.coeffs[i])
-
-    def copy(self) -> "SpectralField":
-        return SpectralField(self.grid, self.coeffs.copy())
-
-    @property
-    def mean(self) -> float:
-        return float(self.coeffs[(0,) * self.grid.dim].real)
-
-    # -- arithmetic -----------------------------------------------------
-    def _check(self, other: "SpectralField"):
-        if other.grid != self.grid:
-            raise GridError("fields live on different grids")
-
-    def __add__(self, other: "SpectralField") -> "SpectralField":
-        self._check(other)
-        return SpectralField(self.grid, self.coeffs + other.coeffs)
-
-    def __sub__(self, other: "SpectralField") -> "SpectralField":
-        self._check(other)
-        return SpectralField(self.grid, self.coeffs - other.coeffs)
-
-    def __mul__(self, scalar) -> "SpectralField":
-        return SpectralField(self.grid, self.coeffs * float(scalar))
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "SpectralField":
-        return SpectralField(self.grid, -self.coeffs)
-
-
-def _planes(grid: GridSpec, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The k_last = 0 and M/2 planes of stacked coefficients (a copy, the
-    two planes on the last axis), and the same planes at -k."""
-    m = grid.points_per_axis
-    planes = coeffs[..., [0, m // 2]]
-    at_minus_k = planes
-    for ax in range(-grid.dim, -1):
-        at_minus_k = np.take(at_minus_k, -np.arange(m) % m, axis=ax)
-    return planes, at_minus_k
-
-
-def hermitize(field: SpectralField) -> SpectralField:
-    """Project onto the Hermitian-symmetric (real-field) subspace: a copy
-    with the k_last = 0 and M/2 planes replaced by their Hermitian part
-    (c(k) + conj(c(-k))) / 2, the only modes that can leave it.
+def hermitize(grid: GridSpec, coeffs: np.ndarray) -> np.ndarray:
+    """Project stacked coefficients onto the Hermitian-symmetric
+    (real-field) subspace: a copy with the k_last = 0 and M/2 planes
+    replaced by their Hermitian part (c(k) + conj(c(-k))) / 2, the only
+    modes that can leave it.
 
     Rounding noise in long evaluation chains drifts off that subspace;
     the anti-Hermitian part is invisible to any operator that works on
     real physical samples, so it is pure garbage to discard.
     """
-    m = field.grid.points_per_axis
-    planes, at_minus_k = _planes(field.grid, field.coeffs)
-    out = field.coeffs.copy()
+    m = grid.points_per_axis
+    planes = coeffs[..., [0, m // 2]]  # a copy, and below the same planes at -k
+    at_minus_k = planes
+    for ax in range(-grid.dim, -1):
+        at_minus_k = np.take(at_minus_k, -np.arange(m) % m, axis=ax)
+    out = coeffs.copy()
     out[..., [0, m // 2]] = 0.5 * (planes + at_minus_k.conj())
-    return SpectralField(field.grid, out)
+    return out
 
 
 def energy(coeffs: np.ndarray, axis=None):
@@ -246,19 +180,14 @@ def energy(coeffs: np.ndarray, axis=None):
 # -- transforms -------------------------------------------------------------
 
 
-def forward_transform(grid: GridSpec, samples: np.ndarray) -> SpectralField:
-    """Real samples -> coefficients with unit amplitude per plane wave."""
+def forward_transform(grid: GridSpec, samples: np.ndarray) -> np.ndarray:
+    """Real samples -> complex128 coefficients, unit amplitude per plane wave."""
     samples = np.asarray(samples)
     if samples.shape != grid.shape:
         raise GridError(f"sample shape {samples.shape} does not match grid {grid.shape}")
     if np.iscomplexobj(samples):
         raise GridError("samples must be real-valued")
-    return SpectralField(grid, np.fft.rfftn(samples, norm="forward"))
-
-
-def inverse_transform(field: SpectralField) -> np.ndarray:
-    """Coefficients -> real physical samples."""
-    return samples(field.grid, field.coeffs)
+    return np.fft.rfftn(samples, norm="forward").astype(np.complex128, copy=False)
 
 
 def samples(grid: GridSpec, coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -308,10 +237,6 @@ def dealiased(grid: GridSpec, values: np.ndarray, out: np.ndarray | None = None)
         kept[(..., slice(band, m - band + 1)) + (slice(None),) * (-1 - ax)] = 0.0
     coeffs[..., band:] = 0.0
     return coeffs
-
-
-def zero_field(grid: GridSpec) -> SpectralField:
-    return SpectralField(grid, np.zeros(grid.coeff_shape, dtype=np.complex128))
 
 
 # -- multiplier operators -------------------------------------------------
@@ -422,9 +347,10 @@ def advect(grid: GridSpec, v: np.ndarray, du: np.ndarray) -> np.ndarray:
 # -- dyadic rescaling ------------------------------------------------------
 
 
-def rescale(field: SpectralField, m: int) -> SpectralField:
-    """Spatial dilation x -> 2^m x of every component: move the coefficient
-    at k to 2^m * k (k_last, the index on the last axis, stays in 0..M/2).
+def rescale(grid: GridSpec, coeffs: np.ndarray, m: int) -> np.ndarray:
+    """Spatial dilation x -> 2^m x of every component of stacked
+    coefficients: move the coefficient at k to 2^m * k (k_last, the index
+    on the last axis, stays in 0..M/2).
 
     For m > 0 every populated mode must stay inside the grid; for m < 0
     every populated mode must sit on the 2^|m| sub-lattice.  Coefficients
@@ -434,8 +360,7 @@ def rescale(field: SpectralField, m: int) -> SpectralField:
     to the caller.
     """
     if m == 0:
-        return field.copy()
-    grid, coeffs = field.grid, field.coeffs
+        return coeffs.copy()
     mm = grid.points_per_axis
     factor = 2 ** abs(m)
     mag = np.abs(coeffs)
@@ -453,4 +378,4 @@ def rescale(field: SpectralField, m: int) -> SpectralField:
         raise GridError(f"{message} {tuple(k[bad][0])}")
     out = np.zeros_like(coeffs)
     out[tuple(nz[:, :-grid.dim].T) + tuple((moved % mm).T)] = coeffs[tuple(nz.T)]
-    return SpectralField(grid, out)
+    return out

@@ -32,7 +32,6 @@ from .oldroyd import PhysicalParams, make_initial_data, run
 from .paley import SHELL_HI, SHELL_LO, block_multipliers, retained_radius
 from .spectral import (
     GridSpec,
-    SpectralField,
     dealiased,
     gradient,
     grid_wavenumbers,
@@ -57,7 +56,7 @@ def _draw_chunks(grid: GridSpec, ensemble, fields: int, radius, shape=()):
     size = max(1, CHUNK_BYTES // (fields * 16 * math.prod(grid.coeff_shape)))
     for i in range(0, n, size):
         yield randfields.random_scalar(grid, rng, radius=radius,
-                                       shape=(min(size, n - i),) + shape).coeffs
+                                       shape=(min(size, n - i),) + shape)
 
 
 @dataclass(frozen=True)
@@ -303,11 +302,11 @@ def band_safe_tuple(grid: GridSpec, seed: int, m: int = 1):
     sigma = randfields.random_scalar(grid, rng, radius=hi, radius_lo=lo)
     velocity = randfields.random_solenoidal(grid, rng, radius=hi, radius_lo=lo)
     w = randfields.random_solenoidal(grid, rng, radius=hi, radius_lo=lo)
-    h = SpectralField(grid, gradient(grid, w.coeffs))
+    h = gradient(grid, w)
     return sigma, velocity, h
 
 
-def verify_scaling(sigma, velocity, h, m: int, *, tol: float = 1e-10) -> dict:
+def verify_scaling(grid: GridSpec, sigma, velocity, h, m: int, *, tol: float = 1e-10) -> dict:
     """Assert invariance of the critical norms under the dyadic rescaling,
     with L^2 block norms (p = 2), the one exponent where it is exact.
 
@@ -315,9 +314,8 @@ def verify_scaling(sigma, velocity, h, m: int, *, tol: float = 1e-10) -> dict:
     the covariance prefactors (1 for sigma and h, l for v) times the
     fixed-measure torus factor l^{-N/p}, which on the whole space is
     supplied by the Lebesgue measure.  Critical norms (s = N/p for sigma
-    and h, N/p - 1 for v) are then preserved.
+    and h, N/p - 1 for v) are then preserved; the three are coefficients.
     """
-    grid = sigma.grid
     n = grid.dim
     p = 2.0
     l = 2.0 ** m
@@ -328,8 +326,9 @@ def verify_scaling(sigma, velocity, h, m: int, *, tol: float = 1e-10) -> dict:
     # per field: itself, its amplitude prefactor and its critical norm
     parts = {"sigma": (sigma, measure, spec_crit), "velocity": (velocity, l * measure, spec_vel),
              "h": (h, measure, spec_crit)}
-    before = {key: besov_norm(f, spec).value for key, (f, _, spec) in parts.items()}
-    after = {key: besov_norm(c * rescale(f, m), spec).value for key, (f, c, spec) in parts.items()}
+    before = {key: besov_norm(grid, f, spec).value for key, (f, _, spec) in parts.items()}
+    after = {key: besov_norm(grid, c * rescale(grid, f, m), spec).value
+             for key, (f, c, spec) in parts.items()}
     defects = {}
     for key in before:
         scale = max(before[key], 1e-300)
@@ -359,9 +358,9 @@ def aggregate_energy_norm(series: dict, T: float, mu: float, s: float) -> float:
 
 def initial_hybrid_size(state, mu: float, s: float) -> float:
     hyb = HybridSpec(s, INF, mu)
-    return (besov_norm(state.sigma, hyb).value
-            + besov_norm(state.velocity, BesovSpec(s - 1.0)).value
-            + besov_norm(state.h, hyb).value)
+    return (besov_norm(state.grid, state.sigma, hyb).value
+            + besov_norm(state.grid, state.velocity, BesovSpec(s - 1.0)).value
+            + besov_norm(state.grid, state.h, hyb).value)
 
 
 # the keys of a `smallness_experiment` row; the row of a failed run lacks
@@ -394,7 +393,8 @@ def smallness_experiment(alpha_list, T: float, grid: GridSpec,
             achieved = initial_hybrid_size(state, params.mu, s)
             row["initial_norm"] = achieved
             result = run(state, params, TimeGrid(T, dt, save_stride))
-            series = {name: norm_series(result.times, [getattr(st, name) for st in result.states])
+            series = {name: norm_series(grid, result.times,
+                                        [getattr(st, name) for st in result.states])
                       for name in ("sigma", "velocity", "h", "pressure_grad")}
             agg = aggregate_energy_norm(series, result.times[-1], params.mu, s)
             press = lebesgue_time_norm(series["pressure_grad"], 1.0,

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from besovlab.spectral import (GridSpec, SpectralField, forward_transform, inverse_transform,
-                               product)
+from besovlab.spectral import GridSpec, forward_transform, product, samples
 
 
 @pytest.fixture(scope="session")
@@ -36,24 +35,17 @@ def full_spectrum(grid, half):
     return full
 
 
-def full_spectrum_norm(f):
+def full_spectrum_norm(grid, f):
     """sqrt(sum |c_k|^2) over every mode k of a scalar field, from numpy's
     complex transform of its samples."""
-    return np.sqrt(np.sum(np.abs(np.fft.fftn(inverse_transform(f), norm="forward")) ** 2))
+    return np.sqrt(np.sum(np.abs(np.fft.fftn(samples(grid, f), norm="forward")) ** 2))
 
 
 def l2_of_samples(grid, samples):
     return float(np.sqrt(np.sum(samples ** 2) * grid.cell_volume))
 
 
-def stack(fields):
-    """One stacked field from a list (or a list of lists) of fields on one
-    grid."""
-    parts = [f if isinstance(f, SpectralField) else stack(f) for f in fields]
-    return SpectralField(parts[0].grid, np.stack([f.coeffs for f in parts]))
-
-
-def field_product(f, g):
-    """`product` of the fields f and g (stacks of one shape multiply
-    component by component), as a field."""
-    return SpectralField(f.grid, product(f.grid, f.coeffs, inverse_transform(g)))
+def field_product(grid, f, g):
+    """`product` of the coefficients f and g (stacks of one shape multiply
+    component by component), as coefficients."""
+    return product(grid, f, samples(grid, g))

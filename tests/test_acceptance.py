@@ -24,15 +24,12 @@ from besovlab.paley import profile
 from besovlab.randfields import random_scalar
 from besovlab.spectral import (
     GridSpec,
-    SpectralField,
     divergence,
     forward_transform,
     gradient,
     grid_wavenumbers,
-    inverse_transform,
     product,
     samples,
-    zero_field,
 )
 from besovlab.verify import (
     EnsembleSpec,
@@ -46,7 +43,7 @@ from besovlab.verify import (
     verify_scaling,
 )
 
-from conftest import field_of, stack
+from conftest import field_of
 
 PARAMS = PhysicalParams(mu=1.0, sigma_floor=0.1)
 
@@ -65,11 +62,11 @@ class _Clock:
 
 
 def state_l2(a, b) -> float:
-    acc = float(np.sum(np.abs(a.sigma.coeffs - b.sigma.coeffs) ** 2))
+    acc = float(np.sum(np.abs(a.sigma - b.sigma) ** 2))
     for x, y in zip(a.velocity, b.velocity):
-        acc += float(np.sum(np.abs(x.coeffs - y.coeffs) ** 2))
+        acc += float(np.sum(np.abs(x - y) ** 2))
     for x, y in zip(a.h, b.h):
-        acc += float(np.sum(np.abs(x.coeffs - y.coeffs) ** 2))
+        acc += float(np.sum(np.abs(x - y) ** 2))
     return float(np.sqrt(acc) * (2 * np.pi) ** (a.grid.dim / 2.0))
 
 
@@ -93,12 +90,12 @@ def test_02_heat_oracle():
     k2 = grid_wavenumbers(grid)["k2"]
     worst = 0.0
     for mu in (0.1, 1.0, 10.0):
-        res = solve_heat(grid, u0.coeffs, None, mu, TimeGrid(1.0, 0.01))
-        want = u0.coeffs * np.exp(-mu * k2 * 1.0)
+        res = solve_heat(grid, u0, None, mu, TimeGrid(1.0, 0.01))
+        want = u0 * np.exp(-mu * k2 * 1.0)
         defect = np.abs(res.coeffs[-1] - want)
-        bound = 1e-12 * np.abs(u0.coeffs)
-        mask = np.abs(u0.coeffs) > 0
-        worst = max(worst, float(np.max(defect[mask] / np.abs(u0.coeffs)[mask])))
+        bound = 1e-12 * np.abs(u0)
+        mask = np.abs(u0) > 0
+        worst = max(worst, float(np.max(defect[mask] / np.abs(u0)[mask])))
         if not np.all(defect[mask] <= bound[mask]):
             clock.report(False, f"mu={mu}: per-mode defect up to {worst:.3g}")
     clock.report(True, f"worst per-mode relative defect {worst:.3g}")
@@ -120,10 +117,11 @@ def test_04_transport_translation():
     clock = _Clock("04 transport-translation")
     grid = GridSpec(2, 64)
     u0 = field_of(grid, lambda x, y: np.cos(x))
-    v = stack([forward_transform(grid, np.ones(grid.shape)), zero_field(grid)])
+    v = np.stack([forward_transform(grid, np.ones(grid.shape)),
+                  np.zeros(grid.coeff_shape, complex)])
     # pi is not an integer multiple of 1e-3; use the nearest uniform step
     n = round(np.pi / 1e-3)
-    res = solve_transport(grid, u0.coeffs, lambda t: v.coeffs, None, TimeGrid(np.pi, np.pi / n))
+    res = solve_transport(grid, u0, lambda t: v, None, TimeGrid(np.pi, np.pi / n))
     xx, _ = grid.meshgrid()
     err = samples(grid, res.coeffs[-1]) - np.cos(xx - np.pi)
     l2 = float(np.sqrt(np.sum(err ** 2) * grid.cell_volume))
@@ -135,12 +133,12 @@ def test_05_variable_coefficient_pressure():
     grid = GridSpec(2, 32)
     a = field_of(grid, lambda x, y: 1.0 + 0.2 * np.sin(x))
     u_star = field_of(grid, lambda x, y: np.sin(y))
-    flux = np.stack([product(grid, a.coeffs, samples(grid, g))
-                     for g in gradient(grid, u_star.coeffs)])
-    f = -1.0 * SpectralField(grid, divergence(grid, flux))
-    res = solve_variable_poisson(grid, inverse_transform(a), f.coeffs, tol=1e-12, max_iter=50)
-    err = max(float(np.max(np.abs(res.gradient[ax].coeffs
-                                  - gradient(grid, u_star.coeffs)[..., ax, :, :])))
+    flux = np.stack([product(grid, a, samples(grid, g))
+                     for g in gradient(grid, u_star)])
+    f = -1.0 * divergence(grid, flux)
+    res = solve_variable_poisson(grid, samples(grid, a), f, tol=1e-12, max_iter=50)
+    err = max(float(np.max(np.abs(res.gradient[ax]
+                                  - gradient(grid, u_star)[..., ax, :, :])))
               for ax in range(2))
     monotone = bool(np.all(np.diff(res.residuals) < 0))
     ok = err <= 1e-10 and res.iterations <= 50 and monotone
@@ -157,12 +155,12 @@ def test_06_coupled_matrix_exponential():
     c0 = random_scalar(grid, rng, radius=3.0)
     d0 = random_scalar(grid, rng, radius=3.0)
     mu, T = 1.0, 1.0
-    res = solve_coupled(grid, c0.coeffs, d0.coeffs, None, None, None, mu, TimeGrid(T, 1e-3))
+    res = solve_coupled(grid, c0, d0, None, None, None, mu, TimeGrid(T, 1e-3))
     k = np.fft.fftfreq(32, d=1 / 32).astype(int)
     worst = 0.0
-    for idx in np.argwhere(np.abs(c0.coeffs) + np.abs(d0.coeffs) > 1e-13):
+    for idx in np.argwhere(np.abs(c0) + np.abs(d0) > 1e-13):
         kk = float(np.hypot(k[idx[0]], k[idx[1]]))
-        y0 = np.array([c0.coeffs[tuple(idx)], d0.coeffs[tuple(idx)]])
+        y0 = np.array([c0[tuple(idx)], d0[tuple(idx)]])
         want = scipy.linalg.expm(np.array([[0.0, -kk], [kk, -mu * kk ** 2]]) * T) @ y0
         got = np.array([res.coeffs[-1, 0][tuple(idx)],
                         res.coeffs[-1, 1][tuple(idx)]])
@@ -179,9 +177,9 @@ def test_07_constraint_propagation():
         res = run(st, PARAMS, TimeGrid(1.0, dt, save_stride=25))
         finals[dt] = res.states[-1]
         div_worst = max(div_worst, max(r["div_velocity"] for r in res.residual_rows))
-    fields = {dt: deformation_identity_residual(finals[dt].h) for dt in finals}
+    fields = {dt: deformation_identity_residual(grid, finals[dt].h) for dt in finals}
     ref = fields[2e-3]
-    ratio = l2_norm(grid, (fields[8e-3] - ref).coeffs) / l2_norm(grid, (fields[4e-3] - ref).coeffs)
+    ratio = l2_norm(grid, fields[8e-3] - ref) / l2_norm(grid, fields[4e-3] - ref)
     ok = ratio >= 3.0 and div_worst <= 1e-10
     clock.report(ok, f"halving ratio {ratio:.1f}, max div v {div_worst:.3g}")
 
@@ -192,7 +190,7 @@ def test_08_scaling_criticality():
     worst = 0.0
     for seed in (5, 11, 17):
         sig, vel, h = band_safe_tuple(grid, seed, m=1)
-        info = verify_scaling(sig, vel, h, m=1, tol=1e-10)
+        info = verify_scaling(grid, sig, vel, h, m=1, tol=1e-10)
         worst = max(worst, max(info["defects"].values()))
     clock.report(worst <= 1e-10, f"worst norm defect {worst:.3g}")
 

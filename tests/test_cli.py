@@ -22,7 +22,7 @@ from besovlab.norms import BesovSpec, besov_norm
 from besovlab.oldroyd import (PhysicalParams, compute_pressure, make_initial_data,
                               momentum_forcing, phi_iteration, run)
 from besovlab.snapshots import read_snapshot, write_snapshot
-from besovlab.spectral import GridSpec, inverse_transform
+from besovlab.spectral import GridSpec, samples
 from besovlab.verify import SMALLNESS_COLUMNS
 
 from conftest import field_of
@@ -82,7 +82,7 @@ class TestNormsCommand:
         grid = GridSpec(2, 16)
         f = field_of(grid, lambda x, y: 0.0 * x)
         path = tmp_path / "zero.bin"
-        write_snapshot(path, grid, {"u": inverse_transform(f)})
+        write_snapshot(path, grid, {"u": samples(grid, f)})
         assert main(["norms", str(path), "--spec", "1:2:1"]) == 0
         rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
         assert float(rows[0]["value"]) == 0.0
@@ -91,12 +91,12 @@ class TestNormsCommand:
         grid = GridSpec(2, 32)
         f = field_of(grid, lambda x, y: np.cos(x))
         path = tmp_path / "cos.bin"
-        write_snapshot(path, grid, {"u": inverse_transform(f)})
+        write_snapshot(path, grid, {"u": samples(grid, f)})
         assert main(["norms", str(path), "--spec", "1:2:1"]) == 0
         rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
         # the snapshot round-trips through samples, exactly as the CLI reads
         _, fields = read_snapshot(path)
-        want = besov_norm(fields["u"], BesovSpec(1.0, 2.0, 1.0)).value
+        want = besov_norm(grid, fields["u"], BesovSpec(1.0, 2.0, 1.0)).value
         assert rows[0]["value"] == f"{want:.17g}"
 
     def test_bad_header_exit_2(self, tmp_path, capsys):
@@ -111,7 +111,7 @@ class TestNormsCommand:
         grid = GridSpec(2, 16)
         f = field_of(grid, lambda x, y: 0.0 * x)
         path = tmp_path / "zero.bin"
-        write_snapshot(path, grid, {"u": inverse_transform(f)})
+        write_snapshot(path, grid, {"u": samples(grid, f)})
         assert main(["norms", str(path), "--spec", "nonsense"]) == 2
         assert_one_line_error(capsys)
         # a non-finite s is rejected as a config's is, naming s
@@ -125,7 +125,7 @@ class TestNormsCommand:
         grid = GridSpec(2, 16)
         path = tmp_path / "cos.bin"
         write_snapshot(path, grid,
-                       {"u": inverse_transform(field_of(grid, lambda x, y: np.cos(x + 2 * y)))})
+                       {"u": samples(grid, field_of(grid, lambda x, y: np.cos(x + 2 * y)))})
         for spec in ("-1:2:1", "-0.5:2:inf"):
             assert main(["norms", str(path), "--spec", spec]) == 0
             separate = capsys.readouterr().out
@@ -346,7 +346,7 @@ class TestSimulateCommand:
     def test_coupled_density_floor_exit_3(self, tmp_path):
         # same data as the run below: the floor sits above min(1 + sigma0)
         st, _ = make_initial_data("general", 0.2, 5, GridSpec(2, 16))
-        floor = float(inverse_transform(st.sigma).min()) + 1.0 + 0.01
+        floor = float(samples(st.grid, st.sigma).min()) + 1.0 + 0.01
         cfg = base_config(
             tmp_path,
             params={"mu": 1.0, "sigma_floor": floor},
@@ -373,7 +373,7 @@ class TestSimulateCommand:
         initial = {"family": "general", "amplitude": 0.5, "seed": 10}
         st, _ = make_initial_data("general", 0.5, 10, grid)
         every = run(st, PhysicalParams(), TimeGrid(0.05, 0.01, save_stride=1))
-        mins = [float(inverse_transform(s.sigma).min()) + 1.0 for s in every.states]
+        mins = [float(samples(grid, s.sigma).min()) + 1.0 for s in every.states]
         floor = round(0.5 * (mins[3] + mins[4]), 8)
         assert min(mins[:4]) > floor > mins[4]
         last = 3 // stride * stride  # the last save before step 4

@@ -17,7 +17,7 @@ that shares its name with a loaded attribute of anything else (such as
 `GridSpec.meshgrid` and `np.meshgrid`) counts as called.  No package
 module imports another's private (`_`) name: what a module shares is
 public.  No package module asks which form an argument has
-(`isinstance(x, SpectralField)` or `callable(x)`): every argument has one
+(`isinstance(x, np.ndarray)` or `callable(x)`): every argument has one
 type.
 """
 
@@ -177,8 +177,9 @@ def test_no_private_import_across_modules():
 def form_branches(sources: dict[str, str]) -> list[str]:
     """`module:line` of each call in `sources` (module name -> source) that
     asks which form an argument has: `callable(...)`, or `isinstance(...)`
-    whose type argument names `SpectralField`, alone or in a tuple, plain
-    or as an attribute."""
+    whose type argument names `ndarray`, alone or in a tuple, plain or as
+    an attribute (`np.ndarray`): the branch an API taking an array or
+    something else needs."""
     found = []
     for module, source in sources.items():
         for node in ast.walk(ast.parse(source)):
@@ -188,15 +189,15 @@ def form_branches(sources: dict[str, str]) -> list[str]:
                      for arg in node.args[1:2] for n in ast.walk(arg)
                      if isinstance(n, (ast.Name, ast.Attribute))}
             if node.func.id == "callable" or (node.func.id == "isinstance"
-                                              and "SpectralField" in names):
+                                              and "ndarray" in names):
                 found.append(f"{module}:{node.lineno}")
     return found
 
 
 def test_scan_sees_form_branches():
-    sources = {"a": "if isinstance(u, SpectralField):\n    u = u.coeffs\n"
-                    "isinstance(u, int)\nisinstance(u, (int, spectral.SpectralField))\n"
-                    "v = v(t) if callable(v) else v\nSpectralField(grid, u)\n"}
+    sources = {"a": "if isinstance(u, np.ndarray):\n    u = u.coeffs\n"
+                    "isinstance(u, int)\nisinstance(u, (int, ndarray))\n"
+                    "v = v(t) if callable(v) else v\nnp.ndarray(shape)\n"}
     assert form_branches(sources) == ["a:1", "a:4", "a:5"]
 
 

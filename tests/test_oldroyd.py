@@ -39,7 +39,6 @@ from besovlab.randfields import random_scalar, random_solenoidal
 from besovlab.spectral import (
     GridSpec,
     GridError,
-    SpectralField,
     advect,
     dealiased,
     divergence,
@@ -47,15 +46,12 @@ from besovlab.spectral import (
     gradient,
     gradient_samples,
     grid_wavenumbers,
-    inverse_transform,
     lambda_multiplier,
     leray_project,
     samples,
-    zero_field,
 )
 
-from conftest import (field_of, field_product, full_spectrum, full_spectrum_norm, l2_of_samples,
-                      stack)
+from conftest import field_of, field_product, full_spectrum, full_spectrum_norm, l2_of_samples
 
 PARAMS = PhysicalParams(mu=1.0, sigma_floor=0.1)
 
@@ -80,22 +76,22 @@ class TestFluidState:
         grid = GridSpec(dim, m)
         full = (2,) + grid.shape
         with pytest.raises(GridError, match=re.escape(half)):
-            SpectralField(grid, np.zeros(full, dtype=complex))
+            besov_norm(grid, np.zeros(full, dtype=complex), BesovSpec(1.0))
         with pytest.raises(GridError, match=re.escape(half)):
             FluidState(grid, np.zeros((1 + dim + dim * dim,) + grid.shape, dtype=complex))
 
     def test_field_views_write_the_state(self, grid2_32):
         st = zero_state(grid2_32)
-        st.velocity[1].coeffs[1, 0] = 2.0
-        st.h[1][0].coeffs[0, 1] = 3.0
+        st.velocity[1][1, 0] = 2.0
+        st.h[1][0][0, 1] = 3.0
         assert st.coeffs[2, 1, 0] == 2.0 and st.coeffs[5, 0, 1] == 3.0
-        st.sigma.coeffs[...] = field_of(grid2_32, lambda x, y: np.cos(x)).coeffs
+        st.sigma[...] = field_of(grid2_32, lambda x, y: np.cos(x))
         assert st.coeffs[0, 1, 0] == pytest.approx(0.5, abs=1e-15)
-        st.h.coeffs[...] = stack([[st.sigma, zero_field(grid2_32)],
-                                  [zero_field(grid2_32), st.sigma]]).coeffs
+        st.h[...] = np.stack([[st.sigma, np.zeros(grid2_32.coeff_shape, complex)],
+                              [np.zeros(grid2_32.coeff_shape, complex), st.sigma]])
         assert np.array_equal(st.coeffs[3], st.coeffs[0]) and not st.coeffs[4].any()
-        with pytest.raises(TypeError):
-            st.h[0][0] = zero_field(grid2_32)
+        st.h[0][0] = np.zeros(grid2_32.coeff_shape, complex)
+        assert not st.coeffs[3].any()
 
     @pytest.mark.parametrize("dim, m", [(2, 32), (3, 16)], ids=["2d", "3d"])
     @pytest.mark.parametrize("p", [1.0, 2.0, INF], ids=["p1", "p2", "pinf"])
@@ -104,13 +100,13 @@ class TestFluidState:
         (n^2, *grid) stack, bitwise: the components combine in one order."""
         grid = GridSpec(dim, m)
         st, _ = make_initial_data("general", 0.05, 5, grid)
-        flat = SpectralField(grid, st.coeffs[1 + dim:])
+        flat = st.coeffs[1 + dim:]
         spec = BesovSpec(dim / 2.0, p, 1.0)
-        assert besov_norm(st.h, spec).value == besov_norm(flat, spec).value
-        assert np.array_equal(block_lp(st.h, p), block_lp(flat, p))
+        assert besov_norm(grid, st.h, spec).value == besov_norm(grid, flat, spec).value
+        assert np.array_equal(block_lp(grid, st.h, p), block_lp(grid, flat, p))
         times = [0.0, 1.0]
-        assert np.array_equal(norm_series(times, [st.h, 2.0 * st.h], p).values,
-                              norm_series(times, [flat, 2.0 * flat], p).values)
+        assert np.array_equal(norm_series(grid, times, [st.h, 2.0 * st.h], p).values,
+                              norm_series(grid, times, [flat, 2.0 * flat], p).values)
 
     @pytest.mark.parametrize("evolve", [
         lambda st, tg: run(st, PARAMS, tg),
@@ -128,7 +124,7 @@ class TestFluidState:
 class TestInitialData:
     def test_zero_amplitude(self, grid2_32):
         st, rep = make_initial_data("exact_gradient", 0.0, 1, grid2_32)
-        assert np.max(np.abs(st.sigma.coeffs)) == 0.0
+        assert np.max(np.abs(st.sigma)) == 0.0
         assert rep.div_velocity == 0.0
         assert rep.deformation_identity == 0.0
 
@@ -146,7 +142,7 @@ class TestInitialData:
 
     def test_general_family_restores_weighted_div(self, grid2_32):
         st, rep = make_initial_data("general", 1e-2, 3, grid2_32)
-        assert np.max(np.abs(st.sigma.coeffs)) > 0.0
+        assert np.max(np.abs(st.sigma)) > 0.0
         assert rep.div_velocity <= 1e-12
         assert rep.weighted_div <= 1e-10
 
@@ -173,7 +169,7 @@ def forcing_and_pressure(st):
 class TestPressure:
     def test_zero_state(self, grid2_32):
         _, res = forcing_and_pressure(zero_state(grid2_32))
-        assert all(np.max(np.abs(g.coeffs)) == 0.0 for g in res.gradient)
+        assert all(np.max(np.abs(g)) == 0.0 for g in res.gradient)
 
     def test_constant_density_matches_leray_pressure(self, grid2_32):
         # sigma = 0 reduces to P = inv-Lap div G, i.e. grad P is the
@@ -181,27 +177,26 @@ class TestPressure:
         st, _ = make_initial_data("exact_gradient", 1e-2, 5, grid2_32)
         g, res = forcing_and_pressure(st)
         grad = res.gradient
-        div_g = SpectralField(grid2_32, divergence(grid2_32, g))
-        explicit = [-1.0 * SpectralField(grid2_32, gradient(
-                        grid2_32, div_g.coeffs * lambda_multiplier(grid2_32, -2.0))[..., ax, :, :])
-                    for ax in range(2)]
-        scale = max(np.max(np.abs(f.coeffs)) for f in explicit)
+        div_g = divergence(grid2_32, g)
+        grad_p = gradient(grid2_32, div_g * lambda_multiplier(grid2_32, -2.0))
+        explicit = [-1.0 * grad_p[..., ax, :, :] for ax in range(2)]
+        scale = max(np.max(np.abs(f)) for f in explicit)
         for got, want in zip(grad, explicit):
-            assert np.max(np.abs(got.coeffs - want.coeffs)) <= 1e-12 * max(scale, 1e-30)
+            assert np.max(np.abs(got - want)) <= 1e-12 * max(scale, 1e-30)
 
     def test_manufactured_residual(self, grid2_32):
         st, _ = make_initial_data("general", 5e-2, 7, grid2_32)
         g, res = forcing_and_pressure(st)
-        div_g = SpectralField(grid2_32, divergence(grid2_32, g))
-        fnorm = full_spectrum_norm(div_g)
+        div_g = divergence(grid2_32, g)
+        fnorm = full_spectrum_norm(grid2_32, div_g)
         assert res.residuals[-1] <= 1e-10 * fnorm
 
 
 class TestStep:
     def test_zero_state_fixed(self, grid2_32):
         out = run(zero_state(grid2_32), PARAMS, TimeGrid(1e-2, 1e-2)).states[-1]
-        assert np.max(np.abs(out.sigma.coeffs)) == 0.0
-        assert all(np.max(np.abs(v.coeffs)) == 0.0 for v in out.velocity)
+        assert np.max(np.abs(out.sigma)) == 0.0
+        assert all(np.max(np.abs(v)) == 0.0 for v in out.velocity)
 
     def test_isotropic_tensor_is_steady(self, grid2_32):
         # h = c I has zero divergence, zero stress coupling, and no
@@ -209,13 +204,13 @@ class TestStep:
         st = zero_state(grid2_32)
         c = 0.3
         for i in range(2):
-            st.h[i][i].coeffs[...] = forward_transform(grid2_32, np.full(grid2_32.shape, c)).coeffs
+            st.h[i][i][...] = forward_transform(grid2_32, np.full(grid2_32.shape, c))
         out = run(st, PARAMS, TimeGrid(1e-2, 1e-2)).states[-1]
         assert state_l2(out, st) <= 1e-13
 
     def test_density_floor_abort(self, grid2_32):
         st = zero_state(grid2_32)
-        st.sigma.coeffs[...] = field_of(grid2_32, lambda x, y: -0.95 + 0.0 * x).coeffs
+        st.sigma[...] = field_of(grid2_32, lambda x, y: -0.95 + 0.0 * x)
         with pytest.raises(DensityFloorError):
             run(st, PARAMS, TimeGrid(1e-2, 1e-2))
 
@@ -232,20 +227,20 @@ class TestStep:
         from besovlab.linsolve import solve_transport
 
         st, _ = make_initial_data("general", 1e-2, 11, grid2_32)
-        mean_sigma = st.sigma.mean
+        mean_sigma = st.sigma[0, 0].real
         out = st
         for _ in range(10):
             out = run(out, PARAMS, TimeGrid(5e-3, 5e-3)).states[-1]
-        assert out.sigma.mean == pytest.approx(mean_sigma, abs=1e-12)
+        assert out.sigma[0, 0].real == pytest.approx(mean_sigma, abs=1e-12)
 
         rng = np.random.default_rng(11)
         vel = 0.05 * random_solenoidal(grid2_32, rng)
-        h_rows = SpectralField(grid2_32, st.coeffs[3:])  # h^{00}, h^{01}, ...
-        means_h = [f.mean for f in h_rows]
-        res = solve_transport(grid2_32, h_rows.coeffs, lambda t: vel.coeffs, None,
+        h_rows = st.coeffs[3:]  # h^{00}, h^{01}, ...
+        means_h = [f[0, 0].real for f in h_rows]
+        res = solve_transport(grid2_32, h_rows, lambda t: vel, None,
                               TimeGrid(1.0, 5e-3))
-        for f, m in zip(SpectralField(grid2_32, res.coeffs[-1]), means_h):
-            assert abs(f.mean - m) <= 1e-10
+        for f, m in zip(res.coeffs[-1], means_h):
+            assert abs(f[0, 0].real - m) <= 1e-10
 
     def test_self_convergence_taylor_green(self):
         # sigma = 0, h = 0, single-mode solenoidal start; compare against
@@ -256,10 +251,10 @@ class TestStep:
 
         def tg_state(grid):
             st = zero_state(grid)
-            st.velocity.coeffs[...] = stack([
+            st.velocity[...] = np.stack([
                 amp * field_of(grid, lambda x, y: np.sin(x) * np.cos(y)),
                 amp * field_of(grid, lambda x, y: -np.cos(x) * np.sin(y)),
-            ]).coeffs
+            ])
             return st
 
         T = 0.25
@@ -271,8 +266,8 @@ class TestStep:
         # k_last = 1..7 also stand for -k; k_last = 8 stands for -8
         weight = np.r_[1.0, np.full(7, 2.0), 1.0]
         for vc, vf in zip(res_c.states[-1].velocity, res_f.states[-1].velocity):
-            cc = np.fft.fftshift(vc.coeffs, axes=0)
-            ff = np.fft.fftshift(vf.coeffs, axes=0)[8:24, :9]
+            cc = np.fft.fftshift(vc, axes=0)
+            ff = np.fft.fftshift(vf, axes=0)[8:24, :9]
             err += np.sum(weight * np.abs(cc - ff) ** 2)
             norm += np.sum(weight * np.abs(ff) ** 2)
         assert np.sqrt(err / norm) <= 1e-6
@@ -290,9 +285,9 @@ class TestStep:
 class TestConstraints:
     def test_trivial_state(self, grid2_32):
         st = zero_state(grid2_32)
-        st.velocity.coeffs[...] = stack([amp * f for amp, f in
-                                         zip([1e-2, 1e-2], random_solenoidal(
-                                             grid2_32, np.random.default_rng(1)))]).coeffs
+        st.velocity[...] = np.stack([amp * f for amp, f in
+                                     zip([1e-2, 1e-2], random_solenoidal(
+                                         grid2_32, np.random.default_rng(1)))])
         res = constraint_residuals(st)
         assert res.div_velocity <= 1e-12
         assert res.weighted_div <= 1e-12
@@ -331,10 +326,10 @@ class TestConstraints:
         fields = {}
         for dt in (8e-3, 4e-3, 2e-3):
             final = run(st, PARAMS, TimeGrid(1.0, dt, save_stride=10 ** 6)).states[-1]
-            fields[dt] = deformation_identity_residual(final.h)
+            fields[dt] = deformation_identity_residual(grid2_32, final.h)
         ref = fields[2e-3]
-        d1 = l2_norm(grid2_32, (fields[8e-3] - ref).coeffs)
-        d2 = l2_norm(grid2_32, (fields[4e-3] - ref).coeffs)
+        d1 = l2_norm(grid2_32, fields[8e-3] - ref)
+        d2 = l2_norm(grid2_32, fields[4e-3] - ref)
         assert d1 / d2 >= 3.0
 
 
@@ -370,16 +365,16 @@ class TestQuadraticTermsOracle:
         vel = [_trig_field(rng, grid3_16) for _ in range(n)]
         h = [[_trig_field(rng, grid3_16) for _ in range(n)] for _ in range(n)]
         fields = FluidState(grid3_16, np.stack(
-            [forward_transform(grid3_16, f[0]).coeffs
+            [forward_transform(grid3_16, f[0])
              for f in [sig] + vel + [f for row in h for f in row]]))
         return sig, vel, h, fields
 
     @staticmethod
     def assert_matches(grid, got, want_samples):
-        want = [forward_transform(grid, w).coeffs for w in want_samples]
+        want = [forward_transform(grid, w) for w in want_samples]
         scale = max(np.max(np.abs(w)) for w in want)
         for g, w in zip(got, want):
-            assert np.max(np.abs(g.coeffs - w)) <= 1e-12 * scale
+            assert np.max(np.abs(g - w)) <= 1e-12 * scale
 
     def test_momentum_forcing(self, grid3_16, data):
         sig, vel, h, fields = data
@@ -392,7 +387,7 @@ class TestQuadraticTermsOracle:
                 for k in range(n):
                     acc = acc + h[l][k][0] * h[i][k][1][l]
             want.append(acc)
-        got = SpectralField(grid3_16, momentum_forcing(grid3_16, fields.coeffs, mu)[0][1:1 + n])
+        got = momentum_forcing(grid3_16, fields.coeffs, mu)[0][1:1 + n]
         self.assert_matches(grid3_16, got, want)
 
     def test_deformation_identity(self, grid3_16, data):
@@ -406,21 +401,23 @@ class TestQuadraticTermsOracle:
                     for l in range(n):
                         acc = acc + h[l][k][0] * h[i][j][1][l] - h[l][j][0] * h[i][k][1][l]
                     want.append(acc)
-        self.assert_matches(grid3_16, deformation_identity_residual(fields.h), want)
+        self.assert_matches(grid3_16, deformation_identity_residual(grid3_16, fields.h), want)
 
 
 class TestRun:
     def test_zero_data(self, grid2_32):
         res = run(zero_state(grid2_32), PARAMS, TimeGrid(0.1, 0.01, save_stride=2))
         assert all(v == 0.0 for name in ("sigma", "velocity", "h", "pressure_grad")
-                   for v in norm_series(res.times, [getattr(st, name) for st in res.states])
-                   .values.ravel())
-        assert all(besov_norm(st.velocity, BesovSpec(0.0)).value == 0.0 for st in res.states)
+                   for v in norm_series(grid2_32, res.times,
+                                        [getattr(st, name) for st in res.states]).values.ravel())
+        assert all(besov_norm(grid2_32, st.velocity, BesovSpec(0.0)).value == 0.0
+                   for st in res.states)
 
     def test_small_data_completes(self, grid2_32):
         st, _ = make_initial_data("general", 1e-3, 19, grid2_32)
         res = run(st, PARAMS, TimeGrid(0.2, 5e-3, save_stride=8))
-        assert np.isfinite(norm_series(res.times, [st.velocity for st in res.states]).values).all()
+        assert np.isfinite(norm_series(grid2_32, res.times,
+                                       [st.velocity for st in res.states]).values).all()
         assert max(r["div_velocity"] for r in res.residual_rows) <= 1e-10
 
 
@@ -433,6 +430,7 @@ def plane_shear_wave(grid, k, e, sigma, modes, mu, t):
     2x2 linear system solved here by its matrix exponential.  `modes` maps
     m to (a, A) at t = 0.  The coefficients are set directly on the modes
     m k, so the wave is band-limited when m |k_axis| <= M/3."""
+    assert k[-1] > 0, f"wave vector {k} needs k_last > 0: the modes are set on that half"
     kk = float(np.dot(k, k))
     arr = zero_state(grid).coeffs
     _, vel, h = arr[0], arr[1:1 + grid.dim], arr[1 + grid.dim:]
@@ -449,38 +447,47 @@ def plane_shear_wave(grid, k, e, sigma, modes, mu, t):
 
 
 class TestPlaneShearWave:
-    """`run` against the exact plane shear wave, 2D M 32, mu 0.5, T 0.4,
-    two profile modes.  The bands were fixed before the first run: the
-    error ratio per dt halving in [14.5, 17.5] (fourth order), and at
-    every save max |grad P| <= 1e-14 and each enforced residual <= 1e-13."""
+    """`run` (2D M 32 and 3D M 16) and `run_coupled` (2D M 32) against the
+    exact plane shear wave, mu 0.5, T 0.4, two profile modes.  The bands
+    were fixed before the first run: the error ratio per dt halving in
+    [14.5, 17.5] (fourth order), and at every save max |grad P| <= 1e-14
+    and each enforced residual <= 1e-13."""
 
-    K, E = (1, 2), np.array([2.0, -1.0]) / np.sqrt(5.0)
     MODES = {1: (0.3, 0.1), 2: (0.1, -0.2)}
+    WAVE_2D = (1, 2), np.array([2.0, -1.0]) / np.sqrt(5.0)
+    WAVE_3D = (1, 1, 1), np.array([1.0, -1.0, 0.0]) / np.sqrt(2.0)
 
-    @pytest.mark.parametrize("sigma", [0.0, 0.25])
-    def test_run_is_fourth_order(self, grid2_32, sigma):
+    @pytest.mark.parametrize("m, wave, sigma, runner, dts", [
+        pytest.param(32, WAVE_2D, 0.0, run, (0.02, 0.01, 0.005, 0.0025), id="0.0"),
+        pytest.param(32, WAVE_2D, 0.25, run, (0.02, 0.01, 0.005, 0.0025), id="0.25"),
+        pytest.param(16, WAVE_3D, 0.25, run, (0.02, 0.01), id="3d-0.25"),
+        pytest.param(32, WAVE_2D, 0.25, run_coupled, (0.02, 0.01, 0.005), id="coupled-0.25"),
+    ])
+    def test_run_is_fourth_order(self, m, wave, sigma, runner, dts):
+        k, e = wave
+        grid = GridSpec(len(k), m)
         params, t_end = PhysicalParams(mu=0.5), 0.4
-        state0 = plane_shear_wave(grid2_32, self.K, self.E, sigma, self.MODES, params.mu, 0.0)
-        exact = plane_shear_wave(grid2_32, self.K, self.E, sigma, self.MODES, params.mu, t_end)
+        state0 = plane_shear_wave(grid, k, e, sigma, self.MODES, params.mu, 0.0)
+        exact = plane_shear_wave(grid, k, e, sigma, self.MODES, params.mu, t_end)
         errors = []
-        for dt in (0.02, 0.01, 0.005, 0.0025):
-            res = run(state0, params, TimeGrid(t_end, dt))
+        for dt in dts:
+            res = runner(state0, params, TimeGrid(t_end, dt))
             for st, row in zip(res.states, res.residual_rows):
-                assert np.max(np.abs(st.pressure_grad.coeffs)) <= 1e-14
+                assert np.max(np.abs(st.pressure_grad)) <= 1e-14
                 assert max(row[name] for name in ("div_velocity", "weighted_div",
                                                   "deformation_identity",
                                                   "perturbation_identity")) <= 1e-13
-            errors.append(l2_norm(grid2_32, res.states[-1].coeffs - exact.coeffs))
+            errors.append(l2_norm(grid, res.states[-1].coeffs - exact.coeffs))
         ratios = np.array(errors[:-1]) / np.array(errors[1:])
         assert np.all((14.5 <= ratios) & (ratios <= 17.5)), ratios
 
 
 class TestSharedIntegration:
     @pytest.mark.parametrize("evolve", [
-        lambda st, tg: solve_transport(st.grid, st.sigma.coeffs, lambda t: st.velocity.coeffs,
+        lambda st, tg: solve_transport(st.grid, st.sigma, lambda t: st.velocity,
                                        None, tg),
-        lambda st, tg: solve_heat(st.grid, st.velocity.coeffs, None, 1.0, tg),
-        lambda st, tg: solve_coupled(st.grid, st.velocity.coeffs, st.velocity.coeffs, None,
+        lambda st, tg: solve_heat(st.grid, st.velocity, None, 1.0, tg),
+        lambda st, tg: solve_coupled(st.grid, st.velocity, st.velocity, None,
                                      None, None, 1.0, tg),
         lambda st, tg: run(st, PARAMS, tg),
         lambda st, tg: run_coupled(st, PARAMS, tg),
@@ -499,7 +506,7 @@ class TestSharedIntegration:
 
     def test_density_floor_in_both_formulations(self, grid2_32):
         st, _ = make_initial_data("general", 0.2, 5, grid2_32)
-        floor = float(inverse_transform(st.sigma).min()) + 1.0 + 0.01
+        floor = float(samples(grid2_32, st.sigma).min()) + 1.0 + 0.01
         params = PhysicalParams(mu=1.0, sigma_floor=floor)
         for evolve in (run, run_coupled):
             with pytest.raises(DensityFloorError):
@@ -508,35 +515,35 @@ class TestSharedIntegration:
 
 class TestCoupledFormulation:
     def test_tensor_map_zero(self, grid2_32):
-        v = stack([zero_field(grid2_32), zero_field(grid2_32)])
-        d = stacked_velocity_to_tensor(grid2_32, v.coeffs)
+        v = np.zeros((2,) + grid2_32.coeff_shape, complex)
+        d = stacked_velocity_to_tensor(grid2_32, v)
         assert d.shape[:2] == (2, 2) and np.max(np.abs(d)) == 0.0
 
     def test_round_trip(self, grid2_32):
         rng = np.random.default_rng(25)
         v = random_solenoidal(grid2_32, rng)
         back = stacked_tensor_to_velocity(grid2_32,
-                                          stacked_velocity_to_tensor(grid2_32, v.coeffs))
+                                          stacked_velocity_to_tensor(grid2_32, v))
         for a, b in zip(back, v):
-            assert np.max(np.abs(a - b.coeffs)) <= 1e-12
+            assert np.max(np.abs(a - b)) <= 1e-12
 
     def test_hand_multiplier_single_mode(self, grid2_32):
         # v = (0, e^{ix}) projected solenoidal stays (0, e^{ix});
         # d^{ij} = -i k_j / |k| v^i at k = (1, 0)
-        v = stack([zero_field(grid2_32), zero_field(grid2_32)])
-        v[1].coeffs[1, 0] = 1.0
-        v[1].coeffs[-1, 0] = 1.0  # keep it a real field
-        v = SpectralField(grid2_32, leray_project(grid2_32, v.coeffs))
-        d = stacked_velocity_to_tensor(grid2_32, v.coeffs)
+        v = np.zeros((2,) + grid2_32.coeff_shape, complex)
+        v[1][1, 0] = 1.0
+        v[1][-1, 0] = 1.0  # keep it a real field
+        v = leray_project(grid2_32, v)
+        d = stacked_velocity_to_tensor(grid2_32, v)
         assert d[1, 0][1, 0] == pytest.approx(-1.0j, abs=1e-13)
         assert np.max(np.abs(d[0, 0])) < 1e-13
         assert np.max(np.abs(d[1, 1])) < 1e-13
 
     def test_rejects_nonzero_mean(self, grid2_32):
-        v = stack([forward_transform(grid2_32, np.full(grid2_32.shape, 1.0)),
-                   zero_field(grid2_32)])
+        v = np.stack([forward_transform(grid2_32, np.full(grid2_32.shape, 1.0)),
+                      np.zeros(grid2_32.coeff_shape, complex)])
         with pytest.raises(ValueError):
-            stacked_velocity_to_tensor(grid2_32, v.coeffs)
+            stacked_velocity_to_tensor(grid2_32, v)
 
     @pytest.mark.parametrize("dim, m, t_end", [(2, 32, 0.2), (3, 16, 0.02)],
                              ids=["2d", "3d"])
@@ -631,7 +638,7 @@ class TestPhiIteration:
                 grid, oldroyd._stretch(gradient_samples(grid, u), samples(grid, xi)))
             return src.reshape((n * n,) + u.shape[1:])
 
-        sig = solve_transport(grid, st.sigma.coeffs, u_at, None, tg, check_divergence=False)
+        sig = solve_transport(grid, st.sigma, u_at, None, tg, check_divergence=False)
         h = solve_transport(grid, st.coeffs[1 + n:], u_at, h_forcing, tg, check_divergence=False)
         want = np.concatenate([sig.coeffs[:, None], h.coeffs], axis=1)
         have = np.concatenate([got[:, :1], got[:, 1 + n:]], axis=1)
@@ -700,7 +707,7 @@ def random_stack(grid, seed, shape):
     rng = np.random.default_rng(seed)
     out = np.empty(shape + grid.coeff_shape, dtype=np.complex128)
     for idx in np.ndindex(shape):
-        out[idx] = random_scalar(grid, rng).coeffs
+        out[idx] = random_scalar(grid, rng)
     return out
 
 
@@ -748,13 +755,13 @@ class TestStageKernel:
         grid = grid3_16
         arr = random_stack(grid, 35, (1 + 3 + 9,))
         arr[0] *= 2.0
-        a = SpectralField(grid, arr[0].copy())
-        a.coeffs[0, 0, 0] += 1.0
-        assert 0.5 < inverse_transform(a).min()
+        a = arr[0].copy()
+        a[0, 0, 0] += 1.0
+        assert 0.5 < samples(grid3_16, a).min()
         f = -1.0 * divergence(grid, arr[1:4])
         by_samples = solve_variable_poisson(grid, samples(grid, arr)[0] + 1.0, f)
         # the kept flux is a grad u of the returned potential
-        want = np.stack([field_product(a, g).coeffs for g in by_samples.gradient])
+        want = np.stack([field_product(grid, a, g) for g in by_samples.gradient])
         assert_close(by_samples.flux, want, 1e-14)
         with pytest.raises(NonPositiveCoefficientError):
             solve_variable_poisson(grid, samples(grid, arr)[0] - 1.0, f)
@@ -814,26 +821,27 @@ def full_layout_residuals(st: FluidState) -> dict:
     h = st.h
 
     def l2(fields):
-        return float(np.sqrt(sum(np.sum(np.abs(full_spectrum(grid, f.coeffs)) ** 2)
+        return float(np.sqrt(sum(np.sum(np.abs(full_spectrum(grid, f)) ** 2)
                                  for f in fields)) * (2 * np.pi) ** (n / 2.0))
 
-    def dx(f, ax):  # d/dx_ax of one field, as a field
-        return SpectralField(grid, gradient(grid, f.coeffs)[(..., ax) + (slice(None),) * n])
+    def dx(f, ax):  # d/dx_ax of one field's coefficients
+        return gradient(grid, f)[(..., ax) + (slice(None),) * n]
 
-    rho = forward_transform(grid, 1.0 / (inverse_transform(st.sigma) + 1.0))
-    rho = SpectralField(grid, rho.coeffs * grid_wavenumbers(grid)["dealias_mask"])
-    flux = [[field_product(rho, h[j][i]) for i in range(n)] for j in range(n)]
-    weighted = [[dx(rho, i) + sum((dx(f[i], j) for j, f in enumerate(rows)), zero_field(grid))
+    rho = forward_transform(grid, 1.0 / (samples(grid, st.sigma) + 1.0))
+    rho = rho * grid_wavenumbers(grid)["dealias_mask"]
+    flux = [[field_product(grid, rho, h[j][i]) for i in range(n)] for j in range(n)]
+    zero = np.zeros(grid.coeff_shape, complex)
+    weighted = [[dx(rho, i) + sum((dx(f[i], j) for j, f in enumerate(rows)), zero)
                  for i in range(n)]
                 for rows in (flux, [list(r) for r in zip(*flux)])]
     identity = []
     for i, j, k in np.ndindex(n, n, n):
         acc = dx(h[i][j], k) - dx(h[i][k], j)
         for l in range(n):
-            acc = acc + field_product(h[l][k], dx(h[i][j], l)) \
-                - field_product(h[l][j], dx(h[i][k], l))
+            acc = acc + field_product(grid, h[l][k], dx(h[i][j], l)) \
+                - field_product(grid, h[l][j], dx(h[i][k], l))
         identity.append(acc)
-    return {"div_velocity": l2([SpectralField(grid, divergence(grid, st.velocity.coeffs))]),
+    return {"div_velocity": l2([divergence(grid, st.velocity)]),
             "weighted_div": l2(weighted[0]), "weighted_div_transposed": l2(weighted[1]),
             "deformation_identity": l2(identity), "perturbation_identity": l2(identity)}
 
@@ -896,7 +904,7 @@ class TestSaveReusesFirstStage:
         assert len(stages) == 17 and len(pressures) == 17 and len(forcings) == 17
         want = forcing_and_pressure(st)[1].gradient
         for g, w in zip(res.states[0].pressure_grad, want):
-            assert_close(g.coeffs, w.coeffs, 1e-12)
+            assert_close(g, w, 1e-12)
 
     def test_coupled_save_converts_once(self, grid2_32, monkeypatch):
         """A coupled save converts its array to the direct state once: the
@@ -922,4 +930,4 @@ class TestSaveReusesFirstStage:
         a, b = every.states[-1], ends.states[-1]
         for x, y in zip([a.sigma, a.velocity, a.h, a.pressure_grad],
                         [b.sigma, b.velocity, b.h, b.pressure_grad]):
-            assert np.array_equal(x.coeffs, y.coeffs)
+            assert np.array_equal(x, y)

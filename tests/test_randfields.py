@@ -37,9 +37,9 @@ def one_draw(grid, rng, radius=None, radius_lo=0.5, decay=1.0):
 @pytest.mark.parametrize("grid", GRIDS, ids=lambda g: f"{g.dim}d_m{g.points_per_axis}")
 def test_stack_equals_draws_in_turn(grid, name):
     kwargs = band(grid, name)
-    stacked = random_scalar(grid, np.random.default_rng(3), shape=(5,), **kwargs).coeffs
+    stacked = random_scalar(grid, np.random.default_rng(3), shape=(5,), **kwargs)
     rng = np.random.default_rng(3)
-    in_turn = np.stack([random_scalar(grid, rng, **kwargs).coeffs for _ in range(5)])
+    in_turn = np.stack([random_scalar(grid, rng, **kwargs) for _ in range(5)])
     assert stacked.shape == (5,) + grid.coeff_shape
     assert stacked.tobytes() == in_turn.tobytes()
     rng = np.random.default_rng(3)
@@ -51,7 +51,7 @@ def test_stack_equals_draws_in_turn(grid, name):
 @pytest.mark.parametrize("grid", GRIDS[:3], ids=lambda g: f"{g.dim}d_m{g.points_per_axis}")
 def test_leading_shape_of_pairs(grid):
     """A (chunk, 2) draw is the pairs (u, v) drawn in turn."""
-    pairs = random_scalar(grid, np.random.default_rng(8), radius=5.0, shape=(3, 2)).coeffs
+    pairs = random_scalar(grid, np.random.default_rng(8), radius=5.0, shape=(3, 2))
     rng = np.random.default_rng(8)
     want = [[one_draw(grid, rng, radius=5.0) for _ in range(2)] for _ in range(3)]
     assert np.array_equal(pairs, np.array(want))
@@ -61,7 +61,7 @@ def test_leading_shape_of_pairs(grid):
 @pytest.mark.parametrize("grid", GRIDS, ids=lambda g: f"{g.dim}d_m{g.points_per_axis}")
 def test_solenoidal_equals_component_loop(grid, name):
     kwargs = band(grid, name)
-    got = random_solenoidal(grid, np.random.default_rng(4), **kwargs).coeffs
+    got = random_solenoidal(grid, np.random.default_rng(4), **kwargs)
     rng = np.random.default_rng(4)
     draws = np.stack([one_draw(grid, rng, **kwargs) for _ in range(grid.dim)])
     want = leray_project(grid, draws)

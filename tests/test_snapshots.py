@@ -12,7 +12,7 @@ from besovlab.snapshots import (
     state_samples,
     write_snapshot,
 )
-from besovlab.spectral import GridSpec, inverse_transform, samples
+from besovlab.spectral import GridSpec, samples
 from conftest import field_of
 
 
@@ -20,18 +20,18 @@ def test_round_trip(tmp_path, grid2_32):
     f = field_of(grid2_32, lambda x, y: np.cos(x) + 0.3 * np.sin(2 * y))
     g = field_of(grid2_32, lambda x, y: np.sin(x + y))
     path = tmp_path / "snap.bin"
-    write_snapshot(path, grid2_32, {"alpha": inverse_transform(f), "beta": inverse_transform(g)})
+    write_snapshot(path, grid2_32, {"alpha": samples(grid2_32, f), "beta": samples(grid2_32, g)})
     grid, fields = read_snapshot(path)
     assert grid == grid2_32
     assert list(fields) == ["alpha", "beta"]
     for name, orig in (("alpha", f), ("beta", g)):
-        assert np.max(np.abs(fields[name].coeffs - orig.coeffs)) < 1e-14
+        assert np.max(np.abs(fields[name] - orig)) < 1e-14
 
 
 def test_header_contents(tmp_path, grid2_32):
     f = field_of(grid2_32, lambda x, y: np.cos(x))
     path = tmp_path / "snap.bin"
-    write_snapshot(path, grid2_32, {"u": inverse_transform(f)})
+    write_snapshot(path, grid2_32, {"u": samples(grid2_32, f)})
     header = json.loads(path.read_bytes().split(b"\n", 1)[0])
     assert header == {"dim": 2, "M": 32, "fields": ["u"],
                       "layout": "row-major", "scalar": "float64-le"}
@@ -54,7 +54,7 @@ def test_bad_json(tmp_path):
 def test_truncated_payload(tmp_path, grid2_32):
     f = field_of(grid2_32, lambda x, y: np.cos(x))
     path = tmp_path / "snap.bin"
-    write_snapshot(path, grid2_32, {"u": inverse_transform(f)})
+    write_snapshot(path, grid2_32, {"u": samples(grid2_32, f)})
     raw = path.read_bytes()
     path.write_bytes(raw[:-8])
     with pytest.raises(SnapshotFormatError):
@@ -97,8 +97,8 @@ def test_state_fields_names(grid2_32):
 @pytest.mark.parametrize("dim,m", [(2, 32), (3, 16)], ids=["2d_m32", "3d_m16"])
 def test_save_snapshot_from_stage_samples(tmp_path, dim, m):
     """A run's save writes the (sigma, v, h) samples its first stage formed
-    and one batched sample of grad P: the bytes `inverse_transform` writes
-    field by field."""
+    and one batched sample of grad P: the bytes of sampling each field on
+    its own."""
     grid = GridSpec(dim, m)
     st, _ = make_initial_data("general", 0.05, 5, grid)
     saved = []
@@ -112,7 +112,7 @@ def test_save_snapshot_from_stage_samples(tmp_path, dim, m):
         by_field.update((f"gradp{i}", g) for i, g in enumerate(state.pressure_grad))
         write_snapshot(tmp_path / "samples.bin", grid, state_samples(state, s))
         write_snapshot(tmp_path / "fields.bin", grid,
-                       {name: inverse_transform(f) for name, f in by_field.items()})
+                       {name: samples(grid, f) for name, f in by_field.items()})
         assert (tmp_path / "samples.bin").read_bytes() == (tmp_path / "fields.bin").read_bytes()
         # the state's own samples, taken in one call, give the same bytes
         write_snapshot(tmp_path / "state.bin", grid,

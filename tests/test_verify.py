@@ -10,7 +10,6 @@ from besovlab.paley import block_multipliers, retained_radius
 from besovlab.randfields import random_scalar
 from besovlab.spectral import (
     GridSpec,
-    SpectralField,
     forward_transform,
     gradient,
     grid_wavenumbers,
@@ -43,9 +42,8 @@ class TestBernstein:
 
     def test_single_mode_ratio_one(self, grid2_64):
         f = field_of(grid2_64, lambda x, y: np.cos(x))
-        num = besov_norm(SpectralField(grid2_64, gradient(grid2_64, f.coeffs)),
-                         BesovSpec(0.0, 2.0, 1.0)).value
-        den = besov_norm(f, BesovSpec(1.0, 2.0, 1.0)).value
+        num = besov_norm(grid2_64, gradient(grid2_64, f), BesovSpec(0.0, 2.0, 1.0)).value
+        den = besov_norm(grid2_64, f, BesovSpec(1.0, 2.0, 1.0)).value
         assert num / den == pytest.approx(1.0, rel=1e-12)
 
     def test_determinism(self, grid2_32):
@@ -88,9 +86,11 @@ class TestProductLaws:
                  for _ in range(2 * ens.count)]
         # s1 = s2 = 1 and p = 2 in 2D: the product's index is s1 + s2 - N/p = 1
         for rep, r in zip(reports[:2], (1.0, INF)):
-            ratios = [besov_norm(field_product(u, v), BesovSpec(1.0, 2.0, r)).value
-                      / (besov_norm(u, BesovSpec(1.0, 2.0, 1.0)).value
-                         * besov_norm(v, BesovSpec(1.0, 2.0, r)).value) for u, v in pairs]
+            ratios = [besov_norm(grid2_64, field_product(grid2_64, u, v),
+                                 BesovSpec(1.0, 2.0, r)).value
+                      / (besov_norm(grid2_64, u, BesovSpec(1.0, 2.0, 1.0)).value
+                         * besov_norm(grid2_64, v, BesovSpec(1.0, 2.0, r)).value)
+                      for u, v in pairs]
             assert rep.max_ratio == max(ratios[:ens.count])
             assert rep.max_ratio_doubled == max(ratios)
             assert rep.min_ratio == min(ratios[:ens.count])
@@ -100,15 +100,16 @@ class TestProductLaws:
         rng = np.random.default_rng(30)
         u = random_scalar(grid2_64, rng, radius=5.0)
         spec = BesovSpec(1.0, 2.0, 1.0)
-        ratio = besov_norm(field_product(u, u), spec).value / besov_norm(u, spec).value ** 2
+        ratio = besov_norm(grid2_64, field_product(grid2_64, u, u), spec).value \
+            / besov_norm(grid2_64, u, spec).value ** 2
         assert np.isfinite(ratio) and ratio > 0
 
     def test_disjoint_shells_finite(self, grid2_64):
         u = field_of(grid2_64, lambda x, y: np.cos(x))        # band 0
         v = field_of(grid2_64, lambda x, y: np.cos(8 * x))    # band 2/3
         spec = BesovSpec(1.0, 2.0, 1.0)
-        ratio = besov_norm(field_product(u, v), spec).value / (
-            besov_norm(u, spec).value * besov_norm(v, spec).value)
+        ratio = besov_norm(grid2_64, field_product(grid2_64, u, v), spec).value / (
+            besov_norm(grid2_64, u, spec).value * besov_norm(grid2_64, v, spec).value)
         assert np.isfinite(ratio)
 
 
@@ -123,10 +124,10 @@ class TestLogInterpolation:
         # is 1/((1/eps) log(e + lo+hi over mid))
         f = field_of(grid2_64, lambda x, y: np.cos(2 * x + 2 * y))
         s, eps = 1.0, 0.5
-        n_inf = besov_norm(f, BesovSpec(s, 2.0, INF)).value
-        n_lo = besov_norm(f, BesovSpec(s - eps, 2.0, INF)).value
-        n_hi = besov_norm(f, BesovSpec(s + eps, 2.0, INF)).value
-        got = besov_norm(f, BesovSpec(s, 2.0, 1.0)).value / (
+        n_inf = besov_norm(grid2_64, f, BesovSpec(s, 2.0, INF)).value
+        n_lo = besov_norm(grid2_64, f, BesovSpec(s - eps, 2.0, INF)).value
+        n_hi = besov_norm(grid2_64, f, BesovSpec(s + eps, 2.0, INF)).value
+        got = besov_norm(grid2_64, f, BesovSpec(s, 2.0, 1.0)).value / (
             (n_inf / eps) * math.log(math.e + (n_lo + n_hi) / n_inf))
         want = eps / math.log(math.e + 2.0 ** (-eps) + 2.0 ** eps)
         assert got == pytest.approx(want, rel=1e-12)
@@ -136,9 +137,9 @@ class TestLogInterpolation:
             verify_log_interpolation(ENS, 1.0, 1.5, 2.0, grid2_64)
 
 
-def kernel_band_norms(a, b, p):
+def kernel_band_norms(grid, a, b, p):
     """The per-band commutator norms of the one pair (a, b)."""
-    return verify._commutator_bands(a.grid, a.coeffs[None], b.coeffs[None], p, [])[0]
+    return verify._commutator_bands(grid, a[None], b[None], p, [])[0]
 
 
 class TestCommutator:
@@ -146,25 +147,24 @@ class TestCommutator:
         a = forward_transform(grid2_64, np.full(grid2_64.shape, 2.5))
         rng = np.random.default_rng(31)
         b = random_scalar(grid2_64, rng, radius=5.0)
-        norms = kernel_band_norms(a, b, 2.0)
+        norms = kernel_band_norms(grid2_64, a, b, 2.0)
         assert np.max(norms) <= 1e-12
 
     @staticmethod
-    def looped_band_norms(a, b, p):
+    def looped_band_norms(grid, a, b, p):
         """The commutator one band and one axis at a time, each band's
         field sampled for the L^p norm."""
-        grid = a.grid
-        grad_b = SpectralField(grid, gradient(grid, b.coeffs))
-        a_grad_b = [field_product(a, g) for g in grad_b]
+        grad_b = gradient(grid, b)
+        a_grad_b = [field_product(grid, a, g) for g in grad_b]
         out = []
         for band in block_multipliers(grid):
             acc = np.zeros(grid.coeff_shape, dtype=np.complex128)
             for ax in range(grid.dim):
-                first = field_product(a, SpectralField(grid, grad_b[ax].coeffs * band))
-                second = SpectralField(grid, a_grad_b[ax].coeffs * band)
-                acc += gradient(grid, first.coeffs)[..., ax, :, :] \
-                    - gradient(grid, second.coeffs)[..., ax, :, :]
-            out.append(lp_norm(SpectralField(grid, acc), p))
+                first = field_product(grid, a, grad_b[ax] * band)
+                second = a_grad_b[ax] * band
+                acc += gradient(grid, first)[..., ax, :, :] \
+                    - gradient(grid, second)[..., ax, :, :]
+            out.append(lp_norm(grid, acc, p))
         return np.array(out)
 
     @pytest.mark.parametrize("p", [2.0, 1.0, INF])
@@ -175,7 +175,8 @@ class TestCommutator:
         grid = GridSpec(dim, m)
         rng = np.random.default_rng(43)
         a, b = (random_scalar(grid, rng, radius=retained_radius(grid) / 2.0) for _ in "ab")
-        assert np.array_equal(kernel_band_norms(a, b, p), one_pair_commutator(a, b, p))
+        assert np.array_equal(kernel_band_norms(grid, a, b, p),
+                              one_pair_commutator(grid, a, b, p))
 
     @pytest.mark.parametrize("p", [2.0, 1.0, INF])
     def test_stacked_matches_band_loop(self, grid2_64, p):
@@ -183,9 +184,9 @@ class TestCommutator:
         radius = retained_radius(grid2_64) / 2.0
         a = random_scalar(grid2_64, rng, radius=radius)
         b = random_scalar(grid2_64, rng, radius=radius)
-        want = self.looped_band_norms(a, b, p)
+        want = self.looped_band_norms(grid2_64, a, b, p)
         assert want.max() > 0
-        np.testing.assert_allclose(kernel_band_norms(a, b, p), want,
+        np.testing.assert_allclose(kernel_band_norms(grid2_64, a, b, p), want,
                                    rtol=0, atol=1e-14 * want.max())
 
     def test_window_validation(self, grid2_64):
@@ -200,14 +201,13 @@ class TestCommutator:
         assert rep.max_ratio > 0
 
 
-def one_pair_commutator(a, b, p):
+def one_pair_commutator(grid, a, b, p):
     """||div(A (band_q grad B)) - band_q div(A grad B)||_p per band, one
     pair at a time through `product`."""
-    grid = a.grid
     bands = block_multipliers(grid)[:, None]
-    grad_b = gradient(grid, b.coeffs)
-    terms = product(grid, a.coeffs, samples(grid, bands * grad_b)) \
-        - bands * product(grid, a.coeffs, samples(grid, grad_b))
+    grad_b = gradient(grid, b)
+    terms = product(grid, a, samples(grid, bands * grad_b)) \
+        - bands * product(grid, a, samples(grid, grad_b))
     return stacked_lp(grid, np.einsum("qa...,a...->q...", terms, grid_wavenumbers(grid)["ik"]), p)
 
 
@@ -239,9 +239,8 @@ class TestChunkedEnsembles:
     def test_bernstein(self, grid2_32, count, budget):
         ens, spec = EnsembleSpec(count=count, seed=21), BesovSpec(1.0, 2.0, 1.0)
         rep = verify_bernstein(spec, ens, grid2_32)
-        ratios = [besov_norm(SpectralField(grid2_32, gradient(grid2_32, u.coeffs)),
-                             BesovSpec(0.0, 2.0, 1.0)).value
-                  / besov_norm(u, spec).value for u in drawn(grid2_32, ens, 2 * count)]
+        ratios = [besov_norm(grid2_32, gradient(grid2_32, u), BesovSpec(0.0, 2.0, 1.0)).value
+                  / besov_norm(grid2_32, u, spec).value for u in drawn(grid2_32, ens, 2 * count)]
         assert (rep.max_ratio, rep.min_ratio, rep.max_ratio_doubled) == extremes(ratios, count)
 
     def test_products(self, grid2_64, count, budget):
@@ -256,9 +255,10 @@ class TestChunkedEnsembles:
             * float(np.trapezoid(env_b ** 2, tgrid) ** 0.5))
         for i, rep in enumerate(reports):
             r, factor = (1.0, INF)[i % 2], (1.0, envelopes)[i // 2]
-            ratios = [factor * besov_norm(field_product(u, v), BesovSpec(1.0, 2.0, r)).value
-                      / (besov_norm(u, BesovSpec(1.0, 2.0, 1.0)).value
-                         * besov_norm(v, BesovSpec(1.0, 2.0, r)).value)
+            ratios = [factor * besov_norm(grid2_64, field_product(grid2_64, u, v),
+                                          BesovSpec(1.0, 2.0, r)).value
+                      / (besov_norm(grid2_64, u, BesovSpec(1.0, 2.0, 1.0)).value
+                         * besov_norm(grid2_64, v, BesovSpec(1.0, 2.0, r)).value)
                       for u, v in zip(fields[::2], fields[1::2])]
             assert (rep.max_ratio, rep.min_ratio, rep.max_ratio_doubled) == \
                 extremes(ratios, count)
@@ -268,9 +268,9 @@ class TestChunkedEnsembles:
         rep = verify_log_interpolation(ens, s, eps, 2.0, grid2_64)
         ratios = []
         for u in drawn(grid2_64, ens, 2 * count):
-            n_inf, n_lo, n_hi = (besov_norm(u, BesovSpec(t, 2.0, INF)).value
+            n_inf, n_lo, n_hi = (besov_norm(grid2_64, u, BesovSpec(t, 2.0, INF)).value
                                  for t in (s, s - eps, s + eps))
-            ratios.append(besov_norm(u, BesovSpec(s, 2.0, 1.0)).value
+            ratios.append(besov_norm(grid2_64, u, BesovSpec(s, 2.0, 1.0)).value
                           / ((n_inf / eps) * math.log(math.e + (n_lo + n_hi) / n_inf)))
         assert (rep.max_ratio, rep.min_ratio, rep.max_ratio_doubled) == extremes(ratios, count)
 
@@ -281,10 +281,10 @@ class TestChunkedEnsembles:
         spec = BesovSpec(0.0, 2.0, 1.0)
         ratios = []
         for a, b in zip(fields[::2], fields[1::2]):
-            band = one_pair_commutator(a, b, 2.0)
+            band = one_pair_commutator(grid2_64, a, b, 2.0)
             cq = np.exp2(np.arange(band.size) * -1.0) * band / (
-                besov_norm(SpectralField(grid2_64, gradient(grid2_64, a.coeffs)), spec).value
-                * besov_norm(SpectralField(grid2_64, gradient(grid2_64, b.coeffs)), spec).value)
+                besov_norm(grid2_64, gradient(grid2_64, a), spec).value
+                * besov_norm(grid2_64, gradient(grid2_64, b), spec).value)
             ratios.append(float(cq.sum()))
         assert (rep.max_ratio, rep.min_ratio, rep.max_ratio_doubled) == extremes(ratios, count)
 
@@ -292,12 +292,12 @@ class TestChunkedEnsembles:
 class TestScaling:
     def test_invariance_m1(self, grid2_64):
         sig, vel, h = band_safe_tuple(grid2_64, 5, m=1)
-        info = verify_scaling(sig, vel, h, m=1)
+        info = verify_scaling(grid2_64, sig, vel, h, m=1)
         assert all(d <= 1e-10 for d in info["defects"].values())
 
     def test_identity_m0(self, grid2_64):
         sig, vel, h = band_safe_tuple(grid2_64, 5, m=1)
-        info = verify_scaling(sig, vel, h, m=0)
+        info = verify_scaling(grid2_64, sig, vel, h, m=0)
         assert all(d == 0.0 for d in info["defects"].values())
 
     def test_band_guard(self):
