@@ -25,7 +25,6 @@ from .norms import (  # noqa: F401
 from .oldroyd import (  # noqa: F401
     AdmissibleSetSpec,
     DensityFloorError,
-    FluidState,
     PhysicalParams,
     compute_pressure,
     constraint_residuals,
@@ -34,6 +33,7 @@ from .oldroyd import (  # noqa: F401
     phi_iteration,
     run,
     run_coupled,
+    split_state,
 )
 from .paley import profile  # noqa: F401
 from .spectral import (  # noqa: F401

@@ -31,12 +31,12 @@ from .norms import BesovSpec, besov_norm, l2_norm
 from .oldroyd import (
     ConstraintResiduals,
     DensityFloorError,
-    FluidState,
     PhysicalParams,
     make_initial_data,
     phi_iteration,
     run,
     run_coupled,
+    split_state,
 )
 from .snapshots import SnapshotFormatError, read_snapshot, state_samples, write_snapshot
 from .spectral import GridSpec
@@ -243,14 +243,11 @@ def _write_csv(path: Path | None, fieldnames: list[str], rows: list[dict]) -> Pa
     return path
 
 
-def _groups(state: FluidState) -> dict[str, np.ndarray]:
-    """The coefficients of the fields a config's norm specs name, by name;
-    grad_p is zero when the state has no pressure gradient."""
-    grid, grad_p = state.grid, state.pressure_grad
-    if grad_p is None:
-        grad_p = np.zeros((grid.dim,) + grid.coeff_shape, complex)
-    return {"sigma": state.sigma, "velocity": state.velocity, "h": state.h,
-            "grad_p": grad_p}
+def _groups(grid: GridSpec, state: np.ndarray, grad_p: np.ndarray) -> dict[str, np.ndarray]:
+    """The coefficients of the fields a config's norm specs name, by name:
+    those of a stacked state and its pressure gradient grad_p."""
+    sigma, velocity, h = split_state(grid, state)
+    return {"sigma": sigma, "velocity": velocity, "h": h, "grad_p": grad_p}
 
 
 def _norm_rows(grid: GridSpec, fields: dict[str, np.ndarray], t: float, norm_specs) -> list[dict]:
@@ -310,9 +307,9 @@ def cmd_simulate(args, mode_override: str | None = None) -> int:
 
     snap_index = [0]
 
-    def on_save(t, state, s):
+    def on_save(t, s, grad_p):
         name = f"snapshot_{snap_index[0]:06d}.bin"
-        write_snapshot(out_dir / name, grid, state_samples(state, s))
+        write_snapshot(out_dir / name, grid, state_samples(grid, s, grad_p))
         manifest.add(out_dir / name)
         snap_index[0] += 1
 
@@ -330,7 +327,7 @@ def cmd_simulate(args, mode_override: str | None = None) -> int:
         with warnings.catch_warnings():
             warnings.simplefilter("default")  # once per warning and call site
             warnings.showwarning = note
-            result = evolve(state0, params, tg, on_save=on_save)
+            result = evolve(grid, state0, params, tg, on_save=on_save)
         if mode == "phi":
             phi = result.report
             rows = [{"outer_iter": i + 1, "distance": dist, **mon} for i, (dist, mon)
@@ -340,9 +337,9 @@ def cmd_simulate(args, mode_override: str | None = None) -> int:
                 "velocity_smoothing", "sup_energy"], rows))
             report.update(converged=phi.converged, last_distance=phi.distances[-1])
         if mode == "coupled":
-            direct = run(state0, params, tg)
-            rows = [{"time": t, "l2_distance": l2_norm(grid, a.coeffs - b.coeffs)}
-                    for t, a, b in zip(result.times, result.states, direct.states)]
+            direct = run(grid, state0, params, tg)
+            rows = [{"time": t, "l2_distance": l2_norm(grid, a - b)}
+                    for t, a, b in zip(result.times, result.coeffs, direct.coeffs)]
             manifest.add(_write_csv(out_dir / "cross_formulation.csv",
                                     ["time", "l2_distance"], rows))
     except ABORT_ERRORS as exc:
@@ -350,8 +347,11 @@ def cmd_simulate(args, mode_override: str | None = None) -> int:
         print(f"solver abort: {exc}", file=sys.stderr)
         return EXIT_SOLVER_ABORT
 
-    norm_rows = [row for t, st in zip(result.times, result.states)
-                 for row in _norm_rows(grid, _groups(st), float(t), norm_specs)]
+    grad_ps = result.pressure_grad
+    if grad_ps is None:  # a fixed point's slices have no pressure: its grad_p norms read zero
+        grad_ps = np.zeros((len(result.times), grid.dim) + grid.coeff_shape, complex)
+    norm_rows = [row for t, st, gp in zip(result.times, result.coeffs, grad_ps)
+                 for row in _norm_rows(grid, _groups(grid, st, gp), float(t), norm_specs)]
     manifest.add(_write_csv(out_dir / "norms.csv", NORM_COLUMNS, norm_rows))
     manifest.add(_write_csv(out_dir / "residuals.csv", RESIDUAL_COLUMNS, result.residual_rows))
     if mode == "phi" and not phi.converged:

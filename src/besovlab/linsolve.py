@@ -27,7 +27,6 @@ from .spectral import (
     dealiased,
     divergence,
     energy,
-    gradient,
     gradient_samples,
     grid_wavenumbers,
     hermitize,
@@ -282,19 +281,14 @@ def solve_heat(grid: GridSpec, u0: np.ndarray, forcing, mu: float,
 
 @dataclass
 class EllipticResult:
-    """The solution's potential plus the Richardson iteration record; `u`,
-    `flux` and `gradient` are coefficient arrays."""
+    """The solution's potential plus the Richardson iteration record; `u`
+    and `flux` are coefficient arrays, and grad u is `gradient(grid, u)`."""
 
-    grid: GridSpec
     u: np.ndarray  # the potential's coefficients
     residuals: np.ndarray
     iterations: int
     flux: np.ndarray  # dealiased a grad u, stacked: the last residual's flux
     stagnated: bool = False  # stopped at the rounding floor below target
-
-    @property
-    def gradient(self) -> np.ndarray:
-        return gradient(self.grid, self.u)
 
 
 def solve_variable_poisson(grid: GridSpec, a: np.ndarray, f: np.ndarray, *,
@@ -342,7 +336,7 @@ def solve_variable_poisson(grid: GridSpec, a: np.ndarray, f: np.ndarray, *,
     flux = np.empty((grid.dim,) + grid.coeff_shape, dtype=complex)
 
     def result(it, stagnated=False):
-        return EllipticResult(grid, u, np.asarray(residuals), it, flux, stagnated)
+        return EllipticResult(u, np.asarray(residuals), it, flux, stagnated)
 
     residuals = []
     target = tol * max(fnorm, 1e-300)

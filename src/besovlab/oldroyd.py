@@ -6,11 +6,11 @@ gradient U).  The momentum equation carries the elastic stress terms
 div h and h-grad-h, a variable-coefficient pressure gradient, and
 viscosity mu (sigma + 1) Lap v.
 
-A state is one stacked coefficient array of 1 + n + n^2 components:
-sigma, then v^0..v^{n-1}, then h row by row.  `FluidState` stores it, and
-its `sigma`, `velocity` (n, *grid) and `h` (n, n, *grid) are array views
-of it; the steppers advance the same array, and a saved
-slice of a run is the array a step produced.
+A state is one stacked coefficient array of 1 + n + n^2 components, passed
+with its grid: sigma, then v^0..v^{n-1}, then h row by row.  `split_state`
+gives its sigma, velocity (n, *grid) and h (n, n, *grid) as array views;
+the steppers advance the same array, and a run returns the arrays its steps
+produced as one trajectory, a `RunResult`.
 
 There is one pressure path: every right side (an RK stage, or the
 velocity forcing of the linearization map) is `momentum_forcing` of a
@@ -41,6 +41,7 @@ from .linsolve import (
     EllipticResult,
     NonPositiveCoefficientError,
     TimeGrid,
+    TrajectoryResult,
     check_cfl,
     if_factors,
     if_rk4_step,
@@ -98,51 +99,24 @@ class AdmissibleSetSpec:
             raise ValueError("R and eta must lie in (0, 1)")
 
 
-def _split(grid: GridSpec, arr: np.ndarray):
+def split_state(grid: GridSpec, arr: np.ndarray):
     """Array views of sigma, velocity (n, ...) and h (n, n, ...) in a stacked
     array: coefficients or samples (... = the grid axes), or gradient
-    samples (... = the derivative axis, then the grid axes)."""
+    samples (... = the derivative axis, then the grid axes).  Writing into
+    a view writes the array."""
     n = grid.dim
     return arr[0], arr[1:1 + n], arr[1 + n:].reshape((n, n) + arr.shape[1:])
 
 
-@dataclass
-class FluidState:
-    """One time slice: the stacked coefficients (1 + n + n^2,
-    *grid.coeff_shape) of (sigma, v, h), plus the coefficients of the
-    diagnostic pressure gradient (n, *grid).
-
-    `sigma`, `velocity` (n, *grid) and `h` (n, n, *grid) are views of
-    `coeffs` (`_split`): writing into them writes the state."""
-
-    grid: GridSpec
-    coeffs: np.ndarray
-    pressure_grad: np.ndarray | None = None
-
-    def __post_init__(self):
-        n = self.grid.dim
-        shape = (1 + n + n * n,) + self.grid.coeff_shape
-        if self.coeffs.shape != shape:
-            raise GridError(f"state shape {self.coeffs.shape} does not match {shape}: the "
-                            f"k_last >= 0 half of a component has shape {self.grid.coeff_shape}")
-        self.coeffs = self.coeffs.astype(np.complex128, copy=False)
-
-    @property
-    def sigma(self) -> np.ndarray:
-        return _split(self.grid, self.coeffs)[0]
-
-    @property
-    def velocity(self) -> np.ndarray:
-        return _split(self.grid, self.coeffs)[1]
-
-    @property
-    def h(self) -> np.ndarray:
-        return _split(self.grid, self.coeffs)[2]
-
-
-def zero_state(grid: GridSpec) -> FluidState:
+def _check_state(grid: GridSpec, state: np.ndarray) -> np.ndarray:
+    """`state` as complex128, once its shape is checked to be a state's,
+    (1 + n + n^2, *grid.coeff_shape); a GridError names both shapes."""
     n = grid.dim
-    return FluidState(grid, np.zeros((1 + n + n * n,) + grid.coeff_shape, dtype=np.complex128))
+    shape = (1 + n + n * n,) + grid.coeff_shape
+    if np.shape(state) != shape:
+        raise GridError(f"state shape {np.shape(state)} does not match {shape}: the "
+                        f"k_last >= 0 half of a component has shape {grid.coeff_shape}")
+    return state.astype(np.complex128, copy=False)
 
 
 # -- the stage kernel ------------------------------------------------------------
@@ -173,9 +147,9 @@ def momentum_forcing(grid: GridSpec, arr: np.ndarray, mu: float, *,
     n = grid.dim
     wavenumbers = grid_wavenumbers(grid)
     s, ds = gradient_samples(grid, arr, with_samples=True)
-    _, vel, h = _split(grid, arr)
-    sig_s, v_s, h_s = _split(grid, s)
-    _, dv_s, dh_s = _split(grid, ds)  # dh_s[i, k, j] = d_j h^{ik}
+    _, vel, h = split_state(grid, arr)
+    sig_s, v_s, h_s = split_state(grid, s)
+    _, dv_s, dh_s = split_state(grid, ds)  # dh_s[i, k, j] = d_j h^{ik}
     lap_v = samples(grid, -wavenumbers["k2"] * vel)
     mom = slice(0, n) if momentum_only else slice(1, 1 + n)  # the momentum rows of terms
     terms = -advect(grid, v_s, dv_s if momentum_only else ds)
@@ -241,7 +215,8 @@ def deformation_identity_residual(grid: GridSpec, h: np.ndarray) -> np.ndarray:
 
 def make_initial_data(family: str, amplitude: float, seed: int, grid: GridSpec):
     """Draw compatible initial data, supported in the radius the dyadic
-    ladder fully covers; returns (state, its `constraint_residuals`).
+    ladder fully covers; returns (the state's stacked array, its
+    `constraint_residuals`).
 
     family "exact_gradient": sigma0 = 0, v0 a solenoidal random field,
     h0 = grad w with w a solenoidal random potential.  The solenoidal and
@@ -260,25 +235,24 @@ def make_initial_data(family: str, amplitude: float, seed: int, grid: GridSpec):
     rng = np.random.default_rng(seed)
     radius = retained_radius(grid)
 
-    state = zero_state(grid)
-    sigma, vel, h = _split(grid, state.coeffs)
+    state = np.zeros((1 + grid.dim + grid.dim ** 2,) + grid.coeff_shape, dtype=np.complex128)
+    sigma, vel, h = split_state(grid, state)
     if amplitude > 0:
         vel[...] = amplitude * randfields.random_solenoidal(grid, rng, radius=radius)
         w = randfields.random_solenoidal(grid, rng, radius=radius)
         h[...] = amplitude * gradient(grid, w)
         if family == "general":
             sigma[...] = amplitude * randfields.random_scalar(grid, rng, radius=radius)
-            _restore_weighted_div(state)
+            _restore_weighted_div(grid, state)
 
-    return state, constraint_residuals(state)
+    return state, constraint_residuals(grid, state)
 
 
-def _restore_weighted_div(state: FluidState):
+def _restore_weighted_div(grid: GridSpec, state: np.ndarray):
     """Add a gradient column correction to h so d_j(rho (I+h)^{ji}) = 0:
     one solve -div(rho grad phi_i) = d_j(rho U^{ji}) per column i, all
     reading one sample of rho.  min(1 + sigma0) must be positive."""
-    grid = state.grid
-    sigma, _, h = _split(grid, state.coeffs)
+    sigma, _, h = split_state(grid, state)
     sig_s = samples(grid, sigma)
     sig_min = float(sig_s.min())
     if not sig_min + 1.0 > 0:  # a NaN sample fails too
@@ -290,7 +264,7 @@ def _restore_weighted_div(state: FluidState):
     rho_s = samples(grid, rho)
     for i in range(grid.dim):
         res = solve_variable_poisson(grid, rho_s, defect[i], tol=1e-13, max_iter=300)
-        h[:, i] += res.gradient
+        h[:, i] += gradient(grid, res.u)
 
 
 # -- pressure ---------------------------------------------------------------------
@@ -304,8 +278,9 @@ def compute_pressure(grid: GridSpec, sig_s: np.ndarray, g: np.ndarray, *,
     """Solve div((sigma+1) grad P) = div G for the pressure P, from the
     grid samples sig_s of sigma and the stacked momentum forcing g (rows
     1..n of `momentum_forcing`'s terms).  The samples give the coefficient
-    and its positivity check; the result's `gradient` is grad P and its
-    `flux` is (sigma + 1) grad P, the flux of the solve's last residual."""
+    and its positivity check; the result's `u` is P, whose `gradient` is
+    grad P, and its `flux` is (sigma + 1) grad P, the flux of the solve's
+    last residual."""
     return solve_variable_poisson(grid, sig_s + 1.0, -divergence(grid, g),
                                   tol=PRESSURE_TOL, warm_start=warm_start)
 
@@ -373,7 +348,7 @@ class _Stepper:
         """Evaluate the first stage of the state `arr` for the step that
         starts from it, into `first` = (its direct array, the right side
         k1, the samples s and gradient samples ds of the direct array); the
-        pressure gradient it solved for is `last.gradient`."""
+        pressure it solved for is `last.u`."""
         direct = self.direct(arr)
         self.first = (direct, *self.rhs(t, arr, direct, floor))
 
@@ -425,18 +400,17 @@ class ConstraintResiduals:
         return asdict(self)
 
 
-def constraint_residuals(state: FluidState, sampled=None) -> ConstraintResiduals:
-    """The residuals of `state`, read from `sampled`: the samples and the
-    gradient samples (s, ds) of its stacked array that its first stage
+def constraint_residuals(grid: GridSpec, state: np.ndarray, sampled=None) -> ConstraintResiduals:
+    """The residuals of the stacked array `state`, read from `sampled`: the
+    samples and the gradient samples (s, ds) of it that its first stage
     formed (`momentum_forcing`), or taken here in one `gradient_samples`
     call when not given.  Every residual is a Parseval norm (`l2_norm`); the
     deformation identity is evaluated once and reported under
     both of its names."""
-    grid = state.grid
-    _, vel, h = _split(grid, state.coeffs)
-    s, ds = sampled or gradient_samples(grid, state.coeffs, with_samples=True)
-    sig_s, _, h_s = _split(grid, s)
-    identity = l2_norm(grid, _identity_residual(grid, h, h_s, _split(grid, ds)[2]))
+    _, vel, h = split_state(grid, _check_state(grid, state))
+    s, ds = sampled or gradient_samples(grid, state, with_samples=True)
+    sig_s, _, h_s = split_state(grid, s)
+    identity = l2_norm(grid, _identity_residual(grid, h, h_s, split_state(grid, ds)[2]))
     rho, flux = _density_flux(grid, sig_s, h_s)
     return ConstraintResiduals(
         div_velocity=l2_norm(grid, divergence(grid, vel)),
@@ -451,48 +425,50 @@ def constraint_residuals(state: FluidState, sampled=None) -> ConstraintResiduals
 
 
 @dataclass
-class RunResult:
-    """The saved slices of an evolution: their times, the fluid states and
-    each one's `residuals.csv` row."""
+class RunResult(TrajectoryResult):
+    """The saved slices of an evolution: `coeffs` (nt, 1 + n + n^2, *grid)
+    holds the state saved at each of `times`, `pressure_grad` (nt, n, *grid)
+    the coefficients of its pressure gradient (None for a fixed point, whose
+    slices no stage ran on), and `residual_rows` its `residuals.csv` row."""
 
-    times: np.ndarray
-    states: list[FluidState]
+    pressure_grad: np.ndarray | None
     residual_rows: list[dict]
 
 
-def _record(t: float, st: FluidState, sampled, on_save) -> dict:
-    """Record the saved state `st` at time t: its `residuals.csv` row, from
-    the samples and gradient samples `sampled` = (s, ds) of its stacked
-    array, then `on_save(t, st, s)`.  Returns the row."""
-    row = {"time": t, **constraint_residuals(st, sampled).as_dict()}
+def _record(grid: GridSpec, t: float, state: np.ndarray, sampled, grad_p, on_save) -> dict:
+    """Record the saved state at time t: its `residuals.csv` row, from the
+    samples and gradient samples `sampled` = (s, ds) of its stacked array,
+    then `on_save(t, s, grad_p)`.  Returns the row."""
+    row = {"time": t, **constraint_residuals(grid, state, sampled).as_dict()}
     if on_save is not None:
-        on_save(t, st, sampled[0])
+        on_save(t, sampled[0], grad_p)
     return row
 
 
 def _run(stepper: _Stepper, arr: np.ndarray, tg: TimeGrid, on_save) -> RunResult:
     """Integrate with `stepper`, recording (`_record`) at every saved slice
-    the fluid state with its diagnostic pressure.  The step that produced
-    a slice evaluated its first stage, whose samples the monitors and
-    `on_save(t, state, s)` read and no saved state keeps.  `on_save` is
+    the fluid state with its diagnostic pressure gradient.  The step that
+    produced a slice evaluated its first stage, whose samples the monitors
+    and `on_save(t, s, grad_p)` read and no result keeps.  `on_save` is
     invoked per saved slice, so partial output survives a mid-run abort."""
 
     def save(t, arr):
         direct, _, s, ds = stepper.first
-        st = FluidState(stepper.grid, direct, stepper.last.gradient)
-        return st, _record(t, st, (s, ds), on_save)
+        grad_p = gradient(stepper.grid, stepper.last.u)
+        return direct, grad_p, _record(stepper.grid, t, direct, (s, ds), grad_p, on_save)
 
     stepper.start(0.0, arr, floor=False)
     times, saved = integrate(arr, stepper.step, tg, save)
-    return RunResult(times, [st for st, _ in saved], [row for _, row in saved])
+    states, grad_ps, rows = zip(*saved)
+    return RunResult(times, np.stack(states), np.stack(grad_ps), list(rows))
 
 
-def run(state0: FluidState, params: PhysicalParams, tg: TimeGrid, *,
+def run(grid: GridSpec, state0: np.ndarray, params: PhysicalParams, tg: TimeGrid, *,
         on_save=None) -> RunResult:
-    """Direct time integration; records the constraint residuals at every
-    saved slice."""
-    stepper = _DirectStepper(state0.grid, params, tg.dt)
-    return _run(stepper, state0.coeffs.copy(), tg, on_save)
+    """Direct time integration of the stacked array `state0`; records the
+    constraint residuals at every saved slice."""
+    stepper = _DirectStepper(grid, params, tg.dt)
+    return _run(stepper, _check_state(grid, state0).copy(), tg, on_save)
 
 
 # -- velocity <-> tensor potential (the coupled variables) ---------------------
@@ -548,23 +524,23 @@ class _CoupledStepper(_Stepper):
         # X_i = v.grad v^i + (sigma+1) d_i P - mu sigma Lap v^i - h^{mk} d_m h^{ik}
         bracket = np.einsum("k...,ik...->i...", ik, h) - fluid[1:1 + n]
         # d_j X_i plus the curl-type source -d_k Q[i, j, k] of the identity
-        quad = _identity_quadratic(grid, _split(grid, s)[2], _split(grid, ds)[2])
+        quad = _identity_quadratic(grid, split_state(grid, s)[2], split_state(grid, ds)[2])
         src = bracket[:, None] * ik - np.einsum("k...,ijk...->ij...", ik, quad)
         out = np.empty_like(arr)
         out[0] = fluid[0]
         out_d, out_h = self.tensors(out)
         out_d[...] = kmag * h + src / np.where(kmag > 0, kmag, np.inf)
         # the fluid h rows carry d_j v^i, which Lam d replaces here
-        out_h[...] = _split(grid, fluid)[2] - gradient(grid, vel) - kmag * d
+        out_h[...] = split_state(grid, fluid)[2] - gradient(grid, vel) - kmag * d
         return out, s, ds
 
 
-def run_coupled(state0: FluidState, params: PhysicalParams, tg: TimeGrid, *,
+def run_coupled(grid: GridSpec, state0: np.ndarray, params: PhysicalParams, tg: TimeGrid, *,
                 on_save=None) -> RunResult:
     """Evolve the coupled variables (sigma, d, h), mapping back to fluid
     states and recording them as `run` does at every save."""
-    grid, n = state0.grid, state0.grid.dim
-    arr = state0.coeffs
+    n = grid.dim
+    arr = _check_state(grid, state0)
     d0 = stacked_velocity_to_tensor(grid, leray_project(grid, arr[1:1 + n]))
     y = np.concatenate([arr[:1], d0.reshape((n * n,) + arr.shape[1:]), arr[1 + n:]])
     return _run(_CoupledStepper(grid, params, tg.dt), y, tg, on_save)
@@ -610,7 +586,7 @@ class _TrajectoryInterpolant:
         return (1.0 - w) * self.arrays[i, rows] + w * self.arrays[i + 1, rows]
 
 
-def _phi_apply(prev: _TrajectoryInterpolant, state0: FluidState,
+def _phi_apply(prev: _TrajectoryInterpolant, grid: GridSpec, state0: np.ndarray,
                params: PhysicalParams, tg: TimeGrid) -> np.ndarray:
     """One application of the linearization map.
 
@@ -624,7 +600,6 @@ def _phi_apply(prev: _TrajectoryInterpolant, state0: FluidState,
     its sigma samples at every stage time t > 0; the initial state is not
     checked, as in `run`.
     """
-    grid = state0.grid
     n = grid.dim
     vel_rows = slice(1, 1 + n)
     warm = None
@@ -642,7 +617,7 @@ def _phi_apply(prev: _TrajectoryInterpolant, state0: FluidState,
         return out
 
     tg1 = TimeGrid(tg.t_end, tg.dt, save_stride=1)
-    sigma_h = np.delete(state0.coeffs, vel_rows, axis=0)
+    sigma_h = np.delete(state0, vel_rows, axis=0)
     sh = solve_transport(grid, sigma_h, u_at, sh_forcing, tg1, check_divergence=False)
     sh_interp = _TrajectoryInterpolant(sh.times, sh.coeffs)
 
@@ -657,7 +632,7 @@ def _phi_apply(prev: _TrajectoryInterpolant, state0: FluidState,
         warm = res.u
         return g - res.flux
 
-    v_traj = solve_heat(grid, state0.coeffs[vel_rows], v_forcing, params.mu, tg1)
+    v_traj = solve_heat(grid, state0[vel_rows], v_forcing, params.mu, tg1)
 
     vel = leray_project(grid, v_traj.coeffs)
     return np.concatenate([sh.coeffs[:, :1], vel, sh.coeffs[:, 1:]], axis=1)
@@ -672,14 +647,14 @@ def _trajectory_distance(a: np.ndarray, b: np.ndarray, grid: GridSpec,
     spec_sm1 = BesovSpec(s - 1.0, 2.0, 1.0)
     worst = 0.0
     for it in tg.save_steps():
-        sigma, vel, h = _split(grid, a[it] - b[it])
+        sigma, vel, h = split_state(grid, a[it] - b[it])
         d = besov_norm(grid, sigma, spec_s).value + besov_norm(grid, vel, spec_sm1).value \
             + besov_norm(grid, h, spec_s).value
         worst = max(worst, d)
     return worst
 
 
-def phi_iteration(state0: FluidState, params: PhysicalParams, tg: TimeGrid, *,
+def phi_iteration(grid: GridSpec, state0: np.ndarray, params: PhysicalParams, tg: TimeGrid, *,
                   max_outer: int = 10, tol: float = 1e-8,
                   admissible: AdmissibleSetSpec | None = None, on_save=None) -> PhiResult:
     """Iterate the linearization map on whole trajectories until the
@@ -694,25 +669,25 @@ def phi_iteration(state0: FluidState, params: PhysicalParams, tg: TimeGrid, *,
     `on_save`), with per-iteration distances and admissible-set monitor
     flags.
     """
-    grid = state0.grid
+    state0 = _check_state(grid, state0)
     s = grid.dim / 2.0
-    sig_norm = besov_norm(grid, state0.sigma, BesovSpec(s, 2.0, 1.0)).value
+    sig_norm = besov_norm(grid, split_state(grid, state0)[0], BesovSpec(s, 2.0, 1.0)).value
     if sig_norm > 0.1:
         warnings.warn(
             f"initial sigma norm {sig_norm:.3g} > 0.1; the linearization "
             "map may not contract", stacklevel=2)
 
     nt = tg.n_steps + 1
-    constant = np.repeat(state0.coeffs[None], nt, axis=0)
+    constant = np.repeat(state0[None], nt, axis=0)
     times = np.arange(nt) * tg.dt
 
-    current = _phi_apply(_TrajectoryInterpolant(times, constant), state0, params, tg)
+    current = _phi_apply(_TrajectoryInterpolant(times, constant), grid, state0, params, tg)
 
     distances: list[float] = []
     monitors: list[dict] = []
     converged = False
     for _ in range(max_outer):
-        nxt = _phi_apply(_TrajectoryInterpolant(times, current), state0, params, tg)
+        nxt = _phi_apply(_TrajectoryInterpolant(times, current), grid, state0, params, tg)
         dist = _trajectory_distance(nxt, current, grid, tg)
         distances.append(dist)
         monitors.append(_admissible_monitor(nxt, times, grid, params, tg, admissible))
@@ -722,12 +697,11 @@ def phi_iteration(state0: FluidState, params: PhysicalParams, tg: TimeGrid, *,
             break
 
     save_idx = tg.save_steps()
-    states = [FluidState(grid, a) for a in current[save_idx]]
-    saved_times = times[save_idx]
-    rows = [_record(t, st, gradient_samples(grid, st.coeffs, with_samples=True), on_save)
+    states, saved_times = current[save_idx], times[save_idx]
+    rows = [_record(grid, t, st, gradient_samples(grid, st, with_samples=True), None, on_save)
             for t, st in zip(saved_times, states)]
     report = PhiReport(distances, monitors, converged, len(distances), 1 + len(distances), tol)
-    return PhiResult(saved_times, states, rows, report)
+    return PhiResult(saved_times, states, None, rows, report)
 
 
 def _admissible_monitor(traj: np.ndarray, times: np.ndarray, grid: GridSpec,

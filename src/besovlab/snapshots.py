@@ -1,5 +1,6 @@
 """Field snapshot files: one JSON header line, then raw little-endian
 float64 physical samples per named field, concatenated in header order.
+A saved fluid state's fields are `state_samples(grid, s, grad_p)`.
 """
 
 from __future__ import annotations
@@ -77,16 +78,15 @@ def read_snapshot(path) -> tuple[GridSpec, dict[str, np.ndarray]]:
     return grid, fields
 
 
-def state_samples(state, s: np.ndarray) -> dict[str, np.ndarray]:
+def state_samples(grid: GridSpec, s: np.ndarray, grad_p) -> dict[str, np.ndarray]:
     """Named grid samples of a fluid state for a snapshot: `s`, the samples
     of its stacked (sigma, v, h) (a save passes those its first stage
-    formed), and the pressure gradient, when the state has one, sampled in
-    one call."""
-    grid, n = state.grid, state.grid.dim
+    formed), and the coefficients `grad_p` of its pressure gradient, when
+    not None, sampled in one call."""
+    n = grid.dim
     names = ["sigma"] + [f"v{i}" for i in range(n)] \
         + [f"h{i}{j}" for i in range(n) for j in range(n)]
     out = dict(zip(names, s))
-    if state.pressure_grad is not None:
-        gp = samples(grid, state.pressure_grad)
-        out.update((f"gradp{i}", g) for i, g in enumerate(gp))
+    if grad_p is not None:
+        out.update((f"gradp{i}", g) for i, g in enumerate(samples(grid, grad_p)))
     return out

@@ -354,17 +354,20 @@ def rescale(grid: GridSpec, coeffs: np.ndarray, m: int) -> np.ndarray:
 
     For m > 0 every populated mode must stay inside the grid; for m < 0
     every populated mode must sit on the 2^|m| sub-lattice.  Coefficients
-    at rounding level (1e-13 of the component's peak) count as unpopulated,
-    so transform noise in sampled fields does not trip the band checks.
-    Amplitude prefactors of the critical-scaling transformation are left
-    to the caller.
+    at rounding level (1e-13 of the component's peak) are exempt from these
+    checks, so transform noise in sampled fields does not trip them: they
+    move with the rest where the dilation places them, and are dropped
+    where it cannot.  Amplitude prefactors of the critical-scaling
+    transformation are left to the caller.
     """
     if m == 0:
         return coeffs.copy()
     mm = grid.points_per_axis
     factor = 2 ** abs(m)
     mag = np.abs(coeffs)
-    nz = np.argwhere(mag > 1e-13 * mag.max(axis=tuple(range(-grid.dim, 0)), keepdims=True))
+    nz = np.argwhere(mag > 0)
+    peak = mag.max(axis=tuple(range(-grid.dim, 0)), keepdims=True)
+    significant = (mag > 1e-13 * peak)[tuple(nz.T)]
     idx = nz[:, -grid.dim:]
     k = np.where(idx >= mm // 2, idx - mm, idx)  # the wraparound frequency
     k[:, -1] = idx[:, -1]
@@ -374,8 +377,9 @@ def rescale(grid: GridSpec, coeffs: np.ndarray, m: int) -> np.ndarray:
     else:
         bad, moved = np.any(k % factor != 0, axis=1), k // factor
         message = f"rescale by m={m} needs modes on the 2^{abs(m)} sub-lattice, found"
-    if bad.any():
-        raise GridError(f"{message} {tuple(k[bad][0])}")
+    if (bad & significant).any():
+        raise GridError(f"{message} {tuple(k[bad & significant][0])}")
+    nz, moved = nz[~bad], moved[~bad]
     out = np.zeros_like(coeffs)
     out[tuple(nz[:, :-grid.dim].T) + tuple((moved % mm).T)] = coeffs[tuple(nz.T)]
     return out

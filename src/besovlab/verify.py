@@ -28,7 +28,7 @@ from . import randfields
 from .linsolve import TimeGrid
 from .norms import (INF, BesovSpec, HybridSpec, besov_norm, ensemble_norms, lebesgue_time_norm,
                     norm_series, stacked_lp)
-from .oldroyd import PhysicalParams, make_initial_data, run
+from .oldroyd import PhysicalParams, make_initial_data, run, split_state
 from .paley import SHELL_HI, SHELL_LO, block_multipliers, retained_radius
 from .spectral import (
     GridSpec,
@@ -356,11 +356,12 @@ def aggregate_energy_norm(series: dict, T: float, mu: float, s: float) -> float:
     return sup_sig_h + sup_v + mu * (int_sig_h + int_v)
 
 
-def initial_hybrid_size(state, mu: float, s: float) -> float:
+def initial_hybrid_size(grid: GridSpec, state: np.ndarray, mu: float, s: float) -> float:
     hyb = HybridSpec(s, INF, mu)
-    return (besov_norm(state.grid, state.sigma, hyb).value
-            + besov_norm(state.grid, state.velocity, BesovSpec(s - 1.0)).value
-            + besov_norm(state.grid, state.h, hyb).value)
+    sigma, velocity, h = split_state(grid, state)
+    return (besov_norm(grid, sigma, hyb).value
+            + besov_norm(grid, velocity, BesovSpec(s - 1.0)).value
+            + besov_norm(grid, h, hyb).value)
 
 
 # the keys of a `smallness_experiment` row; the row of a failed run lacks
@@ -390,12 +391,13 @@ def smallness_experiment(alpha_list, T: float, grid: GridSpec,
                 state = make_initial_data("exact_gradient", 0.0, seed, grid)[0]
             else:
                 state = _bisect_amplitude(alpha, seed, grid, params.mu, s)
-            achieved = initial_hybrid_size(state, params.mu, s)
+            achieved = initial_hybrid_size(grid, state, params.mu, s)
             row["initial_norm"] = achieved
-            result = run(state, params, TimeGrid(T, dt, save_stride))
+            result = run(grid, state, params, TimeGrid(T, dt, save_stride))
             series = {name: norm_series(grid, result.times,
-                                        [getattr(st, name) for st in result.states])
-                      for name in ("sigma", "velocity", "h", "pressure_grad")}
+                                        [split_state(grid, st)[i] for st in result.coeffs])
+                      for i, name in enumerate(("sigma", "velocity", "h"))}
+            series["pressure_grad"] = norm_series(grid, result.times, result.pressure_grad)
             agg = aggregate_energy_norm(series, result.times[-1], params.mu, s)
             press = lebesgue_time_norm(series["pressure_grad"], 1.0,
                                        BesovSpec(s - 1.0), result.times[-1])
@@ -414,7 +416,7 @@ def smallness_experiment(alpha_list, T: float, grid: GridSpec,
 def _bisect_amplitude(alpha: float, seed: int, grid: GridSpec, mu: float, s: float):
     def size(amp):
         st = make_initial_data("exact_gradient", amp, seed, grid)[0]
-        return st, initial_hybrid_size(st, mu, s)
+        return st, initial_hybrid_size(grid, st, mu, s)
 
     amp = alpha
     st, val = size(amp)

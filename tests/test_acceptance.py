@@ -19,6 +19,7 @@ from besovlab.oldroyd import (
     deformation_identity_residual,
     phi_iteration,
     run,
+    split_state,
 )
 from besovlab.paley import profile
 from besovlab.randfields import random_scalar
@@ -61,13 +62,9 @@ class _Clock:
         assert ok, f"{self.name}: {detail}"
 
 
-def state_l2(a, b) -> float:
-    acc = float(np.sum(np.abs(a.sigma - b.sigma) ** 2))
-    for x, y in zip(a.velocity, b.velocity):
-        acc += float(np.sum(np.abs(x - y) ** 2))
-    for x, y in zip(a.h, b.h):
-        acc += float(np.sum(np.abs(x - y) ** 2))
-    return float(np.sqrt(acc) * (2 * np.pi) ** (a.grid.dim / 2.0))
+def state_l2(grid, a, b) -> float:
+    """The coefficient-sum L2 distance of two stacked states."""
+    return float(np.sqrt(np.sum(np.abs(a - b) ** 2)) * (2 * np.pi) ** (grid.dim / 2.0))
 
 
 def test_01_partition_of_unity():
@@ -137,7 +134,7 @@ def test_05_variable_coefficient_pressure():
                      for g in gradient(grid, u_star)])
     f = -1.0 * divergence(grid, flux)
     res = solve_variable_poisson(grid, samples(grid, a), f, tol=1e-12, max_iter=50)
-    err = max(float(np.max(np.abs(res.gradient[ax]
+    err = max(float(np.max(np.abs(gradient(grid, res.u)[ax]
                                   - gradient(grid, u_star)[..., ax, :, :])))
               for ax in range(2))
     monotone = bool(np.all(np.diff(res.residuals) < 0))
@@ -174,10 +171,11 @@ def test_07_constraint_propagation():
     st, _ = make_initial_data("exact_gradient", 1e-2, 3, grid)
     finals, div_worst = {}, 0.0
     for dt in (8e-3, 4e-3, 2e-3):
-        res = run(st, PARAMS, TimeGrid(1.0, dt, save_stride=25))
-        finals[dt] = res.states[-1]
+        res = run(grid, st, PARAMS, TimeGrid(1.0, dt, save_stride=25))
+        finals[dt] = res.coeffs[-1]
         div_worst = max(div_worst, max(r["div_velocity"] for r in res.residual_rows))
-    fields = {dt: deformation_identity_residual(grid, finals[dt].h) for dt in finals}
+    fields = {dt: deformation_identity_residual(grid, split_state(grid, finals[dt])[2])
+              for dt in finals}
     ref = fields[2e-3]
     ratio = l2_norm(grid, fields[8e-3] - ref) / l2_norm(grid, fields[4e-3] - ref)
     ok = ratio >= 3.0 and div_worst <= 1e-10
@@ -200,11 +198,11 @@ def test_09_phi_fixed_point():
     grid = GridSpec(2, 32)
     st, _ = make_initial_data("exact_gradient", 1e-3, 5, grid)
     tg = TimeGrid(0.5, 2.5e-3, save_stride=10)
-    res = phi_iteration(st, PARAMS, tg, max_outer=10, tol=1e-8)
+    res = phi_iteration(grid, st, PARAMS, tg, max_outer=10, tol=1e-8)
     d = res.report.distances
     monotone = all(b < a for a, b in zip(d, d[1:]))
-    direct = run(st, PARAMS, tg)
-    agree = state_l2(res.states[-1], direct.states[-1])
+    direct = run(grid, st, PARAMS, tg)
+    agree = state_l2(grid, res.coeffs[-1], direct.coeffs[-1])
     ok = (res.report.converged and res.report.applications <= 10 and monotone
           and d[-1] < 1e-8 and agree <= 1e-6)
     clock.report(ok, f"{res.report.applications} applications, final distance "
@@ -232,9 +230,9 @@ def test_11_twin_run_uniqueness():
     st, _ = make_initial_data("exact_gradient", 1e-2, 9, grid)
     finals = {}
     for dt in (4e-3, 2e-3, 1e-3):
-        finals[dt] = run(st, PARAMS, TimeGrid(0.5, dt, save_stride=10 ** 6)).states[-1]
-    d1 = state_l2(finals[4e-3], finals[2e-3])
-    d2 = state_l2(finals[2e-3], finals[1e-3])
+        finals[dt] = run(grid, st, PARAMS, TimeGrid(0.5, dt, save_stride=10 ** 6)).coeffs[-1]
+    d1 = state_l2(grid, finals[4e-3], finals[2e-3])
+    d2 = state_l2(grid, finals[2e-3], finals[1e-3])
     ratio = d1 / d2
     clock.report(ratio >= 3.0, f"discrepancy ratio {ratio:.1f}")
 

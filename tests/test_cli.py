@@ -345,8 +345,9 @@ class TestSimulateCommand:
 
     def test_coupled_density_floor_exit_3(self, tmp_path):
         # same data as the run below: the floor sits above min(1 + sigma0)
-        st, _ = make_initial_data("general", 0.2, 5, GridSpec(2, 16))
-        floor = float(samples(st.grid, st.sigma).min()) + 1.0 + 0.01
+        grid = GridSpec(2, 16)
+        st, _ = make_initial_data("general", 0.2, 5, grid)
+        floor = float(samples(grid, st[0]).min()) + 1.0 + 0.01
         cfg = base_config(
             tmp_path,
             params={"mu": 1.0, "sigma_floor": floor},
@@ -372,8 +373,8 @@ class TestSimulateCommand:
         grid = GridSpec(2, 16)
         initial = {"family": "general", "amplitude": 0.5, "seed": 10}
         st, _ = make_initial_data("general", 0.5, 10, grid)
-        every = run(st, PhysicalParams(), TimeGrid(0.05, 0.01, save_stride=1))
-        mins = [float(samples(grid, s.sigma).min()) + 1.0 for s in every.states]
+        every = run(grid, st, PhysicalParams(), TimeGrid(0.05, 0.01, save_stride=1))
+        mins = [float(samples(grid, s[0]).min()) + 1.0 for s in every.coeffs]
         floor = round(0.5 * (mins[3] + mins[4]), 8)
         assert min(mins[:4]) > floor > mins[4]
         last = 3 // stride * stride  # the last save before step 4
@@ -769,10 +770,10 @@ class TestBenchmarkContract:
         grid = GridSpec(2, 16)
         st, _ = make_initial_data("exact_gradient", 1e-3, 5, grid)
         tg = TimeGrid(0.02, 0.01)
-        assert not hasattr(run(st, PhysicalParams(), tg), "report")
-        report = phi_iteration(st, PhysicalParams(), tg).report
+        assert not hasattr(run(grid, st, PhysicalParams(), tg), "report")
+        report = phi_iteration(grid, st, PhysicalParams(), tg).report
         assert report.distances and report.applications == 1 + len(report.distances)
-        terms, s, _ = momentum_forcing(grid, st.coeffs, 1.0)
+        terms, s, _ = momentum_forcing(grid, st, 1.0)
         res = compute_pressure(grid, s[0], terms[1:3])
         assert isinstance(res.iterations, int) and isinstance(res.stagnated, bool)
 

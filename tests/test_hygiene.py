@@ -18,7 +18,8 @@ that shares its name with a loaded attribute of anything else (such as
 module imports another's private (`_`) name: what a module shares is
 public.  No package module asks which form an argument has
 (`isinstance(x, np.ndarray)` or `callable(x)`): every argument has one
-type.
+type.  No package class declares an annotated field `grid`: a state or a
+result holds arrays, and the grid goes alongside them.
 """
 
 import ast
@@ -204,6 +205,30 @@ def test_scan_sees_form_branches():
 def test_no_form_branches():
     found = form_branches({p.stem: p.read_text() for p in PACKAGE.glob("*.py")})
     assert not found, "calls that ask which form an argument has: " + ", ".join(found)
+
+
+def grid_fields(sources: dict[str, str]) -> list[str]:
+    """`module.Class` of each class in `sources` (module name -> source)
+    whose body declares an annotated field `grid`, as a dataclass field
+    (`grid: GridSpec`) is declared."""
+    return sorted(f"{module}.{cls.name}" for module, source in sources.items()
+                  for cls in ast.walk(ast.parse(source)) if isinstance(cls, ast.ClassDef)
+                  for node in cls.body
+                  if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+                  and node.target.id == "grid")
+
+
+def test_scan_sees_grid_fields():
+    sources = {"a": "class State:\n    grid: GridSpec\n    coeffs: np.ndarray\n"
+                    "class Stepper:\n    def __init__(self, grid):\n        self.grid = grid\n"
+                    "def f(grid: GridSpec):\n    grid: int = 1\n",
+               "b": "class Result:\n    times: list\n    grid: object = None\n"}
+    assert grid_fields(sources) == ["a.State", "b.Result"]
+
+
+def test_no_class_holds_a_grid():
+    found = grid_fields({p.stem: p.read_text() for p in PACKAGE.glob("*.py")})
+    assert not found, "classes that hold a grid beside their arrays: " + ", ".join(found)
 
 
 def stale_docstring_names(sources: dict[str, str]) -> list[str]:

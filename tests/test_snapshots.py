@@ -5,14 +5,14 @@ import pytest
 
 from besovlab.linsolve import TimeGrid
 from besovlab.oldroyd import (PhysicalParams, compute_pressure, make_initial_data,
-                              momentum_forcing, run)
+                              momentum_forcing, run, split_state)
 from besovlab.snapshots import (
     SnapshotFormatError,
     read_snapshot,
     state_samples,
     write_snapshot,
 )
-from besovlab.spectral import GridSpec, samples
+from besovlab.spectral import GridSpec, gradient, samples
 from conftest import field_of
 
 
@@ -86,11 +86,11 @@ def test_bad_header_rejected(tmp_path, header):
 
 def test_state_fields_names(grid2_32):
     st, _ = make_initial_data("general", 1e-2, 3, grid2_32)
-    fields = state_samples(st, samples(grid2_32, st.coeffs))
+    fields = state_samples(grid2_32, samples(grid2_32, st), None)
     assert set(fields) == {"sigma", "v0", "v1", "h00", "h01", "h10", "h11"}
-    terms, s, _ = momentum_forcing(grid2_32, st.coeffs, 1.0)
-    st.pressure_grad = compute_pressure(grid2_32, s[0], terms[1:3]).gradient
-    fields = state_samples(st, samples(grid2_32, st.coeffs))
+    terms, s, _ = momentum_forcing(grid2_32, st, 1.0)
+    grad_p = gradient(grid2_32, compute_pressure(grid2_32, s[0], terms[1:3]).u)
+    fields = state_samples(grid2_32, samples(grid2_32, st), grad_p)
     assert "gradp0" in fields and "gradp1" in fields
 
 
@@ -102,19 +102,21 @@ def test_save_snapshot_from_stage_samples(tmp_path, dim, m):
     grid = GridSpec(dim, m)
     st, _ = make_initial_data("general", 0.05, 5, grid)
     saved = []
-    run(st, PhysicalParams(), TimeGrid(0.01, 5e-3),
-        on_save=lambda t, state, s: saved.append((state, s)))
+    res = run(grid, st, PhysicalParams(), TimeGrid(0.01, 5e-3),
+              on_save=lambda t, s, grad_p: saved.append((s, grad_p)))
     assert len(saved) == 3
-    for state, s in saved:
-        by_field = {"sigma": state.sigma}
-        by_field.update((f"v{i}", v) for i, v in enumerate(state.velocity))
-        by_field.update((f"h{i}{j}", state.h[i][j]) for i in range(dim) for j in range(dim))
-        by_field.update((f"gradp{i}", g) for i, g in enumerate(state.pressure_grad))
-        write_snapshot(tmp_path / "samples.bin", grid, state_samples(state, s))
+    assert np.array_equal(res.pressure_grad, np.stack([grad_p for _, grad_p in saved]))
+    for state, (s, grad_p) in zip(res.coeffs, saved):
+        sigma, vel, h = split_state(grid, state)
+        by_field = {"sigma": sigma}
+        by_field.update((f"v{i}", v) for i, v in enumerate(vel))
+        by_field.update((f"h{i}{j}", h[i][j]) for i in range(dim) for j in range(dim))
+        by_field.update((f"gradp{i}", g) for i, g in enumerate(grad_p))
+        write_snapshot(tmp_path / "samples.bin", grid, state_samples(grid, s, grad_p))
         write_snapshot(tmp_path / "fields.bin", grid,
                        {name: samples(grid, f) for name, f in by_field.items()})
         assert (tmp_path / "samples.bin").read_bytes() == (tmp_path / "fields.bin").read_bytes()
         # the state's own samples, taken in one call, give the same bytes
         write_snapshot(tmp_path / "state.bin", grid,
-                       state_samples(state, samples(grid, state.coeffs)))
+                       state_samples(grid, samples(grid, state), grad_p))
         assert (tmp_path / "state.bin").read_bytes() == (tmp_path / "fields.bin").read_bytes()

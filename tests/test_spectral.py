@@ -544,6 +544,24 @@ class TestRescale:
         with pytest.raises(GridError):
             rescale(grid2_32, f, -1)
 
+    @pytest.mark.parametrize("m, peak, small, lost", [
+        (1, (1, 1), (2, 3), (0, 10)),  # (0, 10) would land on k_last 20 > M/2
+        (-1, (2, 2), (4, 6), (1, 1)),  # (1, 1) is off the 2-sub-lattice
+    ], ids=["m1", "m-1"])
+    def test_rounding_level_content_moves(self, grid2_32, m, peak, small, lost):
+        """A coefficient below 1e-13 of its component's peak is exempt from
+        the band checks, not deleted: it moves with the rest where the
+        dilation places it, and is dropped only where it cannot."""
+        f = np.zeros(grid2_32.coeff_shape, complex)
+        f[peak], f[small], f[lost] = 1.0, 5e-14, 1e-15
+        out = rescale(grid2_32, f, m)
+
+        def moved(idx):
+            return tuple(int(i * 2.0 ** m) for i in idx)
+
+        assert np.count_nonzero(out) == 2
+        assert out[moved(peak)] == 1.0 and out[moved(small)] == 5e-14
+
 
 class TestOperatorAlgebra:
     def test_field_arithmetic(self, grid2_32):
